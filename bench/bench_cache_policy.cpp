@@ -15,7 +15,7 @@
 #include "bench/bench_common.h"
 #include "common/rng.h"
 #include "common/string_util.h"
-#include "core/module_store.h"
+#include "core/shared_module_store.h"
 #include "sys/device_model.h"
 
 namespace {
@@ -84,7 +84,8 @@ int main() {
   for (double fraction : {0.05, 0.1, 0.25, 0.5, 0.75, 1.0}) {
     const size_t capacity = static_cast<size_t>(
         fraction * kPoolSize * static_cast<double>(module_bytes));
-    ModuleStore store(capacity, /*host=*/0);
+    SharedModuleStore store(capacity, /*host=*/0, DiskTierConfig{},
+                            /*n_shards=*/1);
     for (int i = 0; i < kPoolSize; ++i) {
       store.insert("mod" + std::to_string(i), synthetic_module());
     }
@@ -95,10 +96,9 @@ int main() {
     double retrieve_s = 0;
     for (int r = 0; r < kRequests; ++r) {
       const std::string key = "mod" + std::to_string(zipf.next());
-      ModuleLocation loc;
-      const EncodedModule* m = store.find(key, &loc);
-      PC_CHECK(m != nullptr);
-      if (loc == ModuleLocation::kDeviceMemory) {
+      const SharedModuleStore::ModuleRef m = store.find(key);
+      PC_CHECK(m);
+      if (m.location() == ModuleLocation::kDeviceMemory) {
         ++device_hits;
         retrieve_s += estimate_memcpy_s(hw, module_bytes,
                                         ModuleLocation::kDeviceMemory);

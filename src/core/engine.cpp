@@ -107,22 +107,30 @@ EngineConfig resolve_precision(const Model& model, EngineConfig config) {
 PromptCacheEngine::PromptCacheEngine(const Model& model,
                                      const TextTokenizer& tokenizer,
                                      EngineConfig config)
-    : model_(model),
-      tokenizer_(tokenizer),
-      chat_template_(model.config().chat_template),
-      config_(resolve_precision(model, config)),
-      store_(config.device_capacity_bytes, config.host_capacity_bytes) {}
+    : PromptCacheEngine(model, tokenizer,
+                        std::make_unique<SharedModuleStore>(
+                            config.device_capacity_bytes,
+                            config.host_capacity_bytes, DiskTierConfig{},
+                            /*n_shards=*/1),
+                        config) {}
 
 PromptCacheEngine::PromptCacheEngine(const Model& model,
                                      const TextTokenizer& tokenizer,
-                                     SharedModuleStore& shared_store,
+                                     std::unique_ptr<SharedModuleStore> owned,
+                                     EngineConfig config)
+    : PromptCacheEngine(model, tokenizer, *owned, std::move(config)) {
+  owned_store_ = std::move(owned);
+}
+
+PromptCacheEngine::PromptCacheEngine(const Model& model,
+                                     const TextTokenizer& tokenizer,
+                                     SharedModuleStore& store,
                                      EngineConfig config)
     : model_(model),
       tokenizer_(tokenizer),
       chat_template_(model.config().chat_template),
       config_(resolve_precision(model, config)),
-      store_(0, 0),
-      shared_(&shared_store) {}
+      store_(store) {}
 
 const pml::Schema& PromptCacheEngine::load_schema(
     std::string_view schema_pml) {
@@ -139,15 +147,12 @@ const pml::Schema& PromptCacheEngine::load_schema(
   // encoded state derived from the old version — module contents or
   // positions may have changed while the keys stay the same.
   if (const pml::Schema* old = find_schema(name)) {
-    const auto erase_key = [&](const std::string& key) {
-      shared_ != nullptr ? shared_->erase(key) : store_.erase(key);
-    };
     for (size_t mi = 0; mi < old->modules.size(); ++mi) {
-      erase_key(module_key(*old, static_cast<int>(mi)));
+      store_.erase(module_key(*old, static_cast<int>(mi)));
     }
     for (auto it = scaffolds_.begin(); it != scaffolds_.end();) {
       if (it->schema_name == name) {
-        erase_key(it->key);
+        store_.erase(it->key);
         it = scaffolds_.erase(it);
       } else {
         ++it;
@@ -381,33 +386,21 @@ EncodedModule PromptCacheEngine::build_scaffold_payload(
 
 void PromptCacheEngine::encode_module(const pml::Schema& schema, int mi) {
   const std::string key = module_key(schema, mi);
-  if (shared_ != nullptr) {
-    if (shared_->contains(key)) return;
-    bool encoded_here = false;
-    (void)shared_->ensure(
-        key, [&] { return build_module_payload(schema, mi); }, &encoded_here);
-    if (encoded_here) cells_.modules_encoded.inc();
-    return;
-  }
   if (store_.contains(key)) return;
-  store_.insert(key, build_module_payload(schema, mi));
-  cells_.modules_encoded.inc();
+  bool encoded_here = false;
+  (void)store_.ensure(
+      key, [&] { return build_module_payload(schema, mi); }, &encoded_here);
+  if (encoded_here) cells_.modules_encoded.inc();
 }
 
 void PromptCacheEngine::encode_scaffold(const pml::Schema& schema,
                                         const Scaffold& scaffold) {
-  if (shared_ != nullptr) {
-    if (shared_->contains(scaffold.key)) return;
-    bool encoded_here = false;
-    (void)shared_->ensure(
-        scaffold.key, [&] { return build_scaffold_payload(schema, scaffold); },
-        &encoded_here);
-    if (encoded_here) cells_.scaffolds_encoded.inc();
-    return;
-  }
   if (store_.contains(scaffold.key)) return;
-  store_.insert(scaffold.key, build_scaffold_payload(schema, scaffold));
-  cells_.scaffolds_encoded.inc();
+  bool encoded_here = false;
+  (void)store_.ensure(
+      scaffold.key, [&] { return build_scaffold_payload(schema, scaffold); },
+      &encoded_here);
+  if (encoded_here) cells_.scaffolds_encoded.inc();
 }
 
 pml::PromptBinding PromptCacheEngine::bind(std::string_view prompt_pml) const {
@@ -521,8 +514,7 @@ void PromptCacheEngine::append_text_rows(const EncodedModule& module,
         const uint64_t rows = static_cast<uint64_t>(2) *
                               static_cast<uint64_t>(module.n_layers) *
                               static_cast<uint64_t>(end - begin);
-        shared_ != nullptr ? shared_->note_dequant_rows(rows)
-                           : store_.note_dequant_rows(rows);
+        store_.note_dequant_rows(rows);
         if (ttft != nullptr) ttft->dequant_rows += rows;
         break;
       }
@@ -548,8 +540,7 @@ void PromptCacheEngine::append_text_rows(const EncodedModule& module,
         const uint64_t rows = static_cast<uint64_t>(2) *
                               static_cast<uint64_t>(module.n_layers) *
                               static_cast<uint64_t>(end - begin);
-        shared_ != nullptr ? shared_->note_dequant_rows(rows)
-                           : store_.note_dequant_rows(rows);
+        store_.note_dequant_rows(rows);
         if (ttft != nullptr) ttft->dequant_rows += rows;
         break;
       }
@@ -600,53 +591,31 @@ void PromptCacheEngine::for_each_encoded(
       key = module_key(*binding.schema, mi);
     }
 
-    if (shared_ != nullptr) {
-      // With `borrow` (zero-copy), lookup and pin are one atomic step and
-      // the ref outlives this loop, so rows the view borrows can neither
-      // dangle (ref) nor be evicted out from under other requests (pin).
-      SharedModuleStore::ModuleRef ref = shared_->find(key, borrow);
-      if (!ref) {
-        // Evicted since the ensure pass (cache thrash): re-encode — or,
-        // single-flight, adopt another worker's in-progress encode.
-        cells_.thrash_reencodes.inc();
-        bool encoded_here = false;
-        ref = shared_->ensure(
-            key,
-            [&]() -> EncodedModule {
-              if (is_scaffold) {
-                return build_scaffold_payload(*binding.schema,
-                                              *active[scaffold_of(mi)]);
-              }
-              return build_module_payload(*binding.schema, mi);
-            },
-            &encoded_here, borrow);
-        if (encoded_here) {
-          (is_scaffold ? cells_.scaffolds_encoded : cells_.modules_encoded)
-              .inc();
-        }
-      }
-      if (borrow) {
-        borrowed_pins_.push_back(key);
-        borrowed_refs_.push_back(ref);
-      }
-      emit(key, *ref, ref.location());
-      continue;
+    // One lookup-or-encode per module. With `borrow` (zero-copy), lookup
+    // and pin are one atomic step and the ref outlives this loop, so rows
+    // the view borrows can neither dangle (ref) nor be evicted out from
+    // under other requests (pin).
+    bool encoded_here = false;
+    SharedModuleStore::ModuleRef ref = store_.ensure(
+        key,
+        [&]() -> EncodedModule {
+          // Evicted since the ensure pass (cache thrash): re-encode.
+          cells_.thrash_reencodes.inc();
+          if (is_scaffold) {
+            return build_scaffold_payload(*binding.schema,
+                                          *active[scaffold_of(mi)]);
+          }
+          return build_module_payload(*binding.schema, mi);
+        },
+        &encoded_here, borrow);
+    if (encoded_here) {
+      (is_scaffold ? cells_.scaffolds_encoded : cells_.modules_encoded).inc();
     }
-
-    ModuleLocation loc = ModuleLocation::kHostMemory;
-    const EncodedModule* encoded = store_.find(key, &loc);
-    if (encoded == nullptr) {
-      // Evicted since the ensure pass (cache thrash): re-encode inline.
-      cells_.thrash_reencodes.inc();
-      if (is_scaffold) {
-        encode_scaffold(*binding.schema, *active[scaffold_of(mi)]);
-      } else {
-        encode_module(*binding.schema, mi);
-      }
-      encoded = store_.find(key, &loc);
-      PC_CHECK(encoded != nullptr);
+    if (borrow) {
+      borrowed_pins_.push_back(key);
+      borrowed_refs_.push_back(ref);
     }
-    emit(key, *encoded, loc);
+    emit(key, *ref, ref.location());
   }
 }
 
@@ -740,14 +709,6 @@ Tensor PromptCacheEngine::assemble_and_prefill(
               "(module '"
                   << key << "' is stored as fp16, which has no in-place "
                   << "attention kernel)");
-          // Pin so later thrash re-encodes cannot evict rows this view
-          // borrowed. Shared-store pinning already happened atomically inside
-          // for_each_encoded (borrow=true); only the private boolean-pin
-          // store needs the explicit dance here.
-          if (shared_ == nullptr && !store_.is_pinned(key)) {
-            store_.pin(key);
-            borrowed_pins_.push_back(key);
-          }
           if (ttft != nullptr) ++ttft->modules;
           for (const auto& [begin, end] : m.text_row_ranges) {
             if (m.precision == StorePrecision::kQ8) {
@@ -770,22 +731,17 @@ Tensor PromptCacheEngine::assemble_and_prefill(
             }
           }
         },
-        /*borrow=*/shared_ != nullptr);
+        /*borrow=*/true);
   }
   if (ttft != nullptr) ttft->retrieve_ms = retrieve_timer.elapsed_ms();
   return prefill_uncached(model_, binding, view, ttft);
 }
 
 void PromptCacheEngine::release_borrowed_pins() {
-  if (shared_ != nullptr) {
-    for (const std::string& key : borrowed_pins_) shared_->unpin(key);
-    borrowed_pins_.clear();
-    // Dropping the refs last: rows stay valid until every pin is returned.
-    borrowed_refs_.clear();
-    return;
-  }
   for (const std::string& key : borrowed_pins_) store_.unpin(key);
   borrowed_pins_.clear();
+  // Dropping the refs last: rows stay valid until every pin is returned.
+  borrowed_refs_.clear();
 }
 
 ServeResult PromptCacheEngine::serve(std::string_view prompt_pml,
@@ -848,10 +804,8 @@ ServeResult PromptCacheEngine::serve(std::string_view prompt_pml,
     // Off the latency path: warm the alternatives of every union member
     // this prompt used, so the next profile/locale/variant request finds
     // them already in device memory.
-    // Private mode counts via the store's promotion delta; in shared mode
-    // that counter is fleet-global, so count this engine's own moves.
-    const uint64_t before =
-        shared_ != nullptr ? 0 : store_.stats().promotions;
+    // The store's promotion counter is fleet-global when it is shared, so
+    // count this engine's own moves.
     uint64_t moved_here = 0;
     for (int mi : binding.modules) {
       const pml::ModuleNode& m = binding.schema->module(mi);
@@ -859,19 +813,13 @@ ServeResult PromptCacheEngine::serve(std::string_view prompt_pml,
       for (int sibling :
            binding.schema->unions[static_cast<size_t>(m.union_id)].members) {
         if (sibling == mi) continue;
-        const std::string key = module_key(*binding.schema, sibling);
-        if (shared_ != nullptr) {
-          bool moved = false;
-          (void)shared_->promote(key, ModuleLocation::kDeviceMemory, &moved);
-          if (moved) ++moved_here;
-        } else {
-          (void)store_.promote(key, ModuleLocation::kDeviceMemory);
-        }
+        bool moved = false;
+        (void)store_.promote(module_key(*binding.schema, sibling),
+                             ModuleLocation::kDeviceMemory, &moved);
+        if (moved) ++moved_here;
       }
     }
-    cells_.sibling_prefetches.inc(
-        shared_ != nullptr ? moved_here
-                           : store_.stats().promotions - before);
+    cells_.sibling_prefetches.inc(moved_here);
   }
   return result;
 }
@@ -1019,7 +967,7 @@ void PromptCacheEngine::pin_module(const std::string& schema_name,
                                                         << "'");
   encode_module(*schema, mi);
   const std::string key = module_key(*schema, mi);
-  PC_CHECK(shared_ != nullptr ? shared_->pin(key) : store_.pin(key));
+  PC_CHECK(store_.pin(key));
 }
 
 size_t PromptCacheEngine::save_modules(const std::string& path) const {
@@ -1034,13 +982,11 @@ size_t PromptCacheEngine::save_modules(const std::string& path) const {
     if (!os) throw Error("cannot open '" + tmp + "' for writing");
     try {
       write_store_header(os);
-      const auto write_one = [&](const std::string& key,
-                                 const EncodedModule& module, ModuleLocation) {
+      store_.for_each([&](const std::string& key, const EncodedModule& module,
+                          ModuleLocation) {
         write_module_record(os, key, module);
         ++count;
-      };
-      shared_ != nullptr ? shared_->for_each(write_one)
-                         : store_.for_each(write_one);
+      });
       os.flush();
       if (!os) {
         throw Error("write failure persisting modules to '" + tmp + "'");
@@ -1109,11 +1055,7 @@ PromptCacheEngine::LoadReport PromptCacheEngine::load_modules(
                module.precision == StorePrecision::kFp32) {
       quantize_module_q4_in_place(module);
     }
-    if (shared_ != nullptr) {
-      shared_->insert(key, std::move(module));
-    } else {
-      store_.insert(key, std::move(module));
-    }
+    store_.insert(key, std::move(module));
     module = EncodedModule{};
     ++report.loaded;
   }

@@ -18,30 +18,31 @@
 //
 // Threading contract: a single engine is single-threaded — serve(),
 // load_schema() and the other mutating calls must not run concurrently (the
-// per-engine stats and histograms are unsynchronized). Scale out with one
-// engine per worker thread over a shared (const) Model, in one of two
-// configurations:
+// per-engine stats and histograms are unsynchronized). Every engine serves
+// from a SharedModuleStore (core/shared_module_store.h):
 //
-//   * Private stores (the default constructor): each engine owns a
-//     ModuleStore. Workers are fully isolated but encode and hold every
-//     module once *per worker*; share encoded modules between processes via
+//   * A standalone engine (the constructor without a store) owns a
+//     one-shard store sized by EngineConfig's capacity fields. Engines are
+//     then fully isolated but encode and hold every module once *per
+//     engine*; share encoded modules between processes via
 //     save_modules()/load_modules().
-//   * Shared store (the SharedModuleStore& constructor): N engines route
-//     find/insert/pin through one thread-safe store, so each module is
-//     encoded once fleet-wide (single-flight) and held once. Zero-copy
-//     views take reference-counted pins, so a request on one worker blocks
-//     eviction triggered by another; per-engine TTFT histograms merge()
-//     into fleet percentiles. This is the serving configuration — see
-//     src/sys/server.h for the queue + worker-pool frontend.
+//   * Engines built over one store (the SharedModuleStore& constructor)
+//     scale out to one engine per worker thread over a shared (const)
+//     Model: each module is encoded once fleet-wide (single-flight) and
+//     held once. Zero-copy views take reference-counted pins, so a request
+//     on one worker blocks eviction triggered by another; per-engine TTFT
+//     histograms merge() into fleet percentiles. This is the serving
+//     configuration — see src/sys/server.h for the queue + worker-pool
+//     frontend.
 #pragma once
 
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/histogram.h"
-#include "core/module_store.h"
 #include "core/shared_module_store.h"
 #include "model/model.h"
 #include "pml/prompt.h"
@@ -137,7 +138,7 @@ struct EngineStats {
   uint64_t degraded_serves = 0;   // full-prefill fallbacks (fault recovery)
   uint64_t modules_encoded = 0;
   uint64_t scaffolds_encoded = 0;
-  uint64_t thrash_reencodes = 0;  // cache misses inside the TTFT window
+  uint64_t thrash_reencodes = 0;  // re-encodes inside the TTFT window
   uint64_t sibling_prefetches = 0;
 };
 
@@ -171,15 +172,17 @@ struct EngineCells {
 
 class PromptCacheEngine {
  public:
+  // Standalone engine: owns a one-shard store sized by the EngineConfig
+  // capacity fields, with no disk tier (PC_DISK_DIR is not consulted).
   PromptCacheEngine(const Model& model, const TextTokenizer& tokenizer,
                     EngineConfig config = {});
 
-  // Shared-store engine: encoded modules live in (and are served from)
-  // `shared_store`, which must outlive the engine; the EngineConfig
-  // capacity fields are ignored (the shared store was sized at
-  // construction). Many engines on different threads may share one store.
+  // Engine over `store`: encoded modules live in (and are served from) it,
+  // and it must outlive the engine; the EngineConfig capacity fields are
+  // ignored (the store was sized at construction). Many engines on
+  // different threads may share one store.
   PromptCacheEngine(const Model& model, const TextTokenizer& tokenizer,
-                    SharedModuleStore& shared_store, EngineConfig config = {});
+                    SharedModuleStore& store, EngineConfig config = {});
 
   // Parses, lays out, and (eagerly) encodes a schema. Returns it.
   const pml::Schema& load_schema(std::string_view schema_pml);
@@ -235,9 +238,10 @@ class PromptCacheEngine {
   Tensor assemble_and_prefill(const pml::PromptBinding& binding,
                               KVCache& sequence_cache, TtftBreakdown* ttft);
 
-  // Zero-copy variant: borrows module rows from the store (pinning them
-  // for the view's lifetime is the caller's job in manual use; serve()
-  // handles it). The view must have tail capacity for the uncached tokens.
+  // Zero-copy variant: borrows module rows from the store and pins them for
+  // the view's lifetime (releasing the pins is the caller's job in manual
+  // use; serve() handles it). The view must have tail capacity for the
+  // uncached tokens.
   Tensor assemble_and_prefill(const pml::PromptBinding& binding,
                               SegmentedKVCache& view, TtftBreakdown* ttft);
 
@@ -277,14 +281,11 @@ class PromptCacheEngine {
 
   const Model& model() const { return model_; }
   const TextTokenizer& tokenizer() const { return tokenizer_; }
-  // The private store; contract violation on a shared-store engine (its
-  // registry is the SharedModuleStore — use shared_store()).
-  ModuleStore& store() {
-    PC_CHECK_MSG(shared_ == nullptr,
-                 "engine uses a SharedModuleStore; query shared_store()");
-    return store_;
-  }
-  SharedModuleStore* shared_store() const { return shared_; }
+  // The configuration in effect (precision after any q4 -> q8 fallback).
+  const EngineConfig& config() const { return config_; }
+  // The store this engine serves from: its own, or the one it was built
+  // over.
+  SharedModuleStore& store() const { return store_; }
   // Counter snapshot (a view over this engine's registry cells).
   EngineStats stats() const { return cells_.snapshot(); }
 
@@ -300,10 +301,11 @@ class PromptCacheEngine {
 
   // Resolves the encoded payload for every module/scaffold of a binding
   // (re-encoding evicted entries) and emits them in concatenation order.
-  // With `borrow` (zero-copy assembly over a shared store), each emitted
-  // module is pinned and its ref retained in borrowed_refs_ until
-  // release_borrowed_pins(), so rows stay valid and resident for the
-  // lifetime of the borrowing view. Public for the batch scheduler
+  // With `borrow` (zero-copy assembly), each emitted module is pinned and
+  // its ref retained in borrowed_refs_ until release_borrowed_pins(), so
+  // rows stay valid and resident for the lifetime of the borrowing view.
+  // A module evicted since the ensure pass is re-encoded here and counted
+  // as a thrash re-encode. Public for the batch scheduler
   // (sys/batch.h), which materializes emitted modules into shared KV pages
   // during the emit callback (the ref keeps rows valid for that long even
   // without borrow).
@@ -354,18 +356,23 @@ class PromptCacheEngine {
   std::vector<const Scaffold*> active_scaffolds(
       const pml::PromptBinding& binding, std::vector<bool>* covered) const;
 
+  // The standalone constructor's target: `owned` becomes the store.
+  PromptCacheEngine(const Model& model, const TextTokenizer& tokenizer,
+                    std::unique_ptr<SharedModuleStore> owned,
+                    EngineConfig config);
+
   const Model& model_;
   const TextTokenizer& tokenizer_;
   ChatTemplate chat_template_;
   EngineConfig config_;
   std::map<std::string, pml::Schema> schemas_;
   std::vector<Scaffold> scaffolds_;
-  ModuleStore store_;                  // unused when shared_ != nullptr
-  SharedModuleStore* shared_ = nullptr;
+  std::unique_ptr<SharedModuleStore> owned_store_;  // standalone engines only
+  SharedModuleStore& store_;
   EngineCells cells_;
+  // Keys pinned and refs held for live zero-copy views (see
+  // for_each_encoded's `borrow`); released by release_borrowed_pins().
   std::vector<std::string> borrowed_pins_;
-  // Shared-store mode: refs held for live zero-copy views (see
-  // for_each_encoded's `borrow`); cleared by release_borrowed_pins().
   std::vector<SharedModuleStore::ModuleRef> borrowed_refs_;
 };
 

@@ -38,6 +38,33 @@ uint64_t elapsed_us(std::chrono::steady_clock::time_point since) {
 
 }  // namespace
 
+ModuleStoreCells::ModuleStoreCells() {
+  auto& reg = obs::MetricsRegistry::global();
+  hits = reg.counter("pc_store_hits_total", "module store lookup hits");
+  misses = reg.counter("pc_store_misses_total", "module store lookup misses");
+  insertions =
+      reg.counter("pc_store_insertions_total", "modules inserted into store");
+  evictions = reg.counter("pc_store_evictions_total",
+                          "modules dropped entirely (re-encode on next use)");
+  demotions = reg.counter("pc_store_demotions_total",
+                          "modules moved device -> host to make room");
+  promotions = reg.counter("pc_store_promotions_total",
+                           "modules moved host -> device (prefetch/warm-up)");
+  dequant_rows = reg.counter("pc_store_dequant_rows_total",
+                             "module rows dequantized int8 -> fp32 on read");
+  resident_bytes =
+      reg.gauge("pc_store_resident_bytes", "encoded bytes resident, all tiers");
+  resident_bytes_fp32 = reg.gauge(
+      "pc_store_resident_bytes_fp32",
+      "resident bytes in unquantized (fp32/fp16) module payloads");
+  resident_bytes_q8 = reg.gauge("pc_store_resident_bytes_q8",
+                                "resident bytes in Q8_0 module payloads");
+  resident_bytes_q4 = reg.gauge("pc_store_resident_bytes_q4",
+                                "resident bytes in Q4_0 module payloads");
+  pinned_entries =
+      reg.gauge("pc_store_pinned_entries", "entries exempt from eviction");
+}
+
 DiskTierConfig DiskTierConfig::from_env() {
   DiskTierConfig cfg;
   const char* dir = std::getenv("PC_DISK_DIR");
@@ -144,29 +171,7 @@ SharedModuleStore::ModuleRef SharedModuleStore::find(const std::string& key,
     SpillInfo spill;  // non-empty path <=> this caller leads a fault-in
     {
       std::unique_lock lock(s.mutex);
-      auto it = s.entries.find(key);
-      // Injected store pressure: spuriously evict the (unpinned) entry so
-      // the caller takes the thrash-reencode path. Pinned entries are
-      // exempt, as in real eviction. The fault poll runs last so no draw
-      // is consumed when there is nothing to evict.
-      if (it != s.entries.end() && it->second.pin_count == 0 &&
-          FaultInjector::global().should_fail(FaultPoint::kEvict)) {
-        erase_locked(s, it);
-        cells_.evictions.inc();
-        it = s.entries.end();
-      }
-      if (it != s.entries.end()) {
-        cells_.hits.inc();
-        it->second.last_used = tick();
-        if (it->second.prefetched) {
-          it->second.prefetched = false;
-          disk_prefetch_hits_.inc();
-        }
-        if (and_pin && ++it->second.pin_count == 1) {
-          cells_.pinned_entries.add(1);
-        }
-        return ModuleRef(it->second.module, it->second.location);
-      }
+      if (ModuleRef ref = lookup_locked(s, key, and_pin)) return ref;
       auto sit = s.spilled.find(key);
       if (sit == s.spilled.end()) {
         cells_.misses.inc();
@@ -200,6 +205,31 @@ SharedModuleStore::ModuleRef SharedModuleStore::find(const std::string& key,
     (ref ? cells_.hits : cells_.misses).inc();
     return ref;
   }
+}
+
+SharedModuleStore::ModuleRef SharedModuleStore::lookup_locked(
+    Shard& s, const std::string& key, bool and_pin) {
+  auto it = s.entries.find(key);
+  if (it == s.entries.end()) return {};
+  // Injected store pressure: spuriously evict the (unpinned) entry so the
+  // caller takes the thrash-reencode path. Pinned entries are exempt, as in
+  // real eviction. The fault poll runs last so no draw is consumed when
+  // there is nothing to evict.
+  if (it->second.pin_count == 0 &&
+      FaultInjector::global().should_fail(FaultPoint::kEvict)) {
+    erase_locked(s, it);
+    cells_.evictions.inc();
+    return {};
+  }
+  Entry& e = it->second;
+  cells_.hits.inc();
+  e.last_used = tick();
+  if (e.prefetched) {
+    e.prefetched = false;
+    disk_prefetch_hits_.inc();
+  }
+  if (and_pin && ++e.pin_count == 1) cells_.pinned_entries.add(1);
+  return ModuleRef(e.module, e.location);
 }
 
 bool SharedModuleStore::prefetch(const std::string& key) {
@@ -309,19 +339,7 @@ SharedModuleStore::ModuleRef SharedModuleStore::ensure(
     std::shared_ptr<Flight> flight;
     {
       std::unique_lock lock(s.mutex);
-      auto it = s.entries.find(key);
-      if (it != s.entries.end()) {
-        cells_.hits.inc();
-        it->second.last_used = tick();
-        if (it->second.prefetched) {
-          it->second.prefetched = false;
-          disk_prefetch_hits_.inc();
-        }
-        if (and_pin && ++it->second.pin_count == 1) {
-          cells_.pinned_entries.add(1);
-        }
-        return ModuleRef(it->second.module, it->second.location);
-      }
+      if (ModuleRef ref = lookup_locked(s, key, and_pin)) return ref;
       auto fit = s.in_flight.find(key);
       if (fit == s.in_flight.end()) {
         // This caller is the leader for the key.
@@ -432,22 +450,28 @@ ModuleLocation SharedModuleStore::place_locked(
   } else if (make_room_locked(s, second, bytes)) {
     loc = second;
   } else {
-    // Distinguish "too big for the store" from "too big for a 1/N shard
-    // slice of it": the latter is a sharding-configuration problem, not a
-    // capacity problem, and the fix is different.
-    const size_t max_total =
-        std::max(device_capacity_total_, host_capacity_total_);
-    if (bytes <= max_total) {
+    // Name the obstacle, since each has a different fix: pinned entries
+    // holding the room of a tier slice the module fits, a 1/N shard slice
+    // too small for a module the configured total could hold (a sharding
+    // problem), or tiers smaller than the module.
+    const std::string what =
+        "module '" + key + "' (" + std::to_string(bytes) + " bytes) ";
+    if (bytes <= s.tiers.usage(ModuleLocation::kDeviceMemory).capacity_bytes ||
+        bytes <= s.tiers.usage(ModuleLocation::kHostMemory).capacity_bytes) {
+      throw CacheError(what +
+                       "does not fit in any memory tier: the room it needs "
+                       "is held by pinned entries");
+    }
+    if (bytes <= std::max(device_capacity_total_, host_capacity_total_)) {
       throw CacheError(
-          "module '" + key + "' (" + std::to_string(bytes) +
-          " bytes) exceeds its per-shard slice of every memory tier "
-          "(capacities are split across " +
+          what +
+          "exceeds its per-shard slice of every memory tier (capacities "
+          "are split across " +
           std::to_string(shards_.size()) +
           " shards) but fits the configured total — lower n_shards or "
           "raise capacity");
     }
-    throw CacheError("module '" + key + "' (" + std::to_string(bytes) +
-                     " bytes) does not fit in any memory tier shard");
+    throw CacheError(what + "is larger than every memory tier");
   }
   s.tiers.charge(loc, bytes);
   obs::Gauge* format_gauge = &cells_.resident_bytes_fp32;

@@ -1,10 +1,18 @@
-// Thread-safe shared module store for concurrent serving.
+// The engine's module registry — device and host tiers, plus an optional
+// disk tier — safe to share across threads.
 //
-// The private ModuleStore gives each engine its own registry, so N workers
-// encode and hold every module N times — forfeiting exactly the reuse the
-// paper's TTFT claim rests on (§3.4, §5). SharedModuleStore is the shared,
-// concurrent counterpart: N engines over one store hold each encoded module
-// once, and a module encoded by any worker is a hit for all of them.
+// Encoded modules are placed in device memory (fast, scarce) while it has
+// room, spilling to host memory (abundant, but costs a transfer at serve
+// time) — the memory trade-off of paper §4.1. Eviction takes the least-
+// recently-used unpinned entry of a tier; the paper leaves replacement
+// policy to future serving systems (§6), so the policy is deliberately
+// simple and lives in this one class.
+//
+// There is one store implementation for every configuration. A standalone
+// engine owns a one-shard instance sized by its EngineConfig (no disk
+// tier); a serving fleet shares one instance, so N engines hold each
+// encoded module once and a module encoded by any worker is a hit for all
+// of them — the reuse the paper's TTFT claim rests on (§3.4, §5).
 //
 // Concurrency design:
 //
@@ -51,12 +59,13 @@
 //     prefetch hit. Spill round-trips are byte-exact (serialize round-trip
 //     is), so RAM-capped tiered serving stays bitwise-identical.
 //
-// Stats live in registry cells (obs/metrics.h) shared with the private
-// store's metric families — one pc_store_* naming scheme covers both — and
-// the hit/miss/insert/evict semantics mirror ModuleStoreStats so existing
-// telemetry carries over. The disk tier adds pc_store_disk_* families
-// (spills, faults, prefetch hits/misses, evictions, failures, stall time,
-// spilled bytes) local to each store instance.
+// Stats live in registry cells (obs/metrics.h): every store owns cells in
+// the pc_store_* families, so a Prometheus scrape sees the whole process's
+// cache behavior under one naming scheme while stats() keeps the
+// per-instance view. One logical lookup (find() or ensure()) counts exactly
+// one hit or one miss. The disk tier adds pc_store_disk_* families (spills,
+// faults, prefetch hits/misses, evictions, failures, stall time, spilled
+// bytes) local to each store instance.
 #pragma once
 
 #include <atomic>
@@ -71,10 +80,55 @@
 #include <vector>
 
 #include "core/encoded_module.h"
-#include "core/module_store.h"
+#include "obs/metrics.h"
 #include "sys/memory_tier.h"
 
 namespace pc {
+
+// Snapshot view of one store's counters, read from its registry cells.
+struct ModuleStoreStats {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t insertions = 0;
+  uint64_t evictions = 0;   // dropped entirely (re-encode on next use)
+  uint64_t demotions = 0;   // moved device -> host to make room
+  uint64_t promotions = 0;  // moved host -> device (prefetch / warm-up)
+};
+
+// The registry cells behind ModuleStoreStats and the resident-bytes gauges.
+struct ModuleStoreCells {
+  ModuleStoreCells();
+
+  obs::Counter hits;
+  obs::Counter misses;
+  obs::Counter insertions;
+  obs::Counter evictions;
+  obs::Counter demotions;
+  obs::Counter promotions;
+  // Rows converted from a quantized payload (q8 or q4) to fp32 at
+  // retrieval time (the copy path's dequantize-on-read; the zero-copy/paged
+  // paths never dequantize modules and so never bump this).
+  obs::Counter dequant_rows;   // pc_store_dequant_rows_total
+  obs::Gauge resident_bytes;   // pc_store_resident_bytes
+  // resident_bytes split by payload format: q8 counts Q8_0 modules, q4
+  // counts Q4_0 modules, fp32 counts everything unquantized (fp32 and fp16
+  // payloads).
+  obs::Gauge resident_bytes_fp32;  // pc_store_resident_bytes_fp32
+  obs::Gauge resident_bytes_q8;    // pc_store_resident_bytes_q8
+  obs::Gauge resident_bytes_q4;    // pc_store_resident_bytes_q4
+  obs::Gauge pinned_entries;   // pc_store_pinned_entries
+
+  ModuleStoreStats snapshot() const {
+    ModuleStoreStats out;
+    out.hits = hits.value();
+    out.misses = misses.value();
+    out.insertions = insertions.value();
+    out.evictions = evictions.value();
+    out.demotions = demotions.value();
+    out.promotions = promotions.value();
+    return out;
+  }
+};
 
 // Configuration for the store's disk spill tier (docs/INTERNALS.md §15).
 struct DiskTierConfig {
@@ -185,8 +239,10 @@ class SharedModuleStore {
   // running `encode` (outside all store locks) only if this caller is the
   // first to need a missing key. `encoded_here` (if non-null) reports
   // whether this call ran the encode — the caller's "I paid the forward
-  // pass" signal for its own stats. Propagates exceptions from `encode`;
-  // waiters behind a failed leader retry (one becomes the next leader).
+  // pass" signal for its own stats. Counts like find(): one hit, or one
+  // miss when the encode runs; a waiter counts the hit it wakes to.
+  // Propagates exceptions from `encode`; waiters behind a failed leader
+  // retry (one becomes the next leader).
   ModuleRef ensure(const std::string& key,
                    const std::function<EncodedModule()>& encode,
                    bool* encoded_here = nullptr, bool and_pin = false);
@@ -321,6 +377,11 @@ class SharedModuleStore {
   uint64_t tick() { return clock_.fetch_add(1, std::memory_order_relaxed); }
 
   // All *_locked helpers require the shard's exclusive lock.
+  // The RAM lookup find() and ensure() share: polls the injected evict
+  // fault, and on a hit bumps recency, settles the prefetch tag, pins when
+  // asked and counts the hit. An empty ref means the key is not RAM-
+  // resident (nothing counted: the caller decides whether that is a miss).
+  ModuleRef lookup_locked(Shard& s, const std::string& key, bool and_pin);
   bool make_room_locked(Shard& s, ModuleLocation loc, size_t bytes);
   void erase_locked(Shard& s,
                     std::unordered_map<std::string, Entry>::iterator it);

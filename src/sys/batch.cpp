@@ -40,37 +40,32 @@ int matched_stop_sequence(const std::vector<TokenId>& out,
 
 }  // namespace
 
-BatchScheduler::BatchScheduler(const Model& model,
-                               const TextTokenizer& tokenizer,
-                               SharedModuleStore* shared, Options options,
-                               CompletionFn on_complete)
-    : model_(model),
-      tokenizer_(tokenizer),
+BatchScheduler::BatchScheduler(std::unique_ptr<PromptCacheEngine> engine,
+                               Options options, CompletionFn on_complete)
+    : model_(engine->model()),
+      tokenizer_(engine->tokenizer()),
       options_(std::move(options)),
       on_complete_(std::move(on_complete)),
-      pool_(options_.batch.page_tokens, model.kv_bytes_per_token(),
-            Q8TokenLayout{model.config().n_layers, model.config().kv_dim()}
+      pool_(options_.batch.page_tokens, model_.kv_bytes_per_token(),
+            Q8TokenLayout{model_.config().n_layers, model_.config().kv_dim()}
                 .stride(),
-            Q4TokenLayout{model.config().n_layers, model.config().kv_dim()}
-                .stride()) {
+            Q4TokenLayout{model_.config().n_layers, model_.config().kv_dim()}
+                .stride()),
+      engine_(std::move(engine)) {
   PC_CHECK_MSG(options_.batch.max_batch > 0, "BatchConfig::max_batch must be > 0");
   PC_CHECK_MSG(options_.batch.chunk_tokens > 0,
                "BatchConfig::chunk_tokens must be > 0");
   PC_CHECK_MSG(options_.batch.page_tokens > 0,
                "BatchConfig::page_tokens must be > 0");
-  PC_CHECK_MSG(options_.engine.precision == StorePrecision::kFp32 ||
-                   options_.engine.precision == StorePrecision::kQ8 ||
-                   options_.engine.precision == StorePrecision::kQ4,
+  const StorePrecision precision = engine_->config().precision;
+  PC_CHECK_MSG(precision == StorePrecision::kFp32 ||
+                   precision == StorePrecision::kQ8 ||
+                   precision == StorePrecision::kQ4,
                "batched serving requires kFp32, kQ8, or kQ4 module storage "
                "(pages are read in place by the gathered attention kernels; "
                "fp16 has no in-place kernel)");
   PC_CHECK_MSG(on_complete_ != nullptr,
                "BatchScheduler needs a completion callback");
-  engine_ = shared != nullptr
-                ? std::make_unique<PromptCacheEngine>(model_, tokenizer_,
-                                                      *shared, options_.engine)
-                : std::make_unique<PromptCacheEngine>(model_, tokenizer_,
-                                                      options_.engine);
   for (const std::string& pml : options_.schemas) {
     try {
       engine_->load_schema(pml);

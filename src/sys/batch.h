@@ -56,7 +56,6 @@
 #include "common/cancel.h"
 #include "common/histogram.h"
 #include "core/engine.h"
-#include "core/shared_module_store.h"
 #include "kv/paged_cache.h"
 #include "kv/paged_pool.h"
 #include "model/model.h"
@@ -83,11 +82,6 @@ struct BatchKVStats {
 class BatchScheduler {
  public:
   struct Options {
-    // precision must be kFp32, kQ8, or kQ4: fp32 module pages are read in
-    // place by the gathered attention kernel; quantized module pages stay
-    // quantized and are scored in the integer domain (attn_fused_q8_gather
-    // / attn_fused_q4_gather). fp16 has no in-place kernel.
-    EngineConfig engine;
     std::vector<std::string> schemas;  // PML loaded at construction
     BatchConfig batch;
     LinkModel link;
@@ -118,11 +112,14 @@ class BatchScheduler {
   // response is final (any status).
   using CompletionFn = std::function<void(ServerResponse&&)>;
 
-  // `shared` may be null (the engine then owns a private ModuleStore sized
-  // by options.engine). Loads options.schemas; an injected encode fault
-  // during eager encoding is tolerated (modules re-encode lazily).
-  BatchScheduler(const Model& model, const TextTokenizer& tokenizer,
-                 SharedModuleStore* shared, Options options,
+  // Serves with `engine`, whose precision must be kFp32, kQ8, or kQ4: fp32
+  // module pages are read in place by the gathered attention kernel;
+  // quantized module pages stay quantized and are scored in the integer
+  // domain (attn_fused_q8_gather / attn_fused_q4_gather). fp16 has no
+  // in-place kernel. Loads options.schemas into the engine; an injected
+  // encode fault during eager encoding is tolerated (modules re-encode
+  // lazily).
+  BatchScheduler(std::unique_ptr<PromptCacheEngine> engine, Options options,
                  CompletionFn on_complete);
   ~BatchScheduler();
 

@@ -67,17 +67,21 @@ StorePrefetcher::Stats StorePrefetcher::stats() const {
 
 void StorePrefetcher::loop() {
   obs::set_thread_name("prefetcher");
-  // The binder engine is built on this thread, like a worker's. It shares
-  // the store so prefetch keys match lookup keys exactly, but it only ever
-  // binds — prefetch() never encodes, so this engine runs no forward pass.
-  PromptCacheEngine binder(model_, tokenizer_, store_, config_.engine);
+  // The binder engine is built on this thread, like a worker's. It only
+  // maps prompts to store keys (bind + module_keys), which depend on
+  // neither store nor precision, so it owns an empty store and skips the
+  // eager encode: the workers encode the schemas, into the store they
+  // serve from, and this engine runs no forward pass.
+  EngineConfig binder_config;
+  binder_config.eager_encode = false;
+  PromptCacheEngine binder(model_, tokenizer_, binder_config);
   for (const std::string& pml : config_.schemas) {
     try {
       binder.load_schema(pml);
     } catch (const Error& e) {
-      // Same posture as Server::worker_loop: the schema registered before
-      // its eager encode failed; binding still works.
-      PC_LOG_WARN << "prefetcher: schema load incomplete (" << e.what()
+      // Prefetch is best-effort: prompts of a schema the binder could not
+      // load count as bind errors.
+      PC_LOG_WARN << "prefetcher: schema load failed (" << e.what()
                   << "); binding continues";
     }
   }

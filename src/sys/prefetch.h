@@ -5,7 +5,8 @@
 // on its serve path. StorePrefetcher hides that latency by overlapping the
 // disk reads with whatever the engines are already doing: a background
 // thread binds each submitted prompt (PromptCacheEngine::bind +
-// module_keys — pure parsing, no store access, no encoding) and calls
+// module_keys — pure parsing, no store access, no encoding; the binder
+// engine owns an empty store and never encodes) and calls
 // SharedModuleStore::prefetch() on every key, faulting spilled payloads
 // back into RAM while earlier requests are still decoding. By the time the
 // request reaches a worker, its modules are resident and the serve path
@@ -44,8 +45,6 @@ struct PrefetcherConfig {
   // Max prompts buffered ahead of the engines (the double/triple-buffer
   // depth). Beyond it the oldest queued prompt is dropped as stale.
   size_t depth = 2;
-  EngineConfig engine;               // binder engine config (must match the
-                                     // workers' precision for identical keys)
   std::vector<std::string> schemas;  // PML loaded by the binder at startup
 };
 
@@ -60,9 +59,9 @@ class StorePrefetcher {
     uint64_t bind_errors = 0;    // prompts skipped (parse/validation error)
   };
 
-  // The binder engine is built on the background thread against `store`
-  // (so prefetched payloads land exactly where the workers look them up).
-  // The constructor blocks until the thread has loaded the schemas.
+  // Prefetches fault keys into `store`, where the workers look them up. The
+  // binder engine is built on the background thread; the constructor
+  // blocks until it has loaded the schemas.
   StorePrefetcher(const Model& model, const TextTokenizer& tokenizer,
                   SharedModuleStore& store, PrefetcherConfig config);
   ~StorePrefetcher();  // calls stop()

@@ -145,7 +145,6 @@ void Server::start() {
     // thread binding prompts nobody looks up.
     PrefetcherConfig pf;
     pf.depth = config_.prefetch_depth;
-    pf.engine = config_.engine;
     pf.schemas = config_.schemas;
     prefetcher_ = std::make_unique<StorePrefetcher>(model_, tokenizer_,
                                                     *shared_, std::move(pf));
@@ -442,15 +441,18 @@ void Server::record_timeline_locked(const ServerResponse& resp) {
   requests_.record(std::move(t));
 }
 
+std::unique_ptr<PromptCacheEngine> Server::make_engine() const {
+  return shared_ != nullptr
+             ? std::make_unique<PromptCacheEngine>(model_, tokenizer_, *shared_,
+                                                   config_.engine)
+             : std::make_unique<PromptCacheEngine>(model_, tokenizer_,
+                                                   config_.engine);
+}
+
 void Server::worker_loop(int index) {
   obs::set_thread_name("worker" + std::to_string(index));
   Worker& self = *workers_[static_cast<size_t>(index)];
-  self.engine =
-      shared_ != nullptr
-          ? std::make_unique<PromptCacheEngine>(model_, tokenizer_, *shared_,
-                                                config_.engine)
-          : std::make_unique<PromptCacheEngine>(model_, tokenizer_,
-                                                config_.engine);
+  self.engine = make_engine();
   for (const std::string& pml : config_.schemas) {
     try {
       self.engine->load_schema(pml);
@@ -713,14 +715,13 @@ void Server::worker_loop(int index) {
 void Server::batch_loop() {
   obs::set_thread_name("batcher");
   BatchScheduler::Options opts;
-  opts.engine = config_.engine;
   opts.schemas = config_.schemas;
   opts.batch = config_.batch;
   opts.link = config_.link;
   opts.retry = config_.retry;
   opts.flow_seed = instance_ << 32;
   scheduler_ = std::make_unique<BatchScheduler>(
-      model_, tokenizer_, shared_, std::move(opts),
+      make_engine(), std::move(opts),
       [this](ServerResponse&& resp) {
         const auto now = std::chrono::steady_clock::now();
         {
@@ -801,6 +802,21 @@ ServerStats Server::stats() const {
         static_cast<double>(out.completed) / (out.wall_ms / 1e3);
   }
 
+  // Engine counters sum over the engines; store counters over the distinct
+  // stores they serve from — the shared store once, or each engine's own.
+  std::vector<const SharedModuleStore*> stores;
+  size_t n_engines = 0;
+  const auto add_engine = [&](const PromptCacheEngine& engine) {
+    const EngineStats es = engine.stats();
+    out.modules_encoded += es.modules_encoded;
+    out.scaffolds_encoded += es.scaffolds_encoded;
+    out.thrash_reencodes += es.thrash_reencodes;
+    ++n_engines;
+    if (std::find(stores.begin(), stores.end(), &engine.store()) ==
+        stores.end()) {
+      stores.push_back(&engine.store());
+    }
+  };
   if (config_.batching && scheduler_ != nullptr) {
     out.batching = true;
     out.batch_iterations = scheduler_->iterations();
@@ -810,54 +826,29 @@ ServerStats Server::stats() const {
     out.kv_peak_bytes = kv.peak_live_bytes;
     out.kv_module_bytes = kv.module_bytes;
     out.kv_cow_copies = kv.cow_copies;
-    PromptCacheEngine& engine = scheduler_->engine();
-    const EngineStats es = engine.stats();
-    out.modules_encoded += es.modules_encoded;
-    out.scaffolds_encoded += es.scaffolds_encoded;
-    out.thrash_reencodes += es.thrash_reencodes;
+    add_engine(scheduler_->engine());
     out.engine_ttft.merge(scheduler_->ttft_histogram());
-    if (shared_ == nullptr) {
-      const ModuleStoreStats ss = engine.store().stats();
-      out.store.hits += ss.hits;
-      out.store.misses += ss.misses;
-      out.store.insertions += ss.insertions;
-      out.store.evictions += ss.evictions;
-      out.store.demotions += ss.demotions;
-      out.store.promotions += ss.promotions;
-      out.resident_module_bytes +=
-          engine.store().usage(ModuleLocation::kDeviceMemory).used_bytes +
-          engine.store().usage(ModuleLocation::kHostMemory).used_bytes;
-    }
   }
   for (const auto& w : workers_) {
     if (w->engine == nullptr) continue;  // worker still constructing
-    const EngineStats es = w->engine->stats();
-    out.modules_encoded += es.modules_encoded;
-    out.scaffolds_encoded += es.scaffolds_encoded;
-    out.thrash_reencodes += es.thrash_reencodes;
+    add_engine(*w->engine);
     out.engine_ttft.merge(w->engine->cached_ttft_histogram());
-    if (shared_ == nullptr) {
-      const ModuleStoreStats ss = w->engine->store().stats();
-      out.store.hits += ss.hits;
-      out.store.misses += ss.misses;
-      out.store.insertions += ss.insertions;
-      out.store.evictions += ss.evictions;
-      out.store.demotions += ss.demotions;
-      out.store.promotions += ss.promotions;
-      out.resident_module_bytes +=
-          w->engine->store().usage(ModuleLocation::kDeviceMemory).used_bytes +
-          w->engine->store().usage(ModuleLocation::kHostMemory).used_bytes;
-    }
   }
-  if (shared_ != nullptr) {
-    out.store = shared_->stats();
-    out.resident_module_bytes = shared_->resident_bytes();
-    out.bytes_deduplicated =
-        out.resident_module_bytes *
-        static_cast<size_t>(
-            config_.batching ? 0 : std::max(0, config_.n_workers - 1));
-    out.single_flight_waits = shared_->single_flight_waits();
+  for (const SharedModuleStore* store : stores) {
+    const ModuleStoreStats ss = store->stats();
+    out.store.hits += ss.hits;
+    out.store.misses += ss.misses;
+    out.store.insertions += ss.insertions;
+    out.store.evictions += ss.evictions;
+    out.store.demotions += ss.demotions;
+    out.store.promotions += ss.promotions;
+    out.resident_module_bytes += store->resident_bytes();
+    out.single_flight_waits += store->single_flight_waits();
   }
+  // A store serving k engines holds once what k engine-owned stores would
+  // hold k times.
+  out.bytes_deduplicated =
+      out.resident_module_bytes * (n_engines - stores.size());
   const double lookups =
       static_cast<double>(out.store.hits + out.store.misses);
   if (lookups > 0) {

@@ -4,8 +4,9 @@
 //
 //   * shared:  all workers route through one SharedModuleStore — each module
 //     is encoded once fleet-wide (single-flight) and held once.
-//   * private: each worker owns a ModuleStore sized by ServerConfig::engine —
-//     the scale-out baseline the shared store is measured against.
+//   * private: each worker's engine owns a one-shard store sized by
+//     ServerConfig::engine — the scale-out baseline the shared store is
+//     measured against.
 //
 // Request lifecycle: submit() enqueues (blocking while the queue is at
 // capacity — admission control instead of unbounded memory); a worker pops,
@@ -176,8 +177,8 @@ class Server {
   Server(const Model& model, const TextTokenizer& tokenizer,
          SharedModuleStore& shared_store, ServerConfig config);
 
-  // Private-store serving: each worker owns a ModuleStore sized by
-  // config.engine (the N-times-everything baseline).
+  // Private-store serving: each worker's engine owns a one-shard store
+  // sized by config.engine (the N-times-everything baseline).
   Server(const Model& model, const TextTokenizer& tokenizer,
          ServerConfig config);
 
@@ -262,6 +263,9 @@ class Server {
   };
 
   void start();
+  // The engine a worker (or the batch lane) serves with: over the shared
+  // store, or owning its own.
+  std::unique_ptr<PromptCacheEngine> make_engine() const;
   void worker_loop(int index);
   void batch_loop();
   // Books a finished response (any status) under mutex_; the caller

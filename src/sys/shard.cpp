@@ -640,14 +640,10 @@ void ShardRouter::dispatch(uint64_t rid) {
           }
         }
         (void)deliver_locked(rid, -1, std::move(r));
+        if (!stranded.empty()) ++stream_outs_pending_;
       }
       cv_done_.notify_all();
-      if (!stranded.empty()) {
-        std::lock_guard<std::mutex> lock(tgt.lifecycle);
-        if (tgt.store != nullptr) {
-          for (const auto& key : stranded) tgt.store->erase(key);
-        }
-      }
+      if (!stranded.empty()) stream_out(target, stranded);
       return;
     }
     sopts.deadline_ms = remaining;
@@ -718,12 +714,7 @@ void ShardRouter::dispatch(uint64_t rid) {
   }
   if (delivered) {
     cv_done_.notify_all();
-    if (!cleanup.empty()) {
-      std::lock_guard<std::mutex> lock(tgt.lifecycle);
-      if (tgt.store != nullptr) {
-        for (const auto& key : cleanup) tgt.store->erase(key);
-      }
-    }
+    if (!cleanup.empty()) stream_out(target, cleanup);
   }
 }
 
@@ -786,13 +777,22 @@ void ShardRouter::process_delivery(Event& e) {
   }
   if (!delivered) return;
   cv_done_.notify_all();
-  if (!cleanup.empty()) {
-    Shard& s = *shards_[static_cast<size_t>(e.shard)];
+  if (!cleanup.empty()) stream_out(e.shard, cleanup);
+}
+
+void ShardRouter::stream_out(int shard, const std::vector<std::string>& keys) {
+  {
+    Shard& s = *shards_[static_cast<size_t>(shard)];
     std::lock_guard<std::mutex> lock(s.lifecycle);
     if (s.store != nullptr) {
-      for (const auto& key : cleanup) s.store->erase(key);
+      for (const auto& key : keys) s.store->erase(key);
     }
   }
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    --stream_outs_pending_;
+  }
+  cv_done_.notify_all();
 }
 
 std::vector<std::string> ShardRouter::deliver_locked(uint64_t rid, int shard,
@@ -850,6 +850,7 @@ std::vector<std::string> ShardRouter::deliver_locked(uint64_t rid, int shard,
     }
   }
   pending_.erase(it);
+  if (!cleanup.empty()) ++stream_outs_pending_;
   return cleanup;
 }
 
@@ -1036,7 +1037,9 @@ void ShardRouter::replicator_loop() {
 
 std::vector<ShardResponse> ShardRouter::drain() {
   std::unique_lock<std::mutex> lock(mutex_);
-  cv_done_.wait(lock, [this] { return delivered_count_ == next_rid_; });
+  cv_done_.wait(lock, [this] {
+    return delivered_count_ == next_rid_ && stream_outs_pending_ == 0;
+  });
   std::vector<ShardResponse> out = std::move(delivered_);
   delivered_.clear();
   std::sort(out.begin(), out.end(),
@@ -1050,7 +1053,9 @@ void ShardRouter::stop() {
   {
     std::unique_lock<std::mutex> lock(mutex_);
     stopped_ = true;
-    cv_done_.wait(lock, [this] { return delivered_count_ == next_rid_; });
+    cv_done_.wait(lock, [this] {
+      return delivered_count_ == next_rid_ && stream_outs_pending_ == 0;
+    });
   }
   {
     std::lock_guard<std::mutex> lock(replicator_mutex_);

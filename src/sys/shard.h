@@ -269,9 +269,13 @@ class ShardRouter {
   // Books the terminal response under mutex_; returns the cross-fetched
   // keys to stream back out of `shard`'s store (empty unless this delivery
   // came from the last dispatch target and streaming is on). The caller
-  // erases them outside mutex_ and notifies cv_done_.
+  // hands them to stream_out() once mutex_ is released.
   std::vector<std::string> deliver_locked(uint64_t rid, int shard,
                                           ServerResponse&& resp);
+  // Erases streamed-out keys from `shard`'s store (under its lifecycle
+  // lock, so mutex_ must not be held), then retires the stream-out that
+  // deliver_locked (or an undispatched timeout) counted and wakes drain().
+  void stream_out(int shard, const std::vector<std::string>& keys);
   void process_delivery(Event& e);
   void process_failover(uint64_t rid);
   void process_restart(int shard);
@@ -323,6 +327,9 @@ class ShardRouter {
   std::vector<ShardResponse> delivered_;
   uint64_t next_rid_ = 0;
   uint64_t delivered_count_ = 0;
+  // Deliveries whose stream-out erase has not run yet: drain() and stop()
+  // wait for 0, so an idle fleet holds non-owned keys nowhere.
+  int stream_outs_pending_ = 0;
   // Cumulative per-status tallies (survive drain()'s buffer clear).
   uint64_t n_completed_ = 0;
   uint64_t n_degraded_ = 0;

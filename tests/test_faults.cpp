@@ -1,6 +1,8 @@
 // Fault-tolerant serving: the chaos suite.
 //
 //   * FaultInjector spec parsing, deterministic replay, count caps;
+//   * an evict-faulted module is looked up once: one store miss, one
+//     re-encode;
 //   * serve_full_prefill (the degradation path) is bitwise-identical to
 //     cached serving for module/param/scaffold/kickoff prompts;
 //   * retry-with-backoff converts transient encode faults into kOk, and
@@ -233,6 +235,30 @@ TEST_F(FaultTest, EvictFaultRemovesUnpinnedEntryOnly) {
   EXPECT_FALSE(store.find("cold"));
   EXPECT_FALSE(store.contains("cold"));
   EXPECT_EQ(FaultInjector::global().injected(FaultPoint::kEvict), 1u);
+}
+
+TEST_F(FaultTest, ThrashLookupCountsOneMiss) {
+  // A module evicted between the ensure pass and retrieval is looked up
+  // once: one miss and one re-encode, not a second miss for the re-encode.
+  AccuracyWorkload workload(7);
+  const Model model = make_induction_model({workload.vocab().size(), 256});
+  SharedModuleStore store(/*device=*/0, /*host=*/0, DiskTierConfig{},
+                          /*n_shards=*/1);
+  PromptCacheEngine engine(model, workload.tokenizer(), store);
+  engine.load_schema(kSchema);  // eager encode: all four modules resident
+  const ServeResult expected = engine.serve(kPrompts[4], ask_options(workload));
+  const ModuleStoreStats before = store.stats();
+
+  FaultInjector::global().configure("evict=1");
+  const ServeResult r = engine.serve(kPrompts[4], ask_options(workload));
+  FaultInjector::global().disable();
+  EXPECT_EQ(r.tokens, expected.tokens);
+
+  const ModuleStoreStats after = store.stats();
+  EXPECT_EQ(after.misses - before.misses, 4u);
+  EXPECT_EQ(after.insertions - before.insertions, 4u);
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(engine.stats().thrash_reencodes, 4u);
 }
 
 #endif  // PC_FAULTS_ENABLED

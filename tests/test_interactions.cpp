@@ -140,9 +140,9 @@ TEST_F(InteractionTest, PrefetchAndPinningCompose) {
     EXPECT_FALSE(r.text.empty());
   }
   EXPECT_TRUE(engine.store().is_pinned("px::sys"));
-  ModuleLocation loc;
-  ASSERT_NE(engine.store().find("px::sys", &loc), nullptr);
-  EXPECT_EQ(loc, ModuleLocation::kDeviceMemory);
+  const SharedModuleStore::ModuleRef sys = engine.store().find("px::sys");
+  ASSERT_TRUE(sys);
+  EXPECT_EQ(sys.location(), ModuleLocation::kDeviceMemory);
 }
 
 TEST_F(InteractionTest, BatchWithScaffoldsAccountsScaffoldOnce) {

@@ -95,9 +95,8 @@ TEST_P(SerializeTest, RestoredStatesAreBitwiseEquivalent) {
   size_t read_count = 0;
   while (read_module_record(stream, &key, &m)) {
     ++read_count;
-    ModuleLocation loc;
-    const EncodedModule* orig = writer.store().find(key, &loc);
-    ASSERT_NE(orig, nullptr) << key;
+    const SharedModuleStore::ModuleRef orig = writer.store().find(key);
+    ASSERT_TRUE(orig) << key;
     EXPECT_EQ(m.precision, orig->precision);
     EXPECT_EQ(m.n_tokens, orig->n_tokens);
     EXPECT_EQ(m.text_row_ranges, orig->text_row_ranges);

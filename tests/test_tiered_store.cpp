@@ -7,7 +7,8 @@
 //     by the disk tier serves byte-identical tokens to an uncapped one;
 //   * prefetch() overlaps disk reads with serving, dedups against demand
 //     fault-ins through the single-flight map, and the hit/miss accounting
-//     reconciles exactly (conservation law below);
+//     reconciles exactly (conservation law below); the prefetcher's binder
+//     only parses, so the workers encode the schema;
 //   * crash atomicity: engine save_modules() and spill files are written
 //     tmp+flush+rename, so a simulated partial write is invisible after
 //     restart;
@@ -477,6 +478,28 @@ TEST_F(TieredStoreTest, ServerPrefetchPipelineOverlapsAndStaysCorrect) {
   EXPECT_GT(ps.keys_issued, 0u);
   check_conservation(store.disk_stats());
   EXPECT_LE(store.peak_resident_bytes(), module_bytes / 2 + 1);
+}
+
+TEST_F(TieredStoreTest, WorkersEncodeTheSchemaWithPrefetchOn) {
+  // The prefetcher's binder only maps prompts to keys: the workers encode
+  // the schema, into the store they serve from, and the server counts it.
+  AccuracyWorkload workload(7);
+  const Model model = make_induction_model({workload.vocab().size(), 256});
+  EngineConfig parse_only;
+  parse_only.eager_encode = false;
+  PromptCacheEngine probe(model, workload.tokenizer(), parse_only);
+  const uint64_t n_modules = probe.load_schema(kSchema).modules.size();
+
+  SharedModuleStore store(/*device=*/0, /*host=*/0, disk_config(),
+                          /*n_shards=*/1);
+  ServerConfig cfg;
+  cfg.n_workers = 2;
+  cfg.schemas = {kSchema};
+  cfg.prefetch = true;
+  Server server(model, workload.tokenizer(), store, cfg);
+  ASSERT_NE(server.prefetcher(), nullptr);
+  EXPECT_EQ(server.stats().modules_encoded, n_modules);
+  EXPECT_EQ(store.stats().insertions, n_modules);
 }
 
 // ---------------------------------------------------------------------------
