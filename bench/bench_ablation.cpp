@@ -3,7 +3,7 @@
 //   * buffered vs naive (PyTorch-style) KV concatenation — paper §4.2's
 //     custom concat operator;
 //   * fp32 vs fp16 module storage — the §5.5 memory/latency trade;
-//   * paged sharing vs private copies for batched prompts — §3.4;
+//   * borrowed views vs private copies for batched prompts — §3.4;
 //   * module encode cost vs retrieve cost as module size grows — the
 //     fundamental compute-once/copy-many asymmetry.
 #include <benchmark/benchmark.h>
@@ -11,7 +11,7 @@
 #include "core/engine.h"
 #include "eval/workload.h"
 #include "kv/kv_cache.h"
-#include "kv/paged_pool.h"
+#include "kv/kv_view.h"
 #include "model/model.h"
 
 namespace {
@@ -124,13 +124,12 @@ void BM_AssembleZeroCopy(benchmark::State& state) {
   engine.load_schema(sample.schema_pml);
   const pml::PromptBinding binding = engine.bind(sample.prompt_pml);
   engine.ensure_encoded(binding);
+  const UncachedStream question = collect_uncached(binding);
   for (auto _ : state) {
-    SegmentedKVCache view(f.model.config().n_layers,
-                          f.model.config().kv_dim(), 16);
     TtftBreakdown ttft;
+    BorrowedKV kv = engine.assemble_borrowed(binding, 0, &ttft);
     benchmark::DoNotOptimize(
-        engine.assemble_and_prefill(binding, view, &ttft));
-    engine.release_borrowed_pins();
+        f.model.forward(question.tokens, question.pos_ids, kv.view));
   }
 }
 BENCHMARK(BM_AssembleZeroCopy);
@@ -177,36 +176,53 @@ void BM_DecodeStepSegmented(benchmark::State& state) {
 }
 BENCHMARK(BM_DecodeStepSegmented)->Unit(benchmark::kMillisecond);
 
-// Batch assembly with shared module pages vs private copies (§3.4).
-void BM_BatchSharedPages(benchmark::State& state) {
+// Batch assembly with borrowed module rows vs private copies (§3.4): 16
+// requests over one 512-token module, each with a 32-token owned tail.
+// The counter reports the KV bytes the batch itself holds.
+constexpr int kBatchRequests = 16;
+constexpr int kBatchModuleTokens = 512;
+constexpr int kBatchTailTokens = 32;
+
+void BM_BatchBorrowedViews(benchmark::State& state) {
+  const KVCache module = make_module_states(kBatchModuleTokens);
+  const std::vector<int> tail_pos(kBatchTailTokens, kBatchModuleTokens);
+  size_t held = 0;
   for (auto _ : state) {
-    PagedKVPool pool(16, 4096);
-    PagedSequence module(pool);
-    module.append_tokens(512);
-    std::vector<PagedSequence> batch;
-    for (int i = 0; i < 16; ++i) {
-      PagedSequence s(pool);
-      s.append_shared(module);
-      s.append_tokens(32);
-      batch.push_back(std::move(s));
+    std::vector<SegmentedKVCache> batch;
+    batch.reserve(kBatchRequests);
+    held = 0;
+    for (int i = 0; i < kBatchRequests; ++i) {
+      batch.emplace_back(kLayers, kKvDim, kBatchTailTokens);
+      batch.back().append_borrowed(module, 0, module.size());
+      batch.back().append_tokens(tail_pos);
+      held += batch.back().reserved_tail_bytes();
     }
-    benchmark::DoNotOptimize(pool.live_bytes());
+    benchmark::DoNotOptimize(batch.back().k_row(0, 0));
+    benchmark::ClobberMemory();
   }
+  state.counters["batch_kv_bytes"] = static_cast<double>(held);
 }
-BENCHMARK(BM_BatchSharedPages);
+BENCHMARK(BM_BatchBorrowedViews);
 
 void BM_BatchPrivateCopies(benchmark::State& state) {
+  const KVCache module = make_module_states(kBatchModuleTokens);
+  const std::vector<int> tail_pos(kBatchTailTokens, kBatchModuleTokens);
+  size_t held = 0;
   for (auto _ : state) {
-    PagedKVPool pool(16, 4096);
-    std::vector<PagedSequence> batch;
-    for (int i = 0; i < 16; ++i) {
-      PagedSequence s(pool);
-      s.append_tokens(512);  // private copy of the module
-      s.append_tokens(32);
-      batch.push_back(std::move(s));
+    std::vector<KVCache> batch;
+    batch.reserve(kBatchRequests);
+    held = 0;
+    for (int i = 0; i < kBatchRequests; ++i) {
+      batch.emplace_back(kLayers, kKvDim);
+      batch.back().reserve(kBatchModuleTokens + kBatchTailTokens);
+      batch.back().append_copy(module);  // private copy of the module
+      batch.back().append_tokens(tail_pos);
+      held += batch.back().payload_bytes();
     }
-    benchmark::DoNotOptimize(pool.live_bytes());
+    benchmark::DoNotOptimize(batch.back().k_row(0, 0));
+    benchmark::ClobberMemory();
   }
+  state.counters["batch_kv_bytes"] = static_cast<double>(held);
 }
 BENCHMARK(BM_BatchPrivateCopies);
 

@@ -149,13 +149,11 @@ int pc_serve_deadline(pc_engine* engine, const char* prompt_pml,
       fill_result(out, r, PC_SERVE_OK);
       return;
     } catch (const pc::CancelledError&) {
-      engine->engine.release_borrowed_pins();
       out->status = PC_SERVE_TIMEOUT;
       throw;
     } catch (const pc::TransientError&) {
-      engine->engine.release_borrowed_pins();
+      // Transient or structural cache failure: degrade below.
     } catch (const pc::CacheError&) {
-      engine->engine.release_borrowed_pins();
     }
     // Degrade: re-serve as one full blocked prefill — identical text,
     // degraded TTFT (see PromptCacheEngine::serve_full_prefill).

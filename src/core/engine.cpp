@@ -509,8 +509,9 @@ void PromptCacheEngine::append_text_rows(const EncodedModule& module,
                            sequence_cache.v_row(l, first + (t - begin)));
           }
         }
-        // The copy path pays a dequantize per K and V row; the zero-copy
-        // and paged paths keep module rows int8 and never reach here.
+        // The copy path pays a dequantize per K and V row; borrowing
+        // (zero-copy and batched serving) keeps module rows int8 and never
+        // reaches here.
         const uint64_t rows = static_cast<uint64_t>(2) *
                               static_cast<uint64_t>(module.n_layers) *
                               static_cast<uint64_t>(end - begin);
@@ -563,7 +564,7 @@ void PromptCacheEngine::for_each_encoded(
     const std::function<void(const std::string& key,
                              const EncodedModule& module,
                              ModuleLocation location)>& emit,
-    bool borrow) {
+    ModuleBorrows* borrows) {
   std::vector<bool> covered;
   const auto active = active_scaffolds(binding, &covered);
 
@@ -591,10 +592,10 @@ void PromptCacheEngine::for_each_encoded(
       key = module_key(*binding.schema, mi);
     }
 
-    // One lookup-or-encode per module. With `borrow` (zero-copy), lookup
-    // and pin are one atomic step and the ref outlives this loop, so rows
-    // the view borrows can neither dangle (ref) nor be evicted out from
-    // under other requests (pin).
+    // One lookup-or-encode per module. With `borrows` (zero-copy), lookup
+    // and pin are one atomic step and the holder keeps the ref past this
+    // loop, so rows the view borrows can neither dangle (ref) nor be
+    // evicted out from under other requests (pin).
     bool encoded_here = false;
     SharedModuleStore::ModuleRef ref = store_.ensure(
         key,
@@ -607,14 +608,11 @@ void PromptCacheEngine::for_each_encoded(
           }
           return build_module_payload(*binding.schema, mi);
         },
-        &encoded_here, borrow);
+        &encoded_here, /*and_pin=*/borrows != nullptr);
     if (encoded_here) {
       (is_scaffold ? cells_.scaffolds_encoded : cells_.modules_encoded).inc();
     }
-    if (borrow) {
-      borrowed_pins_.push_back(key);
-      borrowed_refs_.push_back(ref);
-    }
+    if (borrows != nullptr) borrows->adopt(store_, key, ref);
     emit(key, *ref, ref.location());
   }
 }
@@ -690,10 +688,20 @@ Tensor PromptCacheEngine::assemble_and_prefill(
   return prefill_uncached(model_, binding, sequence_cache, ttft);
 }
 
-Tensor PromptCacheEngine::assemble_and_prefill(
-    const pml::PromptBinding& binding, SegmentedKVCache& view,
+BorrowedKV PromptCacheEngine::assemble_borrowed(
+    const pml::PromptBinding& binding, int max_new_tokens,
     TtftBreakdown* ttft) {
   WallTimer retrieve_timer;
+  // Decoding stops at the position budget, so max_pos also bounds the
+  // generated rows whatever max_new_tokens asks for.
+  const int generated =
+      std::clamp(max_new_tokens, 0, model_.config().max_pos);
+  BorrowedKV kv{ModuleBorrows{},
+                SegmentedKVCache(model_.config().n_layers,
+                                 model_.config().kv_dim(),
+                                 binding.uncached_token_count() + 1 +
+                                     generated + kTailSlack)};
+  SegmentedKVCache& view = kv.view;
   {
     PC_SPAN("kv_concat",
             {"modules", static_cast<int64_t>(binding.modules.size())},
@@ -731,17 +739,10 @@ Tensor PromptCacheEngine::assemble_and_prefill(
             }
           }
         },
-        /*borrow=*/true);
+        &kv.borrows);
   }
   if (ttft != nullptr) ttft->retrieve_ms = retrieve_timer.elapsed_ms();
-  return prefill_uncached(model_, binding, view, ttft);
-}
-
-void PromptCacheEngine::release_borrowed_pins() {
-  for (const std::string& key : borrowed_pins_) store_.unpin(key);
-  borrowed_pins_.clear();
-  // Dropping the refs last: rows stay valid until every pin is returned.
-  borrowed_refs_.clear();
+  return kv;
 }
 
 ServeResult PromptCacheEngine::serve(std::string_view prompt_pml,
@@ -762,18 +763,17 @@ ServeResult PromptCacheEngine::serve(std::string_view prompt_pml,
 
   WallTimer decode_timer;
   if (config_.zero_copy) {
-    const int tail_capacity = binding.uncached_token_count() + 1 +
-                              options.max_new_tokens +
-                              config_.zero_copy_tail_slack;
-    SegmentedKVCache view(model_.config().n_layers, model_.config().kv_dim(),
-                          tail_capacity);
-    const Tensor logits = assemble_and_prefill(binding, view, &result.ttft);
+    // The borrowed modules stay pinned until `kv` leaves this scope, on
+    // every exit path.
+    BorrowedKV kv =
+        assemble_borrowed(binding, options.max_new_tokens, &result.ttft);
+    const Tensor logits =
+        prefill_uncached(model_, binding, kv.view, &result.ttft);
     decode_timer.reset();
     Model::GenerateOutput gen = [&] {
       PC_SPAN("decode");
-      return model_.generate(logits, gen_start, view, options);
+      return model_.generate(logits, gen_start, kv.view, options);
     }();
-    release_borrowed_pins();
     if (gen.finish_reason == FinishReason::kCancelled) {
       throw CancelledError("serve: deadline expired mid-decode");
     }
@@ -1046,8 +1046,8 @@ PromptCacheEngine::LoadReport PromptCacheEngine::load_modules(
     if (!have) break;
     // A legacy fp32 record loaded into a quantized engine is re-encoded in
     // the engine's format on the way in, so the store never holds
-    // mixed-format payloads and downstream paths (zero-copy borrow, paged
-    // sharing, footprint accounting) see the engine's configured format.
+    // mixed-format payloads and downstream paths (borrowed views, footprint
+    // accounting) see the engine's configured format.
     if (config_.precision == StorePrecision::kQ8 &&
         module.precision == StorePrecision::kFp32) {
       quantize_module_in_place(module);

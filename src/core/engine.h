@@ -63,11 +63,11 @@ struct EngineConfig {
   // Module storage precision (§5.5): fp16 halves, int8 quarters, and
   // blocked 4-bit (q4) roughly eighths the resident footprint. fp16
   // converts back to fp32 during retrieval; q8/q4 modules stay quantized
-  // end-to-end on the zero-copy and paged serve paths (attention scores
-  // them in the integer domain) and dequantize on read only on the copy
-  // path. A q4 engine on a model whose head geometry the q4 kernel cannot
-  // serve (d_head not a multiple of 32 with several KV heads) falls back
-  // to q8 at construction.
+  // end-to-end wherever rows are borrowed — zero-copy serving and the
+  // batch scheduler (attention scores them in the integer domain) — and
+  // dequantize on read only on the copy path. A q4 engine on a model whose
+  // head geometry the q4 kernel cannot serve (d_head not a multiple of 32
+  // with several KV heads) falls back to q8 at construction.
   StorePrecision precision = default_store_precision();
   bool eager_encode = true;  // encode all modules at schema load
   // Union-sibling prefetch (§3.2.3): after serving a prompt that used a
@@ -81,9 +81,6 @@ struct EngineConfig {
   // place; quantized rows are scored in the integer domain, never
   // materialized as fp32).
   bool zero_copy = false;
-  // Owned-tail headroom for zero-copy serving beyond the request's
-  // max_new_tokens (kickoff token, rounding).
-  int zero_copy_tail_slack = 8;
 };
 
 // The uncached token stream of a binding: parameter arguments and free
@@ -98,6 +95,15 @@ struct UncachedStream {
 
 UncachedStream collect_uncached(const pml::PromptBinding& binding);
 
+// One request's zero-copy KV (PromptCacheEngine::assemble_borrowed): the
+// view borrowing module rows in place, and the pins and refs keeping those
+// rows resident. The view is declared last, so it is destroyed before its
+// borrows are returned.
+struct BorrowedKV {
+  ModuleBorrows borrows;
+  SegmentedKVCache view;
+};
+
 struct TtftBreakdown {
   double retrieve_ms = 0;  // module state concatenation (memcpy)
   double uncached_ms = 0;  // forward pass over uncached tokens + first argmax
@@ -108,7 +114,8 @@ struct TtftBreakdown {
   size_t bytes_from_device = 0;  // copied within device memory
   size_t bytes_zero_copy = 0;    // borrowed in place, nothing moved
   // Copy-path retrieval of quantized (q8/q4) modules dequantizes K and V
-  // rows into the sequence cache; zero-copy and paged serving never do.
+  // rows into the sequence cache; borrowing (zero-copy and batched
+  // serving) never does.
   // Per-request counterpart of pc_store_dequant_rows_total.
   uint64_t dequant_rows = 0;
 
@@ -238,17 +245,16 @@ class PromptCacheEngine {
   Tensor assemble_and_prefill(const pml::PromptBinding& binding,
                               KVCache& sequence_cache, TtftBreakdown* ttft);
 
-  // Zero-copy variant: borrows module rows from the store and pins them for
-  // the view's lifetime (releasing the pins is the caller's job in manual
-  // use; serve() handles it). The view must have tail capacity for the
-  // uncached tokens.
-  Tensor assemble_and_prefill(const pml::PromptBinding& binding,
-                              SegmentedKVCache& view, TtftBreakdown* ttft);
-
-  // Zero-copy assembly pins the borrowed modules so eviction cannot free
-  // rows a live view references; this releases those pins. serve() calls
-  // it automatically after generation.
-  void release_borrowed_pins();
+  // Step 2 of zero-copy serving, without the prefill: borrows every module
+  // row of `binding` in place. The returned view owns a tail sized for the
+  // uncached tokens, the kickoff token, `max_new_tokens` generated tokens
+  // (at most max_pos) and kTailSlack; its borrows keep the rows pinned and
+  // alive until the BorrowedKV is destroyed. Counts the rows as
+  // bytes_zero_copy. serve() (zero_copy) and the batch scheduler
+  // (sys/batch.h) both assemble here.
+  static constexpr int kTailSlack = 8;
+  BorrowedKV assemble_borrowed(const pml::PromptBinding& binding,
+                               int max_new_tokens, TtftBreakdown* ttft);
 
   // Ensures every module used by `binding` is encoded; returns ms spent.
   // `cancel` is polled before each module/scaffold encode: an expired token
@@ -299,23 +305,6 @@ class PromptCacheEngine {
     return cells_.baseline_ttft.snapshot();
   }
 
-  // Resolves the encoded payload for every module/scaffold of a binding
-  // (re-encoding evicted entries) and emits them in concatenation order.
-  // With `borrow` (zero-copy assembly), each emitted module is pinned and
-  // its ref retained in borrowed_refs_ until release_borrowed_pins(), so
-  // rows stay valid and resident for the lifetime of the borrowing view.
-  // A module evicted since the ensure pass is re-encoded here and counted
-  // as a thrash re-encode. Public for the batch scheduler
-  // (sys/batch.h), which materializes emitted modules into shared KV pages
-  // during the emit callback (the ref keeps rows valid for that long even
-  // without borrow).
-  void for_each_encoded(
-      const pml::PromptBinding& binding,
-      const std::function<void(const std::string& key,
-                               const EncodedModule& module,
-                               ModuleLocation location)>& emit,
-      bool borrow = false);
-
   // The store keys for_each_encoded would emit for `binding` (modules, with
   // active scaffolds collapsed to their joint key), in concatenation order,
   // WITHOUT touching any store or encoding anything. The prefetch
@@ -351,6 +340,21 @@ class PromptCacheEngine {
   void append_text_rows(const EncodedModule& module, ModuleLocation loc,
                         KVCache& sequence_cache, TtftBreakdown* ttft);
 
+  // Resolves the encoded payload for every module/scaffold of a binding
+  // (re-encoding evicted entries) and emits them in concatenation order;
+  // rows stay valid for the duration of the emit callback. With `borrows`
+  // (zero-copy assembly), each emitted module is pinned and its pin and
+  // ref are handed to the holder before emit runs, so rows stay valid and
+  // resident for as long as the borrowing view lives — and are released
+  // even when emit throws. A module evicted since the ensure pass is
+  // re-encoded here and counted as a thrash re-encode.
+  void for_each_encoded(
+      const pml::PromptBinding& binding,
+      const std::function<void(const std::string& key,
+                               const EncodedModule& module,
+                               ModuleLocation location)>& emit,
+      ModuleBorrows* borrows = nullptr);
+
   // Scaffolds covering a binding (all members imported), plus the set of
   // module indices they cover.
   std::vector<const Scaffold*> active_scaffolds(
@@ -370,10 +374,6 @@ class PromptCacheEngine {
   std::unique_ptr<SharedModuleStore> owned_store_;  // standalone engines only
   SharedModuleStore& store_;
   EngineCells cells_;
-  // Keys pinned and refs held for live zero-copy views (see
-  // for_each_encoded's `borrow`); released by release_borrowed_pins().
-  std::vector<std::string> borrowed_pins_;
-  std::vector<SharedModuleStore::ModuleRef> borrowed_refs_;
 };
 
 }  // namespace pc

@@ -77,6 +77,7 @@
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/encoded_module.h"
@@ -106,8 +107,9 @@ struct ModuleStoreCells {
   obs::Counter demotions;
   obs::Counter promotions;
   // Rows converted from a quantized payload (q8 or q4) to fp32 at
-  // retrieval time (the copy path's dequantize-on-read; the zero-copy/paged
-  // paths never dequantize modules and so never bump this).
+  // retrieval time (the copy path's dequantize-on-read; borrowed views —
+  // zero-copy and batched serving — never dequantize modules and so never
+  // bump this).
   obs::Counter dequant_rows;   // pc_store_dequant_rows_total
   obs::Gauge resident_bytes;   // pc_store_resident_bytes
   // resident_bytes split by payload format: q8 counts Q8_0 modules, q4
@@ -437,6 +439,44 @@ class SharedModuleStore {
   obs::Counter disk_spill_failures_;  // pc_store_disk_spill_failures_total
   obs::Counter disk_stall_us_;        // pc_store_disk_stall_us_total
   obs::Gauge disk_spilled_bytes_;     // pc_store_disk_spilled_bytes
+};
+
+// The pins and refs one request holds on the modules its zero-copy view
+// borrows (PromptCacheEngine::assemble_borrowed). Each held module stays
+// pinned (not evictable) and referenced (payload alive) until the holder
+// is destroyed or reset(), which returns every pin and then drops the refs.
+// Move-only, so each request's borrows are released exactly once.
+class ModuleBorrows {
+ public:
+  ModuleBorrows() = default;
+  ModuleBorrows(ModuleBorrows&& other) noexcept { *this = std::move(other); }
+  ModuleBorrows& operator=(ModuleBorrows&& other) noexcept {
+    if (this != &other) {
+      reset();
+      store_ = other.store_;
+      held_ = std::move(other.held_);
+      other.held_.clear();
+    }
+    return *this;
+  }
+  ~ModuleBorrows() { reset(); }
+
+  // Takes over one pin the caller already holds on `key` in `store`
+  // (ensure()/find() with and_pin), together with its ref.
+  void adopt(SharedModuleStore& store, std::string key,
+             SharedModuleStore::ModuleRef ref) {
+    store_ = &store;
+    held_.emplace_back(std::move(key), std::move(ref));
+  }
+
+  void reset() {
+    for (const auto& held : held_) store_->unpin(held.first);
+    held_.clear();  // refs last: rows stay valid until every pin is back
+  }
+
+ private:
+  SharedModuleStore* store_ = nullptr;
+  std::vector<std::pair<std::string, SharedModuleStore::ModuleRef>> held_;
 };
 
 }  // namespace pc

@@ -15,8 +15,10 @@
 // published row pointers; appending beyond the reservation is a contract
 // violation, not a reallocation.
 //
-// Lifetime: borrowed sources must outlive the view. The engine pins
-// borrowed modules in the store for the duration of a request.
+// Lifetime: borrowed sources must outlive the view. The engine hands each
+// view out with the store pins and refs that keep its borrowed modules
+// resident for the duration of one request (BorrowedKV, core/engine.h).
+// Zero-copy serve() and every batched request use this view.
 #pragma once
 
 #include <cstdint>
@@ -252,6 +254,12 @@ class SegmentedKVCache {
   // Payload bytes this view *owns* (the point of zero-copy: O(tail), not
   // O(prompt)).
   size_t owned_payload_bytes() const { return tail_.payload_bytes(); }
+  // Bytes reserved for the owned tail: what the view holds in memory from
+  // construction on, however many of its rows are written yet.
+  size_t reserved_tail_bytes() const {
+    return static_cast<size_t>(tail_capacity_) * kv_dim_ * 2 * n_layers_ *
+           sizeof(float);
+  }
 
  private:
   size_t checked_layer(int layer) const {

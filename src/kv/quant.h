@@ -73,40 +73,6 @@ struct Q8Layer {
   std::vector<float> v_scales;
 };
 
-// Byte layout of one token's quantized KV slot inside a q8 page (the paged
-// analog of the fp32 token-major layout in kv/paged_cache.h): per layer the
-// K then V int8 rows back to back, the int8 region padded to a float
-// boundary, then one (k_scale, v_scale) float pair per layer. The base of
-// every slot is 4-byte aligned because the stride itself is.
-struct Q8TokenLayout {
-  int n_layers = 0;
-  int kv_dim = 0;
-
-  size_t int8_bytes() const {
-    return static_cast<size_t>(2) * n_layers * kv_dim;
-  }
-  size_t padded_int8_bytes() const { return (int8_bytes() + 3) & ~size_t{3}; }
-  size_t stride() const {
-    return padded_int8_bytes() +
-           static_cast<size_t>(2) * n_layers * sizeof(float);
-  }
-  size_t k_off(int layer) const {
-    return static_cast<size_t>(layer) * 2 * kv_dim;
-  }
-  size_t v_off(int layer) const { return k_off(layer) + kv_dim; }
-  // Offsets of the scale pair, in floats from the (aligned) scale region.
-  size_t k_scale_idx(int layer) const {
-    return static_cast<size_t>(layer) * 2;
-  }
-  size_t v_scale_idx(int layer) const { return k_scale_idx(layer) + 1; }
-  float* scales(int8_t* slot_base) const {
-    return reinterpret_cast<float*>(slot_base + padded_int8_bytes());
-  }
-  const float* scales(const int8_t* slot_base) const {
-    return reinterpret_cast<const float*>(slot_base + padded_int8_bytes());
-  }
-};
-
 // ---- Q4_0: blocked 4-bit quantization ---------------------------------------
 //
 // The sub-byte format (ROADMAP: another ~2x residency win over Q8_0). A row
@@ -220,43 +186,6 @@ struct Q4Layer {
   std::vector<uint8_t> v;
   std::vector<float> k_scales; // [n_tokens * q4_blocks(kv_dim)]
   std::vector<float> v_scales;
-};
-
-// Byte layout of one token's Q4_0 KV slot inside a q4 page (sibling of
-// Q8TokenLayout): per layer the K then V packed rows back to back (16 bytes
-// per block, so the region is always 4-byte aligned), then per layer the
-// (k, v) block-scale arrays. Slot bases stay 4-byte aligned because the
-// stride is a multiple of 4.
-struct Q4TokenLayout {
-  int n_layers = 0;
-  int kv_dim = 0;
-
-  int blocks() const { return q4_blocks(kv_dim); }
-  size_t row_bytes() const { return q4_row_bytes(kv_dim); }
-  size_t packed_bytes() const {
-    return static_cast<size_t>(2) * n_layers * row_bytes();
-  }
-  size_t stride() const {
-    return packed_bytes() +
-           static_cast<size_t>(2) * n_layers * blocks() * sizeof(float);
-  }
-  size_t k_off(int layer) const {
-    return static_cast<size_t>(layer) * 2 * row_bytes();
-  }
-  size_t v_off(int layer) const { return k_off(layer) + row_bytes(); }
-  // Offsets of the per-layer scale arrays, in floats from the scale region.
-  size_t k_scale_idx(int layer) const {
-    return static_cast<size_t>(layer) * 2 * blocks();
-  }
-  size_t v_scale_idx(int layer) const {
-    return k_scale_idx(layer) + static_cast<size_t>(blocks());
-  }
-  float* scales(uint8_t* slot_base) const {
-    return reinterpret_cast<float*>(slot_base + packed_bytes());
-  }
-  const float* scales(const uint8_t* slot_base) const {
-    return reinterpret_cast<const float*>(slot_base + packed_bytes());
-  }
 };
 
 }  // namespace pc

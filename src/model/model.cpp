@@ -299,9 +299,10 @@ void Model::attention(int layer, const Tensor& h,
 
 // Per-sequence attention of a batched step. The dense projections were
 // computed over the concatenated rows; here every query row r (sequence s,
-// chunk-local index i) attends to its own cache's slots [0, first_new+i] via
-// the gathered kernel — the same kernel, context, and inputs it would see in
-// a sequential forward over that sequence alone, so the output bits match.
+// chunk-local index i) attends to its own cache's slots [0, first_new+i]
+// through the same fused_attend dispatch forward() uses for a segmented
+// cache — same kernel, context and inputs as a sequential forward over that
+// sequence alone, so the output bits match.
 void Model::attention_batch(int layer, const Tensor& h,
                             std::span<const BatchSeq> seqs,
                             const std::vector<int>& first_new,
@@ -331,20 +332,20 @@ void Model::attention_batch(int layer, const Tensor& h,
     }
   }
 
-  // Publish each row's keys/values into its sequence's page slot. Unlike
-  // the dense caches, page rows are layer-interleaved, so this is one
-  // memcpy per (row, layer) rather than one per layer.
+  // Publish each row's keys/values into its sequence's owned tail. A
+  // sequence's rows are consecutive in kx/vx and in its tail, so this is two
+  // memcpys per (sequence, layer).
   size_t max_ctx = 0;
-  for (int r = 0; r < total; ++r) {
-    const int s = row_seq[static_cast<size_t>(r)];
-    const int t = first_new[static_cast<size_t>(s)] +
-                  row_idx[static_cast<size_t>(r)];
-    PagedKVCache& cache = *seqs[static_cast<size_t>(s)].cache;
+  for (int s = 0, r = 0; s < static_cast<int>(seqs.size()); ++s) {
+    SegmentedKVCache& cache = *seqs[static_cast<size_t>(s)].cache;
+    const int n = static_cast<int>(seqs[static_cast<size_t>(s)].tokens.size());
+    const int t = first_new[static_cast<size_t>(s)];
     std::memcpy(cache.k_row_mut(layer, t), kx.row(r),
-                kv_dim * sizeof(float));
+                static_cast<size_t>(n) * kv_dim * sizeof(float));
     std::memcpy(cache.v_row_mut(layer, t), vx.row(r),
-                kv_dim * sizeof(float));
-    max_ctx = std::max(max_ctx, static_cast<size_t>(t) + 1);
+                static_cast<size_t>(n) * kv_dim * sizeof(float));
+    max_ctx = std::max(max_ctx, static_cast<size_t>(t + n));
+    r += n;
   }
 
   auto row_work = [&](size_t row_begin, size_t row_end) {
@@ -352,7 +353,7 @@ void Model::attention_batch(int layer, const Tensor& h,
     std::vector<float> rrow(alibi_ ? max_ctx : 0);
     for (size_t r = row_begin; r < row_end; ++r) {
       const int s = row_seq[r];
-      const PagedKVCache& cache = *seqs[static_cast<size_t>(s)].cache;
+      const SegmentedKVCache& cache = *seqs[static_cast<size_t>(s)].cache;
       const int ctx = first_new[static_cast<size_t>(s)] + row_idx[r] + 1;
       if (alibi_) {
         const int qp = pos_ids[r];
@@ -362,45 +363,12 @@ void Model::attention_batch(int layer, const Tensor& h,
         }
       }
       for (int hd = 0; hd < n_heads; ++hd) {
-        if (cache.has_q4()) {
-          // Shared q4 module pages are scored block-wise in the integer
-          // domain; only the request's private fp32 tail takes the fp32
-          // path per slot.
-          attn_fused_q4_gather(
-              q.row(static_cast<int64_t>(r)) + hd * d_head,
-              cache.k4_row_table(layer), cache.v4_row_table(layer),
-              cache.k4_scale_table(layer), cache.v4_scale_table(layer),
-              cache.k_row_table(layer), cache.v_row_table(layer),
-              static_cast<size_t>((hd / group) * d_head),
-              static_cast<size_t>(d_head), static_cast<size_t>(ctx),
-              attn_scale_, alibi_ ? alibi_->slope(hd) : 0.0f,
-              alibi_ ? rrow.data() : nullptr, nullptr, scores.data(),
-              out.row(static_cast<int64_t>(r)) + hd * d_head);
-          continue;
-        }
-        if (cache.has_q8()) {
-          // Shared q8 module pages are scored in the int8 domain; only the
-          // request's private fp32 tail takes the fp32 path per slot.
-          attn_fused_q8_gather(
-              q.row(static_cast<int64_t>(r)) + hd * d_head,
-              cache.k8_row_table(layer), cache.v8_row_table(layer),
-              cache.k_scale_table(layer), cache.v_scale_table(layer),
-              cache.k_row_table(layer), cache.v_row_table(layer),
-              static_cast<size_t>((hd / group) * d_head),
-              static_cast<size_t>(d_head), static_cast<size_t>(ctx),
-              attn_scale_, alibi_ ? alibi_->slope(hd) : 0.0f,
-              alibi_ ? rrow.data() : nullptr, nullptr, scores.data(),
-              out.row(static_cast<int64_t>(r)) + hd * d_head);
-          continue;
-        }
-        attn_fused_gather(
-            q.row(static_cast<int64_t>(r)) + hd * d_head,
-            cache.k_row_table(layer), cache.v_row_table(layer),
-            static_cast<size_t>((hd / group) * d_head),
-            static_cast<size_t>(d_head), static_cast<size_t>(ctx),
-            attn_scale_, alibi_ ? alibi_->slope(hd) : 0.0f,
-            alibi_ ? rrow.data() : nullptr, nullptr, scores.data(),
-            out.row(static_cast<int64_t>(r)) + hd * d_head);
+        fused_attend(cache, layer, (hd / group) * d_head,
+                     q.row(static_cast<int64_t>(r)) + hd * d_head,
+                     static_cast<size_t>(d_head), static_cast<size_t>(ctx),
+                     attn_scale_, alibi_ ? alibi_->slope(hd) : 0.0f,
+                     alibi_ ? rrow.data() : nullptr, nullptr, scores.data(),
+                     out.row(static_cast<int64_t>(r)) + hd * d_head);
       }
     }
   };

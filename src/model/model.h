@@ -23,7 +23,6 @@
 #include "common/cancel.h"
 #include "kv/kv_cache.h"
 #include "kv/kv_view.h"
-#include "kv/paged_cache.h"
 #include "model/config.h"
 #include "model/weights.h"
 #include "pos/alibi.h"
@@ -90,11 +89,12 @@ class Model {
 
   // One sequence of a batched step: `tokens` are the new tokens this
   // iteration (a prefill chunk or a single decode token) at `pos_ids`,
-  // appended to `cache`.
+  // appended to `cache` — a view that may borrow module rows, so every
+  // request reads shared modules in place.
   struct BatchSeq {
     std::span<const TokenId> tokens;
     std::span<const int> pos_ids;
-    PagedKVCache* cache = nullptr;
+    SegmentedKVCache* cache = nullptr;
   };
 
   // Batched step over independent sequences (continuous batching, see

@@ -46,24 +46,17 @@ BatchScheduler::BatchScheduler(std::unique_ptr<PromptCacheEngine> engine,
       tokenizer_(engine->tokenizer()),
       options_(std::move(options)),
       on_complete_(std::move(on_complete)),
-      pool_(options_.batch.page_tokens, model_.kv_bytes_per_token(),
-            Q8TokenLayout{model_.config().n_layers, model_.config().kv_dim()}
-                .stride(),
-            Q4TokenLayout{model_.config().n_layers, model_.config().kv_dim()}
-                .stride()),
       engine_(std::move(engine)) {
   PC_CHECK_MSG(options_.batch.max_batch > 0, "BatchConfig::max_batch must be > 0");
   PC_CHECK_MSG(options_.batch.chunk_tokens > 0,
                "BatchConfig::chunk_tokens must be > 0");
-  PC_CHECK_MSG(options_.batch.page_tokens > 0,
-               "BatchConfig::page_tokens must be > 0");
   const StorePrecision precision = engine_->config().precision;
   PC_CHECK_MSG(precision == StorePrecision::kFp32 ||
                    precision == StorePrecision::kQ8 ||
                    precision == StorePrecision::kQ4,
                "batched serving requires kFp32, kQ8, or kQ4 module storage "
-               "(pages are read in place by the gathered attention kernels; "
-               "fp16 has no in-place kernel)");
+               "(module rows are read in place by the gathered attention "
+               "kernels; fp16 has no in-place kernel)");
   PC_CHECK_MSG(on_complete_ != nullptr,
                "BatchScheduler needs a completion callback");
   for (const std::string& pml : options_.schemas) {
@@ -85,11 +78,9 @@ BatchScheduler::BatchScheduler(std::unique_ptr<PromptCacheEngine> engine,
                           "requests admitted into the batch loop");
   active_gauge_ = reg.gauge("pc_batch_active", "requests in the batch loop");
   kv_live_ = reg.gauge("pc_batch_kv_live_bytes",
-                       "paged KV pool bytes currently referenced");
+                       "owned KV tail bytes of the requests in flight");
   kv_peak_ = reg.gauge("pc_batch_kv_peak_bytes",
-                       "paged KV pool live-byte high-water mark");
-  kv_modules_ = reg.gauge("pc_batch_kv_module_bytes",
-                          "paged KV bytes held by shared module renditions");
+                       "owned KV tail bytes high-water mark");
   ttft_ = reg.histogram("pc_batch_ttft_engine_seconds",
                         "engine-side TTFT of batch-served requests");
 }
@@ -102,61 +93,8 @@ double BatchScheduler::backoff_ms_for(uint64_t id, int attempt) const {
   return retry_backoff_ms(options_.retry, id, attempt);
 }
 
-void BatchScheduler::assemble_paged(const pml::PromptBinding& binding,
-                                    Seq& seq) {
-  WallTimer retrieve_timer;
-  PC_SPAN("kv_concat_paged",
-          {"modules", static_cast<int64_t>(binding.modules.size())});
-  TtftBreakdown& ttft = seq.result.ttft;
-  engine_->for_each_encoded(
-      binding, [&](const std::string& key, const EncodedModule& m,
-                   ModuleLocation loc) {
-        const size_t text_bytes =
-            m.bytes_per_token() * static_cast<size_t>(m.text_token_count());
-        auto it = paged_modules_.find(key);
-        if (it == paged_modules_.end()) {
-          PC_CHECK_MSG((m.precision == StorePrecision::kFp32 &&
-                        m.kv32.has_value()) ||
-                           m.precision == StorePrecision::kQ8 ||
-                           m.precision == StorePrecision::kQ4,
-                       "batched serving requires kFp32, kQ8, or kQ4 module "
-                       "storage (module '" << key << "' is stored as fp16, "
-                       "which has no in-place attention kernel)");
-          // First import fleet-wide: materialize the module's text rows
-          // into a packed paged rendition. The bytes cross a tier link
-          // once; every later importer attaches the same pages. Quantized
-          // modules land in quantized pages (~4x smaller for q8, ~8x for
-          // q4) that importers score in the integer domain — never
-          // dequantized.
-          PagedKVCache rendition(pool_, model_.config().n_layers,
-                                 model_.config().kv_dim());
-          for (const auto& [begin, end] : m.text_row_ranges) {
-            if (m.precision == StorePrecision::kQ8) {
-              rendition.append_copy_q8(m.kv8_layers, m.pos_ids, begin, end);
-            } else if (m.precision == StorePrecision::kQ4) {
-              rendition.append_copy_q4(m.kv4_layers, m.pos_ids, begin, end);
-            } else {
-              rendition.append_copy(*m.kv32, begin, end);
-            }
-          }
-          it = paged_modules_.emplace(key, std::move(rendition)).first;
-          if (loc == ModuleLocation::kHostMemory) {
-            ttft.bytes_from_host += text_bytes;
-          } else {
-            ttft.bytes_from_device += text_bytes;
-          }
-        } else {
-          // Already paged: shared by reference, nothing moves.
-          ttft.bytes_zero_copy += text_bytes;
-        }
-        seq.cache.append_shared(it->second);
-        ttft.cached_tokens += m.text_token_count();
-        ++ttft.modules;
-      });
-  ttft.retrieve_ms = retrieve_timer.elapsed_ms();
-}
-
 void BatchScheduler::degrade(Seq& seq, const std::string& why) {
+  seq.kv.reset();  // full prefill reads no module: return the borrows now
   if (obs::request_telemetry_enabled()) {
     seq.resp.annotations.push_back("degraded: " + why);
   }
@@ -198,10 +136,11 @@ void BatchScheduler::finish_serve(std::unique_ptr<Seq> seq) {
     resp.result = ServeResult{};
   }
   resp.status = status;
-  // Release the sequence's pages and settle the KV gauges BEFORE the
-  // completion callback fires. The callback is what lets drain() return,
-  // so any pool or gauge write after it races a caller that reads stats()
-  // the moment drain() wakes.
+  // Release the sequence's tail and borrows (unpinning its modules) and
+  // settle the KV gauges BEFORE the completion callback fires. The callback
+  // is what lets drain() return — and a shard router erase streamed-out
+  // modules — so any pin or gauge write after it races a caller that reads
+  // stats() the moment drain() wakes.
   seq.reset();
   refresh_kv_gauges();
   on_complete_(std::move(resp));
@@ -210,9 +149,7 @@ void BatchScheduler::finish_serve(std::unique_ptr<Seq> seq) {
 void BatchScheduler::admit(Request request) {
   const auto dequeued = std::chrono::steady_clock::now();
   admitted_.inc();
-  auto seq = std::make_unique<Seq>(std::move(request), pool_,
-                                   model_.config().n_layers,
-                                   model_.config().kv_dim());
+  auto seq = std::make_unique<Seq>(std::move(request));
   seq->dequeued = dequeued;
   seq->resp.id = seq->req.id;
   seq->resp.worker = 0;  // the single batch lane
@@ -225,7 +162,6 @@ void BatchScheduler::admit(Request request) {
     resp.detail = "shed at dequeue: deadline expired while queued";
     resp.deadline_met = false;
     resp.service_ms = 0;
-    seq.reset();  // the empty cache still must not outlive the callback
     on_complete_(std::move(resp));
     return;
   }
@@ -286,15 +222,15 @@ void BatchScheduler::admit(Request request) {
 
   for (int attempt = 0;; ++attempt) {
     try {
-      // Reset per-attempt state: a failed assembly may have left partial
-      // pages attached.
-      seq->cache = PagedKVCache(pool_, model_.config().n_layers,
-                                model_.config().kv_dim());
+      // Reset per-attempt state: a failed attempt returns its view and
+      // borrows before the retry takes new ones.
+      seq->kv.reset();
       seq->result = ServeResult{};
       const pml::PromptBinding binding = engine_->bind(seq->req.prompt);
       seq->result.encode_ms =
           engine_->ensure_encoded(binding, seq->req.options.cancel);
-      assemble_paged(binding, *seq);
+      seq->kv = engine_->assemble_borrowed(
+          binding, seq->req.options.max_new_tokens, &seq->result.ttft);
       // Uncached stream + kickoff, exactly as serve(): a fully cached
       // prompt computes one <s> row at next_pos to produce logits, and
       // generation starts one position later.
@@ -357,9 +293,9 @@ void BatchScheduler::admit(Request request) {
   }
   settle_misses(*seq);
 
-  // Simulated host-link transfer for bytes this request pulled from host
-  // memory (first materialization of its modules). Modeled as a phase with
-  // a ready-timestamp rather than a sleep, so the transfer overlaps other
+  // Simulated host-link transfer: borrowed rows move no bytes, so this is
+  // the LinkModel's per-request latency. Modeled as a phase with a
+  // ready-timestamp rather than a sleep, so the transfer overlaps other
   // requests' compute like real DMA.
   // The submitter's extra stall (shard router: cross-shard module fetches)
   // folds into the same transfer phase, so it overlaps other requests'
@@ -494,14 +430,14 @@ bool BatchScheduler::step() {
                                    static_cast<size_t>(chunk)),
           std::span<const int>(s.stream.pos_ids.data() + s.prefill_done,
                                static_cast<size_t>(chunk)),
-          &s.cache});
+          &s.kv->view});
       refs.push_back({&s, chunk});
     } else {  // kDecode: invariant — needs one forward of s.next
       s.decode_tok = s.next;
       s.decode_pos = s.gen_start + s.step_idx;
       batch.push_back(Model::BatchSeq{
           std::span<const TokenId>(&s.decode_tok, 1),
-          std::span<const int>(&s.decode_pos, 1), &s.cache});
+          std::span<const int>(&s.decode_pos, 1), &s.kv->view});
       refs.push_back({&s, 0});
     }
   }
@@ -563,7 +499,7 @@ bool BatchScheduler::step() {
   }
 
   // Record the KV high-water mark while completed sequences still hold
-  // their pages, then sweep them out of the batch (join/leave at token
+  // their tails, then sweep them out of the batch (join/leave at token
   // granularity: their slots are free for the next admission).
   // finish_serve refreshes the gauges again after each release, so the
   // live-bytes gauge settles before the final completion is observable.
@@ -581,29 +517,25 @@ bool BatchScheduler::step() {
   return !active_.empty();
 }
 
-size_t BatchScheduler::module_bytes() const {
+size_t BatchScheduler::live_bytes() const {
   size_t bytes = 0;
-  for (const auto& [key, cache] : paged_modules_) {
-    bytes += cache.total_page_bytes();  // kind-aware: q8/q4 pages are smaller
+  for (const auto& seq : active_) {
+    if (seq->kv) bytes += seq->kv->view.reserved_tail_bytes();
   }
   return bytes;
 }
 
 void BatchScheduler::refresh_kv_gauges() {
-  const size_t live = pool_.live_bytes();
+  const size_t live = live_bytes();
   peak_live_bytes_ = std::max(peak_live_bytes_, live);
   kv_live_.set(static_cast<int64_t>(live));
   kv_peak_.set(static_cast<int64_t>(peak_live_bytes_));
-  kv_modules_.set(static_cast<int64_t>(module_bytes()));
 }
 
 BatchKVStats BatchScheduler::kv_stats() const {
   BatchKVStats out;
-  out.live_bytes = pool_.live_bytes();
+  out.live_bytes = live_bytes();
   out.peak_live_bytes = peak_live_bytes_;
-  out.module_bytes = module_bytes();
-  out.pages_allocated = pool_.stats().pages_allocated;
-  out.cow_copies = pool_.stats().cow_copies;
   return out;
 }
 

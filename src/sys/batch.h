@@ -1,5 +1,5 @@
 // Continuous-batching scheduler: one iteration loop serving many in-flight
-// requests, with paged KV sharing across them (paper §3.4).
+// requests that share module KV by borrowing it in place (paper §3.4).
 //
 // Instead of a worker pool running one request per thread (sys/server.h's
 // default mode), a single loop repeatedly builds one batched forward step
@@ -10,25 +10,31 @@
 // requests are admitted the iteration after they arrive; finished requests
 // free their slot immediately.
 //
-// The KV layer is where §3.4's batch-inference memory optimization lands:
+// The KV layer is where §3.4's batch-inference memory optimization lands.
+// Each request's cache is the zero-copy view serve() uses
+// (PromptCacheEngine::assemble_borrowed, kv/kv_view.h):
 //
-//   * Every imported module is materialized ONCE into a paged rendition
-//     (PagedKVCache built over this scheduler's PagedKVPool) keyed by the
-//     module's store key. Requests attach it with append_shared: full pages
-//     are shared read-only by reference (refcount++, zero bytes moved), and
-//     a trailing partially-filled page is copy-on-write duplicated so the
-//     request's suffix can keep filling it. Eight requests importing the
-//     same 3 modules hold ONE copy of those modules' pages.
-//   * Uncached prompt tokens and decode tokens land in private zero-filled
-//     pages owned by the request, released when it completes.
+//   * Module rows are borrowed from the store where they live — fp32, q8 or
+//     q4, never copied or dequantized. Eight requests importing the same 3
+//     modules hold eight pointer tables over ONE copy of those modules:
+//     the store's.
+//   * Uncached prompt tokens and decode tokens land in the request's owned
+//     fp32 tail, sized at admission and freed when it completes.
+//   * The borrowed modules stay pinned in the store for exactly the
+//     request's lifetime (BorrowedKV's ModuleBorrows); a failed admission
+//     attempt returns its pins before retrying, and a finished request
+//     returns them before its completion callback fires.
 //
 // Determinism contract: batched serving emits bitwise-identical tokens to
-// sequential serving. Model::forward_batch keeps every per-row computation
-// bitwise equal to forward(), chunked prefill only splits rows across
-// iterations (row i's values depend only on rows <= i), and the decode loop
-// below replays Model::generate_impl's exact sampling order with a
-// per-request Rng(options.seed). tests/test_batch_serve.cpp asserts this
-// for batch sizes 1/2/4/8 with and without shared modules.
+// sequential zero-copy serving (EngineConfig::zero_copy) at every KV
+// format, and to the copy path at fp32 (at q8/q4 the copy path dequantizes
+// rows instead, which can flip near-tied tokens). Model::forward_batch
+// keeps every per-row computation bitwise equal to forward(), chunked
+// prefill only splits rows across iterations (row i's values depend only
+// on rows <= i), and the decode loop below replays Model::generate_impl's
+// exact sampling order with a per-request Rng(options.seed).
+// tests/test_batch_serve.cpp asserts this for batch sizes 1/2/4/8 with and
+// without shared modules, and on random weights at fp32, q8 and q4.
 //
 // Fault/deadline semantics mirror the worker pool (docs/INTERNALS.md §9-10):
 // same ServeStatus taxonomy, same retry/degrade ladder (degradation runs
@@ -39,6 +45,10 @@
 // blocking sleep, so one request's transfer overlaps other requests'
 // compute exactly as DMA overlaps kernels.
 //
+// Host-link accounting: borrowed rows count as bytes_zero_copy, as in
+// zero-copy serving, so the LinkModel's bandwidth term charges no module
+// bytes here; its per-request latency still applies.
+//
 // Threading: the scheduler is single-threaded — one thread calls admit()
 // and step(); completions are handed to the constructor's callback on that
 // thread. sys/server.h wraps it in a queue + dedicated batch thread.
@@ -48,16 +58,14 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/cancel.h"
 #include "common/histogram.h"
 #include "core/engine.h"
-#include "kv/paged_cache.h"
-#include "kv/paged_pool.h"
 #include "model/model.h"
 #include "obs/metrics.h"
 #include "sys/serve_types.h"
@@ -67,16 +75,14 @@ namespace pc {
 struct BatchConfig {
   int max_batch = 8;      // max concurrently active requests
   int chunk_tokens = 32;  // prefill tokens contributed per iteration
-  int page_tokens = 16;   // KV pool page granularity (tokens per page)
 };
 
-// Paged-KV footprint of the batch path, from the pool's accounting.
+// KV footprint of the batch path: the owned tails (reserved bytes) of the
+// requests in flight. Module rows are borrowed from the store and counted
+// there, never here.
 struct BatchKVStats {
-  size_t live_bytes = 0;      // referenced pages right now
-  size_t peak_live_bytes = 0; // high-water mark across the run
-  size_t module_bytes = 0;    // pages held by shared module renditions
-  uint64_t pages_allocated = 0;
-  uint64_t cow_copies = 0;
+  size_t live_bytes = 0;       // tails of the requests in flight right now
+  size_t peak_live_bytes = 0;  // high-water mark across the run
 };
 
 class BatchScheduler {
@@ -113,8 +119,8 @@ class BatchScheduler {
   using CompletionFn = std::function<void(ServerResponse&&)>;
 
   // Serves with `engine`, whose precision must be kFp32, kQ8, or kQ4: fp32
-  // module pages are read in place by the gathered attention kernel;
-  // quantized module pages stay quantized and are scored in the integer
+  // module rows are read in place by the gathered attention kernel;
+  // quantized module rows stay quantized and are scored in the integer
   // domain (attn_fused_q8_gather / attn_fused_q4_gather). fp16 has no
   // in-place kernel. Loads options.schemas into the engine; an injected
   // encode fault during eager encoding is tolerated (modules re-encode
@@ -132,7 +138,7 @@ class BatchScheduler {
   bool idle() const { return active_.empty(); }
   int active_requests() const { return static_cast<int>(active_.size()); }
 
-  // Binds, encodes, and assembles the request's paged cache, then places it
+  // Binds, encodes, and assembles the request's borrowed view, then places it
   // in the iteration loop (or completes it immediately: shed past deadline,
   // degraded, failed). Transient encode faults retry with the same backoff
   // ladder as the worker pool.
@@ -147,7 +153,6 @@ class BatchScheduler {
 
   // Telemetry (single-threaded with admit/step, like the engine's stats).
   PromptCacheEngine& engine() const { return *engine_; }
-  const PagedKVPool& pool() const { return pool_; }
   BatchKVStats kv_stats() const;
   uint64_t iterations() const { return iterations_.value(); }
   uint64_t batched_tokens() const { return batch_tokens_.value(); }
@@ -170,7 +175,7 @@ class BatchScheduler {
     double transfer_ms = 0;  // one transfer's duration (re-paid on retry)
     int link_attempts = 0;
 
-    PagedKVCache cache;
+    std::optional<BorrowedKV> kv;  // set once an admission attempt succeeds
     UncachedStream stream;  // uncached prompt tokens (incl. kickoff)
     size_t prefill_done = 0;
     bool prefill_started = false;
@@ -190,16 +195,8 @@ class BatchScheduler {
     bool done = false;  // completion decided; swept after the iteration
     ServeStatus done_status = ServeStatus::kOk;
 
-    Seq(Request r, PagedKVPool& pool, int n_layers, int kv_dim)
-        : req(std::move(r)),
-          cache(pool, n_layers, kv_dim),
-          rng(req.options.seed) {}
+    explicit Seq(Request r) : req(std::move(r)), rng(req.options.seed) {}
   };
-
-  // Materializes (once) and attaches the binding's module pages to
-  // seq.cache; fills retrieve/byte accounting. May throw what
-  // for_each_encoded throws (TransientError, CacheError).
-  void assemble_paged(const pml::PromptBinding& binding, Seq& seq);
 
   // generate_impl's loop head for the candidate in seq.next: emission
   // checks and finish bookkeeping. Returns true when the sequence is done
@@ -216,7 +213,7 @@ class BatchScheduler {
   void finish_serve(std::unique_ptr<Seq> seq);
 
   double backoff_ms_for(uint64_t id, int attempt) const;
-  size_t module_bytes() const;
+  size_t live_bytes() const;
   void refresh_kv_gauges();
 
   const Model& model_;
@@ -224,13 +221,9 @@ class BatchScheduler {
   Options options_;
   CompletionFn on_complete_;
 
-  // Destruction order matters: the pool must outlive every PagedKVCache
-  // built over it (module renditions and active sequences below).
-  PagedKVPool pool_;
+  // Declared before active_: a sequence's borrows return their pins to
+  // the engine's store, so the engine must outlive them.
   std::unique_ptr<PromptCacheEngine> engine_;
-  // Shared module renditions, keyed by store key; one per module, attached
-  // by reference to every importing request.
-  std::map<std::string, PagedKVCache> paged_modules_;
   std::vector<std::unique_ptr<Seq>> active_;
 
   obs::Counter iterations_;    // pc_batch_iterations_total
@@ -239,7 +232,6 @@ class BatchScheduler {
   obs::Gauge active_gauge_;    // pc_batch_active
   obs::Gauge kv_live_;         // pc_batch_kv_live_bytes
   obs::Gauge kv_peak_;         // pc_batch_kv_peak_bytes
-  obs::Gauge kv_modules_;      // pc_batch_kv_module_bytes
   obs::Histogram ttft_;        // pc_batch_ttft_engine_seconds
   size_t peak_live_bytes_ = 0;
 };

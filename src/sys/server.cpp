@@ -391,7 +391,10 @@ void Server::record_timeline_locked(const ServerResponse& resp) {
   t.annotations = resp.annotations;
   t.module_misses = resp.module_misses;
   t.prefill_chunks = resp.prefill_chunks;
-  t.kv_format = precision_name(config_.engine.precision);
+  // The serving engine's effective format: a q4 request on a model the q4
+  // kernel cannot serve runs as q8 (PromptCacheEngine's config()).
+  const StorePrecision precision = lane_engine(resp.worker).config().precision;
+  t.kv_format = precision_name(precision);
   if (is_served(resp.status)) {
     const TtftBreakdown& b = resp.result.ttft;
     t.encode_ms = resp.result.encode_ms;
@@ -419,7 +422,7 @@ void Server::record_timeline_locked(const ServerResponse& resp) {
               ? ModuleLocation::kDeviceMemory
               : ModuleLocation::kHostMemory;
       size_t bytes_per_cached = 0;  // 0 = unquantized default
-      switch (config_.engine.precision) {
+      switch (precision) {
         case StorePrecision::kQ8:
           bytes_per_cached = config_.ttft_spec.kv_bytes_per_token_q8();
           break;
@@ -439,6 +442,13 @@ void Server::record_timeline_locked(const ServerResponse& resp) {
     }
   }
   requests_.record(std::move(t));
+}
+
+const PromptCacheEngine& Server::lane_engine(int lane) const {
+  if (scheduler_ != nullptr) return scheduler_->engine();
+  // Every worker's engine is built from config_.engine, so worker 0 speaks
+  // for a request shed at submit (lane -1).
+  return *workers_[static_cast<size_t>(std::max(lane, 0))]->engine;
 }
 
 std::unique_ptr<PromptCacheEngine> Server::make_engine() const {
@@ -598,12 +608,10 @@ void Server::worker_loop(int index) {
           status = ServeStatus::kOk;
           break;
         } catch (const CancelledError& e) {
-          self.engine->release_borrowed_pins();
           status = ServeStatus::kTimeout;
           resp.detail = e.what();
           break;
         } catch (const TransientError& e) {
-          self.engine->release_borrowed_pins();
           // Retries stop the moment the deadline expires: another attempt
           // (and its backoff sleep) can only finish later than a caller who
           // is already gone.
@@ -625,11 +633,9 @@ void Server::worker_loop(int index) {
         } catch (const CacheError& e) {
           // Structural, not transient (the module fits in neither tier under
           // current pin pressure): retrying cannot help, degrade directly.
-          self.engine->release_borrowed_pins();
           degrade(e.what());
           break;
         } catch (const std::exception& e) {
-          self.engine->release_borrowed_pins();
           status = ServeStatus::kFailed;
           resp.detail = e.what();
           break;
@@ -824,8 +830,6 @@ ServerStats Server::stats() const {
     const BatchKVStats kv = scheduler_->kv_stats();
     out.kv_live_bytes = kv.live_bytes;
     out.kv_peak_bytes = kv.peak_live_bytes;
-    out.kv_module_bytes = kv.module_bytes;
-    out.kv_cow_copies = kv.cow_copies;
     add_engine(scheduler_->engine());
     out.engine_ttft.merge(scheduler_->ttft_histogram());
   }

@@ -87,9 +87,10 @@ struct ServerConfig {
   RetryPolicy retry;
   // Continuous-batching mode (sys/batch.h): instead of n_workers threads
   // each serving one request end to end, a single batch loop serves up to
-  // batch.max_batch requests per forward step with paged KV sharing across
-  // them. Identical request semantics: same ServeStatus taxonomy, same
-  // deadline/retry/degradation behavior, bitwise-identical tokens.
+  // batch.max_batch requests per forward step, each borrowing its modules'
+  // rows from the store in place (zero-copy). Identical request semantics:
+  // same ServeStatus taxonomy, same deadline/retry/degradation behavior,
+  // bitwise-identical tokens to a zero-copy engine.
   bool batching = false;
   BatchConfig batch;
   // Request-centric telemetry (obs/request_timeline.h). request_ring bounds
@@ -147,18 +148,19 @@ struct ServerStats {
   uint64_t scaffolds_encoded = 0;
   uint64_t thrash_reencodes = 0;
 
-  // Store-level: the shared store's snapshot, or the sum over private
-  // stores. hit_rate = hits / (hits + misses).
-  // Batching mode (ServerConfig::batching): iteration-loop and paged-KV
-  // telemetry. Zero in worker-pool mode.
+  // Batching mode (ServerConfig::batching): iteration-loop and KV
+  // telemetry; zero in worker-pool mode. kv_live_bytes counts the owned
+  // tails of the requests in flight (module rows are borrowed from the
+  // store and counted there), so it reads 0 once drained; kv_peak_bytes is
+  // its high-water mark.
   bool batching = false;
   uint64_t batch_iterations = 0;
   uint64_t batch_tokens = 0;
   size_t kv_live_bytes = 0;
   size_t kv_peak_bytes = 0;
-  size_t kv_module_bytes = 0;  // held once however many requests share them
-  uint64_t kv_cow_copies = 0;
 
+  // Store-level: the shared store's snapshot, or the sum over private
+  // stores. hit_rate = hits / (hits + misses).
   ModuleStoreStats store;
   double store_hit_rate = 0;
   size_t resident_module_bytes = 0;
@@ -266,6 +268,8 @@ class Server {
   // The engine a worker (or the batch lane) serves with: over the shared
   // store, or owning its own.
   std::unique_ptr<PromptCacheEngine> make_engine() const;
+  // The engine that served on `lane` (a worker index, or the batch lane).
+  const PromptCacheEngine& lane_engine(int lane) const;
   void worker_loop(int index);
   void batch_loop();
   // Books a finished response (any status) under mutex_; the caller

@@ -1,13 +1,15 @@
 // Continuous-batching serve path (sys/batch.h + Server batching mode):
 //
-//   * forward_batch over paged caches is bitwise-identical to forward()
-//     over dense caches, chunked or not, solo or batched;
+//   * forward_batch over borrowed views is bitwise-identical to forward()
+//     over dense caches, chunked or not, solo or batched, with or without
+//     borrowed module rows;
 //   * the batching Server produces bitwise-identical tokens to sequential
-//     PromptCacheEngine::serve at every batch width (greedy and sampled);
-//   * requests sharing modules share paged KV (§3.4): module renditions are
-//     held once however many requests attach them, and the peak footprint
-//     beats the private-modules baseline; partial module tails are attached
-//     copy-on-write;
+//     PromptCacheEngine::serve at every batch width (greedy and sampled),
+//     and to a zero-copy engine on random weights at fp32, q8 and q4;
+//   * requests sharing modules share them in place (§3.4): every request
+//     borrows its modules' rows (nothing copied), the batch's KV footprint
+//     is the requests' owned tails only, and a drained batch holds no KV
+//     and no store pins;
 //   * deadline semantics in batch mode: expiry while queued sheds at
 //     dequeue, expiry mid-service cancels to kTimeout;
 //   * submit-time shedding counts in-service requests, not just the queue
@@ -19,6 +21,7 @@
 //     faults keeps availability 1.0 with bitwise-equal tokens.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -29,11 +32,11 @@
 #include "core/engine.h"
 #include "core/shared_module_store.h"
 #include "eval/workload.h"
-#include "kv/paged_cache.h"
-#include "kv/paged_pool.h"
 #include "model/induction.h"
+#include "pml/prompt_builder.h"
 #include "sys/fault.h"
 #include "sys/server.h"
+#include "tokenizer/tokenizer.h"
 
 namespace pc {
 namespace {
@@ -121,12 +124,10 @@ TEST_F(BatchServeTest, ForwardBatchMatchesForwardBitwise) {
 
   const int n_layers = model_.config().n_layers;
   const int kv_dim = model_.config().kv_dim();
-  // Small pages so the sequence spans several.
-  PagedKVPool pool(4, model_.kv_bytes_per_token());
 
   // Whole sequence in one batched call.
   {
-    PagedKVCache cache(pool, n_layers, kv_dim);
+    SegmentedKVCache cache(n_layers, kv_dim, n);
     Model::BatchSeq seq{tokens, pos, &cache};
     const Tensor out = model_.forward_batch({&seq, 1});
     ASSERT_EQ(out.dim(0), 1);
@@ -139,7 +140,7 @@ TEST_F(BatchServeTest, ForwardBatchMatchesForwardBitwise) {
   // Chunked prefill: same cache fed 5 tokens at a time; the last chunk's
   // logits must still match the one-shot dense run bitwise.
   {
-    PagedKVCache cache(pool, n_layers, kv_dim);
+    SegmentedKVCache cache(n_layers, kv_dim, n);
     Tensor out;
     for (int at = 0; at < n; at += 5) {
       const int len = std::min(5, n - at);
@@ -164,8 +165,8 @@ TEST_F(BatchServeTest, ForwardBatchMatchesForwardBitwise) {
         std::span<const TokenId>(tokens.data(), static_cast<size_t>(n2)),
         std::span<const int>(pos.data(), static_cast<size_t>(n2)), dense2);
 
-    PagedKVCache a(pool, n_layers, kv_dim);
-    PagedKVCache b(pool, n_layers, kv_dim);
+    SegmentedKVCache a(n_layers, kv_dim, n);
+    SegmentedKVCache b(n_layers, kv_dim, n2);
     Model::BatchSeq seqs[2] = {
         {tokens, pos, &a},
         {std::span<const TokenId>(tokens.data(), static_cast<size_t>(n2)),
@@ -175,6 +176,28 @@ TEST_F(BatchServeTest, ForwardBatchMatchesForwardBitwise) {
     const size_t row_bytes = static_cast<size_t>(ref.dim(1)) * sizeof(float);
     EXPECT_EQ(std::memcmp(out.data(), ref.data(), row_bytes), 0);
     EXPECT_EQ(std::memcmp(out.data() + out.dim(1), ref2.data(), row_bytes),
+              0);
+  }
+
+  // Borrowed module rows: the first half encoded on its own and borrowed
+  // in place, the rest batched on top — the batch path's cache shape.
+  {
+    const int half = n / 2;
+    KVCache module = model_.make_cache();
+    (void)model_.forward(
+        std::span<const TokenId>(tokens.data(), static_cast<size_t>(half)),
+        std::span<const int>(pos.data(), static_cast<size_t>(half)), module);
+    SegmentedKVCache view(n_layers, kv_dim, n - half);
+    view.append_borrowed(module, 0, half);
+    Model::BatchSeq seq{
+        std::span<const TokenId>(tokens.data() + half,
+                                 static_cast<size_t>(n - half)),
+        std::span<const int>(pos.data() + half, static_cast<size_t>(n - half)),
+        &view};
+    const Tensor out = model_.forward_batch({&seq, 1});
+    EXPECT_EQ(view.borrowed_tokens(), half);
+    EXPECT_EQ(std::memcmp(out.data(), ref.data(),
+                          static_cast<size_t>(ref.dim(1)) * sizeof(float)),
               0);
   }
 }
@@ -224,8 +247,8 @@ TEST_F(BatchServeTest, BatchedMatchesSequentialBitwise) {
 }
 
 TEST_F(BatchServeTest, Q8BatchedMatchesSequentialQ8Bitwise) {
-  // Quantized module pages: shared renditions stay int8 in the paged pool
-  // and decode tails stay fp32. Tokens must be bitwise-identical to a
+  // Quantized modules: borrowed rows stay int8 in the store and decode
+  // tails stay fp32. Tokens must be bitwise-identical to a
   // sequential q8 engine, and — the retrieval gate — identical to the fp32
   // sequential reference (induction retrieval survives Q8_0).
   constexpr int kRequests = 12;
@@ -274,8 +297,8 @@ TEST_F(BatchServeTest, Q8BatchedMatchesSequentialQ8Bitwise) {
 }
 
 TEST_F(BatchServeTest, Q4BatchedMatchesSequentialQ4Bitwise) {
-  // Sub-byte module pages: shared renditions stay packed Q4_0 nibbles in
-  // the paged pool and decode tails stay fp32. Tokens must be bitwise-
+  // Sub-byte modules: borrowed rows stay packed Q4_0 nibbles in the store
+  // and decode tails stay fp32. Tokens must be bitwise-
   // identical to a sequential q4 engine, and — the retrieval gate —
   // identical to the fp32 sequential reference (induction retrieval
   // survives Q4_0).
@@ -395,10 +418,9 @@ TEST_F(BatchServeTest, BatchedSharedStoreMatchesSequential) {
 }
 
 // ---------------------------------------------------------------------------
-// §3.4 paged sharing: footprint accounting
+// §3.4 shared modules: footprint accounting
 
-// 20-token modules (page_tokens = 16): each rendition spans one full page
-// (shared by reference) plus a 4-token tail (attached copy-on-write).
+// Eight 20-token modules, each with its own fact.
 std::string footprint_schema() {
   std::string s = "<schema name=\"fp\">";
   for (int i = 0; i < 8; ++i) {
@@ -416,52 +438,204 @@ std::string footprint_schema() {
 TEST_F(BatchServeTest, SharedModulesReduceKvFootprint) {
   const std::string schema = footprint_schema();
   constexpr int kRequests = 8;
+  const auto prompt_for = [](int m) {
+    return "<prompt schema=\"fp\"><m" + std::to_string(m) +
+           "/> question: q1" + std::to_string(m) + "</prompt>";
+  };
 
-  auto run = [&](bool shared_traffic) {
+  auto run = [&](bool shared_traffic, size_t* module_bytes) {
+    SharedModuleStore store(/*device=*/0, /*host=*/0);
     ServerConfig cfg;
     cfg.batching = true;
     cfg.batch.max_batch = kRequests;
-    // COW-tail accounting is fp32-specific: q8 module pages are immutable,
-    // so partial tails are copied rather than attached copy-on-write. Pin
-    // fp32 here; the q8 paged path is covered by Q8BatchedMatchesSequential.
     cfg.engine.precision = StorePrecision::kFp32;
     cfg.schemas = {schema};
-    Server server(model_, workload_.tokenizer(), cfg);
+    Server server(model_, workload_.tokenizer(), store, cfg);
     for (int i = 0; i < kRequests; ++i) {
       // Shared traffic: every request imports the same module. Private
       // traffic: each request imports its own.
-      const int m = shared_traffic ? 0 : i;
-      const std::string prompt = "<prompt schema=\"fp\"><m" +
-                                 std::to_string(m) +
-                                 "/> question: q1" + std::to_string(m) +
-                                 "</prompt>";
-      server.submit(prompt, ask_options(workload_));
+      server.submit(prompt_for(shared_traffic ? 0 : i),
+                    ask_options(workload_));
     }
     const auto responses = server.drain();
     for (const auto& r : responses) {
       EXPECT_EQ(r.status, ServeStatus::kOk) << r.detail;
       EXPECT_FALSE(r.result.tokens.empty());
+      // Every request borrowed its module's rows in place; none moved.
+      EXPECT_EQ(r.result.ttft.bytes_from_host + r.result.ttft.bytes_from_device,
+                0u);
+      EXPECT_GT(r.result.ttft.bytes_zero_copy, 0u);
     }
+    *module_bytes = store.resident_bytes() / 8;  // one fp32 module
     return server.stats();
   };
 
-  const ServerStats shared = run(/*shared_traffic=*/true);
-  const ServerStats priv = run(/*shared_traffic=*/false);
+  size_t module_bytes = 0;
+  const ServerStats shared = run(/*shared_traffic=*/true, &module_bytes);
+  const ServerStats priv = run(/*shared_traffic=*/false, &module_bytes);
 
-  // Module renditions are held once per distinct module, not per request.
-  EXPECT_GT(shared.kv_module_bytes, 0u);
-  EXPECT_EQ(priv.kv_module_bytes, 8 * shared.kv_module_bytes);
+  // Each request holds one owned tail: its uncached question and kickoff,
+  // its generation budget and the engine's slack (every prompt's question
+  // has the same length). The batch's footprint is those tails alone,
+  // whichever modules the traffic imports — eight requests sharing one
+  // module hold no copy of it at all, and the peak stays below one private
+  // module copy per request.
+  EngineConfig lazy;
+  lazy.eager_encode = false;
+  PromptCacheEngine binder(model_, workload_.tokenizer(), lazy);
+  binder.load_schema(schema);
+  const int question_tokens = binder.bind(prompt_for(0)).uncached_token_count();
+  const size_t tail_bytes =
+      model_.kv_bytes_per_token() *
+      static_cast<size_t>(question_tokens + 1 +
+                          ask_options(workload_).max_new_tokens +
+                          PromptCacheEngine::kTailSlack);
+  for (const ServerStats* s : {&shared, &priv}) {
+    EXPECT_GT(s->kv_peak_bytes, 0u);
+    EXPECT_EQ(s->kv_peak_bytes % tail_bytes, 0u);
+    EXPECT_LE(s->kv_peak_bytes, kRequests * tail_bytes);
+    EXPECT_LT(s->kv_peak_bytes, kRequests * module_bytes);
+    EXPECT_EQ(s->kv_live_bytes, 0u);
+    check_accounting(*s);
+  }
+}
 
-  // Sharing shows up as a strictly smaller peak resident KV footprint for
-  // the same request count — the paper's batch-memory claim, measured.
-  EXPECT_GT(shared.kv_peak_bytes, 0u);
-  EXPECT_LT(shared.kv_peak_bytes, priv.kv_peak_bytes);
+// ---------------------------------------------------------------------------
+// Batched == zero-copy serving on random weights
 
-  // Every request attaches its module's 4-token tail copy-on-write.
-  EXPECT_GE(shared.kv_cow_copies, static_cast<uint64_t>(kRequests));
-  EXPECT_GE(priv.kv_cow_copies, static_cast<uint64_t>(kRequests));
-  check_accounting(shared);
-  check_accounting(priv);
+// Random weights produce the near-tied logits the induction model never
+// has, so any arithmetic difference between the batch path and a zero-copy
+// engine flips a token here. Both read modules in place at the store's
+// format, so they must agree bitwise at fp32, q8 and q4 alike (the copy
+// path dequantizes q8/q4 rows instead and is not compared).
+TEST_F(BatchServeTest, BatchedMatchesZeroCopyOnRandomWeights) {
+  const Vocab& vocab = Vocab::basic_english();
+  const Tokenizer tokenizer(vocab);
+  const Model model =
+      Model::random(ModelConfig::llama_tiny(vocab.size(), 1024), 29);
+  // Lower-case pieces of the vocabulary: one token per word.
+  std::vector<std::string> word_pool;
+  for (TokenId id = vocab.first_piece_id(); id < vocab.size(); ++id) {
+    const std::string& p = vocab.piece(id);
+    if (p.size() >= 2 && std::all_of(p.begin(), p.end(), [](char c) {
+          return c >= 'a' && c <= 'z';
+        })) {
+      word_pool.push_back(p);
+    }
+  }
+  Rng rng(2024);
+  const auto words = [&](int n) {
+    std::string out;
+    for (int i = 0; i < n; ++i) out += (i > 0 ? " " : "") + rng.pick(word_pool);
+    return out;
+  };
+
+  constexpr int kModules = 8;
+  constexpr int kModuleTokens = 32;
+  constexpr int kRequests = 24;
+  std::string schema = "<schema name=\"rw\">";
+  for (int m = 0; m < kModules; ++m) {
+    schema += "<module name=\"m" + std::to_string(m) + "\">" +
+              words(kModuleTokens) + "</module>";
+  }
+  schema += "</schema>";
+  std::vector<std::string> prompts;
+  for (int p = 0; p < kRequests; ++p) {
+    const int imports = static_cast<int>(rng.uniform_int(2, 4));
+    std::vector<int> picked;
+    while (static_cast<int>(picked.size()) < imports) {
+      const int m = static_cast<int>(rng.next_below(kModules));
+      if (std::find(picked.begin(), picked.end(), m) == picked.end()) {
+        picked.push_back(m);
+      }
+    }
+    std::sort(picked.begin(), picked.end());
+    pml::PromptBuilder prompt("rw");
+    for (int m : picked) prompt.import("m" + std::to_string(m));
+    prompt.text(words(6));
+    prompts.push_back(prompt.str());
+  }
+  GenerateOptions opts;
+  opts.max_new_tokens = 8;
+  opts.stop_tokens.clear();  // fixed-length output
+
+  for (StorePrecision precision :
+       {StorePrecision::kFp32, StorePrecision::kQ8, StorePrecision::kQ4}) {
+    EngineConfig zc;
+    zc.precision = precision;
+    zc.zero_copy = true;
+    PromptCacheEngine reference(model, tokenizer, zc);
+    reference.load_schema(schema);
+    std::vector<std::vector<TokenId>> expected;
+    for (const std::string& p : prompts) {
+      expected.push_back(reference.serve(p, opts).tokens);
+      ASSERT_EQ(expected.back().size(), 8u);
+    }
+
+    for (int max_batch : {1, 4}) {
+      ServerConfig cfg;
+      cfg.batching = true;
+      cfg.batch.max_batch = max_batch;
+      cfg.engine.precision = precision;
+      cfg.schemas = {schema};
+      Server server(model, tokenizer, cfg);
+      for (const std::string& p : prompts) server.submit(p, opts);
+      const auto responses = server.drain();
+      ASSERT_EQ(responses.size(), prompts.size());
+      for (size_t i = 0; i < prompts.size(); ++i) {
+        EXPECT_EQ(responses[i].status, ServeStatus::kOk) << responses[i].detail;
+        EXPECT_EQ(responses[i].result.tokens, expected[i])
+            << "precision " << static_cast<int>(precision) << " batch "
+            << max_batch << " prompt " << i;
+      }
+    }
+  }
+}
+
+// Keys of every module resident in `store` (collected first: for_each's
+// callback must not call back into the store).
+std::vector<std::string> resident_keys(const SharedModuleStore& store) {
+  std::vector<std::string> keys;
+  store.for_each([&](const std::string& key, const EncodedModule&,
+                     ModuleLocation) { keys.push_back(key); });
+  return keys;
+}
+
+TEST_F(BatchServeTest, DrainedBatchHoldsNoModuleBytesOrPins) {
+  // Eight distinct modules, two per request: once the batch drains, no
+  // request is in flight, so nothing may stay live in the batch's KV
+  // accounting and no module may stay pinned in the store.
+  const std::string schema = footprint_schema();
+  SharedModuleStore store(/*device=*/0, /*host=*/0);
+  ServerConfig cfg;
+  cfg.batching = true;
+  cfg.batch.max_batch = 4;
+  cfg.schemas = {schema};
+  Server server(model_, workload_.tokenizer(), store, cfg);
+  constexpr int kRequests = 16;
+  for (int i = 0; i < kRequests; ++i) {
+    const int a = i % 8;
+    const int b = (i + 3) % 8;
+    const std::string prompt =
+        "<prompt schema=\"fp\"><m" + std::to_string(std::min(a, b)) +
+        "/><m" + std::to_string(std::max(a, b)) + "/> question: q1" +
+        std::to_string(a) + "</prompt>";
+    server.submit(prompt, ask_options(workload_));
+  }
+  const auto responses = server.drain();
+  ASSERT_EQ(responses.size(), static_cast<size_t>(kRequests));
+  for (const auto& r : responses) {
+    EXPECT_EQ(r.status, ServeStatus::kOk) << r.detail;
+  }
+
+  const ServerStats stats = server.stats();
+  EXPECT_GT(stats.kv_peak_bytes, 0u);  // requests held KV while in flight
+  EXPECT_EQ(stats.kv_live_bytes, 0u);
+  const std::vector<std::string> keys = resident_keys(store);
+  EXPECT_EQ(keys.size(), 8u);
+  for (const std::string& key : keys) {
+    EXPECT_EQ(store.pin_count(key), 0) << key;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -658,6 +832,10 @@ TEST_F(BatchServeTest, BatchChaosKeepsFullAvailability) {
     EXPECT_EQ(stats.timeouts, 0u);
     EXPECT_EQ(stats.failed, 0u);
     check_accounting(stats);
+  }
+  // Timeouts, retries and degrades released every borrow they took.
+  for (const std::string& key : resident_keys(store)) {
+    EXPECT_EQ(store.pin_count(key), 0) << key;
   }
 }
 

@@ -214,18 +214,18 @@ TEST(Histogram, EngineRecordsServeLatencies) {
   opts.stop_tokens = {workload.stop_token()};
 
   const char* prompt = R"(<prompt schema="t"><doc/> question: q05</prompt>)";
-  for (int i = 0; i < 8; ++i) (void)engine.serve(prompt, opts);
-  for (int i = 0; i < 3; ++i) (void)engine.serve_baseline(prompt, opts);
+  ServeResult cached, baseline;
+  for (int i = 0; i < 8; ++i) cached = engine.serve(prompt, opts);
+  for (int i = 0; i < 3; ++i) baseline = engine.serve_baseline(prompt, opts);
 
   EXPECT_EQ(engine.cached_ttft_histogram().count(), 8u);
   EXPECT_EQ(engine.baseline_ttft_histogram().count(), 3u);
   EXPECT_GT(engine.cached_ttft_histogram().p50_ms(), 0.0);
-  // Cached TTFT should be under baseline. Compare medians: with the
-  // vectorized kernels both paths on this toy prompt run near the OS
-  // scheduling-noise floor, so a single stray millisecond-scale hiccup in
-  // the tail must not decide the comparison.
-  EXPECT_LT(engine.cached_ttft_histogram().p50_ms(),
-            engine.baseline_ttft_histogram().p50_ms());
+  // What makes cached TTFT lower: the cached serve prefills only the
+  // uncached question, the baseline the whole prompt. Counted, not timed —
+  // on this toy prompt both run near the scheduler-noise floor, and timing
+  // is bench/e2e's cached_speedup.
+  EXPECT_LT(cached.ttft.uncached_tokens, baseline.ttft.uncached_tokens);
 }
 
 }  // namespace

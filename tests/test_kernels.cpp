@@ -601,8 +601,8 @@ TEST_P(FusedAttentionTest, Q8GatherAllFp32SlotsBitIdenticalToGather) {
 }
 
 TEST_P(FusedAttentionTest, Q8GatherMixedFormatMatchesMirrorReference) {
-  // Alternate q8 and fp32 slots (the paged layout: shared module pages
-  // quantized, private decode tail fp32) under mask and ALiBi variants.
+  // Alternate q8 and fp32 slots (a borrowed view's layout: module rows
+  // quantized, owned decode tail fp32) under mask and ALiBi variants.
   const auto [d_head, n_ctx, kv_dim] = GetParam();
   const size_t head_off = kv_dim - d_head;
   const auto q = random_vec(d_head, 921 + n_ctx, 0.5f);
@@ -1067,8 +1067,8 @@ TEST_P(Q4FusedAttentionTest, AllFp32SlotsBitIdenticalToGather) {
 }
 
 TEST_P(Q4FusedAttentionTest, MixedFormatMatchesMirrorReference) {
-  // Alternate q4 and fp32 slots (the paged layout: shared module pages
-  // quantized, private decode tail fp32) under mask and ALiBi variants.
+  // Alternate q4 and fp32 slots (a borrowed view's layout: module rows
+  // quantized, owned decode tail fp32) under mask and ALiBi variants.
   const auto [d_head, n_ctx, kv_dim] = GetParam();
   const size_t head_off = kv_dim - d_head;
   const auto q = random_vec(d_head, 1821 + n_ctx, 0.5f);

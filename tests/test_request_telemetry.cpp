@@ -109,6 +109,7 @@ void check_timeline_invariants(const obs::RequestTimeline& t) {
 TEST_F(RequestTelemetryTest, WorkerPoolTimelineCompleteness) {
   ServerConfig cfg;
   cfg.n_workers = 2;
+  cfg.engine.precision = StorePrecision::kFp32;  // asserted below
   cfg.schemas = {kSchema};
   cfg.link.latency_s = 0.001;  // nonzero transfer phase on first imports
   Server server(model_, workload_.tokenizer(), cfg);
@@ -213,6 +214,38 @@ TEST_F(RequestTelemetryTest, ChaosTimelinesReconcileWithCounters) {
   EXPECT_EQ(deadline_misses, stats.deadline_misses);
 }
 
+TEST_F(RequestTelemetryTest, TimelinesReportEffectiveKvFormat) {
+  // q4 needs d_head % 32 == 0 or a single KV head; this model has neither,
+  // so its engines fall back to q8 — and the timelines must say q8, on
+  // both serving paths.
+  ModelConfig c = ModelConfig::llama_tiny(workload_.vocab().size(), 256);
+  c.d_model = 96;
+  c.n_layers = 2;
+  c.n_heads = 4;
+  c.n_kv_heads = 2;
+  c.d_head = 24;
+  c.d_ff = 128;
+  const Model model = Model::random(c, 5);
+  for (bool batching : {false, true}) {
+    ServerConfig cfg;
+    cfg.n_workers = 2;
+    cfg.batching = batching;
+    cfg.engine.precision = StorePrecision::kQ4;
+    cfg.schemas = {kSchema};
+    Server server(model, workload_.tokenizer(), cfg);
+    for (size_t i = 0; i < kNumPrompts; ++i) {
+      server.submit(kPrompts[i], ask_options());
+    }
+    (void)server.drain();
+    const auto timelines = server.requests().snapshot();
+    ASSERT_EQ(timelines.size(), kNumPrompts);
+    for (const auto& t : timelines) {
+      EXPECT_EQ(t.outcome, obs::RequestOutcome::kOk) << t.detail;
+      EXPECT_EQ(t.kv_format, "q8") << "batching " << batching;
+    }
+  }
+}
+
 TEST_F(RequestTelemetryTest, WarmServeRecordsCacheEfficacy) {
   ServerConfig cfg;
   cfg.n_workers = 1;  // one engine, so the second serve is surely warm
@@ -282,6 +315,7 @@ TEST_F(RequestTelemetryTest, RequestLogJsonlRoundTrip) {
   {
     ServerConfig cfg;
     cfg.n_workers = 2;
+    cfg.engine.precision = StorePrecision::kFp32;  // asserted below
     cfg.schemas = {kSchema};
     Server server(model_, workload_.tokenizer(), cfg);
     for (int i = 0; i < 6; ++i) {

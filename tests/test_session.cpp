@@ -3,9 +3,6 @@
 // and position-budget exhaustion.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <vector>
-
 #include "core/session.h"
 #include "eval/workload.h"
 #include "model/induction.h"
@@ -69,24 +66,17 @@ TEST_F(SessionTest, RemembersFactsFromEarlierTurns) {
 TEST_F(SessionTest, TurnsAreCheapAfterTheFirstAssembly) {
   ChatSession session(engine_, kPrompt, /*wrap_turns=*/false);
   (void)session.send("question: q05", answer_options());  // assembly turn
-  // A steady-state turn computes ~4 input tokens plus the decode steps; the
-  // baseline pays the same decode but re-prefills the entire context, so it
-  // must be slower end-to-end. Both sides now run in single-digit
-  // milliseconds, so compare medians of 3 — a lone scheduler hiccup on one
-  // sample must not decide the ordering.
-  std::vector<double> turn_ms, base_ms;
+  // A steady-state turn computes ~4 input tokens; the baseline re-prefills
+  // the entire context every time. Count the tokens each side computes
+  // (timing is bench/e2e's cached_speedup, not a unit-test assertion).
   for (int i = 0; i < 3; ++i) {
     const auto r = session.send("question: q05", answer_options());
     EXPECT_LT(r.input_tokens, 10);
-    turn_ms.push_back(r.latency_ms);
     const ServeResult full = engine_.serve_baseline(
         R"(<prompt schema="chat"><doc1/><doc2/> question: q05</prompt>)",
         answer_options());
-    base_ms.push_back(full.ttft.total_ms() + full.decode_ms);
+    EXPECT_LT(r.input_tokens, full.ttft.uncached_tokens);
   }
-  std::sort(turn_ms.begin(), turn_ms.end());
-  std::sort(base_ms.begin(), base_ms.end());
-  EXPECT_LT(turn_ms[1], base_ms[1]);
 }
 
 TEST_F(SessionTest, PositionBudgetIsEnforced) {

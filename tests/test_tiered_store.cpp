@@ -14,13 +14,18 @@
 //     restart;
 //   * injected disk faults (PC_FAULTS diskread/diskwrite) degrade fault-ins
 //     to re-encodes and spills to destroy-evictions — availability stays
-//     1.0 and the pc_store_disk_* counters still reconcile.
+//     1.0 and the pc_store_disk_* counters still reconcile;
+//   * continuous batching over a RAM-capped disk-tier store: requests
+//     borrow (and pin) their modules in place while other modules spill
+//     and fault back in, tokens match an uncapped batching run bitwise,
+//     and a drained batch holds no KV and no pins.
 //
 // Conservation law, exact at quiescence (every spill record is eventually
 // consumed by exactly one of fault-in / eviction / failed read, or is still
 // on disk):  spills == faults + evictions + read_failures + spilled.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -500,6 +505,102 @@ TEST_F(TieredStoreTest, WorkersEncodeTheSchemaWithPrefetchOn) {
   ASSERT_NE(server.prefetcher(), nullptr);
   EXPECT_EQ(server.stats().modules_encoded, n_modules);
   EXPECT_EQ(store.stats().insertions, n_modules);
+}
+
+TEST_F(TieredStoreTest, BatchingOverRamCappedDiskTierIsBitwiseIdentical) {
+  // Twelve same-size modules, two per prompt. Batched requests pin the
+  // modules they borrow, so the RAM cap must leave room for max_batch x 2
+  // pinned modules plus one to fault in: 10 modules' worth, below the 12
+  // the schema encodes — the rest live on the disk tier.
+  AccuracyWorkload workload(7);
+  const Model model = make_induction_model({workload.vocab().size(), 256});
+  const GenerateOptions opts = ask_options(workload);
+  constexpr int kModules = 12;
+  constexpr int kMaxBatch = 4;
+  constexpr int kImports = 2;
+  const auto two = [](int v) {
+    std::string s = std::to_string(v);
+    return s.size() < 2 ? "0" + s : s;
+  };
+  std::string schema = "<schema name=\"cap\">";
+  for (int m = 0; m < kModules; ++m) {
+    schema += "<module name=\"m" + two(m) + "\">w00 w01 q" + two(10 + m) +
+              " a" + two(20 + 2 * m) + " a" + two(21 + 2 * m) +
+              " . w02</module>";
+  }
+  schema += "</schema>";
+  Rng rng(31);
+  std::vector<std::string> prompts;
+  for (int i = 0; i < 32; ++i) {
+    std::vector<int> picked;
+    while (static_cast<int>(picked.size()) < kImports) {
+      const int m = static_cast<int>(rng.next_below(kModules));
+      if (std::find(picked.begin(), picked.end(), m) == picked.end()) {
+        picked.push_back(m);
+      }
+    }
+    const int asked = picked[0];
+    std::sort(picked.begin(), picked.end());
+    std::string prompt = "<prompt schema=\"cap\">";
+    for (int m : picked) prompt += "<m" + two(m) + "/>";
+    prompts.push_back(prompt + " question: q" + two(10 + asked) + "</prompt>");
+  }
+
+  const auto serve_all = [&](SharedModuleStore& store) {
+    ServerConfig cfg;
+    cfg.batching = true;
+    cfg.batch.max_batch = kMaxBatch;
+    cfg.queue_capacity = 64;
+    cfg.schemas = {schema};
+    cfg.prefetch = true;
+    Server server(model, workload.tokenizer(), store, cfg);
+    for (const std::string& p : prompts) server.submit(p, opts);
+    std::vector<ServerResponse> responses = server.drain();
+    const ServerStats stats = server.stats();
+    server.stop();  // quiesce the prefetcher before reading counters
+    EXPECT_EQ(stats.kv_live_bytes, 0u);
+    EXPECT_GT(stats.kv_peak_bytes, 0u);
+    return responses;
+  };
+
+  SharedModuleStore uncapped(/*device=*/0, /*host=*/0, /*n_shards=*/1);
+  const std::vector<ServerResponse> expected = serve_all(uncapped);
+  size_t module_bytes = 0;
+  uncapped.for_each(
+      [&](const std::string&, const EncodedModule& m, ModuleLocation) {
+        EXPECT_TRUE(module_bytes == 0 || module_bytes == m.payload_bytes());
+        module_bytes = m.payload_bytes();
+      });
+  ASSERT_EQ(uncapped.size(), static_cast<size_t>(kModules));
+  static_assert(kMaxBatch * kImports + 1 <= 10 && 10 < kModules);
+
+  SharedModuleStore capped(/*device=*/10 * module_bytes, /*host=*/1,
+                           disk_config(), /*n_shards=*/1);
+  const std::vector<ServerResponse> responses = serve_all(capped);
+  ASSERT_EQ(responses.size(), prompts.size());
+  ASSERT_EQ(expected.size(), prompts.size());
+  for (size_t i = 0; i < prompts.size(); ++i) {
+    EXPECT_EQ(responses[i].status, ServeStatus::kOk) << responses[i].detail;
+    EXPECT_EQ(expected[i].status, ServeStatus::kOk) << expected[i].detail;
+    EXPECT_EQ(responses[i].result.tokens, expected[i].result.tokens)
+        << "prompt " << i;
+    EXPECT_FALSE(responses[i].result.tokens.empty());
+  }
+
+  const DiskTierStats d = capped.disk_stats();
+  EXPECT_GT(d.spills, 0u);
+  EXPECT_GT(d.faults, 0u);
+  check_conservation(d);
+  EXPECT_LE(capped.peak_resident_bytes(), 10 * module_bytes);
+  // Every borrow was returned: nothing in either store is still pinned.
+  for (SharedModuleStore* store : {&uncapped, &capped}) {
+    std::vector<std::string> keys;
+    store->for_each([&](const std::string& key, const EncodedModule&,
+                        ModuleLocation) { keys.push_back(key); });
+    for (const std::string& key : keys) {
+      EXPECT_EQ(store->pin_count(key), 0) << key;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -146,7 +146,9 @@ TEST_F(ZeroCopyTest, ReducedPrecisionStoresAreRejected) {
   PromptCacheEngine engine(model_, workload_.tokenizer(), cfg);
   engine.load_schema(kSchema);
   EXPECT_THROW(engine.serve(kPrompt, answer_options()), ContractViolation);
-  engine.release_borrowed_pins();
+  // The pin taken before the rejection is returned as the serve unwinds.
+  EXPECT_FALSE(engine.store().is_pinned("z::doc1"));
+  EXPECT_FALSE(engine.store().is_pinned("z::doc2"));
 }
 
 TEST_F(ZeroCopyTest, Q8ZeroCopyServesExactRetrievalWithoutDequant) {
@@ -253,16 +255,20 @@ TEST_F(ZeroCopyTest, ManyRequestsShareOneModuleCopy) {
   engine.load_schema(kSchema);
   const pml::PromptBinding binding = engine.bind(kPrompt);
 
-  std::vector<SegmentedKVCache> views;
+  const UncachedStream question = collect_uncached(binding);
+  std::vector<BorrowedKV> requests;
   size_t owned_total = 0;
   for (int i = 0; i < 8; ++i) {
-    views.emplace_back(model_.config().n_layers, model_.config().kv_dim(),
-                       16);
     TtftBreakdown ttft;
-    (void)engine.assemble_and_prefill(binding, views.back(), &ttft);
-    owned_total += views.back().owned_payload_bytes();
+    requests.push_back(engine.assemble_borrowed(binding, 2, &ttft));
+    (void)model_.forward(question.tokens, question.pos_ids,
+                         requests.back().view);
+    owned_total += requests.back().view.owned_payload_bytes();
   }
-  engine.release_borrowed_pins();
+  // Every live view holds one pin on each module it borrows.
+  EXPECT_EQ(engine.store().pin_count("z::doc1"), 8);
+  requests.clear();
+  EXPECT_EQ(engine.store().pin_count("z::doc1"), 0);
 
   // One contiguous copy of the same prompt for comparison.
   KVCache copy = model_.make_cache();
