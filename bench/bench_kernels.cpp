@@ -206,6 +206,40 @@ void bench_attention() {
   table.print(std::cout);
 }
 
+// One GQA group at llama_tiny's shape (6 query heads on 3 KV heads: n_q 2,
+// d_head 32, kv rows of 96 floats): the group's heads as two single-head
+// calls against one grouped call, which reads each K/V row once for both
+// heads. Same arithmetic, same bits; the rows differ only in memory traffic
+// and in how the per-slot work is shared.
+void bench_attention_grouped() {
+  TablePrinter table("attention, one GQA group (n_q=2, d_head=32, kv=96)");
+  table.set_header({"ctx", "2 x single-head", "grouped", "speedup"});
+  const size_t n_q = 2, d_head = 32, kv_dim = 96;
+  for (size_t ctx : {1024u, 2048u}) {
+    const auto q = random_vec(n_q * d_head, 43 + ctx);
+    const auto k = random_vec(ctx * kv_dim, 47 + ctx);
+    const auto v = random_vec(ctx * kv_dim, 53 + ctx);
+    std::vector<float> scores(n_q * ctx), out(n_q * d_head);
+    const float scale = 1.0f / std::sqrt(static_cast<float>(d_head));
+    const double s = time_ms([&] {
+      for (size_t h = 0; h < n_q; ++h) {
+        attn_fused_contig(q.data() + h * d_head, k.data(), v.data(), kv_dim,
+                          d_head, ctx, scale, 0.0f, nullptr, nullptr,
+                          scores.data(), out.data() + h * d_head);
+      }
+      g_sink = out[0];
+    });
+    const double w = time_ms([&] {
+      attn_fused_contig(q.data(), k.data(), v.data(), kv_dim, d_head, ctx,
+                        scale, nullptr, nullptr, nullptr, scores.data(),
+                        out.data(), n_q);
+      g_sink = out[0];
+    });
+    record(table, "attention_grouped", "ctx=" + std::to_string(ctx), s, w);
+  }
+  table.print(std::cout);
+}
+
 // Decode-style attention over a quantized (Q8_0) context: one query head
 // against ctx cached rows held as int8 + per-row scale. Compares the naive
 // retrieval strategy — dequantize every K/V row to fp32, then run the fp32
@@ -335,114 +369,6 @@ bool bench_q4_attention() {
   return beats_at_1k;
 }
 
-// Score-only contrast inside the q4 family: the row-major dot_i4i8 path
-// (what the fused serving kernel runs) against NoMAD-style LUT scoring —
-// keys pre-transposed into code-major 16-key tiles, per-dimension 16-entry
-// int8 tables applied with byte shuffles, zero multiply-adds in the scan.
-// The tile transpose is key-store-time work and sits outside the timer; the
-// per-query LUT build is inside it.
-void bench_q4_lut_scoring() {
-  TablePrinter table("q4 scoring: dot_i4i8 vs NoMAD LUT (d_head=64)");
-  table.set_header({"ctx", "dot_i4i8", "LUT shuffle", "speedup"});
-  const size_t d_head = 64, kv_dim = 128, head_off = 64;
-  const size_t n_blocks = d_head / 32;  // head-slice blocks
-  const size_t blk_off = head_off / 32, byte_off = blk_off * 16;
-  const int row_blocks = q4_blocks(static_cast<int>(kv_dim));
-  const size_t row_bytes = q4_row_bytes(static_cast<int>(kv_dim));
-  std::vector<size_t> ctxs = {256, 1024};
-  if (bench::full_mode()) ctxs.push_back(4096);
-  for (size_t ctx : ctxs) {
-    const auto kf = random_vec(ctx * kv_dim, 37 + ctx);
-    const auto q = random_vec(d_head, 41 + ctx);
-    std::vector<uint8_t> k4(ctx * row_bytes);
-    std::vector<float> k_scales(ctx * row_blocks);
-    quantize_rows_q4(kf.data(), static_cast<int>(ctx),
-                     static_cast<int>(kv_dim), k4.data(), k_scales.data());
-
-    // Row-major pointers for the dot path.
-    std::vector<const uint8_t*> k4_rows(ctx);
-    for (size_t j = 0; j < ctx; ++j) k4_rows[j] = k4.data() + j * row_bytes;
-
-    // Code-major tiles for the LUT path (built once, like the key store).
-    const size_t n_tiles = ctx / 16;
-    std::vector<uint8_t> tiles(n_tiles * n_blocks * 16 * 16);
-    for (size_t t = 0; t < n_tiles; ++t) {
-      const uint8_t* slice_rows[16];
-      for (size_t r = 0; r < 16; ++r) {
-        slice_rows[r] = k4.data() + (t * 16 + r) * row_bytes + byte_off;
-      }
-      simd::nomad_transpose_tile16(slice_rows, 16, n_blocks,
-                                   tiles.data() + t * n_blocks * 16 * 16);
-    }
-
-    std::vector<float> scores(ctx);
-    const float scale = 1.0f / std::sqrt(static_cast<float>(d_head));
-    const double s = time_ms([&] {
-      // Same per-query preamble as the fused kernel: int8 query + block sums.
-      int8_t q8[64];
-      const float q_max = simd::reduce_max_abs(q.data(), d_head);
-      const float q_scale = q_max > 0.0f ? q_max / 127.0f : 1.0f;
-      simd::quantize_i8(q.data(), 1.0f / q_scale, q8, d_head);
-      int32_t q_sums[2];
-      for (size_t b = 0; b < n_blocks; ++b) {
-        int32_t acc = 0;
-        for (size_t i = 0; i < 32; ++i) acc += q8[b * 32 + i];
-        q_sums[b] = acc;
-      }
-      const float fix = scale * q_scale;
-      for (size_t j = 0; j < ctx; ++j) {
-        scores[j] = simd::dot_i4i8(q8, k4_rows[j] + byte_off,
-                                   k_scales.data() + j * row_blocks + blk_off,
-                                   q_sums, n_blocks) *
-                    fix;
-      }
-      g_sink = scores[0];
-    });
-    const double w = time_ms([&] {
-      // Quantize the query to int4 per block and build the shuffle tables
-      // (per query, amortized over all ctx keys).
-      int32_t q4v[64];
-      float q_block_scale[2];
-      for (size_t b = 0; b < n_blocks; ++b) {
-        const float amax = simd::reduce_max_abs(q.data() + b * 32, 32);
-        const float qs = amax > 0.0f ? amax / 7.0f : 1.0f;
-        q_block_scale[b] = qs;
-        for (size_t i = 0; i < 32; ++i) {
-          const float x = std::nearbyintf(q[b * 32 + i] / qs);
-          q4v[b * 32 + i] =
-              static_cast<int32_t>(x < -8.0f ? -8.0f : (x > 7.0f ? 7.0f : x));
-        }
-      }
-      int8_t luts[2][32 * 16];
-      for (size_t b = 0; b < n_blocks; ++b) {
-        simd::nomad_build_block_luts(q4v + b * 32, luts[b]);
-      }
-      for (size_t t = 0; t < n_tiles; ++t) {
-        int16_t out16[2][16];
-        for (size_t b = 0; b < n_blocks; ++b) {
-          std::fill(out16[b], out16[b] + 16, static_cast<int16_t>(0));
-          simd::nomad_score_block16(
-              tiles.data() + (t * n_blocks + b) * 16 * 16, luts[b],
-              out16[b]);
-        }
-        // Per-key float fixup: per-block K scale times the query block step.
-        for (size_t r = 0; r < 16; ++r) {
-          const size_t key = t * 16 + r;
-          float acc = 0.0f;
-          for (size_t b = 0; b < n_blocks; ++b) {
-            acc += k_scales[key * row_blocks + blk_off + b] *
-                   q_block_scale[b] * static_cast<float>(out16[b][r]);
-          }
-          scores[key] = acc * scale;
-        }
-      }
-      g_sink = scores[0];
-    });
-    record(table, "attn_q4_score", "ctx=" + std::to_string(ctx), s, w);
-  }
-  table.print(std::cout);
-}
-
 void bench_ttft() {
   // End-to-end: full prefill + first-token logits on the tiny llama config.
   // This exercises every kernel the PR touched (gemm, gemm_nt via attention
@@ -514,9 +440,9 @@ int main() {
   bench_dot();
   const double required = bench_gemm_nt();
   bench_attention();
+  bench_attention_grouped();
   const bool q8_beats_at_1k = bench_q8_attention();
   const bool q4_beats_at_1k = bench_q4_attention();
-  bench_q4_lut_scoring();
   bench_ttft();
   write_json(required, q8_beats_at_1k, q4_beats_at_1k);
   std::cout << "gemm_nt (m=64,k=512,n=512) speedup: "

@@ -94,22 +94,25 @@ inline const float* kv_v_read(const SegmentedKVCache& c, int l, int t) {
   return c.v_row(l, t);
 }
 
-// Fused-attention dispatch over the two cache representations. KVCache rows
-// are dense [n_tokens, kv_dim], so one head's K column is a strided walk
-// from row 0 — the contiguous kernel. SegmentedKVCache rows live behind a
-// per-layer pointer table — the gathered kernel.
+// Fused-attention dispatch over the two cache representations, for the
+// `n_q` query heads of one GQA group (k_off selects their KV head). KVCache
+// rows are dense [n_tokens, kv_dim], so one head's K column is a strided
+// walk from row 0 — the contiguous kernel. SegmentedKVCache rows live
+// behind a per-layer pointer table — the gathered kernel.
 inline void fused_attend(const KVCache& c, int layer, int k_off,
                          const float* q, size_t d_head, size_t n_ctx,
-                         float scale, float slope, const float* rel_pos,
-                         const uint8_t* masked, float* scores, float* out) {
+                         float scale, const float* slopes,
+                         const float* rel_pos, const uint8_t* masked,
+                         float* scores, float* out, size_t n_q) {
   attn_fused_contig(q, c.k_row(layer, 0) + k_off, c.v_row(layer, 0) + k_off,
                     static_cast<size_t>(c.kv_dim()), d_head, n_ctx, scale,
-                    slope, rel_pos, masked, scores, out);
+                    slopes, rel_pos, masked, scores, out, n_q);
 }
 inline void fused_attend(const SegmentedKVCache& c, int layer, int k_off,
                          const float* q, size_t d_head, size_t n_ctx,
-                         float scale, float slope, const float* rel_pos,
-                         const uint8_t* masked, float* scores, float* out) {
+                         float scale, const float* slopes,
+                         const float* rel_pos, const uint8_t* masked,
+                         float* scores, float* out, size_t n_q) {
   // At most one quantized format appears per view (a store holds one
   // precision), so the dispatch below never mixes q4 and q8 slots.
   if (c.has_q4()) {
@@ -119,7 +122,7 @@ inline void fused_attend(const SegmentedKVCache& c, int layer, int k_off,
                          c.k4_scale_table(layer), c.v4_scale_table(layer),
                          c.k_row_table(layer), c.v_row_table(layer),
                          static_cast<size_t>(k_off), d_head, n_ctx, scale,
-                         slope, rel_pos, masked, scores, out);
+                         slopes, rel_pos, masked, scores, out, n_q);
     return;
   }
   if (c.has_q8()) {
@@ -129,12 +132,12 @@ inline void fused_attend(const SegmentedKVCache& c, int layer, int k_off,
                          c.k_scale_table(layer), c.v_scale_table(layer),
                          c.k_row_table(layer), c.v_row_table(layer),
                          static_cast<size_t>(k_off), d_head, n_ctx, scale,
-                         slope, rel_pos, masked, scores, out);
+                         slopes, rel_pos, masked, scores, out, n_q);
     return;
   }
   attn_fused_gather(q, c.k_row_table(layer), c.v_row_table(layer),
-                    static_cast<size_t>(k_off), d_head, n_ctx, scale, slope,
-                    rel_pos, masked, scores, out);
+                    static_cast<size_t>(k_off), d_head, n_ctx, scale, slopes,
+                    rel_pos, masked, scores, out, n_q);
 }
 
 }  // namespace
@@ -149,7 +152,8 @@ void Model::attention(int layer, const Tensor& h,
   const int n_new = static_cast<int>(h.dim(0));
   const int d_head = config_.d_head;
   const int n_heads = config_.n_heads;
-  const int group = n_heads / config_.n_kv_heads;
+  const int n_kv_heads = config_.n_kv_heads;
+  const int group = n_heads / n_kv_heads;
   const size_t kv_dim = static_cast<size_t>(config_.kv_dim());
 
   Tensor q = matmul_nt(h, lw.wq);   // [n_new, q_dim]
@@ -164,7 +168,7 @@ void Model::attention(int layer, const Tensor& h,
         rope_->apply(qi + hd * d_head, pos);
       }
       float* ki = kx.row(i);
-      for (int hd = 0; hd < config_.n_kv_heads; ++hd) {
+      for (int hd = 0; hd < n_kv_heads; ++hd) {
         rope_->apply(ki + hd * d_head, pos);
       }
     }
@@ -221,33 +225,37 @@ void Model::attention(int layer, const Tensor& h,
     }
   };
 
-  // One attention head-row: q slice (hd, i) against slots [0, ctx).
-  auto attend_one = [&](int hd, int i, int ctx, const float* rel,
-                        const uint8_t* masked, float* scores) {
-    const int k_off = (hd / group) * d_head;
-    fused_attend(cache, layer, k_off, q.row(i) + hd * d_head,
+  // One KV head's group of query heads for query row i against slots
+  // [0, ctx); scores holds group * ctx_sz floats.
+  auto attend_group = [&](int kvh, int i, int ctx, const float* rel,
+                          const uint8_t* masked, float* scores) {
+    const int hd = kvh * group;
+    fused_attend(cache, layer, kvh * d_head, q.row(i) + hd * d_head,
                  static_cast<size_t>(d_head), static_cast<size_t>(ctx),
-                 attn_scale_, alibi_ ? alibi_->slope(hd) : 0.0f, rel, masked,
-                 scores, out.row(i) + hd * d_head);
+                 attn_scale_, alibi_ ? alibi_->slopes() + hd : nullptr, rel,
+                 masked, scores, out.row(i) + hd * d_head,
+                 static_cast<size_t>(group));
   };
 
-  // Two schedules producing identical bits (the kernel inputs per (i, head)
-  // are the same): prefill parallelizes over query rows, so mask/rel rows
-  // are built once per row in-thread; decode-sized batches parallelize over
-  // heads and share small precomputed mask/rel matrices.
+  // Two schedules producing identical bits (the kernel inputs per (i, KV
+  // head) are the same): prefill parallelizes over query rows, so mask/rel
+  // rows are built once per row in-thread; decode-sized batches
+  // parallelize over KV heads and share small precomputed mask/rel
+  // matrices.
+  const size_t scores_sz = static_cast<size_t>(group) * ctx_sz;
   if (n_new >= 8) {
     auto row_work = [&](size_t row_begin, size_t row_end) {
-      std::vector<float> scores(ctx_sz);
+      std::vector<float> scores(scores_sz);
       std::vector<uint8_t> mrow(use_mask ? ctx_sz : 0);
       std::vector<float> rrow(alibi_ ? ctx_sz : 0);
       for (size_t i = row_begin; i < row_end; ++i) {
         const int ctx = first_new + static_cast<int>(i) + 1;
         if (use_mask) fill_mask_row(static_cast<int>(i), mrow.data(), ctx);
         if (alibi_) fill_rel_row(static_cast<int>(i), rrow.data(), ctx);
-        for (int hd = 0; hd < n_heads; ++hd) {
-          attend_one(hd, static_cast<int>(i), ctx,
-                     alibi_ ? rrow.data() : nullptr,
-                     use_mask ? mrow.data() : nullptr, scores.data());
+        for (int kvh = 0; kvh < n_kv_heads; ++kvh) {
+          attend_group(kvh, static_cast<int>(i), ctx,
+                       alibi_ ? rrow.data() : nullptr,
+                       use_mask ? mrow.data() : nullptr, scores.data());
         }
       }
     };
@@ -273,26 +281,26 @@ void Model::attention(int layer, const Tensor& h,
                      ctx);
       }
     }
-    auto head_work = [&](size_t head_begin, size_t head_end) {
-      std::vector<float> scores(ctx_sz);
-      for (size_t hd = head_begin; hd < head_end; ++hd) {
+    auto kv_head_work = [&](size_t kvh_begin, size_t kvh_end) {
+      std::vector<float> scores(scores_sz);
+      for (size_t kvh = kvh_begin; kvh < kvh_end; ++kvh) {
         for (int i = 0; i < n_new; ++i) {
           const int ctx = first_new + i + 1;
-          attend_one(static_cast<int>(hd), i, ctx,
-                     alibi_ ? rel_mat.data() + static_cast<size_t>(i) * ctx_sz
-                            : nullptr,
-                     use_mask
-                         ? mask_mat.data() + static_cast<size_t>(i) * ctx_sz
-                         : nullptr,
-                     scores.data());
+          attend_group(static_cast<int>(kvh), i, ctx,
+                       alibi_ ? rel_mat.data() + static_cast<size_t>(i) * ctx_sz
+                              : nullptr,
+                       use_mask
+                           ? mask_mat.data() + static_cast<size_t>(i) * ctx_sz
+                           : nullptr,
+                       scores.data());
         }
       }
     };
-    if (ThreadPool::global().size() > 1 && n_heads > 1) {
-      ThreadPool::global().parallel_for(static_cast<size_t>(n_heads),
-                                        head_work);
+    if (ThreadPool::global().size() > 1 && n_kv_heads > 1) {
+      ThreadPool::global().parallel_for(static_cast<size_t>(n_kv_heads),
+                                        kv_head_work);
     } else {
-      head_work(0, static_cast<size_t>(n_heads));
+      kv_head_work(0, static_cast<size_t>(n_kv_heads));
     }
   }
 }
@@ -349,7 +357,7 @@ void Model::attention_batch(int layer, const Tensor& h,
   }
 
   auto row_work = [&](size_t row_begin, size_t row_end) {
-    std::vector<float> scores(max_ctx);
+    std::vector<float> scores(static_cast<size_t>(group) * max_ctx);
     std::vector<float> rrow(alibi_ ? max_ctx : 0);
     for (size_t r = row_begin; r < row_end; ++r) {
       const int s = row_seq[r];
@@ -362,13 +370,15 @@ void Model::attention_batch(int layer, const Tensor& h,
               static_cast<float>(qp - cache.pos_id(j));
         }
       }
-      for (int hd = 0; hd < n_heads; ++hd) {
-        fused_attend(cache, layer, (hd / group) * d_head,
+      for (int kvh = 0; kvh < config_.n_kv_heads; ++kvh) {
+        const int hd = kvh * group;
+        fused_attend(cache, layer, kvh * d_head,
                      q.row(static_cast<int64_t>(r)) + hd * d_head,
                      static_cast<size_t>(d_head), static_cast<size_t>(ctx),
-                     attn_scale_, alibi_ ? alibi_->slope(hd) : 0.0f,
+                     attn_scale_, alibi_ ? alibi_->slopes() + hd : nullptr,
                      alibi_ ? rrow.data() : nullptr, nullptr, scores.data(),
-                     out.row(static_cast<int64_t>(r)) + hd * d_head);
+                     out.row(static_cast<int64_t>(r)) + hd * d_head,
+                     static_cast<size_t>(group));
       }
     }
   };

@@ -25,6 +25,9 @@ class Alibi {
     return slopes_[static_cast<size_t>(head)];
   }
 
+  // All n_heads slopes, head-major (a GQA group's heads are consecutive).
+  const float* slopes() const { return slopes_.data(); }
+
   // Additive attention bias for a (query position, key position) pair.
   float bias(int head, int q_pos, int k_pos) const {
     return -slope(head) * static_cast<float>(q_pos - k_pos);

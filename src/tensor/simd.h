@@ -47,52 +47,94 @@ inline const char* isa_name() {
 
 // ---- dot --------------------------------------------------------------------
 
-// sum_i a[i]*b[i]. Four independent accumulator chains hide FMA latency.
-inline float dot(const float* a, const float* b, size_t n) {
+namespace detail {
+// c + a * b rounded like the build's vector multiply-adds: one fused
+// rounding where the build has FMA (as fma8 below), a multiply and an add
+// otherwise. The scalar tails of the multiply-add kernels use it so that
+// their bits do not depend on whether the optimizer contracts `y += a * x`
+// into an FMA, which it does at -O3 and does not at -O0.
+inline float fma1(float a, float b, float c) {
+#if defined(__FMA__)
+  return std::fma(a, b, c);
+#else
+  return c + a * b;
+#endif
+}
+}  // namespace detail
+
 #if defined(PC_SIMD_AVX2)
+namespace detail {
+inline float hadd8(__m256 v) {
+  __m128 lo = _mm_add_ps(_mm256_castps256_ps128(v),
+                         _mm256_extractf128_ps(v, 1));
+  lo = _mm_add_ps(lo, _mm_movehl_ps(lo, lo));
+  lo = _mm_add_ss(lo, _mm_shuffle_ps(lo, lo, 1));
+  return _mm_cvtss_f32(lo);
+}
+#if defined(__FMA__)
+inline __m256 fma8(__m256 a, __m256 b, __m256 c) {
+  return _mm256_fmadd_ps(a, b, c);
+}
+#else
+inline __m256 fma8(__m256 a, __m256 b, __m256 c) {
+  return _mm256_add_ps(c, _mm256_mul_ps(a, b));
+}
+#endif
+
+// dot()'s 8-lane accumulator over a[0, n & ~7) · b: four independent chains
+// over 32-element steps (hiding FMA latency), the 8-element remainder on
+// chain 0, then the chains summed pairwise.
+inline __m256 dot_acc(const float* a, const float* b, size_t n) {
   __m256 acc0 = _mm256_setzero_ps();
   __m256 acc1 = _mm256_setzero_ps();
   __m256 acc2 = _mm256_setzero_ps();
   __m256 acc3 = _mm256_setzero_ps();
   size_t i = 0;
   for (; i + 32 <= n; i += 32) {
-#if defined(__FMA__)
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i),
-                           acc0);
-    acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i + 8),
-                           _mm256_loadu_ps(b + i + 8), acc1);
-    acc2 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i + 16),
-                           _mm256_loadu_ps(b + i + 16), acc2);
-    acc3 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i + 24),
-                           _mm256_loadu_ps(b + i + 24), acc3);
-#else
-    acc0 = _mm256_add_ps(
-        acc0, _mm256_mul_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i)));
-    acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(_mm256_loadu_ps(a + i + 8),
-                                             _mm256_loadu_ps(b + i + 8)));
-    acc2 = _mm256_add_ps(acc2, _mm256_mul_ps(_mm256_loadu_ps(a + i + 16),
-                                             _mm256_loadu_ps(b + i + 16)));
-    acc3 = _mm256_add_ps(acc3, _mm256_mul_ps(_mm256_loadu_ps(a + i + 24),
-                                             _mm256_loadu_ps(b + i + 24)));
-#endif
+    acc0 = fma8(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i), acc0);
+    acc1 = fma8(_mm256_loadu_ps(a + i + 8), _mm256_loadu_ps(b + i + 8), acc1);
+    acc2 = fma8(_mm256_loadu_ps(a + i + 16), _mm256_loadu_ps(b + i + 16),
+                acc2);
+    acc3 = fma8(_mm256_loadu_ps(a + i + 24), _mm256_loadu_ps(b + i + 24),
+                acc3);
   }
   for (; i + 8 <= n; i += 8) {
-#if defined(__FMA__)
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i),
-                           acc0);
-#else
-    acc0 = _mm256_add_ps(
-        acc0, _mm256_mul_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i)));
-#endif
+    acc0 = fma8(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i), acc0);
   }
-  acc0 = _mm256_add_ps(_mm256_add_ps(acc0, acc1), _mm256_add_ps(acc2, acc3));
-  __m128 lo = _mm256_castps256_ps128(acc0);
-  __m128 hi = _mm256_extractf128_ps(acc0, 1);
-  lo = _mm_add_ps(lo, hi);
-  lo = _mm_add_ps(lo, _mm_movehl_ps(lo, lo));
-  lo = _mm_add_ss(lo, _mm_shuffle_ps(lo, lo, 1));
-  float s = _mm_cvtss_f32(lo);
-  for (; i < n; ++i) s += a[i] * b[i];
+  return _mm256_add_ps(_mm256_add_ps(acc0, acc1), _mm256_add_ps(acc2, acc3));
+}
+
+// Eight hadd8 reductions at once: lane r of the result is hadd8(v[r]) bit
+// for bit. The transpose pairs the same lanes in the same order as hadd8
+// (r+4 onto r, then r+2 onto r, then lane 1 onto lane 0).
+inline __m256 hadd8x8(const __m256* v) {
+  const auto halves = [](__m256 a, __m256 b) {  // [a.lo+a.hi | b.lo+b.hi]
+    return _mm256_add_ps(_mm256_permute2f128_ps(a, b, 0x20),
+                         _mm256_permute2f128_ps(a, b, 0x31));
+  };
+  const __m256 t04 = halves(v[0], v[4]);
+  const __m256 t15 = halves(v[1], v[5]);
+  const __m256 t26 = halves(v[2], v[6]);
+  const __m256 t37 = halves(v[3], v[7]);
+  // [u0 u1 | u4 u5] and [u2 u3 | u6 u7], two partial sums per row.
+  const __m256 u0145 =
+      _mm256_add_ps(_mm256_shuffle_ps(t04, t15, _MM_SHUFFLE(1, 0, 1, 0)),
+                    _mm256_shuffle_ps(t04, t15, _MM_SHUFFLE(3, 2, 3, 2)));
+  const __m256 u2367 =
+      _mm256_add_ps(_mm256_shuffle_ps(t26, t37, _MM_SHUFFLE(1, 0, 1, 0)),
+                    _mm256_shuffle_ps(t26, t37, _MM_SHUFFLE(3, 2, 3, 2)));
+  return _mm256_add_ps(
+      _mm256_shuffle_ps(u0145, u2367, _MM_SHUFFLE(2, 0, 2, 0)),
+      _mm256_shuffle_ps(u0145, u2367, _MM_SHUFFLE(3, 1, 3, 1)));
+}
+}  // namespace detail
+#endif
+
+// sum_i a[i]*b[i]. Four independent accumulator chains hide FMA latency.
+inline float dot(const float* a, const float* b, size_t n) {
+#if defined(PC_SIMD_AVX2)
+  float s = detail::hadd8(detail::dot_acc(a, b, n));
+  for (size_t i = n & ~size_t{7}; i < n; ++i) s += a[i] * b[i];
   return s;
 #elif defined(PC_SIMD_SSE2)
   __m128 acc0 = _mm_setzero_ps();
@@ -129,6 +171,42 @@ inline float dot(const float* a, const float* b, size_t n) {
 #endif
 }
 
+// out[r] = dot(q, rows[r], n) for eight rows, bit-identical to dot() per
+// row: the attention kernels score eight keys per call, reducing the eight
+// accumulators with one transposed reduction instead of eight horizontal
+// ones.
+inline void dot8(const float* q, const float* const* rows, size_t n,
+                 float* out) {
+#if defined(PC_SIMD_AVX2)
+  __m256 acc[8];
+  if (n == 32) {
+    // dot_acc's single 32-element step, with q held in registers across
+    // the rows (the head width of every model config).
+    const __m256 zero = _mm256_setzero_ps();
+    const __m256 q0 = _mm256_loadu_ps(q), q1 = _mm256_loadu_ps(q + 8);
+    const __m256 q2 = _mm256_loadu_ps(q + 16), q3 = _mm256_loadu_ps(q + 24);
+    for (int r = 0; r < 8; ++r) {
+      const float* k = rows[r];
+      acc[r] = _mm256_add_ps(
+          _mm256_add_ps(detail::fma8(q0, _mm256_loadu_ps(k), zero),
+                        detail::fma8(q1, _mm256_loadu_ps(k + 8), zero)),
+          _mm256_add_ps(detail::fma8(q2, _mm256_loadu_ps(k + 16), zero),
+                        detail::fma8(q3, _mm256_loadu_ps(k + 24), zero)));
+    }
+  } else {
+    for (int r = 0; r < 8; ++r) acc[r] = detail::dot_acc(q, rows[r], n);
+  }
+  _mm256_storeu_ps(out, detail::hadd8x8(acc));
+  for (int r = 0; r < 8; ++r) {
+    float s = out[r];
+    for (size_t i = n & ~size_t{7}; i < n; ++i) s += q[i] * rows[r][i];
+    out[r] = s;
+  }
+#else
+  for (int r = 0; r < 8; ++r) out[r] = dot(q, rows[r], n);
+#endif
+}
+
 // ---- matmul micro-kernels ---------------------------------------------------
 //
 // dot4 / dot2x4 are the register tiles of gemm_nt: one (or two) A rows
@@ -139,27 +217,6 @@ inline float dot(const float* a, const float* b, size_t n) {
 // change its bits — matmul results depend only on (a_row, b_col, k), never
 // on the batch size m. The scalar fallbacks preserve the same property by
 // delegating per column to dot().
-
-#if defined(PC_SIMD_AVX2)
-namespace detail {
-inline float hadd8(__m256 v) {
-  __m128 lo = _mm_add_ps(_mm256_castps256_ps128(v),
-                         _mm256_extractf128_ps(v, 1));
-  lo = _mm_add_ps(lo, _mm_movehl_ps(lo, lo));
-  lo = _mm_add_ss(lo, _mm_shuffle_ps(lo, lo, 1));
-  return _mm_cvtss_f32(lo);
-}
-#if defined(__FMA__)
-inline __m256 fma8(__m256 a, __m256 b, __m256 c) {
-  return _mm256_fmadd_ps(a, b, c);
-}
-#else
-inline __m256 fma8(__m256 a, __m256 b, __m256 c) {
-  return _mm256_add_ps(c, _mm256_mul_ps(a, b));
-}
-#endif
-}  // namespace detail
-#endif
 
 // out[c] = sum_l a[l] * bc[l] for the four B rows b0..b3.
 inline void dot4(const float* a, const float* b0, const float* b1,
@@ -274,7 +331,7 @@ inline void axpy(float alpha, const float* x, float* y, size_t n) {
                                    _mm256_mul_ps(va, _mm256_loadu_ps(x + i))));
 #endif
   }
-  for (; i < n; ++i) y[i] += alpha * x[i];
+  for (; i < n; ++i) y[i] = detail::fma1(alpha, x[i], y[i]);
 #elif defined(PC_SIMD_SSE2)
   const __m128 va = _mm_set1_ps(alpha);
   size_t i = 0;
@@ -473,6 +530,100 @@ inline float reduce_max_abs(const float* a, size_t n) {
 #endif
 }
 
+// ---- exp --------------------------------------------------------------------
+//
+// The softmax weights of the fused attention kernels, e^(x - max) <= 1.
+// Each lane is evaluated in double: t = k*ln2 + r with k = nearest(t/ln2)
+// and |r| <= ln2/2, e^r by its degree-8 Taylor polynomial (truncation error
+// below 2^-31 relative), 2^k written into the exponent field, then one
+// rounding to float. That result is e^t correctly rounded unless e^t lies
+// within ~2^-7 ulp of a rounding boundary, so it stays within 1 ulp of
+// std::exp everywhere on [-87, 0].
+//
+// Domain: t <= 0. Arguments below -87 (-inf included) give +0, so no weight
+// is subnormal (e^-87 ~ 1.6e-38 is above FLT_MIN); NaN gives NaN; e^0 and
+// e^-0 are exactly 1. Every lane is a pure function of its argument: no
+// result depends on its index or on n.
+
+namespace detail {
+constexpr float kExpFloor = -87.0f;
+constexpr double kLog2e = 1.4426950408889634;
+constexpr double kLn2 = 0.6931471805599453;
+constexpr double kExpPoly[9] = {1.0 / 40320, 1.0 / 5040, 1.0 / 720,
+                                1.0 / 120,   1.0 / 24,   1.0 / 6,
+                                1.0 / 2,     1.0,        1.0};
+
+#if defined(PC_SIMD_AVX2)
+#if defined(__FMA__)
+inline __m256d fma4d(__m256d a, __m256d b, __m256d c) {
+  return _mm256_fmadd_pd(a, b, c);
+}
+#else
+inline __m256d fma4d(__m256d a, __m256d b, __m256d c) {
+  return _mm256_add_pd(c, _mm256_mul_pd(a, b));
+}
+#endif
+
+// e^t for four doubles t in [-87, 0]. Adding 1.5 * 2^52 rounds t / ln2 to
+// the nearest integer k (ties to even, as nearbyint) and leaves k in the
+// low mantissa bits, which shift straight into the exponent field of 2^k;
+// k in [-126, 0] keeps 2^k normal.
+inline __m256d exp4d(__m256d t) {
+  const __m256d shifter = _mm256_set1_pd(0x1.8p52);
+  const __m256d z = fma4d(t, _mm256_set1_pd(kLog2e), shifter);
+  const __m256d k = _mm256_sub_pd(z, shifter);
+  const __m256d r = fma4d(k, _mm256_set1_pd(-kLn2), t);
+  __m256d p = _mm256_set1_pd(kExpPoly[0]);
+  for (int i = 1; i < 9; ++i) p = fma4d(p, r, _mm256_set1_pd(kExpPoly[i]));
+  const __m256i two_k = _mm256_slli_epi64(
+      _mm256_add_epi64(_mm256_castpd_si256(z), _mm256_set1_epi64x(1023)), 52);
+  return _mm256_mul_pd(p, _mm256_castsi256_pd(two_k));
+}
+
+inline __m256 exp8(__m256 x) {
+  const __m128 lo =
+      _mm256_cvtpd_ps(exp4d(_mm256_cvtps_pd(_mm256_castps256_ps128(x))));
+  const __m128 hi =
+      _mm256_cvtpd_ps(exp4d(_mm256_cvtps_pd(_mm256_extractf128_ps(x, 1))));
+  const __m256 flush =
+      _mm256_cmp_ps(x, _mm256_set1_ps(kExpFloor), _CMP_LT_OQ);
+  return _mm256_andnot_ps(flush, _mm256_set_m128(hi, lo));
+}
+#else
+inline float exp1(float x) {
+  if (!(x >= kExpFloor)) return x != x ? x : 0.0f;
+  const double t = x;
+  const double k = std::nearbyint(t * kLog2e);
+  const double r = t - k * kLn2;
+  double p = kExpPoly[0];
+  for (int i = 1; i < 9; ++i) p = p * r + kExpPoly[i];
+  return static_cast<float>(std::ldexp(p, static_cast<int>(k)));
+}
+#endif
+}  // namespace detail
+
+// y[i] = e^(x[i] - shift) for x[i] - shift <= 0 (see above). y may alias x.
+inline void exp_nonpos(const float* x, float shift, float* y, size_t n) {
+#if defined(PC_SIMD_AVX2)
+  const __m256 vs = _mm256_set1_ps(shift);
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(
+        y + i, detail::exp8(_mm256_sub_ps(_mm256_loadu_ps(x + i), vs)));
+  }
+  if (i < n) {  // the tail runs through the same lanes, masked
+    const __m256i live = _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(static_cast<int>(n - i)),
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    _mm256_maskstore_ps(
+        y + i, live,
+        detail::exp8(_mm256_sub_ps(_mm256_maskload_ps(x + i, live), vs)));
+  }
+#else
+  for (size_t i = 0; i < n; ++i) y[i] = detail::exp1(x[i] - shift);
+#endif
+}
+
 // ---- int8 (Q8_0) primitives -------------------------------------------------
 //
 // The quantized-KV compute path stores rows as int8 with one float scale per
@@ -484,23 +635,39 @@ inline float reduce_max_abs(const float* a, size_t n) {
 // quantizer clamps to that range). -128 is excluded so |a[i]| fits int8 and
 // the AVX2 maddubs pair-sums (≤ 2 * 127 * 127) cannot saturate int16.
 
+#if defined(PC_SIMD_AVX2)
+namespace detail {
+// Lane r of the result is the sum of v[r]'s eight lanes (integer adds are
+// exact, so the order does not matter).
+inline __m256i hsum8x8_epi32(const __m256i* v) {
+  const __m256i h0123 = _mm256_hadd_epi32(_mm256_hadd_epi32(v[0], v[1]),
+                                          _mm256_hadd_epi32(v[2], v[3]));
+  const __m256i h4567 = _mm256_hadd_epi32(_mm256_hadd_epi32(v[4], v[5]),
+                                          _mm256_hadd_epi32(v[6], v[7]));
+  return _mm256_add_epi32(_mm256_permute2x128_si256(h0123, h4567, 0x20),
+                          _mm256_permute2x128_si256(h0123, h4567, 0x31));
+}
+
+// a[0, 32) . b[0, 32) as eight int32 partial sums. maddubs needs one
+// unsigned operand: |a| is representable (no -128 by precondition) and
+// moving a's sign onto b keeps the product a[i]*b[i].
+inline __m256i dot32_i8(const int8_t* a, const int8_t* b) {
+  const __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a));
+  const __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b));
+  return _mm256_madd_epi16(
+      _mm256_maddubs_epi16(_mm256_sign_epi8(va, va), _mm256_sign_epi8(vb, va)),
+      _mm256_set1_epi16(1));
+}
+}  // namespace detail
+#endif
+
 // sum_i a[i]*b[i] as int32. Exact for n up to ~128K at |x| ≤ 127.
 inline int32_t dot_i8(const int8_t* a, const int8_t* b, size_t n) {
 #if defined(PC_SIMD_AVX2)
   __m256i acc = _mm256_setzero_si256();
-  const __m256i ones = _mm256_set1_epi16(1);
   size_t i = 0;
   for (; i + 32 <= n; i += 32) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    // maddubs needs one unsigned operand: |a| is representable (no -128 by
-    // precondition) and moving a's sign onto b keeps the product a[i]*b[i].
-    const __m256i abs_a = _mm256_sign_epi8(va, va);
-    const __m256i sgn_b = _mm256_sign_epi8(vb, va);
-    const __m256i prod16 = _mm256_maddubs_epi16(abs_a, sgn_b);
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(prod16, ones));
+    acc = _mm256_add_epi32(acc, detail::dot32_i8(a + i, b + i));
   }
   __m128i lo = _mm_add_epi32(_mm256_castsi256_si128(acc),
                              _mm256_extracti128_si256(acc, 1));
@@ -558,6 +725,32 @@ inline int32_t dot_i8(const int8_t* a, const int8_t* b, size_t n) {
     s += static_cast<int32_t>(a[i]) * static_cast<int32_t>(b[i]);
   }
   return s;
+#endif
+}
+
+// out[r] = dot_i8(a, rows[r], n) for eight rows; the attention kernels'
+// eight-key scoring of q8 rows.
+inline void dot8_i8(const int8_t* a, const int8_t* const* rows, size_t n,
+                    int32_t* out) {
+#if defined(PC_SIMD_AVX2)
+  __m256i acc[8];
+  for (int r = 0; r < 8; ++r) acc[r] = _mm256_setzero_si256();
+  size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    for (int r = 0; r < 8; ++r) {
+      acc[r] =
+          _mm256_add_epi32(acc[r], detail::dot32_i8(a + i, rows[r] + i));
+    }
+  }
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(out),
+                      detail::hsum8x8_epi32(acc));
+  for (int r = 0; r < 8; ++r) {
+    for (size_t t = i; t < n; ++t) {
+      out[r] += static_cast<int32_t>(a[t]) * static_cast<int32_t>(rows[r][t]);
+    }
+  }
+#else
+  for (int r = 0; r < 8; ++r) out[r] = dot_i8(a, rows[r], n);
 #endif
 }
 
@@ -628,7 +821,9 @@ inline void axpy_i8(float alpha, const int8_t* x, float* y, size_t n) {
     _mm256_storeu_ps(y + i,
                      detail::fma8(va, vals, _mm256_loadu_ps(y + i)));
   }
-  for (; i < n; ++i) y[i] += alpha * static_cast<float>(x[i]);
+  for (; i < n; ++i) {
+    y[i] = detail::fma1(alpha, static_cast<float>(x[i]), y[i]);
+  }
 #else
   for (size_t i = 0; i < n; ++i) y[i] += alpha * static_cast<float>(x[i]);
 #endif
@@ -702,6 +897,25 @@ inline void quantize_i4(const float* x, float inv_scale, size_t n,
   }
 }
 
+#if defined(PC_SIMD_AVX2)
+namespace detail {
+// One block's nibble products sum_i q8[i]*nib[i] as eight int32 partial
+// sums: unsigned nibbles times the signed query is the shape maddubs
+// computes without saturating (pair sums are at most 2*15*127).
+inline __m256i block_i4i8(const int8_t* q8, const uint8_t* packed) {
+  const __m128i bytes =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(packed));
+  // Element order [0..15 | 16..31]: low nibbles then high nibbles.
+  const __m256i nib =
+      _mm256_and_si256(_mm256_set_m128i(_mm_srli_epi16(bytes, 4), bytes),
+                       _mm256_set1_epi8(0x0f));
+  const __m256i q = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q8));
+  return _mm256_madd_epi16(_mm256_maddubs_epi16(nib, q),
+                           _mm256_set1_epi16(1));
+}
+}  // namespace detail
+#endif
+
 // Scores one Q4_0 row against an int8 query:
 //   sum_b block_scales[b] * float(p_b - 8 * q_sums[b])
 // q8 must be zero-padded to n_blocks*32 elements; q_sums[b] is the int sum
@@ -712,24 +926,15 @@ inline float dot_i4i8(const int8_t* q8, const uint8_t* packed,
                       size_t n_blocks) {
   float s = 0.0f;
 #if defined(PC_SIMD_AVX2)
-  const __m256i low_mask = _mm256_set1_epi8(0x0f);
-  const __m256i ones = _mm256_set1_epi16(1);
   for (size_t b = 0; b < n_blocks; ++b) {
-    const __m128i bytes = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(packed + b * 16));
-    // Element order [0..15 | 16..31]: low nibbles then high nibbles.
-    const __m256i nib = _mm256_and_si256(
-        _mm256_set_m128i(_mm_srli_epi16(bytes, 4), bytes), low_mask);
-    const __m256i q = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(q8 + b * 32));
-    const __m256i prod16 = _mm256_maddubs_epi16(nib, q);
-    const __m256i acc = _mm256_madd_epi16(prod16, ones);
+    const __m256i acc = detail::block_i4i8(q8 + b * 32, packed + b * 16);
     __m128i lo = _mm_add_epi32(_mm256_castsi256_si128(acc),
                                _mm256_extracti128_si256(acc, 1));
     lo = _mm_add_epi32(lo, _mm_shuffle_epi32(lo, 0x4e));
     lo = _mm_add_epi32(lo, _mm_shuffle_epi32(lo, 0xb1));
     const int32_t p = _mm_cvtsi128_si32(lo);
-    s += block_scales[b] * static_cast<float>(p - 8 * q_sums[b]);
+    s = detail::fma1(block_scales[b], static_cast<float>(p - 8 * q_sums[b]),
+                     s);
   }
 #elif defined(PC_SIMD_SSE2)
   const __m128i low_mask = _mm_set1_epi8(0x0f);
@@ -793,6 +998,34 @@ inline float dot_i4i8(const int8_t* q8, const uint8_t* packed,
   return s;
 }
 
+// out[r] = dot_i4i8(q8, rows[r], block_scales[r], q_sums, n_blocks) for
+// eight rows, bit-identical per row: the block sums are integers (exact in
+// any order) and each row's float accumulation runs over the blocks in
+// order with dot_i4i8's multiply-add.
+inline void dot8_i4i8(const int8_t* q8, const uint8_t* const* rows,
+                      const float* const* block_scales,
+                      const int32_t* q_sums, size_t n_blocks, float* out) {
+#if defined(PC_SIMD_AVX2)
+  __m256 s = _mm256_setzero_ps();
+  for (size_t b = 0; b < n_blocks; ++b) {
+    __m256i acc[8];
+    float scales[8];
+    for (int r = 0; r < 8; ++r) {
+      acc[r] = detail::block_i4i8(q8 + b * 32, rows[r] + b * 16);
+      scales[r] = block_scales[r][b];
+    }
+    const __m256i p = _mm256_sub_epi32(detail::hsum8x8_epi32(acc),
+                                       _mm256_set1_epi32(8 * q_sums[b]));
+    s = detail::fma8(_mm256_loadu_ps(scales), _mm256_cvtepi32_ps(p), s);
+  }
+  _mm256_storeu_ps(out, s);
+#else
+  for (int r = 0; r < 8; ++r) {
+    out[r] = dot_i4i8(q8, rows[r], block_scales[r], q_sums, n_blocks);
+  }
+#endif
+}
+
 // y[i] = scale * (nibble_i - 8) for one block's n <= 32 values (overwrite).
 inline void dequant_store_i4(const uint8_t* packed, float scale, float* y,
                              size_t n) {
@@ -829,8 +1062,9 @@ inline void dequant_store_i4(const uint8_t* packed, float scale, float* y,
 // y[i] += w * block_scales[b] * (nibble_i - 8) over a row of n values — the
 // value-mix step of the q4 attention kernel (w is the softmax weight; the
 // per-block V scale folds in here). Uses fused multiply-add on AVX2 like
-// axpy_i8, so the kernel tests compare against fp32 mixing with a small
-// tolerance rather than bitwise.
+// axpy_i8, in whole blocks and in a partial final block alike, so the
+// kernel tests compare against fp32 mixing with a small tolerance rather
+// than bitwise.
 inline void axpy_i4(float w, const uint8_t* packed, const float* block_scales,
                     float* y, size_t n) {
   const size_t n_blocks = (n + 31) / 32;
@@ -866,87 +1100,10 @@ inline void axpy_i4(float w, const uint8_t* packed, const float* block_scales,
     for (size_t i = 0; i < count; ++i) {
       const uint8_t byte = packed[b * 16 + (i & 15)];
       const int nib = i < 16 ? (byte & 0x0f) : (byte >> 4);
-      y[base + i] += alpha * static_cast<float>(nib - 8);
+      y[base + i] =
+          detail::fma1(alpha, static_cast<float>(nib - 8), y[base + i]);
     }
   }
-}
-
-// ---- NoMAD-style LUT scoring ------------------------------------------------
-//
-// NoMAD-Attention's observation: when keys are sub-byte codes, q·k needs no
-// multiplies at all — quantize the query per block to int4, precompute the
-// 16 possible per-dimension products q4_d * (code - 8) into an int8 table,
-// and score 16 keys at once with byte shuffles (`pshufb` applies one
-// 16-entry LUT to 16 lanes in a single instruction). Products lie in
-// [-8*7, -8*-8] = [-56, 64], so every entry fits int8 exactly, and a
-// 32-dim block accumulates at most 32*64 = 2048 into int16 — no
-// saturation anywhere, which keeps the path bit-exact vs scalar.
-//
-// Layout contract: keys are transposed into code-major 16-key tiles
-// (nomad_transpose_tile16) so one 16-byte load yields byte position p of 16
-// consecutive keys — the in-register analog of NoMAD's key-centric store.
-// The fused serving kernel keeps the row-major dot_i4i8 path (pages store
-// rows); the LUT path is benched standalone in bench_kernels (`attn_q4`).
-
-// tile[p*16 + r] = rows[r][p] for 16 packed bytes per block and n_rows <=
-// 16 keys (absent rows pad with 0x88, the quantized-zero byte).
-inline void nomad_transpose_tile16(const uint8_t* const* rows, size_t n_rows,
-                                   size_t n_blocks, uint8_t* tile) {
-  const size_t n_bytes = n_blocks * 16;
-  for (size_t p = 0; p < n_bytes; ++p) {
-    for (size_t r = 0; r < 16; ++r) {
-      tile[p * 16 + r] = r < n_rows ? rows[r][p] : 0x88;
-    }
-  }
-}
-
-// Builds one block's shuffle tables from its int4 query values (q4 in
-// [-8,7], 32 values): luts[(2*j+0)*16 + v] = q4[j] * (v-8) (low nibble of
-// byte j), luts[(2*j+1)*16 + v] = q4[j+16] * (v-8) (high nibble). 32 tables
-// of 16 int8 entries per block.
-inline void nomad_build_block_luts(const int32_t* q4, int8_t* luts) {
-  for (int j = 0; j < 16; ++j) {
-    for (int v = 0; v < 16; ++v) {
-      luts[(2 * j + 0) * 16 + v] = static_cast<int8_t>(q4[j] * (v - 8));
-      luts[(2 * j + 1) * 16 + v] = static_cast<int8_t>(q4[j + 16] * (v - 8));
-    }
-  }
-}
-
-// Scores 16 keys against one query block without a single multiply-add:
-// out16[r] += sum_j lut_lo_j[lo_nib(tile_j[r])] + lut_hi_j[hi_nib(tile_j[r])]
-// where tile points at this block's 16 code-major byte rows. The caller
-// applies the per-key block-scale fixup in float afterwards.
-inline void nomad_score_block16(const uint8_t* tile, const int8_t* luts,
-                                int16_t* out16) {
-#if defined(PC_SIMD_AVX2)
-  const __m128i low_mask = _mm_set1_epi8(0x0f);
-  __m256i acc = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(out16));
-  for (int j = 0; j < 16; ++j) {
-    const __m128i codes =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(tile + j * 16));
-    const __m128i lut_lo = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(luts + (2 * j + 0) * 16));
-    const __m128i lut_hi = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(luts + (2 * j + 1) * 16));
-    const __m128i lo = _mm_and_si128(codes, low_mask);
-    const __m128i hi = _mm_and_si128(_mm_srli_epi16(codes, 4), low_mask);
-    const __m128i c_lo = _mm_shuffle_epi8(lut_lo, lo);   // the LUT step:
-    const __m128i c_hi = _mm_shuffle_epi8(lut_hi, hi);   // no multiplies
-    acc = _mm256_add_epi16(acc, _mm256_cvtepi8_epi16(c_lo));
-    acc = _mm256_add_epi16(acc, _mm256_cvtepi8_epi16(c_hi));
-  }
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(out16), acc);
-#else
-  for (int j = 0; j < 16; ++j) {
-    for (int r = 0; r < 16; ++r) {
-      const uint8_t code = tile[j * 16 + r];
-      out16[r] = static_cast<int16_t>(
-          out16[r] + luts[(2 * j + 0) * 16 + (code & 0x0f)] +
-          luts[(2 * j + 1) * 16 + (code >> 4)]);
-    }
-  }
-#endif
 }
 
 }  // namespace pc::simd

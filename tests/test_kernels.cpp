@@ -10,6 +10,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <numeric>
 #include <vector>
@@ -130,7 +131,16 @@ TEST(SimdKernels, ElementwiseOpsAreBitExact) {
     auto y_ref = y_simd;
 
     simd::axpy(0.37f, x.data() + 1, y_simd.data() + 1, n);
-    for (size_t i = 0; i < n; ++i) y_ref[i + 1] += 0.37f * x[i + 1];
+    // One fused multiply-add per element where the build has FMA, else a
+    // multiply and an add: spelled out, since whether the compiler fuses a
+    // scalar `y += a * x` depends on the optimization level.
+    for (size_t i = 0; i < n; ++i) {
+#if defined(__FMA__)
+      y_ref[i + 1] = std::fma(0.37f, x[i + 1], y_ref[i + 1]);
+#else
+      y_ref[i + 1] += 0.37f * x[i + 1];
+#endif
+    }
     for (size_t i = 0; i < n + 1; ++i) ASSERT_EQ(y_simd[i], y_ref[i]) << i;
 
     auto a_simd = random_vec(n, 23 + n);
@@ -191,6 +201,101 @@ TEST(SimdKernels, Dot4AndDot2x4MatchDotPerColumn) {
       EXPECT_LE(std::abs(o1[c] - ref_dot(a1.data(), b[c].data(), n)), 1e-5f);
     }
   }
+}
+
+TEST(SimdKernels, Dot8MatchesDotPerRow) {
+  // The fused attention kernels score eight keys per call; each key's score
+  // must carry simd::dot's bits, whatever the length (every remainder path,
+  // including the 32-wide fast path) and whatever the rows' alignment.
+  for (size_t n : kLengths) {
+    const auto q = random_vec(n + 1, 301 + n, 0.5f);
+    const auto k = random_vec(8 * (n + 3) + 1, 303 + n, 0.5f);
+    const float* rows[8];
+    for (size_t r = 0; r < 8; ++r) rows[r] = k.data() + r * (n + 3) + r % 2;
+    for (size_t qoff : {size_t{0}, size_t{1}}) {
+      float out[8];
+      simd::dot8(q.data() + qoff, rows, n, out);
+      for (size_t r = 0; r < 8; ++r) {
+        ASSERT_EQ(out[r], simd::dot(q.data() + qoff, rows[r], n))
+            << "n=" << n << " row=" << r << " qoff=" << qoff;
+      }
+    }
+  }
+}
+
+int32_t float_bits(float x) {
+  int32_t b;
+  std::memcpy(&b, &x, sizeof b);
+  return b;
+}
+
+TEST(SimdKernels, ExpNonposContract) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  // A lane's result never depends on where it sits or how many lanes the
+  // call covers: every offset 0..8 and length 1..17 against one-lane calls.
+  const auto xs = random_vec(32, 311, 40.0f);
+  std::vector<float> alone(xs.size());
+  for (size_t i = 0; i < xs.size(); ++i) {
+    const float x = -std::abs(xs[i]);
+    simd::exp_nonpos(&x, 0.0f, &alone[i], 1);
+  }
+  for (size_t off = 0; off <= 8; ++off) {
+    for (size_t n = 1; n <= 17; ++n) {
+      std::vector<float> x(off + n), y(off + n, 42.0f);
+      for (size_t i = 0; i < n; ++i) x[off + i] = -std::abs(xs[i]);
+      simd::exp_nonpos(x.data() + off, 0.0f, y.data() + off, n);
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(float_bits(y[off + i]), float_bits(alone[i]))
+            << "off=" << off << " n=" << n << " lane=" << i;
+      }
+      for (size_t i = 0; i < off; ++i) ASSERT_EQ(y[i], 42.0f);  // untouched
+    }
+  }
+  // The shift is subtracted first: e^(x - shift) == e^((x - shift) - 0).
+  {
+    const float x = 1.5f, shift = 3.25f, d = x - shift;
+    float a, b;
+    simd::exp_nonpos(&x, shift, &a, 1);
+    simd::exp_nonpos(&d, 0.0f, &b, 1);
+    EXPECT_EQ(float_bits(a), float_bits(b));
+  }
+  // Special values, and the flush below -87 (to +0, never -0).
+  const std::vector<float> special = {-kInf,       std::nanf(""), 0.0f,
+                                      -0.0f,       -87.0f,        -87.00001f,
+                                      -88.0f,      -103.0f,       -1e30f,
+                                      -std::numeric_limits<float>::max()};
+  std::vector<float> y(special.size());
+  simd::exp_nonpos(special.data(), 0.0f, y.data(), special.size());
+  EXPECT_EQ(float_bits(y[0]), float_bits(0.0f));
+  EXPECT_TRUE(std::isnan(y[1]));
+  EXPECT_EQ(y[2], 1.0f);
+  EXPECT_EQ(y[3], 1.0f);
+  EXPECT_GT(y[4], 0.0f);  // e^-87 itself is kept, and is a normal float
+  EXPECT_GE(y[4], std::numeric_limits<float>::min());
+  for (size_t i = 5; i < special.size(); ++i) {
+    EXPECT_EQ(float_bits(y[i]), float_bits(0.0f)) << "x=" << special[i];
+  }
+  // Within 1 ulp of std::exp across [-87, 0]: every 509th float (a prime
+  // stride, so the samples walk every mantissa pattern), ~2.2M of them.
+  const uint32_t lo = static_cast<uint32_t>(float_bits(-0.0f));
+  const uint32_t hi = static_cast<uint32_t>(float_bits(-87.0f));
+  std::vector<float> x, got;
+  for (uint64_t b = lo; b <= hi; b += 509) {
+    const uint32_t bits = static_cast<uint32_t>(b);
+    float f;
+    std::memcpy(&f, &bits, sizeof f);
+    x.push_back(f);
+  }
+  got.resize(x.size());
+  simd::exp_nonpos(x.data(), 0.0f, got.data(), x.size());
+  size_t exact = 0;
+  for (size_t i = 0; i < x.size(); ++i) {
+    const int32_t ulps = float_bits(got[i]) - float_bits(std::exp(x[i]));
+    ASSERT_LE(std::abs(ulps), 1) << "x=" << x[i];
+    exact += ulps == 0;
+  }
+  // The double-precision evaluation is correctly rounded almost everywhere.
+  EXPECT_GE(static_cast<double>(exact), 0.99 * static_cast<double>(x.size()));
 }
 
 // ---- gemm / gemm_nt ---------------------------------------------------------
@@ -335,47 +440,84 @@ TEST_P(FusedAttentionTest, GatherVariantBitIdenticalToContiguous) {
   for (size_t j = 0; j < n_ctx; ++j) ASSERT_EQ(s1[j], s2[j]);
 }
 
+// Exact mirror of the fp32 kernels: the one-slot-at-a-time sequence they
+// ran before the eight-key scoring and the register-held mix (simd::dot per
+// slot, sequential exp-sum, simd::scale, simd::axpy per slot) with
+// simd::exp_nonpos as the exp. No ALiBi: the kernel adds the bias with one
+// FMA, which a compiler may or may not contract a scalar mirror into.
+void ref_f32_attention(const float* q, const float* const* k_rows,
+                       const float* const* v_rows, size_t head_off,
+                       size_t d_head, size_t n_ctx, float scale,
+                       const uint8_t* masked, float* scores, float* out) {
+  constexpr float kNegInf = -std::numeric_limits<float>::infinity();
+  std::fill(out, out + d_head, 0.0f);
+  if (n_ctx == 0) return;
+  for (size_t j = 0; j < n_ctx; ++j) {
+    scores[j] = masked != nullptr && masked[j] != 0
+                    ? kNegInf
+                    : simd::dot(q, k_rows[j] + head_off, d_head) * scale;
+  }
+  const float mx = simd::reduce_max(scores, n_ctx);
+  if (mx == kNegInf) {
+    std::fill(scores, scores + n_ctx, 0.0f);
+    return;
+  }
+  simd::exp_nonpos(scores, mx, scores, n_ctx);
+  float sum = 0.0f;
+  for (size_t j = 0; j < n_ctx; ++j) sum += scores[j];
+  simd::scale(scores, 1.0f / sum, n_ctx);
+  for (size_t j = 0; j < n_ctx; ++j) {
+    if (scores[j] == 0.0f) continue;
+    simd::axpy(scores[j], v_rows[j] + head_off, out, d_head);
+  }
+}
+
+TEST_P(FusedAttentionTest, Fp32MatchesMirrorReference) {
+  const auto [d_head, n_ctx, kv_dim] = GetParam();
+  const size_t head_off = kv_dim - d_head;
+  const auto q = random_vec(d_head, 81 + n_ctx, 0.5f);
+  const auto k = random_vec(n_ctx * kv_dim + 1, 83 + n_ctx, 0.5f);
+  const auto v = random_vec(n_ctx * kv_dim + 1, 85 + n_ctx, 0.5f);
+  std::vector<const float*> k_rows(n_ctx), v_rows(n_ctx);
+  for (size_t j = 0; j < n_ctx; ++j) {
+    k_rows[j] = k.data() + j * kv_dim;
+    v_rows[j] = v.data() + j * kv_dim;
+  }
+  // Random holes plus one fully masked eight-slot block.
+  Rng rng(87 + n_ctx);
+  std::vector<uint8_t> masked(n_ctx);
+  for (auto& mv : masked) mv = rng.next_below(4) == 0 ? 1 : 0;
+  for (size_t j = 8; j < 16 && j < n_ctx; ++j) masked[j] = 1;
+  if (n_ctx > 0) masked[n_ctx - 1] = 0;
+  for (const bool use_mask : {false, true}) {
+    const uint8_t* m = use_mask ? masked.data() : nullptr;
+    std::vector<float> s_ref(n_ctx), o_ref(d_head);
+    ref_f32_attention(q.data(), k_rows.data(), v_rows.data(), head_off,
+                      d_head, n_ctx, 0.25f, m, s_ref.data(), o_ref.data());
+    std::vector<float> s1(n_ctx), s2(n_ctx), o1(d_head), o2(d_head);
+    attn_fused_contig(q.data(), k.data() + head_off, v.data() + head_off,
+                      kv_dim, d_head, n_ctx, 0.25f, 0.0f, nullptr, m,
+                      s1.data(), o1.data());
+    attn_fused_gather(q.data(), k_rows.data(), v_rows.data(), head_off,
+                      d_head, n_ctx, 0.25f, 0.0f, nullptr, m, s2.data(),
+                      o2.data());
+    for (size_t j = 0; j < n_ctx; ++j) {
+      ASSERT_EQ(s1[j], s_ref[j]) << "contig slot " << j << " mask=" << use_mask;
+      ASSERT_EQ(s2[j], s_ref[j]) << "gather slot " << j << " mask=" << use_mask;
+    }
+    for (size_t e = 0; e < d_head; ++e) {
+      ASSERT_EQ(o1[e], o_ref[e]) << "contig elem " << e << " mask=" << use_mask;
+      ASSERT_EQ(o2[e], o_ref[e]) << "gather elem " << e << " mask=" << use_mask;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Shapes, FusedAttentionTest,
     ::testing::Values(AttnCase{1, 1, 1}, AttnCase{3, 5, 3},
                       AttnCase{8, 17, 16}, AttnCase{16, 33, 48},
                       AttnCase{32, 100, 64}, AttnCase{64, 257, 128},
                       AttnCase{128, 64, 128}));
-
-TEST(FusedAttention, MaskedSlotsBitIdenticalToCompactedContext) {
-  // The core INTERNALS §2 property at the kernel level: running over the
-  // full context with masked holes equals running over only the unmasked
-  // slots, bit for bit.
-  const size_t d_head = 32, n_ctx = 57, kv_dim = 64;
-  const auto q = random_vec(d_head, 81, 0.5f);
-  const auto k = random_vec(n_ctx * kv_dim, 83, 0.5f);
-  const auto v = random_vec(n_ctx * kv_dim, 87, 0.5f);
-  Rng rng(89);
-  std::vector<uint8_t> masked(n_ctx);
-  for (auto& mv : masked) mv = rng.next_below(3) == 0 ? 1 : 0;
-  masked[0] = 0;
-
-  std::vector<float> scores(n_ctx), out(d_head);
-  attn_fused_contig(q.data(), k.data(), v.data(), kv_dim, d_head, n_ctx,
-                    0.2f, 0.0f, nullptr, masked.data(), scores.data(),
-                    out.data());
-
-  // Compact the unmasked rows into a dense context.
-  std::vector<float> kc, vc;
-  std::vector<const float*> k_rows, v_rows;
-  for (size_t j = 0; j < n_ctx; ++j) {
-    if (masked[j]) continue;
-    k_rows.push_back(k.data() + j * kv_dim);
-    v_rows.push_back(v.data() + j * kv_dim);
-  }
-  std::vector<float> scores_c(k_rows.size()), out_c(d_head);
-  attn_fused_gather(q.data(), k_rows.data(), v_rows.data(), 0, d_head,
-                    k_rows.size(), 0.2f, 0.0f, nullptr, nullptr,
-                    scores_c.data(), out_c.data());
-  for (size_t e = 0; e < d_head; ++e) {
-    ASSERT_EQ(out[e], out_c[e]) << "elem " << e;
-  }
-}
 
 TEST(FusedAttention, AllMaskedRowYieldsZeros) {
   const size_t d_head = 16, n_ctx = 23;
@@ -487,6 +629,21 @@ TEST(Q8Kernels, DotI8MatchesScalarAcrossSizes) {
   }
 }
 
+TEST(Q8Kernels, Dot8I8MatchesDotI8PerRow) {
+  for (size_t n : kLengths) {
+    const auto a = random_i8(n, 1401 + n);
+    const auto b = random_i8(8 * (n + 5), 1403 + n);
+    const int8_t* rows[8];
+    for (size_t r = 0; r < 8; ++r) rows[r] = b.data() + r * (n + 5) + r % 3;
+    int32_t out[8];
+    simd::dot8_i8(a.data(), rows, n, out);
+    for (size_t r = 0; r < 8; ++r) {
+      ASSERT_EQ(out[r], simd::dot_i8(a.data(), rows[r], n))
+          << "n=" << n << " row=" << r;
+    }
+  }
+}
+
 TEST(Q8Kernels, DequantAndAxpyI8MatchScalar) {
   for (size_t n : kLengths) {
     const auto x = random_i8(n, 700 + n);
@@ -554,11 +711,9 @@ void ref_q8_attention(const float* q, const int8_t* const* k8_rows,
     std::fill(out, out + d_head, 0.0f);
     return;
   }
+  simd::exp_nonpos(scores, mx, scores, n_ctx);
   float sum = 0.0f;
-  for (size_t j = 0; j < n_ctx; ++j) {
-    scores[j] = std::exp(scores[j] - mx);
-    sum += scores[j];
-  }
+  for (size_t j = 0; j < n_ctx; ++j) sum += scores[j];
   simd::scale(scores, 1.0f / sum, n_ctx);
   std::fill(out, out + d_head, 0.0f);
   for (size_t j = 0; j < n_ctx; ++j) {
@@ -750,7 +905,14 @@ float ref_dot_i4i8(const int8_t* q8, const uint8_t* packed,
       p += static_cast<int32_t>(q8[b * 32 + j]) * (byte & 0x0f);
       p += static_cast<int32_t>(q8[b * 32 + 16 + j]) * (byte >> 4);
     }
+    // One fused multiply-add per block where the build has FMA, as
+    // dot_i4i8 spells it: whether a compiler fuses `s += a * b` on its own
+    // depends on the optimization level.
+#if defined(__FMA__)
+    s = std::fma(block_scales[b], static_cast<float>(p - 8 * q_sums[b]), s);
+#else
     s += block_scales[b] * static_cast<float>(p - 8 * q_sums[b]);
+#endif
   }
   return s;
 }
@@ -855,6 +1017,40 @@ TEST(Q4Kernels, DotI4I8BitIdenticalToScalarReference) {
                          sums_lo.data(), n_blocks));
 }
 
+TEST(Q4Kernels, Dot8I4I8BitIdenticalToDotI4I8PerRow) {
+  // Eight keys per call must give each key dot_i4i8's bits, over one and
+  // several blocks.
+  Rng rng(1501);
+  for (size_t n_blocks : {size_t{1}, size_t{2}, size_t{4}}) {
+    std::vector<int8_t> q8(n_blocks * 32);
+    for (auto& x : q8) x = static_cast<int8_t>(rng.next_below(255)) - 127;
+    std::vector<int32_t> q_sums(n_blocks);
+    for (size_t b = 0; b < n_blocks; ++b) {
+      q_sums[b] = std::accumulate(q8.begin() + b * 32,
+                                  q8.begin() + (b + 1) * 32, 0);
+    }
+    std::vector<uint8_t> packed(8 * n_blocks * 16);
+    for (auto& x : packed) x = static_cast<uint8_t>(rng.next_below(256));
+    std::vector<float> scales(8 * n_blocks);
+    for (auto& x : scales) x = rng.uniform(-0.1f, 0.1f);
+    const uint8_t* rows[8];
+    const float* row_scales[8];
+    for (size_t r = 0; r < 8; ++r) {
+      rows[r] = packed.data() + r * n_blocks * 16;
+      row_scales[r] = scales.data() + r * n_blocks;
+    }
+    float out[8];
+    simd::dot8_i4i8(q8.data(), rows, row_scales, q_sums.data(), n_blocks,
+                    out);
+    for (size_t r = 0; r < 8; ++r) {
+      ASSERT_EQ(float_bits(out[r]),
+                float_bits(simd::dot_i4i8(q8.data(), rows[r], row_scales[r],
+                                          q_sums.data(), n_blocks)))
+          << "n_blocks=" << n_blocks << " row=" << r;
+    }
+  }
+}
+
 TEST(Q4Kernels, DequantStoreI4MatchesScalar) {
   Rng rng(1600);
   for (const size_t n : {size_t{1}, size_t{7}, size_t{16}, size_t{17},
@@ -871,60 +1067,6 @@ TEST(Q4Kernels, DequantStoreI4MatchesScalar) {
     }
     for (size_t i = 0; i < n; ++i) ASSERT_EQ(y_simd[i], y_ref[i]) << i;
   }
-}
-
-TEST(Q4Kernels, NomadLutScoringBitIdenticalToIntegerDot) {
-  // The multiply-add-free path: per-dimension 16-entry LUTs applied by byte
-  // shuffle must reproduce the integer block score sum_j q4[j]*(nib_j - 8)
-  // exactly — entries fit int8 ([-56, 64]) and a block accumulates at most
-  // 2048 into int16, so there is no saturation anywhere.
-  Rng rng(1700);
-  const size_t n_blocks = 2;  // 64-dim head
-  const size_t n_keys = 16;
-  std::vector<uint8_t> packed(n_keys * n_blocks * 16);
-  for (auto& b : packed) b = static_cast<uint8_t>(rng.next_below(256));
-  std::vector<const uint8_t*> rows(n_keys);
-  for (size_t r = 0; r < n_keys; ++r) {
-    rows[r] = packed.data() + r * n_blocks * 16;
-  }
-  std::vector<int32_t> q4(n_blocks * 32);
-  for (auto& x : q4) x = static_cast<int32_t>(rng.next_below(16)) - 8;
-
-  // LUT path: code-major tile, per-block shuffle tables, int16 accumulate.
-  std::vector<uint8_t> tile(n_blocks * 16 * 16);
-  simd::nomad_transpose_tile16(rows.data(), n_keys, n_blocks, tile.data());
-  std::array<int16_t, 16> out16{};
-  for (size_t b = 0; b < n_blocks; ++b) {
-    int8_t luts[32 * 16];
-    simd::nomad_build_block_luts(q4.data() + b * 32, luts);
-    simd::nomad_score_block16(tile.data() + b * 16 * 16, luts, out16.data());
-  }
-
-  for (size_t r = 0; r < n_keys; ++r) {
-    int32_t want = 0;
-    for (size_t b = 0; b < n_blocks; ++b) {
-      for (size_t j = 0; j < 16; ++j) {
-        const uint8_t byte = rows[r][b * 16 + j];
-        want += q4[b * 32 + j] * ((byte & 0x0f) - 8);
-        want += q4[b * 32 + 16 + j] * ((byte >> 4) - 8);
-      }
-    }
-    EXPECT_EQ(out16[r], want) << "key " << r;
-  }
-
-  // Short tiles pad with 0x88 (quantized zero): scores of absent keys are
-  // exactly -sum(q4)*0 per dim... i.e. 0 contribution per padded dim.
-  std::array<int16_t, 16> pad16{};
-  std::vector<uint8_t> tile_short(n_blocks * 16 * 16);
-  simd::nomad_transpose_tile16(rows.data(), 3, n_blocks, tile_short.data());
-  for (size_t b = 0; b < n_blocks; ++b) {
-    int8_t luts[32 * 16];
-    simd::nomad_build_block_luts(q4.data() + b * 32, luts);
-    simd::nomad_score_block16(tile_short.data() + b * 16 * 16, luts,
-                              pad16.data());
-  }
-  for (size_t r = 0; r < 3; ++r) EXPECT_EQ(pad16[r], out16[r]);
-  for (size_t r = 3; r < 16; ++r) EXPECT_EQ(pad16[r], 0) << "padded key " << r;
 }
 
 // ---- q4 fused attention ------------------------------------------------------
@@ -981,11 +1123,9 @@ void ref_q4_attention(const float* q, const uint8_t* const* k4_rows,
     std::fill(out, out + d_head, 0.0f);
     return;
   }
+  simd::exp_nonpos(scores, mx, scores, n_ctx);
   float sum = 0.0f;
-  for (size_t j = 0; j < n_ctx; ++j) {
-    scores[j] = std::exp(scores[j] - mx);
-    sum += scores[j];
-  }
+  for (size_t j = 0; j < n_ctx; ++j) sum += scores[j];
   simd::scale(scores, 1.0f / sum, n_ctx);
   std::fill(out, out + d_head, 0.0f);
   for (size_t j = 0; j < n_ctx; ++j) {
@@ -1182,6 +1322,283 @@ TEST(FusedAttention, Q4EmptyContextYieldsZeros) {
                        nullptr, 0, d_head, 0, 1.0f, 0.0f, nullptr, nullptr,
                        nullptr, out.data());
   for (float x : out) EXPECT_EQ(x, 0.0f);
+}
+
+// ---- one core, every format ------------------------------------------------
+
+enum class AttnFormat { kContig, kGather, kQ8, kQ4 };
+
+const char* format_name(AttnFormat f) {
+  switch (f) {
+    case AttnFormat::kContig: return "contig";
+    case AttnFormat::kGather: return "gather";
+    case AttnFormat::kQ8: return "q8";
+    case AttnFormat::kQ4: return "q4";
+  }
+  return "?";
+}
+
+// One context in every format the kernels read. In the q8/q4 tables slot j
+// is quantized unless j % 3 == 2, which reads the fp32 rows (a borrowed
+// view's owned tail, interleaved to cover both kinds in every block).
+struct AttnContext {
+  size_t n_ctx, kv_dim, head_off;
+  std::vector<float> k, v;
+  std::vector<const float*> k_rows, v_rows, kf_rows, vf_rows;
+  std::vector<int8_t> k8, v8;
+  std::vector<float> k8s, v8s;
+  std::vector<const int8_t*> k8_rows, v8_rows;
+  Q4Rows k4, v4;
+  std::vector<const uint8_t*> k4_rows, v4_rows;
+  std::vector<const float*> k4_sc, v4_sc;
+
+  AttnContext(std::vector<float> k_in, std::vector<float> v_in, size_t n,
+              size_t dim, size_t off)
+      : n_ctx(n), kv_dim(dim), head_off(off), k(std::move(k_in)),
+        v(std::move(v_in)), k8(n * dim), v8(n * dim), k8s(n), v8s(n),
+        k4(k.data(), n, dim), v4(v.data(), n, dim) {
+    if (n > 0) {
+      quantize_rows(k.data(), static_cast<int>(n), static_cast<int>(dim),
+                    k8.data(), k8s.data());
+      quantize_rows(v.data(), static_cast<int>(n), static_cast<int>(dim),
+                    v8.data(), v8s.data());
+    }
+    k_rows.resize(n);
+    v_rows.resize(n);
+    kf_rows.assign(n, nullptr);
+    vf_rows.assign(n, nullptr);
+    k8_rows.assign(n, nullptr);
+    v8_rows.assign(n, nullptr);
+    k4_rows.assign(n, nullptr);
+    v4_rows.assign(n, nullptr);
+    k4_sc.assign(n, nullptr);
+    v4_sc.assign(n, nullptr);
+    for (size_t j = 0; j < n; ++j) {
+      k_rows[j] = k.data() + j * dim;
+      v_rows[j] = v.data() + j * dim;
+      if (j % 3 == 2) {
+        kf_rows[j] = k_rows[j];
+        vf_rows[j] = v_rows[j];
+      } else {
+        k8_rows[j] = k8.data() + j * dim;
+        v8_rows[j] = v8.data() + j * dim;
+        k4_rows[j] = k4.rows[j];
+        v4_rows[j] = v4.rows[j];
+        k4_sc[j] = k4.row_scales[j];
+        v4_sc[j] = v4.row_scales[j];
+      }
+    }
+  }
+
+  // The grouped call for n_q heads.
+  void attend(AttnFormat f, const float* q, size_t n_q, size_t d_head,
+              float scale, const float* slopes, const float* rel,
+              const uint8_t* masked, float* scores, float* out) const {
+    switch (f) {
+      case AttnFormat::kContig:
+        attn_fused_contig(q, k.data() + head_off, v.data() + head_off, kv_dim,
+                          d_head, n_ctx, scale, slopes, rel, masked, scores,
+                          out, n_q);
+        return;
+      case AttnFormat::kGather:
+        attn_fused_gather(q, k_rows.data(), v_rows.data(), head_off, d_head,
+                          n_ctx, scale, slopes, rel, masked, scores, out, n_q);
+        return;
+      case AttnFormat::kQ8:
+        attn_fused_q8_gather(q, k8_rows.data(), v8_rows.data(), k8s.data(),
+                             v8s.data(), kf_rows.data(), vf_rows.data(),
+                             head_off, d_head, n_ctx, scale, slopes, rel,
+                             masked, scores, out, n_q);
+        return;
+      case AttnFormat::kQ4:
+        attn_fused_q4_gather(q, k4_rows.data(), v4_rows.data(), k4_sc.data(),
+                             v4_sc.data(), kf_rows.data(), vf_rows.data(),
+                             head_off, d_head, n_ctx, scale, slopes, rel,
+                             masked, scores, out, n_q);
+        return;
+    }
+  }
+
+  // The single-head form, one head's slope by value.
+  void attend_one(AttnFormat f, const float* q, size_t d_head, float scale,
+                  float slope, const float* rel, const uint8_t* masked,
+                  float* scores, float* out) const {
+    switch (f) {
+      case AttnFormat::kContig:
+        attn_fused_contig(q, k.data() + head_off, v.data() + head_off, kv_dim,
+                          d_head, n_ctx, scale, slope, rel, masked, scores,
+                          out);
+        return;
+      case AttnFormat::kGather:
+        attn_fused_gather(q, k_rows.data(), v_rows.data(), head_off, d_head,
+                          n_ctx, scale, slope, rel, masked, scores, out);
+        return;
+      case AttnFormat::kQ8:
+        attn_fused_q8_gather(q, k8_rows.data(), v8_rows.data(), k8s.data(),
+                             v8s.data(), kf_rows.data(), vf_rows.data(),
+                             head_off, d_head, n_ctx, scale, slope, rel,
+                             masked, scores, out);
+        return;
+      case AttnFormat::kQ4:
+        attn_fused_q4_gather(q, k4_rows.data(), v4_rows.data(), k4_sc.data(),
+                             v4_sc.data(), kf_rows.data(), vf_rows.data(),
+                             head_off, d_head, n_ctx, scale, slope, rel,
+                             masked, scores, out);
+        return;
+    }
+  }
+};
+
+constexpr AttnFormat kAllFormats[] = {AttnFormat::kContig, AttnFormat::kGather,
+                                      AttnFormat::kQ8, AttnFormat::kQ4};
+
+TEST(FusedAttention, GroupedHeadsMatchSingleHeadBitwise) {
+  // A group of n_q heads in one call must give every head the bits of the
+  // single-head call: grouping changes which rows are loaded together,
+  // never the arithmetic. Context lengths cover no full block, one, one
+  // plus a slot, and the rag-sized 1056; a slot with a key of -1000 (the
+  // queries are positive) scores far below e^-87 and must weigh exactly 0.
+  // Ten heads exceed the kernel's eight-head pass and run in two slices.
+  const float scale = 0.25f;
+  for (size_t n_ctx : {1, 7, 8, 9, 57, 1056}) {
+    for (size_t d_head : {8, 16, 24, 32, 64}) {
+      const size_t head_off = 32, kv_dim = head_off + d_head;
+      auto k = random_vec(n_ctx * kv_dim, 2001 + n_ctx + d_head);
+      const auto v = random_vec(n_ctx * kv_dim, 2003 + n_ctx + d_head);
+      const size_t under = n_ctx / 2;
+      if (n_ctx > 1) {
+        std::fill_n(k.begin() + static_cast<ptrdiff_t>(under * kv_dim), kv_dim,
+                    -1000.0f);
+      }
+      const AttnContext c(k, v, n_ctx, kv_dim, head_off);
+      std::vector<float> rel(n_ctx);
+      for (size_t j = 0; j < n_ctx; ++j) {
+        rel[j] = static_cast<float>(static_cast<int>(n_ctx - j));
+      }
+      // No mask; random holes plus fully masked blocks [8, 16) and
+      // [24, 32); every slot masked.
+      Rng rng(2005 + n_ctx);
+      std::vector<uint8_t> holes(n_ctx), all(n_ctx, 1);
+      for (auto& mv : holes) mv = rng.next_below(4) == 0 ? 1 : 0;
+      for (size_t j = 0; j < n_ctx; ++j) {
+        if ((j >= 8 && j < 16) || (j >= 24 && j < 32)) holes[j] = 1;
+      }
+      holes[n_ctx - 1] = 0;
+      const uint8_t* masks[] = {nullptr, holes.data(), all.data()};
+
+      for (size_t n_q : {1, 2, 3, 6, 10}) {
+        Rng qrng(2007 + n_q);
+        std::vector<float> q(n_q * d_head), slopes(n_q);
+        for (auto& x : q) x = qrng.uniform(0.1f, 1.0f);
+        for (size_t h = 0; h < n_q; ++h) {
+          slopes[h] = std::ldexp(1.0f, -static_cast<int>(h) - 1);
+        }
+        for (AttnFormat f : kAllFormats) {
+          for (const uint8_t* m : masks) {
+            for (const bool alibi : {false, true}) {
+              const float* r = alibi ? rel.data() : nullptr;
+              std::vector<float> sg(n_q * n_ctx), og(n_q * d_head, 42.0f);
+              c.attend(f, q.data(), n_q, d_head, scale, slopes.data(), r, m,
+                       sg.data(), og.data());
+              for (size_t h = 0; h < n_q; ++h) {
+                std::vector<float> s1(n_ctx), o1(d_head, 7.0f);
+                c.attend_one(f, q.data() + h * d_head, d_head, scale,
+                             slopes[h], r, m, s1.data(), o1.data());
+                const auto where = [&] {
+                  return ::testing::Message()
+                         << format_name(f) << " n_ctx=" << n_ctx
+                         << " d_head=" << d_head << " n_q=" << n_q
+                         << " head=" << h << " mask=" << (m != nullptr)
+                         << (m == all.data() ? "(all)" : "")
+                         << " alibi=" << alibi;
+                };
+                for (size_t j = 0; j < n_ctx; ++j) {
+                  ASSERT_EQ(float_bits(sg[h * n_ctx + j]), float_bits(s1[j]))
+                      << where() << " slot " << j;
+                }
+                for (size_t e = 0; e < d_head; ++e) {
+                  ASSERT_EQ(float_bits(og[h * d_head + e]), float_bits(o1[e]))
+                      << where() << " elem " << e;
+                }
+                if (m == all.data()) {
+                  for (float x : o1) ASSERT_EQ(float_bits(x), 0) << where();
+                }
+                if (m == nullptr && !alibi && n_ctx > 1) {
+                  ASSERT_EQ(float_bits(s1[under]), 0) << where();  // flushed
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(FusedAttention, MaskedSlotsBitIdenticalToCompactedContext) {
+  // The core INTERNALS §2 property at the kernel level, for every format:
+  // running over the full context with masked holes equals running over
+  // only the unmasked slots, bit for bit. 131 slots with random holes and
+  // a fully masked block, so compaction shifts slots across the kernel's
+  // eight-slot blocks.
+  const size_t d_head = 32, n_ctx = 131, kv_dim = 64, head_off = 32;
+  const auto q = random_vec(d_head, 81, 0.5f);
+  const AttnContext full(random_vec(n_ctx * kv_dim, 83, 0.5f),
+                         random_vec(n_ctx * kv_dim, 87, 0.5f), n_ctx, kv_dim,
+                         head_off);
+  Rng rng(89);
+  std::vector<uint8_t> masked(n_ctx);
+  for (auto& mv : masked) mv = rng.next_below(3) == 0 ? 1 : 0;
+  for (size_t j = 16; j < 24; ++j) masked[j] = 1;
+  masked[0] = 0;
+
+  // The compacted context: the unmasked slots' rows and scales, in order.
+  AttnContext comp = full;
+  const auto keep = [&](auto& table) {
+    auto out = table;
+    out.clear();
+    for (size_t j = 0; j < n_ctx; ++j) {
+      if (masked[j] == 0) out.push_back(table[j]);
+    }
+    table = out;
+  };
+  keep(comp.k_rows);
+  keep(comp.v_rows);
+  keep(comp.kf_rows);
+  keep(comp.vf_rows);
+  keep(comp.k8_rows);
+  keep(comp.v8_rows);
+  keep(comp.k8s);
+  keep(comp.v8s);
+  keep(comp.k4_rows);
+  keep(comp.v4_rows);
+  keep(comp.k4_sc);
+  keep(comp.v4_sc);
+  comp.n_ctx = comp.k_rows.size();
+
+  // The contiguous kernel has no compacted form; its masked run must equal
+  // the compacted gather.
+  for (AttnFormat f : kAllFormats) {
+    const AttnFormat fc = f == AttnFormat::kContig ? AttnFormat::kGather : f;
+    std::vector<float> scores(n_ctx), out(d_head);
+    full.attend_one(f, q.data(), d_head, 0.2f, 0.0f, nullptr, masked.data(),
+                    scores.data(), out.data());
+    std::vector<float> scores_c(comp.n_ctx), out_c(d_head);
+    comp.attend_one(fc, q.data(), d_head, 0.2f, 0.0f, nullptr, nullptr,
+                    scores_c.data(), out_c.data());
+    for (size_t e = 0; e < d_head; ++e) {
+      ASSERT_EQ(float_bits(out[e]), float_bits(out_c[e]))
+          << format_name(f) << " elem " << e;
+    }
+    for (size_t j = 0, jc = 0; j < n_ctx; ++j) {
+      if (masked[j] != 0) {
+        ASSERT_EQ(float_bits(scores[j]), 0) << format_name(f) << " slot " << j;
+      } else {
+        ASSERT_EQ(float_bits(scores[j]), float_bits(scores_c[jc++]))
+            << format_name(f) << " slot " << j;
+      }
+    }
+  }
 }
 
 // ---- mask-hoist regression through the model --------------------------------
