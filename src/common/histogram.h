@@ -63,10 +63,14 @@ class LatencyHistogram {
            per_doubling_ == other.per_doubling_;
   }
 
-  // Quantile in [0, 1]; returns the upper edge of the bucket containing it.
-  // q == 0 returns the exact observed minimum: rank would be ceil(0) == 0,
-  // so the bucket walk below would report the first occupied bucket's upper
-  // edge instead of the minimum.
+  // Quantile in [0, 1] as an upper bound: the upper edge of the occupied
+  // bucket holding the q-th ranked sample, not a sample. It can exceed the
+  // observed maximum (by up to one bucket width, ~19% in the default
+  // layout), and the same edges recur across unrelated runs. This bound is
+  // what the Prometheus summary export reports (obs/export.cpp); exact
+  // percentiles need the raw samples. q == 0 returns the exact observed
+  // minimum: rank would be ceil(0) == 0, so the bucket walk below would
+  // report the first occupied bucket's upper edge instead of the minimum.
   double quantile_seconds(double q) const {
     PC_CHECK_MSG(q >= 0.0 && q <= 1.0, "quantile out of range");
     if (count_ == 0) return 0.0;

@@ -44,6 +44,9 @@ EngineCells::EngineCells() {
                                    "union siblings promoted to device");
   degraded_serves = reg.counter("pc_engine_degraded_serves_total",
                                 "full-prefill fallback serves");
+  kv_format_fallbacks =
+      reg.counter("pc_engine_kv_format_fallbacks_total",
+                  "engines storing q8 because the model cannot store q4");
   cached_ttft = reg.histogram("pc_engine_ttft_cached_seconds",
                               "TTFT of cached serves");
   baseline_ttft = reg.histogram("pc_engine_ttft_baseline_seconds",
@@ -85,9 +88,10 @@ namespace {
 // block boundary (head_off % 32 == 0): that holds when d_head is a multiple
 // of kQ4BlockSize, or when the model has a single KV head (head_off is then
 // always 0). A model outside that geometry falls back to Q8_0 at engine
-// construction instead of failing inside the attention kernel at serve
-// time. Every preset model (sys/model_spec.h) satisfies the constraint, so
-// this is a safety net for custom configs.
+// construction, counted in pc_engine_kv_format_fallbacks_total, instead of
+// failing inside the attention kernel at serve time. Every preset model
+// (sys/model_spec.h) satisfies the constraint, so this is a safety net for
+// custom configs.
 EngineConfig resolve_precision(const Model& model, EngineConfig config) {
   if (config.precision == StorePrecision::kQ4 &&
       model.config().d_head % kQ4BlockSize != 0 &&
@@ -130,7 +134,9 @@ PromptCacheEngine::PromptCacheEngine(const Model& model,
       tokenizer_(tokenizer),
       chat_template_(model.config().chat_template),
       config_(resolve_precision(model, config)),
-      store_(store) {}
+      store_(store) {
+  if (config_.precision != config.precision) cells_.kv_format_fallbacks.inc();
+}
 
 const pml::Schema& PromptCacheEngine::load_schema(
     std::string_view schema_pml) {
@@ -348,7 +354,7 @@ EncodedModule PromptCacheEngine::build_module_payload(const pml::Schema& schema,
   KVCache kv = model_.make_cache();
   if (!tokens.empty()) {
     kv.reserve(static_cast<int>(tokens.size()));
-    (void)model_.forward(tokens, pos_ids, kv);  // module-local attention
+    model_.encode(tokens, pos_ids, kv);  // module-local attention
   }
   return finalize_encoding(std::move(kv), runs);
 }
@@ -379,7 +385,7 @@ EncodedModule PromptCacheEngine::build_scaffold_payload(
   KVCache kv = model_.make_cache();
   if (!tokens.empty()) {
     kv.reserve(static_cast<int>(tokens.size()));
-    (void)model_.forward(tokens, pos_ids, kv);  // shared attention span
+    model_.encode(tokens, pos_ids, kv);  // shared attention span
   }
   return finalize_encoding(std::move(kv), runs);
 }

@@ -106,7 +106,7 @@ struct BorrowedKV {
 
 struct TtftBreakdown {
   double retrieve_ms = 0;  // module state concatenation (memcpy)
-  double uncached_ms = 0;  // forward pass over uncached tokens + first argmax
+  double uncached_ms = 0;  // forward pass over uncached tokens (to logits)
   int cached_tokens = 0;
   int uncached_tokens = 0;
   int modules = 0;  // encoded modules/scaffolds whose states this serve reused
@@ -147,6 +147,7 @@ struct EngineStats {
   uint64_t scaffolds_encoded = 0;
   uint64_t thrash_reencodes = 0;  // re-encodes inside the TTFT window
   uint64_t sibling_prefetches = 0;
+  uint64_t kv_format_fallbacks = 0;  // q4 asked, q8 stored (model geometry)
 };
 
 // The registry cells behind EngineStats plus the TTFT histograms.
@@ -160,6 +161,7 @@ struct EngineCells {
   obs::Counter scaffolds_encoded;
   obs::Counter thrash_reencodes;
   obs::Counter sibling_prefetches;
+  obs::Counter kv_format_fallbacks;
   obs::Histogram cached_ttft;    // pc_engine_ttft_cached_seconds
   obs::Histogram baseline_ttft;  // pc_engine_ttft_baseline_seconds
   obs::Histogram degraded_ttft;  // pc_engine_ttft_degraded_seconds
@@ -173,6 +175,7 @@ struct EngineCells {
     out.scaffolds_encoded = scaffolds_encoded.value();
     out.thrash_reencodes = thrash_reencodes.value();
     out.sibling_prefetches = sibling_prefetches.value();
+    out.kv_format_fallbacks = kv_format_fallbacks.value();
     return out;
   }
 };

@@ -58,7 +58,7 @@ ChatSession::TurnResult ChatSession::send(std::string_view user_text,
       next_pos_ < engine_->model().config().max_pos) {
     const TokenId last = result.tokens.back();
     const int p = next_pos_;
-    (void)engine_->model().forward({&last, 1}, {&p, 1}, cache_);
+    engine_->model().encode({&last, 1}, {&p, 1}, cache_);
     ++next_pos_;
   }
 
@@ -72,7 +72,7 @@ ChatSession::TurnResult ChatSession::send(std::string_view user_text,
           engine_->model().config().max_pos) {
     std::vector<int> cpos(closing_tokens.size());
     std::iota(cpos.begin(), cpos.end(), next_pos_);
-    (void)engine_->model().forward(closing_tokens, cpos, cache_);
+    engine_->model().encode(closing_tokens, cpos, cache_);
     next_pos_ += static_cast<int>(closing_tokens.size());
   }
 

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <cstring>
+#include <limits>
+#include <numeric>
 
 #include "common/thread_pool.h"
 #include "obs/trace.h"
@@ -140,36 +141,63 @@ inline void fused_attend(const SegmentedKVCache& c, int layer, int k_off,
                     rel_pos, masked, scores, out, n_q);
 }
 
+// Rows `rows` of a 2-D tensor, in order.
+Tensor gather_rows(const Tensor& t, std::span<const int> rows) {
+  Tensor out({static_cast<int64_t>(rows.size()), t.dim(1)});
+  for (size_t i = 0; i < rows.size(); ++i) {
+    std::memcpy(out.row(static_cast<int64_t>(i)), t.row(rows[i]),
+                static_cast<size_t>(t.dim(1)) * sizeof(float));
+  }
+  return out;
+}
+
 }  // namespace
 
-template <typename CacheT>
-void Model::attention(int layer, const Tensor& h,
+Tensor Model::queries(int layer, const Tensor& h,
                       std::span<const int> pos_ids,
-                      std::span<const int> block_ids,
-                      std::span<const bool> hidden_from_global,
-                      int first_new, CacheT& cache, Tensor& out) const {
+                      std::span<const int> rows) const {
+  const Tensor& wq = weights_.layers[static_cast<size_t>(layer)].wq;
+  Tensor q = static_cast<int64_t>(rows.size()) == h.dim(0)
+                 ? matmul_nt(h, wq)
+                 : matmul_nt(gather_rows(h, rows), wq);
+  if (rope_) {
+    const int d_head = config_.d_head;
+    for (size_t j = 0; j < rows.size(); ++j) {
+      float* qj = q.row(static_cast<int64_t>(j));
+      const int pos = pos_ids[static_cast<size_t>(rows[j])];
+      for (int hd = 0; hd < config_.n_heads; ++hd) {
+        rope_->apply(qj + hd * d_head, pos);
+      }
+    }
+  }
+  return q;
+}
+
+// Self-attention of layer `layer` for the new rows h: every row's keys and
+// values are published into the cache; output row j is the attention of
+// new row q_rows[j] over cache slots [0, first_new + q_rows[j]].
+template <typename CacheT>
+Tensor Model::attention(int layer, const Tensor& h,
+                        std::span<const int> pos_ids,
+                        std::span<const int> block_ids,
+                        std::span<const bool> hidden_from_global,
+                        int first_new, std::span<const int> q_rows,
+                        CacheT& cache) const {
   const auto& lw = weights_.layers[static_cast<size_t>(layer)];
   const int n_new = static_cast<int>(h.dim(0));
+  const int n_q = static_cast<int>(q_rows.size());
   const int d_head = config_.d_head;
-  const int n_heads = config_.n_heads;
   const int n_kv_heads = config_.n_kv_heads;
-  const int group = n_heads / n_kv_heads;
+  const int group = config_.n_heads / n_kv_heads;
   const size_t kv_dim = static_cast<size_t>(config_.kv_dim());
 
-  Tensor q = matmul_nt(h, lw.wq);   // [n_new, q_dim]
   Tensor kx = matmul_nt(h, lw.wk);  // [n_new, kv_dim]
   Tensor vx = matmul_nt(h, lw.wv);  // [n_new, kv_dim]
-
   if (rope_) {
     for (int i = 0; i < n_new; ++i) {
-      const int pos = pos_ids[static_cast<size_t>(i)];
-      float* qi = q.row(i);
-      for (int hd = 0; hd < n_heads; ++hd) {
-        rope_->apply(qi + hd * d_head, pos);
-      }
       float* ki = kx.row(i);
       for (int hd = 0; hd < n_kv_heads; ++hd) {
-        rope_->apply(ki + hd * d_head, pos);
+        rope_->apply(ki + hd * d_head, pos_ids[static_cast<size_t>(i)]);
       }
     }
   }
@@ -185,10 +213,14 @@ void Model::attention(int layer, const Tensor& h,
   std::memcpy(kv_v_write(cache, layer, first_new), vx.data(),
               static_cast<size_t>(n_new) * kv_dim * sizeof(float));
 
-  // Token i may attend to cache slots [0, first_new+i]. The block mask and
-  // the ALiBi relative-distance vector depend only on (i, j), so they are
-  // computed once per query row and shared by every head, not recomputed
-  // per head as the scalar path used to.
+  // The query side runs for q_rows only; output row j is new row q_rows[j].
+  Tensor out({n_q, config_.q_dim()});
+  if (n_q == 0) return out;
+  const Tensor q = queries(layer, h, pos_ids, q_rows);
+
+  // New row i may attend to cache slots [0, first_new+i]. The block mask
+  // and the ALiBi relative-distance vector depend only on (i, slot), so they
+  // are computed once per query row and shared by every head.
   const int total_ctx = first_new + n_new;
   const bool use_mask = !block_ids.empty() || !hidden_from_global.empty();
   const size_t ctx_sz = static_cast<size_t>(total_ctx);
@@ -200,7 +232,7 @@ void Model::attention(int layer, const Tensor& h,
         cache.pos_id(j);
   }
 
-  // Fills mrow[0..ctx) for query row i (same predicate the scalar loop
+  // Fills mrow[0..ctx) for new row i (same predicate the scalar loop
   // applied per (head, i, j)).
   auto fill_mask_row = [&](int i, uint8_t* mrow, int ctx) {
     const int my_block = block_ids.empty()
@@ -224,73 +256,77 @@ void Model::attention(int layer, const Tensor& h,
       rrow[j] = static_cast<float>(qp - k_pos[static_cast<size_t>(j)]);
     }
   };
+  // Slots visible to query row j.
+  auto ctx_of = [&](int j) {
+    return first_new + q_rows[static_cast<size_t>(j)] + 1;
+  };
 
-  // One KV head's group of query heads for query row i against slots
+  // One KV head's group of query heads for query row j against slots
   // [0, ctx); scores holds group * ctx_sz floats.
-  auto attend_group = [&](int kvh, int i, int ctx, const float* rel,
+  auto attend_group = [&](int kvh, int j, int ctx, const float* rel,
                           const uint8_t* masked, float* scores) {
     const int hd = kvh * group;
-    fused_attend(cache, layer, kvh * d_head, q.row(i) + hd * d_head,
+    fused_attend(cache, layer, kvh * d_head, q.row(j) + hd * d_head,
                  static_cast<size_t>(d_head), static_cast<size_t>(ctx),
                  attn_scale_, alibi_ ? alibi_->slopes() + hd : nullptr, rel,
-                 masked, scores, out.row(i) + hd * d_head,
+                 masked, scores, out.row(j) + hd * d_head,
                  static_cast<size_t>(group));
   };
 
-  // Two schedules producing identical bits (the kernel inputs per (i, KV
+  // Two schedules producing identical bits (the kernel inputs per (row, KV
   // head) are the same): prefill parallelizes over query rows, so mask/rel
   // rows are built once per row in-thread; decode-sized batches
   // parallelize over KV heads and share small precomputed mask/rel
   // matrices.
   const size_t scores_sz = static_cast<size_t>(group) * ctx_sz;
-  if (n_new >= 8) {
+  if (n_q >= 8) {
     auto row_work = [&](size_t row_begin, size_t row_end) {
       std::vector<float> scores(scores_sz);
       std::vector<uint8_t> mrow(use_mask ? ctx_sz : 0);
       std::vector<float> rrow(alibi_ ? ctx_sz : 0);
-      for (size_t i = row_begin; i < row_end; ++i) {
-        const int ctx = first_new + static_cast<int>(i) + 1;
-        if (use_mask) fill_mask_row(static_cast<int>(i), mrow.data(), ctx);
-        if (alibi_) fill_rel_row(static_cast<int>(i), rrow.data(), ctx);
+      for (size_t jr = row_begin; jr < row_end; ++jr) {
+        const int j = static_cast<int>(jr);
+        const int i = q_rows[jr];
+        const int ctx = ctx_of(j);
+        if (use_mask) fill_mask_row(i, mrow.data(), ctx);
+        if (alibi_) fill_rel_row(i, rrow.data(), ctx);
         for (int kvh = 0; kvh < n_kv_heads; ++kvh) {
-          attend_group(kvh, static_cast<int>(i), ctx,
-                       alibi_ ? rrow.data() : nullptr,
+          attend_group(kvh, j, ctx, alibi_ ? rrow.data() : nullptr,
                        use_mask ? mrow.data() : nullptr, scores.data());
         }
       }
     };
     if (ThreadPool::global().size() > 1) {
-      ThreadPool::global().parallel_for(static_cast<size_t>(n_new), row_work);
+      ThreadPool::global().parallel_for(static_cast<size_t>(n_q), row_work);
     } else {
-      row_work(0, static_cast<size_t>(n_new));
+      row_work(0, static_cast<size_t>(n_q));
     }
   } else {
-    std::vector<uint8_t> mask_mat(use_mask ? static_cast<size_t>(n_new) *
+    std::vector<uint8_t> mask_mat(use_mask ? static_cast<size_t>(n_q) *
                                                  ctx_sz
                                            : 0);
-    std::vector<float> rel_mat(alibi_ ? static_cast<size_t>(n_new) * ctx_sz
+    std::vector<float> rel_mat(alibi_ ? static_cast<size_t>(n_q) * ctx_sz
                                       : 0);
-    for (int i = 0; i < n_new; ++i) {
-      const int ctx = first_new + i + 1;
+    for (int j = 0; j < n_q; ++j) {
+      const int i = q_rows[static_cast<size_t>(j)];
       if (use_mask) {
-        fill_mask_row(i, mask_mat.data() + static_cast<size_t>(i) * ctx_sz,
-                      ctx);
+        fill_mask_row(i, mask_mat.data() + static_cast<size_t>(j) * ctx_sz,
+                      ctx_of(j));
       }
       if (alibi_) {
-        fill_rel_row(i, rel_mat.data() + static_cast<size_t>(i) * ctx_sz,
-                     ctx);
+        fill_rel_row(i, rel_mat.data() + static_cast<size_t>(j) * ctx_sz,
+                     ctx_of(j));
       }
     }
     auto kv_head_work = [&](size_t kvh_begin, size_t kvh_end) {
       std::vector<float> scores(scores_sz);
       for (size_t kvh = kvh_begin; kvh < kvh_end; ++kvh) {
-        for (int i = 0; i < n_new; ++i) {
-          const int ctx = first_new + i + 1;
-          attend_group(static_cast<int>(kvh), i, ctx,
-                       alibi_ ? rel_mat.data() + static_cast<size_t>(i) * ctx_sz
+        for (int j = 0; j < n_q; ++j) {
+          attend_group(static_cast<int>(kvh), j, ctx_of(j),
+                       alibi_ ? rel_mat.data() + static_cast<size_t>(j) * ctx_sz
                               : nullptr,
                        use_mask
-                           ? mask_mat.data() + static_cast<size_t>(i) * ctx_sz
+                           ? mask_mat.data() + static_cast<size_t>(j) * ctx_sz
                            : nullptr,
                        scores.data());
         }
@@ -303,6 +339,7 @@ void Model::attention(int layer, const Tensor& h,
       kv_head_work(0, static_cast<size_t>(n_kv_heads));
     }
   }
+  return out;
 }
 
 // Per-sequence attention of a batched step. The dense projections were
@@ -310,32 +347,29 @@ void Model::attention(int layer, const Tensor& h,
 // chunk-local index i) attends to its own cache's slots [0, first_new+i]
 // through the same fused_attend dispatch forward() uses for a segmented
 // cache — same kernel, context and inputs as a sequential forward over that
-// sequence alone, so the output bits match.
-void Model::attention_batch(int layer, const Tensor& h,
-                            std::span<const BatchSeq> seqs,
-                            const std::vector<int>& first_new,
-                            const std::vector<int>& row_seq,
-                            const std::vector<int>& row_idx,
-                            std::span<const int> pos_ids, Tensor& out) const {
+// sequence alone, so the output bits match. As in attention(), every row
+// publishes K/V and output row j is the query side of row q_rows[j].
+Tensor Model::attention_batch(int layer, const Tensor& h,
+                              std::span<const BatchSeq> seqs,
+                              const std::vector<int>& first_new,
+                              const std::vector<int>& row_seq,
+                              const std::vector<int>& row_idx,
+                              std::span<const int> pos_ids,
+                              std::span<const int> q_rows) const {
   const auto& lw = weights_.layers[static_cast<size_t>(layer)];
   const int total = static_cast<int>(h.dim(0));
+  const int n_q = static_cast<int>(q_rows.size());
   const int d_head = config_.d_head;
-  const int n_heads = config_.n_heads;
-  const int group = n_heads / config_.n_kv_heads;
+  const int group = config_.n_heads / config_.n_kv_heads;
   const size_t kv_dim = static_cast<size_t>(config_.kv_dim());
 
-  Tensor q = matmul_nt(h, lw.wq);   // [total, q_dim]
   Tensor kx = matmul_nt(h, lw.wk);  // [total, kv_dim]
   Tensor vx = matmul_nt(h, lw.wv);  // [total, kv_dim]
-
   if (rope_) {
     for (int r = 0; r < total; ++r) {
-      const int pos = pos_ids[static_cast<size_t>(r)];
-      float* qr = q.row(r);
-      for (int hd = 0; hd < n_heads; ++hd) rope_->apply(qr + hd * d_head, pos);
       float* kr = kx.row(r);
       for (int hd = 0; hd < config_.n_kv_heads; ++hd) {
-        rope_->apply(kr + hd * d_head, pos);
+        rope_->apply(kr + hd * d_head, pos_ids[static_cast<size_t>(r)]);
       }
     }
   }
@@ -356,37 +390,43 @@ void Model::attention_batch(int layer, const Tensor& h,
     r += n;
   }
 
+  Tensor out({n_q, config_.q_dim()});
+  if (n_q == 0) return out;
+  const Tensor q = queries(layer, h, pos_ids, q_rows);
+
   auto row_work = [&](size_t row_begin, size_t row_end) {
     std::vector<float> scores(static_cast<size_t>(group) * max_ctx);
     std::vector<float> rrow(alibi_ ? max_ctx : 0);
-    for (size_t r = row_begin; r < row_end; ++r) {
+    for (size_t j = row_begin; j < row_end; ++j) {
+      const size_t r = static_cast<size_t>(q_rows[j]);
       const int s = row_seq[r];
       const SegmentedKVCache& cache = *seqs[static_cast<size_t>(s)].cache;
       const int ctx = first_new[static_cast<size_t>(s)] + row_idx[r] + 1;
       if (alibi_) {
         const int qp = pos_ids[r];
-        for (int j = 0; j < ctx; ++j) {
-          rrow[static_cast<size_t>(j)] =
-              static_cast<float>(qp - cache.pos_id(j));
+        for (int k = 0; k < ctx; ++k) {
+          rrow[static_cast<size_t>(k)] =
+              static_cast<float>(qp - cache.pos_id(k));
         }
       }
       for (int kvh = 0; kvh < config_.n_kv_heads; ++kvh) {
         const int hd = kvh * group;
         fused_attend(cache, layer, kvh * d_head,
-                     q.row(static_cast<int64_t>(r)) + hd * d_head,
+                     q.row(static_cast<int64_t>(j)) + hd * d_head,
                      static_cast<size_t>(d_head), static_cast<size_t>(ctx),
                      attn_scale_, alibi_ ? alibi_->slopes() + hd : nullptr,
                      alibi_ ? rrow.data() : nullptr, nullptr, scores.data(),
-                     out.row(static_cast<int64_t>(r)) + hd * d_head,
+                     out.row(static_cast<int64_t>(j)) + hd * d_head,
                      static_cast<size_t>(group));
       }
     }
   };
-  if (ThreadPool::global().size() > 1 && total > 1) {
-    ThreadPool::global().parallel_for(static_cast<size_t>(total), row_work);
+  if (ThreadPool::global().size() > 1 && n_q > 1) {
+    ThreadPool::global().parallel_for(static_cast<size_t>(n_q), row_work);
   } else {
-    row_work(0, static_cast<size_t>(total));
+    row_work(0, static_cast<size_t>(n_q));
   }
+  return out;
 }
 
 void Model::mlp(int layer, const Tensor& h, Tensor& out) const {
@@ -410,16 +450,69 @@ void Model::mlp(int layer, const Tensor& h, Tensor& out) const {
   out = matmul_nt(up, lw.w_down);  // [n, d_model]
 }
 
+void Model::finish_block(int layer, const Tensor& attn_out, Tensor& h,
+                         Tensor& x) const {
+  const auto& lw = weights_.layers[static_cast<size_t>(layer)];
+  add_inplace(x, matmul_nt(attn_out, lw.wo));
+  if (!config_.use_mlp) return;
+  // A parallel (Falcon) block's MLP reads the same normed input as its
+  // attention; a sequential block's reads the residual's norm2.
+  if (!config_.parallel_block) apply_norm(lw.norm2_w, lw.norm2_b, x, h);
+  Tensor mlp_out;
+  mlp(layer, h, mlp_out);
+  add_inplace(x, mlp_out);
+}
+
+template <typename AttendFn>
+Tensor Model::run_layers(Tensor& x, std::span<const int> all_rows,
+                         std::span<const int> out_rows,
+                         AttendFn&& attend) const {
+  Tensor h(x.shape());
+  for (int l = 0; l < config_.n_layers; ++l) {
+    const auto& lw = weights_.layers[static_cast<size_t>(l)];
+    const std::span<const int> q_rows =
+        l + 1 == config_.n_layers ? out_rows : all_rows;
+    apply_norm(lw.norm1_w, lw.norm1_b, x, h);
+    const Tensor attn_out = attend(l, h, q_rows);
+    if (q_rows.size() < all_rows.size()) {
+      // Final layer: the other rows' K/V are published and nothing reads
+      // anything else of them.
+      if (q_rows.empty()) return {};
+      x = gather_rows(x, q_rows);
+      h = gather_rows(h, q_rows);
+    }
+    finish_block(l, attn_out, h, x);
+  }
+  if (config_.final_norm && config_.norm != NormKind::kNone) {
+    apply_norm(weights_.final_norm_w, weights_.final_norm_b, x, h);
+    return matmul_nt(h, weights_.lm_head);
+  }
+  return matmul_nt(x, weights_.lm_head);
+}
+
 Tensor Model::forward(std::span<const TokenId> tokens,
                       std::span<const int> pos_ids, KVCache& cache,
                       bool return_all_logits) const {
-  return forward_impl(tokens, pos_ids, {}, cache, return_all_logits);
+  return forward_impl(tokens, pos_ids, {}, cache,
+                      return_all_logits ? LogitRows::kAll : LogitRows::kLast);
 }
 
 Tensor Model::forward(std::span<const TokenId> tokens,
                       std::span<const int> pos_ids, SegmentedKVCache& cache,
                       bool return_all_logits) const {
-  return forward_impl(tokens, pos_ids, {}, cache, return_all_logits);
+  return forward_impl(tokens, pos_ids, {}, cache,
+                      return_all_logits ? LogitRows::kAll : LogitRows::kLast);
+}
+
+void Model::encode(std::span<const TokenId> tokens,
+                   std::span<const int> pos_ids, KVCache& cache) const {
+  (void)forward_impl(tokens, pos_ids, {}, cache, LogitRows::kNone);
+}
+
+void Model::encode(std::span<const TokenId> tokens,
+                   std::span<const int> pos_ids,
+                   SegmentedKVCache& cache) const {
+  (void)forward_impl(tokens, pos_ids, {}, cache, LogitRows::kNone);
 }
 
 Tensor Model::forward_blocked(std::span<const TokenId> tokens,
@@ -433,7 +526,8 @@ Tensor Model::forward_blocked(std::span<const TokenId> tokens,
   PC_CHECK_MSG(hidden_from_global.empty() ||
                    hidden_from_global.size() == tokens.size(),
                "hidden_from_global length mismatch");
-  return forward_impl(tokens, pos_ids, block_ids, cache, return_all_logits,
+  return forward_impl(tokens, pos_ids, block_ids, cache,
+                      return_all_logits ? LogitRows::kAll : LogitRows::kLast,
                       hidden_from_global);
 }
 
@@ -441,7 +535,7 @@ template <typename CacheT>
 Tensor Model::forward_impl(std::span<const TokenId> tokens,
                            std::span<const int> pos_ids,
                            std::span<const int> block_ids, CacheT& cache,
-                           bool return_all_logits,
+                           LogitRows rows,
                            std::span<const bool> hidden_from_global) const {
   PC_CHECK_MSG(tokens.size() == pos_ids.size(),
                "tokens/pos_ids length mismatch");
@@ -455,54 +549,22 @@ Tensor Model::forward_impl(std::span<const TokenId> tokens,
   }
 
   const int n_new = static_cast<int>(tokens.size());
-  const int d = config_.d_model;
   const int first_new = cache.append_tokens(pos_ids);
 
-  Tensor x({n_new, d});
+  Tensor x({n_new, config_.d_model});
   embed(tokens, pos_ids, x);
 
-  Tensor h({n_new, d});
-  Tensor attn_out({n_new, config_.q_dim()});
-  for (int l = 0; l < config_.n_layers; ++l) {
-    const auto& lw = weights_.layers[static_cast<size_t>(l)];
-    apply_norm(lw.norm1_w, lw.norm1_b, x, h);
-    attention(l, h, pos_ids, block_ids, hidden_from_global, first_new, cache,
-              attn_out);
-    Tensor attn_proj = matmul_nt(attn_out, lw.wo);  // [n, d_model]
-
-    if (config_.parallel_block) {
-      // Falcon block: MLP reads the same normed input; both add to residual.
-      add_inplace(x, attn_proj);
-      if (config_.use_mlp) {
-        Tensor mlp_out;
-        mlp(l, h, mlp_out);
-        add_inplace(x, mlp_out);
-      }
-    } else {
-      add_inplace(x, attn_proj);
-      if (config_.use_mlp) {
-        apply_norm(lw.norm2_w, lw.norm2_b, x, h);
-        Tensor mlp_out;
-        mlp(l, h, mlp_out);
-        add_inplace(x, mlp_out);
-      }
-    }
-  }
-
-  // Logits for the requested rows.
-  const int64_t out_rows = return_all_logits ? n_new : 1;
-  Tensor final_in({out_rows, d});
-  for (int64_t r = 0; r < out_rows; ++r) {
-    const int64_t src = return_all_logits ? r : n_new - 1;
-    std::memcpy(final_in.row(r), x.row(src),
-                static_cast<size_t>(d) * sizeof(float));
-  }
-  if (config_.final_norm && config_.norm != NormKind::kNone) {
-    Tensor normed({out_rows, d});
-    apply_norm(weights_.final_norm_w, weights_.final_norm_b, final_in, normed);
-    return matmul_nt(normed, weights_.lm_head);
-  }
-  return matmul_nt(final_in, weights_.lm_head);
+  std::vector<int> all_rows(static_cast<size_t>(n_new));
+  std::iota(all_rows.begin(), all_rows.end(), 0);
+  const size_t first_out = rows == LogitRows::kAll    ? 0
+                           : rows == LogitRows::kLast ? all_rows.size() - 1
+                                                      : all_rows.size();
+  return run_layers(
+      x, all_rows, std::span<const int>(all_rows).subspan(first_out),
+      [&](int l, const Tensor& h, std::span<const int> q_rows) {
+        return attention(l, h, pos_ids, block_ids, hidden_from_global,
+                         first_new, q_rows, cache);
+      });
 }
 
 Tensor Model::forward_batch(std::span<const BatchSeq> seqs) const {
@@ -533,19 +595,19 @@ Tensor Model::forward_batch(std::span<const BatchSeq> seqs) const {
           {"tokens", static_cast<int64_t>(total)});
 
   // Flatten: dense row-wise stages run once over every sequence's rows.
-  const int d = config_.d_model;
   std::vector<TokenId> tokens;
   std::vector<int> pos;
   std::vector<int> row_seq(static_cast<size_t>(total));
   std::vector<int> row_idx(static_cast<size_t>(total));
-  std::vector<int> row_off(static_cast<size_t>(n_seqs));
   std::vector<int> first_new(static_cast<size_t>(n_seqs));
+  std::vector<int> all_rows(static_cast<size_t>(total));
+  std::iota(all_rows.begin(), all_rows.end(), 0);
+  std::vector<int> out_rows;  // each logits sequence's last row
   tokens.reserve(static_cast<size_t>(total));
   pos.reserve(static_cast<size_t>(total));
   int r = 0;
   for (int s = 0; s < n_seqs; ++s) {
     const BatchSeq& seq = seqs[static_cast<size_t>(s)];
-    row_off[static_cast<size_t>(s)] = r;
     first_new[static_cast<size_t>(s)] = seq.cache->append_tokens(seq.pos_ids);
     for (size_t i = 0; i < seq.tokens.size(); ++i) {
       tokens.push_back(seq.tokens[i]);
@@ -554,53 +616,17 @@ Tensor Model::forward_batch(std::span<const BatchSeq> seqs) const {
       row_idx[static_cast<size_t>(r)] = static_cast<int>(i);
       ++r;
     }
+    if (seq.logits) out_rows.push_back(r - 1);
   }
 
-  Tensor x({total, d});
+  Tensor x({total, config_.d_model});
   embed(tokens, pos, x);
-
-  Tensor h({total, d});
-  Tensor attn_out({total, config_.q_dim()});
-  for (int l = 0; l < config_.n_layers; ++l) {
-    const auto& lw = weights_.layers[static_cast<size_t>(l)];
-    apply_norm(lw.norm1_w, lw.norm1_b, x, h);
-    attention_batch(l, h, seqs, first_new, row_seq, row_idx, pos, attn_out);
-    Tensor attn_proj = matmul_nt(attn_out, lw.wo);  // [total, d_model]
-
-    if (config_.parallel_block) {
-      add_inplace(x, attn_proj);
-      if (config_.use_mlp) {
-        Tensor mlp_out;
-        mlp(l, h, mlp_out);
-        add_inplace(x, mlp_out);
-      }
-    } else {
-      add_inplace(x, attn_proj);
-      if (config_.use_mlp) {
-        apply_norm(lw.norm2_w, lw.norm2_b, x, h);
-        Tensor mlp_out;
-        mlp(l, h, mlp_out);
-        add_inplace(x, mlp_out);
-      }
-    }
-  }
-
-  // One logits row per sequence: its last new token.
-  Tensor final_in({n_seqs, d});
-  for (int s = 0; s < n_seqs; ++s) {
-    const int last = row_off[static_cast<size_t>(s)] +
-                     static_cast<int>(seqs[static_cast<size_t>(s)]
-                                          .tokens.size()) -
-                     1;
-    std::memcpy(final_in.row(s), x.row(last),
-                static_cast<size_t>(d) * sizeof(float));
-  }
-  if (config_.final_norm && config_.norm != NormKind::kNone) {
-    Tensor normed({n_seqs, d});
-    apply_norm(weights_.final_norm_w, weights_.final_norm_b, final_in, normed);
-    return matmul_nt(normed, weights_.lm_head);
-  }
-  return matmul_nt(final_in, weights_.lm_head);
+  return run_layers(
+      x, all_rows, out_rows,
+      [&](int l, const Tensor& h, std::span<const int> q_rows) {
+        return attention_batch(l, h, seqs, first_new, row_seq, row_idx, pos,
+                               q_rows);
+      });
 }
 
 TokenId Model::argmax(const Tensor& logits, int64_t row) {

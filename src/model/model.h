@@ -6,9 +6,15 @@
 // Every mode of the paper is an instance of it:
 //   * baseline prefill        — empty cache, positions 0..n-1
 //   * prompt-module encoding  — empty cache, positions from the schema
-//     (module-local attention falls out: nothing else is in the cache)
+//     (module-local attention falls out: nothing else is in the cache);
+//     encode() is its K/V-only form
 //   * uncached-segment filling— cache preloaded with concatenated modules
 //   * autoregressive decode   — one token at a time
+//
+// Every new row gets K/V at every layer. Past the final layer's K/V, only
+// the rows whose logits are returned are computed (the last row unless
+// return_all_logits is set; none for encode()): nothing else reads them, and
+// every post-K/V op is row-independent, so no returned or cached bit moves.
 //
 // New tokens attend to everything already in the cache plus causally to one
 // another. ALiBi biases are computed from the true position IDs stored in
@@ -76,7 +82,8 @@ class Model {
 
   // Computes attention states for `tokens` at `pos_ids` (same length),
   // appends them to `cache`, and returns logits: [1, vocab] for the final
-  // token, or [n, vocab] when return_all_logits is set.
+  // token, or [n, vocab] when return_all_logits is set. The final layer
+  // runs past K/V for the returned rows only.
   Tensor forward(std::span<const TokenId> tokens,
                  std::span<const int> pos_ids, KVCache& cache,
                  bool return_all_logits = false) const;
@@ -87,14 +94,27 @@ class Model {
                  std::span<const int> pos_ids, SegmentedKVCache& cache,
                  bool return_all_logits = false) const;
 
+  // K/V only: appends the same K/V bits forward() would, and computes
+  // nothing past the final layer's K/V (no final-layer query side or MLP,
+  // no final norm or LM head). For callers that discard the logits: module
+  // and scaffold encoding, and a chat session's catch-up forwards (the
+  // reply's last token, the closing tokens).
+  void encode(std::span<const TokenId> tokens, std::span<const int> pos_ids,
+              KVCache& cache) const;
+  void encode(std::span<const TokenId> tokens, std::span<const int> pos_ids,
+              SegmentedKVCache& cache) const;
+
   // One sequence of a batched step: `tokens` are the new tokens this
   // iteration (a prefill chunk or a single decode token) at `pos_ids`,
   // appended to `cache` — a view that may borrow module rows, so every
-  // request reads shared modules in place.
+  // request reads shared modules in place. `logits` asks for the last new
+  // token's logits; a mid-prompt prefill chunk clears it, and the step then
+  // computes only its rows' K/V in the final layer.
   struct BatchSeq {
     std::span<const TokenId> tokens;
     std::span<const int> pos_ids;
     SegmentedKVCache* cache = nullptr;
+    bool logits = true;
   };
 
   // Batched step over independent sequences (continuous batching, see
@@ -104,8 +124,9 @@ class Model {
   // its own cache, causally within its chunk). Every per-row computation is
   // bitwise identical to running the sequences through forward()
   // one at a time — the foundation of the batched == sequential token
-  // equality the serve path guarantees. Returns [n_seqs, vocab] logits for
-  // each sequence's last new token. Caches must be distinct.
+  // equality the serve path guarantees. Returns one logits row per sequence
+  // with `logits` set, for its last new token, in batch order
+  // ([m, vocab]; empty when m == 0). Caches must be distinct.
   Tensor forward_batch(std::span<const BatchSeq> seqs) const;
 
   // Reference path: one prefill over the whole prompt with a block-diagonal
@@ -185,6 +206,9 @@ class Model {
              Tensor& x) const;
   void apply_norm(const Tensor& w, const Tensor& b, const Tensor& x,
                   Tensor& out) const;
+  // Which new rows of a forward run past the final layer's K/V and reach
+  // the logits.
+  enum class LogitRows { kLast, kAll, kNone };
   // The forward pass is a template over the cache representation: KVCache
   // (contiguous, memcpy-assembled) and SegmentedKVCache (zero-copy row
   // pointer tables) share one implementation.
@@ -192,19 +216,36 @@ class Model {
   Tensor forward_impl(std::span<const TokenId> tokens,
                       std::span<const int> pos_ids,
                       std::span<const int> block_ids, CacheT& cache,
-                      bool return_all_logits,
+                      LogitRows rows,
                       std::span<const bool> hidden_from_global = {}) const;
+  // The layer stack over embedded rows x (whose indices are all_rows):
+  // attend(layer, h, q_rows) publishes every row's K/V and returns the
+  // attention output of rows q_rows, which are all_rows except in the final
+  // layer, where they are out_rows. Returns the logits of out_rows, or an
+  // empty tensor when out_rows is empty.
+  template <typename AttendFn>
+  Tensor run_layers(Tensor& x, std::span<const int> all_rows,
+                    std::span<const int> out_rows, AttendFn&& attend) const;
+  // Query projections of h's rows `rows` (all of h when it has no others),
+  // rotated at their positions on RoPE models.
+  Tensor queries(int layer, const Tensor& h, std::span<const int> pos_ids,
+                 std::span<const int> rows) const;
   template <typename CacheT>
-  void attention(int layer, const Tensor& h, std::span<const int> pos_ids,
-                 std::span<const int> block_ids,
-                 std::span<const bool> hidden_from_global, int first_new,
-                 CacheT& cache, Tensor& out) const;
-  void attention_batch(int layer, const Tensor& h,
-                       std::span<const BatchSeq> seqs,
-                       const std::vector<int>& first_new,
-                       const std::vector<int>& row_seq,
-                       const std::vector<int>& row_idx,
-                       std::span<const int> pos_ids, Tensor& out) const;
+  Tensor attention(int layer, const Tensor& h, std::span<const int> pos_ids,
+                   std::span<const int> block_ids,
+                   std::span<const bool> hidden_from_global, int first_new,
+                   std::span<const int> q_rows, CacheT& cache) const;
+  Tensor attention_batch(int layer, const Tensor& h,
+                         std::span<const BatchSeq> seqs,
+                         const std::vector<int>& first_new,
+                         const std::vector<int>& row_seq,
+                         const std::vector<int>& row_idx,
+                         std::span<const int> pos_ids,
+                         std::span<const int> q_rows) const;
+  // Output projection, residual and MLP of `layer` for the rows of attn_out;
+  // h holds the same rows' norm1 output.
+  void finish_block(int layer, const Tensor& attn_out, Tensor& h,
+                    Tensor& x) const;
   template <typename CacheT>
   GenerateOutput generate_impl(const Tensor& last_logits, int next_pos,
                                CacheT& cache,

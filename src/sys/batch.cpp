@@ -397,10 +397,12 @@ bool BatchScheduler::step() {
   // active sequence.
   struct WorkRef {
     Seq* seq;
-    int chunk;  // > 0 for prefill contributions
+    int chunk;           // > 0 for prefill contributions
+    int64_t logits_row;  // its row of the step's logits; -1 mid-prompt
   };
   std::vector<Model::BatchSeq> batch;
   std::vector<WorkRef> refs;
+  int64_t logits_rows = 0;
   bool any_transfer = false;
   auto earliest_ready = std::chrono::steady_clock::time_point::max();
   for (auto& sp : active_) {
@@ -425,20 +427,22 @@ bool BatchScheduler::step() {
       const int remaining =
           static_cast<int>(s.stream.tokens.size() - s.prefill_done);
       const int chunk = std::min(options_.batch.chunk_tokens, remaining);
+      // Only the final chunk's logits are read (they give the first token).
+      const bool final_chunk = chunk == remaining;
       batch.push_back(Model::BatchSeq{
           std::span<const TokenId>(s.stream.tokens.data() + s.prefill_done,
                                    static_cast<size_t>(chunk)),
           std::span<const int>(s.stream.pos_ids.data() + s.prefill_done,
                                static_cast<size_t>(chunk)),
-          &s.kv->view});
-      refs.push_back({&s, chunk});
+          &s.kv->view, final_chunk});
+      refs.push_back({&s, chunk, final_chunk ? logits_rows++ : -1});
     } else {  // kDecode: invariant — needs one forward of s.next
       s.decode_tok = s.next;
       s.decode_pos = s.gen_start + s.step_idx;
       batch.push_back(Model::BatchSeq{
           std::span<const TokenId>(&s.decode_tok, 1),
           std::span<const int>(&s.decode_pos, 1), &s.kv->view});
-      refs.push_back({&s, 0});
+      refs.push_back({&s, 0, logits_rows++});
     }
   }
 
@@ -462,13 +466,13 @@ bool BatchScheduler::step() {
         s.result.ttft.uncached_ms = ms_between(s.prefill_start, after);
         s.result.ttft.uncached_tokens =
             static_cast<int>(s.stream.tokens.size());
-        s.next = Model::sample_token(logits, static_cast<int64_t>(i),
+        s.next = Model::sample_token(logits, refs[i].logits_row,
                                      s.req.options, s.rng);
         s.phase = Phase::kDecode;
         s.step_idx = 0;
         s.decode_start = after;
       } else {
-        s.next = Model::sample_token(logits, static_cast<int64_t>(i),
+        s.next = Model::sample_token(logits, refs[i].logits_row,
                                      s.req.options, s.rng);
         ++s.step_idx;
       }

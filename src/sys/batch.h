@@ -31,8 +31,10 @@
 // rows instead, which can flip near-tied tokens). Model::forward_batch
 // keeps every per-row computation bitwise equal to forward(), chunked
 // prefill only splits rows across iterations (row i's values depend only
-// on rows <= i), and the decode loop below replays Model::generate_impl's
-// exact sampling order with a per-request Rng(options.seed).
+// on rows <= i; a mid-prompt chunk asks for no logits, so its rows stop at
+// K/V in the final layer), and the decode loop below replays
+// Model::generate_impl's exact sampling order with a per-request
+// Rng(options.seed).
 // tests/test_batch_serve.cpp asserts this for batch sizes 1/2/4/8 with and
 // without shared modules, and on random weights at fp32, q8 and q4.
 //

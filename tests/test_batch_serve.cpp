@@ -200,6 +200,80 @@ TEST_F(BatchServeTest, ForwardBatchMatchesForwardBitwise) {
                           static_cast<size_t>(ref.dim(1)) * sizeof(float)),
               0);
   }
+
+  // One step mixing a mid-prompt chunk (no logits), a final chunk and a
+  // decode row: only the last two return logits, and every sequence's tail
+  // holds the K/V rows sequential forwards compute.
+  {
+    const int split = 5;
+    const int n2 = n / 2;
+    SegmentedKVCache mid(n_layers, kv_dim, split);
+    SegmentedKVCache fin(n_layers, kv_dim, n);
+    SegmentedKVCache dec(n_layers, kv_dim, n2 + 1);
+    (void)model_.forward(
+        std::span<const TokenId>(tokens.data(), static_cast<size_t>(split)),
+        std::span<const int>(pos.data(), static_cast<size_t>(split)), fin);
+    (void)model_.forward(
+        std::span<const TokenId>(tokens.data(), static_cast<size_t>(n2)),
+        std::span<const int>(pos.data(), static_cast<size_t>(n2)), dec);
+    KVCache dense_dec = model_.make_cache();
+    (void)model_.forward(
+        std::span<const TokenId>(tokens.data(), static_cast<size_t>(n2)),
+        std::span<const int>(pos.data(), static_cast<size_t>(n2)), dense_dec);
+    const Tensor ref_dec = model_.forward(
+        std::span<const TokenId>(tokens.data() + n2, 1),
+        std::span<const int>(pos.data() + n2, 1), dense_dec);
+
+    Model::BatchSeq step[3] = {
+        {std::span<const TokenId>(tokens.data(), static_cast<size_t>(split)),
+         std::span<const int>(pos.data(), static_cast<size_t>(split)), &mid,
+         /*logits=*/false},
+        {std::span<const TokenId>(tokens.data() + split,
+                                  static_cast<size_t>(n - split)),
+         std::span<const int>(pos.data() + split,
+                              static_cast<size_t>(n - split)),
+         &fin},
+        {std::span<const TokenId>(tokens.data() + n2, 1),
+         std::span<const int>(pos.data() + n2, 1), &dec}};
+    const Tensor out = model_.forward_batch(step);
+    ASSERT_EQ(out.dim(0), 2);
+    const size_t row_bytes = static_cast<size_t>(ref.dim(1)) * sizeof(float);
+    EXPECT_EQ(std::memcmp(out.row(0), ref.data(), row_bytes), 0);
+    EXPECT_EQ(std::memcmp(out.row(1), ref_dec.data(), row_bytes), 0);
+
+    const size_t kv_bytes = static_cast<size_t>(kv_dim) * sizeof(float);
+    auto expect_rows = [&](const SegmentedKVCache& view,
+                           const KVCache& want) {
+      ASSERT_EQ(view.size(), want.size());
+      for (int l = 0; l < n_layers; ++l) {
+        for (int t = 0; t < want.size(); ++t) {
+          ASSERT_EQ(std::memcmp(view.k_row(l, t), want.k_row(l, t), kv_bytes),
+                    0)
+              << "K layer " << l << " token " << t;
+          ASSERT_EQ(std::memcmp(view.v_row(l, t), want.v_row(l, t), kv_bytes),
+                    0)
+              << "V layer " << l << " token " << t;
+        }
+      }
+    };
+    KVCache dense_mid = model_.make_cache();
+    (void)model_.forward(
+        std::span<const TokenId>(tokens.data(), static_cast<size_t>(split)),
+        std::span<const int>(pos.data(), static_cast<size_t>(split)),
+        dense_mid);
+    expect_rows(mid, dense_mid);
+    expect_rows(fin, dense);
+    expect_rows(dec, dense_dec);
+
+    // A step in which no sequence asks for logits returns none.
+    SegmentedKVCache lone(n_layers, kv_dim, split);
+    Model::BatchSeq chunk{
+        std::span<const TokenId>(tokens.data(), static_cast<size_t>(split)),
+        std::span<const int>(pos.data(), static_cast<size_t>(split)), &lone,
+        /*logits=*/false};
+    EXPECT_TRUE(model_.forward_batch({&chunk, 1}).empty());
+    expect_rows(lone, dense_mid);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@
 #include "core/engine.h"
 #include "eval/workload.h"
 #include "model/induction.h"
+#include "obs/metrics.h"
 #include "tensor/ops.h"
 
 namespace pc {
@@ -402,6 +403,41 @@ TEST_F(EngineTest, PrecisionFootprintOrdering) {
   EXPECT_GT(bytes[2], bytes[0] / 5);       // but not free (scales)
   EXPECT_LT(bytes[3], bytes[2] * 3 / 4);   // q4 well below q8
   EXPECT_GT(bytes[3], bytes[0] / 8);       // but above pure 4-bit (scales)
+}
+
+// A model whose KV heads cannot hold Q4_0 blocks (d_head 16, 2 KV heads)
+// stores q8 when asked for q4, and the engine counts the fallback — in its
+// stats and in pc_engine_kv_format_fallbacks_total; llama_tiny stores q4.
+TEST_F(EngineTest, Q4ToQ8FallbackIsCounted) {
+  const auto family_total = [] {
+    for (const auto& f : obs::MetricsRegistry::global().collect()) {
+      if (f.name == "pc_engine_kv_format_fallbacks_total") {
+        return f.counter_value;
+      }
+    }
+    return uint64_t{0};
+  };
+  const uint64_t before = family_total();
+  EngineConfig q4;
+  q4.precision = StorePrecision::kQ4;
+
+  ModelConfig c = ModelConfig::llama_tiny(workload_.vocab().size(), 256);
+  c.d_model = 64;
+  c.n_heads = 4;
+  c.n_kv_heads = 2;
+  c.d_head = 16;
+  const Model narrow = Model::random(c, 3);
+  const PromptCacheEngine fallback(narrow, workload_.tokenizer(), q4);
+  EXPECT_EQ(fallback.config().precision, StorePrecision::kQ8);
+  EXPECT_EQ(fallback.stats().kv_format_fallbacks, 1u);
+  EXPECT_EQ(family_total(), before + 1);
+
+  const Model tiny = Model::random(
+      ModelConfig::llama_tiny(workload_.vocab().size(), 256), 3);
+  const PromptCacheEngine direct(tiny, workload_.tokenizer(), q4);
+  EXPECT_EQ(direct.config().precision, StorePrecision::kQ4);
+  EXPECT_EQ(direct.stats().kv_format_fallbacks, 0u);
+  EXPECT_EQ(family_total(), before + 1);
 }
 
 // Runtime module updates (§1: "or even update some prompt modules during

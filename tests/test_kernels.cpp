@@ -20,6 +20,7 @@
 #include "model/model.h"
 #include "tensor/ops.h"
 #include "tensor/simd.h"
+#include "tokenizer/vocab.h"
 
 namespace pc {
 namespace {
@@ -338,9 +339,10 @@ TEST(GemmKernels, GemmMatchesScalarReference) {
 }
 
 TEST(GemmKernels, RowResultIndependentOfBatchSize) {
-  // The incremental-equals-full bitwise property of the engine requires
-  // that row i of a matmul depend only on (a_row_i, B) — never on how many
-  // other rows were computed alongside it.
+  // The incremental-equals-full bitwise property of the engine, and the
+  // final layer's logit-rows-only cut, require that row i of a matmul
+  // depend only on (a_row_i, B) — never on how many other rows were
+  // computed alongside it.
   const size_t m = 5, k = 129, n = 37;
   const auto a = random_vec(m * k, 71);
   const auto b = random_vec(n * k, 73);
@@ -351,6 +353,37 @@ TEST(GemmKernels, RowResultIndependentOfBatchSize) {
     gemm_nt(a.data() + i * k, b.data(), single.data(), 1, k, n);
     for (size_t j = 0; j < n; ++j) {
       ASSERT_EQ(full[i * n + j], single[j]) << "row " << i << " col " << j;
+    }
+  }
+
+  // llama_tiny's projection shapes (k x n): Q/O 192x192, K/V 192x96, MLP
+  // up/gate 192x512 and down 512x192, LM head 192 x vocab; at m = 32 and
+  // 1056 parallel_for splits the rows when the pool has more than one
+  // thread.
+  const ModelConfig cfg =
+      ModelConfig::llama_tiny(Vocab::basic_english().size());
+  const size_t d = static_cast<size_t>(cfg.d_model);
+  const size_t kv = static_cast<size_t>(cfg.kv_dim());
+  const size_t ff = static_cast<size_t>(cfg.d_ff);
+  const size_t vocab = static_cast<size_t>(cfg.vocab_size);
+  const std::pair<size_t, size_t> shapes[] = {
+      {d, d}, {d, kv}, {d, ff}, {ff, d}, {d, vocab}};
+  constexpr size_t kMaxRows = 1056;
+  for (const auto& [sk, sn] : shapes) {
+    const auto sa = random_vec(kMaxRows * sk, 79 + sk);
+    const auto sb = random_vec(sn * sk, 83 + sn);
+    std::vector<float> single(kMaxRows * sn);
+    for (size_t i = 0; i < kMaxRows; ++i) {
+      gemm_nt(sa.data() + i * sk, sb.data(), single.data() + i * sn, 1, sk,
+              sn);
+    }
+    for (size_t sm : {size_t{1}, size_t{32}, kMaxRows}) {
+      std::vector<float> batch(sm * sn);
+      gemm_nt(sa.data(), sb.data(), batch.data(), sm, sk, sn);
+      ASSERT_EQ(std::memcmp(batch.data(), single.data(),
+                            batch.size() * sizeof(float)),
+                0)
+          << "m=" << sm << " k=" << sk << " n=" << sn;
     }
   }
 }

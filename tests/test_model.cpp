@@ -3,8 +3,10 @@
 // families (parameterized).
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numeric>
 #include <set>
+#include <string>
 
 #include "model/induction.h"
 #include "model/model.h"
@@ -42,23 +44,49 @@ std::vector<int> iota_positions(size_t n, int start = 0) {
   return p;
 }
 
+// Every layer's K and V rows of the two caches are bit-identical.
+void expect_same_kv(const KVCache& a, const KVCache& b) {
+  ASSERT_EQ(a.size(), b.size());
+  const size_t row_bytes = static_cast<size_t>(a.kv_dim()) * sizeof(float);
+  for (int l = 0; l < a.n_layers(); ++l) {
+    for (int t = 0; t < a.size(); ++t) {
+      ASSERT_EQ(std::memcmp(a.k_row(l, t), b.k_row(l, t), row_bytes), 0)
+          << "K layer " << l << " token " << t;
+      ASSERT_EQ(std::memcmp(a.v_row(l, t), b.v_row(l, t), row_bytes), 0)
+          << "V layer " << l << " token " << t;
+    }
+  }
+}
+
 class ModelFamilyTest : public ::testing::TestWithParam<ArchFamily> {};
 
+// The final layer runs past K/V for the returned rows only: last-row logits
+// equal row n-1 of return_all_logits bit for bit, and every layer's K/V is
+// the same whether one row, all rows or no row (encode) reaches the logits.
+// At n_new 8 and above the uncut layers run the per-row attention schedule,
+// below it the per-KV-head one; the single cut row always takes the latter.
 TEST_P(ModelFamilyTest, LogitShapes) {
   const Model model = Model::random(config_for(GetParam()), 1);
-  KVCache cache = model.make_cache();
-  const auto tokens = random_tokens(7, 11);
-  const auto pos = iota_positions(7);
-  const Tensor last = model.forward(tokens, pos, cache);
-  EXPECT_EQ(last.dim(0), 1);
-  EXPECT_EQ(last.dim(1), kVocab);
+  for (int n : {1, 2, 7, 8, 9, 33}) {
+    SCOPED_TRACE("n_new " + std::to_string(n));
+    const auto tokens = random_tokens(static_cast<size_t>(n), 11);
+    const auto pos = iota_positions(static_cast<size_t>(n));
+    KVCache cache = model.make_cache();
+    const Tensor last = model.forward(tokens, pos, cache);
+    ASSERT_EQ(last.dim(0), 1);
+    ASSERT_EQ(last.dim(1), kVocab);
 
-  KVCache cache2 = model.make_cache();
-  const Tensor all = model.forward(tokens, pos, cache2, true);
-  EXPECT_EQ(all.dim(0), 7);
-  // Last row of all-logits equals the single-row result.
-  for (int64_t j = 0; j < all.dim(1); ++j) {
-    EXPECT_FLOAT_EQ(all.at(6, j), last.at(0, j));
+    KVCache cache_all = model.make_cache();
+    const Tensor all = model.forward(tokens, pos, cache_all, true);
+    ASSERT_EQ(all.dim(0), n);
+    EXPECT_EQ(std::memcmp(all.row(n - 1), last.row(0),
+                          static_cast<size_t>(kVocab) * sizeof(float)),
+              0);
+    expect_same_kv(cache, cache_all);
+
+    KVCache encoded = model.make_cache();
+    model.encode(tokens, pos, encoded);
+    expect_same_kv(cache, encoded);
   }
 }
 
@@ -136,52 +164,75 @@ TEST_P(ModelFamilyTest, SingleBlockEqualsUnmasked) {
 
 // The central Prompt Cache equivalence (§3.1/§3.3): encoding modules
 // independently and concatenating their KV states is exactly one blocked
-// prefill with a block-diagonal mask and the same position IDs.
+// prefill with a block-diagonal mask and the same position IDs. Two inputs:
+// modules encoded by forward(), and modules encoded K/V-only by encode()
+// with a parameter placeholder in mod2 — attended while mod2 is encoded,
+// dropped from the concatenation, and hidden from the global rows of the
+// blocked prefill (§3.3).
 TEST_P(ModelFamilyTest, ModuleConcatEqualsBlockedPrefill) {
   const Model model = Model::random(config_for(GetParam()), 5);
   const auto mod1 = random_tokens(5, 23);
   const auto mod2 = random_tokens(7, 29);
   const auto suffix = random_tokens(3, 31);
 
-  // Layout: mod1 at [0,5), mod2 at [5,12), suffix at [12,15).
-  KVCache enc1 = model.make_cache();
-  (void)model.forward(mod1, iota_positions(5, 0), enc1);
-  KVCache enc2 = model.make_cache();
-  (void)model.forward(mod2, iota_positions(7, 5), enc2);
+  for (const bool kv_only : {false, true}) {
+    SCOPED_TRACE(kv_only ? "encode() + placeholder" : "forward()");
+    const int placeholder = kv_only ? 5 + 2 : -1;  // row of mod2, or none
 
-  KVCache cached = model.make_cache();
-  cached.append_copy(enc1);
-  cached.append_copy(enc2);
-  const Tensor cached_logits =
-      model.forward(suffix, iota_positions(3, 12), cached);
-
-  // Reference: one forward with a block-diagonal mask; the suffix uses the
-  // global block (attends to everything).
-  std::vector<TokenId> all;
-  all.insert(all.end(), mod1.begin(), mod1.end());
-  all.insert(all.end(), mod2.begin(), mod2.end());
-  all.insert(all.end(), suffix.begin(), suffix.end());
-  const auto pos = iota_positions(15);
-  std::vector<int> blocks;
-  blocks.insert(blocks.end(), 5, 1);
-  blocks.insert(blocks.end(), 7, 2);
-  blocks.insert(blocks.end(), 3, Model::kGlobalBlock);
-
-  KVCache reference = model.make_cache();
-  const Tensor ref_logits =
-      model.forward_blocked(all, pos, blocks, reference);
-
-  ASSERT_EQ(cached.size(), reference.size());
-  for (int l = 0; l < model.config().n_layers; ++l) {
-    for (int t = 0; t < cached.size(); ++t) {
-      for (int e = 0; e < model.config().kv_dim(); ++e) {
-        ASSERT_EQ(cached.k_row(l, t)[e], reference.k_row(l, t)[e])
-            << "layer " << l << " token " << t << " elem " << e;
-        ASSERT_EQ(cached.v_row(l, t)[e], reference.v_row(l, t)[e]);
-      }
+    // Layout: mod1 at [0,5), mod2 at [5,12), suffix at [12,15).
+    KVCache enc1 = model.make_cache();
+    KVCache enc2 = model.make_cache();
+    if (kv_only) {
+      model.encode(mod1, iota_positions(5, 0), enc1);
+      model.encode(mod2, iota_positions(7, 5), enc2);
+    } else {
+      (void)model.forward(mod1, iota_positions(5, 0), enc1);
+      (void)model.forward(mod2, iota_positions(7, 5), enc2);
     }
+
+    KVCache cached = model.make_cache();
+    cached.append_copy(enc1);
+    if (placeholder >= 0) {
+      cached.append_range(enc2, 0, placeholder - 5);
+      cached.append_range(enc2, placeholder - 5 + 1, enc2.size());
+    } else {
+      cached.append_copy(enc2);
+    }
+    const Tensor cached_logits =
+        model.forward(suffix, iota_positions(3, 12), cached);
+
+    // Reference: one forward with a block-diagonal mask; the suffix uses
+    // the global block (attends to everything but the placeholder).
+    std::vector<TokenId> all;
+    all.insert(all.end(), mod1.begin(), mod1.end());
+    all.insert(all.end(), mod2.begin(), mod2.end());
+    all.insert(all.end(), suffix.begin(), suffix.end());
+    const auto pos = iota_positions(15);
+    std::vector<int> blocks;
+    blocks.insert(blocks.end(), 5, 1);
+    blocks.insert(blocks.end(), 7, 2);
+    blocks.insert(blocks.end(), 3, Model::kGlobalBlock);
+    bool hidden[15] = {};
+    if (placeholder >= 0) hidden[placeholder] = true;
+
+    KVCache reference = model.make_cache();
+    const Tensor ref_logits =
+        model.forward_blocked(all, pos, blocks, reference, false, hidden);
+
+    // The reference's rows with the placeholder's dropped, as the cached
+    // path assembles them.
+    KVCache kept = model.make_cache();
+    if (placeholder >= 0) {
+      kept.append_range(reference, 0, placeholder);
+      kept.append_range(reference, placeholder + 1, reference.size());
+    } else {
+      kept.append_copy(reference);
+    }
+    expect_same_kv(cached, kept);
+    EXPECT_EQ(std::memcmp(cached_logits.data(), ref_logits.data(),
+                          ref_logits.byte_size()),
+              0);
   }
-  EXPECT_EQ(max_abs_diff(cached_logits, ref_logits), 0.0f);
 }
 
 // Concatenation order must not matter (§3.4, permutation invariance): the

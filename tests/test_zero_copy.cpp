@@ -3,7 +3,9 @@
 // precision restrictions.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numeric>
+#include <string>
 
 #include "core/engine.h"
 #include "eval/workload.h"
@@ -103,6 +105,89 @@ TEST_F(ZeroCopyTest, ForwardMatchesContiguousCacheBitwise) {
   const Tensor view_logits = model_.forward(suffix, suf_pos, view);
 
   EXPECT_EQ(max_abs_diff(copy_logits, view_logits), 0.0f);
+}
+
+// The K/V-only call publishes forward()'s K/V bits into a view's owned tail
+// whatever format its borrowed module rows hold (fp32, q8, q4), at suffix
+// lengths on both sides of the attention schedules' 8-row switch.
+TEST(ZeroCopyEncode, MatchesForwardOverBorrowedFp32Q8Q4Rows) {
+  const ModelConfig cfg = ModelConfig::llama_tiny(64, 256);
+  const Model model = Model::random(cfg, 9);
+  const int n_layers = cfg.n_layers;
+  const int kv_dim = cfg.kv_dim();
+  constexpr int kModule = 12;
+  std::vector<TokenId> tokens(kModule + 9);
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    tokens[i] = static_cast<TokenId>((i * 37 + 5) % 64);
+  }
+  std::vector<int> pos(tokens.size());
+  std::iota(pos.begin(), pos.end(), 0);
+
+  KVCache module = model.make_cache();
+  model.encode(std::span<const TokenId>(tokens.data(), kModule),
+               std::span<const int>(pos.data(), kModule), module);
+  std::vector<Q8Layer> q8(static_cast<size_t>(n_layers));
+  std::vector<Q4Layer> q4(static_cast<size_t>(n_layers));
+  for (int l = 0; l < n_layers; ++l) {
+    Q8Layer& a = q8[static_cast<size_t>(l)];
+    a.k.resize(static_cast<size_t>(kModule) * kv_dim);
+    a.v.resize(a.k.size());
+    a.k_scales.resize(kModule);
+    a.v_scales.resize(kModule);
+    quantize_rows(module.k_row(l, 0), kModule, kv_dim, a.k.data(),
+                  a.k_scales.data());
+    quantize_rows(module.v_row(l, 0), kModule, kv_dim, a.v.data(),
+                  a.v_scales.data());
+    Q4Layer& b = q4[static_cast<size_t>(l)];
+    b.k.resize(kModule * q4_row_bytes(kv_dim));
+    b.v.resize(b.k.size());
+    b.k_scales.resize(static_cast<size_t>(kModule) * q4_blocks(kv_dim));
+    b.v_scales.resize(b.k_scales.size());
+    quantize_rows_q4(module.k_row(l, 0), kModule, kv_dim, b.k.data(),
+                     b.k_scales.data());
+    quantize_rows_q4(module.v_row(l, 0), kModule, kv_dim, b.v.data(),
+                     b.v_scales.data());
+  }
+  const std::span<const int> module_pos(pos.data(), kModule);
+
+  for (StorePrecision format :
+       {StorePrecision::kFp32, StorePrecision::kQ8, StorePrecision::kQ4}) {
+    for (int n : {3, 9}) {
+      SCOPED_TRACE("format " + std::to_string(static_cast<int>(format)) +
+                   " suffix " + std::to_string(n));
+      SegmentedKVCache forwarded(n_layers, kv_dim, n);
+      SegmentedKVCache encoded(n_layers, kv_dim, n);
+      for (SegmentedKVCache* view : {&forwarded, &encoded}) {
+        if (format == StorePrecision::kFp32) {
+          view->append_borrowed(module, 0, kModule);
+        } else if (format == StorePrecision::kQ8) {
+          view->append_borrowed_q8(q8, module_pos, 0, kModule);
+        } else {
+          view->append_borrowed_q4(q4, module_pos, 0, kModule);
+        }
+      }
+      const std::span<const TokenId> suffix(tokens.data() + kModule,
+                                            static_cast<size_t>(n));
+      const std::span<const int> suffix_pos(pos.data() + kModule,
+                                            static_cast<size_t>(n));
+      (void)model.forward(suffix, suffix_pos, forwarded);
+      model.encode(suffix, suffix_pos, encoded);
+      ASSERT_EQ(encoded.size(), kModule + n);
+      const size_t row_bytes = static_cast<size_t>(kv_dim) * sizeof(float);
+      for (int l = 0; l < n_layers; ++l) {
+        for (int t = kModule; t < kModule + n; ++t) {
+          ASSERT_EQ(std::memcmp(forwarded.k_row(l, t), encoded.k_row(l, t),
+                                row_bytes),
+                    0)
+              << "K layer " << l << " token " << t;
+          ASSERT_EQ(std::memcmp(forwarded.v_row(l, t), encoded.v_row(l, t),
+                                row_bytes),
+                    0)
+              << "V layer " << l << " token " << t;
+        }
+      }
+    }
+  }
 }
 
 TEST_F(ZeroCopyTest, ServeMatchesCopyPathExactly) {
