@@ -3,7 +3,7 @@
 //   * buffered vs naive (PyTorch-style) KV concatenation — paper §4.2's
 //     custom concat operator;
 //   * fp32 vs fp16 module storage — the §5.5 memory/latency trade;
-//   * borrowed views vs private copies for batched prompts — §3.4;
+//   * borrowed module rows vs private copies for batched prompts — §3.4;
 //   * module encode cost vs retrieve cost as module size grows — the
 //     fundamental compute-once/copy-many asymmetry.
 #include <benchmark/benchmark.h>
@@ -11,7 +11,6 @@
 #include "core/engine.h"
 #include "eval/workload.h"
 #include "kv/kv_cache.h"
-#include "kv/kv_view.h"
 #include "model/model.h"
 
 namespace {
@@ -127,15 +126,15 @@ void BM_AssembleZeroCopy(benchmark::State& state) {
   const UncachedStream question = collect_uncached(binding);
   for (auto _ : state) {
     TtftBreakdown ttft;
-    BorrowedKV kv = engine.assemble_borrowed(binding, 0, &ttft);
+    SequenceKV kv = engine.assemble(binding, ModuleRows::kBorrow, 0, &ttft);
     benchmark::DoNotOptimize(
-        f.model.forward(question.tokens, question.pos_ids, kv.view));
+        f.model.forward(question.tokens, question.pos_ids, kv.cache));
   }
 }
 BENCHMARK(BM_AssembleZeroCopy);
 
-// Decode-step cost over the two cache representations: the zero-copy view
-// pays one pointer indirection per attended row.
+// Decode-step cost over own rows vs borrowed module rows: reading rows
+// through the row tables pays one pointer indirection per attended row.
 void BM_DecodeStepContiguous(benchmark::State& state) {
   auto& f = fixture();
   const int ctx = 1024;
@@ -156,7 +155,7 @@ void BM_DecodeStepContiguous(benchmark::State& state) {
 }
 BENCHMARK(BM_DecodeStepContiguous)->Unit(benchmark::kMillisecond);
 
-void BM_DecodeStepSegmented(benchmark::State& state) {
+void BM_DecodeStepBorrowed(benchmark::State& state) {
   auto& f = fixture();
   const int ctx = 1024;
   std::vector<TokenId> toks(ctx, 300);
@@ -168,41 +167,42 @@ void BM_DecodeStepSegmented(benchmark::State& state) {
   const TokenId one = 300;
   int p = ctx;
   for (auto _ : state) {
-    SegmentedKVCache view(f.model.config().n_layers,
-                          f.model.config().kv_dim(), 4);
-    view.append_borrowed(encoded, 0, encoded.size());
-    benchmark::DoNotOptimize(f.model.forward({&one, 1}, {&p, 1}, view));
+    KVCache cache = f.model.make_cache();
+    cache.borrow_rows(encoded, 0, encoded.size());
+    cache.reserve(4);
+    benchmark::DoNotOptimize(f.model.forward({&one, 1}, {&p, 1}, cache));
   }
 }
-BENCHMARK(BM_DecodeStepSegmented)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DecodeStepBorrowed)->Unit(benchmark::kMillisecond);
 
 // Batch assembly with borrowed module rows vs private copies (§3.4): 16
-// requests over one 512-token module, each with a 32-token owned tail.
+// requests over one 512-token module, each with 32 own rows.
 // The counter reports the KV bytes the batch itself holds.
 constexpr int kBatchRequests = 16;
 constexpr int kBatchModuleTokens = 512;
 constexpr int kBatchTailTokens = 32;
 
-void BM_BatchBorrowedViews(benchmark::State& state) {
+void BM_BatchBorrowedRows(benchmark::State& state) {
   const KVCache module = make_module_states(kBatchModuleTokens);
   const std::vector<int> tail_pos(kBatchTailTokens, kBatchModuleTokens);
   size_t held = 0;
   for (auto _ : state) {
-    std::vector<SegmentedKVCache> batch;
+    std::vector<KVCache> batch;
     batch.reserve(kBatchRequests);
     held = 0;
     for (int i = 0; i < kBatchRequests; ++i) {
-      batch.emplace_back(kLayers, kKvDim, kBatchTailTokens);
-      batch.back().append_borrowed(module, 0, module.size());
+      batch.emplace_back(kLayers, kKvDim);
+      batch.back().borrow_rows(module, 0, module.size());
+      batch.back().reserve(kBatchTailTokens);
       batch.back().append_tokens(tail_pos);
-      held += batch.back().reserved_tail_bytes();
+      held += batch.back().owned_bytes();
     }
     benchmark::DoNotOptimize(batch.back().k_row(0, 0));
     benchmark::ClobberMemory();
   }
   state.counters["batch_kv_bytes"] = static_cast<double>(held);
 }
-BENCHMARK(BM_BatchBorrowedViews);
+BENCHMARK(BM_BatchBorrowedRows);
 
 void BM_BatchPrivateCopies(benchmark::State& state) {
   const KVCache module = make_module_states(kBatchModuleTokens);

@@ -147,9 +147,8 @@ struct KvFormatResult {
   std::string format;                // "fp32", "q8", or "q4"
   size_t module_resident_bytes = 0;  // encoded module set, resident payload
   double link_transfer_ms = 0;       // modeled: the whole set crossing the link
-  double copy_serve_ms = 0;          // mean serve, memcpy/dequantize path
-  double zero_copy_serve_ms = 0;     // mean serve, in-place (int8/int4) path
-  uint64_t dequant_rows = 0;         // rows dequantized by the copy path
+  double copy_serve_ms = 0;          // mean serve, memcpy path
+  double zero_copy_serve_ms = 0;     // mean serve, in-place path
 };
 
 struct BatchRunResult {
@@ -702,8 +701,8 @@ void print_results(const std::vector<RunResult>& runs) {
 
 void print_kv_format_results(const std::vector<KvFormatResult>& runs) {
   TablePrinter table("module storage format: fp32 vs q8 (Q8_0) vs q4 (Q4_0)");
-  table.set_header({"format", "resident KB", "link ms", "copy serve",
-                    "zero-copy serve", "dequant rows"});
+  table.set_header(
+      {"format", "resident KB", "link ms", "copy serve", "zero-copy serve"});
   for (const KvFormatResult& r : runs) {
     table.add_row(
         {r.format,
@@ -711,8 +710,7 @@ void print_kv_format_results(const std::vector<KvFormatResult>& runs) {
                            1),
          TablePrinter::fmt_ms(r.link_transfer_ms),
          TablePrinter::fmt_ms(r.copy_serve_ms),
-         TablePrinter::fmt_ms(r.zero_copy_serve_ms),
-         std::to_string(r.dequant_rows)});
+         TablePrinter::fmt_ms(r.zero_copy_serve_ms)});
   }
   table.print(std::cout);
 }
@@ -915,8 +913,7 @@ void write_json(const std::vector<RunResult>& runs,
         << TablePrinter::fmt(r.link_transfer_ms, 3)
         << ", \"copy_serve_ms\": " << TablePrinter::fmt(r.copy_serve_ms, 3)
         << ", \"zero_copy_serve_ms\": "
-        << TablePrinter::fmt(r.zero_copy_serve_ms, 3)
-        << ", \"dequant_rows\": " << r.dequant_rows << "}"
+        << TablePrinter::fmt(r.zero_copy_serve_ms, 3) << "}"
         << (i + 1 < kv_format_runs.size() ? "," : "") << "\n";
   }
 
@@ -1198,10 +1195,9 @@ int main(int argc, char** argv) {
   // fp32, q8 (Q8_0), and q4 (Q4_0) module storage. Measures the resident
   // footprint of the encoded module set, the modeled host-link time to move
   // it once (transfer is charged on stored — i.e. quantized — bytes), and
-  // mean serve time on both retrieval paths: the memcpy path (which
-  // dequantizes quantized rows on read, counted by
-  // pc_store_dequant_rows_total) and the zero-copy path (which scores
-  // quantized rows in the integer domain, dequantizing nothing).
+  // mean serve time on both retrieval paths: the memcpy path (which copies
+  // the stored bytes) and the zero-copy path (which borrows them). Both
+  // score quantized rows in the integer domain.
   std::vector<KvFormatResult> kv_format_runs;
   for (const char* fmt : {"fp32", "q8", "q4"}) {
     KvFormatResult run;
@@ -1221,7 +1217,6 @@ int main(int argc, char** argv) {
           [&](const std::string&, const EncodedModule& m, ModuleLocation) {
             run.module_resident_bytes += m.payload_bytes();
           });
-      run.dequant_rows = copy_engine.store().dequant_rows();
     }
     {
       ecfg.zero_copy = true;
@@ -1252,8 +1247,8 @@ int main(int argc, char** argv) {
   for (const char* traffic : {"shared", "private"}) {
     const std::vector<std::string>& mix =
         std::string(traffic) == "shared" ? shared_prompts : prompts;
-    // The owned tail of the mix's longest request (assemble_borrowed's
-    // sizing: uncached + kickoff + generation budget + slack).
+    // The own rows of the mix's longest request (assemble's sizing:
+    // uncached + kickoff + generation budget + slack).
     int tail_tokens = 0;
     for (const std::string& p : mix) {
       tail_tokens = std::max(

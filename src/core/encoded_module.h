@@ -3,8 +3,9 @@
 //
 // Storage precision is configurable (EngineConfig::precision): fp32 keeps
 // the engine's native states; fp16 halves the footprint (the paper's Table
-// 2 assumption); int8 quarters it (the §5.5/§6 compression direction).
-// Lower precisions convert on retrieval — trading copy time for capacity.
+// 2 assumption); int8 quarters it and blocked 4-bit roughly eighths it (the
+// §5.5/§6 compression direction). Retrieval copies or borrows the stored
+// q8/q4 bytes as they are; only fp16 converts, to fp32, on copy.
 #pragma once
 
 #include <optional>

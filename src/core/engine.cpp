@@ -210,64 +210,64 @@ void PromptCacheEngine::add_scaffold(const std::string& schema_name,
 
 namespace {
 
-// Re-encodes an fp32 payload as Q8_0 in place (finalize_encoding's kQ8
-// packaging, also applied to legacy fp32 records loaded into a quantized
-// store). Rows are contiguous in the cache's layer buffer, so each layer
-// quantizes in one vectorized sweep.
-void quantize_module_in_place(EncodedModule& m) {
+// Re-encodes an fp32 payload in `precision` in place: fp16 halves, Q8_0
+// and Q4_0 quantize (kv/quant.h). finalize_encoding's packaging, also
+// applied to fp32 records loaded into a reduced-precision engine. Rows are
+// contiguous in each layer's buffer, so a layer quantizes in one vectorized
+// sweep.
+void package(EncodedModule& m, StorePrecision precision) {
   PC_CHECK_MSG(m.precision == StorePrecision::kFp32 && m.kv32.has_value(),
-               "quantize_module_in_place needs an fp32 payload");
+               "package needs an fp32 payload");
+  if (precision == StorePrecision::kFp32) return;
   const KVCache& kv = *m.kv32;
   m.pos_ids = kv.pos_ids();
-  m.kv8_layers.resize(static_cast<size_t>(kv.n_layers()));
   const int width = kv.kv_dim();
-  const size_t elems =
-      static_cast<size_t>(kv.size()) * static_cast<size_t>(width);
+  const int n = kv.size();
+  const size_t elems = static_cast<size_t>(n) * static_cast<size_t>(width);
   for (int l = 0; l < kv.n_layers(); ++l) {
-    Q8Layer& layer = m.kv8_layers[static_cast<size_t>(l)];
-    layer.k.resize(elems);
-    layer.v.resize(elems);
-    layer.k_scales.resize(static_cast<size_t>(kv.size()));
-    layer.v_scales.resize(static_cast<size_t>(kv.size()));
-    if (kv.size() > 0) {
-      quantize_rows(kv.k_row(l, 0), kv.size(), width, layer.k.data(),
-                    layer.k_scales.data());
-      quantize_rows(kv.v_row(l, 0), kv.size(), width, layer.v.data(),
-                    layer.v_scales.data());
+    const float* k = n > 0 ? kv.k_row(l, 0) : nullptr;
+    const float* v = n > 0 ? kv.v_row(l, 0) : nullptr;
+    switch (precision) {
+      case StorePrecision::kFp32:
+        break;
+      case StorePrecision::kFp16: {
+        EncodedModule::F16Layer& layer = m.kv16_layers.emplace_back();
+        layer.k.resize(elems);
+        layer.v.resize(elems);
+        for (size_t e = 0; e < elems; ++e) {
+          layer.k[e] = float_to_half(k[e]);
+          layer.v[e] = float_to_half(v[e]);
+        }
+        break;
+      }
+      case StorePrecision::kQ8: {
+        Q8Layer& layer = m.kv8_layers.emplace_back();
+        layer.k.resize(elems);
+        layer.v.resize(elems);
+        layer.k_scales.resize(static_cast<size_t>(n));
+        layer.v_scales.resize(static_cast<size_t>(n));
+        if (n > 0) {
+          quantize_rows(k, n, width, layer.k.data(), layer.k_scales.data());
+          quantize_rows(v, n, width, layer.v.data(), layer.v_scales.data());
+        }
+        break;
+      }
+      case StorePrecision::kQ4: {
+        Q4Layer& layer = m.kv4_layers.emplace_back();
+        layer.k.resize(static_cast<size_t>(n) * q4_row_bytes(width));
+        layer.v.resize(layer.k.size());
+        layer.k_scales.resize(static_cast<size_t>(n) * q4_blocks(width));
+        layer.v_scales.resize(layer.k_scales.size());
+        if (n > 0) {
+          quantize_rows_q4(k, n, width, layer.k.data(), layer.k_scales.data());
+          quantize_rows_q4(v, n, width, layer.v.data(), layer.v_scales.data());
+        }
+        break;
+      }
     }
   }
   m.kv32.reset();
-  m.precision = StorePrecision::kQ8;
-}
-
-// Q4_0 sibling of quantize_module_in_place: re-encodes an fp32 payload as
-// blocked 4-bit (finalize_encoding's kQ4 packaging, also applied to legacy
-// fp32 records loaded into a q4 store).
-void quantize_module_q4_in_place(EncodedModule& m) {
-  PC_CHECK_MSG(m.precision == StorePrecision::kFp32 && m.kv32.has_value(),
-               "quantize_module_q4_in_place needs an fp32 payload");
-  const KVCache& kv = *m.kv32;
-  m.pos_ids = kv.pos_ids();
-  m.kv4_layers.resize(static_cast<size_t>(kv.n_layers()));
-  const int width = kv.kv_dim();
-  const size_t row_bytes = q4_row_bytes(width);
-  const size_t blocks = static_cast<size_t>(q4_blocks(width));
-  const size_t n_tokens = static_cast<size_t>(kv.size());
-  for (int l = 0; l < kv.n_layers(); ++l) {
-    Q4Layer& layer = m.kv4_layers[static_cast<size_t>(l)];
-    layer.k.resize(n_tokens * row_bytes);
-    layer.v.resize(n_tokens * row_bytes);
-    layer.k_scales.resize(n_tokens * blocks);
-    layer.v_scales.resize(n_tokens * blocks);
-    if (kv.size() > 0) {
-      quantize_rows_q4(kv.k_row(l, 0), kv.size(), width, layer.k.data(),
-                       layer.k_scales.data());
-      quantize_rows_q4(kv.v_row(l, 0), kv.size(), width, layer.v.data(),
-                       layer.v_scales.data());
-    }
-  }
-  m.kv32.reset();
-  m.precision = StorePrecision::kQ4;
+  m.precision = precision;
 }
 
 }  // namespace
@@ -295,41 +295,8 @@ EncodedModule PromptCacheEngine::finalize_encoding(
     row += n;
   }
 
-  m.precision = config_.precision;
-  switch (config_.precision) {
-    case StorePrecision::kFp32:
-      m.kv32 = std::move(kv);
-      return m;
-    case StorePrecision::kFp16: {
-      m.pos_ids = kv.pos_ids();
-      m.kv16_layers.resize(static_cast<size_t>(kv.n_layers()));
-      const size_t row_elems = static_cast<size_t>(kv.kv_dim());
-      for (int l = 0; l < kv.n_layers(); ++l) {
-        auto& layer = m.kv16_layers[static_cast<size_t>(l)];
-        layer.k.reserve(row_elems * static_cast<size_t>(kv.size()));
-        layer.v.reserve(row_elems * static_cast<size_t>(kv.size()));
-        for (int t = 0; t < kv.size(); ++t) {
-          for (size_t e = 0; e < row_elems; ++e) {
-            layer.k.push_back(float_to_half(kv.k_row(l, t)[e]));
-            layer.v.push_back(float_to_half(kv.v_row(l, t)[e]));
-          }
-        }
-      }
-      return m;
-    }
-    case StorePrecision::kQ8: {
-      m.precision = StorePrecision::kFp32;
-      m.kv32 = std::move(kv);
-      quantize_module_in_place(m);
-      return m;
-    }
-    case StorePrecision::kQ4: {
-      m.precision = StorePrecision::kFp32;
-      m.kv32 = std::move(kv);
-      quantize_module_q4_in_place(m);
-      return m;
-    }
-  }
+  m.kv32 = std::move(kv);
+  package(m, config_.precision);
   return m;
 }
 
@@ -470,101 +437,6 @@ double PromptCacheEngine::ensure_encoded(const pml::PromptBinding& binding,
   return timer.elapsed_ms();
 }
 
-void PromptCacheEngine::append_text_rows(const EncodedModule& module,
-                                         ModuleLocation loc,
-                                         KVCache& sequence_cache,
-                                         TtftBreakdown* ttft) {
-  const size_t row_elems = static_cast<size_t>(module.kv_dim);
-  if (ttft != nullptr) ++ttft->modules;  // one emitted module per call
-  for (const auto& [begin, end] : module.text_row_ranges) {
-    switch (module.precision) {
-      case StorePrecision::kFp32:
-        sequence_cache.append_range(*module.kv32, begin, end);
-        break;
-      case StorePrecision::kFp16: {
-        const int first = sequence_cache.append_tokens(std::span<const int>(
-            module.pos_ids.data() + begin, static_cast<size_t>(end - begin)));
-        for (int l = 0; l < module.n_layers; ++l) {
-          const auto& layer = module.kv16_layers[static_cast<size_t>(l)];
-          for (int t = begin; t < end; ++t) {
-            float* kd = sequence_cache.k_row(l, first + (t - begin));
-            float* vd = sequence_cache.v_row(l, first + (t - begin));
-            const size_t off = static_cast<size_t>(t) * row_elems;
-            for (size_t e = 0; e < row_elems; ++e) {
-              kd[e] = half_to_float(layer.k[off + e]);
-              vd[e] = half_to_float(layer.v[off + e]);
-            }
-          }
-        }
-        break;
-      }
-      case StorePrecision::kQ8: {
-        const int first = sequence_cache.append_tokens(std::span<const int>(
-            module.pos_ids.data() + begin, static_cast<size_t>(end - begin)));
-        for (int l = 0; l < module.n_layers; ++l) {
-          const Q8Layer& layer = module.kv8_layers[static_cast<size_t>(l)];
-          for (int t = begin; t < end; ++t) {
-            const size_t off = static_cast<size_t>(t) * row_elems;
-            dequantize_row(layer.k.data() + off,
-                           layer.k_scales[static_cast<size_t>(t)],
-                           module.kv_dim,
-                           sequence_cache.k_row(l, first + (t - begin)));
-            dequantize_row(layer.v.data() + off,
-                           layer.v_scales[static_cast<size_t>(t)],
-                           module.kv_dim,
-                           sequence_cache.v_row(l, first + (t - begin)));
-          }
-        }
-        // The copy path pays a dequantize per K and V row; borrowing
-        // (zero-copy and batched serving) keeps module rows int8 and never
-        // reaches here.
-        const uint64_t rows = static_cast<uint64_t>(2) *
-                              static_cast<uint64_t>(module.n_layers) *
-                              static_cast<uint64_t>(end - begin);
-        store_.note_dequant_rows(rows);
-        if (ttft != nullptr) ttft->dequant_rows += rows;
-        break;
-      }
-      case StorePrecision::kQ4: {
-        const int first = sequence_cache.append_tokens(std::span<const int>(
-            module.pos_ids.data() + begin, static_cast<size_t>(end - begin)));
-        const size_t row_bytes = q4_row_bytes(module.kv_dim);
-        const size_t blocks = static_cast<size_t>(q4_blocks(module.kv_dim));
-        for (int l = 0; l < module.n_layers; ++l) {
-          const Q4Layer& layer = module.kv4_layers[static_cast<size_t>(l)];
-          for (int t = begin; t < end; ++t) {
-            const size_t off = static_cast<size_t>(t) * row_bytes;
-            const size_t soff = static_cast<size_t>(t) * blocks;
-            dequantize_row_q4(layer.k.data() + off,
-                              layer.k_scales.data() + soff, module.kv_dim,
-                              sequence_cache.k_row(l, first + (t - begin)));
-            dequantize_row_q4(layer.v.data() + off,
-                              layer.v_scales.data() + soff, module.kv_dim,
-                              sequence_cache.v_row(l, first + (t - begin)));
-          }
-        }
-        // Same accounting as q8: only the copy path ever dequantizes.
-        const uint64_t rows = static_cast<uint64_t>(2) *
-                              static_cast<uint64_t>(module.n_layers) *
-                              static_cast<uint64_t>(end - begin);
-        store_.note_dequant_rows(rows);
-        if (ttft != nullptr) ttft->dequant_rows += rows;
-        break;
-      }
-    }
-    if (ttft != nullptr) {
-      const size_t bytes =
-          module.bytes_per_token() * static_cast<size_t>(end - begin);
-      ttft->cached_tokens += end - begin;
-      if (loc == ModuleLocation::kHostMemory) {
-        ttft->bytes_from_host += bytes;
-      } else {
-        ttft->bytes_from_device += bytes;
-      }
-    }
-  }
-}
-
 void PromptCacheEngine::for_each_encoded(
     const pml::PromptBinding& binding,
     const std::function<void(const std::string& key,
@@ -653,12 +525,76 @@ std::vector<std::string> PromptCacheEngine::module_keys(
 
 namespace {
 
-// Shared tail of both assembly paths: one forward pass over the uncached
-// content. A fully cached prompt still needs one computed position to
-// produce logits; we kick off with <s> at the next free position.
-template <typename CacheT>
+// One module's text rows into a sequence cache, copied as stored or
+// borrowed in place; attention reads both the same way, so the two differ
+// only in where the bytes live and what they are charged as: a copy's
+// stored bytes by the tier they came from, a borrow's as bytes_zero_copy.
+// fp16 rows convert to fp32 own rows and cannot be borrowed.
+void append_module_rows(const std::string& key, const EncodedModule& m,
+                        ModuleLocation loc, ModuleRows how, KVCache& cache,
+                        TtftBreakdown* ttft) {
+  PC_CHECK_MSG(m.kv_dim == cache.kv_dim() && m.n_layers == cache.n_layers(),
+               "module '" << key << "' does not match the cache's geometry");
+  PC_CHECK_MSG(how == ModuleRows::kCopy ||
+                   m.precision != StorePrecision::kFp16,
+               "borrowing requires kFp32, kQ8, or kQ4 module storage (module '"
+                   << key << "' is stored as fp16, which has no in-place "
+                   << "attention kernel)");
+  if (ttft != nullptr) ++ttft->modules;
+  for (const auto& [begin, end] : m.text_row_ranges) {
+    switch (m.precision) {
+      case StorePrecision::kFp32:
+        if (how == ModuleRows::kCopy) {
+          cache.append_range(*m.kv32, begin, end);
+        } else {
+          cache.borrow_rows(*m.kv32, begin, end);
+        }
+        break;
+      case StorePrecision::kFp16: {
+        const int first = cache.append_tokens(std::span<const int>(
+            m.pos_ids.data() + begin, static_cast<size_t>(end - begin)));
+        const size_t row_elems = static_cast<size_t>(m.kv_dim);
+        for (int l = 0; l < m.n_layers; ++l) {
+          const auto& layer = m.kv16_layers[static_cast<size_t>(l)];
+          for (int t = begin; t < end; ++t) {
+            float* kd = cache.k_row(l, first + (t - begin));
+            float* vd = cache.v_row(l, first + (t - begin));
+            const size_t off = static_cast<size_t>(t) * row_elems;
+            for (size_t e = 0; e < row_elems; ++e) {
+              kd[e] = half_to_float(layer.k[off + e]);
+              vd[e] = half_to_float(layer.v[off + e]);
+            }
+          }
+        }
+        break;
+      }
+      case StorePrecision::kQ8:
+        cache.append_rows(m.kv8_layers, m.pos_ids, begin, end, how);
+        break;
+      case StorePrecision::kQ4:
+        cache.append_rows(m.kv4_layers, m.pos_ids, begin, end, how);
+        break;
+    }
+    if (ttft != nullptr) {
+      const size_t bytes =
+          m.bytes_per_token() * static_cast<size_t>(end - begin);
+      ttft->cached_tokens += end - begin;
+      if (how == ModuleRows::kBorrow) {
+        ttft->bytes_zero_copy += bytes;
+      } else if (loc == ModuleLocation::kHostMemory) {
+        ttft->bytes_from_host += bytes;
+      } else {
+        ttft->bytes_from_device += bytes;
+      }
+    }
+  }
+}
+
+// One forward pass over the uncached content. A fully cached prompt still
+// needs one computed position to produce logits; we kick off with <s> at
+// the next free position.
 Tensor prefill_uncached(const Model& model, const pml::PromptBinding& binding,
-                        CacheT& cache, TtftBreakdown* ttft) {
+                        KVCache& cache, TtftBreakdown* ttft) {
   WallTimer uncached_timer;
   UncachedStream stream = collect_uncached(binding);
   if (stream.tokens.empty()) {
@@ -676,78 +612,54 @@ Tensor prefill_uncached(const Model& model, const pml::PromptBinding& binding,
 
 }  // namespace
 
-Tensor PromptCacheEngine::assemble_and_prefill(
-    const pml::PromptBinding& binding, KVCache& sequence_cache,
-    TtftBreakdown* ttft) {
+void PromptCacheEngine::append_modules(const pml::PromptBinding& binding,
+                                       ModuleRows how, int own_budget,
+                                       KVCache& cache, ModuleBorrows* borrows,
+                                       TtftBreakdown* ttft) {
   WallTimer retrieve_timer;
   {
     PC_SPAN("kv_concat",
-            {"modules", static_cast<int64_t>(binding.modules.size())});
-    sequence_cache.reserve(binding.cached_token_count() +
-                           binding.uncached_token_count() + 64);
-    for_each_encoded(binding, [&](const std::string&, const EncodedModule& m,
-                                  ModuleLocation loc) {
-      append_text_rows(m, loc, sequence_cache, ttft);
-    });
+            {"modules", static_cast<int64_t>(binding.modules.size())},
+            {"zero_copy", how == ModuleRows::kBorrow ? 1 : 0});
+    // Copied fp32 and fp16 rows are own rows, so they are reserved too.
+    const bool own_copies = how == ModuleRows::kCopy &&
+                            (config_.precision == StorePrecision::kFp32 ||
+                             config_.precision == StorePrecision::kFp16);
+    cache.reserve(cache.own_rows() +
+                  (own_copies ? binding.cached_token_count() : 0) +
+                  own_budget);
+    for_each_encoded(
+        binding,
+        [&](const std::string& key, const EncodedModule& m,
+            ModuleLocation loc) {
+          append_module_rows(key, m, loc, how, cache, ttft);
+        },
+        borrows);
   }
   if (ttft != nullptr) ttft->retrieve_ms = retrieve_timer.elapsed_ms();
+}
+
+Tensor PromptCacheEngine::assemble_and_prefill(
+    const pml::PromptBinding& binding, KVCache& sequence_cache,
+    TtftBreakdown* ttft) {
+  append_modules(binding, ModuleRows::kCopy,
+                 binding.uncached_token_count() + 64, sequence_cache,
+                 nullptr, ttft);
   return prefill_uncached(model_, binding, sequence_cache, ttft);
 }
 
-BorrowedKV PromptCacheEngine::assemble_borrowed(
-    const pml::PromptBinding& binding, int max_new_tokens,
-    TtftBreakdown* ttft) {
-  WallTimer retrieve_timer;
+SequenceKV PromptCacheEngine::assemble(const pml::PromptBinding& binding,
+                                       ModuleRows how, int max_new_tokens,
+                                       TtftBreakdown* ttft) {
   // Decoding stops at the position budget, so max_pos also bounds the
   // generated rows whatever max_new_tokens asks for.
   const int generated =
       std::clamp(max_new_tokens, 0, model_.config().max_pos);
-  BorrowedKV kv{ModuleBorrows{},
-                SegmentedKVCache(model_.config().n_layers,
-                                 model_.config().kv_dim(),
-                                 binding.uncached_token_count() + 1 +
-                                     generated + kTailSlack)};
-  SegmentedKVCache& view = kv.view;
-  {
-    PC_SPAN("kv_concat",
-            {"modules", static_cast<int64_t>(binding.modules.size())},
-            {"zero_copy", 1});
-    for_each_encoded(
-        binding,
-        [&](const std::string& key, const EncodedModule& m, ModuleLocation) {
-          PC_CHECK_MSG(
-              m.precision == StorePrecision::kFp32 ||
-                  m.precision == StorePrecision::kQ8 ||
-                  m.precision == StorePrecision::kQ4,
-              "zero-copy serving requires kFp32, kQ8, or kQ4 module storage "
-              "(module '"
-                  << key << "' is stored as fp16, which has no in-place "
-                  << "attention kernel)");
-          if (ttft != nullptr) ++ttft->modules;
-          for (const auto& [begin, end] : m.text_row_ranges) {
-            if (m.precision == StorePrecision::kQ8) {
-              // Q8 rows are borrowed as int8 + scale; attention scores them
-              // in the int8 domain (attn_fused_q8_gather), so nothing is
-              // dequantized, copied, or converted on this path.
-              view.append_borrowed_q8(m.kv8_layers, m.pos_ids, begin, end);
-            } else if (m.precision == StorePrecision::kQ4) {
-              // Q4 rows are borrowed as packed nibbles + per-block scales;
-              // attention scores them block-wise in the integer domain
-              // (attn_fused_q4_gather) — nothing dequantized here either.
-              view.append_borrowed_q4(m.kv4_layers, m.pos_ids, begin, end);
-            } else {
-              view.append_borrowed(*m.kv32, begin, end);
-            }
-            if (ttft != nullptr) {
-              ttft->cached_tokens += end - begin;
-              ttft->bytes_zero_copy +=
-                  m.bytes_per_token() * static_cast<size_t>(end - begin);
-            }
-          }
-        },
-        &kv.borrows);
-  }
-  if (ttft != nullptr) ttft->retrieve_ms = retrieve_timer.elapsed_ms();
+  SequenceKV kv{ModuleBorrows{}, model_.make_cache()};
+  append_modules(binding, how,
+                 binding.uncached_token_count() + 1 + generated + kTailSlack,
+                 kv.cache, how == ModuleRows::kBorrow ? &kv.borrows : nullptr,
+                 ttft);
   return kv;
 }
 
@@ -767,39 +679,23 @@ ServeResult PromptCacheEngine::serve(std::string_view prompt_pml,
   const bool kickoff = binding.args.empty() && binding.texts.empty();
   const int gen_start = binding.next_pos + (kickoff ? 1 : 0);
 
+  // Borrowed modules stay pinned until `kv` leaves this scope, on every
+  // exit path.
+  SequenceKV kv = assemble(
+      binding, config_.zero_copy ? ModuleRows::kBorrow : ModuleRows::kCopy,
+      options.max_new_tokens, &result.ttft);
+  const Tensor logits =
+      prefill_uncached(model_, binding, kv.cache, &result.ttft);
   WallTimer decode_timer;
-  if (config_.zero_copy) {
-    // The borrowed modules stay pinned until `kv` leaves this scope, on
-    // every exit path.
-    BorrowedKV kv =
-        assemble_borrowed(binding, options.max_new_tokens, &result.ttft);
-    const Tensor logits =
-        prefill_uncached(model_, binding, kv.view, &result.ttft);
-    decode_timer.reset();
-    Model::GenerateOutput gen = [&] {
-      PC_SPAN("decode");
-      return model_.generate(logits, gen_start, kv.view, options);
-    }();
-    if (gen.finish_reason == FinishReason::kCancelled) {
-      throw CancelledError("serve: deadline expired mid-decode");
-    }
-    result.tokens = std::move(gen.tokens);
-    result.finish_reason = gen.finish_reason;
-  } else {
-    KVCache sequence_cache = model_.make_cache();
-    const Tensor logits =
-        assemble_and_prefill(binding, sequence_cache, &result.ttft);
-    decode_timer.reset();
-    Model::GenerateOutput gen = [&] {
-      PC_SPAN("decode");
-      return model_.generate(logits, gen_start, sequence_cache, options);
-    }();
-    if (gen.finish_reason == FinishReason::kCancelled) {
-      throw CancelledError("serve: deadline expired mid-decode");
-    }
-    result.tokens = std::move(gen.tokens);
-    result.finish_reason = gen.finish_reason;
+  Model::GenerateOutput gen = [&] {
+    PC_SPAN("decode");
+    return model_.generate(logits, gen_start, kv.cache, options);
+  }();
+  if (gen.finish_reason == FinishReason::kCancelled) {
+    throw CancelledError("serve: deadline expired mid-decode");
   }
+  result.tokens = std::move(gen.tokens);
+  result.finish_reason = gen.finish_reason;
   result.prompt_tokens =
       result.ttft.cached_tokens + result.ttft.uncached_tokens;
   result.decode_ms = decode_timer.elapsed_ms();
@@ -848,8 +744,8 @@ ServeResult PromptCacheEngine::serve_full_prefill(
   // block, parameter-placeholder rows are attended inside their block but
   // hidden from global rows, and the uncached stream attends globally. The
   // blocks are emitted in for_each_encoded's concatenation order, so the
-  // rows kept below land in the sequence cache exactly where
-  // append_text_rows would have put them.
+  // rows kept below land in the sequence cache exactly where assembly would
+  // have put them.
   std::vector<TokenId> tokens;
   std::vector<int> pos_ids;
   std::vector<int> block_ids;
@@ -1040,6 +936,15 @@ PromptCacheEngine::LoadReport PromptCacheEngine::load_modules(
                                           << "' does not match this model's "
                                              "geometry");
       }
+      // A store holds the engine's format, so one sequence cache never
+      // mixes two: an fp32 record is packaged in it below; a record in
+      // another reduced format cannot be used.
+      if (have && module.precision != StorePrecision::kFp32 &&
+          module.precision != config_.precision) {
+        throw Error("persisted module '" + key +
+                    "' is stored in another reduced format than this "
+                    "engine's");
+      }
     } catch (const Error&) {
       if (policy == LoadPolicy::kStrict) throw;
       // A skipped record is merely a cache miss: the module is re-encoded
@@ -1050,16 +955,10 @@ PromptCacheEngine::LoadReport PromptCacheEngine::load_modules(
       continue;
     }
     if (!have) break;
-    // A legacy fp32 record loaded into a quantized engine is re-encoded in
-    // the engine's format on the way in, so the store never holds
-    // mixed-format payloads and downstream paths (borrowed views, footprint
-    // accounting) see the engine's configured format.
-    if (config_.precision == StorePrecision::kQ8 &&
-        module.precision == StorePrecision::kFp32) {
-      quantize_module_in_place(module);
-    } else if (config_.precision == StorePrecision::kQ4 &&
-               module.precision == StorePrecision::kFp32) {
-      quantize_module_q4_in_place(module);
+    // A legacy fp32 record is re-encoded in the engine's format on the way
+    // in, so footprint accounting sees the engine's configured format.
+    if (module.precision == StorePrecision::kFp32) {
+      package(module, config_.precision);
     }
     store_.insert(key, std::move(module));
     module = EncodedModule{};
@@ -1094,25 +993,13 @@ std::vector<ServeResult> PromptCacheEngine::serve_batch(
     }
     results.push_back(serve(prompt, options));
     if (stats != nullptr) {
+      // The copied module rows' stored bytes (none when borrowed) plus the
+      // fp32 own rows of the uncached and generated tokens.
       const ServeResult& r = results.back();
-      if (config_.zero_copy) {
-        // Owned memory is the tail only; approximate from uncached +
-        // generated rows at engine precision (fp32 tails).
-        const size_t row_bytes = static_cast<size_t>(2) *
-                                 model_.config().n_layers *
-                                 model_.config().kv_dim() * sizeof(float);
-        stats->owned_bytes +=
-            row_bytes * (static_cast<size_t>(r.ttft.uncached_tokens) +
-                         r.tokens.size());
-      } else {
-        const size_t row_bytes = static_cast<size_t>(2) *
-                                 model_.config().n_layers *
-                                 model_.config().kv_dim() * sizeof(float);
-        stats->owned_bytes +=
-            row_bytes * (static_cast<size_t>(r.ttft.cached_tokens) +
-                         static_cast<size_t>(r.ttft.uncached_tokens) +
-                         r.tokens.size());
-      }
+      stats->owned_bytes +=
+          r.ttft.bytes_from_host + r.ttft.bytes_from_device +
+          model_.kv_bytes_per_token() *
+              (static_cast<size_t>(r.ttft.uncached_tokens) + r.tokens.size());
     }
   }
   if (stats != nullptr) {

@@ -6,9 +6,10 @@
 //
 // serve() implements §3.4:
 //   1. parse the prompt and verify it against its schema (bind_prompt);
-//   2. retrieve the encoded attention states of imported modules and
-//      concatenate them into the sequence KV cache (a pure memcpy;
-//      parameter-placeholder rows are skipped);
+//   2. retrieve the encoded attention states of imported modules into the
+//      sequence KV cache — a pure memcpy of the stored bytes, or, under
+//      EngineConfig::zero_copy, a borrow in place (parameter-placeholder
+//      rows are skipped);
 //   3. compute attention states for uncached content — parameter arguments
 //      (at their placeholder position IDs) and free text segments — in one
 //      forward pass that attends over the concatenated cache;
@@ -29,7 +30,7 @@
 //   * Engines built over one store (the SharedModuleStore& constructor)
 //     scale out to one engine per worker thread over a shared (const)
 //     Model: each module is encoded once fleet-wide (single-flight) and
-//     held once. Zero-copy views take reference-counted pins, so a request
+//     held once. Borrowing caches take reference-counted pins, so a request
 //     on one worker blocks eviction triggered by another; per-engine TTFT
 //     histograms merge() into fleet percentiles. This is the serving
 //     configuration — see src/sys/server.h for the queue + worker-pool
@@ -61,13 +62,14 @@ struct EngineConfig {
   size_t device_capacity_bytes = 0;  // 0 = unlimited (simulated GPU HBM tier)
   size_t host_capacity_bytes = 0;    // 0 = unlimited (host DRAM tier)
   // Module storage precision (§5.5): fp16 halves, int8 quarters, and
-  // blocked 4-bit (q4) roughly eighths the resident footprint. fp16
-  // converts back to fp32 during retrieval; q8/q4 modules stay quantized
-  // end-to-end wherever rows are borrowed — zero-copy serving and the
-  // batch scheduler (attention scores them in the integer domain) — and
-  // dequantize on read only on the copy path. A q4 engine on a model whose
-  // head geometry the q4 kernel cannot serve (d_head not a multiple of 32
-  // with several KV heads) falls back to q8 at construction.
+  // blocked 4-bit (q4) roughly eighths the resident footprint. q8/q4
+  // modules stay quantized end to end: retrieval copies or borrows their
+  // stored bytes, and attention scores them in the integer domain on every
+  // serving path (copy, zero-copy, batched), so the three emit the same
+  // tokens. fp16 is the one format that converts: its rows become fp32 on
+  // copy, and it cannot be borrowed. A q4 engine on a model whose head
+  // geometry the q4 kernel cannot serve (d_head not a multiple of 32 with
+  // several KV heads) falls back to q8 at construction.
   StorePrecision precision = default_store_precision();
   bool eager_encode = true;  // encode all modules at schema load
   // Union-sibling prefetch (§3.2.3): after serving a prompt that used a
@@ -75,11 +77,11 @@ struct EngineConfig {
   // next request is likely to pick one of them.
   bool prefetch_union_siblings = false;
   // Zero-copy serving (§6 direction: share attention states across
-  // requests): the per-request cache borrows module rows from the store
-  // instead of copying them; only uncached/generated rows are owned.
-  // Requires kFp32, kQ8, or kQ4 precision (borrowed rows are read in
-  // place; quantized rows are scored in the integer domain, never
-  // materialized as fp32).
+  // requests): the per-request cache borrows module rows from the store,
+  // pinned for the request, instead of copying them; only uncached and
+  // generated rows are owned. It chooses where the bytes live and what the
+  // host link is charged (nothing moves), never the arithmetic: tokens are
+  // the copy path's at every format. Requires kFp32, kQ8, or kQ4 precision.
   bool zero_copy = false;
 };
 
@@ -95,28 +97,28 @@ struct UncachedStream {
 
 UncachedStream collect_uncached(const pml::PromptBinding& binding);
 
-// One request's zero-copy KV (PromptCacheEngine::assemble_borrowed): the
-// view borrowing module rows in place, and the pins and refs keeping those
-// rows resident. The view is declared last, so it is destroyed before its
-// borrows are returned.
-struct BorrowedKV {
+// One request's sequence cache (PromptCacheEngine::assemble): module rows,
+// copied or borrowed, then own rows; and the pins and refs keeping borrowed
+// rows resident (empty when the rows were copied). The cache is declared
+// last, so it is destroyed before its borrows are returned.
+struct SequenceKV {
   ModuleBorrows borrows;
-  SegmentedKVCache view;
+  KVCache cache;
 };
 
 struct TtftBreakdown {
-  double retrieve_ms = 0;  // module state concatenation (memcpy)
+  double retrieve_ms = 0;  // module rows into the sequence cache
   double uncached_ms = 0;  // forward pass over uncached tokens (to logits)
   int cached_tokens = 0;
   int uncached_tokens = 0;
   int modules = 0;  // encoded modules/scaffolds whose states this serve reused
+  // Stored bytes of the module rows, by where they came from. A copy moves
+  // them (over the host link or within device memory); a borrow moves none.
   size_t bytes_from_host = 0;    // copied over the host link
   size_t bytes_from_device = 0;  // copied within device memory
   size_t bytes_zero_copy = 0;    // borrowed in place, nothing moved
-  // Copy-path retrieval of quantized (q8/q4) modules dequantizes K and V
-  // rows into the sequence cache; borrowing (zero-copy and batched
-  // serving) never does.
-  // Per-request counterpart of pc_store_dequant_rows_total.
+  // Always 0: no serving path dequantizes module rows any more. Kept only
+  // because the end-to-end benchmark reads it.
   uint64_t dequant_rows = 0;
 
   double total_ms() const { return retrieve_ms + uncached_ms; }
@@ -229,8 +231,9 @@ class PromptCacheEngine {
   // Serves a batch of prompts and accounts for module sharing across them
   // (§3.4): modules imported by several requests are stored (and, under
   // zero_copy, referenced) once. shared_module_bytes counts each distinct
-  // module once; owned_bytes is the per-request memory actually allocated
-  // (tails under zero_copy, full caches otherwise).
+  // module once; owned_bytes sums what each request's cache owns: the
+  // stored bytes of its copied module rows (none under zero_copy) plus its
+  // fp32 own rows (uncached and generated tokens).
   struct BatchStats {
     size_t shared_module_bytes = 0;
     size_t owned_bytes = 0;
@@ -243,21 +246,21 @@ class PromptCacheEngine {
 
   // Building blocks, exposed for tests and benchmarks -----------------------
 
-  // Steps 2-3 of serve() without generation: assembles the sequence cache
-  // and returns the first-token logits.
+  // Steps 2-3 of serve() without generation: copies every module row of
+  // `binding` into `sequence_cache` and returns the first-token logits.
   Tensor assemble_and_prefill(const pml::PromptBinding& binding,
                               KVCache& sequence_cache, TtftBreakdown* ttft);
 
-  // Step 2 of zero-copy serving, without the prefill: borrows every module
-  // row of `binding` in place. The returned view owns a tail sized for the
+  // Step 2 of serve(), without the prefill: a sequence cache holding every
+  // module row of `binding`, copied as stored or borrowed in place (pinned
+  // and alive until the SequenceKV is destroyed), with own-row room for the
   // uncached tokens, the kickoff token, `max_new_tokens` generated tokens
-  // (at most max_pos) and kTailSlack; its borrows keep the rows pinned and
-  // alive until the BorrowedKV is destroyed. Counts the rows as
-  // bytes_zero_copy. serve() (zero_copy) and the batch scheduler
-  // (sys/batch.h) both assemble here.
+  // (at most max_pos) and kTailSlack. serve() copies or borrows as
+  // EngineConfig::zero_copy says; the batch scheduler (sys/batch.h) always
+  // borrows.
   static constexpr int kTailSlack = 8;
-  BorrowedKV assemble_borrowed(const pml::PromptBinding& binding,
-                               int max_new_tokens, TtftBreakdown* ttft);
+  SequenceKV assemble(const pml::PromptBinding& binding, ModuleRows how,
+                      int max_new_tokens, TtftBreakdown* ttft);
 
   // Ensures every module used by `binding` is encoded; returns ms spent.
   // `cancel` is polled before each module/scaffold encode: an expired token
@@ -337,18 +340,19 @@ class PromptCacheEngine {
   EncodedModule finalize_encoding(KVCache kv,
                                   const std::vector<pml::TokenRun>& runs);
 
-  // Appends an encoded payload's text rows to the sequence cache, tallying
-  // transfer bytes by tier (and dequantized rows in the store's telemetry —
-  // hence non-const).
-  void append_text_rows(const EncodedModule& module, ModuleLocation loc,
-                        KVCache& sequence_cache, TtftBreakdown* ttft);
+  // Appends every module row of `binding` to `cache` (see assemble()),
+  // after reserving `own_budget` own rows beyond those fp32 copies fill.
+  // Borrowed modules' pins and refs go to `borrows`.
+  void append_modules(const pml::PromptBinding& binding, ModuleRows how,
+                      int own_budget, KVCache& cache, ModuleBorrows* borrows,
+                      TtftBreakdown* ttft);
 
   // Resolves the encoded payload for every module/scaffold of a binding
   // (re-encoding evicted entries) and emits them in concatenation order;
   // rows stay valid for the duration of the emit callback. With `borrows`
-  // (zero-copy assembly), each emitted module is pinned and its pin and
+  // (borrowing assembly), each emitted module is pinned and its pin and
   // ref are handed to the holder before emit runs, so rows stay valid and
-  // resident for as long as the borrowing view lives — and are released
+  // resident for as long as the borrowing cache lives — and are released
   // even when emit throws. A module evicted since the ensure pass is
   // re-encoded here and counted as a thrash re-encode.
   void for_each_encoded(

@@ -1,5 +1,6 @@
 #include "core/serialize.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -16,6 +17,10 @@ namespace {
 
 constexpr char kMagic[8] = {'P', 'C', 'M', 'O', 'D', '0', '2', '\n'};
 constexpr uint32_t kRecordTag = 0x4d434450;  // "PDCM"
+// No model has more layers or wider K/V rows; larger values are corruption,
+// refused before anything is sized by them.
+constexpr int32_t kMaxLayers = 1 << 12;
+constexpr int32_t kMaxKvDim = 1 << 20;
 
 // FNV-1a over a byte span, used as a corruption check (not security).
 uint64_t fnv1a(const void* data, size_t n, uint64_t h = 1469598103934665603ULL) {
@@ -68,27 +73,46 @@ class Writer {
 
 class Reader {
  public:
-  explicit Reader(std::istream& is) : is_(is) {}
+  // Notes how many bytes the stream holds past this point, when it can
+  // tell: no length read from the record may claim more, so a corrupt one
+  // fails before it allocates.
+  explicit Reader(std::istream& is) : is_(is) {
+    const std::streamoff here = is.tellg();
+    if (here < 0) return;
+    is.seekg(0, std::ios::end);
+    const std::streamoff end = is.tellg();
+    is.clear();
+    is.seekg(here);
+    if (end >= here) remaining_ = static_cast<uint64_t>(end - here);
+  }
+
+  // Throws unless the stream can still hold n bytes.
+  void need(uint64_t n) const {
+    if (n > remaining_) {
+      throw Error("module deserialization: truncated stream");
+    }
+  }
+  uint64_t remaining() const { return remaining_; }
 
   template <typename T>
   T pod() {
     T v{};
-    is_.read(reinterpret_cast<char*>(&v), sizeof(T));
-    if (!is_) throw Error("module deserialization: truncated stream");
-    hash_ = fnv1a(&v, sizeof(T), hash_);
+    bytes(&v, sizeof(T));
     return v;
   }
 
   void bytes(void* data, size_t n) {
+    need(n);
     is_.read(static_cast<char*>(data), static_cast<std::streamsize>(n));
     if (!is_) throw Error("module deserialization: truncated stream");
+    remaining_ -= n;
     hash_ = fnv1a(data, n, hash_);
   }
 
   template <typename T>
   std::vector<T> vec(uint64_t sanity_max = (1ULL << 32)) {
     const uint64_t n = pod<uint64_t>();
-    if (n > sanity_max) {
+    if (n > sanity_max || n > remaining_ / sizeof(T)) {
       throw Error("module deserialization: implausible vector length");
     }
     std::vector<T> v(static_cast<size_t>(n));
@@ -98,7 +122,7 @@ class Reader {
 
   std::string str() {
     const uint64_t n = pod<uint64_t>();
-    if (n > (1ULL << 20)) {
+    if (n > (1ULL << 20) || n > remaining_) {
       throw Error("module deserialization: implausible key length");
     }
     std::string s(static_cast<size_t>(n), '\0');
@@ -111,6 +135,7 @@ class Reader {
  private:
   std::istream& is_;
   uint64_t hash_ = 1469598103934665603ULL;
+  uint64_t remaining_ = UINT64_MAX;  // unknown: bounded by sanity limits
 };
 
 }  // namespace
@@ -155,19 +180,16 @@ void write_module_record(std::ostream& os, const std::string& key,
 
   switch (m.precision) {
     case StorePrecision::kFp32: {
+      // The payload as held (its rows are contiguous per layer: K then V
+      // blocks); a header that disagrees with it fails on read.
       PC_CHECK(m.kv32.has_value());
-      w.vec(m.kv32->pos_ids());
-      const size_t row_floats = static_cast<size_t>(m.kv_dim);
-      for (int l = 0; l < m.n_layers; ++l) {
-        // Rows are contiguous per layer; write K then V blocks.
-        if (m.n_tokens > 0) {
-          w.bytes(m.kv32->k_row(l, 0),
-                  row_floats * static_cast<size_t>(m.n_tokens) *
-                      sizeof(float));
-          w.bytes(m.kv32->v_row(l, 0),
-                  row_floats * static_cast<size_t>(m.n_tokens) *
-                      sizeof(float));
-        }
+      const KVCache& kv = *m.kv32;
+      w.vec(kv.pos_ids());
+      const size_t block =
+          static_cast<size_t>(kv.size()) * kv.kv_dim() * sizeof(float);
+      for (int l = 0; l < kv.n_layers() && block > 0; ++l) {
+        w.bytes(kv.k_row(l, 0), block);
+        w.bytes(kv.v_row(l, 0), block);
       }
       break;
     }
@@ -226,15 +248,25 @@ bool read_module_record(std::istream& is, std::string* key,
   m.n_tokens = r.pod<int32_t>();
   m.kv_dim = r.pod<int32_t>();
   m.n_layers = r.pod<int32_t>();
-  if (m.n_tokens < 0 || m.kv_dim <= 0 || m.n_layers <= 0) {
+  if (m.n_tokens < 0 || m.kv_dim <= 0 || m.kv_dim > kMaxKvDim ||
+      m.n_layers <= 0 || m.n_layers > kMaxLayers) {
     throw Error("module deserialization: bad geometry");
   }
 
+  // Every row range lies inside the payload — the rows retrieval copies or
+  // borrows — and text ranges ascend without overlapping.
   const auto ranges = r.vec<int32_t>();
   if (ranges.size() % 2 != 0) {
     throw Error("module deserialization: odd range list");
   }
   for (size_t i = 0; i < ranges.size(); i += 2) {
+    const int32_t floor = m.text_row_ranges.empty()
+                              ? 0
+                              : m.text_row_ranges.back().second;
+    if (ranges[i] < floor || ranges[i] > ranges[i + 1] ||
+        ranges[i + 1] > m.n_tokens) {
+      throw Error("module deserialization: text range outside the payload");
+    }
     m.text_row_ranges.emplace_back(ranges[i], ranges[i + 1]);
   }
   const auto params = r.vec<int32_t>();
@@ -242,33 +274,41 @@ bool read_module_record(std::istream& is, std::string* key,
     throw Error("module deserialization: bad param list");
   }
   for (size_t i = 0; i < params.size(); i += 3) {
+    if (params[i + 1] < 0 || params[i + 1] > params[i + 2] ||
+        params[i + 2] > m.n_tokens) {
+      throw Error("module deserialization: param rows outside the payload");
+    }
     m.params.push_back({params[i], params[i + 1], params[i + 2]});
   }
 
   const size_t row_elems = static_cast<size_t>(m.kv_dim);
   const size_t layer_elems = row_elems * static_cast<size_t>(m.n_tokens);
+  const auto read_pos_ids = [&] {
+    std::vector<int> pos = r.vec<int>();
+    if (static_cast<int64_t>(pos.size()) != m.n_tokens) {
+      throw Error("module deserialization: pos id count mismatch");
+    }
+    return pos;
+  };
   switch (m.precision) {
     case StorePrecision::kFp32: {
-      const std::vector<int> pos = r.vec<int>();
-      if (static_cast<int>(pos.size()) != m.n_tokens) {
-        throw Error("module deserialization: pos id count mismatch");
+      const std::vector<int> pos = read_pos_ids();
+      if (layer_elems * sizeof(float) >
+          r.remaining() / (2 * static_cast<uint64_t>(m.n_layers))) {
+        throw Error("module deserialization: truncated stream");
       }
       KVCache kv(m.n_layers, m.kv_dim);
       kv.reserve(m.n_tokens);
       kv.append_tokens(pos);
-      std::vector<float> buf(layer_elems);
-      for (int l = 0; l < m.n_layers; ++l) {
-        if (m.n_tokens == 0) break;
-        r.bytes(buf.data(), layer_elems * sizeof(float));
-        std::memcpy(kv.k_row(l, 0), buf.data(), layer_elems * sizeof(float));
-        r.bytes(buf.data(), layer_elems * sizeof(float));
-        std::memcpy(kv.v_row(l, 0), buf.data(), layer_elems * sizeof(float));
+      for (int l = 0; l < m.n_layers && m.n_tokens > 0; ++l) {
+        r.bytes(kv.k_row(l, 0), layer_elems * sizeof(float));
+        r.bytes(kv.v_row(l, 0), layer_elems * sizeof(float));
       }
       m.kv32 = std::move(kv);
       break;
     }
     case StorePrecision::kFp16:
-      m.pos_ids = r.vec<int>();
+      m.pos_ids = read_pos_ids();
       m.kv16_layers.resize(static_cast<size_t>(m.n_layers));
       for (auto& layer : m.kv16_layers) {
         layer.k = r.vec<f16>();
@@ -279,7 +319,7 @@ bool read_module_record(std::istream& is, std::string* key,
       }
       break;
     case StorePrecision::kQ8:
-      m.pos_ids = r.vec<int>();
+      m.pos_ids = read_pos_ids();
       m.kv8_layers.resize(static_cast<size_t>(m.n_layers));
       for (auto& layer : m.kv8_layers) {
         layer.k = r.vec<int8_t>();
@@ -294,7 +334,7 @@ bool read_module_record(std::istream& is, std::string* key,
       }
       break;
     case StorePrecision::kQ4: {
-      m.pos_ids = r.vec<int>();
+      m.pos_ids = read_pos_ids();
       const size_t packed_bytes =
           q4_row_bytes(m.kv_dim) * static_cast<size_t>(m.n_tokens);
       const size_t scale_elems = static_cast<size_t>(q4_blocks(m.kv_dim)) *

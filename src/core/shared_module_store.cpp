@@ -50,8 +50,6 @@ ModuleStoreCells::ModuleStoreCells() {
                           "modules moved device -> host to make room");
   promotions = reg.counter("pc_store_promotions_total",
                            "modules moved host -> device (prefetch/warm-up)");
-  dequant_rows = reg.counter("pc_store_dequant_rows_total",
-                             "module rows dequantized int8 -> fp32 on read");
   resident_bytes =
       reg.gauge("pc_store_resident_bytes", "encoded bytes resident, all tiers");
   resident_bytes_fp32 = reg.gauge(

@@ -28,7 +28,7 @@
 //     raw pointer. The expensive part of a hit (memcpying module rows into
 //     a request cache) runs entirely outside any lock, and a ref keeps its
 //     payload alive even if another worker evicts or replaces the entry
-//     mid-copy. Zero-copy SegmentedKVCache views hold their refs for the
+//     mid-copy. Caches that borrow module rows hold their refs for the
 //     whole request, so borrowed rows can never dangle.
 //
 //   * Reference-counted pins. pin()/unpin() count references instead of
@@ -106,11 +106,6 @@ struct ModuleStoreCells {
   obs::Counter evictions;
   obs::Counter demotions;
   obs::Counter promotions;
-  // Rows converted from a quantized payload (q8 or q4) to fp32 at
-  // retrieval time (the copy path's dequantize-on-read; borrowed views —
-  // zero-copy and batched serving — never dequantize modules and so never
-  // bump this).
-  obs::Counter dequant_rows;   // pc_store_dequant_rows_total
   obs::Gauge resident_bytes;   // pc_store_resident_bytes
   // resident_bytes split by payload format: q8 counts Q8_0 modules, q4
   // counts Q4_0 modules, fp32 counts everything unquantized (fp32 and fp16
@@ -310,10 +305,6 @@ class SharedModuleStore {
   // Consistent-enough snapshot of the counter cells (individual fields are
   // exact; cross-field invariants can be momentarily off mid-update).
   ModuleStoreStats stats() const { return cells_.snapshot(); }
-  // Telemetry hook for retrieval paths that dequantize module rows into a
-  // request cache (engine append_text_rows): n rows converted int8 -> fp32.
-  void note_dequant_rows(uint64_t n) { cells_.dequant_rows.inc(n); }
-  uint64_t dequant_rows() const { return cells_.dequant_rows.value(); }
   // Resident payload split by format (mirrors the pc_store_resident_bytes_*
   // gauges; q8 = Q8_0 modules, q4 = Q4_0 modules, fp32 = unquantized
   // fp32/fp16 payloads).
@@ -441,8 +432,8 @@ class SharedModuleStore {
   obs::Gauge disk_spilled_bytes_;     // pc_store_disk_spilled_bytes
 };
 
-// The pins and refs one request holds on the modules its zero-copy view
-// borrows (PromptCacheEngine::assemble_borrowed). Each held module stays
+// The pins and refs one request holds on the modules its sequence cache
+// borrows (PromptCacheEngine::assemble). Each held module stays
 // pinned (not evictable) and referenced (payload alive) until the holder
 // is destroyed or reset(), which returns every pin and then drops the refs.
 // Move-only, so each request's borrows are released exactly once.

@@ -73,72 +73,38 @@ void Model::apply_norm(const Tensor& w, const Tensor& b, const Tensor& x,
 
 namespace {
 
-// Uniform row accessors over the two cache representations.
-inline float* kv_k_write(KVCache& c, int l, int t) { return c.k_row(l, t); }
-inline float* kv_v_write(KVCache& c, int l, int t) { return c.v_row(l, t); }
-inline const float* kv_k_read(const KVCache& c, int l, int t) {
-  return c.k_row(l, t);
-}
-inline const float* kv_v_read(const KVCache& c, int l, int t) {
-  return c.v_row(l, t);
-}
-inline float* kv_k_write(SegmentedKVCache& c, int l, int t) {
-  return c.k_row_mut(l, t);
-}
-inline float* kv_v_write(SegmentedKVCache& c, int l, int t) {
-  return c.v_row_mut(l, t);
-}
-inline const float* kv_k_read(const SegmentedKVCache& c, int l, int t) {
-  return c.k_row(l, t);
-}
-inline const float* kv_v_read(const SegmentedKVCache& c, int l, int t) {
-  return c.v_row(l, t);
-}
-
-// Fused-attention dispatch over the two cache representations, for the
-// `n_q` query heads of one GQA group (k_off selects their KV head). KVCache
-// rows are dense [n_tokens, kv_dim], so one head's K column is a strided
-// walk from row 0 — the contiguous kernel. SegmentedKVCache rows live
-// behind a per-layer pointer table — the gathered kernel.
+// Fused-attention dispatch for the `n_q` query heads of one GQA group (k_off
+// selects their KV head). While every row is an own fp32 row, a layer is a
+// dense [n_tokens, kv_dim] buffer and one head's K column is a strided walk
+// from row 0 — the contiguous kernel. Otherwise rows are read through the
+// layer's row tables: quantized module rows are scored in the integer domain
+// (no fp32 materialization, copied and borrowed alike) and fp32 rows through
+// the same pointers. A cache holds at most one quantized format.
 inline void fused_attend(const KVCache& c, int layer, int k_off,
                          const float* q, size_t d_head, size_t n_ctx,
                          float scale, const float* slopes,
                          const float* rel_pos, const uint8_t* masked,
                          float* scores, float* out, size_t n_q) {
-  attn_fused_contig(q, c.k_row(layer, 0) + k_off, c.v_row(layer, 0) + k_off,
-                    static_cast<size_t>(c.kv_dim()), d_head, n_ctx, scale,
-                    slopes, rel_pos, masked, scores, out, n_q);
-}
-inline void fused_attend(const SegmentedKVCache& c, int layer, int k_off,
-                         const float* q, size_t d_head, size_t n_ctx,
-                         float scale, const float* slopes,
-                         const float* rel_pos, const uint8_t* masked,
-                         float* scores, float* out, size_t n_q) {
-  // At most one quantized format appears per view (a store holds one
-  // precision), so the dispatch below never mixes q4 and q8 slots.
-  if (c.has_q4()) {
-    // Q4_0 borrowed segments: module rows are scored block-wise in the
-    // integer domain (no fp32 materialization); the owned tail reads fp32.
-    attn_fused_q4_gather(q, c.k4_row_table(layer), c.v4_row_table(layer),
-                         c.k4_scale_table(layer), c.v4_scale_table(layer),
-                         c.k_row_table(layer), c.v_row_table(layer),
-                         static_cast<size_t>(k_off), d_head, n_ctx, scale,
-                         slopes, rel_pos, masked, scores, out, n_q);
+  if (c.module_rows() == 0) {
+    attn_fused_contig(q, c.k_row(layer, 0) + k_off, c.v_row(layer, 0) + k_off,
+                      static_cast<size_t>(c.kv_dim()), d_head, n_ctx, scale,
+                      slopes, rel_pos, masked, scores, out, n_q);
     return;
   }
-  if (c.has_q8()) {
-    // Quantized borrowed segments: module rows are scored in the int8
-    // domain (no fp32 materialization); the owned tail reads fp32.
-    attn_fused_q8_gather(q, c.k8_row_table(layer), c.v8_row_table(layer),
-                         c.k_scale_table(layer), c.v_scale_table(layer),
-                         c.k_row_table(layer), c.v_row_table(layer),
-                         static_cast<size_t>(k_off), d_head, n_ctx, scale,
-                         slopes, rel_pos, masked, scores, out, n_q);
-    return;
+  const KVCache::RowTables t = c.tables(layer);
+  const size_t off = static_cast<size_t>(k_off);
+  if (t.k4 != nullptr) {
+    attn_fused_q4_gather(q, t.k4, t.v4, t.k4_scales, t.v4_scales, t.k, t.v,
+                         off, d_head, n_ctx, scale, slopes, rel_pos, masked,
+                         scores, out, n_q);
+  } else if (t.k8 != nullptr) {
+    attn_fused_q8_gather(q, t.k8, t.v8, t.k8_scales, t.v8_scales, t.k, t.v,
+                         off, d_head, n_ctx, scale, slopes, rel_pos, masked,
+                         scores, out, n_q);
+  } else {
+    attn_fused_gather(q, t.k, t.v, off, d_head, n_ctx, scale, slopes,
+                      rel_pos, masked, scores, out, n_q);
   }
-  attn_fused_gather(q, c.k_row_table(layer), c.v_row_table(layer),
-                    static_cast<size_t>(k_off), d_head, n_ctx, scale, slopes,
-                    rel_pos, masked, scores, out, n_q);
 }
 
 // Rows `rows` of a 2-D tensor, in order.
@@ -176,13 +142,12 @@ Tensor Model::queries(int layer, const Tensor& h,
 // Self-attention of layer `layer` for the new rows h: every row's keys and
 // values are published into the cache; output row j is the attention of
 // new row q_rows[j] over cache slots [0, first_new + q_rows[j]].
-template <typename CacheT>
 Tensor Model::attention(int layer, const Tensor& h,
                         std::span<const int> pos_ids,
                         std::span<const int> block_ids,
                         std::span<const bool> hidden_from_global,
                         int first_new, std::span<const int> q_rows,
-                        CacheT& cache) const {
+                        KVCache& cache) const {
   const auto& lw = weights_.layers[static_cast<size_t>(layer)];
   const int n_new = static_cast<int>(h.dim(0));
   const int n_q = static_cast<int>(q_rows.size());
@@ -204,13 +169,12 @@ Tensor Model::attention(int layer, const Tensor& h,
 
   // Publish the new keys/values into the cache (keys post-rotation, so the
   // module stays valid if these rows are later copied elsewhere). The
-  // appended rows are contiguous in both representations — KVCache layers
-  // are dense buffers and the segmented tail is a dense, pre-reserved
-  // KVCache — and kx/vx are row-major, so this is two memcpys per layer
-  // rather than two per token.
-  std::memcpy(kv_k_write(cache, layer, first_new), kx.data(),
+  // appended rows are consecutive own rows, dense in the layer's own buffer,
+  // and kx/vx are row-major, so this is two memcpys per layer rather than
+  // two per token.
+  std::memcpy(cache.k_row(layer, first_new), kx.data(),
               static_cast<size_t>(n_new) * kv_dim * sizeof(float));
-  std::memcpy(kv_v_write(cache, layer, first_new), vx.data(),
+  std::memcpy(cache.v_row(layer, first_new), vx.data(),
               static_cast<size_t>(n_new) * kv_dim * sizeof(float));
 
   // The query side runs for q_rows only; output row j is new row q_rows[j].
@@ -345,10 +309,10 @@ Tensor Model::attention(int layer, const Tensor& h,
 // Per-sequence attention of a batched step. The dense projections were
 // computed over the concatenated rows; here every query row r (sequence s,
 // chunk-local index i) attends to its own cache's slots [0, first_new+i]
-// through the same fused_attend dispatch forward() uses for a segmented
-// cache — same kernel, context and inputs as a sequential forward over that
-// sequence alone, so the output bits match. As in attention(), every row
-// publishes K/V and output row j is the query side of row q_rows[j].
+// through the same fused_attend dispatch forward() uses — same kernel,
+// context and inputs as a sequential forward over that sequence alone, so
+// the output bits match. As in attention(), every row publishes K/V and
+// output row j is the query side of row q_rows[j].
 Tensor Model::attention_batch(int layer, const Tensor& h,
                               std::span<const BatchSeq> seqs,
                               const std::vector<int>& first_new,
@@ -374,17 +338,17 @@ Tensor Model::attention_batch(int layer, const Tensor& h,
     }
   }
 
-  // Publish each row's keys/values into its sequence's owned tail. A
-  // sequence's rows are consecutive in kx/vx and in its tail, so this is two
-  // memcpys per (sequence, layer).
+  // Publish each row's keys/values into its sequence's own rows. A
+  // sequence's rows are consecutive in kx/vx and in its own buffer, so this
+  // is two memcpys per (sequence, layer).
   size_t max_ctx = 0;
   for (int s = 0, r = 0; s < static_cast<int>(seqs.size()); ++s) {
-    SegmentedKVCache& cache = *seqs[static_cast<size_t>(s)].cache;
+    KVCache& cache = *seqs[static_cast<size_t>(s)].cache;
     const int n = static_cast<int>(seqs[static_cast<size_t>(s)].tokens.size());
     const int t = first_new[static_cast<size_t>(s)];
-    std::memcpy(cache.k_row_mut(layer, t), kx.row(r),
+    std::memcpy(cache.k_row(layer, t), kx.row(r),
                 static_cast<size_t>(n) * kv_dim * sizeof(float));
-    std::memcpy(cache.v_row_mut(layer, t), vx.row(r),
+    std::memcpy(cache.v_row(layer, t), vx.row(r),
                 static_cast<size_t>(n) * kv_dim * sizeof(float));
     max_ctx = std::max(max_ctx, static_cast<size_t>(t + n));
     r += n;
@@ -400,7 +364,7 @@ Tensor Model::attention_batch(int layer, const Tensor& h,
     for (size_t j = row_begin; j < row_end; ++j) {
       const size_t r = static_cast<size_t>(q_rows[j]);
       const int s = row_seq[r];
-      const SegmentedKVCache& cache = *seqs[static_cast<size_t>(s)].cache;
+      const KVCache& cache = *seqs[static_cast<size_t>(s)].cache;
       const int ctx = first_new[static_cast<size_t>(s)] + row_idx[r] + 1;
       if (alibi_) {
         const int qp = pos_ids[r];
@@ -497,21 +461,8 @@ Tensor Model::forward(std::span<const TokenId> tokens,
                       return_all_logits ? LogitRows::kAll : LogitRows::kLast);
 }
 
-Tensor Model::forward(std::span<const TokenId> tokens,
-                      std::span<const int> pos_ids, SegmentedKVCache& cache,
-                      bool return_all_logits) const {
-  return forward_impl(tokens, pos_ids, {}, cache,
-                      return_all_logits ? LogitRows::kAll : LogitRows::kLast);
-}
-
 void Model::encode(std::span<const TokenId> tokens,
                    std::span<const int> pos_ids, KVCache& cache) const {
-  (void)forward_impl(tokens, pos_ids, {}, cache, LogitRows::kNone);
-}
-
-void Model::encode(std::span<const TokenId> tokens,
-                   std::span<const int> pos_ids,
-                   SegmentedKVCache& cache) const {
   (void)forward_impl(tokens, pos_ids, {}, cache, LogitRows::kNone);
 }
 
@@ -531,10 +482,9 @@ Tensor Model::forward_blocked(std::span<const TokenId> tokens,
                       hidden_from_global);
 }
 
-template <typename CacheT>
 Tensor Model::forward_impl(std::span<const TokenId> tokens,
                            std::span<const int> pos_ids,
-                           std::span<const int> block_ids, CacheT& cache,
+                           std::span<const int> block_ids, KVCache& cache,
                            LogitRows rows,
                            std::span<const bool> hidden_from_global) const {
   PC_CHECK_MSG(tokens.size() == pos_ids.size(),
@@ -642,25 +592,7 @@ TokenId Model::argmax(const Tensor& logits, int64_t row) {
 std::vector<TokenId> Model::generate_greedy(
     const Tensor& last_logits, int next_pos, KVCache& cache,
     const GenerateOptions& options) const {
-  return generate_impl(last_logits, next_pos, cache, options).tokens;
-}
-
-std::vector<TokenId> Model::generate_greedy(
-    const Tensor& last_logits, int next_pos, SegmentedKVCache& cache,
-    const GenerateOptions& options) const {
-  return generate_impl(last_logits, next_pos, cache, options).tokens;
-}
-
-Model::GenerateOutput Model::generate(const Tensor& last_logits, int next_pos,
-                                      KVCache& cache,
-                                      const GenerateOptions& options) const {
-  return generate_impl(last_logits, next_pos, cache, options);
-}
-
-Model::GenerateOutput Model::generate(const Tensor& last_logits, int next_pos,
-                                      SegmentedKVCache& cache,
-                                      const GenerateOptions& options) const {
-  return generate_impl(last_logits, next_pos, cache, options);
+  return generate(last_logits, next_pos, cache, options).tokens;
 }
 
 namespace {
@@ -780,10 +712,9 @@ int matched_stop_sequence(const std::vector<TokenId>& out,
 
 }  // namespace
 
-template <typename CacheT>
-Model::GenerateOutput Model::generate_impl(
-    const Tensor& last_logits, int next_pos, CacheT& cache,
-    const GenerateOptions& options) const {
+Model::GenerateOutput Model::generate(const Tensor& last_logits, int next_pos,
+                                      KVCache& cache,
+                                      const GenerateOptions& options) const {
   GenerateOutput out;
   out.finish_reason = FinishReason::kLength;
   Rng rng(options.seed);

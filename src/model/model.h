@@ -28,7 +28,6 @@
 
 #include "common/cancel.h"
 #include "kv/kv_cache.h"
-#include "kv/kv_view.h"
 #include "model/config.h"
 #include "model/weights.h"
 #include "pos/alibi.h"
@@ -81,17 +80,12 @@ class Model {
   }
 
   // Computes attention states for `tokens` at `pos_ids` (same length),
-  // appends them to `cache`, and returns logits: [1, vocab] for the final
-  // token, or [n, vocab] when return_all_logits is set. The final layer
-  // runs past K/V for the returned rows only.
+  // appends them to `cache` as own rows, and returns logits: [1, vocab] for
+  // the final token, or [n, vocab] when return_all_logits is set. The final
+  // layer runs past K/V for the returned rows only. The cache may lead with
+  // copied or borrowed module rows in any stored format (kv/kv_cache.h).
   Tensor forward(std::span<const TokenId> tokens,
                  std::span<const int> pos_ids, KVCache& cache,
-                 bool return_all_logits = false) const;
-
-  // Zero-copy variant: the cache may hold borrowed module segments; new
-  // rows land in its owned tail (see kv/kv_view.h).
-  Tensor forward(std::span<const TokenId> tokens,
-                 std::span<const int> pos_ids, SegmentedKVCache& cache,
                  bool return_all_logits = false) const;
 
   // K/V only: appends the same K/V bits forward() would, and computes
@@ -101,19 +95,17 @@ class Model {
   // reply's last token, the closing tokens).
   void encode(std::span<const TokenId> tokens, std::span<const int> pos_ids,
               KVCache& cache) const;
-  void encode(std::span<const TokenId> tokens, std::span<const int> pos_ids,
-              SegmentedKVCache& cache) const;
 
   // One sequence of a batched step: `tokens` are the new tokens this
   // iteration (a prefill chunk or a single decode token) at `pos_ids`,
-  // appended to `cache` — a view that may borrow module rows, so every
-  // request reads shared modules in place. `logits` asks for the last new
-  // token's logits; a mid-prompt prefill chunk clears it, and the step then
+  // appended to `cache` — which may borrow module rows, so every request
+  // reads shared modules in place. `logits` asks for the last new token's
+  // logits; a mid-prompt prefill chunk clears it, and the step then
   // computes only its rows' K/V in the final layer.
   struct BatchSeq {
     std::span<const TokenId> tokens;
     std::span<const int> pos_ids;
-    SegmentedKVCache* cache = nullptr;
+    KVCache* cache = nullptr;
     bool logits = true;
   };
 
@@ -157,9 +149,6 @@ class Model {
   std::vector<TokenId> generate_greedy(const Tensor& last_logits,
                                        int next_pos, KVCache& cache,
                                        const GenerateOptions& options) const;
-  std::vector<TokenId> generate_greedy(const Tensor& last_logits,
-                                       int next_pos, SegmentedKVCache& cache,
-                                       const GenerateOptions& options) const;
 
   // As above, but also reports why generation stopped.
   struct GenerateOutput {
@@ -168,9 +157,6 @@ class Model {
   };
   GenerateOutput generate(const Tensor& last_logits, int next_pos,
                           KVCache& cache,
-                          const GenerateOptions& options) const;
-  GenerateOutput generate(const Tensor& last_logits, int next_pos,
-                          SegmentedKVCache& cache,
                           const GenerateOptions& options) const;
 
   static TokenId argmax(const Tensor& logits, int64_t row = 0);
@@ -209,13 +195,9 @@ class Model {
   // Which new rows of a forward run past the final layer's K/V and reach
   // the logits.
   enum class LogitRows { kLast, kAll, kNone };
-  // The forward pass is a template over the cache representation: KVCache
-  // (contiguous, memcpy-assembled) and SegmentedKVCache (zero-copy row
-  // pointer tables) share one implementation.
-  template <typename CacheT>
   Tensor forward_impl(std::span<const TokenId> tokens,
                       std::span<const int> pos_ids,
-                      std::span<const int> block_ids, CacheT& cache,
+                      std::span<const int> block_ids, KVCache& cache,
                       LogitRows rows,
                       std::span<const bool> hidden_from_global = {}) const;
   // The layer stack over embedded rows x (whose indices are all_rows):
@@ -230,11 +212,10 @@ class Model {
   // rotated at their positions on RoPE models.
   Tensor queries(int layer, const Tensor& h, std::span<const int> pos_ids,
                  std::span<const int> rows) const;
-  template <typename CacheT>
   Tensor attention(int layer, const Tensor& h, std::span<const int> pos_ids,
                    std::span<const int> block_ids,
                    std::span<const bool> hidden_from_global, int first_new,
-                   std::span<const int> q_rows, CacheT& cache) const;
+                   std::span<const int> q_rows, KVCache& cache) const;
   Tensor attention_batch(int layer, const Tensor& h,
                          std::span<const BatchSeq> seqs,
                          const std::vector<int>& first_new,
@@ -246,10 +227,6 @@ class Model {
   // h holds the same rows' norm1 output.
   void finish_block(int layer, const Tensor& attn_out, Tensor& h,
                     Tensor& x) const;
-  template <typename CacheT>
-  GenerateOutput generate_impl(const Tensor& last_logits, int next_pos,
-                               CacheT& cache,
-                               const GenerateOptions& options) const;
   void mlp(int layer, const Tensor& h, Tensor& out) const;
 
   ModelConfig config_;

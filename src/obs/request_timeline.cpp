@@ -90,8 +90,7 @@ std::string timeline_json(const RequestTimeline& t) {
      << ",\"prefill_chunks\":" << t.prefill_chunks
      << ",\"bytes_from_host\":" << t.bytes_from_host
      << ",\"bytes_from_device\":" << t.bytes_from_device
-     << ",\"bytes_zero_copy\":" << t.bytes_zero_copy
-     << ",\"dequant_rows\":" << t.dequant_rows << ",\"kv_format\":\"";
+     << ",\"bytes_zero_copy\":" << t.bytes_zero_copy << ",\"kv_format\":\"";
   json_escape(os, t.kv_format);
   os << "\",\"retries\":" << t.retries
      << ",\"deadline_met\":" << (t.deadline_met ? "true" : "false")

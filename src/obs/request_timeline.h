@@ -100,8 +100,7 @@ struct RequestTimeline {
   uint64_t bytes_from_host = 0;
   uint64_t bytes_from_device = 0;
   uint64_t bytes_zero_copy = 0;
-  uint64_t dequant_rows = 0;  // copy-path q8/q4 rows dequantized
-  std::string kv_format;      // "fp32" | "fp16" | "q8" | "q4"
+  std::string kv_format;  // "fp32" | "fp16" | "q8" | "q4"
 
   RequestOutcome outcome = RequestOutcome::kPending;
   int retries = 0;

@@ -222,15 +222,16 @@ void BatchScheduler::admit(Request request) {
 
   for (int attempt = 0;; ++attempt) {
     try {
-      // Reset per-attempt state: a failed attempt returns its view and
+      // Reset per-attempt state: a failed attempt returns its cache and
       // borrows before the retry takes new ones.
       seq->kv.reset();
       seq->result = ServeResult{};
       const pml::PromptBinding binding = engine_->bind(seq->req.prompt);
       seq->result.encode_ms =
           engine_->ensure_encoded(binding, seq->req.options.cancel);
-      seq->kv = engine_->assemble_borrowed(
-          binding, seq->req.options.max_new_tokens, &seq->result.ttft);
+      seq->kv = engine_->assemble(binding, ModuleRows::kBorrow,
+                                  seq->req.options.max_new_tokens,
+                                  &seq->result.ttft);
       // Uncached stream + kickoff, exactly as serve(): a fully cached
       // prompt computes one <s> row at next_pos to produce logits, and
       // generation starts one position later.
@@ -434,14 +435,14 @@ bool BatchScheduler::step() {
                                    static_cast<size_t>(chunk)),
           std::span<const int>(s.stream.pos_ids.data() + s.prefill_done,
                                static_cast<size_t>(chunk)),
-          &s.kv->view, final_chunk});
+          &s.kv->cache, final_chunk});
       refs.push_back({&s, chunk, final_chunk ? logits_rows++ : -1});
     } else {  // kDecode: invariant — needs one forward of s.next
       s.decode_tok = s.next;
       s.decode_pos = s.gen_start + s.step_idx;
       batch.push_back(Model::BatchSeq{
           std::span<const TokenId>(&s.decode_tok, 1),
-          std::span<const int>(&s.decode_pos, 1), &s.kv->view});
+          std::span<const int>(&s.decode_pos, 1), &s.kv->cache});
       refs.push_back({&s, 0, logits_rows++});
     }
   }
@@ -462,7 +463,7 @@ bool BatchScheduler::step() {
         s.prefill_done += static_cast<size_t>(refs[i].chunk);
         if (s.prefill_done < s.stream.tokens.size()) continue;
         // Prefill complete: the first token comes off this iteration's
-        // logits — generate_impl's head, with the sequence's own Rng.
+        // logits — Model::generate's head, with the sequence's own Rng.
         s.result.ttft.uncached_ms = ms_between(s.prefill_start, after);
         s.result.ttft.uncached_tokens =
             static_cast<int>(s.stream.tokens.size());
@@ -524,7 +525,7 @@ bool BatchScheduler::step() {
 size_t BatchScheduler::live_bytes() const {
   size_t bytes = 0;
   for (const auto& seq : active_) {
-    if (seq->kv) bytes += seq->kv->view.reserved_tail_bytes();
+    if (seq->kv) bytes += seq->kv->cache.owned_bytes();
   }
   return bytes;
 }

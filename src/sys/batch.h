@@ -11,30 +11,30 @@
 // free their slot immediately.
 //
 // The KV layer is where §3.4's batch-inference memory optimization lands.
-// Each request's cache is the zero-copy view serve() uses
-// (PromptCacheEngine::assemble_borrowed, kv/kv_view.h):
+// Each request's cache is the sequence cache serve() uses, assembled by
+// borrowing (PromptCacheEngine::assemble with ModuleRows::kBorrow,
+// kv/kv_cache.h):
 //
 //   * Module rows are borrowed from the store where they live — fp32, q8 or
 //     q4, never copied or dequantized. Eight requests importing the same 3
-//     modules hold eight pointer tables over ONE copy of those modules:
-//     the store's.
-//   * Uncached prompt tokens and decode tokens land in the request's owned
-//     fp32 tail, sized at admission and freed when it completes.
+//     modules hold eight row tables over ONE copy of those modules: the
+//     store's.
+//   * Uncached prompt tokens and decode tokens land in the request's own
+//     fp32 rows, reserved at admission and freed when it completes.
 //   * The borrowed modules stay pinned in the store for exactly the
-//     request's lifetime (BorrowedKV's ModuleBorrows); a failed admission
+//     request's lifetime (SequenceKV's ModuleBorrows); a failed admission
 //     attempt returns its pins before retrying, and a finished request
 //     returns them before its completion callback fires.
 //
 // Determinism contract: batched serving emits bitwise-identical tokens to
-// sequential zero-copy serving (EngineConfig::zero_copy) at every KV
-// format, and to the copy path at fp32 (at q8/q4 the copy path dequantizes
-// rows instead, which can flip near-tied tokens). Model::forward_batch
-// keeps every per-row computation bitwise equal to forward(), chunked
-// prefill only splits rows across iterations (row i's values depend only
-// on rows <= i; a mid-prompt chunk asks for no logits, so its rows stop at
-// K/V in the final layer), and the decode loop below replays
-// Model::generate_impl's exact sampling order with a per-request
-// Rng(options.seed).
+// sequential serving (PromptCacheEngine::serve), copy or zero-copy, at
+// every KV format: copied and borrowed module rows are the same bytes read
+// by the same kernels. Model::forward_batch keeps every per-row computation
+// bitwise equal to forward(), chunked prefill only splits rows across
+// iterations (row i's values depend only on rows <= i; a mid-prompt chunk
+// asks for no logits, so its rows stop at K/V in the final layer), and the
+// decode loop below replays Model::generate's exact sampling order with a
+// per-request Rng(options.seed).
 // tests/test_batch_serve.cpp asserts this for batch sizes 1/2/4/8 with and
 // without shared modules, and on random weights at fp32, q8 and q4.
 //
@@ -79,11 +79,11 @@ struct BatchConfig {
   int chunk_tokens = 32;  // prefill tokens contributed per iteration
 };
 
-// KV footprint of the batch path: the owned tails (reserved bytes) of the
+// KV footprint of the batch path: the own rows (reserved bytes) of the
 // requests in flight. Module rows are borrowed from the store and counted
 // there, never here.
 struct BatchKVStats {
-  size_t live_bytes = 0;       // tails of the requests in flight right now
+  size_t live_bytes = 0;       // own rows of the requests in flight now
   size_t peak_live_bytes = 0;  // high-water mark across the run
 };
 
@@ -140,9 +140,9 @@ class BatchScheduler {
   bool idle() const { return active_.empty(); }
   int active_requests() const { return static_cast<int>(active_.size()); }
 
-  // Binds, encodes, and assembles the request's borrowed view, then places it
-  // in the iteration loop (or completes it immediately: shed past deadline,
-  // degraded, failed). Transient encode faults retry with the same backoff
+  // Binds, encodes, and assembles the request's borrowing cache, then places
+  // it in the iteration loop (or completes it immediately: shed past
+  // deadline, degraded, failed). Transient encode faults retry with the same backoff
   // ladder as the worker pool.
   void admit(Request request);
 
@@ -177,16 +177,16 @@ class BatchScheduler {
     double transfer_ms = 0;  // one transfer's duration (re-paid on retry)
     int link_attempts = 0;
 
-    std::optional<BorrowedKV> kv;  // set once an admission attempt succeeds
+    std::optional<SequenceKV> kv;  // set once an admission attempt succeeds
     UncachedStream stream;  // uncached prompt tokens (incl. kickoff)
     size_t prefill_done = 0;
     bool prefill_started = false;
     std::chrono::steady_clock::time_point prefill_start;
 
     int gen_start = 0;  // first generated token's position id
-    Rng rng;            // replays generate_impl's sampling stream
+    Rng rng;            // replays Model::generate's sampling stream
     TokenId next = 0;   // candidate token awaiting emission checks
-    int step_idx = 0;   // generate_impl's `step`
+    int step_idx = 0;   // Model::generate's `step`
     std::vector<TokenId> gen_tokens;
     FinishReason finish = FinishReason::kLength;
     std::chrono::steady_clock::time_point decode_start;
@@ -200,7 +200,7 @@ class BatchScheduler {
     explicit Seq(Request r) : req(std::move(r)), rng(req.options.seed) {}
   };
 
-  // generate_impl's loop head for the candidate in seq.next: emission
+  // Model::generate's loop head for the candidate in seq.next: emission
   // checks and finish bookkeeping. Returns true when the sequence is done
   // (seq.finish set); false when it needs one forward of seq.next.
   bool advance_decode(Seq& seq);

@@ -407,7 +407,6 @@ void Server::record_timeline_locked(const ServerResponse& resp) {
     t.bytes_from_host = b.bytes_from_host;
     t.bytes_from_device = b.bytes_from_device;
     t.bytes_zero_copy = b.bytes_zero_copy;
-    t.dequant_rows = b.dequant_rows;
     t.first_token_ns = t.submit_ns + ms_to_ns(resp.ttft_ms);
     if (config_.ttft_profile != nullptr && resp.status == ServeStatus::kOk &&
         b.cached_tokens > 0) {

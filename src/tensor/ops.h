@@ -93,8 +93,9 @@ void attn_fused_contig(const float* q, const float* k, const float* v,
                        const float* rel_pos, const uint8_t* masked,
                        float* scores, float* out, size_t n_q);
 
-// Gathered variant for SegmentedKVCache: token row j lives at
-// k_rows[j] + head_off (one pointer chase per row, dots still vectorized).
+// Gathered variant for a KVCache read through its row tables: token row j
+// lives at k_rows[j] + head_off (one pointer chase per row, dots still
+// vectorized).
 void attn_fused_gather(const float* q, const float* const* k_rows,
                        const float* const* v_rows, size_t head_off,
                        size_t d_head, size_t n_ctx, float scale,

@@ -1,6 +1,9 @@
 // Tests for batched serving and its module-sharing accounting (§3.4).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "core/engine.h"
 #include "eval/workload.h"
 #include "model/induction.h"
@@ -80,7 +83,9 @@ TEST_F(BatchTest, SharedBytesCountEachModuleOnce) {
 }
 
 TEST_F(BatchTest, ZeroCopyBatchOwnsOnlyTails) {
+  // At fp32, where a copied module row is as wide as an own row.
   EngineConfig cfg;
+  cfg.precision = StorePrecision::kFp32;
   cfg.zero_copy = true;
   PromptCacheEngine engine(model_, workload_.tokenizer(), cfg);
   engine.load_schema(kSchema);
@@ -88,7 +93,9 @@ TEST_F(BatchTest, ZeroCopyBatchOwnsOnlyTails) {
   PromptCacheEngine::BatchStats zc_stats;
   (void)engine.serve_batch(batch_prompts(), answer_options(), &zc_stats);
 
-  PromptCacheEngine copy_engine(model_, workload_.tokenizer());
+  EngineConfig copy_cfg;
+  copy_cfg.precision = StorePrecision::kFp32;
+  PromptCacheEngine copy_engine(model_, workload_.tokenizer(), copy_cfg);
   copy_engine.load_schema(kSchema);
   PromptCacheEngine::BatchStats copy_stats;
   (void)copy_engine.serve_batch(batch_prompts(), answer_options(),
@@ -97,6 +104,38 @@ TEST_F(BatchTest, ZeroCopyBatchOwnsOnlyTails) {
   // Zero-copy requests own far less memory than copying requests.
   EXPECT_LT(zc_stats.owned_bytes * 3, copy_stats.owned_bytes);
   EXPECT_EQ(zc_stats.shared_module_bytes, copy_stats.shared_module_bytes);
+}
+
+// A copy owns its module rows at their stored width: at q4 a copying
+// batch owns exactly the stored bytes of every imported text row more than
+// a zero-copy batch (both emit the same tokens, so their own rows match).
+TEST_F(BatchTest, CopiesOwnTheirStoredBytes) {
+  EngineConfig cfg;
+  cfg.precision = StorePrecision::kQ4;
+  PromptCacheEngine copy_engine(model_, workload_.tokenizer(), cfg);
+  copy_engine.load_schema(kSchema);
+  PromptCacheEngine::BatchStats copy_stats;
+  (void)copy_engine.serve_batch(batch_prompts(), answer_options(),
+                                &copy_stats);
+
+  cfg.zero_copy = true;
+  PromptCacheEngine zc_engine(model_, workload_.tokenizer(), cfg);
+  zc_engine.load_schema(kSchema);
+  PromptCacheEngine::BatchStats zc_stats;
+  (void)zc_engine.serve_batch(batch_prompts(), answer_options(), &zc_stats);
+
+  std::map<std::string, size_t> text_bytes;
+  copy_engine.store().for_each([&](const std::string& key,
+                                   const EncodedModule& m, ModuleLocation) {
+    EXPECT_EQ(m.precision, StorePrecision::kQ4);
+    text_bytes[key] =
+        m.bytes_per_token() * static_cast<size_t>(m.text_token_count());
+  });
+  // sys in all three prompts, d1 and d2 in two each.
+  const size_t imported = 3 * text_bytes.at("b::sys") +
+                          2 * text_bytes.at("b::d1") +
+                          2 * text_bytes.at("b::d2");
+  EXPECT_EQ(copy_stats.owned_bytes - zc_stats.owned_bytes, imported);
 }
 
 TEST_F(BatchTest, EmptyBatchIsFine) {

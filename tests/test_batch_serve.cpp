@@ -1,11 +1,12 @@
 // Continuous-batching serve path (sys/batch.h + Server batching mode):
 //
-//   * forward_batch over borrowed views is bitwise-identical to forward()
-//     over dense caches, chunked or not, solo or batched, with or without
-//     borrowed module rows;
+//   * forward_batch is bitwise-identical to forward() over dense caches,
+//     chunked or not, solo or batched, with or without borrowed module
+//     rows;
 //   * the batching Server produces bitwise-identical tokens to sequential
 //     PromptCacheEngine::serve at every batch width (greedy and sampled),
-//     and to a zero-copy engine on random weights at fp32, q8 and q4;
+//     and to copy and zero-copy engines on random weights for four model
+//     families at fp32, q8 and q4;
 //   * requests sharing modules share them in place (§3.4): every request
 //     borrows its modules' rows (nothing copied), the batch's KV footprint
 //     is the requests' owned tails only, and a drained batch holds no KV
@@ -127,7 +128,7 @@ TEST_F(BatchServeTest, ForwardBatchMatchesForwardBitwise) {
 
   // Whole sequence in one batched call.
   {
-    SegmentedKVCache cache(n_layers, kv_dim, n);
+    KVCache cache(n_layers, kv_dim);
     Model::BatchSeq seq{tokens, pos, &cache};
     const Tensor out = model_.forward_batch({&seq, 1});
     ASSERT_EQ(out.dim(0), 1);
@@ -140,7 +141,7 @@ TEST_F(BatchServeTest, ForwardBatchMatchesForwardBitwise) {
   // Chunked prefill: same cache fed 5 tokens at a time; the last chunk's
   // logits must still match the one-shot dense run bitwise.
   {
-    SegmentedKVCache cache(n_layers, kv_dim, n);
+    KVCache cache(n_layers, kv_dim);
     Tensor out;
     for (int at = 0; at < n; at += 5) {
       const int len = std::min(5, n - at);
@@ -165,8 +166,8 @@ TEST_F(BatchServeTest, ForwardBatchMatchesForwardBitwise) {
         std::span<const TokenId>(tokens.data(), static_cast<size_t>(n2)),
         std::span<const int>(pos.data(), static_cast<size_t>(n2)), dense2);
 
-    SegmentedKVCache a(n_layers, kv_dim, n);
-    SegmentedKVCache b(n_layers, kv_dim, n2);
+    KVCache a(n_layers, kv_dim);
+    KVCache b(n_layers, kv_dim);
     Model::BatchSeq seqs[2] = {
         {tokens, pos, &a},
         {std::span<const TokenId>(tokens.data(), static_cast<size_t>(n2)),
@@ -187,15 +188,15 @@ TEST_F(BatchServeTest, ForwardBatchMatchesForwardBitwise) {
     (void)model_.forward(
         std::span<const TokenId>(tokens.data(), static_cast<size_t>(half)),
         std::span<const int>(pos.data(), static_cast<size_t>(half)), module);
-    SegmentedKVCache view(n_layers, kv_dim, n - half);
-    view.append_borrowed(module, 0, half);
+    KVCache view(n_layers, kv_dim);
+    view.borrow_rows(module, 0, half);
     Model::BatchSeq seq{
         std::span<const TokenId>(tokens.data() + half,
                                  static_cast<size_t>(n - half)),
         std::span<const int>(pos.data() + half, static_cast<size_t>(n - half)),
         &view};
     const Tensor out = model_.forward_batch({&seq, 1});
-    EXPECT_EQ(view.borrowed_tokens(), half);
+    EXPECT_EQ(view.module_rows(), half);
     EXPECT_EQ(std::memcmp(out.data(), ref.data(),
                           static_cast<size_t>(ref.dim(1)) * sizeof(float)),
               0);
@@ -207,9 +208,9 @@ TEST_F(BatchServeTest, ForwardBatchMatchesForwardBitwise) {
   {
     const int split = 5;
     const int n2 = n / 2;
-    SegmentedKVCache mid(n_layers, kv_dim, split);
-    SegmentedKVCache fin(n_layers, kv_dim, n);
-    SegmentedKVCache dec(n_layers, kv_dim, n2 + 1);
+    KVCache mid(n_layers, kv_dim);
+    KVCache fin(n_layers, kv_dim);
+    KVCache dec(n_layers, kv_dim);
     (void)model_.forward(
         std::span<const TokenId>(tokens.data(), static_cast<size_t>(split)),
         std::span<const int>(pos.data(), static_cast<size_t>(split)), fin);
@@ -242,8 +243,7 @@ TEST_F(BatchServeTest, ForwardBatchMatchesForwardBitwise) {
     EXPECT_EQ(std::memcmp(out.row(1), ref_dec.data(), row_bytes), 0);
 
     const size_t kv_bytes = static_cast<size_t>(kv_dim) * sizeof(float);
-    auto expect_rows = [&](const SegmentedKVCache& view,
-                           const KVCache& want) {
+    auto expect_rows = [&](const KVCache& view, const KVCache& want) {
       ASSERT_EQ(view.size(), want.size());
       for (int l = 0; l < n_layers; ++l) {
         for (int t = 0; t < want.size(); ++t) {
@@ -266,7 +266,7 @@ TEST_F(BatchServeTest, ForwardBatchMatchesForwardBitwise) {
     expect_rows(dec, dense_dec);
 
     // A step in which no sequence asks for logits returns none.
-    SegmentedKVCache lone(n_layers, kv_dim, split);
+    KVCache lone(n_layers, kv_dim);
     Model::BatchSeq chunk{
         std::span<const TokenId>(tokens.data(), static_cast<size_t>(split)),
         std::span<const int>(pos.data(), static_cast<size_t>(split)), &lone,
@@ -578,15 +578,14 @@ TEST_F(BatchServeTest, SharedModulesReduceKvFootprint) {
 // Batched == zero-copy serving on random weights
 
 // Random weights produce the near-tied logits the induction model never
-// has, so any arithmetic difference between the batch path and a zero-copy
-// engine flips a token here. Both read modules in place at the store's
-// format, so they must agree bitwise at fp32, q8 and q4 alike (the copy
-// path dequantizes q8/q4 rows instead and is not compared).
+// has, so any arithmetic difference between two serving paths flips a token
+// here. Copy, zero-copy and batched serving read the same module bytes
+// through the same kernels (copied and borrowed rows differ only in where
+// they live), so they must agree bitwise for every model family at fp32,
+// q8 and q4 alike.
 TEST_F(BatchServeTest, BatchedMatchesZeroCopyOnRandomWeights) {
   const Vocab& vocab = Vocab::basic_english();
   const Tokenizer tokenizer(vocab);
-  const Model model =
-      Model::random(ModelConfig::llama_tiny(vocab.size(), 1024), 29);
   // Lower-case pieces of the vocabulary: one token per word.
   std::vector<std::string> word_pool;
   for (TokenId id = vocab.first_piece_id(); id < vocab.size(); ++id) {
@@ -633,34 +632,51 @@ TEST_F(BatchServeTest, BatchedMatchesZeroCopyOnRandomWeights) {
   opts.max_new_tokens = 8;
   opts.stop_tokens.clear();  // fixed-length output
 
-  for (StorePrecision precision :
-       {StorePrecision::kFp32, StorePrecision::kQ8, StorePrecision::kQ4}) {
-    EngineConfig zc;
-    zc.precision = precision;
-    zc.zero_copy = true;
-    PromptCacheEngine reference(model, tokenizer, zc);
-    reference.load_schema(schema);
-    std::vector<std::vector<TokenId>> expected;
-    for (const std::string& p : prompts) {
-      expected.push_back(reference.serve(p, opts).tokens);
-      ASSERT_EQ(expected.back().size(), 8u);
-    }
+  for (const ModelConfig& config : {ModelConfig::llama_tiny(vocab.size(), 1024),
+                                    ModelConfig::mpt_tiny(vocab.size(), 1024),
+                                    ModelConfig::falcon_tiny(vocab.size(), 1024),
+                                    ModelConfig::gpt2_tiny(vocab.size(), 1024)}) {
+    const Model model = Model::random(config, 29);
+    for (StorePrecision precision :
+         {StorePrecision::kFp32, StorePrecision::kQ8, StorePrecision::kQ4}) {
+      SCOPED_TRACE(config.name + " precision " +
+                   std::to_string(static_cast<int>(precision)));
+      EngineConfig zc;
+      zc.precision = precision;
+      zc.zero_copy = true;
+      PromptCacheEngine reference(model, tokenizer, zc);
+      reference.load_schema(schema);
+      std::vector<std::vector<TokenId>> expected;
+      for (const std::string& p : prompts) {
+        expected.push_back(reference.serve(p, opts).tokens);
+        ASSERT_EQ(expected.back().size(), 8u);
+      }
 
-    for (int max_batch : {1, 4}) {
-      ServerConfig cfg;
-      cfg.batching = true;
-      cfg.batch.max_batch = max_batch;
-      cfg.engine.precision = precision;
-      cfg.schemas = {schema};
-      Server server(model, tokenizer, cfg);
-      for (const std::string& p : prompts) server.submit(p, opts);
-      const auto responses = server.drain();
-      ASSERT_EQ(responses.size(), prompts.size());
+      EngineConfig copy = zc;
+      copy.zero_copy = false;
+      PromptCacheEngine copier(model, tokenizer, copy);
+      copier.load_schema(schema);
       for (size_t i = 0; i < prompts.size(); ++i) {
-        EXPECT_EQ(responses[i].status, ServeStatus::kOk) << responses[i].detail;
-        EXPECT_EQ(responses[i].result.tokens, expected[i])
-            << "precision " << static_cast<int>(precision) << " batch "
-            << max_batch << " prompt " << i;
+        EXPECT_EQ(copier.serve(prompts[i], opts).tokens, expected[i])
+            << "copy engine, prompt " << i;
+      }
+
+      for (int max_batch : {1, 4}) {
+        ServerConfig cfg;
+        cfg.batching = true;
+        cfg.batch.max_batch = max_batch;
+        cfg.engine.precision = precision;
+        cfg.schemas = {schema};
+        Server server(model, tokenizer, cfg);
+        for (const std::string& p : prompts) server.submit(p, opts);
+        const auto responses = server.drain();
+        ASSERT_EQ(responses.size(), prompts.size());
+        for (size_t i = 0; i < prompts.size(); ++i) {
+          EXPECT_EQ(responses[i].status, ServeStatus::kOk)
+              << responses[i].detail;
+          EXPECT_EQ(responses[i].result.tokens, expected[i])
+              << "batch " << max_batch << " prompt " << i;
+        }
       }
     }
   }

@@ -3,9 +3,16 @@
 // corrupt input.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/engine.h"
@@ -317,6 +324,265 @@ TEST_P(SerializeTest, RecoveryPolicySalvagesTruncatedFile) {
   EXPECT_EQ(reader.serve(kPrompt, answer_options()).tokens,
             reference.serve(kPrompt, answer_options()).tokens);
   std::remove(path.c_str());
+}
+
+// The encoded modules of a small schema (one with a parameter) at
+// `precision`, as an engine stores them.
+std::vector<std::pair<std::string, EncodedModule>> encoded_modules(
+    StorePrecision precision) {
+  AccuracyWorkload workload(7);
+  const Model model = make_induction_model({workload.vocab().size(), 256});
+  EngineConfig cfg;
+  cfg.precision = precision;
+  PromptCacheEngine engine(model, workload.tokenizer(), cfg);
+  engine.load_schema(R"(
+    <schema name="f">
+      <module name="doc">w00 w01 q05 a10 a11 . w02 w03 w04 w05</module>
+      <module name="plan">w05 <param name="x" len="3"/> w06 w07</module>
+    </schema>)");
+  std::vector<std::pair<std::string, EncodedModule>> out;
+  engine.store().for_each(
+      [&](const std::string& key, const EncodedModule& m, ModuleLocation) {
+        out.emplace_back(key, m);
+      });
+  return out;
+}
+
+// Whether m's row ranges, position ids and payload sizes all agree with
+// its n_tokens, kv_dim and n_layers.
+bool consistent(const EncodedModule& m) {
+  int floor = 0;
+  for (const auto& [b, e] : m.text_row_ranges) {
+    if (b < floor || b > e || e > m.n_tokens) return false;
+    floor = e;
+  }
+  for (const auto& p : m.params) {
+    if (p.row_begin < 0 || p.row_begin > p.row_end || p.row_end > m.n_tokens) {
+      return false;
+    }
+  }
+  const size_t n = static_cast<size_t>(m.n_tokens);
+  const size_t layers = static_cast<size_t>(m.n_layers);
+  const size_t elems = n * static_cast<size_t>(m.kv_dim);
+  const auto sized = [&](const auto& layer_list, size_t rows, size_t scales) {
+    if (m.pos_ids.size() != n || layer_list.size() != layers) return false;
+    for (const auto& layer : layer_list) {
+      if (layer.k.size() != rows || layer.v.size() != rows) return false;
+      if constexpr (!std::is_same_v<std::decay_t<decltype(layer)>,
+                                    EncodedModule::F16Layer>) {
+        if (layer.k_scales.size() != scales ||
+            layer.v_scales.size() != scales) {
+          return false;
+        }
+      }
+    }
+    return true;
+  };
+  switch (m.precision) {
+    case StorePrecision::kFp32:
+      return m.kv32.has_value() && m.kv32->size() == m.n_tokens &&
+             m.kv32->kv_dim() == m.kv_dim &&
+             m.kv32->n_layers() == m.n_layers &&
+             m.kv32->pos_ids().size() == n;
+    case StorePrecision::kFp16:
+      return sized(m.kv16_layers, elems, 0);
+    case StorePrecision::kQ8:
+      return sized(m.kv8_layers, elems, n);
+    case StorePrecision::kQ4:
+      return sized(m.kv4_layers, n * q4_row_bytes(m.kv_dim),
+                   n * static_cast<size_t>(q4_blocks(m.kv_dim)));
+  }
+  return false;
+}
+
+// One structure-aware edit of a record's fields: the precision tag, a
+// geometry field, a row range or param, the position ids, or the length of
+// a per-layer vector, scale array or layer list.
+void mutate(EncodedModule& m, Rng& rng) {
+  // A value next to v, or one far off it (within int's range).
+  const auto nudge = [&](int v) -> int {
+    const int64_t wide = v;
+    int64_t out = 0;
+    switch (rng.next_below(6)) {
+      case 0:
+        out = wide + 1;
+        break;
+      case 1:
+        out = wide - 1;
+        break;
+      case 2:
+        out = 0;
+        break;
+      case 3:
+        out = -1 - static_cast<int64_t>(rng.next_below(4));
+        break;
+      case 4:
+        out = 2 * wide + static_cast<int64_t>(rng.next_below(4096));
+        break;
+      default:
+        out = std::numeric_limits<int>::max() -
+              static_cast<int64_t>(rng.next_below(8));
+        break;
+    }
+    return static_cast<int>(
+        std::clamp<int64_t>(out, std::numeric_limits<int>::min(),
+                            std::numeric_limits<int>::max()));
+  };
+  const auto resize = [&](auto& v) {
+    const size_t n = v.size();
+    const size_t sizes[] = {n + 1, n > 0 ? n - 1 : 0, 0, 2 * n, n / 2};
+    v.resize(sizes[rng.next_below(5)]);
+  };
+  const auto pick = [&](auto& list) -> auto& {
+    return list[rng.next_below(list.size())];
+  };
+  switch (rng.next_below(9)) {
+    case 0:  // includes two tags past the last format
+      m.precision = static_cast<StorePrecision>(rng.next_below(6));
+      break;
+    case 1:
+      m.n_tokens = nudge(m.n_tokens);
+      break;
+    case 2:
+      m.kv_dim = nudge(m.kv_dim);
+      break;
+    case 3:
+      m.n_layers = nudge(m.n_layers);
+      break;
+    case 4:
+      if (m.text_row_ranges.empty() || rng.bernoulli(0.25)) {
+        m.text_row_ranges.emplace_back(nudge(m.n_tokens), nudge(m.n_tokens));
+      } else if (m.text_row_ranges.size() > 1 && rng.bernoulli(0.3)) {
+        std::swap(m.text_row_ranges.front(), m.text_row_ranges.back());
+      } else {
+        auto& [b, e] = pick(m.text_row_ranges);
+        (rng.bernoulli(0.5) ? b : e) = nudge(rng.bernoulli(0.5) ? b : e);
+      }
+      break;
+    case 5:
+      if (m.params.empty() || rng.bernoulli(0.25)) {
+        m.params.push_back({0, nudge(m.n_tokens), nudge(m.n_tokens)});
+      } else {
+        EncodedModule::ParamSlot& p = pick(m.params);
+        (rng.bernoulli(0.5) ? p.row_begin : p.row_end) = nudge(p.row_end);
+      }
+      break;
+    case 6:
+      if (m.kv32.has_value()) {
+        const int n = m.kv32->size();
+        if (n > 0 && rng.bernoulli(0.5)) {
+          m.kv32->truncate(n - 1);
+        } else {
+          const int pos = n;
+          m.kv32->append_tokens({&pos, 1});
+        }
+      } else {
+        resize(m.pos_ids);
+      }
+      break;
+    case 7:
+      if (!m.kv8_layers.empty()) {
+        Q8Layer& l = pick(m.kv8_layers);
+        switch (rng.next_below(4)) {
+          case 0: resize(l.k); break;
+          case 1: resize(l.v); break;
+          case 2: resize(l.k_scales); break;
+          default: resize(l.v_scales); break;
+        }
+      } else if (!m.kv4_layers.empty()) {
+        Q4Layer& l = pick(m.kv4_layers);
+        switch (rng.next_below(4)) {
+          case 0: resize(l.k); break;
+          case 1: resize(l.v); break;
+          case 2: resize(l.k_scales); break;
+          default: resize(l.v_scales); break;
+        }
+      }
+      break;
+    default:
+      if (!m.kv8_layers.empty()) {
+        rng.bernoulli(0.5) ? m.kv8_layers.pop_back()
+                           : m.kv8_layers.push_back(m.kv8_layers.front());
+      } else if (!m.kv4_layers.empty()) {
+        rng.bernoulli(0.5) ? m.kv4_layers.pop_back()
+                           : m.kv4_layers.push_back(m.kv4_layers.front());
+      }
+      break;
+  }
+}
+
+// The record parser's validators, reached with valid checksums: mutants of
+// real fp32, q8 and q4 records are re-serialized with write_module_record,
+// so only the structure can give them away. Every mutant must throw
+// pc::Error or load as a module whose ranges, position ids and payload
+// agree with its geometry. Seeded, with a fixed budget and no corpus; a
+// mutant the writer itself refuses (an fp32 tag without an fp32 payload)
+// is skipped.
+TEST(SerializeFuzz, MutatedRecordsFailCleanlyOrLoadConsistent) {
+  constexpr int kMutantsPerRecord = 300;
+  Rng rng(0xf0220f);
+  int loaded = 0, rejected = 0, unwritable = 0;
+  for (StorePrecision precision :
+       {StorePrecision::kFp32, StorePrecision::kQ8, StorePrecision::kQ4}) {
+    for (const auto& [key, source] : encoded_modules(precision)) {
+      ASSERT_TRUE(consistent(source)) << key;
+      for (int i = 0; i < kMutantsPerRecord; ++i) {
+        EncodedModule mutant = source;
+        const int edits = 1 + static_cast<int>(rng.next_below(3));
+        for (int e = 0; e < edits; ++e) mutate(mutant, rng);
+        std::stringstream stream;
+        try {
+          write_module_record(stream, key, mutant);
+        } catch (const Error&) {
+          ++unwritable;
+          continue;
+        }
+        std::string read_key;
+        EncodedModule read;
+        try {
+          ASSERT_TRUE(read_module_record(stream, &read_key, &read));
+        } catch (const Error&) {
+          ++rejected;
+          continue;
+        }
+        ++loaded;
+        EXPECT_EQ(read_key, key);
+        EXPECT_TRUE(consistent(read))
+            << key << " mutant " << i << " loaded inconsistent";
+      }
+    }
+  }
+  // Most mutants break the structure; some edits keep it whole.
+  EXPECT_GT(rejected, 10 * loaded);
+  EXPECT_GT(loaded, 0);
+  EXPECT_LT(unwritable, rejected / 4);
+}
+
+// The record that motivated the range checks: a q4 text range far past a
+// 12-token payload, with a valid checksum, used to load and send
+// retrieval past the payload.
+TEST(SerializeFuzz, RangesPastThePayloadAreRejected) {
+  for (auto& [key, module] : encoded_modules(StorePrecision::kQ4)) {
+    for (auto ranges : {std::vector<std::pair<int, int>>{{0, 4108}},
+                        std::vector<std::pair<int, int>>{{2, 1}},
+                        std::vector<std::pair<int, int>>{{3, 5}, {0, 2}},
+                        std::vector<std::pair<int, int>>{{0, 3}, {2, 4}}}) {
+      EncodedModule bad = module;
+      bad.text_row_ranges = ranges;
+      std::stringstream stream;
+      write_module_record(stream, key, bad);
+      std::string read_key;
+      EncodedModule read;
+      EXPECT_THROW(read_module_record(stream, &read_key, &read), Error) << key;
+    }
+    EncodedModule bad = module;
+    bad.params = {{0, 0, module.n_tokens + 1}};
+    std::stringstream stream;
+    write_module_record(stream, key, bad);
+    std::string read_key;
+    EncodedModule read;
+    EXPECT_THROW(read_module_record(stream, &read_key, &read), Error) << key;
+  }
 }
 
 // A snapshot written by an fp32 deployment must load into a quantized

@@ -1,15 +1,17 @@
-// Tests for zero-copy serving: bitwise equivalence with the copy path,
-// memory-footprint semantics, tail-capacity contracts, pin lifetimes, and
+// Tests for zero-copy serving and the sequence cache's module rows:
+// bitwise equivalence of copied and borrowed rows at fp32, q8 and q4,
+// memory-footprint semantics, cache contracts, pin lifetimes, and
 // precision restrictions.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <numeric>
 #include <string>
+#include <utility>
 
 #include "core/engine.h"
 #include "eval/workload.h"
-#include "kv/kv_view.h"
+#include "kv/kv_cache.h"
 #include "kv/quant.h"
 #include "model/induction.h"
 #include "tensor/ops.h"
@@ -38,76 +40,254 @@ class ZeroCopyTest : public ::testing::Test {
   static constexpr const char* kPrompt =
       R"(<prompt schema="z"><doc1/><doc2/> question: q06</prompt>)";
 
+  // Stored bytes of the module rows kPrompt imports (both modules, text
+  // rows only) in `engine`'s store.
+  static size_t imported_stored_bytes(const PromptCacheEngine& engine) {
+    size_t bytes = 0;
+    engine.store().for_each(
+        [&](const std::string&, const EncodedModule& m, ModuleLocation) {
+          bytes += m.bytes_per_token() *
+                   static_cast<size_t>(m.text_token_count());
+        });
+    return bytes;
+  }
+
   AccuracyWorkload workload_;
   Model model_;
 };
 
-TEST_F(ZeroCopyTest, SegmentedCacheBasics) {
+// Q8_0 and Q4_0 renditions of an fp32 module's rows, quantized layer by
+// layer as the engine stores them.
+struct QuantizedRows {
+  std::vector<Q8Layer> q8;
+  std::vector<Q4Layer> q4;
+};
+
+QuantizedRows quantize(const KVCache& module) {
+  const int n = module.size();
+  const int kv_dim = module.kv_dim();
+  QuantizedRows out;
+  out.q8.resize(static_cast<size_t>(module.n_layers()));
+  out.q4.resize(static_cast<size_t>(module.n_layers()));
+  for (int l = 0; l < module.n_layers(); ++l) {
+    Q8Layer& a = out.q8[static_cast<size_t>(l)];
+    a.k.resize(static_cast<size_t>(n) * kv_dim);
+    a.v.resize(a.k.size());
+    a.k_scales.resize(static_cast<size_t>(n));
+    a.v_scales.resize(static_cast<size_t>(n));
+    quantize_rows(module.k_row(l, 0), n, kv_dim, a.k.data(),
+                  a.k_scales.data());
+    quantize_rows(module.v_row(l, 0), n, kv_dim, a.v.data(),
+                  a.v_scales.data());
+    Q4Layer& b = out.q4[static_cast<size_t>(l)];
+    b.k.resize(static_cast<size_t>(n) * q4_row_bytes(kv_dim));
+    b.v.resize(b.k.size());
+    b.k_scales.resize(static_cast<size_t>(n) * q4_blocks(kv_dim));
+    b.v_scales.resize(b.k_scales.size());
+    quantize_rows_q4(module.k_row(l, 0), n, kv_dim, b.k.data(),
+                     b.k_scales.data());
+    quantize_rows_q4(module.v_row(l, 0), n, kv_dim, b.v.data(),
+                     b.v_scales.data());
+  }
+  return out;
+}
+
+// Appends every row of `module` (or its quantized renditions) to `cache`
+// as module rows in `format`, copied or borrowed. An fp32 copy is an
+// own-row append.
+void append_module(KVCache& cache, const KVCache& module,
+                   const QuantizedRows& quantized, StorePrecision format,
+                   ModuleRows how) {
+  const int n = module.size();
+  switch (format) {
+    case StorePrecision::kQ8:
+      cache.append_rows(quantized.q8, module.pos_ids(), 0, n, how);
+      return;
+    case StorePrecision::kQ4:
+      cache.append_rows(quantized.q4, module.pos_ids(), 0, n, how);
+      return;
+    default:
+      if (how == ModuleRows::kCopy) {
+        cache.append_copy(module);
+      } else {
+        cache.borrow_rows(module, 0, n);
+      }
+  }
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+TEST_F(ZeroCopyTest, BorrowedRowsBasics) {
   KVCache module(2, 4);
   const std::vector<int> pos = {3, 4, 5};
   module.append_tokens(pos);
   module.k_row(1, 2)[0] = 42.0f;
 
-  SegmentedKVCache view(2, 4, /*tail_capacity=*/2);
-  view.append_borrowed(module, 0, 3);
-  EXPECT_EQ(view.size(), 3);
-  EXPECT_EQ(view.borrowed_tokens(), 3);
-  EXPECT_EQ(view.pos_id(2), 5);
+  KVCache cache(2, 4);
+  cache.borrow_rows(module, 0, 3);
+  EXPECT_EQ(cache.size(), 3);
+  EXPECT_EQ(cache.module_rows(), 3);
+  EXPECT_EQ(cache.pos_id(2), 5);
   // Borrowed rows alias the source — no copy happened.
-  EXPECT_EQ(view.k_row(1, 2), module.k_row(1, 2));
-  EXPECT_FLOAT_EQ(view.k_row(1, 2)[0], 42.0f);
+  EXPECT_EQ(std::as_const(cache).k_row(1, 2), module.k_row(1, 2));
+  EXPECT_FLOAT_EQ(std::as_const(cache).k_row(1, 2)[0], 42.0f);
+  EXPECT_EQ(cache.payload_bytes(), 0u);
 
-  const std::vector<int> tail_pos = {9};
-  const int first = view.append_tokens(tail_pos);
+  const std::vector<int> own_pos = {9};
+  const int first = cache.append_tokens(own_pos);
   EXPECT_EQ(first, 3);
-  view.k_row_mut(0, 3)[1] = 7.0f;
-  EXPECT_FLOAT_EQ(view.k_row(0, 3)[1], 7.0f);
-  EXPECT_GT(view.owned_payload_bytes(), 0u);
+  EXPECT_EQ(cache.own_rows(), 1);
+  cache.k_row(0, 3)[1] = 7.0f;
+  EXPECT_FLOAT_EQ(std::as_const(cache).k_row(0, 3)[1], 7.0f);
+  EXPECT_EQ(cache.tables(0).k[3], std::as_const(cache).k_row(0, 3));
+  EXPECT_EQ(cache.payload_bytes(), 2u * 2 * 4 * sizeof(float));
+}
+
+// A copy is the stored bytes in storage the cache owns: the same int8 or
+// packed rows and scales as the source, at other addresses, counted in
+// payload_bytes(); a borrow points at the source and owns nothing.
+TEST_F(ZeroCopyTest, CopiedRowsAreTheStoredBytes) {
+  constexpr int kLayers = 2;
+  constexpr int kWidth = 64;
+  KVCache module(kLayers, kWidth);
+  const std::vector<int> pos = {4, 5, 6, 7};
+  module.append_tokens(pos);
+  for (int l = 0; l < kLayers; ++l) {
+    for (int e = 0; e < 4 * kWidth; ++e) {
+      module.k_row(l, 0)[e] = static_cast<float>((e * 7 + l) % 23) - 11.0f;
+      module.v_row(l, 0)[e] = static_cast<float>((e * 5 + l) % 19) - 9.0f;
+    }
+  }
+  const QuantizedRows quantized = quantize(module);
+  const size_t q4_row = q4_row_bytes(kWidth);
+  const size_t q4_scales = static_cast<size_t>(q4_blocks(kWidth));
+  for (ModuleRows how : {ModuleRows::kCopy, ModuleRows::kBorrow}) {
+    const bool copy = how == ModuleRows::kCopy;
+    KVCache q8(kLayers, kWidth);
+    q8.append_rows(quantized.q8, pos, 1, 4, how);
+    KVCache q4(kLayers, kWidth);
+    q4.append_rows(quantized.q4, pos, 1, 4, how);
+    EXPECT_EQ(q8.payload_bytes(),
+              copy ? 3u * kLayers * 2 * (kWidth + sizeof(float)) : 0u);
+    EXPECT_EQ(q4.payload_bytes(),
+              copy ? 3u * kLayers * 2 * (q4_row + q4_scales * sizeof(float))
+                   : 0u);
+    for (int l = 0; l < kLayers; ++l) {
+      const Q8Layer& s8 = quantized.q8[static_cast<size_t>(l)];
+      const Q4Layer& s4 = quantized.q4[static_cast<size_t>(l)];
+      const KVCache::RowTables t8 = q8.tables(l);
+      const KVCache::RowTables t4 = q4.tables(l);
+      for (int i = 0; i < 3; ++i) {
+        const int8_t* src8 = s8.k.data() + (i + 1) * kWidth;
+        const uint8_t* src4 = s4.v.data() + (i + 1) * q4_row;
+        const float* scales4 = s4.k_scales.data() + (i + 1) * q4_scales;
+        EXPECT_EQ(t8.k8[i] == src8, !copy);
+        EXPECT_EQ(t4.v4[i] == src4, !copy);
+        EXPECT_EQ(std::memcmp(t8.k8[i], src8, kWidth), 0);
+        EXPECT_EQ(std::memcmp(t4.v4[i], src4, q4_row), 0);
+        EXPECT_EQ(std::memcmp(t4.k4_scales[i], scales4,
+                              q4_scales * sizeof(float)),
+                  0);
+        EXPECT_EQ(t8.k8_scales[i], s8.k_scales[static_cast<size_t>(i + 1)]);
+        EXPECT_EQ(t8.k[i], nullptr);  // quantized slots have no fp32 row
+      }
+    }
+    EXPECT_EQ(q8.pos_id(0), 5);
+    EXPECT_EQ(q4.pos_id(2), 7);
+  }
 }
 
 TEST_F(ZeroCopyTest, ContractsAreEnforced) {
   KVCache module(2, 4);
   const std::vector<int> pos = {0, 1};
   module.append_tokens(pos);
+  const QuantizedRows quantized = quantize(module);
 
-  SegmentedKVCache view(2, 4, /*tail_capacity=*/1);
-  view.append_borrowed(module, 0, 2);
-  EXPECT_THROW(view.k_row_mut(0, 0), ContractViolation);  // borrowed row
+  KVCache cache(2, 4);
+  cache.borrow_rows(module, 0, 2);
+  EXPECT_THROW(cache.k_row(0, 0), ContractViolation);  // read-only row
+  EXPECT_THROW(KVCache{cache}, ContractViolation);     // tables alias it
+  // One quantized format per cache (the kernels read one).
+  cache.append_rows(quantized.q8, pos, 0, 1, ModuleRows::kCopy);
+  EXPECT_THROW(cache.append_rows(quantized.q4, pos, 0, 1, ModuleRows::kCopy),
+               ContractViolation);
+  EXPECT_THROW(std::as_const(cache).k_row(0, 2), ContractViolation);  // q8
   const std::vector<int> one = {5};
-  view.append_tokens(one);
-  EXPECT_THROW(view.append_tokens(one), ContractViolation);  // tail overflow
-  // Borrow-after-own is rejected (pointer table ordering).
-  EXPECT_THROW(view.append_borrowed(module, 0, 1), ContractViolation);
+  cache.append_tokens(one);
+  // Module rows after own rows are rejected (row table ordering).
+  EXPECT_THROW(cache.borrow_rows(module, 0, 1), ContractViolation);
+  EXPECT_THROW(cache.append_rows(quantized.q8, pos, 0, 1, ModuleRows::kBorrow),
+               ContractViolation);
+  EXPECT_THROW(cache.truncate(2), ContractViolation);  // into module rows
   // Geometry mismatch.
-  SegmentedKVCache bad(3, 4, 1);
-  EXPECT_THROW(bad.append_borrowed(module, 0, 1), ContractViolation);
+  KVCache bad(3, 4);
+  EXPECT_THROW(bad.borrow_rows(module, 0, 1), ContractViolation);
+  EXPECT_THROW(bad.append_rows(quantized.q4, pos, 0, 1, ModuleRows::kCopy),
+               ContractViolation);
 }
 
+// Module rows copied (own fp32 rows, or the stored q8/q4 bytes) and the
+// same rows borrowed in place must give the same logits bit for bit — at
+// every format, and whether the own rows after them stay inside their
+// reservation or outgrow it (every own-row table entry is then
+// re-pointed) — through a prefill on both sides of the attention
+// schedules' 8-row switch and the decode steps after it.
 TEST_F(ZeroCopyTest, ForwardMatchesContiguousCacheBitwise) {
-  // The same module + suffix computed through both cache representations
-  // must agree exactly.
-  const std::vector<TokenId> mod_tokens = {7, 8, 20, 30, 31, 9};
-  const std::vector<TokenId> suffix = {20};
-  std::vector<int> mod_pos(mod_tokens.size());
-  std::iota(mod_pos.begin(), mod_pos.end(), 0);
-  const std::vector<int> suf_pos = {static_cast<int>(mod_tokens.size())};
+  const ModelConfig cfg = ModelConfig::llama_tiny(64, 256);
+  const Model model = Model::random(cfg, 11);
+  constexpr int kModule = 24;
+  constexpr int kSuffix = 9;
+  constexpr int kDecode = 4;
+  std::vector<TokenId> tokens(kModule + kSuffix + kDecode);
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    tokens[i] = static_cast<TokenId>((i * 29 + 3) % 64);
+  }
+  std::vector<int> pos(tokens.size());
+  std::iota(pos.begin(), pos.end(), 0);
 
-  KVCache encoded = model_.make_cache();
-  (void)model_.forward(mod_tokens, mod_pos, encoded);
+  KVCache module = model.make_cache();
+  model.encode(std::span<const TokenId>(tokens.data(), kModule),
+               std::span<const int>(pos.data(), kModule), module);
+  const QuantizedRows quantized = quantize(module);
 
-  KVCache copy_cache = model_.make_cache();
-  copy_cache.append_copy(encoded);
-  const Tensor copy_logits = model_.forward(suffix, suf_pos, copy_cache);
-
-  SegmentedKVCache view(model_.config().n_layers, model_.config().kv_dim(),
-                        4);
-  view.append_borrowed(encoded, 0, encoded.size());
-  const Tensor view_logits = model_.forward(suffix, suf_pos, view);
-
-  EXPECT_EQ(max_abs_diff(copy_logits, view_logits), 0.0f);
+  for (StorePrecision format :
+       {StorePrecision::kFp32, StorePrecision::kQ8, StorePrecision::kQ4}) {
+    std::vector<Tensor> reference;
+    for (ModuleRows how : {ModuleRows::kCopy, ModuleRows::kBorrow}) {
+      for (int reserve : {kSuffix + kDecode, 1}) {
+        SCOPED_TRACE("format " + std::to_string(static_cast<int>(format)) +
+                     (how == ModuleRows::kCopy ? " copy" : " borrow") +
+                     " reserve " + std::to_string(reserve));
+        KVCache cache = model.make_cache();
+        append_module(cache, module, quantized, format, how);
+        cache.reserve(cache.own_rows() + reserve);
+        std::vector<Tensor> logits;
+        logits.push_back(model.forward(
+            std::span<const TokenId>(tokens.data() + kModule, kSuffix),
+            std::span<const int>(pos.data() + kModule, kSuffix), cache));
+        for (int i = kModule + kSuffix; i < static_cast<int>(tokens.size());
+             ++i) {
+          logits.push_back(model.forward({&tokens[static_cast<size_t>(i)], 1},
+                                         {&pos[static_cast<size_t>(i)], 1},
+                                         cache));
+        }
+        if (reference.empty()) {
+          reference = std::move(logits);
+          continue;
+        }
+        for (size_t i = 0; i < logits.size(); ++i) {
+          EXPECT_TRUE(same_bits(logits[i], reference[i])) << "step " << i;
+        }
+      }
+    }
+  }
 }
 
-// The K/V-only call publishes forward()'s K/V bits into a view's owned tail
+// The K/V-only call publishes forward()'s K/V bits into a cache's own rows
 // whatever format its borrowed module rows hold (fp32, q8, q4), at suffix
 // lengths on both sides of the attention schedules' 8-row switch.
 TEST(ZeroCopyEncode, MatchesForwardOverBorrowedFp32Q8Q4Rows) {
@@ -126,45 +306,17 @@ TEST(ZeroCopyEncode, MatchesForwardOverBorrowedFp32Q8Q4Rows) {
   KVCache module = model.make_cache();
   model.encode(std::span<const TokenId>(tokens.data(), kModule),
                std::span<const int>(pos.data(), kModule), module);
-  std::vector<Q8Layer> q8(static_cast<size_t>(n_layers));
-  std::vector<Q4Layer> q4(static_cast<size_t>(n_layers));
-  for (int l = 0; l < n_layers; ++l) {
-    Q8Layer& a = q8[static_cast<size_t>(l)];
-    a.k.resize(static_cast<size_t>(kModule) * kv_dim);
-    a.v.resize(a.k.size());
-    a.k_scales.resize(kModule);
-    a.v_scales.resize(kModule);
-    quantize_rows(module.k_row(l, 0), kModule, kv_dim, a.k.data(),
-                  a.k_scales.data());
-    quantize_rows(module.v_row(l, 0), kModule, kv_dim, a.v.data(),
-                  a.v_scales.data());
-    Q4Layer& b = q4[static_cast<size_t>(l)];
-    b.k.resize(kModule * q4_row_bytes(kv_dim));
-    b.v.resize(b.k.size());
-    b.k_scales.resize(static_cast<size_t>(kModule) * q4_blocks(kv_dim));
-    b.v_scales.resize(b.k_scales.size());
-    quantize_rows_q4(module.k_row(l, 0), kModule, kv_dim, b.k.data(),
-                     b.k_scales.data());
-    quantize_rows_q4(module.v_row(l, 0), kModule, kv_dim, b.v.data(),
-                     b.v_scales.data());
-  }
-  const std::span<const int> module_pos(pos.data(), kModule);
+  const QuantizedRows quantized = quantize(module);
 
   for (StorePrecision format :
        {StorePrecision::kFp32, StorePrecision::kQ8, StorePrecision::kQ4}) {
     for (int n : {3, 9}) {
       SCOPED_TRACE("format " + std::to_string(static_cast<int>(format)) +
                    " suffix " + std::to_string(n));
-      SegmentedKVCache forwarded(n_layers, kv_dim, n);
-      SegmentedKVCache encoded(n_layers, kv_dim, n);
-      for (SegmentedKVCache* view : {&forwarded, &encoded}) {
-        if (format == StorePrecision::kFp32) {
-          view->append_borrowed(module, 0, kModule);
-        } else if (format == StorePrecision::kQ8) {
-          view->append_borrowed_q8(q8, module_pos, 0, kModule);
-        } else {
-          view->append_borrowed_q4(q4, module_pos, 0, kModule);
-        }
+      KVCache forwarded = model.make_cache();
+      KVCache encoded = model.make_cache();
+      for (KVCache* cache : {&forwarded, &encoded}) {
+        append_module(*cache, module, quantized, format, ModuleRows::kBorrow);
       }
       const std::span<const TokenId> suffix(tokens.data() + kModule,
                                             static_cast<size_t>(n));
@@ -237,18 +389,19 @@ TEST_F(ZeroCopyTest, ReducedPrecisionStoresAreRejected) {
 }
 
 TEST_F(ZeroCopyTest, Q8ZeroCopyServesExactRetrievalWithoutDequant) {
-  // Quantized modules are borrowed in place and scored in the int8 domain:
-  // retrieval stays exact (the induction gate) and the dequant-on-read
-  // counter stays at zero — no fp32 materialization on the hot path.
+  // Quantized modules stay int8 on both paths: the copy path memcpys the
+  // stored rows and scales, zero-copy borrows them, and attention scores
+  // both in the int8 domain — so retrieval stays exact (the induction gate)
+  // and the two paths emit the same tokens.
   EngineConfig q8;
   q8.precision = StorePrecision::kQ8;
   PromptCacheEngine copy_engine(model_, workload_.tokenizer(), q8);
   copy_engine.load_schema(kSchema);
   const ServeResult copied = copy_engine.serve(kPrompt, answer_options());
   EXPECT_EQ(copied.text, "a12 a13");
-  // The copy path materializes fp32 rows from the q8 payload — and counts
-  // every one of them.
-  EXPECT_GT(copy_engine.store().dequant_rows(), 0u);
+  // A copy moves exactly the stored bytes.
+  EXPECT_EQ(copied.ttft.bytes_from_host + copied.ttft.bytes_from_device,
+            imported_stored_bytes(copy_engine));
 
   EngineConfig zc = q8;
   zc.zero_copy = true;
@@ -257,10 +410,8 @@ TEST_F(ZeroCopyTest, Q8ZeroCopyServesExactRetrievalWithoutDequant) {
   const ServeResult borrowed = zc_engine.serve(kPrompt, answer_options());
   EXPECT_EQ(borrowed.text, "a12 a13");
   EXPECT_EQ(borrowed.tokens, copied.tokens);
-  EXPECT_GT(borrowed.ttft.bytes_zero_copy, 0u);
+  EXPECT_EQ(borrowed.ttft.bytes_zero_copy, imported_stored_bytes(zc_engine));
   EXPECT_EQ(borrowed.ttft.bytes_from_host, 0u);
-  EXPECT_EQ(zc_engine.store().dequant_rows(), 0u)
-      << "zero-copy q8 serving must never dequantize";
 }
 
 TEST_F(ZeroCopyTest, Q8StoreResidencyIsTrackedByFormat) {
@@ -283,18 +434,19 @@ TEST_F(ZeroCopyTest, Q8StoreResidencyIsTrackedByFormat) {
 }
 
 TEST_F(ZeroCopyTest, Q4ZeroCopyServesExactRetrievalWithoutDequant) {
-  // The sub-byte format borrows packed nibble rows in place and scores them
-  // in the int4 domain: retrieval stays exact (the induction gate) and the
-  // dequant-on-read counter stays at zero.
+  // The sub-byte format stays packed on both paths: the copy path memcpys
+  // the nibble rows and block scales, zero-copy borrows them, and attention
+  // scores both block-wise in the integer domain — retrieval stays exact
+  // and the two paths emit the same tokens.
   EngineConfig q4;
   q4.precision = StorePrecision::kQ4;
   PromptCacheEngine copy_engine(model_, workload_.tokenizer(), q4);
   copy_engine.load_schema(kSchema);
   const ServeResult copied = copy_engine.serve(kPrompt, answer_options());
   EXPECT_EQ(copied.text, "a12 a13");
-  // The copy path materializes fp32 rows from the q4 payload — and counts
-  // every one of them.
-  EXPECT_GT(copy_engine.store().dequant_rows(), 0u);
+  // A copy moves exactly the stored bytes.
+  EXPECT_EQ(copied.ttft.bytes_from_host + copied.ttft.bytes_from_device,
+            imported_stored_bytes(copy_engine));
 
   EngineConfig zc = q4;
   zc.zero_copy = true;
@@ -303,10 +455,8 @@ TEST_F(ZeroCopyTest, Q4ZeroCopyServesExactRetrievalWithoutDequant) {
   const ServeResult borrowed = zc_engine.serve(kPrompt, answer_options());
   EXPECT_EQ(borrowed.text, "a12 a13");
   EXPECT_EQ(borrowed.tokens, copied.tokens);
-  EXPECT_GT(borrowed.ttft.bytes_zero_copy, 0u);
+  EXPECT_EQ(borrowed.ttft.bytes_zero_copy, imported_stored_bytes(zc_engine));
   EXPECT_EQ(borrowed.ttft.bytes_from_host, 0u);
-  EXPECT_EQ(zc_engine.store().dequant_rows(), 0u)
-      << "zero-copy q4 serving must never dequantize";
 }
 
 TEST_F(ZeroCopyTest, Q4StoreResidencyIsTrackedByFormat) {
@@ -334,23 +484,27 @@ TEST_F(ZeroCopyTest, Q4StoreResidencyIsTrackedByFormat) {
 }
 
 TEST_F(ZeroCopyTest, ManyRequestsShareOneModuleCopy) {
-  // The batch-sharing picture (§3.4/§6): N concurrent views over the same
-  // modules each own only their tail.
-  PromptCacheEngine engine(model_, workload_.tokenizer());
+  // The batch-sharing picture (§3.4/§6): N concurrent caches borrowing the
+  // same modules each own only their own rows. (At fp32, so a copy holds
+  // the module rows at the own rows' width.)
+  EngineConfig fp32;
+  fp32.precision = StorePrecision::kFp32;
+  PromptCacheEngine engine(model_, workload_.tokenizer(), fp32);
   engine.load_schema(kSchema);
   const pml::PromptBinding binding = engine.bind(kPrompt);
 
   const UncachedStream question = collect_uncached(binding);
-  std::vector<BorrowedKV> requests;
+  std::vector<SequenceKV> requests;
   size_t owned_total = 0;
   for (int i = 0; i < 8; ++i) {
     TtftBreakdown ttft;
-    requests.push_back(engine.assemble_borrowed(binding, 2, &ttft));
+    requests.push_back(
+        engine.assemble(binding, ModuleRows::kBorrow, 2, &ttft));
     (void)model_.forward(question.tokens, question.pos_ids,
-                         requests.back().view);
-    owned_total += requests.back().view.owned_payload_bytes();
+                         requests.back().cache);
+    owned_total += requests.back().cache.payload_bytes();
   }
-  // Every live view holds one pin on each module it borrows.
+  // Every live cache holds one pin on each module it borrows.
   EXPECT_EQ(engine.store().pin_count("z::doc1"), 8);
   requests.clear();
   EXPECT_EQ(engine.store().pin_count("z::doc1"), 0);

@@ -265,7 +265,7 @@ struct Req {
   double prefill_ms = 0, decode_ms = 0, ttft_ms = 0, service_ms = 0;
   double predicted_ttft_ms = 0;
   int64_t cached = 0, uncached = 0, modules = 0, misses = 0, chunks = 0;
-  double bytes_host = 0, bytes_device = 0, bytes_zero = 0, dequant_rows = 0;
+  double bytes_host = 0, bytes_device = 0, bytes_zero = 0;
   std::string kv_format, detail;
   int retries = 0;
   bool deadline_met = true;
@@ -310,7 +310,6 @@ std::vector<Req> load_requests(const std::string& path) {
     r.bytes_host = v["bytes_from_host"].as_number(0);
     r.bytes_device = v["bytes_from_device"].as_number(0);
     r.bytes_zero = v["bytes_zero_copy"].as_number(0);
-    r.dequant_rows = v["dequant_rows"].as_number(0);
     r.kv_format = v["kv_format"].as_string();
     r.detail = v["detail"].as_string();
     r.retries = static_cast<int>(v["retries"].as_number(0));
@@ -391,7 +390,7 @@ int report_requests(const std::string& path, int top_n) {
 
   // Cache efficacy over served requests.
   int64_t cached = 0, uncached = 0, modules = 0, misses = 0, chunks = 0;
-  double bytes_host = 0, bytes_device = 0, bytes_zero = 0, dequant = 0;
+  double bytes_host = 0, bytes_device = 0, bytes_zero = 0;
   uint64_t served = 0;
   std::set<std::string> formats;
   for (const Req& r : reqs) {
@@ -405,7 +404,6 @@ int report_requests(const std::string& path, int top_n) {
     bytes_host += r.bytes_host;
     bytes_device += r.bytes_device;
     bytes_zero += r.bytes_zero;
-    dequant += r.dequant_rows;
     if (!r.kv_format.empty()) formats.insert(r.kv_format);
   }
   std::cout << "\n== cache efficacy (served requests) ==\n";
@@ -432,9 +430,8 @@ int report_requests(const std::string& path, int top_n) {
   std::cout << line;
   std::snprintf(line, sizeof(line),
                 "  KV moved: host %.1f KiB, device %.1f KiB, zero-copy %.1f "
-                "KiB, dequant rows %.0f\n",
-                bytes_host / 1024, bytes_device / 1024, bytes_zero / 1024,
-                dequant);
+                "KiB\n",
+                bytes_host / 1024, bytes_device / 1024, bytes_zero / 1024);
   std::cout << line;
   std::cout << "  kv formats:";
   for (const auto& f : formats) std::cout << " " << f;
