@@ -1,6 +1,6 @@
 // Observability overhead + artifact bench. Three phases:
 //
-//   1. Overhead: one 4-worker shared-store server serves paired bursts
+//   1. Overhead: one 4-lane shared-store server serves paired bursts
 //      with tracing runtime-toggled OFF/ON (same binary, same warmed
 //      caches). Burst wall time is scheduler-noisy at this scale (single
 //      bursts swing tens of percent), so each rep measures an adjacent
@@ -8,15 +8,16 @@
 //      and the overhead estimate is the median of the per-rep ON/OFF
 //      ratios. The acceptance check is overhead <= 2%.
 //
-//   2. Trace shape: a fresh 4-worker private-store server runs with tracing
-//      enabled from construction (private stores make every worker encode,
-//      so each lane shows encode_module spans), then the collected spans
-//      are checked for >= 4 worker lanes each nesting kv_concat and decode
-//      inside a serve, and exported as obs_trace.json (Perfetto) +
-//      obs_metrics.prom (Prometheus text).
+//   2. Trace shape: a fresh 4-lane private-store server runs with tracing
+//      enabled from construction (private stores make every lane encode,
+//      so each lane thread shows encode_module spans), then the collected
+//      spans are checked for >= 4 server lanes each nesting kv_concat
+//      inside a batch_admit and forward_batch inside a batch_step, and
+//      exported as obs_trace.json (Perfetto) + obs_metrics.prom
+//      (Prometheus text).
 //
-//   3. Request-telemetry overhead under continuous batching: a batching
-//      server serves paired bursts with the FULL telemetry stack
+//   3. Request-telemetry overhead under continuous batching: one borrowing
+//      lane of four serves paired bursts with the FULL telemetry stack
 //      (tracing + request timelines + a 10 Hz metrics sampler + SLO
 //      tracking) toggled OFF/ON, same pairing methodology as phase 1.
 //      The acceptance check is overhead <= 2%; the final ON burst's
@@ -51,7 +52,7 @@ namespace {
 using namespace pc;
 
 constexpr int kModules = 8;
-constexpr int kWorkers = 4;
+constexpr int kLanes = 4;
 
 std::string two(int i) {
   char buf[4];
@@ -136,7 +137,7 @@ int main() {
   opts.max_new_tokens = 5;
   opts.stop_tokens = {workload.stop_token()};
 
-  // Bursts must be long enough that scheduler noise (workers timeslicing
+  // Bursts must be long enough that scheduler noise (lanes timeslicing
   // on few cores) averages out under the per-rep ratio; 160 requests keeps
   // repeated full runs within ~1% of each other.
   const int requests =
@@ -144,7 +145,7 @@ int main() {
   const int reps = bench::env_int("PC_REPS", smoke ? 2 : 9);
 
   ServerConfig cfg;
-  cfg.n_workers = kWorkers;
+  cfg.n_workers = kLanes;
   cfg.queue_capacity = 16;
   cfg.schemas = {schema};
 
@@ -188,7 +189,7 @@ int main() {
   const double overhead_pct = (median(ratios) - 1.0) * 100.0;
 
   TablePrinter table("burst wall time (" + std::to_string(requests) +
-                     " requests, " + std::to_string(kWorkers) + " workers)");
+                     " requests, " + std::to_string(kLanes) + " lanes)");
   table.set_header({"tracing", "median", "best", "worst"});
   const auto row = [&](const char* name, std::vector<double> v) {
     std::sort(v.begin(), v.end());
@@ -203,7 +204,7 @@ int main() {
             << "% (threshold 2%)\n";
 
   // Phase 2: trace shape. Fresh private-store server traced from
-  // construction, so every worker lane shows its own startup encodes.
+  // construction, so every server lane shows its own startup encodes.
   obs::clear_traces();
   obs::set_tracing(true);
   {
@@ -214,19 +215,21 @@ int main() {
   obs::set_tracing(false);
 
   const auto traces = obs::collect_traces();
-  int worker_lanes = 0;
-  int lanes_nested = 0;       // serve containing kv_concat AND decode
+  int server_lanes = 0;
+  // batch_admit containing kv_concat AND batch_step containing
+  // forward_batch
+  int lanes_nested = 0;
   int lanes_with_encode = 0;  // encode_module anywhere on the lane
   size_t total_events = 0;
   for (const auto& lane : traces) {
     total_events += lane.events.size();
-    // Lanes persist across servers (phase 1's workers left empty rings
-    // after clear_traces); only lanes that recorded in phase 2 count.
+    // Threads persist across servers (phase 1's lanes left empty rings
+    // after clear_traces); only threads that recorded in phase 2 count.
     if (lane.events.empty()) continue;
-    if (lane.name.rfind("worker", 0) != 0) continue;
-    ++worker_lanes;
-    if (has_nested(lane, "serve", "kv_concat") &&
-        has_nested(lane, "serve", "decode")) {
+    if (lane.name.rfind("lane", 0) != 0) continue;
+    ++server_lanes;
+    if (has_nested(lane, "batch_admit", "kv_concat") &&
+        has_nested(lane, "batch_step", "forward_batch")) {
       ++lanes_nested;
     }
     for (const auto& e : lane.events) {
@@ -245,15 +248,16 @@ int main() {
       prom.find("pc_store_hits_total") != std::string::npos &&
       prom.find("pc_server_completed_total") != std::string::npos;
 
-  std::cout << "trace: " << traces.size() << " lanes (" << worker_lanes
-            << " workers, " << lanes_nested << " with nested serve spans, "
+  std::cout << "trace: " << traces.size() << " threads (" << server_lanes
+            << " server lanes, " << lanes_nested
+            << " with nested admit and step spans, "
             << lanes_with_encode << " with encode spans), " << total_events
             << " events, " << obs::dropped_events() << " dropped\n"
             << "wrote obs_trace.json (load in ui.perfetto.dev) and "
                "obs_metrics.prom\n";
 
   const bool overhead_ok = overhead_pct <= 2.0;
-  const bool lanes_ok = worker_lanes >= 4 && lanes_nested >= 4 &&
+  const bool lanes_ok = server_lanes >= 4 && lanes_nested >= 4 &&
                         lanes_with_encode >= 4 && trace_written;
 
   // Phase 3: full-telemetry overhead under continuous batching. The ON arm
@@ -268,8 +272,9 @@ int main() {
     obs::set_tracing(false);
     obs::set_request_telemetry(false);
     ServerConfig bcfg = cfg;
-    bcfg.batching = true;
-    bcfg.batch.max_batch = kWorkers;
+    bcfg.n_workers = 1;
+    bcfg.batch.max_batch = kLanes;
+    bcfg.engine.zero_copy = true;
     bcfg.slo.window_s = 3600;  // the whole run stays inside the window
     SharedModuleStore store(/*device=*/0, /*host=*/0);
     Server server(model, workload.tokenizer(), store, bcfg);
@@ -326,7 +331,7 @@ int main() {
 
   std::ofstream out("BENCH_obs.json");
   out << "{\n  \"provenance\": " << bench::provenance_json() << ",\n"
-      << "  \"workers\": " << kWorkers << ",\n"
+      << "  \"lanes\": " << kLanes << ",\n"
       << "  \"requests_per_burst\": " << requests << ",\n"
       << "  \"reps\": " << reps << ",\n"
       << "  \"wall_ms_tracing_off_median\": "
@@ -334,9 +339,9 @@ int main() {
       << "  \"wall_ms_tracing_on_median\": " << TablePrinter::fmt(on_median, 2)
       << ",\n"
       << "  \"overhead_pct\": " << TablePrinter::fmt(overhead_pct, 2) << ",\n"
-      << "  \"trace\": {\"lanes\": " << traces.size()
-      << ", \"worker_lanes\": " << worker_lanes
-      << ", \"lanes_with_nested_serve\": " << lanes_nested
+      << "  \"trace\": {\"threads\": " << traces.size()
+      << ", \"server_lanes\": " << server_lanes
+      << ", \"lanes_with_nested_admit_and_step\": " << lanes_nested
       << ", \"lanes_with_encode_spans\": " << lanes_with_encode
       << ", \"events\": " << total_events
       << ", \"dropped\": " << obs::dropped_events() << "},\n"
@@ -356,7 +361,7 @@ int main() {
       << (batch_overhead_ok ? "true" : "false") << ",\n"
       << "    \"request_log_written\": " << (requests_ok ? "true" : "false")
       << ",\n"
-      << "    \"trace_has_4_worker_lanes_nested\": "
+      << "    \"trace_has_4_server_lanes_nested\": "
       << (lanes_ok ? "true" : "false") << ",\n"
       << "    \"prometheus_covers_engine_store_server\": "
       << (prom_covers_stack ? "true" : "false") << "\n"

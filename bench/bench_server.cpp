@@ -1,15 +1,16 @@
-// Concurrent-serving throughput: shared SharedModuleStore vs per-worker
-// private ModuleStores, swept over worker counts. Prints tables and writes
+// Concurrent-serving throughput: shared SharedModuleStore vs per-lane
+// private ModuleStores, swept over Server lane counts (ServerConfig::
+// n_workers, one request per lane). Prints tables and writes
 // BENCH_server.json (repo root when launched via scripts/run_all.sh).
 //
 // What the sweep shows:
 //   * encode-once: with the shared store, modules_encoded equals the number
-//     of distinct modules at every worker count; private stores pay
-//     N_workers x that (every worker encodes everything at startup);
-//   * footprint: shared resident module bytes stay flat as workers scale,
+//     of distinct modules at every lane count; private stores pay
+//     N_lanes x that (every lane encodes everything at startup);
+//   * footprint: shared resident module bytes stay flat as lanes scale,
 //     private bytes grow linearly (the duplication is real memory);
-//   * throughput: requests/s grows with workers because per-request
-//     host-link stalls overlap across the pool.
+//   * throughput: requests/s grows with lanes because per-request
+//     host-link stalls overlap across them.
 //
 // Honest-methodology note (matches device_model.h's substitution rule):
 // module compute runs fp32 on the CPU, and the host->device link is a
@@ -17,9 +18,9 @@
 // of its host-resident module bytes plus a fixed link latency, releasing
 // the core so transfers overlap like real DMA. The link latency is
 // auto-calibrated to ~11x the measured single-request serve time, so the
-// pool saturates beyond the largest swept worker count and scaling stays
+// lanes saturate beyond the largest swept lane count and scaling stays
 // visible even on a single-core host. PC_THREADS is pinned to 1 so kernel
-// parallelism does not multiply with worker-level parallelism.
+// parallelism does not multiply with lane-level parallelism.
 //
 // After the store sweep, a fault-rate sweep (0% / 5% / 20% injected
 // encode+link+evict faults, sys/fault.h) measures availability under
@@ -30,8 +31,8 @@
 //
 // Finally a cluster-sharding sweep (sys/shard.h): 1/2/4/8 ShardRouter
 // shards with replication R=min(2,N) serving a Zipf-skewed prompt mix.
-// Throughput should grow with the shard count (each shard is a full worker
-// pool overlapping its own link stalls) while the fleet-wide resident
+// Throughput should grow with the shard count (each shard is a full set of
+// lanes overlapping its own link stalls) while the fleet-wide resident
 // module footprint stays ~R x the distinct module bytes — NOT N x —
 // because only ring owners pin modules and cross-shard fetches are
 // streamed back out after the request. A shard-kill chaos run
@@ -167,7 +168,9 @@ struct BatchRunResult {
 struct FaultRunResult {
   double rate = 0;
   std::string spec;  // "" for the clean reference run
-  std::string mode = "pool";  // "pool" (worker pool) or "batch"
+  // "pool": `workers` lanes of one request; "batch": one borrowing lane of
+  // `workers` requests.
+  std::string mode = "pool";
   int workers = 0;
   int requests = 0;
   uint64_t injected = 0;
@@ -1040,7 +1043,7 @@ void write_json(const std::vector<RunResult>& runs,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Worker-level parallelism is the experiment; keep kernel-level
+  // Lane-level parallelism is the experiment; keep kernel-level
   // parallelism out of it (must happen before the global pool first spins
   // up inside the calibration serve).
   setenv("PC_THREADS", "1", /*overwrite=*/0);
@@ -1092,8 +1095,8 @@ int main(int argc, char** argv) {
         });
   }
 
-  // Link latency ~11x serve compute: a pool saturates only past ~12
-  // workers, so 1 -> 8 stays in the linear-scaling regime; bandwidth adds a
+  // Link latency ~11x serve compute: the lanes saturate only past ~12
+  // lanes, so 1 -> 8 stays in the linear-scaling regime; bandwidth adds a
   // real cost per host-resident byte (private stores, with their device
   // slice split N ways, keep more modules host-side and pay more here).
   LinkModel link;
@@ -1233,8 +1236,8 @@ int main(int argc, char** argv) {
   print_kv_format_results(kv_format_runs);
   std::cout << "\n";
 
-  // Continuous-batching sweep: one iteration loop, 1..8 in-flight requests,
-  // each borrowing its modules' rows in place. "shared" traffic reuses the
+  // Continuous-batching sweep: one lane, 1..8 in-flight requests, each
+  // borrowing its modules' rows in place (zero_copy). "shared" traffic reuses the
   // same four modules across every request (co-resident requests borrow
   // the same rows, §3.4); "private" traffic is the main sweep's prompt mix,
   // whose module sets spread over the whole schema.
@@ -1257,7 +1260,8 @@ int main(int argc, char** argv) {
     }
     for (int max_batch : {1, 2, 4, 8}) {
       ServerConfig cfg;
-      cfg.batching = true;
+      cfg.n_workers = 1;
+      cfg.engine.zero_copy = true;
       cfg.batch.max_batch = max_batch;
       cfg.queue_capacity = 16;
       cfg.schemas = {schema};
@@ -1327,8 +1331,8 @@ int main(int argc, char** argv) {
     fault_runs.push_back(std::move(run));
   }
 
-  // Same chaos, batching mode: the iteration loop must hold availability
-  // 1.0 under the highest swept fault rate too.
+  // Same chaos on one borrowing lane of four: the iteration loop must hold
+  // availability 1.0 under the highest swept fault rate too.
   {
     FaultRunResult run;
     run.rate = 0.20;
@@ -1340,7 +1344,8 @@ int main(int argc, char** argv) {
     const uint64_t injected_before = FaultInjector::global().injected_total();
     {
       ServerConfig cfg;
-      cfg.batching = true;
+      cfg.n_workers = 1;
+      cfg.engine.zero_copy = true;
       cfg.batch.max_batch = run.workers;
       cfg.queue_capacity = 16;
       cfg.schemas = {schema};

@@ -31,7 +31,7 @@ StorePrecision default_store_precision() {
 
 EngineCells::EngineCells() {
   auto& reg = obs::MetricsRegistry::global();
-  serves = reg.counter("pc_engine_serves_total", "cached serve() calls");
+  serves = reg.counter("pc_engine_serves_total", "cached serves completed");
   baseline_serves = reg.counter("pc_engine_baseline_serves_total",
                                 "KV-cache baseline serves");
   modules_encoded =
@@ -665,7 +665,6 @@ SequenceKV PromptCacheEngine::assemble(const pml::PromptBinding& binding,
 
 ServeResult PromptCacheEngine::serve(std::string_view prompt_pml,
                                      const GenerateOptions& options) {
-  cells_.serves.inc();
   PC_SPAN("serve", {"zero_copy", config_.zero_copy ? 1 : 0});
   const pml::PromptBinding binding = [&] {
     PC_SPAN("tokenize_bind");
@@ -700,30 +699,33 @@ ServeResult PromptCacheEngine::serve(std::string_view prompt_pml,
       result.ttft.cached_tokens + result.ttft.uncached_tokens;
   result.decode_ms = decode_timer.elapsed_ms();
   result.text = tokenizer_.decode(result.tokens);
-  cells_.cached_ttft.record_ms(result.ttft.total_ms());
-
-  if (config_.prefetch_union_siblings) {
-    // Off the latency path: warm the alternatives of every union member
-    // this prompt used, so the next profile/locale/variant request finds
-    // them already in device memory.
-    // The store's promotion counter is fleet-global when it is shared, so
-    // count this engine's own moves.
-    uint64_t moved_here = 0;
-    for (int mi : binding.modules) {
-      const pml::ModuleNode& m = binding.schema->module(mi);
-      if (m.union_id < 0) continue;
-      for (int sibling :
-           binding.schema->unions[static_cast<size_t>(m.union_id)].members) {
-        if (sibling == mi) continue;
-        bool moved = false;
-        (void)store_.promote(module_key(*binding.schema, sibling),
-                             ModuleLocation::kDeviceMemory, &moved);
-        if (moved) ++moved_here;
-      }
-    }
-    cells_.sibling_prefetches.inc(moved_here);
-  }
+  complete_serve(binding, result.ttft);
   return result;
+}
+
+void PromptCacheEngine::complete_serve(const pml::PromptBinding& binding,
+                                       const TtftBreakdown& ttft) {
+  cells_.serves.inc();
+  cells_.cached_ttft.record_ms(ttft.total_ms());
+  if (!config_.prefetch_union_siblings) return;
+  // Off the latency path: warm the alternatives of every union member this
+  // prompt used, so the next profile/locale/variant request finds them
+  // already in device memory. The store's promotion counter is fleet-global
+  // when it is shared, so count this engine's own moves.
+  uint64_t moved_here = 0;
+  for (int mi : binding.modules) {
+    const pml::ModuleNode& m = binding.schema->module(mi);
+    if (m.union_id < 0) continue;
+    for (int sibling :
+         binding.schema->unions[static_cast<size_t>(m.union_id)].members) {
+      if (sibling == mi) continue;
+      bool moved = false;
+      (void)store_.promote(module_key(*binding.schema, sibling),
+                           ModuleLocation::kDeviceMemory, &moved);
+      if (moved) ++moved_here;
+    }
+  }
+  cells_.sibling_prefetches.inc(moved_here);
 }
 
 ServeResult PromptCacheEngine::serve_full_prefill(

@@ -28,13 +28,12 @@
 //     engine*; share encoded modules between processes via
 //     save_modules()/load_modules().
 //   * Engines built over one store (the SharedModuleStore& constructor)
-//     scale out to one engine per worker thread over a shared (const)
+//     scale out to one engine per serving lane over a shared (const)
 //     Model: each module is encoded once fleet-wide (single-flight) and
 //     held once. Borrowing caches take reference-counted pins, so a request
-//     on one worker blocks eviction triggered by another; per-engine TTFT
+//     on one lane blocks eviction triggered by another; per-engine TTFT
 //     histograms merge() into fleet percentiles. This is the serving
-//     configuration — see src/sys/server.h for the queue + worker-pool
-//     frontend.
+//     configuration — see src/sys/server.h for the queue + lanes frontend.
 #pragma once
 
 #include <map>
@@ -81,7 +80,8 @@ struct EngineConfig {
   // pinned for the request, instead of copying them; only uncached and
   // generated rows are owned. It chooses where the bytes live and what the
   // host link is charged (nothing moves), never the arithmetic: tokens are
-  // the copy path's at every format. Requires kFp32, kQ8, or kQ4 precision.
+  // the copy path's at every format. serve() and the Server's lanes both
+  // follow it. Requires kFp32, kQ8, or kQ4 precision.
   bool zero_copy = false;
 };
 
@@ -139,7 +139,7 @@ struct ServeResult {
 
 // Snapshot view of one engine's counters. Backed by the observability
 // registry (obs/metrics.h): every engine owns cells in the pc_engine_*
-// metric families, so a Prometheus scrape aggregates the worker fleet while
+// metric families, so a Prometheus scrape aggregates the lane fleet while
 // stats() keeps the per-engine view this struct always provided.
 struct EngineStats {
   uint64_t serves = 0;
@@ -255,12 +255,17 @@ class PromptCacheEngine {
   // module row of `binding`, copied as stored or borrowed in place (pinned
   // and alive until the SequenceKV is destroyed), with own-row room for the
   // uncached tokens, the kickoff token, `max_new_tokens` generated tokens
-  // (at most max_pos) and kTailSlack. serve() copies or borrows as
-  // EngineConfig::zero_copy says; the batch scheduler (sys/batch.h) always
-  // borrows.
+  // (at most max_pos) and kTailSlack. serve() and the batch scheduler
+  // (sys/batch.h) copy or borrow as EngineConfig::zero_copy says.
   static constexpr int kTailSlack = 8;
   SequenceKV assemble(const pml::PromptBinding& binding, ModuleRows how,
                       int max_new_tokens, TtftBreakdown* ttft);
+
+  // serve()'s last step, which the batch scheduler also runs for every
+  // request it finishes: counts the cached serve, records its TTFT, and
+  // runs the union-sibling prefetch.
+  void complete_serve(const pml::PromptBinding& binding,
+                      const TtftBreakdown& ttft);
 
   // Ensures every module used by `binding` is encoded; returns ms spent.
   // `cancel` is polled before each module/scaffold encode: an expired token
@@ -302,7 +307,7 @@ class PromptCacheEngine {
   EngineStats stats() const { return cells_.snapshot(); }
 
   // Per-request TTFT distributions (serving telemetry). Snapshots of this
-  // engine's histogram cells; merge() per-worker snapshots for fleet
+  // engine's histogram cells; merge() per-lane snapshots for fleet
   // percentiles.
   LatencyHistogram cached_ttft_histogram() const {
     return cells_.cached_ttft.snapshot();

@@ -81,8 +81,8 @@ void export_perfetto_json(std::ostream& os) {
           e.kind == EventKind::kFlowEnd) {
         // Flow legs: "s" starts the arc, "t" passes through, "f" ends it.
         // bp:"e" binds the end leg to its enclosing slice, which is how one
-        // request's submit span connects to the worker/batch span that
-        // served it.
+        // request's submit span connects to the batch_admit span of the
+        // lane that served it.
         const char ph = e.kind == EventKind::kFlowStart  ? 's'
                         : e.kind == EventKind::kFlowStep ? 't'
                                                          : 'f';

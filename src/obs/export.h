@@ -8,7 +8,7 @@
 //   ... serve traffic ...
 //   pc::obs::write_perfetto_trace("trace.json");
 //   -> open ui.perfetto.dev, drag the file in: one lane per thread
-//      (worker0..N, poolK), nested serve/encode/concat/prefill/decode spans.
+//      (lane0..N, poolK), nested admit/encode/concat and batch_step spans.
 #pragma once
 
 #include <iosfwd>

@@ -69,7 +69,6 @@ std::string timeline_json(const RequestTimeline& t) {
   std::ostringstream os;
   os << "{\"id\":" << t.id << ",\"server\":" << t.server
      << ",\"lane\":" << t.lane
-     << ",\"batched\":" << (t.batched ? "true" : "false")
      << ",\"outcome\":\"" << outcome_name(t.outcome) << "\""
      << ",\"submit_ns\":" << t.submit_ns << ",\"admit_ns\":" << t.admit_ns
      << ",\"first_token_ns\":" << t.first_token_ns

@@ -1,6 +1,6 @@
 // Request-centric telemetry: one RequestTimeline record per served request,
-// assembled by the serving frontend (sys/server.h) for both the worker-pool
-// and continuous-batching paths and retained in a bounded per-server ring
+// assembled by the serving frontend (sys/server.h) for every request its
+// lanes record and retained in a bounded per-server ring
 // (RequestTracker). This is the per-request counterpart to the aggregate
 // pc_* metric families: where pc_server_ttft_seconds says "p99 was 40 ms",
 // a timeline says "request 4711 spent 31 ms queued, hit 2 of 3 modules,
@@ -68,19 +68,18 @@ struct RequestTimeline {
   // identifies a request in a log that spans several servers (bench_server
   // runs a sweep of them). trace_report --requests keys on the pair.
   uint64_t server = 0;
-  int lane = -1;        // worker index; 0 = the batch lane; -1 = shed at submit
-  bool batched = false; // served by the continuous-batching path
+  int lane = -1;  // serving lane index; -1 = shed at submit
 
   // Lifecycle timestamps (ns since the obs epoch; 0 = never reached).
   uint64_t submit_ns = 0;
-  uint64_t admit_ns = 0;        // dequeued into a worker / the batch
+  uint64_t admit_ns = 0;        // dequeued into a lane
   uint64_t first_token_ns = 0;  // submit_ns + ttft (served requests only)
   uint64_t done_ns = 0;         // terminal status recorded
 
   // Phase durations (ms).
   double queue_ms = 0;     // submit -> dequeue
   double encode_ms = 0;    // offline module encoding triggered by this request
-  double retrieve_ms = 0;  // cached-state concatenation (memcpy / paging)
+  double retrieve_ms = 0;  // module rows into the cache (copy or borrow)
   double transfer_ms = 0;  // simulated host-link stall (LinkModel)
   double prefill_ms = 0;   // forward over uncached tokens + first sample
   double decode_ms = 0;    // autoregressive steps after the first token
@@ -96,7 +95,7 @@ struct RequestTimeline {
   int uncached_tokens = 0;
   int modules = 0;         // modules whose states were reused (emitted)
   int module_misses = 0;   // modules/scaffolds this request had to encode
-  int prefill_chunks = 0;  // batched chunked-prefill iterations (0 = worker)
+  int prefill_chunks = 0;  // chunked-prefill iterations
   uint64_t bytes_from_host = 0;
   uint64_t bytes_from_device = 0;
   uint64_t bytes_zero_copy = 0;

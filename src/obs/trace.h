@@ -79,7 +79,7 @@ static_assert(sizeof(TraceEvent) <= 64, "TraceEvent must stay one line");
 // Everything recorded by one thread, in completion order (oldest first).
 struct ThreadTrace {
   int tid = 0;             // registration order, stable for the process
-  std::string name;        // "main", "worker3", "pool1", or "thread-N"
+  std::string name;        // "main", "lane3", "pool1", or "thread-N"
   uint64_t dropped = 0;    // events overwritten by ring wrap
   std::vector<TraceEvent> events;
 };
@@ -223,7 +223,7 @@ inline void clear_traces() {}
 // Point-in-time marker: PC_INSTANT("fault_inject_link", {"request", id}).
 #define PC_INSTANT(...) ::pc::obs::record_instant(__VA_ARGS__)
 // Cross-thread flow arc for one request: start where the request is born
-// (submit), step/end where it is picked up (worker serve / batch admit).
+// (submit), step/end where it is picked up (a lane's batch admit).
 #define PC_FLOW_START(name, id) \
   ::pc::obs::record_flow(::pc::obs::EventKind::kFlowStart, name, id)
 #define PC_FLOW_STEP(name, id) \

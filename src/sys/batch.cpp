@@ -50,21 +50,14 @@ BatchScheduler::BatchScheduler(std::unique_ptr<PromptCacheEngine> engine,
   PC_CHECK_MSG(options_.batch.max_batch > 0, "BatchConfig::max_batch must be > 0");
   PC_CHECK_MSG(options_.batch.chunk_tokens > 0,
                "BatchConfig::chunk_tokens must be > 0");
-  const StorePrecision precision = engine_->config().precision;
-  PC_CHECK_MSG(precision == StorePrecision::kFp32 ||
-                   precision == StorePrecision::kQ8 ||
-                   precision == StorePrecision::kQ4,
-               "batched serving requires kFp32, kQ8, or kQ4 module storage "
-               "(module rows are read in place by the gathered attention "
-               "kernels; fp16 has no in-place kernel)");
   PC_CHECK_MSG(on_complete_ != nullptr,
                "BatchScheduler needs a completion callback");
   for (const std::string& pml : options_.schemas) {
     try {
       engine_->load_schema(pml);
     } catch (const TransientError& e) {
-      // Same recovery as a worker: the schema registered before encoding
-      // started, so missing modules re-encode lazily on first import.
+      // The schema registered before encoding started, so missing modules
+      // re-encode lazily on first import.
       PC_LOG_WARN << "batch scheduler: eager encode failed at startup ("
                   << e.what() << "); modules will encode lazily";
     }
@@ -78,19 +71,20 @@ BatchScheduler::BatchScheduler(std::unique_ptr<PromptCacheEngine> engine,
                           "requests admitted into the batch loop");
   active_gauge_ = reg.gauge("pc_batch_active", "requests in the batch loop");
   kv_live_ = reg.gauge("pc_batch_kv_live_bytes",
-                       "owned KV tail bytes of the requests in flight");
+                       "owned KV bytes of the requests in flight");
   kv_peak_ = reg.gauge("pc_batch_kv_peak_bytes",
-                       "owned KV tail bytes high-water mark");
-  ttft_ = reg.histogram("pc_batch_ttft_engine_seconds",
-                        "engine-side TTFT of batch-served requests");
+                       "owned KV bytes high-water mark");
 }
 
 BatchScheduler::~BatchScheduler() = default;
 
-double BatchScheduler::backoff_ms_for(uint64_t id, int attempt) const {
-  // Shared with the worker pool (retry_backoff_ms, sys/serve_types.h) so
-  // the two modes retry on identical deterministic schedules.
-  return retry_backoff_ms(options_.retry, id, attempt);
+double BatchScheduler::backoff_ms_for(const Request& req, int attempt) const {
+  const double ms = retry_backoff_ms(options_.retry, req.id, attempt);
+  if (req.deadline_ms <= 0) return ms;
+  const double left_ms =
+      req.deadline_ms -
+      ms_between(req.enqueued, std::chrono::steady_clock::now());
+  return std::min(ms, std::max(0.0, left_ms));
 }
 
 void BatchScheduler::degrade(Seq& seq, const std::string& why) {
@@ -116,11 +110,16 @@ void BatchScheduler::degrade(Seq& seq, const std::string& why) {
 void BatchScheduler::finish_serve(std::unique_ptr<Seq> seq) {
   const auto done = std::chrono::steady_clock::now();
   ServeStatus status = seq->done_status;
+  // The cache path's serve finished: the engine books it as serve() would.
+  if (status == ServeStatus::kOk) {
+    engine_->complete_serve(seq->binding, seq->result.ttft);
+  }
   ServerResponse resp = std::move(seq->resp);
   resp.service_ms = ms_between(seq->dequeued, done);
-  // Deadline enforcement at completion (same rule as the worker pool): a
-  // serve that finished past its deadline is a timeout even if no
-  // cancellation point fired.
+  // Deadline enforcement at completion: a serve that finished past its
+  // deadline is a timeout even if no cancellation point fired — the caller
+  // is gone. This keeps deadline_met consistent with the status:
+  // is_served(status) implies deadline_met.
   if (is_served(status) && seq->req.token.expired()) {
     status = ServeStatus::kTimeout;
     resp.detail = "deadline expired during service";
@@ -129,9 +128,6 @@ void BatchScheduler::finish_serve(std::unique_ptr<Seq> seq) {
   if (is_served(status)) {
     resp.result = std::move(seq->result);
     resp.ttft_ms = resp.queue_ms + resp.stall_ms + resp.result.ttft.total_ms();
-    if (status == ServeStatus::kOk) {
-      ttft_.record_seconds(resp.result.ttft.total_ms() / 1e3);
-    }
   } else {
     resp.result = ServeResult{};
   }
@@ -152,7 +148,6 @@ void BatchScheduler::admit(Request request) {
   auto seq = std::make_unique<Seq>(std::move(request));
   seq->dequeued = dequeued;
   seq->resp.id = seq->req.id;
-  seq->resp.worker = 0;  // the single batch lane
   seq->resp.queue_ms = ms_between(seq->req.enqueued, dequeued);
 
   // Deadline blown while queued: shed before any service work.
@@ -171,14 +166,13 @@ void BatchScheduler::admit(Request request) {
                 {"queue_us", static_cast<int64_t>(seq->resp.queue_ms * 1e3)});
   PC_FLOW_END("request", options_.flow_seed | (seq->req.id & 0xffffffffu));
 
-  // Per-request cache attribution (same scheme as the worker pool): the
-  // batch lane owns the one engine, and admission is serialized on this
-  // thread, so the encode-counter delta around admission is exactly this
-  // request's module misses.
+  // Per-request cache attribution: the lane owns its engine, modules encode
+  // only during admission, and admission is serialized on this thread, so
+  // the encode-counter delta around admission is exactly this request's
+  // module misses.
   const bool reqtl = obs::request_telemetry_enabled();
   // Routing / failover provenance from the submitter lands first in the
-  // annotation stream, before any fault notes (same order as the worker
-  // pool).
+  // annotation stream, before any fault notes.
   if (reqtl && !seq->req.annotation.empty()) {
     seq->resp.annotations.push_back(seq->req.annotation);
   }
@@ -195,8 +189,7 @@ void BatchScheduler::admit(Request request) {
   };
 
   FaultInjector& faults = FaultInjector::global();
-  // Injected straggler: the batch lane freezes before admission, exactly
-  // as a worker would before serving.
+  // Injected straggler: the lane freezes before admission.
   if (faults.should_fail(FaultPoint::kStall)) {
     const double stall = faults.stall_ms(FaultPoint::kStall);
     PC_SPAN("fault_stall", {"ms", static_cast<int64_t>(stall)});
@@ -226,12 +219,10 @@ void BatchScheduler::admit(Request request) {
       // borrows before the retry takes new ones.
       seq->kv.reset();
       seq->result = ServeResult{};
-      const pml::PromptBinding binding = engine_->bind(seq->req.prompt);
-      seq->result.encode_ms =
-          engine_->ensure_encoded(binding, seq->req.options.cancel);
-      seq->kv = engine_->assemble(binding, ModuleRows::kBorrow,
-                                  seq->req.options.max_new_tokens,
-                                  &seq->result.ttft);
+      pml::PromptBinding binding = [&] {
+        PC_SPAN("tokenize_bind");
+        return engine_->bind(seq->req.prompt);
+      }();
       // Uncached stream + kickoff, exactly as serve(): a fully cached
       // prompt computes one <s> row at next_pos to produce logits, and
       // generation starts one position later.
@@ -241,7 +232,23 @@ void BatchScheduler::admit(Request request) {
         seq->stream.tokens.push_back(Vocab::kBos);
         seq->stream.pos_ids.push_back(binding.next_pos);
       }
+      // A prompt that runs past the position space fails here, as serve()'s
+      // forward would, rather than inside a step other requests share.
+      const int max_pos = model_.config().max_pos;
+      for (int p : seq->stream.pos_ids) {
+        if (p >= max_pos) {
+          throw Error("prompt position " + std::to_string(p) +
+                      " outside max_pos " + std::to_string(max_pos));
+        }
+      }
       seq->gen_start = binding.next_pos + (kickoff ? 1 : 0);
+      seq->result.encode_ms =
+          engine_->ensure_encoded(binding, seq->req.options.cancel);
+      seq->kv = engine_->assemble(
+          binding,
+          engine_->config().zero_copy ? ModuleRows::kBorrow : ModuleRows::kCopy,
+          seq->req.options.max_new_tokens, &seq->result.ttft);
+      seq->binding = std::move(binding);
       break;
     } catch (const CancelledError& e) {
       seq->done_status = ServeStatus::kTimeout;
@@ -251,9 +258,8 @@ void BatchScheduler::admit(Request request) {
       finish_serve(std::move(seq));
       return;
     } catch (const TransientError& e) {
-      // Retries stop the moment the deadline expires (same rule as the
-      // worker pool): another attempt can only finish later than a caller
-      // who is already gone.
+      // Retries stop the moment the deadline expires: another attempt can
+      // only finish later than a caller who is already gone.
       if (seq->req.token.expired()) {
         seq->done_status = ServeStatus::kTimeout;
         seq->resp.detail = "deadline expired before retry";
@@ -269,8 +275,7 @@ void BatchScheduler::admit(Request request) {
           seq->resp.annotations.push_back(
               "retry " + std::to_string(attempt + 1) + ": " + e.what());
         }
-        std::this_thread::sleep_for(
-            from_ms(backoff_ms_for(seq->req.id, attempt)));
+        std::this_thread::sleep_for(from_ms(backoff_ms_for(seq->req, attempt)));
         continue;
       }
       degrade(*seq, e.what());
@@ -294,10 +299,10 @@ void BatchScheduler::admit(Request request) {
   }
   settle_misses(*seq);
 
-  // Simulated host-link transfer: borrowed rows move no bytes, so this is
-  // the LinkModel's per-request latency. Modeled as a phase with a
-  // ready-timestamp rather than a sleep, so the transfer overlaps other
-  // requests' compute like real DMA.
+  // Simulated host-link transfer of the copied host bytes (borrowed rows
+  // move none, leaving the LinkModel's per-request latency). Modeled as a
+  // phase with a ready-timestamp rather than a sleep, so the transfer
+  // overlaps other requests' compute like real DMA.
   // The submitter's extra stall (shard router: cross-shard module fetches)
   // folds into the same transfer phase, so it overlaps other requests'
   // compute too.
@@ -361,7 +366,7 @@ bool BatchScheduler::step() {
   const auto now = std::chrono::steady_clock::now();
 
   // Transfers that completed: pay the stall, poll the link fault, move to
-  // prefill (or re-send / degrade, like the worker's link-retry ladder).
+  // prefill (or back off and re-send, then degrade once retries run out).
   for (auto& sp : active_) {
     Seq& s = *sp;
     if (s.done || s.phase != Phase::kTransfer) continue;
@@ -381,7 +386,7 @@ bool BatchScheduler::step() {
                                        std::to_string(s.link_attempts + 1) +
                                        ": host-link transfer lost");
         }
-        const double backoff = backoff_ms_for(s.req.id, s.link_attempts);
+        const double backoff = backoff_ms_for(s.req, s.link_attempts);
         ++s.link_attempts;
         // Back off, then re-send the whole transfer.
         s.transfer_ready =
@@ -454,7 +459,20 @@ bool BatchScheduler::step() {
     batch_tokens_.inc(static_cast<uint64_t>(iteration_tokens));
     PC_SPAN("batch_step", {"seqs", static_cast<int64_t>(batch.size())},
             {"tokens", static_cast<int64_t>(iteration_tokens)});
-    const Tensor logits = model_.forward_batch(batch);
+    Tensor logits;
+    try {
+      logits = model_.forward_batch(batch);
+    } catch (const std::exception& e) {
+      // Admission screens what forward_batch checks, so this is unexpected;
+      // it fails the sequences of this step, not the lane.
+      PC_LOG_ERROR << "batch step failed: " << e.what();
+      for (const WorkRef& ref : refs) {
+        ref.seq->done = true;
+        ref.seq->done_status = ServeStatus::kFailed;
+        ref.seq->resp.detail = e.what();
+      }
+      refs.clear();
+    }
     const auto after = std::chrono::steady_clock::now();
     for (size_t i = 0; i < refs.size(); ++i) {
       Seq& s = *refs[i].seq;

@@ -1,24 +1,26 @@
-// Continuous-batching scheduler: one iteration loop serving many in-flight
-// requests that share module KV by borrowing it in place (paper §3.4).
+// Continuous-batching scheduler: one serving lane, an iteration loop
+// serving many in-flight requests that share module KV (paper §3.4). The
+// Server (sys/server.h) runs n_workers of them, each on its own thread with
+// its own engine.
 //
-// Instead of a worker pool running one request per thread (sys/server.h's
-// default mode), a single loop repeatedly builds one batched forward step
+// The loop repeatedly builds one batched forward step
 // (Model::forward_batch) out of whatever every active request needs next —
 // a prefill chunk for requests still reading their prompt, one decode token
 // for requests already generating — and requests join and leave the batch
 // at token granularity (continuous batching, Yu et al. OSDI'22). New
 // requests are admitted the iteration after they arrive; finished requests
-// free their slot immediately.
+// free their slot immediately. With BatchConfig::max_batch 1 the lane
+// serves one request at a time.
 //
-// The KV layer is where §3.4's batch-inference memory optimization lands.
-// Each request's cache is the sequence cache serve() uses, assembled by
-// borrowing (PromptCacheEngine::assemble with ModuleRows::kBorrow,
-// kv/kv_cache.h):
+// Each request's cache is the sequence cache serve() uses, assembled the
+// way serve() assembles it (PromptCacheEngine::assemble, kv/kv_cache.h):
+// module rows are copied as stored, or under EngineConfig::zero_copy
+// borrowed from the store where they live — fp32, q8 or q4, never
+// dequantized. Borrowing is where §3.4's batch-inference memory
+// optimization lands:
 //
-//   * Module rows are borrowed from the store where they live — fp32, q8 or
-//     q4, never copied or dequantized. Eight requests importing the same 3
-//     modules hold eight row tables over ONE copy of those modules: the
-//     store's.
+//   * Eight requests importing the same 3 modules hold eight row tables
+//     over ONE copy of those modules: the store's.
 //   * Uncached prompt tokens and decode tokens land in the request's own
 //     fp32 rows, reserved at admission and freed when it completes.
 //   * The borrowed modules stay pinned in the store for exactly the
@@ -38,22 +40,20 @@
 // tests/test_batch_serve.cpp asserts this for batch sizes 1/2/4/8 with and
 // without shared modules, and on random weights at fp32, q8 and q4.
 //
-// Fault/deadline semantics mirror the worker pool (docs/INTERNALS.md §9-10):
-// same ServeStatus taxonomy, same retry/degrade ladder (degradation runs
-// serve_full_prefill synchronously — rare by construction, so stalling the
-// loop briefly beats duplicating the blocked-prefill path), same
-// deadline-at-completion check. Simulated host-link transfers (LinkModel)
-// become a per-request kTransfer phase with a ready-timestamp instead of a
-// blocking sleep, so one request's transfer overlaps other requests'
-// compute exactly as DMA overlaps kernels.
-//
-// Host-link accounting: borrowed rows count as bytes_zero_copy, as in
-// zero-copy serving, so the LinkModel's bandwidth term charges no module
-// bytes here; its per-request latency still applies.
+// Fault/deadline semantics (docs/INTERNALS.md §9-10): the ServeStatus
+// taxonomy, a retry ladder whose backoff never sleeps past the deadline,
+// degradation to serve_full_prefill (run synchronously — rare by
+// construction, so stalling the loop briefly beats a second prefill path),
+// and the deadline-at-completion check. Simulated host-link transfers
+// (LinkModel) become a per-request kTransfer phase with a ready-timestamp
+// instead of a blocking sleep, so one request's transfer overlaps other
+// requests' compute exactly as DMA overlaps kernels. The LinkModel charges
+// copied host bytes; borrowed rows count as bytes_zero_copy and move none,
+// so a borrowing lane pays only its per-request latency.
 //
 // Threading: the scheduler is single-threaded — one thread calls admit()
 // and step(); completions are handed to the constructor's callback on that
-// thread. sys/server.h wraps it in a queue + dedicated batch thread.
+// thread.
 #pragma once
 
 #include <chrono>
@@ -66,7 +66,6 @@
 #include <vector>
 
 #include "common/cancel.h"
-#include "common/histogram.h"
 #include "core/engine.h"
 #include "model/model.h"
 #include "obs/metrics.h"
@@ -75,15 +74,15 @@
 namespace pc {
 
 struct BatchConfig {
-  int max_batch = 8;      // max concurrently active requests
+  int max_batch = 1;      // max concurrently active requests per lane
   int chunk_tokens = 32;  // prefill tokens contributed per iteration
 };
 
-// KV footprint of the batch path: the own rows (reserved bytes) of the
-// requests in flight. Module rows are borrowed from the store and counted
-// there, never here.
+// KV footprint of a lane: the bytes its requests in flight own (reserved
+// own rows plus copied module rows, KVCache::owned_bytes). Borrowed module
+// rows belong to the store and are counted there, never here.
 struct BatchKVStats {
-  size_t live_bytes = 0;       // own rows of the requests in flight now
+  size_t live_bytes = 0;       // owned by the requests in flight now
   size_t peak_live_bytes = 0;  // high-water mark across the run
 };
 
@@ -99,7 +98,7 @@ class BatchScheduler {
     uint64_t flow_seed = 0;
   };
 
-  // A request handed over by the frontend (mirrors Server's queue item).
+  // A request handed over by the frontend (the Server's queue entry).
   struct Request {
     uint64_t id = 0;
     std::string prompt;
@@ -120,13 +119,10 @@ class BatchScheduler {
   // response is final (any status).
   using CompletionFn = std::function<void(ServerResponse&&)>;
 
-  // Serves with `engine`, whose precision must be kFp32, kQ8, or kQ4: fp32
-  // module rows are read in place by the gathered attention kernel;
-  // quantized module rows stay quantized and are scored in the integer
-  // domain (attn_fused_q8_gather / attn_fused_q4_gather). fp16 has no
-  // in-place kernel. Loads options.schemas into the engine; an injected
-  // encode fault during eager encoding is tolerated (modules re-encode
-  // lazily).
+  // Serves with `engine`, copying or borrowing module rows as its
+  // EngineConfig::zero_copy says. Loads options.schemas into the engine; an
+  // injected encode fault during eager encoding is tolerated (modules
+  // re-encode lazily).
   BatchScheduler(std::unique_ptr<PromptCacheEngine> engine, Options options,
                  CompletionFn on_complete);
   ~BatchScheduler();
@@ -134,21 +130,19 @@ class BatchScheduler {
   BatchScheduler(const BatchScheduler&) = delete;
   BatchScheduler& operator=(const BatchScheduler&) = delete;
 
-  bool has_capacity() const {
-    return static_cast<int>(active_.size()) < options_.batch.max_batch;
-  }
   bool idle() const { return active_.empty(); }
-  int active_requests() const { return static_cast<int>(active_.size()); }
 
-  // Binds, encodes, and assembles the request's borrowing cache, then places
-  // it in the iteration loop (or completes it immediately: shed past
-  // deadline, degraded, failed). Transient encode faults retry with the same backoff
-  // ladder as the worker pool.
+  // Binds, encodes, and assembles the request's cache, then places it in
+  // the iteration loop (or completes it immediately: shed past deadline,
+  // degraded, failed — a prompt whose positions reach max_pos fails here,
+  // before any encode). Transient encode faults retry after
+  // retry_backoff_ms, capped at the time left before the deadline.
   void admit(Request request);
 
   // Runs one batched iteration: gathers every active request's next work
   // item, executes one forward_batch, samples, and completes finished
-  // requests. Returns true while any request remains active. Sleeps briefly
+  // requests (a forward_batch that throws fails that iteration's requests).
+  // Returns true while any request remains active. Sleeps briefly
   // (bounded by the earliest transfer-ready time, max 1 ms) when every
   // active request is mid-transfer.
   bool step();
@@ -158,9 +152,6 @@ class BatchScheduler {
   BatchKVStats kv_stats() const;
   uint64_t iterations() const { return iterations_.value(); }
   uint64_t batched_tokens() const { return batch_tokens_.value(); }
-  // Engine-side TTFT (retrieve + prefill-to-first-token) of batch-served
-  // requests; merge into fleet percentiles like engine histograms.
-  LatencyHistogram ttft_histogram() const { return ttft_.snapshot(); }
 
  private:
   enum class Phase { kTransfer, kPrefill, kDecode };
@@ -177,6 +168,7 @@ class BatchScheduler {
     double transfer_ms = 0;  // one transfer's duration (re-paid on retry)
     int link_attempts = 0;
 
+    pml::PromptBinding binding;    // for the engine's complete_serve
     std::optional<SequenceKV> kv;  // set once an admission attempt succeeds
     UncachedStream stream;  // uncached prompt tokens (incl. kickoff)
     size_t prefill_done = 0;
@@ -205,16 +197,17 @@ class BatchScheduler {
   // (seq.finish set); false when it needs one forward of seq.next.
   bool advance_decode(Seq& seq);
 
-  // Synchronous full-prefill fallback (mirrors the worker's degrade()):
-  // marks the sequence done with kDegraded (or kTimeout/kFailed if the
-  // fallback itself fails).
+  // Synchronous full-prefill fallback: marks the sequence done with
+  // kDegraded (or kTimeout/kFailed if the fallback itself fails).
   void degrade(Seq& seq, const std::string& why);
 
   // Books the final response (from seq->done_status) and invokes
   // on_complete.
   void finish_serve(std::unique_ptr<Seq> seq);
 
-  double backoff_ms_for(uint64_t id, int attempt) const;
+  // retry_backoff_ms for `req`'s attempt, capped at the time left before
+  // its deadline: a retry the caller can no longer use is wasted latency.
+  double backoff_ms_for(const Request& req, int attempt) const;
   size_t live_bytes() const;
   void refresh_kv_gauges();
 
@@ -234,7 +227,6 @@ class BatchScheduler {
   obs::Gauge active_gauge_;    // pc_batch_active
   obs::Gauge kv_live_;         // pc_batch_kv_live_bytes
   obs::Gauge kv_peak_;         // pc_batch_kv_peak_bytes
-  obs::Histogram ttft_;        // pc_batch_ttft_engine_seconds
   size_t peak_live_bytes_ = 0;
 };
 

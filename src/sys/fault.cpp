@@ -241,7 +241,7 @@ bool FaultInjector::roll(FaultPoint p) {
   injected_counter().inc();
   // Chaos runs become readable on the timeline: the injection lands as an
   // instant marker on the thread that drew it, inside whatever span was
-  // open there (serve_request, link_stall, encode_module, ...).
+  // open there (batch_admit, encode_module, ...).
   PC_INSTANT(inject_marker_name(p),
              {"draw", static_cast<int64_t>(n)});
   return true;

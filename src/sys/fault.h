@@ -6,14 +6,14 @@
 //
 //   encode   engine.cpp      a module/scaffold forward pass fails
 //                            (throws pc::TransientError out of the encode)
-//   link     server.cpp      a simulated host-link transfer is lost and
-//                            must be resent (the worker retries the stall)
+//   link     batch.cpp       a simulated host-link transfer is lost and
+//                            must be resent (the lane retries the stall)
 //   corrupt  serialize.cpp   a persisted record fails its checksum on read
 //                            (exercises the load recovery policy)
 //   evict    shared store    store pressure spuriously evicts an unpinned
 //                            resident entry (forces the thrash-reencode
 //                            path at serve time)
-//   stall    server.cpp      a worker freezes for stall_ms before serving
+//   stall    batch.cpp       a lane freezes for stall_ms before admitting
 //                            (straggler; stresses deadlines and shedding)
 //   shardkill shard.cpp      a whole shard (Server + store) dies; the
 //                            ShardRouter fails affected requests over to a

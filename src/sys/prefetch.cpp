@@ -67,10 +67,10 @@ StorePrefetcher::Stats StorePrefetcher::stats() const {
 
 void StorePrefetcher::loop() {
   obs::set_thread_name("prefetcher");
-  // The binder engine is built on this thread, like a worker's. It only
+  // The binder engine is built on this thread, like a lane's. It only
   // maps prompts to store keys (bind + module_keys), which depend on
   // neither store nor precision, so it owns an empty store and skips the
-  // eager encode: the workers encode the schemas, into the store they
+  // eager encode: the lanes encode the schemas, into the store they
   // serve from, and this engine runs no forward pass.
   EngineConfig binder_config;
   binder_config.eager_encode = false;

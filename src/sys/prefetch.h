@@ -9,7 +9,7 @@
 // engine owns an empty store and never encodes) and calls
 // SharedModuleStore::prefetch() on every key, faulting spilled payloads
 // back into RAM while earlier requests are still decoding. By the time the
-// request reaches a worker, its modules are resident and the serve path
+// request reaches a lane, its modules are resident and the serve path
 // sees ordinary hits.
 //
 // This is classic double-buffering: the queue holds at most `depth`
@@ -59,7 +59,7 @@ class StorePrefetcher {
     uint64_t bind_errors = 0;    // prompts skipped (parse/validation error)
   };
 
-  // Prefetches fault keys into `store`, where the workers look them up. The
+  // Prefetches fault keys into `store`, where the lanes look them up. The
   // binder engine is built on the background thread; the constructor
   // blocks until it has loaded the schemas.
   StorePrefetcher(const Model& model, const TextTokenizer& tokenizer,

@@ -1,8 +1,9 @@
-// Serving-layer vocabulary shared by the worker-pool frontend
-// (sys/server.h) and the continuous-batching scheduler (sys/batch.h):
-// the request outcome taxonomy, the response record, the simulated
-// host-link model, and the transient-fault retry policy. Split out so the
-// scheduler can speak the same types without depending on the Server.
+// Serving-layer vocabulary shared by the Server frontend (sys/server.h)
+// and the continuous-batching scheduler each of its lanes runs
+// (sys/batch.h): the request outcome taxonomy, the response record, the
+// simulated host-link model, and the transient-fault retry policy. Split
+// out so the scheduler can speak the same types without depending on the
+// Server.
 #pragma once
 
 #include <cstdint>
@@ -54,11 +55,12 @@ struct RetryPolicy {
   double backoff_max_ms = 20.0;
 };
 
-// The deterministic backoff schedule both serving modes sleep between
-// transient-fault retries: backoff_base_ms * 2^attempt, capped at
-// backoff_max_ms, scaled by a jitter in [0.5, 1.5) that is a pure function
-// of (id, attempt) — workers retrying the same key desynchronize without a
-// shared RNG, and a given request replays the same schedule on any lane.
+// The deterministic backoff schedule a lane waits between transient-fault
+// retries (never past the request's deadline): backoff_base_ms *
+// 2^attempt, capped at backoff_max_ms, scaled by a jitter in [0.5, 1.5)
+// that is a pure function of (id, attempt) — lanes retrying the same key
+// desynchronize without a shared RNG, and a given request replays the same
+// schedule on any lane.
 // Pinned by a golden test (tests/test_faults.cpp).
 double retry_backoff_ms(const RetryPolicy& retry, uint64_t id, int attempt);
 
@@ -85,7 +87,7 @@ struct SubmitOptions {
 
 struct ServerResponse {
   uint64_t id = 0;    // submission order
-  int worker = -1;    // worker that served it (-1 when shed at submit)
+  int worker = -1;    // lane that served it (-1 when shed at submit)
   ServeStatus status = ServeStatus::kOk;
   ServeResult result;     // meaningful iff is_served(status)
   double queue_ms = 0;    // submit -> dequeue
@@ -98,9 +100,8 @@ struct ServerResponse {
 
   // Request-timeline attribution (obs/request_timeline.h). module_misses
   // counts modules/scaffolds this request had to encode (delta of the
-  // engine's encode counters around its serve); prefill_chunks counts
-  // chunked-prefill iterations on the batch path (0 on the worker path,
-  // where prefill is one forward). annotations are free-form lifecycle
+  // engine's encode counters around its admission); prefill_chunks counts
+  // its chunked-prefill iterations. annotations are free-form lifecycle
   // notes (fault stalls, retries, degrade causes) in occurrence order;
   // only populated while request telemetry is enabled.
   int module_misses = 0;

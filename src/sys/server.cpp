@@ -9,7 +9,6 @@
 #include "obs/clock.h"
 #include "obs/export.h"
 #include "obs/trace.h"
-#include "sys/fault.h"
 
 namespace pc {
 
@@ -18,10 +17,6 @@ namespace {
 double ms_between(std::chrono::steady_clock::time_point a,
                   std::chrono::steady_clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
-}
-
-void sleep_ms(double ms) {
-  std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
 }
 
 // Timeline vocabulary for the store's KV format.
@@ -50,7 +45,7 @@ double retry_backoff_ms(const RetryPolicy& retry, uint64_t id, int attempt) {
               static_cast<double>(1ULL << std::min(attempt, 20));
   ms = std::min(ms, retry.backoff_max_ms);
   // Deterministic jitter in [0.5, 1.5) from (request id, attempt) —
-  // workers retrying the same key desynchronize without a shared RNG.
+  // lanes retrying the same key desynchronize without a shared RNG.
   uint64_t x = id * 0x9e3779b97f4a7c15ULL + static_cast<uint64_t>(attempt) +
                0xd1b54a32d192ed03ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -108,12 +103,11 @@ Server::Server(const Model& model, const TextTokenizer& tokenizer,
 Server::~Server() { stop(); }
 
 void Server::start() {
-  PC_CHECK_MSG(config_.batching || config_.n_workers > 0,
-               "Server needs at least one worker");
+  PC_CHECK_MSG(config_.n_workers > 0, "Server needs at least one lane");
   PC_CHECK_MSG(config_.queue_capacity > 0, "Server queue capacity must be > 0");
   PC_CHECK_MSG(config_.retry.max_retries >= 0,
                "RetryPolicy::max_retries must be >= 0");
-  PC_CHECK_MSG(!config_.batching || config_.batch.max_batch > 0,
+  PC_CHECK_MSG(config_.batch.max_batch > 0,
                "BatchConfig::max_batch must be > 0");
   auto& reg = obs::MetricsRegistry::global();
   submitted_ = reg.counter("pc_server_submitted_total", "requests submitted");
@@ -149,34 +143,28 @@ void Server::start() {
     prefetcher_ = std::make_unique<StorePrefetcher>(model_, tokenizer_,
                                                     *shared_, std::move(pf));
   }
-  if (config_.batching) {
-    // One batch lane instead of a worker pool: a single thread owns the
-    // scheduler and serves up to batch.max_batch requests per iteration.
-    batch_thread_ = std::thread([this] { batch_loop(); });
-    std::unique_lock lock(mutex_);
-    cv_ready_.wait(lock, [&] { return workers_ready_ == 1; });
-    lock.unlock();
-    PC_LOG_INFO << "server batch loop ready: max_batch "
-                << config_.batch.max_batch << ", "
-                << (shared_ != nullptr ? "shared" : "private") << " store";
-    return;
-  }
-  workers_.reserve(static_cast<size_t>(config_.n_workers));
   for (int i = 0; i < config_.n_workers; ++i) {
-    workers_.push_back(std::make_unique<Worker>());
+    lanes_.push_back(std::make_unique<Lane>());
   }
   for (int i = 0; i < config_.n_workers; ++i) {
-    workers_[static_cast<size_t>(i)]->thread =
-        std::thread([this, i] { worker_loop(i); });
+    lanes_[static_cast<size_t>(i)]->thread =
+        std::thread([this, i] { lane_loop(i); });
   }
-  // Wait until every worker has built its engine and loaded the schemas:
+  // Wait until every lane has built its engine and loaded the schemas:
   // serving wall time then measures serving, not startup. (Schema loads
   // race on purpose — with a shared store they exercise single-flight.)
   std::unique_lock lock(mutex_);
-  cv_ready_.wait(lock, [&] { return workers_ready_ == config_.n_workers; });
+  cv_ready_.wait(lock, [&] { return lanes_ready_ == config_.n_workers; });
+  const std::exception_ptr lane_error = lane_error_;
   lock.unlock();
-  PC_LOG_INFO << "server worker pool ready: " << config_.n_workers
-              << " workers, "
+  // A lane that could not start (a schema that does not parse, or does not
+  // fit max_pos) fails the constructor, not the process.
+  if (lane_error) {
+    stop();
+    std::rethrow_exception(lane_error);
+  }
+  PC_LOG_INFO << "server ready: " << config_.n_workers << " lanes x max_batch "
+              << config_.batch.max_batch << ", "
               << (shared_ != nullptr ? "shared" : "private") << " store";
 }
 
@@ -194,7 +182,7 @@ uint64_t Server::submit(std::string prompt, const GenerateOptions& options,
   cv_not_full_.wait(lock, [&] {
     return stop_ || queue_.size() < config_.queue_capacity;
   });
-  // stop() may have run while we were blocked on a full queue: no worker
+  // stop() may have run while we were blocked on a full queue: no lane
   // will ever pop for us again, so unblock the caller with an error
   // instead of deadlocking (or silently dropping the request).
   if (stop_) {
@@ -219,12 +207,13 @@ uint64_t Server::submit(std::string prompt, const GenerateOptions& options,
   // Load shedding: when the backlog alone makes the deadline unmeetable
   // (estimated queue wait from the served-request EWMA), reject at submit —
   // an immediate kShed response — rather than let the request queue up and
-  // time out after burning a worker. The backlog counts requests already in
-  // service, not just the queue: with the queue momentarily empty but every
-  // lane busy, a new request still waits a full service time.
-  const uint64_t backlog = queue_.size() + in_service_;
-  const double parallelism = static_cast<double>(
-      config_.batching ? config_.batch.max_batch : config_.n_workers);
+  // time out after burning a lane slot. The backlog counts requests already
+  // in service, not just the queue: with the queue momentarily empty but
+  // every lane busy, a new request still waits a full service time.
+  uint64_t backlog = queue_.size();
+  for (const auto& lane : lanes_) backlog += static_cast<uint64_t>(lane->held);
+  const double parallelism = static_cast<double>(config_.n_workers) *
+                             static_cast<double>(config_.batch.max_batch);
   if (deadline > 0 && service_ewma_ms_ > 0 && backlog > 0) {
     const double est_wait_ms =
         service_ewma_ms_ * (static_cast<double>(backlog) / parallelism);
@@ -244,7 +233,7 @@ uint64_t Server::submit(std::string prompt, const GenerateOptions& options,
     }
   }
 
-  Item item;
+  BatchScheduler::Request item;
   item.id = id;
   item.prompt = std::move(prompt);
   item.options = options;
@@ -259,18 +248,18 @@ uint64_t Server::submit(std::string prompt, const GenerateOptions& options,
                        std::chrono::steady_clock::duration>(
                        std::chrono::duration<double, std::milli>(deadline)));
   }
-  // Kick the prefetch pipeline before the workers can race ahead: by the
-  // time a worker (or the batch loop) picks this request up, its spilled
-  // modules are faulting in — or already resident. enqueue() only touches
-  // the prefetcher's leaf mutex, so calling it under mutex_ cannot
-  // deadlock (the prefetcher never calls back into the server).
+  // Kick the prefetch pipeline before the lanes can race ahead: by the
+  // time a lane picks this request up, its spilled modules are faulting in
+  // — or already resident. enqueue() only touches the prefetcher's leaf
+  // mutex, so calling it under mutex_ cannot deadlock (the prefetcher never
+  // calls back into the server).
   if (prefetcher_ != nullptr) prefetcher_->enqueue(item.prompt);
   queue_.push_back(std::move(item));
   queue_depth_.add(1);
   lock.unlock();
   cv_not_empty_.notify_one();
-  // Flow arc: ties this submit to the serve_request / batch_admit span on
-  // whichever thread picks the request up (Perfetto draws the arrow).
+  // Flow arc: ties this submit to the batch_admit span on whichever lane
+  // picks the request up (Perfetto draws the arrow).
   PC_FLOW_START("request", flow_id(id));
   return id;
 }
@@ -296,24 +285,24 @@ void Server::stop() {
   }
   cv_not_empty_.notify_all();
   // Submitters blocked on a full queue must wake and observe stop_ (they
-  // throw) — without this they would sleep forever once the workers exit.
+  // throw) — without this they would sleep forever once the lanes exit.
   cv_not_full_.notify_all();
-  for (auto& w : workers_) {
-    if (w->thread.joinable()) w->thread.join();
+  for (auto& lane : lanes_) {
+    if (lane->thread.joinable()) lane->thread.join();
   }
-  if (batch_thread_.joinable()) batch_thread_.join();
-  // After the serving threads: a prefetch racing shutdown is harmless, and
+  // After the lanes: a prefetch racing shutdown is harmless, and
   // stopping last lets queued requests still benefit from the pipeline.
   if (prefetcher_ != nullptr) prefetcher_->stop();
 }
 
 void Server::record_locked(ServerResponse&& resp,
                            std::chrono::steady_clock::time_point when) {
-  // Anything that was dequeued (worker >= 0) counted as in service;
-  // submit-time sheds (worker == -1) never did.
+  // Anything that was dequeued (worker >= 0) is held by its lane;
+  // submit-time sheds (worker == -1) never were.
   if (resp.worker >= 0) {
-    PC_CHECK_MSG(in_service_ > 0, "in-service accounting underflow");
-    --in_service_;
+    int& held = lanes_[static_cast<size_t>(resp.worker)]->held;
+    PC_CHECK_MSG(held > 0, "lane accounting underflow");
+    --held;
   }
   switch (resp.status) {
     case ServeStatus::kOk:
@@ -369,7 +358,6 @@ void Server::record_timeline_locked(const ServerResponse& resp) {
   t.id = resp.id;
   t.server = instance_;
   t.lane = resp.worker;
-  t.batched = config_.batching;
   const auto it = submit_ns_.find(resp.id);
   if (it != submit_ns_.end()) {
     t.submit_ns = it->second;
@@ -392,8 +380,14 @@ void Server::record_timeline_locked(const ServerResponse& resp) {
   t.module_misses = resp.module_misses;
   t.prefill_chunks = resp.prefill_chunks;
   // The serving engine's effective format: a q4 request on a model the q4
-  // kernel cannot serve runs as q8 (PromptCacheEngine's config()).
-  const StorePrecision precision = lane_engine(resp.worker).config().precision;
+  // kernel cannot serve runs as q8 (PromptCacheEngine's config()). Every
+  // lane's engine is built from config_.engine, so lane 0 speaks for a
+  // request shed at submit (lane -1).
+  const StorePrecision precision =
+      lanes_[static_cast<size_t>(std::max(resp.worker, 0))]
+          ->scheduler->engine()
+          .config()
+          .precision;
   t.kv_format = precision_name(precision);
   if (is_served(resp.status)) {
     const TtftBreakdown& b = resp.result.ttft;
@@ -443,13 +437,6 @@ void Server::record_timeline_locked(const ServerResponse& resp) {
   requests_.record(std::move(t));
 }
 
-const PromptCacheEngine& Server::lane_engine(int lane) const {
-  if (scheduler_ != nullptr) return scheduler_->engine();
-  // Every worker's engine is built from config_.engine, so worker 0 speaks
-  // for a request shed at submit (lane -1).
-  return *workers_[static_cast<size_t>(std::max(lane, 0))]->engine;
-}
-
 std::unique_ptr<PromptCacheEngine> Server::make_engine() const {
   return shared_ != nullptr
              ? std::make_unique<PromptCacheEngine>(model_, tokenizer_, *shared_,
@@ -458,333 +445,78 @@ std::unique_ptr<PromptCacheEngine> Server::make_engine() const {
                                                    config_.engine);
 }
 
-void Server::worker_loop(int index) {
-  obs::set_thread_name("worker" + std::to_string(index));
-  Worker& self = *workers_[static_cast<size_t>(index)];
-  self.engine = make_engine();
-  for (const std::string& pml : config_.schemas) {
-    try {
-      self.engine->load_schema(pml);
-    } catch (const TransientError& e) {
-      // An injected fault hit the eager-encode pass. The schema itself is
-      // registered before encoding starts, so the missing modules are
-      // re-encoded lazily by the first request that imports them.
-      PC_LOG_WARN << "worker " << index
-                  << ": eager encode failed at startup (" << e.what()
-                  << "); modules will encode lazily";
-    }
+bool Server::may_admit_locked(int index) const {
+  const int held = lanes_[static_cast<size_t>(index)]->held;
+  if (held >= config_.batch.max_batch) return false;
+  for (const auto& lane : lanes_) {
+    if (lane->held < held) return false;
   }
-  {
-    std::lock_guard lock(mutex_);
-    ++workers_ready_;
-  }
-  cv_ready_.notify_all();
-
-  FaultInjector& faults = FaultInjector::global();
-  const RetryPolicy& retry = config_.retry;
-
-  for (;;) {
-    Item item;
-    {
-      std::unique_lock lock(mutex_);
-      cv_not_empty_.wait(lock, [&] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ set and nothing left to serve
-      item = std::move(queue_.front());
-      queue_.pop_front();
-      queue_depth_.sub(1);
-      ++in_service_;
-    }
-    cv_not_full_.notify_one();
-
-    const auto dequeued = std::chrono::steady_clock::now();
-    ServerResponse resp;
-    resp.id = item.id;
-    resp.worker = index;
-    resp.queue_ms = ms_between(item.enqueued, dequeued);
-
-    // Deadline blown while queued: shed before any service work.
-    if (item.token.expired()) {
-      resp.status = ServeStatus::kShed;
-      resp.detail = "shed at dequeue: deadline expired while queued";
-      resp.deadline_met = false;
-      resp.service_ms = 0;
-      {
-        std::lock_guard lock(mutex_);
-        record_locked(std::move(resp), dequeued);
-      }
-      cv_done_.notify_all();
-      continue;
-    }
-
-    // Queue wait rides as an arg (not a sub-span): a retroactive wait span
-    // would overlap the previous request on this lane and break nesting.
-    PC_SPAN_NAMED(request_span, "serve_request",
-                  {"request", static_cast<int64_t>(item.id)},
-                  {"queue_us", static_cast<int64_t>(resp.queue_ms * 1e3)});
-    PC_FLOW_END("request", flow_id(item.id));
-
-    // Per-request cache attribution: the encode counters are per-worker
-    // engine cells and this worker serves one request at a time, so the
-    // delta around the serve is exactly this request's module misses.
-    const bool reqtl = obs::kEnabled && obs::request_telemetry_enabled();
-    uint64_t encodes_before = 0;
-    if (reqtl) {
-      const EngineStats es = self.engine->stats();
-      encodes_before = es.modules_encoded + es.scaffolds_encoded;
-    }
-    const auto annotate = [&](std::string note) {
-      if (reqtl) resp.annotations.push_back(std::move(note));
-    };
-
-    // Injected straggler: the worker freezes before serving.
-    if (faults.should_fail(FaultPoint::kStall)) {
-      const double stall = faults.stall_ms(FaultPoint::kStall);
-      PC_SPAN("fault_stall", {"ms", static_cast<int64_t>(stall)});
-      annotate("fault_stall " + std::to_string(stall) + "ms");
-      sleep_ms(stall);
-    }
-
-    // Routing / failover provenance from the submitter (the shard router)
-    // lands first in the annotation stream, before any fault notes.
-    if (!item.annotation.empty()) annotate(item.annotation);
-
-    GenerateOptions options = item.options;
-    options.cancel = item.token;
-
-    // Backoff sleeps never overshoot the deadline: a retry the caller can
-    // no longer use is pure wasted latency, so the sleep is capped at the
-    // time remaining (the expiry check at the retry sites stops the ladder
-    // entirely once the token fires).
-    const auto deadline_tp =
-        item.deadline_ms > 0
-            ? item.enqueued +
-                  std::chrono::duration_cast<
-                      std::chrono::steady_clock::duration>(
-                      std::chrono::duration<double, std::milli>(
-                          item.deadline_ms))
-            : std::chrono::steady_clock::time_point::max();
-    const auto backoff = [&](int attempt) {
-      double ms = retry_backoff_ms(retry, item.id, attempt);
-      if (item.deadline_ms > 0) {
-        const double remaining_ms =
-            ms_between(std::chrono::steady_clock::now(), deadline_tp);
-        ms = std::min(ms, std::max(0.0, remaining_ms));
-      }
-      sleep_ms(ms);
-    };
-
-    ServeStatus status = ServeStatus::kOk;
-    // Fall back to full prefill: the cache layer could not produce the
-    // modules, but the request is still answerable — bitwise-identically —
-    // by recomputing everything (see serve_full_prefill).
-    const auto degrade = [&](const std::string& why) {
-      annotate("degraded: " + why);
-      try {
-        PC_SPAN("serve_degraded",
-                {"request", static_cast<int64_t>(item.id)});
-        resp.result = self.engine->serve_full_prefill(item.prompt, options);
-        status = ServeStatus::kDegraded;
-        resp.detail = why;
-      } catch (const CancelledError& e) {
-        status = ServeStatus::kTimeout;
-        resp.detail = e.what();
-      } catch (const std::exception& e) {
-        status = ServeStatus::kFailed;
-        resp.detail = e.what();
-      }
-    };
-
-    if (item.force_full_prefill) {
-      // The submitter decided the cache path cannot serve this request
-      // (shard router: every replica holding its modules is down) — go
-      // straight to the bitwise-identical full-prefill fallback.
-      degrade(item.annotation.empty() ? "forced full prefill"
-                                      : item.annotation);
-    } else {
-      for (int attempt = 0;; ++attempt) {
-        try {
-          resp.result = self.engine->serve(item.prompt, options);
-          status = ServeStatus::kOk;
-          break;
-        } catch (const CancelledError& e) {
-          status = ServeStatus::kTimeout;
-          resp.detail = e.what();
-          break;
-        } catch (const TransientError& e) {
-          // Retries stop the moment the deadline expires: another attempt
-          // (and its backoff sleep) can only finish later than a caller who
-          // is already gone.
-          if (item.token.expired()) {
-            status = ServeStatus::kTimeout;
-            resp.detail = "deadline expired before retry";
-            break;
-          }
-          if (attempt < retry.max_retries) {
-            ++resp.retries;
-            retries_.inc();
-            PC_SPAN("serve_retry", {"attempt", attempt + 1});
-            annotate("retry " + std::to_string(attempt + 1) + ": " + e.what());
-            backoff(attempt);
-            continue;
-          }
-          degrade(e.what());
-          break;
-        } catch (const CacheError& e) {
-          // Structural, not transient (the module fits in neither tier under
-          // current pin pressure): retrying cannot help, degrade directly.
-          degrade(e.what());
-          break;
-        } catch (const std::exception& e) {
-          status = ServeStatus::kFailed;
-          resp.detail = e.what();
-          break;
-        }
-      }
-    }
-
-    if (status == ServeStatus::kOk) {
-      // Simulated host-link transfer for this request's host-resident
-      // module bytes (see LinkModel in server.h). The sleep yields the
-      // core, so transfers overlap across workers like real DMA. An
-      // injected link fault loses the transfer: the worker re-sends it,
-      // and after max_retries degrades to local recompute (a degraded
-      // serve moves no module bytes).
-      const double stall_s =
-          config_.link.stall_s(resp.result.ttft.bytes_from_host);
-      if (stall_s > 0) {
-        for (int attempt = 0;; ++attempt) {
-          {
-            PC_SPAN("link_stall",
-                    {"bytes", static_cast<int64_t>(
-                                  resp.result.ttft.bytes_from_host)});
-            sleep_ms(stall_s * 1e3);
-            resp.stall_ms += stall_s * 1e3;
-          }
-          if (!faults.should_fail(FaultPoint::kLink)) break;
-          if (attempt < retry.max_retries) {
-            ++resp.retries;
-            retries_.inc();
-            PC_SPAN("serve_retry", {"attempt", attempt + 1});
-            annotate("retry " + std::to_string(attempt + 1) +
-                     ": host-link transfer lost");
-            backoff(attempt);
-            continue;
-          }
-          degrade("injected fault: host-link transfer lost");
-          break;
-        }
-      }
-      // Extra stall charged by the submitter (shard router: cross-shard
-      // module fetches over its inter-shard link). Same overlap semantics
-      // as the host link — the sleep yields the core.
-      if (status == ServeStatus::kOk && item.extra_stall_ms > 0) {
-        PC_SPAN("cross_shard_stall",
-                {"ms", static_cast<int64_t>(item.extra_stall_ms)});
-        sleep_ms(item.extra_stall_ms);
-        resp.stall_ms += item.extra_stall_ms;
-      }
-    }
-
-    const auto done = std::chrono::steady_clock::now();
-    resp.service_ms = ms_between(dequeued, done);
-    // Deadline enforcement at completion: a serve that finished past its
-    // deadline is a timeout even if no cancellation point fired — the
-    // caller is gone. This keeps deadline_met consistent with the status:
-    // is_served(status) implies deadline_met.
-    if (is_served(status) && item.token.expired()) {
-      status = ServeStatus::kTimeout;
-      resp.detail = "deadline expired during service";
-    }
-    resp.deadline_met = item.deadline_ms <= 0 || !item.token.expired();
-    if (is_served(status)) {
-      resp.ttft_ms =
-          resp.queue_ms + resp.stall_ms + resp.result.ttft.total_ms();
-    }
-    resp.status = status;
-    if (!is_served(status)) resp.result = ServeResult{};
-    if (reqtl) {
-      const EngineStats es = self.engine->stats();
-      resp.module_misses = static_cast<int>(es.modules_encoded +
-                                            es.scaffolds_encoded -
-                                            encodes_before);
-    }
-
-    {
-      std::lock_guard lock(mutex_);
-      record_locked(std::move(resp), done);
-    }
-    cv_done_.notify_all();
-  }
+  return true;
 }
 
-void Server::batch_loop() {
-  obs::set_thread_name("batcher");
+void Server::lane_loop(int index) {
+  obs::set_thread_name("lane" + std::to_string(index));
+  Lane& self = *lanes_[static_cast<size_t>(index)];
   BatchScheduler::Options opts;
   opts.schemas = config_.schemas;
   opts.batch = config_.batch;
   opts.link = config_.link;
   opts.retry = config_.retry;
   opts.flow_seed = instance_ << 32;
-  scheduler_ = std::make_unique<BatchScheduler>(
-      make_engine(), std::move(opts),
-      [this](ServerResponse&& resp) {
-        const auto now = std::chrono::steady_clock::now();
-        {
-          std::lock_guard lock(mutex_);
-          // Workers count retries as they happen; the scheduler reports
-          // them per response.
-          if (resp.retries > 0) {
-            retries_.inc(static_cast<uint64_t>(resp.retries));
+  std::exception_ptr error;
+  try {
+    self.scheduler = std::make_unique<BatchScheduler>(
+        make_engine(), std::move(opts), [this, index](ServerResponse&& resp) {
+          const auto now = std::chrono::steady_clock::now();
+          resp.worker = index;
+          {
+            std::lock_guard lock(mutex_);
+            if (resp.retries > 0) {
+              retries_.inc(static_cast<uint64_t>(resp.retries));
+            }
+            record_locked(std::move(resp), now);
           }
-          record_locked(std::move(resp), now);
-        }
-        cv_done_.notify_all();
-      });
+          cv_done_.notify_all();
+        });
+  } catch (...) {
+    error = std::current_exception();
+  }
   {
     std::lock_guard lock(mutex_);
-    ++workers_ready_;
+    ++lanes_ready_;
+    if (error && !lane_error_) lane_error_ = error;
   }
   cv_ready_.notify_all();
+  if (error) return;  // start() rethrows it
 
+  BatchScheduler& scheduler = *self.scheduler;
   for (;;) {
-    // Admit as many queued requests as the batch has slots for; block only
-    // when there is nothing to do at all.
+    // Admit what least-loaded admission grants this lane; block only when
+    // the lane has nothing to do at all. An idle lane holds nothing, so it
+    // may always admit.
     std::vector<BatchScheduler::Request> admits;
     {
       std::unique_lock lock(mutex_);
-      if (scheduler_->idle()) {
+      if (scheduler.idle()) {
         cv_not_empty_.wait(lock, [&] { return stop_ || !queue_.empty(); });
       }
-      if (stop_ && queue_.empty() && scheduler_->idle()) return;
-      while (!queue_.empty() &&
-             scheduler_->active_requests() + static_cast<int>(admits.size()) <
-                 config_.batch.max_batch) {
-        Item item = std::move(queue_.front());
+      if (stop_ && queue_.empty() && scheduler.idle()) return;
+      while (!queue_.empty() && may_admit_locked(index)) {
+        admits.push_back(std::move(queue_.front()));
         queue_.pop_front();
         queue_depth_.sub(1);
-        ++in_service_;
-        BatchScheduler::Request req;
-        req.id = item.id;
-        req.prompt = std::move(item.prompt);
-        req.options = item.options;
-        req.deadline_ms = item.deadline_ms;
-        req.enqueued = item.enqueued;
-        req.token = item.token;
-        req.extra_stall_ms = item.extra_stall_ms;
-        req.force_full_prefill = item.force_full_prefill;
-        req.annotation = std::move(item.annotation);
-        admits.push_back(std::move(req));
+        ++self.held;
       }
     }
     if (!admits.empty()) cv_not_full_.notify_all();
-    for (auto& r : admits) scheduler_->admit(std::move(r));
-    scheduler_->step();
+    for (auto& r : admits) scheduler.admit(std::move(r));
+    scheduler.step();
   }
 }
 
 ServerStats Server::stats() const {
   ServerStats out;
-  out.n_workers = config_.batching ? 1 : config_.n_workers;
+  out.n_workers = config_.n_workers;
   out.shared_store = shared_ != nullptr;
   {
     std::lock_guard lock(mutex_);
@@ -822,20 +554,15 @@ ServerStats Server::stats() const {
       stores.push_back(&engine.store());
     }
   };
-  if (config_.batching && scheduler_ != nullptr) {
-    out.batching = true;
-    out.batch_iterations = scheduler_->iterations();
-    out.batch_tokens = scheduler_->batched_tokens();
-    const BatchKVStats kv = scheduler_->kv_stats();
-    out.kv_live_bytes = kv.live_bytes;
-    out.kv_peak_bytes = kv.peak_live_bytes;
-    add_engine(scheduler_->engine());
-    out.engine_ttft.merge(scheduler_->ttft_histogram());
-  }
-  for (const auto& w : workers_) {
-    if (w->engine == nullptr) continue;  // worker still constructing
-    add_engine(*w->engine);
-    out.engine_ttft.merge(w->engine->cached_ttft_histogram());
+  for (const auto& lane : lanes_) {
+    const BatchScheduler& scheduler = *lane->scheduler;
+    add_engine(scheduler.engine());
+    out.engine_ttft.merge(scheduler.engine().cached_ttft_histogram());
+    out.batch_iterations += scheduler.iterations();
+    out.batch_tokens += scheduler.batched_tokens();
+    const BatchKVStats kv = scheduler.kv_stats();
+    out.kv_live_bytes += kv.live_bytes;
+    out.kv_peak_bytes += kv.peak_live_bytes;
   }
   for (const SharedModuleStore* store : stores) {
     const ModuleStoreStats ss = store->stats();

@@ -1,30 +1,38 @@
-// Concurrent serving frontend: a bounded request queue feeding a pool of
-// worker threads, one PromptCacheEngine per worker over one shared (const)
-// Model. Two store configurations (see src/core/engine.h):
+// Concurrent serving frontend: a bounded request queue feeding
+// ServerConfig::n_workers serving lanes over one shared (const) Model. Each
+// lane is a BatchScheduler (sys/batch.h) with its own PromptCacheEngine and
+// its own thread, serving up to batch.max_batch requests per forward step;
+// with the default max_batch of 1 a lane serves one request at a time. Two
+// store configurations (see src/core/engine.h):
 //
-//   * shared:  all workers route through one SharedModuleStore — each module
+//   * shared:  all lanes route through one SharedModuleStore — each module
 //     is encoded once fleet-wide (single-flight) and held once.
-//   * private: each worker's engine owns a one-shard store sized by
+//   * private: each lane's engine owns a one-shard store sized by
 //     ServerConfig::engine — the scale-out baseline the shared store is
 //     measured against.
 //
 // Request lifecycle: submit() enqueues (blocking while the queue is at
-// capacity — admission control instead of unbounded memory); a worker pops,
-// serves, applies the simulated host-link stall (below), and records a
-// ServerResponse. drain() blocks until every submitted request completed and
-// returns the responses in submission order. stats() aggregates per-worker
-// engine counters and histograms (LatencyHistogram::merge) with the store's
-// — call it only while the server is idle (after drain()).
+// capacity — admission control instead of unbounded memory). Lanes admit
+// least-loaded first: a lane takes a request only while it holds fewer
+// than max_batch and no other lane holds fewer, so requests spread across
+// lanes before any lane batches. A lane binds the request, copies or
+// borrows its modules' rows as EngineConfig::zero_copy says, serves it
+// through its iteration loop, and records a ServerResponse. drain() blocks
+// until every submitted request completed and returns the responses in
+// submission order. stats() aggregates per-lane engine counters and
+// histograms (LatencyHistogram::merge) with the store's — call it only
+// while the server is idle (after drain()).
 //
 // Host-link model. This repo substitutes analytic models for hardware it
 // doesn't have (see device_model.h): kernels run fp32 on CPU and device
 // behavior is modeled, not executed. LinkModel extends that substitution to
-// serving concurrency: each request sleeps for the time a real host->device
+// serving concurrency: each request waits for the time a real host->device
 // link would spend moving that request's host-resident module bytes
-// (latency + bytes/bandwidth). The sleep releases the core, so stalls
-// overlap across workers exactly as DMA transfers overlap with compute —
-// which is what makes a worker pool scale even when the compute itself is
-// serialized on few cores. With LinkModel{} (all zeros) no stall is applied.
+// (latency + bytes/bandwidth) before its prefill. The wait releases the
+// core, so stalls overlap with other requests' compute exactly as DMA
+// transfers overlap with kernels — which is what makes lanes scale even
+// when the compute itself is serialized on few cores. With LinkModel{}
+// (all zeros) no stall is applied.
 //
 // Fault tolerance (docs/INTERNALS.md §9). Every response carries a typed
 // ServeStatus instead of a stringly error:
@@ -42,11 +50,12 @@
 //   kShed      the request never reached an engine: its deadline expired
 //              while queued, or submit() predicted (from the service-time
 //              EWMA) that the backlog made the deadline unmeetable.
-//   kFailed    serve threw a non-transient, non-degradable error.
+//   kFailed    serve threw a non-transient, non-degradable error (for
+//              one, a prompt whose positions reach max_pos).
 //
 // Transient faults (pc::TransientError) are retried with exponential
-// backoff + deterministic jitter up to RetryPolicy::max_retries before
-// degrading. Accounting is exact: every submitted id is eventually recorded
+// backoff + deterministic jitter, never waiting past the deadline, up to
+// RetryPolicy::max_retries before degrading. Accounting is exact: every submitted id is eventually recorded
 // with exactly one status, and
 //   completed (ok+degraded) + shed + timeouts + failed == submitted.
 #pragma once
@@ -54,6 +63,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <map>
 #include <memory>
@@ -78,21 +88,14 @@
 namespace pc {
 
 struct ServerConfig {
-  int n_workers = 4;
+  int n_workers = 4;             // serving lanes, each a BatchScheduler
   size_t queue_capacity = 64;    // submit() blocks when full
-  EngineConfig engine;           // per-worker engine config
-  std::vector<std::string> schemas;  // PML loaded by every worker at startup
+  EngineConfig engine;           // per-lane engine config
+  std::vector<std::string> schemas;  // PML loaded by every lane at startup
   double default_deadline_ms = 0;    // 0 = no deadline enforcement
   LinkModel link;
   RetryPolicy retry;
-  // Continuous-batching mode (sys/batch.h): instead of n_workers threads
-  // each serving one request end to end, a single batch loop serves up to
-  // batch.max_batch requests per forward step, each borrowing its modules'
-  // rows from the store in place (zero-copy). Identical request semantics:
-  // same ServeStatus taxonomy, same deadline/retry/degradation behavior,
-  // bitwise-identical tokens to a zero-copy engine.
-  bool batching = false;
-  BatchConfig batch;
+  BatchConfig batch;  // per lane: requests in flight, prefill chunk size
   // Request-centric telemetry (obs/request_timeline.h). request_ring bounds
   // the in-memory timeline buffer (oldest evicted first). When ttft_profile
   // is set, every cached kOk serve is compared against device_model's
@@ -125,7 +128,7 @@ struct ServerConfig {
 };
 
 struct ServerStats {
-  int n_workers = 0;
+  int n_workers = 0;  // lanes
   bool shared_store = false;
   uint64_t submitted = 0;
   uint64_t completed = 0;  // served requests: ok + degraded
@@ -143,17 +146,15 @@ struct ServerStats {
   LatencyHistogram degraded_ttft; // end-to-end, kDegraded serves
   LatencyHistogram engine_ttft;   // merged per-engine cached-serve TTFT
 
-  // Summed per-worker engine counters.
+  // Summed per-lane engine counters.
   uint64_t modules_encoded = 0;
   uint64_t scaffolds_encoded = 0;
   uint64_t thrash_reencodes = 0;
 
-  // Batching mode (ServerConfig::batching): iteration-loop and KV
-  // telemetry; zero in worker-pool mode. kv_live_bytes counts the owned
-  // tails of the requests in flight (module rows are borrowed from the
-  // store and counted there), so it reads 0 once drained; kv_peak_bytes is
-  // its high-water mark.
-  bool batching = false;
+  // Iteration-loop and KV telemetry, summed over lanes. kv_live_bytes
+  // counts what the requests in flight own (own rows and copied module
+  // rows; borrowed module rows are counted by the store), so it reads 0
+  // once drained; kv_peak_bytes sums the lanes' high-water marks.
   uint64_t batch_iterations = 0;
   uint64_t batch_tokens = 0;
   size_t kv_live_bytes = 0;
@@ -164,7 +165,7 @@ struct ServerStats {
   ModuleStoreStats store;
   double store_hit_rate = 0;
   size_t resident_module_bytes = 0;
-  // Bytes N private workers would hold that the shared store holds once:
+  // Bytes N private lanes would hold that the shared store holds once:
   // resident_bytes * (n_workers - 1). Zero in private mode (nothing is
   // deduplicated — the duplication is real and shows up in
   // resident_module_bytes instead).
@@ -174,17 +175,17 @@ struct ServerStats {
 
 class Server {
  public:
-  // Shared-store serving: all workers encode into / serve from
+  // Shared-store serving: all lanes encode into / serve from
   // `shared_store`, which must outlive the server.
   Server(const Model& model, const TextTokenizer& tokenizer,
          SharedModuleStore& shared_store, ServerConfig config);
 
-  // Private-store serving: each worker's engine owns a one-shard store
-  // sized by config.engine (the N-times-everything baseline).
+  // Private-store serving: each lane's engine owns a one-shard store sized
+  // by config.engine (the N-times-everything baseline).
   Server(const Model& model, const TextTokenizer& tokenizer,
          ServerConfig config);
 
-  // Joins the pool (requests still queued are served first, as stop()).
+  // Joins the lanes (requests still queued are served first, as stop()).
   ~Server();
 
   Server(const Server&) = delete;
@@ -209,7 +210,7 @@ class Server {
   // clears the internal buffer).
   std::vector<ServerResponse> drain();
 
-  // Stops accepting work and joins the workers after the queue empties.
+  // Stops accepting work and joins the lanes after the queue empties.
   // Idempotent; the destructor calls it.
   void stop();
 
@@ -247,31 +248,20 @@ class Server {
   const StorePrefetcher* prefetcher() const { return prefetcher_.get(); }
 
  private:
-  struct Item {
-    uint64_t id = 0;
-    std::string prompt;
-    GenerateOptions options;
-    double deadline_ms = 0;
-    std::chrono::steady_clock::time_point enqueued;
-    CancellationToken token;  // armed iff deadline_ms > 0
-    double extra_stall_ms = 0;     // SubmitOptions::extra_stall_ms
-    bool force_full_prefill = false;
-    std::string annotation;        // SubmitOptions::annotation
-  };
-
-  struct Worker {
+  struct Lane {
     std::thread thread;
-    std::unique_ptr<PromptCacheEngine> engine;  // built on `thread`
+    std::unique_ptr<BatchScheduler> scheduler;  // built on `thread`
+    int held = 0;  // requests dequeued, not yet recorded (under mutex_)
   };
 
   void start();
-  // The engine a worker (or the batch lane) serves with: over the shared
-  // store, or owning its own.
+  // The engine a lane serves with: over the shared store, or owning its
+  // own.
   std::unique_ptr<PromptCacheEngine> make_engine() const;
-  // The engine that served on `lane` (a worker index, or the batch lane).
-  const PromptCacheEngine& lane_engine(int lane) const;
-  void worker_loop(int index);
-  void batch_loop();
+  // Least-loaded admission: lane `index` may take a request while it holds
+  // fewer than batch.max_batch and no other lane holds fewer.
+  bool may_admit_locked(int index) const;
+  void lane_loop(int index);
   // Books a finished response (any status) under mutex_; the caller
   // notifies cv_done_ after releasing the lock.
   void record_locked(ServerResponse&& resp,
@@ -291,20 +281,17 @@ class Server {
   SharedModuleStore* shared_ = nullptr;  // null => private stores
   ServerConfig config_;
 
-  std::vector<std::unique_ptr<Worker>> workers_;
+  // Schedulers are read from stats() only while idle.
+  std::vector<std::unique_ptr<Lane>> lanes_;
   // Async prefetch pipeline (ServerConfig::prefetch); shared store only.
   std::unique_ptr<StorePrefetcher> prefetcher_;
-  // Batching mode: the scheduler and its loop thread (workers_ stays
-  // empty). Built on batch_thread_; read from stats() only while idle.
-  std::unique_ptr<BatchScheduler> scheduler_;
-  std::thread batch_thread_;
 
   mutable std::mutex mutex_;
   std::condition_variable cv_not_empty_;
   std::condition_variable cv_not_full_;
   std::condition_variable cv_done_;
   std::condition_variable cv_ready_;
-  std::deque<Item> queue_;
+  std::deque<BatchScheduler::Request> queue_;
   std::vector<ServerResponse> responses_;
   // Registry cells (pc_server_*). The cells are atomic, but every mutation
   // happens under mutex_, so reads under the lock (drain's completed ==
@@ -333,13 +320,9 @@ class Server {
   // Perfetto flow ids so arcs from different servers never chain.
   const uint64_t instance_;
   uint64_t done_ = 0;        // responses recorded, any status (drain gate)
-  // Requests dequeued but not yet recorded. Submit-time shedding estimates
-  // the backlog from queue_.size() + in_service_ — counting only the queue
-  // understates the wait whenever workers (or the batch loop) are busy,
-  // which admitted doomed requests under full load.
-  uint64_t in_service_ = 0;
   double service_ewma_ms_ = 0;  // served-request EWMA; drives shedding
-  int workers_ready_ = 0;
+  int lanes_ready_ = 0;
+  std::exception_ptr lane_error_;  // the first lane startup failure
   bool stop_ = false;
   bool clock_started_ = false;
   std::chrono::steady_clock::time_point first_submit_;

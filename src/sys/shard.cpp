@@ -912,7 +912,7 @@ void ShardRouter::process_restart(int shard) {
     }
     gen = s.epoch + 1;
   }
-  // Tear down the zombie (joins its workers; their final on_record events
+  // Tear down the zombie (joins its lanes; their final on_record events
   // carry the old generation and are dropped) and come back empty.
   s.server.reset();
   s.placement.reset();

@@ -80,11 +80,12 @@ struct ShardConfig {
   // module counts this repo serves.
   int vnodes = 64;
   uint64_t ring_seed = 0x5eedULL;
-  // Per-shard serving config. schemas/engine/link/retry/batching all apply
-  // per shard; the router forces retain_responses=false and installs its
-  // own on_record hook. eager_encode is forced off — initial placement
-  // (the router's ctor) encodes each module exactly once fleet-wide and
-  // copies it to the other owners.
+  // Per-shard serving config. schemas/engine/link/retry and the lanes
+  // (n_workers x batch.max_batch) all apply per shard; the router forces
+  // retain_responses=false and installs its own on_record hook.
+  // eager_encode is forced off — initial placement (the router's ctor)
+  // encodes each module exactly once fleet-wide and copies it to the other
+  // owners.
   ServerConfig server;
   // Per-shard store capacities (0 = unlimited). Owned modules are pinned,
   // so a limited tier must at least fit the shard's owned share.

@@ -1,12 +1,14 @@
-// Continuous-batching serve path (sys/batch.h + Server batching mode):
+// Continuous-batching serve path (sys/batch.h, run by every Server lane):
 //
 //   * forward_batch is bitwise-identical to forward() over dense caches,
 //     chunked or not, solo or batched, with or without borrowed module
 //     rows;
-//   * the batching Server produces bitwise-identical tokens to sequential
+//   * a Server lane produces bitwise-identical tokens to sequential
 //     PromptCacheEngine::serve at every batch width (greedy and sampled),
 //     and to copy and zero-copy engines on random weights for four model
-//     families at fp32, q8 and q4;
+//     families at fp32, q8 and q4, copying or borrowing;
+//   * lanes admit least-loaded first: concurrent requests spread across
+//     lanes before any lane batches;
 //   * requests sharing modules share them in place (§3.4): every request
 //     borrows its modules' rows (nothing copied), the batch's KV footprint
 //     is the requests' owned tails only, and a drained batch holds no KV
@@ -18,6 +20,9 @@
 //     drain() returns when everything behind the blocker was shed;
 //   * submit racing stop(): every id that submit() returned is recorded
 //     with exactly one status;
+//   * a prompt past max_pos fails alone (kFailed), solo or batched, and
+//     the lanes keep serving; a schema a lane cannot load fails the
+//     Server's constructor;
 //   * chaos (PC_FAULTS): the batch loop under encode/link/evict/stall
 //     faults keeps availability 1.0 with bitwise-equal tokens.
 #include <gtest/gtest.h>
@@ -291,7 +296,7 @@ TEST_F(BatchServeTest, BatchedMatchesSequentialBitwise) {
 
   for (int max_batch : {1, 2, 4, 8}) {
     ServerConfig cfg;
-    cfg.batching = true;
+    cfg.n_workers = 1;
     cfg.batch.max_batch = max_batch;
     cfg.schemas = {kSchema};
     Server server(model_, workload_.tokenizer(), cfg);
@@ -312,7 +317,6 @@ TEST_F(BatchServeTest, BatchedMatchesSequentialBitwise) {
     }
 
     const ServerStats stats = server.stats();
-    EXPECT_TRUE(stats.batching);
     EXPECT_EQ(stats.completed, static_cast<uint64_t>(kRequests));
     EXPECT_GT(stats.batch_iterations, 0u);
     EXPECT_GT(stats.batch_tokens, 0u);
@@ -347,7 +351,7 @@ TEST_F(BatchServeTest, Q8BatchedMatchesSequentialQ8Bitwise) {
 
   for (int max_batch : {1, 4}) {
     ServerConfig cfg;
-    cfg.batching = true;
+    cfg.n_workers = 1;
     cfg.batch.max_batch = max_batch;
     cfg.engine.precision = StorePrecision::kQ8;
     cfg.schemas = {kSchema};
@@ -398,7 +402,7 @@ TEST_F(BatchServeTest, Q4BatchedMatchesSequentialQ4Bitwise) {
 
   for (int max_batch : {1, 4}) {
     ServerConfig cfg;
-    cfg.batching = true;
+    cfg.n_workers = 1;
     cfg.batch.max_batch = max_batch;
     cfg.engine.precision = StorePrecision::kQ4;
     cfg.schemas = {kSchema};
@@ -438,7 +442,7 @@ TEST_F(BatchServeTest, BatchedSamplingMatchesSequentialBitwise) {
   const auto expected = reference_tokens(prompts, options);
 
   ServerConfig cfg;
-  cfg.batching = true;
+  cfg.n_workers = 1;
   cfg.batch.max_batch = 4;
   cfg.schemas = {kSchema};
   Server server(model_, workload_.tokenizer(), cfg);
@@ -469,7 +473,7 @@ TEST_F(BatchServeTest, BatchedSharedStoreMatchesSequential) {
 
   SharedModuleStore store(/*device=*/0, /*host=*/0);
   ServerConfig cfg;
-  cfg.batching = true;
+  cfg.n_workers = 1;
   cfg.batch.max_batch = 4;
   cfg.schemas = {kSchema};
   Server server(model_, workload_.tokenizer(), store, cfg);
@@ -488,6 +492,60 @@ TEST_F(BatchServeTest, BatchedSharedStoreMatchesSequential) {
   const ServerStats stats = server.stats();
   EXPECT_TRUE(stats.shared_store);
   EXPECT_EQ(stats.completed, static_cast<uint64_t>(kRequests));
+  check_accounting(stats);
+}
+
+TEST_F(BatchServeTest, LanesAdmitLeastLoadedFirst) {
+  // Two lanes of four. A 200 ms simulated link latency holds every
+  // admitted request in its transfer phase, so requests submitted together
+  // are all in flight at once and no slot frees while they are admitted.
+  constexpr int kRequests = 8;
+  constexpr double kLatencyMs = 200;
+  std::vector<std::string> prompts;
+  std::vector<GenerateOptions> options;
+  for (int i = 0; i < kRequests; ++i) {
+    prompts.push_back(kPrompts[static_cast<size_t>(i) % kNumPrompts]);
+    options.push_back(ask_options(workload_));
+  }
+  const auto expected = reference_tokens(prompts, options);
+
+  ServerConfig cfg;
+  cfg.n_workers = 2;
+  cfg.batch.max_batch = 4;
+  cfg.schemas = {kSchema};
+  cfg.link.latency_s = kLatencyMs / 1e3;
+  Server server(model_, workload_.tokenizer(), cfg);
+  const auto serve = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      server.submit(prompts[static_cast<size_t>(i)],
+                    options[static_cast<size_t>(i)]);
+    }
+    const auto responses = server.drain();
+    EXPECT_EQ(responses.size(), static_cast<size_t>(n));
+    std::vector<int> per_lane(2, 0);
+    for (size_t i = 0; i < responses.size(); ++i) {
+      const ServerResponse& r = responses[i];
+      EXPECT_EQ(r.status, ServeStatus::kOk) << r.detail;
+      EXPECT_EQ(r.result.tokens, expected[i]) << "id " << r.id;
+      // Admitted before any transfer ended: every request was in flight
+      // together, none waited for a slot.
+      EXPECT_LT(r.queue_ms, kLatencyMs) << "id " << r.id;
+      EXPECT_TRUE(r.worker == 0 || r.worker == 1) << r.worker;
+      if (r.worker == 0 || r.worker == 1) ++per_lane[r.worker];
+    }
+    return per_lane;
+  };
+
+  // Two concurrent requests: one per lane, not both batched on one.
+  EXPECT_EQ(serve(2), (std::vector<int>{1, 1}));
+  // Eight: both lanes full.
+  EXPECT_EQ(serve(kRequests), (std::vector<int>{4, 4}));
+
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.n_workers, 2);
+  EXPECT_EQ(stats.completed, static_cast<uint64_t>(2 + kRequests));
+  EXPECT_GT(stats.batch_iterations, 0u);
+  EXPECT_EQ(stats.kv_live_bytes, 0u);
   check_accounting(stats);
 }
 
@@ -520,7 +578,8 @@ TEST_F(BatchServeTest, SharedModulesReduceKvFootprint) {
   auto run = [&](bool shared_traffic, size_t* module_bytes) {
     SharedModuleStore store(/*device=*/0, /*host=*/0);
     ServerConfig cfg;
-    cfg.batching = true;
+    cfg.n_workers = 1;
+    cfg.engine.zero_copy = true;
     cfg.batch.max_batch = kRequests;
     cfg.engine.precision = StorePrecision::kFp32;
     cfg.schemas = {schema};
@@ -661,21 +720,25 @@ TEST_F(BatchServeTest, BatchedMatchesZeroCopyOnRandomWeights) {
             << "copy engine, prompt " << i;
       }
 
-      for (int max_batch : {1, 4}) {
-        ServerConfig cfg;
-        cfg.batching = true;
-        cfg.batch.max_batch = max_batch;
-        cfg.engine.precision = precision;
-        cfg.schemas = {schema};
-        Server server(model, tokenizer, cfg);
-        for (const std::string& p : prompts) server.submit(p, opts);
-        const auto responses = server.drain();
-        ASSERT_EQ(responses.size(), prompts.size());
-        for (size_t i = 0; i < prompts.size(); ++i) {
-          EXPECT_EQ(responses[i].status, ServeStatus::kOk)
-              << responses[i].detail;
-          EXPECT_EQ(responses[i].result.tokens, expected[i])
-              << "batch " << max_batch << " prompt " << i;
+      for (const bool zero_copy : {false, true}) {
+        for (int max_batch : {1, 4}) {
+          ServerConfig cfg;
+          cfg.n_workers = 1;
+          cfg.batch.max_batch = max_batch;
+          cfg.engine.precision = precision;
+          cfg.engine.zero_copy = zero_copy;
+          cfg.schemas = {schema};
+          Server server(model, tokenizer, cfg);
+          for (const std::string& p : prompts) server.submit(p, opts);
+          const auto responses = server.drain();
+          ASSERT_EQ(responses.size(), prompts.size());
+          for (size_t i = 0; i < prompts.size(); ++i) {
+            EXPECT_EQ(responses[i].status, ServeStatus::kOk)
+                << responses[i].detail;
+            EXPECT_EQ(responses[i].result.tokens, expected[i])
+                << "zero_copy " << zero_copy << " batch " << max_batch
+                << " prompt " << i;
+          }
         }
       }
     }
@@ -698,7 +761,7 @@ TEST_F(BatchServeTest, DrainedBatchHoldsNoModuleBytesOrPins) {
   const std::string schema = footprint_schema();
   SharedModuleStore store(/*device=*/0, /*host=*/0);
   ServerConfig cfg;
-  cfg.batching = true;
+  cfg.engine.zero_copy = true;
   cfg.batch.max_batch = 4;
   cfg.schemas = {schema};
   Server server(model_, workload_.tokenizer(), store, cfg);
@@ -733,7 +796,7 @@ TEST_F(BatchServeTest, DrainedBatchHoldsNoModuleBytesOrPins) {
 
 TEST_F(BatchServeTest, BatchDeadlineExpiryWhileQueuedSheds) {
   ServerConfig cfg;
-  cfg.batching = true;
+  cfg.n_workers = 1;
   cfg.batch.max_batch = 1;  // the second request must wait its turn
   cfg.schemas = {kSchema};
   Server server(model_, workload_.tokenizer(), cfg);
@@ -757,7 +820,6 @@ TEST_F(BatchServeTest, BatchDeadlineExpiryWhileQueuedSheds) {
 
 TEST_F(BatchServeTest, BatchDeadlineExpiryMidServiceTimesOut) {
   ServerConfig cfg;
-  cfg.batching = true;
   cfg.batch.max_batch = 2;
   cfg.schemas = {kSchema};
   // A 50 ms simulated host-link transfer guarantees the 10 ms deadline
@@ -783,7 +845,8 @@ TEST_F(BatchServeTest, BatchDeadlineExpiryMidServiceTimesOut) {
 // Submit-time shedding counts in-service requests (the bugfix)
 
 TEST_F(BatchServeTest, SubmitShedCountsInServiceRequests) {
-  // Worker mode, one worker, 100 ms simulated link stall per request.
+  // One lane serving one request at a time, 100 ms simulated link stall
+  // per request.
   ServerConfig cfg;
   cfg.n_workers = 1;
   cfg.schemas = {kSchema};
@@ -795,7 +858,7 @@ TEST_F(BatchServeTest, SubmitShedCountsInServiceRequests) {
   server.submit(kPrompts[0], opts);
   (void)server.drain();
 
-  // Occupy the worker, give it time to dequeue — the queue is now EMPTY
+  // Occupy the lane, give it time to dequeue — the queue is now EMPTY
   // but one request is in service. The old estimate looked only at
   // queue_.size(), predicted zero wait, and admitted the doomed requests.
   server.submit(kPrompts[1], opts);
@@ -814,7 +877,7 @@ TEST_F(BatchServeTest, SubmitShedCountsInServiceRequests) {
   for (size_t i = 1; i < responses.size(); ++i) {
     EXPECT_EQ(responses[i].status, ServeStatus::kShed)
         << "id " << responses[i].id << ": " << responses[i].detail;
-    // Shed at submit, not at dequeue: never handed to a worker.
+    // Shed at submit, not at dequeue: never handed to a lane.
     EXPECT_EQ(responses[i].worker, -1) << responses[i].detail;
     EXPECT_NE(responses[i].detail.find("shed at submit"), std::string::npos)
         << responses[i].detail;
@@ -831,7 +894,6 @@ TEST_F(BatchServeTest, SubmitShedCountsInServiceRequests) {
 
 TEST_F(BatchServeTest, SubmitRacingStopRecordsEverySubmittedId) {
   ServerConfig cfg;
-  cfg.batching = true;
   cfg.batch.max_batch = 4;
   cfg.queue_capacity = 4;
   cfg.schemas = {kSchema};
@@ -866,6 +928,101 @@ TEST_F(BatchServeTest, SubmitRacingStopRecordsEverySubmittedId) {
 }
 
 // ---------------------------------------------------------------------------
+// A request that cannot be served fails alone
+
+std::string filler_schema(int n_tokens) {
+  std::string pml = R"(<schema name="full"><module name="m">)";
+  for (int i = 0; i < n_tokens; ++i) pml += " w00";
+  return pml + "</module></schema>";
+}
+
+TEST_F(BatchServeTest, PromptPastMaxPosFailsAloneAndLanesKeepServing) {
+  // Two prompts that bind but reach max_pos (256 here): free text that runs
+  // past it, and a fully cached prompt on a schema filling the position
+  // space, whose kickoff token lands at max_pos. serve() throws on both;
+  // a lane must fail just that request and keep serving the rest.
+  PromptCacheEngine reference(model_, workload_.tokenizer());
+  reference.load_schema(kSchema);
+  const int max_pos = model_.config().max_pos;
+  const int overhead =
+      reference.load_schema(filler_schema(8)).total_positions - 8;
+  const std::string full = filler_schema(max_pos - overhead);
+  ASSERT_EQ(reference.load_schema(full).total_positions, max_pos);
+
+  std::string long_text;
+  for (int i = 0; i < max_pos; ++i) long_text += " w00";
+  const std::string too_long =
+      R"(<prompt schema="bs"><d1/> question:)" + long_text + "</prompt>";
+  const std::string kickoff_at_max_pos =
+      R"(<prompt schema="full"><m/></prompt>)";
+  const GenerateOptions opts = ask_options(workload_);
+  EXPECT_THROW(reference.serve(too_long, opts), Error);
+  EXPECT_THROW(reference.serve(kickoff_at_max_pos, opts), Error);
+
+  std::vector<std::string> prompts(kPrompts, kPrompts + kNumPrompts);
+  const size_t bad_text = 2;
+  const size_t bad_kickoff = 5;
+  prompts.insert(prompts.begin() + bad_text, too_long);
+  prompts.insert(prompts.begin() + bad_kickoff, kickoff_at_max_pos);
+  std::vector<std::vector<TokenId>> expected;
+  for (const std::string& p : prompts) {
+    const bool bad = p == too_long || p == kickoff_at_max_pos;
+    expected.push_back(bad ? std::vector<TokenId>{}
+                           : reference.serve(p, opts).tokens);
+  }
+
+  for (int max_batch : {1, 4}) {  // the default, and batched with the others
+    ServerConfig cfg;
+    cfg.batch.max_batch = max_batch;
+    cfg.schemas = {kSchema, full};
+    Server server(model_, workload_.tokenizer(), cfg);
+    for (const std::string& p : prompts) server.submit(p, opts);
+    const auto responses = server.drain();
+
+    ASSERT_EQ(responses.size(), prompts.size());
+    for (size_t i = 0; i < responses.size(); ++i) {
+      const ServerResponse& r = responses[i];
+      if (i == bad_text || i == bad_kickoff) {
+        EXPECT_EQ(r.status, ServeStatus::kFailed)
+            << "batch " << max_batch << " id " << r.id << ": " << r.detail;
+        EXPECT_NE(r.detail.find("max_pos"), std::string::npos) << r.detail;
+        EXPECT_TRUE(r.result.tokens.empty());
+      } else {
+        EXPECT_EQ(r.status, ServeStatus::kOk)
+            << "batch " << max_batch << " id " << r.id << ": " << r.detail;
+        EXPECT_EQ(r.result.tokens, expected[i])
+            << "batch " << max_batch << " id " << r.id;
+      }
+    }
+    // The lanes are still serving.
+    server.submit(kPrompts[0], opts);
+    const auto after = server.drain();
+    ASSERT_EQ(after.size(), 1u);
+    EXPECT_EQ(after[0].status, ServeStatus::kOk) << after[0].detail;
+    EXPECT_EQ(after[0].result.tokens, expected[0]);
+
+    const ServerStats stats = server.stats();
+    EXPECT_EQ(stats.failed, 2u);
+    EXPECT_EQ(stats.completed, prompts.size() - 2 + 1);  // and the one after
+    check_accounting(stats);
+  }
+}
+
+TEST_F(BatchServeTest, UnloadableSchemaFailsServerConstruction) {
+  // Every lane loads the schemas on its own thread; a schema that does not
+  // parse, or does not fit max_pos, must throw from the constructor.
+  for (const std::string& bad :
+       {std::string(R"(<schema name="bad"><module name="m">w00</schema>)"),
+        filler_schema(model_.config().max_pos + 1)}) {
+    ServerConfig cfg;
+    cfg.n_workers = 2;
+    cfg.schemas = {kSchema, bad};
+    EXPECT_THROW({ Server server(model_, workload_.tokenizer(), cfg); }, Error)
+        << bad;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Chaos: availability 1.0 in batch mode
 
 #if PC_FAULTS_ENABLED
@@ -889,7 +1046,8 @@ TEST_F(BatchServeTest, BatchChaosKeepsFullAvailability) {
 
   SharedModuleStore store(/*device=*/0, /*host=*/0);
   ServerConfig cfg;
-  cfg.batching = true;
+  cfg.n_workers = 2;  // lanes race on one queue under faults
+  cfg.engine.zero_copy = true;
   cfg.batch.max_batch = 4;
   cfg.schemas = {kSchema};
   cfg.engine.eager_encode = false;  // encode at serve time, under faults

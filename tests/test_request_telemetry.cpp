@@ -2,7 +2,7 @@
 // Server::requests()/slo_snapshot()):
 //
 //   * completeness: exactly one timeline per submitted id, each with a
-//     terminal outcome, on both serving paths (worker pool + batching);
+//     terminal outcome, one request per lane and several;
 //   * the TTFT identity: ttft == queue + transfer + retrieve + prefill for
 //     kOk serves;
 //   * chaos reconciliation: under seeded encode/link/evict/stall faults
@@ -128,7 +128,6 @@ TEST_F(RequestTelemetryTest, WorkerPoolTimelineCompleteness) {
   std::set<uint64_t> ids;
   for (const auto& t : timelines) {
     EXPECT_TRUE(ids.insert(t.id).second) << "duplicate timeline id " << t.id;
-    EXPECT_FALSE(t.batched);
     EXPECT_EQ(t.kv_format, "fp32");
     check_timeline_invariants(t);
   }
@@ -139,7 +138,6 @@ TEST_F(RequestTelemetryTest, WorkerPoolTimelineCompleteness) {
 
 TEST_F(RequestTelemetryTest, BatchingTimelineCompleteness) {
   ServerConfig cfg;
-  cfg.batching = true;
   cfg.batch.max_batch = 3;
   cfg.batch.chunk_tokens = 2;  // force several prefill chunks per request
   cfg.schemas = {kSchema};
@@ -156,7 +154,6 @@ TEST_F(RequestTelemetryTest, BatchingTimelineCompleteness) {
   std::set<uint64_t> ids;
   for (const auto& t : timelines) {
     EXPECT_TRUE(ids.insert(t.id).second);
-    EXPECT_TRUE(t.batched);
     check_timeline_invariants(t);
     if (t.outcome == obs::RequestOutcome::kOk) {
       EXPECT_GE(t.prefill_chunks, 1) << "id " << t.id;
@@ -216,8 +213,8 @@ TEST_F(RequestTelemetryTest, ChaosTimelinesReconcileWithCounters) {
 
 TEST_F(RequestTelemetryTest, TimelinesReportEffectiveKvFormat) {
   // q4 needs d_head % 32 == 0 or a single KV head; this model has neither,
-  // so its engines fall back to q8 — and the timelines must say q8, on
-  // both serving paths.
+  // so its engines fall back to q8 — and the timelines must say q8, one
+  // request per lane or several.
   ModelConfig c = ModelConfig::llama_tiny(workload_.vocab().size(), 256);
   c.d_model = 96;
   c.n_layers = 2;
@@ -226,10 +223,10 @@ TEST_F(RequestTelemetryTest, TimelinesReportEffectiveKvFormat) {
   c.d_head = 24;
   c.d_ff = 128;
   const Model model = Model::random(c, 5);
-  for (bool batching : {false, true}) {
+  for (int max_batch : {1, 4}) {
     ServerConfig cfg;
     cfg.n_workers = 2;
-    cfg.batching = batching;
+    cfg.batch.max_batch = max_batch;
     cfg.engine.precision = StorePrecision::kQ4;
     cfg.schemas = {kSchema};
     Server server(model, workload_.tokenizer(), cfg);
@@ -241,7 +238,7 @@ TEST_F(RequestTelemetryTest, TimelinesReportEffectiveKvFormat) {
     ASSERT_EQ(timelines.size(), kNumPrompts);
     for (const auto& t : timelines) {
       EXPECT_EQ(t.outcome, obs::RequestOutcome::kOk) << t.detail;
-      EXPECT_EQ(t.kv_format, "q8") << "batching " << batching;
+      EXPECT_EQ(t.kv_format, "q8") << "max_batch " << max_batch;
     }
   }
 }

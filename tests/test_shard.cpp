@@ -5,7 +5,7 @@
 //   * requests route to a live shard owning the largest share of their
 //     modules, and owners hold their keys resident from construction;
 //   * a sharded fleet emits tokens bitwise-identical to one unsharded
-//     Server — with and without batching mode;
+//     Server — one request per lane and four;
 //   * cross-shard fetches are charged through the interconnect model and
 //     streamed back out of the borrowing shard at delivery;
 //   * shard-kill chaos (FaultPoint::kShardKill) with replication R=2 keeps
@@ -192,7 +192,6 @@ TEST_F(ShardTest, ShardedServingMatchesUnshardedBitwise) {
 TEST_F(ShardTest, BatchingModeMatchesUnshardedBitwise) {
   const std::vector<std::vector<TokenId>> expected = reference_tokens();
   ShardConfig cfg = base_config(2, 2);
-  cfg.server.batching = true;
   cfg.server.batch.max_batch = 4;
   ShardRouter router(model_, workload_.tokenizer(), cfg);
   for (size_t i = 0; i < kNumPrompts; ++i) {

@@ -508,9 +508,9 @@ TEST_F(TieredStoreTest, WorkersEncodeTheSchemaWithPrefetchOn) {
 }
 
 TEST_F(TieredStoreTest, BatchingOverRamCappedDiskTierIsBitwiseIdentical) {
-  // Twelve same-size modules, two per prompt. Batched requests pin the
-  // modules they borrow, so the RAM cap must leave room for max_batch x 2
-  // pinned modules plus one to fault in: 10 modules' worth, below the 12
+  // Twelve same-size modules, two per prompt. One borrowing lane's
+  // requests pin the modules they borrow, so the RAM cap must leave room
+  // for max_batch x 2 pinned modules plus one to fault in: 10 modules' worth, below the 12
   // the schema encodes — the rest live on the disk tier.
   AccuracyWorkload workload(7);
   const Model model = make_induction_model({workload.vocab().size(), 256});
@@ -548,7 +548,8 @@ TEST_F(TieredStoreTest, BatchingOverRamCappedDiskTierIsBitwiseIdentical) {
 
   const auto serve_all = [&](SharedModuleStore& store) {
     ServerConfig cfg;
-    cfg.batching = true;
+    cfg.n_workers = 1;
+    cfg.engine.zero_copy = true;
     cfg.batch.max_batch = kMaxBatch;
     cfg.queue_capacity = 64;
     cfg.schemas = {schema};

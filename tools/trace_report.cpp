@@ -3,11 +3,15 @@
 // Server::write_trace_json).
 //
 // Prints per-span aggregates plus a Fig-3-style per-request breakdown:
-// each serve span on each lane is decomposed into its direct stage
-// children (tokenize_bind, ensure_encoded, kv_concat, prefill, decode),
-// with the encode/single-flight detail nested under ensure_encoded and the
-// queue wait taken from the serve_request "queue_us" arg. Exits nonzero on
-// usage errors or malformed input so CI can use it as a smoke check.
+// each engine serve span (PromptCacheEngine::serve, serve_baseline) is
+// decomposed into its stage children (tokenize_bind, ensure_encoded,
+// kv_concat, prefill, decode), with the encode/single-flight detail nested
+// under ensure_encoded. A Server's lanes (sys/batch.h) serve requests in
+// two parts: a per-request batch_admit span (bind, ensure_encoded,
+// kv_concat), decomposed the same way, with the queue wait taken from its
+// "queue_us" arg; and batch_step spans, each one forward step shared by
+// every request in flight on the lane. Exits nonzero on usage errors or
+// malformed input so CI can use it as a smoke check.
 //
 // Request-inspector mode: trace_report --requests <requests.jsonl> reads a
 // request-timeline log (Server::write_request_log or the PC_REQLOG sink,
@@ -52,10 +56,11 @@ struct Lane {
   std::vector<Event> events;
 };
 
-// Stages attributed directly against a serve span. Disjoint by
-// construction: each is a distinct phase of PromptCacheEngine::serve, and
-// encode_module / single_flight_wait (which nest inside ensure_encoded)
-// are reported as detail lines instead to avoid double counting.
+// Stages attributed directly against a serve or batch_admit span. Disjoint
+// by construction: each is a distinct phase of PromptCacheEngine::serve or
+// of a lane's admission, and encode_module / single_flight_wait (which
+// nest inside ensure_encoded) are reported as detail lines instead to
+// avoid double counting.
 const char* const kStages[] = {"tokenize_bind", "ensure_encoded", "kv_concat",
                                "prefill", "decode"};
 
@@ -78,6 +83,34 @@ bool contains(const Event& outer, const Event& inner) {
   return &outer != &inner && inner.ts_us >= outer.ts_us &&
          inner.ts_us + inner.dur_us <= outer.ts_us + outer.dur_us;
 }
+
+// One kind of outer span (engine serves, or lane admissions) decomposed
+// into its kStages children.
+struct Breakdown {
+  Agg total, other, encode_detail, single_flight_detail;
+  std::map<std::string, Agg> stages;
+
+  void attribute(const std::vector<Event>& lane_events, const Event& outer) {
+    total.add(outer.dur_us);
+    double attributed_us = 0;
+    for (const Event& child : lane_events) {
+      if (!contains(outer, child)) continue;
+      for (const char* stage : kStages) {
+        if (child.name == stage) {
+          stages[stage].add(child.dur_us);
+          attributed_us += child.dur_us;
+          break;
+        }
+      }
+      if (child.name == "encode_module" || child.name == "encode_scaffold") {
+        encode_detail.add(child.dur_us);
+      } else if (child.name == "single_flight_wait") {
+        single_flight_detail.add(child.dur_us);
+      }
+    }
+    other.add(std::max(0.0, outer.dur_us - attributed_us));
+  }
+};
 
 std::map<int64_t, Lane> load_lanes(const JsonValue& root) {
   std::map<int64_t, Lane> lanes;
@@ -144,18 +177,18 @@ int report(const std::string& path) {
 
   size_t total_events = 0;
   uint64_t dropped = 0;
-  int worker_lanes = 0;
+  int server_lanes = 0;
   for (const auto& [tid, lane] : lanes) {
     (void)tid;
     total_events += lane.events.size();
     dropped += lane.dropped;
-    if (!lane.events.empty() && lane.name.rfind("worker", 0) == 0) {
-      ++worker_lanes;
+    if (!lane.events.empty() && lane.name.rfind("lane", 0) == 0) {
+      ++server_lanes;
     }
   }
   std::cout << "trace: " << path << "\n"
-            << "lanes: " << lanes.size() << " (" << worker_lanes
-            << " worker), events: " << total_events
+            << "threads: " << lanes.size() << " (" << server_lanes
+            << " server lanes), events: " << total_events
             << ", dropped: " << dropped << "\n";
 
   // Per-span aggregates across all lanes.
@@ -177,77 +210,69 @@ int report(const std::string& path) {
     std::cout << line;
   }
 
-  // Fig-3-style breakdown: decompose every serve / serve_baseline span
-  // into its stage children, per lane (spans nest strictly per thread).
-  Agg serve_total, other;
-  std::map<std::string, Agg> stage_agg;
-  Agg encode_detail, single_flight_detail, queue_wait, link_stall;
+  // Fig-3-style breakdown: decompose every serve / serve_baseline and
+  // batch_admit span into its stage children, per thread (spans nest
+  // strictly per thread).
+  Breakdown serves, admits;
+  Agg queue_wait, steps;
   for (const auto& [tid, lane] : lanes) {
     (void)tid;
     for (const Event& outer : lane.events) {
-      if (outer.name == "serve_request") {
+      if (outer.name == "serve" || outer.name == "serve_baseline") {
+        serves.attribute(lane.events, outer);
+      } else if (outer.name == "batch_admit") {
+        admits.attribute(lane.events, outer);
         const auto q = outer.args.find("queue_us");
         if (q != outer.args.end()) queue_wait.add(q->second);
-        continue;
+      } else if (outer.name == "batch_step") {
+        steps.add(outer.dur_us);
       }
-      if (outer.name == "link_stall") {
-        link_stall.add(outer.dur_us);
-        continue;
-      }
-      if (outer.name != "serve" && outer.name != "serve_baseline") continue;
-      serve_total.add(outer.dur_us);
-      double attributed_us = 0;
-      for (const Event& child : lane.events) {
-        if (!contains(outer, child)) continue;
-        for (const char* stage : kStages) {
-          if (child.name == stage) {
-            stage_agg[stage].add(child.dur_us);
-            attributed_us += child.dur_us;
-            break;
-          }
-        }
-        if (child.name == "encode_module" || child.name == "encode_scaffold") {
-          encode_detail.add(child.dur_us);
-        } else if (child.name == "single_flight_wait") {
-          single_flight_detail.add(child.dur_us);
-        }
-      }
-      other.add(std::max(0.0, outer.dur_us - attributed_us));
     }
   }
 
   std::cout << "\n== request breakdown (Fig. 3 style) ==\n";
-  if (serve_total.count == 0) {
-    std::cout << "  (no serve spans in trace)\n";
+  if (serves.total.count == 0 && admits.total.count == 0) {
+    std::cout << "  (no serve or lane spans in trace)\n";
     return 0;
   }
   std::snprintf(line, sizeof(line), "  %-26s %8s %11s %11s %9s\n", "stage",
                 "count", "total ms", "mean ms", "share");
-  std::cout << line;
-  for (const char* stage : kStages) {
-    print_table_row(stage, stage_agg[stage], serve_total.total_us);
-    if (std::string(stage) == "ensure_encoded") {
-      print_table_row("encode payloads", encode_detail, serve_total.total_us,
-                      2);
-      print_table_row("single-flight wait", single_flight_detail,
-                      serve_total.total_us, 2);
+  const auto print_breakdown = [&](const Breakdown& b, double share_base_us) {
+    for (const char* stage : kStages) {
+      const auto it = b.stages.find(stage);
+      if (it != b.stages.end()) {
+        print_table_row(stage, it->second, share_base_us);
+      }
+      if (std::string(stage) == "ensure_encoded") {
+        print_table_row("encode payloads", b.encode_detail, share_base_us, 2);
+        print_table_row("single-flight wait", b.single_flight_detail,
+                        share_base_us, 2);
+      }
     }
-  }
-  print_table_row("(unattributed)", other, serve_total.total_us);
-  print_table_row("serve total", serve_total, serve_total.total_us);
-  if (queue_wait.count > 0 || link_stall.count > 0) {
-    std::cout << "\n== outside serve ==\n";
-    std::snprintf(line, sizeof(line), "  %-26s %8s %11s %11s\n", "stage",
-                  "count", "total ms", "mean ms");
+    print_table_row("(unattributed)", b.other, share_base_us);
+  };
+  if (serves.total.count > 0) {
     std::cout << line;
-    const auto row = [&](const char* label, const Agg& a) {
-      if (a.count == 0) return;
-      std::snprintf(line, sizeof(line), "  %-26s %8" PRIu64 " %11.3f %11.4f\n",
-                    label, a.count, a.total_us / 1e3, a.mean_us() / 1e3);
+    print_breakdown(serves, serves.total.total_us);
+    print_table_row("serve total", serves.total, serves.total.total_us);
+  }
+  if (admits.total.count > 0) {
+    // A lane's busy time: its admissions plus its forward steps. A step
+    // serves every request in flight on the lane, so it is not split per
+    // request.
+    const double busy_us = admits.total.total_us + steps.total_us;
+    std::cout << "  -- server lanes: admission, then shared batch steps --\n"
+              << line;
+    print_breakdown(admits, busy_us);
+    print_table_row("batch_admit total", admits.total, busy_us);
+    print_table_row("batch_step", steps, busy_us);
+    if (queue_wait.count > 0) {
+      std::snprintf(line, sizeof(line),
+                    "  %-26s %8" PRIu64 " %11.3f %11.4f   (before admit)\n",
+                    "queue wait", queue_wait.count, queue_wait.total_us / 1e3,
+                    queue_wait.mean_us() / 1e3);
       std::cout << line;
-    };
-    row("queue wait", queue_wait);
-    row("link_stall", link_stall);
+    }
   }
   return 0;
 }
@@ -259,7 +284,6 @@ struct Req {
   uint64_t id = 0;
   uint64_t server = 0;  // instance tag: ids restart at 0 per server
   int lane = -1;
-  bool batched = false;
   std::string outcome;
   double queue_ms = 0, encode_ms = 0, retrieve_ms = 0, transfer_ms = 0;
   double prefill_ms = 0, decode_ms = 0, ttft_ms = 0, service_ms = 0;
@@ -291,7 +315,6 @@ std::vector<Req> load_requests(const std::string& path) {
     r.id = static_cast<uint64_t>(v["id"].as_number(0));
     r.server = static_cast<uint64_t>(v["server"].as_number(0));
     r.lane = static_cast<int>(v["lane"].as_number(-1));
-    r.batched = v["batched"].boolean;
     r.outcome = v["outcome"].as_string();
     r.queue_ms = v["queue_ms"].as_number(0);
     r.encode_ms = v["encode_ms"].as_number(0);
