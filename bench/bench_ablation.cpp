@@ -123,7 +123,8 @@ void BM_AssembleZeroCopy(benchmark::State& state) {
   engine.load_schema(sample.schema_pml);
   const pml::PromptBinding binding = engine.bind(sample.prompt_pml);
   engine.ensure_encoded(binding);
-  const UncachedStream question = collect_uncached(binding);
+  const UncachedStream question =
+      collect_uncached(binding, f.model.config().max_pos);
   for (auto _ : state) {
     TtftBreakdown ttft;
     SequenceKV kv = engine.assemble(binding, ModuleRows::kBorrow, 0, &ttft);

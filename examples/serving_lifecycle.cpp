@@ -7,7 +7,10 @@
 //   3. steady state: zero-copy serving with a pinned system module and
 //      union-sibling prefetch;
 //   4. observability: TTFT percentiles and store statistics.
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
 #include <string>
 
 #include "common/string_util.h"
@@ -33,7 +36,11 @@ int main() {
       </union>
       <module name="faq">w11 q02 a16 a17 . w12 q03 a18 . w13</module>
     </schema>)";
-  const std::string snapshot = "/tmp/pc_support_modules.bin";
+  // Per-process file name, so concurrent runs never share a snapshot.
+  const std::string snapshot =
+      (std::filesystem::temp_directory_path() /
+       ("pc_support_modules." + std::to_string(::getpid()) + ".bin"))
+          .string();
 
   // ---- phase 1: offline encoding + persistence ----
   {

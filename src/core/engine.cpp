@@ -55,7 +55,8 @@ EngineCells::EngineCells() {
                                 "TTFT of full-prefill fallback serves");
 }
 
-UncachedStream collect_uncached(const pml::PromptBinding& binding) {
+UncachedStream collect_uncached(const pml::PromptBinding& binding,
+                                int max_pos) {
   struct Seg {
     int start;
     int seq;
@@ -77,6 +78,18 @@ UncachedStream collect_uncached(const pml::PromptBinding& binding) {
     for (size_t i = 0; i < s.tokens->size(); ++i) {
       out.tokens.push_back((*s.tokens)[i]);
       out.pos_ids.push_back(s.start + static_cast<int>(i));
+    }
+  }
+  out.gen_start = binding.next_pos;
+  if (out.tokens.empty()) {  // the kickoff occupies next_pos itself
+    out.tokens.push_back(Vocab::kBos);
+    out.pos_ids.push_back(binding.next_pos);
+    ++out.gen_start;
+  }
+  for (int p : out.pos_ids) {
+    if (p >= max_pos) {
+      throw Error("prompt position " + std::to_string(p) +
+                  " outside max_pos " + std::to_string(max_pos));
     }
   }
   return out;
@@ -169,7 +182,8 @@ const pml::Schema& PromptCacheEngine::load_schema(
   auto [it, inserted] = schemas_.insert_or_assign(name, std::move(schema));
   if (config_.eager_encode) {
     for (size_t mi = 0; mi < it->second.modules.size(); ++mi) {
-      encode_module(it->second, static_cast<int>(mi));
+      const int m = static_cast<int>(mi);
+      encode(it->second, {module_key(it->second, m), m});
     }
   }
   return it->second;
@@ -204,14 +218,14 @@ void PromptCacheEngine::add_scaffold(const std::string& schema_name,
             });
   s.key = schema_name + "::scaffold";
   for (int mi : s.module_indices) s.key += ":" + schema->module(mi).name;
-  if (config_.eager_encode) encode_scaffold(*schema, s);
+  if (config_.eager_encode) encode(*schema, {s.key, -1, &s});
   scaffolds_.push_back(std::move(s));
 }
 
 namespace {
 
 // Re-encodes an fp32 payload in `precision` in place: fp16 halves, Q8_0
-// and Q4_0 quantize (kv/quant.h). finalize_encoding's packaging, also
+// and Q4_0 quantize (kv/quant.h). build_payload's packaging, also
 // applied to fp32 records loaded into a reduced-precision engine. Rows are
 // contiguous in each layer's buffer, so a layer quantizes in one vectorized
 // sweep.
@@ -272,8 +286,45 @@ void package(EncodedModule& m, StorePrecision precision) {
 
 }  // namespace
 
-EncodedModule PromptCacheEngine::finalize_encoding(
-    KVCache kv, const std::vector<pml::TokenRun>& runs) {
+EncodedModule PromptCacheEngine::build_payload(const pml::Schema& schema,
+                                               const Block& block) {
+  const bool scaffold = block.scaffold != nullptr;
+  if (FaultInjector::global().should_fail(FaultPoint::kEncode)) {
+    throw TransientError(
+        scaffold ? "injected fault: encode of scaffold '" + block.key +
+                       "' failed"
+                 : "injected fault: encode of module '" +
+                       schema.module(block.module).name + "' failed");
+  }
+  PC_SPAN(scaffold ? "encode_scaffold" : "encode_module",
+          scaffold ? obs::SpanArg{"modules", static_cast<int64_t>(
+                                                 block.members().size())}
+                   : obs::SpanArg{"tokens", static_cast<int64_t>(
+                                                schema.module(block.module)
+                                                    .own_token_count())});
+  std::vector<pml::TokenRun> runs;
+  for (int mi : block.members()) {
+    for (pml::TokenRun& run : schema.module_own_runs(mi)) {
+      runs.push_back(std::move(run));
+    }
+  }
+  std::vector<TokenId> tokens;
+  std::vector<int> pos_ids;
+  for (const pml::TokenRun& run : runs) {
+    for (size_t i = 0; i < run.tokens.size(); ++i) {
+      tokens.push_back(run.tokens[i]);
+      pos_ids.push_back(run.start_pos + static_cast<int>(i));
+    }
+  }
+
+  KVCache kv = model_.make_cache();
+  if (!tokens.empty()) {
+    kv.reserve(static_cast<int>(tokens.size()));
+    // Only the block's own tokens are in the cache: module-local attention,
+    // or a scaffold's shared attention span.
+    model_.encode(tokens, pos_ids, kv);
+  }
+
   EncodedModule m;
   m.n_tokens = kv.size();
   m.kv_dim = kv.kv_dim();
@@ -300,80 +351,16 @@ EncodedModule PromptCacheEngine::finalize_encoding(
   return m;
 }
 
-EncodedModule PromptCacheEngine::build_module_payload(const pml::Schema& schema,
-                                                      int mi) {
-  if (FaultInjector::global().should_fail(FaultPoint::kEncode)) {
-    throw TransientError("injected fault: encode of module '" +
-                         schema.module(mi).name + "' failed");
-  }
-  PC_SPAN("encode_module",
-          {"tokens", static_cast<int64_t>(schema.module(mi).own_token_count())});
-  const std::vector<pml::TokenRun> runs = schema.module_own_runs(mi);
-  std::vector<TokenId> tokens;
-  std::vector<int> pos_ids;
-  for (const pml::TokenRun& run : runs) {
-    for (size_t i = 0; i < run.tokens.size(); ++i) {
-      tokens.push_back(run.tokens[i]);
-      pos_ids.push_back(run.start_pos + static_cast<int>(i));
-    }
-  }
-
-  KVCache kv = model_.make_cache();
-  if (!tokens.empty()) {
-    kv.reserve(static_cast<int>(tokens.size()));
-    model_.encode(tokens, pos_ids, kv);  // module-local attention
-  }
-  return finalize_encoding(std::move(kv), runs);
-}
-
-EncodedModule PromptCacheEngine::build_scaffold_payload(
-    const pml::Schema& schema, const Scaffold& scaffold) {
-  if (FaultInjector::global().should_fail(FaultPoint::kEncode)) {
-    throw TransientError("injected fault: encode of scaffold '" +
-                         scaffold.key + "' failed");
-  }
-  PC_SPAN("encode_scaffold",
-          {"modules", static_cast<int64_t>(scaffold.module_indices.size())});
-  std::vector<pml::TokenRun> runs;
-  for (int mi : scaffold.module_indices) {
-    for (pml::TokenRun& run : schema.module_own_runs(mi)) {
-      runs.push_back(std::move(run));
-    }
-  }
-  std::vector<TokenId> tokens;
-  std::vector<int> pos_ids;
-  for (const pml::TokenRun& run : runs) {
-    for (size_t i = 0; i < run.tokens.size(); ++i) {
-      tokens.push_back(run.tokens[i]);
-      pos_ids.push_back(run.start_pos + static_cast<int>(i));
-    }
-  }
-
-  KVCache kv = model_.make_cache();
-  if (!tokens.empty()) {
-    kv.reserve(static_cast<int>(tokens.size()));
-    model_.encode(tokens, pos_ids, kv);  // shared attention span
-  }
-  return finalize_encoding(std::move(kv), runs);
-}
-
-void PromptCacheEngine::encode_module(const pml::Schema& schema, int mi) {
-  const std::string key = module_key(schema, mi);
-  if (store_.contains(key)) return;
+void PromptCacheEngine::encode(const pml::Schema& schema, const Block& block) {
+  if (store_.contains(block.key)) return;
   bool encoded_here = false;
   (void)store_.ensure(
-      key, [&] { return build_module_payload(schema, mi); }, &encoded_here);
-  if (encoded_here) cells_.modules_encoded.inc();
-}
-
-void PromptCacheEngine::encode_scaffold(const pml::Schema& schema,
-                                        const Scaffold& scaffold) {
-  if (store_.contains(scaffold.key)) return;
-  bool encoded_here = false;
-  (void)store_.ensure(
-      scaffold.key, [&] { return build_scaffold_payload(schema, scaffold); },
-      &encoded_here);
-  if (encoded_here) cells_.scaffolds_encoded.inc();
+      block.key, [&] { return build_payload(schema, block); }, &encoded_here);
+  if (encoded_here) {
+    (block.scaffold != nullptr ? cells_.scaffolds_encoded
+                               : cells_.modules_encoded)
+        .inc();
+  }
 }
 
 pml::PromptBinding PromptCacheEngine::bind(std::string_view prompt_pml) const {
@@ -386,29 +373,37 @@ pml::PromptBinding PromptCacheEngine::bind(std::string_view prompt_pml) const {
   return pml::bind_prompt(*schema, ast, tokenizer_);
 }
 
-std::vector<const PromptCacheEngine::Scaffold*>
-PromptCacheEngine::active_scaffolds(const pml::PromptBinding& binding,
-                                    std::vector<bool>* covered) const {
-  covered->assign(binding.schema->modules.size(), false);
-  std::vector<bool> included(binding.schema->modules.size(), false);
-  for (int mi : binding.modules) included[static_cast<size_t>(mi)] = true;
-
-  std::vector<const Scaffold*> active;
+std::vector<PromptCacheEngine::Block> PromptCacheEngine::blocks(
+    const pml::PromptBinding& binding) const {
+  const pml::Schema& schema = *binding.schema;
+  std::vector<bool> imported(schema.modules.size(), false);
+  for (int mi : binding.modules) imported[static_cast<size_t>(mi)] = true;
+  // The active scaffold covering each module, if any.
+  std::vector<const Scaffold*> cover(schema.modules.size(), nullptr);
   for (const Scaffold& s : scaffolds_) {
-    if (s.schema_name != binding.schema->name) continue;
-    bool all = true;
-    for (int mi : s.module_indices) {
-      if (!included[static_cast<size_t>(mi)] ||
-          (*covered)[static_cast<size_t>(mi)]) {
-        all = false;
-        break;
-      }
-    }
-    if (!all) continue;
-    for (int mi : s.module_indices) (*covered)[static_cast<size_t>(mi)] = true;
-    active.push_back(&s);
+    if (s.schema_name != schema.name) continue;
+    const bool active = std::all_of(
+        s.module_indices.begin(), s.module_indices.end(), [&](int mi) {
+          return imported[static_cast<size_t>(mi)] &&
+                 cover[static_cast<size_t>(mi)] == nullptr;
+        });
+    if (!active) continue;
+    for (int mi : s.module_indices) cover[static_cast<size_t>(mi)] = &s;
   }
-  return active;
+
+  std::vector<Block> out;
+  out.reserve(binding.modules.size());
+  for (int mi : binding.modules) {
+    const Scaffold* s = cover[static_cast<size_t>(mi)];
+    if (s == nullptr) {
+      out.push_back({module_key(schema, mi), mi});
+    } else if (std::none_of(out.begin(), out.end(), [&](const Block& b) {
+                 return b.scaffold == s;
+               })) {
+      out.push_back({s->key, -1, s});
+    }
+  }
+  return out;
 }
 
 double PromptCacheEngine::ensure_encoded(const pml::PromptBinding& binding,
@@ -416,23 +411,12 @@ double PromptCacheEngine::ensure_encoded(const pml::PromptBinding& binding,
   PC_SPAN("ensure_encoded",
           {"modules", static_cast<int64_t>(binding.modules.size())});
   WallTimer timer;
-  const auto check_cancel = [&] {
+  for (const Block& block : blocks(binding)) {
     if (cancel.expired()) {
       throw CancelledError(
           "ensure_encoded: deadline expired before module encode");
     }
-  };
-  std::vector<bool> covered;
-  const auto active = active_scaffolds(binding, &covered);
-  for (const Scaffold* s : active) {
-    check_cancel();
-    encode_scaffold(*binding.schema, *s);
-  }
-  for (int mi : binding.modules) {
-    if (!covered[static_cast<size_t>(mi)]) {
-      check_cancel();
-      encode_module(*binding.schema, mi);
-    }
+    encode(*binding.schema, block);
   }
   return timer.elapsed_ms();
 }
@@ -443,83 +427,34 @@ void PromptCacheEngine::for_each_encoded(
                              const EncodedModule& module,
                              ModuleLocation location)>& emit,
     ModuleBorrows* borrows) {
-  std::vector<bool> covered;
-  const auto active = active_scaffolds(binding, &covered);
-
-  std::vector<bool> scaffold_done(active.size(), false);
-  auto scaffold_of = [&](int mi) -> size_t {
-    for (size_t si = 0; si < active.size(); ++si) {
-      const auto& members = active[si]->module_indices;
-      if (std::find(members.begin(), members.end(), mi) != members.end()) {
-        return si;
-      }
-    }
-    PC_CHECK_MSG(false, "covered module without scaffold");
-    return 0;
-  };
-
-  for (int mi : binding.modules) {
-    const bool is_scaffold = covered[static_cast<size_t>(mi)];
-    std::string key;
-    if (is_scaffold) {
-      const size_t si = scaffold_of(mi);
-      if (scaffold_done[si]) continue;
-      scaffold_done[si] = true;
-      key = active[si]->key;
-    } else {
-      key = module_key(*binding.schema, mi);
-    }
-
-    // One lookup-or-encode per module. With `borrows` (zero-copy), lookup
+  for (const Block& block : blocks(binding)) {
+    // One lookup-or-encode per block. With `borrows` (zero-copy), lookup
     // and pin are one atomic step and the holder keeps the ref past this
     // loop, so rows the view borrows can neither dangle (ref) nor be
     // evicted out from under other requests (pin).
     bool encoded_here = false;
     SharedModuleStore::ModuleRef ref = store_.ensure(
-        key,
+        block.key,
         [&]() -> EncodedModule {
           // Evicted since the ensure pass (cache thrash): re-encode.
           cells_.thrash_reencodes.inc();
-          if (is_scaffold) {
-            return build_scaffold_payload(*binding.schema,
-                                          *active[scaffold_of(mi)]);
-          }
-          return build_module_payload(*binding.schema, mi);
+          return build_payload(*binding.schema, block);
         },
         &encoded_here, /*and_pin=*/borrows != nullptr);
     if (encoded_here) {
-      (is_scaffold ? cells_.scaffolds_encoded : cells_.modules_encoded).inc();
+      (block.scaffold != nullptr ? cells_.scaffolds_encoded
+                                 : cells_.modules_encoded)
+          .inc();
     }
-    if (borrows != nullptr) borrows->adopt(store_, key, ref);
-    emit(key, *ref, ref.location());
+    if (borrows != nullptr) borrows->adopt(store_, block.key, ref);
+    emit(block.key, *ref, ref.location());
   }
 }
 
 std::vector<std::string> PromptCacheEngine::module_keys(
     const pml::PromptBinding& binding) const {
-  std::vector<bool> covered;
-  const auto active = active_scaffolds(binding, &covered);
-  std::vector<bool> scaffold_done(active.size(), false);
-
   std::vector<std::string> keys;
-  keys.reserve(binding.modules.size());
-  for (int mi : binding.modules) {
-    if (covered[static_cast<size_t>(mi)]) {
-      for (size_t si = 0; si < active.size(); ++si) {
-        const auto& members = active[si]->module_indices;
-        if (std::find(members.begin(), members.end(), mi) == members.end()) {
-          continue;
-        }
-        if (!scaffold_done[si]) {
-          scaffold_done[si] = true;
-          keys.push_back(active[si]->key);
-        }
-        break;
-      }
-    } else {
-      keys.push_back(module_key(*binding.schema, mi));
-    }
-  }
+  for (Block& block : blocks(binding)) keys.push_back(std::move(block.key));
   return keys;
 }
 
@@ -590,17 +525,10 @@ void append_module_rows(const std::string& key, const EncodedModule& m,
   }
 }
 
-// One forward pass over the uncached content. A fully cached prompt still
-// needs one computed position to produce logits; we kick off with <s> at
-// the next free position.
-Tensor prefill_uncached(const Model& model, const pml::PromptBinding& binding,
+// One forward pass over the uncached stream (collect_uncached).
+Tensor prefill_uncached(const Model& model, const UncachedStream& stream,
                         KVCache& cache, TtftBreakdown* ttft) {
   WallTimer uncached_timer;
-  UncachedStream stream = collect_uncached(binding);
-  if (stream.tokens.empty()) {
-    stream.tokens.push_back(Vocab::kBos);
-    stream.pos_ids.push_back(binding.next_pos);
-  }
   PC_SPAN("prefill", {"tokens", static_cast<int64_t>(stream.tokens.size())});
   Tensor logits = model.forward(stream.tokens, stream.pos_ids, cache);
   if (ttft != nullptr) {
@@ -642,10 +570,12 @@ void PromptCacheEngine::append_modules(const pml::PromptBinding& binding,
 Tensor PromptCacheEngine::assemble_and_prefill(
     const pml::PromptBinding& binding, KVCache& sequence_cache,
     TtftBreakdown* ttft) {
+  const UncachedStream stream =
+      collect_uncached(binding, model_.config().max_pos);
   append_modules(binding, ModuleRows::kCopy,
                  binding.uncached_token_count() + 64, sequence_cache,
                  nullptr, ttft);
-  return prefill_uncached(model_, binding, sequence_cache, ttft);
+  return prefill_uncached(model_, stream, sequence_cache, ttft);
 }
 
 SequenceKV PromptCacheEngine::assemble(const pml::PromptBinding& binding,
@@ -671,12 +601,10 @@ ServeResult PromptCacheEngine::serve(std::string_view prompt_pml,
     return bind(prompt_pml);
   }();
 
+  const UncachedStream stream =
+      collect_uncached(binding, model_.config().max_pos);
   ServeResult result;
   result.encode_ms = ensure_encoded(binding, options.cancel);
-
-  // The kickoff token (fully cached prompt) occupies next_pos itself.
-  const bool kickoff = binding.args.empty() && binding.texts.empty();
-  const int gen_start = binding.next_pos + (kickoff ? 1 : 0);
 
   // Borrowed modules stay pinned until `kv` leaves this scope, on every
   // exit path.
@@ -684,11 +612,11 @@ ServeResult PromptCacheEngine::serve(std::string_view prompt_pml,
       binding, config_.zero_copy ? ModuleRows::kBorrow : ModuleRows::kCopy,
       options.max_new_tokens, &result.ttft);
   const Tensor logits =
-      prefill_uncached(model_, binding, kv.cache, &result.ttft);
+      prefill_uncached(model_, stream, kv.cache, &result.ttft);
   WallTimer decode_timer;
   Model::GenerateOutput gen = [&] {
     PC_SPAN("decode");
-    return model_.generate(logits, gen_start, kv.cache, options);
+    return model_.generate(logits, stream.gen_start, kv.cache, options);
   }();
   if (gen.finish_reason == FinishReason::kCancelled) {
     throw CancelledError("serve: deadline expired mid-decode");
@@ -736,6 +664,8 @@ ServeResult PromptCacheEngine::serve_full_prefill(
     PC_SPAN("tokenize_bind");
     return bind(prompt_pml);
   }();
+  const UncachedStream stream =
+      collect_uncached(binding, model_.config().max_pos);
   if (options.cancel.expired()) {
     throw CancelledError("serve_full_prefill: deadline expired before prefill");
   }
@@ -745,15 +675,14 @@ ServeResult PromptCacheEngine::serve_full_prefill(
   // realizes (§3.1): each module — or jointly-encoded scaffold — is one
   // block, parameter-placeholder rows are attended inside their block but
   // hidden from global rows, and the uncached stream attends globally. The
-  // blocks are emitted in for_each_encoded's concatenation order, so the
-  // rows kept below land in the sequence cache exactly where assembly would
-  // have put them.
+  // blocks are emitted in the block plan's concatenation order, so the rows
+  // kept below land in the sequence cache exactly where assembly would have
+  // put them.
   std::vector<TokenId> tokens;
   std::vector<int> pos_ids;
   std::vector<int> block_ids;
   std::vector<uint8_t> hidden;
   std::vector<std::pair<int, int>> keep;  // non-placeholder row ranges
-  int block = 0;
 
   const auto emit_rows = [&](std::span<const TokenId> toks, int start_pos,
                              int block_id, bool is_hidden) {
@@ -773,42 +702,14 @@ ServeResult PromptCacheEngine::serve_full_prefill(
       }
     }
   };
-  const auto emit_module = [&](int mi) {
-    for (const pml::TokenRun& run : binding.schema->module_own_runs(mi)) {
-      emit_rows(run.tokens, run.start_pos, block, run.is_param);
-    }
-  };
-
-  std::vector<bool> covered;
-  const auto active = active_scaffolds(binding, &covered);
-  std::vector<bool> scaffold_done(active.size(), false);
-  for (int mi : binding.modules) {
-    if (covered[static_cast<size_t>(mi)]) {
-      size_t si = 0;
-      while (si < active.size()) {
-        const auto& members = active[si]->module_indices;
-        if (std::find(members.begin(), members.end(), mi) != members.end()) {
-          break;
-        }
-        ++si;
+  int block = 0;
+  for (const Block& b : blocks(binding)) {
+    ++block;  // a scaffold's members share one attention block
+    for (int mi : b.members()) {
+      for (const pml::TokenRun& run : binding.schema->module_own_runs(mi)) {
+        emit_rows(run.tokens, run.start_pos, block, run.is_param);
       }
-      if (scaffold_done[si]) continue;
-      scaffold_done[si] = true;
-      ++block;  // scaffold members share one attention block
-      for (int mj : active[si]->module_indices) emit_module(mj);
-    } else {
-      ++block;
-      emit_module(mi);
     }
-  }
-
-  UncachedStream stream = collect_uncached(binding);
-  const bool kickoff = stream.tokens.empty();
-  if (kickoff) {
-    // Same kickoff rule as serve(): a fully cached prompt still needs one
-    // computed position to produce logits.
-    stream.tokens.push_back(Vocab::kBos);
-    stream.pos_ids.push_back(binding.next_pos);
   }
   for (size_t i = 0; i < stream.tokens.size(); ++i) {
     emit_rows({&stream.tokens[i], 1}, stream.pos_ids[i], Model::kGlobalBlock,
@@ -843,11 +744,10 @@ ServeResult PromptCacheEngine::serve_full_prefill(
   result.ttft.uncached_ms = prefill_timer.elapsed_ms();
   result.ttft.uncached_tokens = n;  // everything was recomputed
 
-  const int gen_start = binding.next_pos + (kickoff ? 1 : 0);
   WallTimer decode_timer;
   Model::GenerateOutput gen = [&] {
     PC_SPAN("decode");
-    return model_.generate(logits, gen_start, sequence_cache, options);
+    return model_.generate(logits, stream.gen_start, sequence_cache, options);
   }();
   if (gen.finish_reason == FinishReason::kCancelled) {
     throw CancelledError("serve_full_prefill: deadline expired mid-decode");
@@ -869,8 +769,8 @@ void PromptCacheEngine::pin_module(const std::string& schema_name,
   const int mi = schema->find_module(module_name);
   PC_CHECK_MSG(mi != -1, "pin_module: unknown module '" << module_name
                                                         << "'");
-  encode_module(*schema, mi);
   const std::string key = module_key(*schema, mi);
+  encode(*schema, {key, mi});
   PC_CHECK(store_.pin(key));
 }
 

@@ -5,17 +5,20 @@
 // computation").
 //
 // serve() implements §3.4:
-//   1. parse the prompt and verify it against its schema (bind_prompt);
+//   1. parse the prompt and verify it against its schema (bind_prompt),
+//      and collect its uncached stream (collect_uncached), which fails a
+//      prompt past max_pos before anything is encoded;
 //   2. retrieve the encoded attention states of imported modules into the
 //      sequence KV cache — a pure memcpy of the stored bytes, or, under
 //      EngineConfig::zero_copy, a borrow in place (parameter-placeholder
 //      rows are skipped);
-//   3. compute attention states for uncached content — parameter arguments
-//      (at their placeholder position IDs) and free text segments — in one
-//      forward pass that attends over the concatenated cache;
-//   4. greedy-decode from the resulting logits.
-// TTFT = step 2 + step 3 (+ the argmax); module encoding is offline and
-// reported separately.
+//   3. compute attention states for the uncached stream — parameter
+//      arguments (at their placeholder position IDs) and free text
+//      segments, or the kickoff — in one forward pass that attends over
+//      the concatenated cache;
+//   4. decode from the resulting logits (Model::generate's Decoder).
+// TTFT = step 2 + step 3 (+ the first sample); module encoding is offline
+// and reported separately.
 //
 // Threading contract: a single engine is single-threaded — serve(),
 // load_schema() and the other mutating calls must not run concurrently (the
@@ -38,6 +41,7 @@
 
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -85,17 +89,24 @@ struct EngineConfig {
   bool zero_copy = false;
 };
 
-// The uncached token stream of a binding: parameter arguments and free
-// texts, ordered by their assigned position IDs (layout order) so later
-// segments causally see earlier ones, matching the baseline's reading
-// order. Used by serve()'s prefill and by the batch scheduler's chunked
-// prefill (sys/batch.h).
+// The rows a request computes before its first token: the binding's
+// parameter arguments and free texts, ordered by their assigned position
+// IDs (layout order) so later segments causally see earlier ones, matching
+// the baseline's reading order. A binding with no uncached token (none
+// given, or every one empty) still needs one computed row for its logits:
+// its stream is the kickoff, <s> at next_pos, and generation starts one
+// position later. Every serving path reads this one rule: serve(), full
+// prefill, sessions and a Server lane's chunked prefill (sys/batch.h).
 struct UncachedStream {
   std::vector<TokenId> tokens;
   std::vector<int> pos_ids;
+  int gen_start = 0;  // the first generated token's position id
 };
 
-UncachedStream collect_uncached(const pml::PromptBinding& binding);
+// Throws pc::Error when a stream position reaches max_pos, before anything
+// is encoded or computed.
+UncachedStream collect_uncached(const pml::PromptBinding& binding,
+                                int max_pos);
 
 // One request's sequence cache (PromptCacheEngine::assemble): module rows,
 // copied or borrowed, then own rows; and the pins and refs keeping borrowed
@@ -316,11 +327,12 @@ class PromptCacheEngine {
     return cells_.baseline_ttft.snapshot();
   }
 
-  // The store keys for_each_encoded would emit for `binding` (modules, with
-  // active scaffolds collapsed to their joint key), in concatenation order,
-  // WITHOUT touching any store or encoding anything. The prefetch
-  // pipeline's lookahead (sys/prefetch.h): a binder engine maps queued
-  // prompts to keys so spilled payloads can fault in ahead of admission.
+  // The store keys of `binding`'s blocks (modules, and active scaffolds in
+  // place of their members), in concatenation order — the keys
+  // for_each_encoded emits — WITHOUT touching any store or encoding
+  // anything. The prefetch pipeline's lookahead (sys/prefetch.h): a binder
+  // engine maps queued prompts to keys so spilled payloads can fault in
+  // ahead of admission.
   std::vector<std::string> module_keys(const pml::PromptBinding& binding) const;
 
  private:
@@ -335,15 +347,30 @@ class PromptCacheEngine {
     return schema.name + "::" + schema.module(mi).name;
   }
 
-  void encode_module(const pml::Schema& schema, int mi);
-  void encode_scaffold(const pml::Schema& schema, const Scaffold& scaffold);
-  // The forward pass + packaging shared by both store configurations.
-  EncodedModule build_module_payload(const pml::Schema& schema, int mi);
-  EncodedModule build_scaffold_payload(const pml::Schema& schema,
-                                       const Scaffold& scaffold);
+  // One store entry of a binding: a module, or an active scaffold standing
+  // in for its members.
+  struct Block {
+    std::string key;
+    int module = -1;                     // the module's index, or -1
+    const Scaffold* scaffold = nullptr;  // set for a scaffold
+    // The modules whose tokens the entry encodes, in layout order.
+    std::span<const int> members() const {
+      if (scaffold != nullptr) return scaffold->module_indices;
+      return {&module, 1};
+    }
+  };
 
-  EncodedModule finalize_encoding(KVCache kv,
-                                  const std::vector<pml::TokenRun>& runs);
+  // The block plan: `binding`'s store entries in concatenation order, each
+  // active scaffold at its first member's place. A scaffold is active when
+  // every member is imported and no earlier-registered active scaffold
+  // covers one of them.
+  std::vector<Block> blocks(const pml::PromptBinding& binding) const;
+
+  // Encodes `block` into the store unless it is resident.
+  void encode(const pml::Schema& schema, const Block& block);
+  // The forward pass + packaging: a module's tokens alone, or a scaffold's
+  // members jointly (one shared attention span).
+  EncodedModule build_payload(const pml::Schema& schema, const Block& block);
 
   // Appends every module row of `binding` to `cache` (see assemble()),
   // after reserving `own_budget` own rows beyond those fp32 copies fill.
@@ -352,9 +379,9 @@ class PromptCacheEngine {
                       int own_budget, KVCache& cache, ModuleBorrows* borrows,
                       TtftBreakdown* ttft);
 
-  // Resolves the encoded payload for every module/scaffold of a binding
-  // (re-encoding evicted entries) and emits them in concatenation order;
-  // rows stay valid for the duration of the emit callback. With `borrows`
+  // Resolves the encoded payload of every block of `binding` (re-encoding
+  // evicted entries) and emits them in concatenation order; rows stay
+  // valid for the duration of the emit callback. With `borrows`
   // (borrowing assembly), each emitted module is pinned and its pin and
   // ref are handed to the holder before emit runs, so rows stay valid and
   // resident for as long as the borrowing cache lives — and are released
@@ -366,11 +393,6 @@ class PromptCacheEngine {
                                const EncodedModule& module,
                                ModuleLocation location)>& emit,
       ModuleBorrows* borrows = nullptr);
-
-  // Scaffolds covering a binding (all members imported), plus the set of
-  // module indices they cover.
-  std::vector<const Scaffold*> active_scaffolds(
-      const pml::PromptBinding& binding, std::vector<bool>* covered) const;
 
   // The standalone constructor's target: `owned` becomes the store.
   PromptCacheEngine(const Model& model, const TextTokenizer& tokenizer,

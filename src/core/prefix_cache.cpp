@@ -100,8 +100,9 @@ PrefixCacheEngine::Result PrefixCacheEngine::serve(
   snapshot.append_range(cache, 0, static_cast<int>(prompt.size()));
   insert(prompt, std::move(snapshot));
 
-  result.tokens = model_.generate_greedy(
-      logits, static_cast<int>(prompt.size()), cache, options);
+  result.tokens =
+      model_.generate(logits, static_cast<int>(prompt.size()), cache, options)
+          .tokens;
   result.text = tokenizer_.decode(result.tokens);
   return result;
 }

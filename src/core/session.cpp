@@ -14,10 +14,10 @@ ChatSession::ChatSession(PromptCacheEngine& engine,
   const pml::PromptBinding binding = engine.bind(prompt_pml);
   (void)engine.ensure_encoded(binding);
   (void)engine.assemble_and_prefill(binding, cache_, nullptr);
-  // assemble added a <s> kickoff row at next_pos when the prompt had no
-  // uncached content; account for it.
-  const bool kickoff = binding.args.empty() && binding.texts.empty();
-  next_pos_ = binding.next_pos + (kickoff ? 1 : 0);
+  // Turns continue where serve() would start generating: past the prompt's
+  // uncached stream, kickoff included.
+  next_pos_ =
+      collect_uncached(binding, engine.model().config().max_pos).gen_start;
 }
 
 ChatSession::TurnResult ChatSession::send(std::string_view user_text,
@@ -48,7 +48,7 @@ ChatSession::TurnResult ChatSession::send(std::string_view user_text,
   TurnResult result;
   result.input_tokens = static_cast<int>(turn_tokens.size());
   result.tokens =
-      engine_->model().generate_greedy(logits, next_pos_, cache_, options);
+      engine_->model().generate(logits, next_pos_, cache_, options).tokens;
   // Generation forwards every emitted token except possibly the last one
   // (emitted but not yet fed back). Keep the cache complete so the next
   // turn sees the whole reply.

@@ -589,12 +589,6 @@ TokenId Model::argmax(const Tensor& logits, int64_t row) {
   return static_cast<TokenId>(best);
 }
 
-std::vector<TokenId> Model::generate_greedy(
-    const Tensor& last_logits, int next_pos, KVCache& cache,
-    const GenerateOptions& options) const {
-  return generate(last_logits, next_pos, cache, options).tokens;
-}
-
 namespace {
 
 // log softmax(logits)[token], numerically stable.
@@ -626,11 +620,6 @@ double Model::continuation_logprob(const Tensor& last_logits,
     total += token_logprob(logits, continuation[i + 1]);
   }
   return total;
-}
-
-TokenId Model::sample_token(const Tensor& logits,
-                            const GenerateOptions& options, Rng& rng) {
-  return sample_token(logits, 0, options, rng);
 }
 
 TokenId Model::sample_token(const Tensor& logits, int64_t row_index,
@@ -712,50 +701,56 @@ int matched_stop_sequence(const std::vector<TokenId>& out,
 
 }  // namespace
 
+bool Decoder::accept(const Tensor& logits, int64_t row) {
+  token_ = Model::sample_token(logits, row, options_, rng_);
+  // Reached only with max_new_tokens == 0: otherwise the length check below
+  // ended generation a step earlier.
+  if (step_ >= options_.max_new_tokens) {
+    finish_ = FinishReason::kLength;
+    return true;
+  }
+  for (TokenId s : options_.stop_tokens) {
+    if (token_ == s) {
+      finish_ = FinishReason::kStopToken;
+      return true;
+    }
+  }
+  tokens_.push_back(token_);
+  const int hit = matched_stop_sequence(tokens_, options_);
+  if (hit >= 0) {
+    tokens_.resize(tokens_.size() -
+                   options_.stop_sequences[static_cast<size_t>(hit)].size());
+    finish_ = FinishReason::kStopSequence;
+    return true;
+  }
+  if (step_ + 1 == options_.max_new_tokens) {
+    finish_ = FinishReason::kLength;
+    return true;
+  }
+  pos_ = gen_start_ + step_;
+  if (pos_ >= max_pos_) {
+    finish_ = FinishReason::kPositionBudget;
+    return true;
+  }
+  if (options_.cancel.expired()) {
+    finish_ = FinishReason::kCancelled;
+    return true;
+  }
+  ++step_;
+  return false;
+}
+
 Model::GenerateOutput Model::generate(const Tensor& last_logits, int next_pos,
                                       KVCache& cache,
                                       const GenerateOptions& options) const {
-  GenerateOutput out;
-  out.finish_reason = FinishReason::kLength;
-  Rng rng(options.seed);
-  TokenId next = sample_token(last_logits, options, rng);
-  for (int step = 0; step < options.max_new_tokens; ++step) {
-    bool stop = false;
-    for (TokenId s : options.stop_tokens) {
-      if (next == s) {
-        stop = true;
-        break;
-      }
-    }
-    if (stop) {
-      out.finish_reason = FinishReason::kStopToken;
-      break;
-    }
-    out.tokens.push_back(next);
-    const int hit = matched_stop_sequence(out.tokens, options);
-    if (hit >= 0) {
-      out.tokens.resize(
-          out.tokens.size() -
-          options.stop_sequences[static_cast<size_t>(hit)].size());
-      out.finish_reason = FinishReason::kStopSequence;
-      break;
-    }
-    if (step + 1 == options.max_new_tokens) break;  // kLength
-    const int pos = next_pos + step;
-    if (pos >= config_.max_pos) {
-      out.finish_reason = FinishReason::kPositionBudget;
-      break;
-    }
-    if (options.cancel.expired()) {
-      out.finish_reason = FinishReason::kCancelled;
-      break;
-    }
-    PC_SPAN("decode_token", {"pos", pos});
-    const TokenId input = next;
-    const Tensor logits = forward({&input, 1}, {&pos, 1}, cache);
-    next = sample_token(logits, options, rng);
+  Decoder decoder(options, next_pos, config_.max_pos);
+  for (bool done = decoder.accept(last_logits); !done;) {
+    PC_SPAN("decode_token", {"pos", decoder.pos()});
+    const Tensor logits =
+        forward({&decoder.token(), 1}, {&decoder.pos(), 1}, cache);
+    done = decoder.accept(logits);
   }
-  return out;
+  return {std::move(decoder.tokens()), decoder.finish_reason()};
 }
 
 }  // namespace pc

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "common/cancel.h"
+#include "common/rng.h"
 #include "kv/kv_cache.h"
 #include "model/config.h"
 #include "model/weights.h"
@@ -142,15 +143,10 @@ class Model {
                          std::span<const bool> hidden_from_global = {}) const;
 
   // Decoding continuing from `last_logits` (the output of a forward over
-  // the prompt). Generated tokens occupy consecutive position IDs starting
-  // at next_pos. Stops at max_new_tokens, any stop token, or a stop
-  // sequence (stops are not included in the result). Greedy when
-  // options.temperature == 0, seeded sampling otherwise.
-  std::vector<TokenId> generate_greedy(const Tensor& last_logits,
-                                       int next_pos, KVCache& cache,
-                                       const GenerateOptions& options) const;
-
-  // As above, but also reports why generation stopped.
+  // the prompt): a Decoder (below) run over forward(). Generated tokens
+  // occupy consecutive position IDs starting at next_pos; the result
+  // excludes the stop token or stop sequence that ended it, and says why
+  // generation stopped.
   struct GenerateOutput {
     std::vector<TokenId> tokens;
     FinishReason finish_reason = FinishReason::kLength;
@@ -161,13 +157,10 @@ class Model {
 
   static TokenId argmax(const Tensor& logits, int64_t row = 0);
 
-  // Samples one token from a logits row under the options' temperature /
-  // top_k policy (argmax when temperature == 0). Exposed for tests.
-  static TokenId sample_token(const Tensor& logits,
-                              const GenerateOptions& options, Rng& rng);
-
-  // Row-addressed variant for batched logits ([n_seqs, vocab]): identical
-  // bits to sampling from that sequence's own [1, vocab] logits.
+  // Samples one token from logits row `row` under the options' temperature
+  // / top_k policy (argmax when temperature == 0): the Decoder's sampler,
+  // exposed for tests. A row of batched logits ([n_seqs, vocab]) gives
+  // identical bits to sampling from that sequence's own [1, vocab] logits.
   static TokenId sample_token(const Tensor& logits, int64_t row,
                               const GenerateOptions& options, Rng& rng);
 
@@ -234,6 +227,49 @@ class Model {
   std::unique_ptr<RopeTable> rope_;   // present for kRope
   std::unique_ptr<Alibi> alibi_;      // present for kAlibi
   float attn_scale_;
+};
+
+// One request's decode loop, steppable: Model::generate runs it over
+// forward(), and a Server lane (sys/batch.h) over its forward_batch rows,
+// so both emit the same tokens. It owns the Rng(options.seed) stream and
+// checks, after each sampled token, in this order: stop tokens, stop
+// sequences, max_new_tokens, the position budget (max_pos), cancellation.
+//
+//   Decoder d(options, gen_start, max_pos);
+//   for (bool done = d.accept(prompt_logits); !done;)
+//     done = d.accept(forward(d.token() at d.pos()));
+//
+// `options` must outlive the decoder.
+class Decoder {
+ public:
+  Decoder(const GenerateOptions& options, int gen_start, int max_pos)
+      : options_(options), rng_(options.seed), gen_start_(gen_start),
+        max_pos_(max_pos) {}
+
+  // Samples one token from `logits` row `row` (the last forward's) and
+  // returns true when generation is done (finish_reason() says why);
+  // otherwise the next forward is token() at pos().
+  bool accept(const Tensor& logits, int64_t row = 0);
+
+  // The next forward's input, at addresses stable for the decoder's
+  // lifetime (a batched step spans them); accept() overwrites both.
+  const TokenId& token() const { return token_; }
+  const int& pos() const { return pos_; }
+
+  // The tokens emitted so far; once done, the result.
+  std::vector<TokenId>& tokens() { return tokens_; }
+  FinishReason finish_reason() const { return finish_; }
+
+ private:
+  const GenerateOptions& options_;
+  Rng rng_;
+  int gen_start_;
+  int max_pos_;
+  int step_ = 0;
+  TokenId token_ = 0;
+  int pos_ = 0;
+  std::vector<TokenId> tokens_;
+  FinishReason finish_ = FinishReason::kLength;
 };
 
 }  // namespace pc

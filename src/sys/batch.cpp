@@ -24,20 +24,6 @@ std::chrono::steady_clock::duration from_ms(double ms) {
       std::chrono::duration<double, std::milli>(ms));
 }
 
-// Index of the stop sequence forming a suffix of `out`, or -1 (mirrors the
-// decode loop in model.cpp).
-int matched_stop_sequence(const std::vector<TokenId>& out,
-                          const GenerateOptions& options) {
-  for (size_t s = 0; s < options.stop_sequences.size(); ++s) {
-    const auto& seq = options.stop_sequences[s];
-    if (seq.empty() || seq.size() > out.size()) continue;
-    if (std::equal(seq.begin(), seq.end(), out.end() - seq.size())) {
-      return static_cast<int>(s);
-    }
-  }
-  return -1;
-}
-
 }  // namespace
 
 BatchScheduler::BatchScheduler(std::unique_ptr<PromptCacheEngine> engine,
@@ -223,25 +209,9 @@ void BatchScheduler::admit(Request request) {
         PC_SPAN("tokenize_bind");
         return engine_->bind(seq->req.prompt);
       }();
-      // Uncached stream + kickoff, exactly as serve(): a fully cached
-      // prompt computes one <s> row at next_pos to produce logits, and
-      // generation starts one position later.
-      seq->stream = collect_uncached(binding);
-      const bool kickoff = binding.args.empty() && binding.texts.empty();
-      if (seq->stream.tokens.empty()) {
-        seq->stream.tokens.push_back(Vocab::kBos);
-        seq->stream.pos_ids.push_back(binding.next_pos);
-      }
-      // A prompt that runs past the position space fails here, as serve()'s
-      // forward would, rather than inside a step other requests share.
-      const int max_pos = model_.config().max_pos;
-      for (int p : seq->stream.pos_ids) {
-        if (p >= max_pos) {
-          throw Error("prompt position " + std::to_string(p) +
-                      " outside max_pos " + std::to_string(max_pos));
-        }
-      }
-      seq->gen_start = binding.next_pos + (kickoff ? 1 : 0);
+      // A prompt that runs past the position space fails here, as in
+      // serve(), rather than inside a step other requests share.
+      seq->stream = collect_uncached(binding, model_.config().max_pos);
       seq->result.encode_ms =
           engine_->ensure_encoded(binding, seq->req.options.cancel);
       seq->kv = engine_->assemble(
@@ -320,44 +290,6 @@ void BatchScheduler::admit(Request request) {
   active_.push_back(std::move(seq));
   active_gauge_.add(1);
   refresh_kv_gauges();
-}
-
-bool BatchScheduler::advance_decode(Seq& seq) {
-  const GenerateOptions& o = seq.req.options;
-  // The loop-entry condition: only reachable with max_new_tokens == 0
-  // (otherwise the step+1 check below broke out an iteration earlier).
-  if (seq.step_idx >= o.max_new_tokens) {
-    seq.finish = FinishReason::kLength;
-    return true;
-  }
-  for (TokenId s : o.stop_tokens) {
-    if (seq.next == s) {
-      seq.finish = FinishReason::kStopToken;
-      return true;
-    }
-  }
-  seq.gen_tokens.push_back(seq.next);
-  const int hit = matched_stop_sequence(seq.gen_tokens, o);
-  if (hit >= 0) {
-    seq.gen_tokens.resize(seq.gen_tokens.size() -
-                          o.stop_sequences[static_cast<size_t>(hit)].size());
-    seq.finish = FinishReason::kStopSequence;
-    return true;
-  }
-  if (seq.step_idx + 1 == o.max_new_tokens) {
-    seq.finish = FinishReason::kLength;
-    return true;
-  }
-  const int pos = seq.gen_start + seq.step_idx;
-  if (pos >= model_.config().max_pos) {
-    seq.finish = FinishReason::kPositionBudget;
-    return true;
-  }
-  if (o.cancel.expired()) {
-    seq.finish = FinishReason::kCancelled;
-    return true;
-  }
-  return false;  // needs one forward of seq.next at pos
 }
 
 bool BatchScheduler::step() {
@@ -442,12 +374,10 @@ bool BatchScheduler::step() {
                                static_cast<size_t>(chunk)),
           &s.kv->cache, final_chunk});
       refs.push_back({&s, chunk, final_chunk ? logits_rows++ : -1});
-    } else {  // kDecode: invariant — needs one forward of s.next
-      s.decode_tok = s.next;
-      s.decode_pos = s.gen_start + s.step_idx;
-      batch.push_back(Model::BatchSeq{
-          std::span<const TokenId>(&s.decode_tok, 1),
-          std::span<const int>(&s.decode_pos, 1), &s.kv->cache});
+    } else {  // kDecode: the decoder's next forward
+      batch.push_back(Model::BatchSeq{{&s.decoder->token(), 1},
+                                      {&s.decoder->pos(), 1},
+                                      &s.kv->cache});
       refs.push_back({&s, 0, logits_rows++});
     }
   }
@@ -481,36 +411,30 @@ bool BatchScheduler::step() {
         s.prefill_done += static_cast<size_t>(refs[i].chunk);
         if (s.prefill_done < s.stream.tokens.size()) continue;
         // Prefill complete: the first token comes off this iteration's
-        // logits — Model::generate's head, with the sequence's own Rng.
+        // logits.
         s.result.ttft.uncached_ms = ms_between(s.prefill_start, after);
         s.result.ttft.uncached_tokens =
             static_cast<int>(s.stream.tokens.size());
-        s.next = Model::sample_token(logits, refs[i].logits_row,
-                                     s.req.options, s.rng);
         s.phase = Phase::kDecode;
-        s.step_idx = 0;
         s.decode_start = after;
+        s.decoder.emplace(s.req.options, s.stream.gen_start,
+                          model_.config().max_pos);
+      }
+      if (!s.decoder->accept(logits, refs[i].logits_row)) continue;
+      if (s.decoder->finish_reason() == FinishReason::kCancelled) {
+        s.done_status = ServeStatus::kTimeout;
+        s.resp.detail = "serve: deadline expired mid-decode";
       } else {
-        s.next = Model::sample_token(logits, refs[i].logits_row,
-                                     s.req.options, s.rng);
-        ++s.step_idx;
+        s.result.finish_reason = s.decoder->finish_reason();
+        s.result.tokens = std::move(s.decoder->tokens());
+        s.result.text = tokenizer_.decode(s.result.tokens);
+        s.result.prompt_tokens =
+            s.result.ttft.cached_tokens + s.result.ttft.uncached_tokens;
+        s.result.decode_ms =
+            ms_between(s.decode_start, std::chrono::steady_clock::now());
+        s.done_status = ServeStatus::kOk;
       }
-      if (advance_decode(s)) {
-        if (s.finish == FinishReason::kCancelled) {
-          s.done_status = ServeStatus::kTimeout;
-          s.resp.detail = "serve: deadline expired mid-decode";
-        } else {
-          s.result.finish_reason = s.finish;
-          s.result.tokens = std::move(s.gen_tokens);
-          s.result.text = tokenizer_.decode(s.result.tokens);
-          s.result.prompt_tokens =
-              s.result.ttft.cached_tokens + s.result.ttft.uncached_tokens;
-          s.result.decode_ms =
-              ms_between(s.decode_start, std::chrono::steady_clock::now());
-          s.done_status = ServeStatus::kOk;
-        }
-        s.done = true;
-      }
+      s.done = true;
     }
   } else if (any_transfer) {
     // Every live sequence is mid-transfer: sleep until the earliest one is

@@ -34,9 +34,11 @@
 // by the same kernels. Model::forward_batch keeps every per-row computation
 // bitwise equal to forward(), chunked prefill only splits rows across
 // iterations (row i's values depend only on rows <= i; a mid-prompt chunk
-// asks for no logits, so its rows stop at K/V in the final layer), and the
-// decode loop below replays Model::generate's exact sampling order with a
-// per-request Rng(options.seed).
+// asks for no logits, so its rows stop at K/V in the final layer), and
+// each request decodes through the same Decoder as Model::generate
+// (model/model.h), fed its row of the step's logits. Admission collects the
+// uncached stream with serve()'s rule (collect_uncached), so the kickoff
+// and the first generated position match too.
 // tests/test_batch_serve.cpp asserts this for batch sizes 1/2/4/8 with and
 // without shared modules, and on random weights at fp32, q8 and q4.
 //
@@ -135,7 +137,7 @@ class BatchScheduler {
   // Binds, encodes, and assembles the request's cache, then places it in
   // the iteration loop (or completes it immediately: shed past deadline,
   // degraded, failed — a prompt whose positions reach max_pos fails here,
-  // before any encode). Transient encode faults retry after
+  // before any encode, as in serve()). Transient encode faults retry after
   // retry_backoff_ms, capped at the time left before the deadline.
   void admit(Request request);
 
@@ -170,32 +172,21 @@ class BatchScheduler {
 
     pml::PromptBinding binding;    // for the engine's complete_serve
     std::optional<SequenceKV> kv;  // set once an admission attempt succeeds
-    UncachedStream stream;  // uncached prompt tokens (incl. kickoff)
+    UncachedStream stream;         // prefilled in chunk_tokens slices
     size_t prefill_done = 0;
     bool prefill_started = false;
     std::chrono::steady_clock::time_point prefill_start;
 
-    int gen_start = 0;  // first generated token's position id
-    Rng rng;            // replays Model::generate's sampling stream
-    TokenId next = 0;   // candidate token awaiting emission checks
-    int step_idx = 0;   // Model::generate's `step`
-    std::vector<TokenId> gen_tokens;
-    FinishReason finish = FinishReason::kLength;
+    // kDecode: serve()'s decode loop over req.options, from
+    // stream.gen_start; set when the prefill completes.
+    std::optional<Decoder> decoder;
     std::chrono::steady_clock::time_point decode_start;
-    // Stable storage for the one-token decode span handed to forward_batch.
-    TokenId decode_tok = 0;
-    int decode_pos = 0;
 
     bool done = false;  // completion decided; swept after the iteration
     ServeStatus done_status = ServeStatus::kOk;
 
-    explicit Seq(Request r) : req(std::move(r)), rng(req.options.seed) {}
+    explicit Seq(Request r) : req(std::move(r)) {}
   };
-
-  // Model::generate's loop head for the candidate in seq.next: emission
-  // checks and finish bookkeeping. Returns true when the sequence is done
-  // (seq.finish set); false when it needs one forward of seq.next.
-  bool advance_decode(Seq& seq);
 
   // Synchronous full-prefill fallback: marks the sequence done with
   // kDegraded (or kTimeout/kFailed if the fallback itself fails).

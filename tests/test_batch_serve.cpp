@@ -20,6 +20,10 @@
 //     drain() returns when everything behind the blocker was shed;
 //   * submit racing stop(): every id that submit() returned is recorded
 //     with exactly one status;
+//   * an empty argument serves like no argument (the kickoff rule) on
+//     serve(), full prefill and a lane, for four families at every format;
+//   * a lane ends decoding exactly as serve() does: stop sequence, no
+//     token budget, position budget, seeded top-k sampling;
 //   * a prompt past max_pos fails alone (kFailed), solo or batched, and
 //     the lanes keep serving; a schema a lane cannot load fails the
 //     Server's constructor;
@@ -426,8 +430,8 @@ TEST_F(BatchServeTest, Q4BatchedMatchesSequentialQ4Bitwise) {
 }
 
 TEST_F(BatchServeTest, BatchedSamplingMatchesSequentialBitwise) {
-  // Seeded stochastic decoding: the per-request Rng must advance exactly as
-  // in generate_impl, whatever else is in the batch.
+  // Seeded stochastic decoding: each request's Decoder must draw from its
+  // Rng exactly as serve()'s does, whatever else is in the batch.
   constexpr int kRequests = 8;
   std::vector<std::string> prompts;
   std::vector<GenerateOptions> options;
@@ -745,6 +749,59 @@ TEST_F(BatchServeTest, BatchedMatchesZeroCopyOnRandomWeights) {
   }
 }
 
+// An argument that is given but empty adds no uncached token, so the
+// prompt computes the kickoff, exactly like the same import without the
+// argument, and generation starts one position after it on every path:
+// serve(), a Server lane and (at fp32, where it is the reference) full
+// prefill. Random weights, so a one-position shift flips tokens.
+TEST_F(BatchServeTest, EmptyArgumentServesLikeNoArgument) {
+  const Vocab& vocab = Vocab::basic_english();
+  const Tokenizer tokenizer(vocab);
+  const std::string schema =
+      R"(<schema name="ea"><module name="m">the cat sat on the )"
+      R"(<param name="x" len="4"/> and the dog ran home</module></schema>)";
+  const std::string bare = R"(<prompt schema="ea"><m/></prompt>)";
+  const std::string empty_arg = R"(<prompt schema="ea"><m x=""/></prompt>)";
+  GenerateOptions opts;
+  opts.max_new_tokens = 8;
+  opts.stop_tokens.clear();  // fixed-length output
+
+  for (const ModelConfig& config : {ModelConfig::llama_tiny(vocab.size(), 1024),
+                                    ModelConfig::mpt_tiny(vocab.size(), 1024),
+                                    ModelConfig::falcon_tiny(vocab.size(), 1024),
+                                    ModelConfig::gpt2_tiny(vocab.size(), 1024)}) {
+    const Model model = Model::random(config, 29);
+    for (StorePrecision precision :
+         {StorePrecision::kFp32, StorePrecision::kQ8, StorePrecision::kQ4}) {
+      SCOPED_TRACE(config.name + " precision " +
+                   std::to_string(static_cast<int>(precision)));
+      EngineConfig ec;
+      ec.precision = precision;
+      PromptCacheEngine engine(model, tokenizer, ec);
+      engine.load_schema(schema);
+      const std::vector<TokenId> expected = engine.serve(bare, opts).tokens;
+      ASSERT_EQ(expected.size(), 8u);
+      EXPECT_EQ(engine.serve(empty_arg, opts).tokens, expected);
+      if (precision == StorePrecision::kFp32) {
+        EXPECT_EQ(engine.serve_full_prefill(empty_arg, opts).tokens, expected);
+        EXPECT_EQ(engine.serve_full_prefill(bare, opts).tokens, expected);
+      }
+
+      ServerConfig cfg;
+      cfg.n_workers = 1;
+      cfg.engine.precision = precision;
+      cfg.schemas = {schema};
+      Server server(model, tokenizer, cfg);
+      server.submit(empty_arg, opts);
+      server.submit(bare, opts);
+      for (const ServerResponse& r : server.drain()) {
+        EXPECT_EQ(r.status, ServeStatus::kOk) << r.detail;
+        EXPECT_EQ(r.result.tokens, expected) << "lane, id " << r.id;
+      }
+    }
+  }
+}
+
 // Keys of every module resident in `store` (collected first: for_each's
 // callback must not call back into the store).
 std::vector<std::string> resident_keys(const SharedModuleStore& store) {
@@ -1005,6 +1062,75 @@ TEST_F(BatchServeTest, PromptPastMaxPosFailsAloneAndLanesKeepServing) {
     EXPECT_EQ(stats.failed, 2u);
     EXPECT_EQ(stats.completed, prompts.size() - 2 + 1);  // and the one after
     check_accounting(stats);
+  }
+}
+
+// A lane decodes through the same Decoder as serve(), so every way a decode
+// ends matches the sequential engine: a stop sequence (trimmed), no token
+// budget at all, the position budget, and seeded top-k sampling.
+TEST_F(BatchServeTest, LaneDecodeRulesMatchSequentialServe) {
+  const int max_pos = model_.config().max_pos;
+  PromptCacheEngine reference(model_, workload_.tokenizer());
+  reference.load_schema(kSchema);
+  // A fully cached prompt whose kickoff sits at max_pos - 3: generation
+  // starts at max_pos - 2, so its third token has no position left.
+  const int overhead =
+      reference.load_schema(filler_schema(8)).total_positions - 8;
+  const std::string near_full = filler_schema(max_pos - 3 - overhead);
+  ASSERT_EQ(reference.load_schema(near_full).total_positions, max_pos - 3);
+
+  GenerateOptions plain;
+  plain.max_new_tokens = 5;
+  plain.stop_tokens.clear();
+  const std::vector<TokenId> free_run =
+      reference.serve(kPrompts[0], plain).tokens;
+  ASSERT_EQ(free_run.size(), 5u);
+
+  struct Case {
+    std::string prompt;
+    GenerateOptions options;
+    FinishReason finish;
+  };
+  std::vector<Case> cases(4);
+  cases[0] = {kPrompts[0], plain, FinishReason::kStopSequence};
+  cases[0].options.stop_sequences = {{free_run[1], free_run[2]}};
+  cases[1] = {kPrompts[1], plain, FinishReason::kLength};
+  cases[1].options.max_new_tokens = 0;
+  cases[2] = {R"(<prompt schema="full"><m/></prompt>)", plain,
+              FinishReason::kPositionBudget};
+  cases[2].options.max_new_tokens = 16;
+  cases[3] = {kPrompts[2], plain, FinishReason::kLength};
+  cases[3].options.temperature = 0.8f;
+  cases[3].options.top_k = 3;
+  cases[3].options.seed = 4242;
+
+  std::vector<ServeResult> expected;
+  for (const Case& c : cases) {
+    expected.push_back(reference.serve(c.prompt, c.options));
+    EXPECT_EQ(expected.back().finish_reason, c.finish) << c.prompt;
+  }
+  EXPECT_EQ(expected[0].tokens, std::vector<TokenId>{free_run[0]});
+  EXPECT_TRUE(expected[1].tokens.empty());
+  EXPECT_EQ(expected[2].tokens.size(), 3u);
+
+  for (int max_batch : {1, 4}) {
+    ServerConfig cfg;
+    cfg.n_workers = 1;
+    cfg.batch.max_batch = max_batch;
+    cfg.schemas = {kSchema, near_full};
+    Server server(model_, workload_.tokenizer(), cfg);
+    for (const Case& c : cases) server.submit(c.prompt, c.options);
+    const auto responses = server.drain();
+    ASSERT_EQ(responses.size(), cases.size());
+    for (size_t i = 0; i < cases.size(); ++i) {
+      const ServerResponse& r = responses[i];
+      EXPECT_EQ(r.status, ServeStatus::kOk)
+          << "batch " << max_batch << " case " << i << ": " << r.detail;
+      EXPECT_EQ(r.result.tokens, expected[i].tokens)
+          << "batch " << max_batch << " case " << i;
+      EXPECT_EQ(r.result.finish_reason, expected[i].finish_reason)
+          << "batch " << max_batch << " case " << i;
+    }
   }
 }
 

@@ -37,8 +37,10 @@ std::vector<TokenId> run(const Model& model, std::vector<TokenId> prompt,
   GenerateOptions opts;
   opts.max_new_tokens = steps;
   opts.stop_tokens.clear();
-  return model.generate_greedy(
-      logits, start_pos + static_cast<int>(prompt.size()), cache, opts);
+  return model
+      .generate(logits, start_pos + static_cast<int>(prompt.size()), cache,
+                opts)
+      .tokens;
 }
 
 TEST(Induction, CopiesSingleFact) {
@@ -95,7 +97,7 @@ TEST(Induction, RetrievesFromConcatenatedModules) {
   GenerateOptions opts;
   opts.max_new_tokens = 2;
   opts.stop_tokens.clear();
-  const auto out = model.generate_greedy(logits, 12, seq, opts);
+  const auto out = model.generate(logits, 12, seq, opts).tokens;
   EXPECT_EQ(out, (std::vector<TokenId>{30, 31}));
 }
 
@@ -130,7 +132,7 @@ TEST(Induction, BoundaryStraddlingFactLostUnderCaching) {
   GenerateOptions opts;
   opts.max_new_tokens = 2;
   opts.stop_tokens.clear();
-  const auto cached = model.generate_greedy(logits, 8, seq, opts);
+  const auto cached = model.generate(logits, 8, seq, opts).tokens;
   EXPECT_NE(cached, baseline);
 }
 
@@ -153,7 +155,7 @@ TEST(Induction, JointEncodingRestoresStraddlingFact) {
   GenerateOptions opts;
   opts.max_new_tokens = 2;
   opts.stop_tokens.clear();
-  const auto out = model.generate_greedy(logits, 8, seq, opts);
+  const auto out = model.generate(logits, 8, seq, opts).tokens;
   EXPECT_EQ(out, (std::vector<TokenId>{30, 31}));
 }
 
@@ -191,7 +193,7 @@ TEST_P(InductionBetaSweep, RetrievalAndBoundaryEffectHoldAcrossSharpness) {
   GenerateOptions opts;
   opts.max_new_tokens = 2;
   opts.stop_tokens.clear();
-  const auto cached = model.generate_greedy(logits, 8, seq, opts);
+  const auto cached = model.generate(logits, 8, seq, opts).tokens;
   EXPECT_NE(cached, (std::vector<TokenId>{30, 31})) << "beta=" << GetParam();
 }
 

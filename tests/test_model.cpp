@@ -273,11 +273,11 @@ TEST_P(ModelFamilyTest, GreedyGenerationIsDeterministic) {
 
   KVCache c1 = model.make_cache();
   const Tensor logits1 = model.forward(tokens, pos, c1);
-  const auto out1 = model.generate_greedy(logits1, 8, c1, opts);
+  const auto out1 = model.generate(logits1, 8, c1, opts).tokens;
 
   KVCache c2 = model.make_cache();
   const Tensor logits2 = model.forward(tokens, pos, c2);
-  const auto out2 = model.generate_greedy(logits2, 8, c2, opts);
+  const auto out2 = model.generate(logits2, 8, c2, opts).tokens;
 
   EXPECT_EQ(out1.size(), 6u);
   EXPECT_EQ(out1, out2);
@@ -308,7 +308,8 @@ TEST(Sampling, ZeroTemperatureIsGreedy) {
   GenerateOptions greedy;
   greedy.temperature = 0.0f;
   Rng rng(1);
-  EXPECT_EQ(Model::sample_token(logits, greedy, rng), Model::argmax(logits));
+  EXPECT_EQ(Model::sample_token(logits, 0, greedy, rng),
+            Model::argmax(logits));
 }
 
 TEST(Sampling, TopK1EqualsGreedyAtAnyTemperature) {
@@ -322,7 +323,8 @@ TEST(Sampling, TopK1EqualsGreedyAtAnyTemperature) {
   opts.top_k = 1;
   Rng rng(9);
   for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(Model::sample_token(logits, opts, rng), Model::argmax(logits));
+    EXPECT_EQ(Model::sample_token(logits, 0, opts, rng),
+              Model::argmax(logits));
   }
 }
 
@@ -342,7 +344,7 @@ TEST(Sampling, SeededSamplingIsDeterministicAndSeedSensitive) {
     o.seed = seed;
     KVCache cache = model.make_cache();
     const Tensor logits = model.forward(tokens, pos, cache);
-    return model.generate_greedy(logits, 6, cache, o);
+    return model.generate(logits, 6, cache, o).tokens;
   };
   EXPECT_EQ(run(7), run(7));
   // High temperature over a 64-token vocab: different seeds should diverge.
@@ -361,7 +363,9 @@ TEST(Sampling, HighTemperatureSpreadsChoices) {
   opts.temperature = 5.0f;
   Rng rng(3);
   std::set<TokenId> seen;
-  for (int i = 0; i < 200; ++i) seen.insert(Model::sample_token(logits, opts, rng));
+  for (int i = 0; i < 200; ++i) {
+    seen.insert(Model::sample_token(logits, 0, opts, rng));
+  }
   EXPECT_GT(seen.size(), 5u);  // far from deterministic
 }
 
@@ -378,26 +382,26 @@ TEST(StopSequences, MatchedTailIsRemovedAndGenerationStops) {
   plain.max_new_tokens = 4;
   plain.stop_tokens.clear();
   KVCache c1 = model.make_cache();
-  const auto full = model.generate_greedy(model.forward(prompt, pos, c1),
-                                          static_cast<int>(prompt.size()),
-                                          c1, plain);
+  const auto full = model.generate(model.forward(prompt, pos, c1),
+                                   static_cast<int>(prompt.size()), c1, plain)
+                        .tokens;
   ASSERT_EQ(full, (std::vector<TokenId>{30, 31, 32, 33}));
 
   GenerateOptions stopping = plain;
   stopping.stop_sequences = {{32, 33}};
   KVCache c2 = model.make_cache();
-  const auto cut = model.generate_greedy(model.forward(prompt, pos, c2),
-                                         static_cast<int>(prompt.size()),
-                                         c2, stopping);
+  const auto cut = model.generate(model.forward(prompt, pos, c2),
+                                  static_cast<int>(prompt.size()), c2, stopping)
+                       .tokens;
   EXPECT_EQ(cut, (std::vector<TokenId>{30, 31}));
 
   // A stop sequence that never appears leaves the output untouched.
   GenerateOptions unmatched = plain;
   unmatched.stop_sequences = {{31, 30}};
   KVCache c3 = model.make_cache();
-  EXPECT_EQ(model.generate_greedy(model.forward(prompt, pos, c3),
-                                  static_cast<int>(prompt.size()), c3,
-                                  unmatched),
+  EXPECT_EQ(model.generate(model.forward(prompt, pos, c3),
+                           static_cast<int>(prompt.size()), c3, unmatched)
+                .tokens,
             full);
 }
 

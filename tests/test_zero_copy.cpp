@@ -493,7 +493,8 @@ TEST_F(ZeroCopyTest, ManyRequestsShareOneModuleCopy) {
   engine.load_schema(kSchema);
   const pml::PromptBinding binding = engine.bind(kPrompt);
 
-  const UncachedStream question = collect_uncached(binding);
+  const UncachedStream question =
+      collect_uncached(binding, model_.config().max_pos);
   std::vector<SequenceKV> requests;
   size_t owned_total = 0;
   for (int i = 0; i < 8; ++i) {
