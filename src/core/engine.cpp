@@ -730,7 +730,7 @@ ServeResult PromptCacheEngine::serve_full_prefill(
   const Tensor logits = [&] {
     PC_SPAN("prefill", {"tokens", static_cast<int64_t>(n)});
     return model_.forward_blocked(
-        tokens, pos_ids, block_ids, scratch, false,
+        tokens, pos_ids, block_ids, scratch,
         std::span<const bool>(hidden_arr.get(), static_cast<size_t>(n)));
   }();
 

@@ -139,192 +139,18 @@ Tensor Model::queries(int layer, const Tensor& h,
   return q;
 }
 
-// Self-attention of layer `layer` for the new rows h: every row's keys and
-// values are published into the cache; output row j is the attention of
-// new row q_rows[j] over cache slots [0, first_new + q_rows[j]].
-Tensor Model::attention(int layer, const Tensor& h,
-                        std::span<const int> pos_ids,
-                        std::span<const int> block_ids,
-                        std::span<const bool> hidden_from_global,
-                        int first_new, std::span<const int> q_rows,
-                        KVCache& cache) const {
+// Self-attention of layer `layer` over a step's rows h: every row's keys and
+// values are published into its sequence's cache; output row j is the
+// attention of row q_rows[j] — new row i of sequence s — over s's cache
+// slots [0, first_new[s] + i], under s's mask.
+Tensor Model::attention(int layer, const Tensor& h, const Step& st,
+                        std::span<const int> q_rows) const {
   const auto& lw = weights_.layers[static_cast<size_t>(layer)];
-  const int n_new = static_cast<int>(h.dim(0));
-  const int n_q = static_cast<int>(q_rows.size());
+  const int total = static_cast<int>(h.dim(0));
+  const size_t n_q = q_rows.size();
   const int d_head = config_.d_head;
   const int n_kv_heads = config_.n_kv_heads;
   const int group = config_.n_heads / n_kv_heads;
-  const size_t kv_dim = static_cast<size_t>(config_.kv_dim());
-
-  Tensor kx = matmul_nt(h, lw.wk);  // [n_new, kv_dim]
-  Tensor vx = matmul_nt(h, lw.wv);  // [n_new, kv_dim]
-  if (rope_) {
-    for (int i = 0; i < n_new; ++i) {
-      float* ki = kx.row(i);
-      for (int hd = 0; hd < n_kv_heads; ++hd) {
-        rope_->apply(ki + hd * d_head, pos_ids[static_cast<size_t>(i)]);
-      }
-    }
-  }
-
-  // Publish the new keys/values into the cache (keys post-rotation, so the
-  // module stays valid if these rows are later copied elsewhere). The
-  // appended rows are consecutive own rows, dense in the layer's own buffer,
-  // and kx/vx are row-major, so this is two memcpys per layer rather than
-  // two per token.
-  std::memcpy(cache.k_row(layer, first_new), kx.data(),
-              static_cast<size_t>(n_new) * kv_dim * sizeof(float));
-  std::memcpy(cache.v_row(layer, first_new), vx.data(),
-              static_cast<size_t>(n_new) * kv_dim * sizeof(float));
-
-  // The query side runs for q_rows only; output row j is new row q_rows[j].
-  Tensor out({n_q, config_.q_dim()});
-  if (n_q == 0) return out;
-  const Tensor q = queries(layer, h, pos_ids, q_rows);
-
-  // New row i may attend to cache slots [0, first_new+i]. The block mask
-  // and the ALiBi relative-distance vector depend only on (i, slot), so they
-  // are computed once per query row and shared by every head.
-  const int total_ctx = first_new + n_new;
-  const bool use_mask = !block_ids.empty() || !hidden_from_global.empty();
-  const size_t ctx_sz = static_cast<size_t>(total_ctx);
-
-  std::vector<int> k_pos;  // position id per cache slot (ALiBi only)
-  if (alibi_) {
-    k_pos.resize(ctx_sz);
-    for (int j = 0; j < total_ctx; ++j) k_pos[static_cast<size_t>(j)] =
-        cache.pos_id(j);
-  }
-
-  // Fills mrow[0..ctx) for new row i (same predicate the scalar loop
-  // applied per (head, i, j)).
-  auto fill_mask_row = [&](int i, uint8_t* mrow, int ctx) {
-    const int my_block = block_ids.empty()
-                             ? kGlobalBlock
-                             : block_ids[static_cast<size_t>(i)];
-    for (int j = 0; j < ctx; ++j) {
-      const bool masked =
-          my_block == kGlobalBlock
-              ? (!hidden_from_global.empty() &&
-                 hidden_from_global[static_cast<size_t>(j)])
-              : (!block_ids.empty() &&
-                 block_ids[static_cast<size_t>(j)] != my_block);
-      mrow[j] = masked ? 1 : 0;
-    }
-  };
-  // Fills rrow[j] = float(q_pos - k_pos_j); the kernel applies
-  // -slope * rrow[j], bit-identical to Alibi::bias().
-  auto fill_rel_row = [&](int i, float* rrow, int ctx) {
-    const int qp = pos_ids[static_cast<size_t>(i)];
-    for (int j = 0; j < ctx; ++j) {
-      rrow[j] = static_cast<float>(qp - k_pos[static_cast<size_t>(j)]);
-    }
-  };
-  // Slots visible to query row j.
-  auto ctx_of = [&](int j) {
-    return first_new + q_rows[static_cast<size_t>(j)] + 1;
-  };
-
-  // One KV head's group of query heads for query row j against slots
-  // [0, ctx); scores holds group * ctx_sz floats.
-  auto attend_group = [&](int kvh, int j, int ctx, const float* rel,
-                          const uint8_t* masked, float* scores) {
-    const int hd = kvh * group;
-    fused_attend(cache, layer, kvh * d_head, q.row(j) + hd * d_head,
-                 static_cast<size_t>(d_head), static_cast<size_t>(ctx),
-                 attn_scale_, alibi_ ? alibi_->slopes() + hd : nullptr, rel,
-                 masked, scores, out.row(j) + hd * d_head,
-                 static_cast<size_t>(group));
-  };
-
-  // Two schedules producing identical bits (the kernel inputs per (row, KV
-  // head) are the same): prefill parallelizes over query rows, so mask/rel
-  // rows are built once per row in-thread; decode-sized batches
-  // parallelize over KV heads and share small precomputed mask/rel
-  // matrices.
-  const size_t scores_sz = static_cast<size_t>(group) * ctx_sz;
-  if (n_q >= 8) {
-    auto row_work = [&](size_t row_begin, size_t row_end) {
-      std::vector<float> scores(scores_sz);
-      std::vector<uint8_t> mrow(use_mask ? ctx_sz : 0);
-      std::vector<float> rrow(alibi_ ? ctx_sz : 0);
-      for (size_t jr = row_begin; jr < row_end; ++jr) {
-        const int j = static_cast<int>(jr);
-        const int i = q_rows[jr];
-        const int ctx = ctx_of(j);
-        if (use_mask) fill_mask_row(i, mrow.data(), ctx);
-        if (alibi_) fill_rel_row(i, rrow.data(), ctx);
-        for (int kvh = 0; kvh < n_kv_heads; ++kvh) {
-          attend_group(kvh, j, ctx, alibi_ ? rrow.data() : nullptr,
-                       use_mask ? mrow.data() : nullptr, scores.data());
-        }
-      }
-    };
-    if (ThreadPool::global().size() > 1) {
-      ThreadPool::global().parallel_for(static_cast<size_t>(n_q), row_work);
-    } else {
-      row_work(0, static_cast<size_t>(n_q));
-    }
-  } else {
-    std::vector<uint8_t> mask_mat(use_mask ? static_cast<size_t>(n_q) *
-                                                 ctx_sz
-                                           : 0);
-    std::vector<float> rel_mat(alibi_ ? static_cast<size_t>(n_q) * ctx_sz
-                                      : 0);
-    for (int j = 0; j < n_q; ++j) {
-      const int i = q_rows[static_cast<size_t>(j)];
-      if (use_mask) {
-        fill_mask_row(i, mask_mat.data() + static_cast<size_t>(j) * ctx_sz,
-                      ctx_of(j));
-      }
-      if (alibi_) {
-        fill_rel_row(i, rel_mat.data() + static_cast<size_t>(j) * ctx_sz,
-                     ctx_of(j));
-      }
-    }
-    auto kv_head_work = [&](size_t kvh_begin, size_t kvh_end) {
-      std::vector<float> scores(scores_sz);
-      for (size_t kvh = kvh_begin; kvh < kvh_end; ++kvh) {
-        for (int j = 0; j < n_q; ++j) {
-          attend_group(static_cast<int>(kvh), j, ctx_of(j),
-                       alibi_ ? rel_mat.data() + static_cast<size_t>(j) * ctx_sz
-                              : nullptr,
-                       use_mask
-                           ? mask_mat.data() + static_cast<size_t>(j) * ctx_sz
-                           : nullptr,
-                       scores.data());
-        }
-      }
-    };
-    if (ThreadPool::global().size() > 1 && n_kv_heads > 1) {
-      ThreadPool::global().parallel_for(static_cast<size_t>(n_kv_heads),
-                                        kv_head_work);
-    } else {
-      kv_head_work(0, static_cast<size_t>(n_kv_heads));
-    }
-  }
-  return out;
-}
-
-// Per-sequence attention of a batched step. The dense projections were
-// computed over the concatenated rows; here every query row r (sequence s,
-// chunk-local index i) attends to its own cache's slots [0, first_new+i]
-// through the same fused_attend dispatch forward() uses — same kernel,
-// context and inputs as a sequential forward over that sequence alone, so
-// the output bits match. As in attention(), every row publishes K/V and
-// output row j is the query side of row q_rows[j].
-Tensor Model::attention_batch(int layer, const Tensor& h,
-                              std::span<const BatchSeq> seqs,
-                              const std::vector<int>& first_new,
-                              const std::vector<int>& row_seq,
-                              const std::vector<int>& row_idx,
-                              std::span<const int> pos_ids,
-                              std::span<const int> q_rows) const {
-  const auto& lw = weights_.layers[static_cast<size_t>(layer)];
-  const int total = static_cast<int>(h.dim(0));
-  const int n_q = static_cast<int>(q_rows.size());
-  const int d_head = config_.d_head;
-  const int group = config_.n_heads / config_.n_kv_heads;
   const size_t kv_dim = static_cast<size_t>(config_.kv_dim());
 
   Tensor kx = matmul_nt(h, lw.wk);  // [total, kv_dim]
@@ -332,63 +158,135 @@ Tensor Model::attention_batch(int layer, const Tensor& h,
   if (rope_) {
     for (int r = 0; r < total; ++r) {
       float* kr = kx.row(r);
-      for (int hd = 0; hd < config_.n_kv_heads; ++hd) {
-        rope_->apply(kr + hd * d_head, pos_ids[static_cast<size_t>(r)]);
+      for (int hd = 0; hd < n_kv_heads; ++hd) {
+        rope_->apply(kr + hd * d_head, st.pos[static_cast<size_t>(r)]);
       }
     }
   }
 
-  // Publish each row's keys/values into its sequence's own rows. A
-  // sequence's rows are consecutive in kx/vx and in its own buffer, so this
-  // is two memcpys per (sequence, layer).
+  // Publish each sequence's new keys/values into its own rows (keys
+  // post-rotation, so a module stays valid if these rows are later copied
+  // elsewhere). A sequence's rows are consecutive in kx/vx and in its own
+  // buffer, so this is two memcpys per (sequence, layer).
   size_t max_ctx = 0;
-  for (int s = 0, r = 0; s < static_cast<int>(seqs.size()); ++s) {
-    KVCache& cache = *seqs[static_cast<size_t>(s)].cache;
-    const int n = static_cast<int>(seqs[static_cast<size_t>(s)].tokens.size());
-    const int t = first_new[static_cast<size_t>(s)];
-    std::memcpy(cache.k_row(layer, t), kx.row(r),
-                static_cast<size_t>(n) * kv_dim * sizeof(float));
-    std::memcpy(cache.v_row(layer, t), vx.row(r),
-                static_cast<size_t>(n) * kv_dim * sizeof(float));
-    max_ctx = std::max(max_ctx, static_cast<size_t>(t + n));
-    r += n;
+  for (size_t s = 0; s < st.seqs.size(); ++s) {
+    KVCache& cache = *st.seqs[s].cache;
+    const int r = st.row_begin[s];
+    const size_t n = static_cast<size_t>(st.row_begin[s + 1] - r);
+    const int t = st.first_new[s];
+    std::memcpy(cache.k_row(layer, t), kx.row(r), n * kv_dim * sizeof(float));
+    std::memcpy(cache.v_row(layer, t), vx.row(r), n * kv_dim * sizeof(float));
+    max_ctx = std::max(max_ctx, static_cast<size_t>(t) + n);
   }
 
-  Tensor out({n_q, config_.q_dim()});
+  // The query side runs for q_rows only; output row j is row q_rows[j].
+  Tensor out({static_cast<int64_t>(n_q), config_.q_dim()});
   if (n_q == 0) return out;
-  const Tensor q = queries(layer, h, pos_ids, q_rows);
+  const Tensor q = queries(layer, h, st.pos, q_rows);
 
-  auto row_work = [&](size_t row_begin, size_t row_end) {
-    std::vector<float> scores(static_cast<size_t>(group) * max_ctx);
-    std::vector<float> rrow(alibi_ ? max_ctx : 0);
-    for (size_t j = row_begin; j < row_end; ++j) {
-      const size_t r = static_cast<size_t>(q_rows[j]);
-      const int s = row_seq[r];
-      const KVCache& cache = *seqs[static_cast<size_t>(s)].cache;
-      const int ctx = first_new[static_cast<size_t>(s)] + row_idx[r] + 1;
-      if (alibi_) {
-        const int qp = pos_ids[r];
-        for (int k = 0; k < ctx; ++k) {
-          rrow[static_cast<size_t>(k)] =
-              static_cast<float>(qp - cache.pos_id(k));
+  // Query row j's cache and visible slots, plus its block-mask row and
+  // ALiBi distance row filled into mrow / rrow. Both depend only on (row,
+  // slot), so every head shares them. rrow[k] = float(q_pos - k_pos); the
+  // kernel applies -slope * rrow[k], bit-identical to Alibi::bias().
+  struct QueryRow {
+    const KVCache* cache;
+    size_t ctx;
+    const uint8_t* masked;  // null for an unmasked sequence
+    const float* rel;       // null unless ALiBi
+  };
+  auto query_row = [&](size_t j, uint8_t* mrow, float* rrow) {
+    const int r = q_rows[j];
+    const size_t s = st.seq_of(r);
+    const BatchSeq& seq = st.seqs[s];
+    const int i = r - st.row_begin[s];
+    const int ctx = st.first_new[s] + i + 1;
+    const bool use_mask = !seq.block_ids.empty();
+    if (use_mask) {
+      // A masked sequence's cache was empty: slot k is its new row k.
+      const int my_block = seq.block_ids[static_cast<size_t>(i)];
+      for (int k = 0; k < ctx; ++k) {
+        const size_t ks = static_cast<size_t>(k);
+        const bool masked =
+            my_block == kGlobalBlock
+                ? !seq.hidden_from_global.empty() && seq.hidden_from_global[ks]
+                : seq.block_ids[ks] != my_block;
+        mrow[k] = masked ? 1 : 0;
+      }
+    }
+    if (alibi_) {
+      const int qp = st.pos[static_cast<size_t>(r)];
+      const std::vector<int>& k_pos = seq.cache->pos_ids();
+      for (int k = 0; k < ctx; ++k) {
+        rrow[k] = static_cast<float>(qp - k_pos[static_cast<size_t>(k)]);
+      }
+    }
+    return QueryRow{seq.cache, static_cast<size_t>(ctx),
+                    use_mask ? mrow : nullptr, alibi_ ? rrow : nullptr};
+  };
+
+  // One KV head's group of query heads for query row j; scores holds
+  // group * max_ctx floats.
+  auto attend_group = [&](int kvh, size_t j, const QueryRow& row,
+                          float* scores) {
+    const int hd = kvh * group;
+    const int64_t jr = static_cast<int64_t>(j);
+    fused_attend(*row.cache, layer, kvh * d_head, q.row(jr) + hd * d_head,
+                 static_cast<size_t>(d_head), row.ctx, attn_scale_,
+                 alibi_ ? alibi_->slopes() + hd : nullptr, row.rel,
+                 row.masked, scores, out.row(jr) + hd * d_head,
+                 static_cast<size_t>(group));
+  };
+
+  // Two schedules producing identical bits (the kernel inputs per (row, KV
+  // head) are the same): prefill-sized steps parallelize over query rows,
+  // so mask/rel rows are built once per row in-thread; decode-sized steps
+  // parallelize over KV heads and share small precomputed mask/rel
+  // matrices.
+  const bool any_mask =
+      std::any_of(st.seqs.begin(), st.seqs.end(),
+                  [](const BatchSeq& seq) { return !seq.block_ids.empty(); });
+  const size_t scores_sz = static_cast<size_t>(group) * max_ctx;
+  ThreadPool& pool = ThreadPool::global();
+  if (n_q >= 8) {
+    auto row_work = [&](size_t row_begin, size_t row_end) {
+      std::vector<float> scores(scores_sz);
+      std::vector<uint8_t> mrow(any_mask ? max_ctx : 0);
+      std::vector<float> rrow(alibi_ ? max_ctx : 0);
+      for (size_t j = row_begin; j < row_end; ++j) {
+        const QueryRow row = query_row(j, mrow.data(), rrow.data());
+        for (int kvh = 0; kvh < n_kv_heads; ++kvh) {
+          attend_group(kvh, j, row, scores.data());
         }
       }
-      for (int kvh = 0; kvh < config_.n_kv_heads; ++kvh) {
-        const int hd = kvh * group;
-        fused_attend(cache, layer, kvh * d_head,
-                     q.row(static_cast<int64_t>(j)) + hd * d_head,
-                     static_cast<size_t>(d_head), static_cast<size_t>(ctx),
-                     attn_scale_, alibi_ ? alibi_->slopes() + hd : nullptr,
-                     alibi_ ? rrow.data() : nullptr, nullptr, scores.data(),
-                     out.row(static_cast<int64_t>(j)) + hd * d_head,
-                     static_cast<size_t>(group));
-      }
+    };
+    if (pool.size() > 1) {
+      pool.parallel_for(n_q, row_work);
+    } else {
+      row_work(0, n_q);
     }
-  };
-  if (ThreadPool::global().size() > 1 && n_q > 1) {
-    ThreadPool::global().parallel_for(static_cast<size_t>(n_q), row_work);
   } else {
-    row_work(0, static_cast<size_t>(n_q));
+    std::vector<uint8_t> mask_mat(any_mask ? n_q * max_ctx : 0);
+    std::vector<float> rel_mat(alibi_ ? n_q * max_ctx : 0);
+    std::vector<QueryRow> rows;
+    rows.reserve(n_q);
+    for (size_t j = 0; j < n_q; ++j) {
+      rows.push_back(
+          query_row(j, any_mask ? mask_mat.data() + j * max_ctx : nullptr,
+                    alibi_ ? rel_mat.data() + j * max_ctx : nullptr));
+    }
+    auto kv_head_work = [&](size_t kvh_begin, size_t kvh_end) {
+      std::vector<float> scores(scores_sz);
+      for (size_t kvh = kvh_begin; kvh < kvh_end; ++kvh) {
+        for (size_t j = 0; j < n_q; ++j) {
+          attend_group(static_cast<int>(kvh), j, rows[j], scores.data());
+        }
+      }
+    };
+    if (pool.size() > 1 && n_kv_heads > 1) {
+      pool.parallel_for(static_cast<size_t>(n_kv_heads), kv_head_work);
+    } else {
+      kv_head_work(0, static_cast<size_t>(n_kv_heads));
+    }
   }
   return out;
 }
@@ -427,17 +325,16 @@ void Model::finish_block(int layer, const Tensor& attn_out, Tensor& h,
   add_inplace(x, mlp_out);
 }
 
-template <typename AttendFn>
-Tensor Model::run_layers(Tensor& x, std::span<const int> all_rows,
-                         std::span<const int> out_rows,
-                         AttendFn&& attend) const {
+Tensor Model::run_layers(Tensor& x, const Step& st,
+                         std::span<const int> all_rows,
+                         std::span<const int> out_rows) const {
   Tensor h(x.shape());
   for (int l = 0; l < config_.n_layers; ++l) {
     const auto& lw = weights_.layers[static_cast<size_t>(l)];
     const std::span<const int> q_rows =
         l + 1 == config_.n_layers ? out_rows : all_rows;
     apply_norm(lw.norm1_w, lw.norm1_b, x, h);
-    const Tensor attn_out = attend(l, h, q_rows);
+    const Tensor attn_out = attention(l, h, st, q_rows);
     if (q_rows.size() < all_rows.size()) {
       // Final layer: the other rows' K/V are published and nothing reads
       // anything else of them.
@@ -454,129 +351,120 @@ Tensor Model::run_layers(Tensor& x, std::span<const int> all_rows,
   return matmul_nt(x, weights_.lm_head);
 }
 
-Tensor Model::forward(std::span<const TokenId> tokens,
-                      std::span<const int> pos_ids, KVCache& cache,
-                      bool return_all_logits) const {
-  return forward_impl(tokens, pos_ids, {}, cache,
-                      return_all_logits ? LogitRows::kAll : LogitRows::kLast);
+size_t Model::Step::seq_of(int r) const {
+  return static_cast<size_t>(
+      std::upper_bound(row_begin.begin() + 1, row_begin.end(), r) -
+      (row_begin.begin() + 1));
 }
 
-void Model::encode(std::span<const TokenId> tokens,
-                   std::span<const int> pos_ids, KVCache& cache) const {
-  (void)forward_impl(tokens, pos_ids, {}, cache, LogitRows::kNone);
-}
-
-Tensor Model::forward_blocked(std::span<const TokenId> tokens,
-                              std::span<const int> pos_ids,
-                              std::span<const int> block_ids, KVCache& cache,
-                              bool return_all_logits,
-                              std::span<const bool> hidden_from_global) const {
-  PC_CHECK_MSG(cache.empty(), "forward_blocked requires an empty cache");
-  PC_CHECK_MSG(block_ids.size() == tokens.size(),
-               "block_ids length mismatch");
-  PC_CHECK_MSG(hidden_from_global.empty() ||
-                   hidden_from_global.size() == tokens.size(),
-               "hidden_from_global length mismatch");
-  return forward_impl(tokens, pos_ids, block_ids, cache,
-                      return_all_logits ? LogitRows::kAll : LogitRows::kLast,
-                      hidden_from_global);
-}
-
-Tensor Model::forward_impl(std::span<const TokenId> tokens,
-                           std::span<const int> pos_ids,
-                           std::span<const int> block_ids, KVCache& cache,
-                           LogitRows rows,
-                           std::span<const bool> hidden_from_global) const {
-  PC_CHECK_MSG(tokens.size() == pos_ids.size(),
-               "tokens/pos_ids length mismatch");
-  PC_CHECK_MSG(!tokens.empty(), "empty forward");
-  PC_CHECK_MSG(cache.n_layers() == config_.n_layers &&
-                   cache.kv_dim() == config_.kv_dim(),
-               "cache geometry mismatch");
-  for (int p : pos_ids) {
-    PC_CHECK_MSG(p >= 0 && p < config_.max_pos,
-                 "position id " << p << " outside max_pos " << config_.max_pos);
-  }
-
-  const int n_new = static_cast<int>(tokens.size());
-  const int first_new = cache.append_tokens(pos_ids);
-
-  Tensor x({n_new, config_.d_model});
-  embed(tokens, pos_ids, x);
-
-  std::vector<int> all_rows(static_cast<size_t>(n_new));
-  std::iota(all_rows.begin(), all_rows.end(), 0);
-  const size_t first_out = rows == LogitRows::kAll    ? 0
-                           : rows == LogitRows::kLast ? all_rows.size() - 1
-                                                      : all_rows.size();
-  return run_layers(
-      x, all_rows, std::span<const int>(all_rows).subspan(first_out),
-      [&](int l, const Tensor& h, std::span<const int> q_rows) {
-        return attention(l, h, pos_ids, block_ids, hidden_from_global,
-                         first_new, q_rows, cache);
-      });
-}
-
-Tensor Model::forward_batch(std::span<const BatchSeq> seqs) const {
-  PC_CHECK_MSG(!seqs.empty(), "forward_batch: empty batch");
-  const int n_seqs = static_cast<int>(seqs.size());
-  int total = 0;
-  for (int s = 0; s < n_seqs; ++s) {
-    const BatchSeq& seq = seqs[static_cast<size_t>(s)];
-    PC_CHECK_MSG(seq.cache != nullptr, "forward_batch: sequence without cache");
-    PC_CHECK_MSG(seq.tokens.size() == seq.pos_ids.size(),
-                 "forward_batch: tokens/pos_ids length mismatch");
-    PC_CHECK_MSG(!seq.tokens.empty(), "forward_batch: empty sequence");
+Tensor Model::step(std::span<const BatchSeq> seqs) const {
+  PC_CHECK_MSG(!seqs.empty(), "empty step");
+  Step st{seqs, {}, {0}, {}};
+  st.row_begin.reserve(seqs.size() + 1);
+  for (size_t s = 0; s < seqs.size(); ++s) {
+    const BatchSeq& seq = seqs[s];
+    const size_t n = seq.tokens.size();
+    PC_CHECK_MSG(seq.cache != nullptr, "sequence without cache");
+    PC_CHECK_MSG(n == seq.pos_ids.size(), "tokens/pos_ids length mismatch");
+    PC_CHECK_MSG(n > 0, "empty forward");
     PC_CHECK_MSG(seq.cache->n_layers() == config_.n_layers &&
                      seq.cache->kv_dim() == config_.kv_dim(),
-                 "forward_batch: cache geometry mismatch");
+                 "cache geometry mismatch");
     for (int p : seq.pos_ids) {
       PC_CHECK_MSG(p >= 0 && p < config_.max_pos,
                    "position id " << p << " outside max_pos "
                                   << config_.max_pos);
     }
-    for (int t = 0; t < s; ++t) {
-      PC_CHECK_MSG(seqs[static_cast<size_t>(t)].cache != seq.cache,
-                   "forward_batch: sequences must have distinct caches");
+    if (!seq.block_ids.empty()) {  // forward_blocked's mask
+      PC_CHECK_MSG(seq.cache->empty(),
+                   "forward_blocked requires an empty cache");
+      PC_CHECK_MSG(seq.block_ids.size() == n, "block_ids length mismatch");
     }
-    total += static_cast<int>(seq.tokens.size());
+    PC_CHECK_MSG(seq.hidden_from_global.empty() ||
+                     seq.hidden_from_global.size() == seq.block_ids.size(),
+                 "hidden_from_global length mismatch");
+    for (size_t t = 0; t < s; ++t) {
+      PC_CHECK_MSG(seqs[t].cache != seq.cache,
+                   "sequences must have distinct caches");
+    }
+    st.row_begin.push_back(st.row_begin.back() + static_cast<int>(n));
   }
-  PC_SPAN("forward_batch", {"seqs", static_cast<int64_t>(n_seqs)},
-          {"tokens", static_cast<int64_t>(total)});
+  const int total = st.row_begin.back();
 
-  // Flatten: dense row-wise stages run once over every sequence's rows.
-  std::vector<TokenId> tokens;
-  std::vector<int> pos;
-  std::vector<int> row_seq(static_cast<size_t>(total));
-  std::vector<int> row_idx(static_cast<size_t>(total));
-  std::vector<int> first_new(static_cast<size_t>(n_seqs));
+  // Flatten: the dense row-wise stages run once over every sequence's rows.
+  // A lone sequence's spans are the flattened rows as they stand.
+  std::span<const TokenId> tokens = seqs[0].tokens;
+  st.pos = seqs[0].pos_ids;
+  std::vector<TokenId> tokens_buf;
+  std::vector<int> pos_buf;
+  if (seqs.size() > 1) {
+    tokens_buf.reserve(static_cast<size_t>(total));
+    pos_buf.reserve(static_cast<size_t>(total));
+    for (const BatchSeq& seq : seqs) {
+      tokens_buf.insert(tokens_buf.end(), seq.tokens.begin(), seq.tokens.end());
+      pos_buf.insert(pos_buf.end(), seq.pos_ids.begin(), seq.pos_ids.end());
+    }
+    tokens = tokens_buf;
+    st.pos = pos_buf;
+  }
   std::vector<int> all_rows(static_cast<size_t>(total));
   std::iota(all_rows.begin(), all_rows.end(), 0);
-  std::vector<int> out_rows;  // each logits sequence's last row
-  tokens.reserve(static_cast<size_t>(total));
-  pos.reserve(static_cast<size_t>(total));
-  int r = 0;
-  for (int s = 0; s < n_seqs; ++s) {
-    const BatchSeq& seq = seqs[static_cast<size_t>(s)];
-    first_new[static_cast<size_t>(s)] = seq.cache->append_tokens(seq.pos_ids);
-    for (size_t i = 0; i < seq.tokens.size(); ++i) {
-      tokens.push_back(seq.tokens[i]);
-      pos.push_back(seq.pos_ids[i]);
-      row_seq[static_cast<size_t>(r)] = s;
-      row_idx[static_cast<size_t>(r)] = static_cast<int>(i);
-      ++r;
+  std::vector<int> out_rows;
+  st.first_new.reserve(seqs.size());
+  for (size_t s = 0; s < seqs.size(); ++s) {
+    st.first_new.push_back(seqs[s].cache->append_tokens(seqs[s].pos_ids));
+    const int end = st.row_begin[s + 1];
+    switch (seqs[s].logits) {
+      case LogitRows::kLast:
+        out_rows.push_back(end - 1);
+        break;
+      case LogitRows::kAll:
+        for (int r = st.row_begin[s]; r < end; ++r) out_rows.push_back(r);
+        break;
+      case LogitRows::kNone:
+        break;
     }
-    if (seq.logits) out_rows.push_back(r - 1);
   }
 
   Tensor x({total, config_.d_model});
-  embed(tokens, pos, x);
-  return run_layers(
-      x, all_rows, out_rows,
-      [&](int l, const Tensor& h, std::span<const int> q_rows) {
-        return attention_batch(l, h, seqs, first_new, row_seq, row_idx, pos,
-                               q_rows);
-      });
+  embed(tokens, st.pos, x);
+  return run_layers(x, st, all_rows, out_rows);
+}
+
+Tensor Model::forward(std::span<const TokenId> tokens,
+                      std::span<const int> pos_ids, KVCache& cache,
+                      bool return_all_logits) const {
+  const BatchSeq seq{tokens, pos_ids, &cache,
+                     return_all_logits ? LogitRows::kAll : LogitRows::kLast};
+  return step({&seq, 1});
+}
+
+void Model::encode(std::span<const TokenId> tokens,
+                   std::span<const int> pos_ids, KVCache& cache) const {
+  const BatchSeq seq{tokens, pos_ids, &cache, LogitRows::kNone};
+  (void)step({&seq, 1});
+}
+
+Tensor Model::forward_blocked(std::span<const TokenId> tokens,
+                              std::span<const int> pos_ids,
+                              std::span<const int> block_ids, KVCache& cache,
+                              std::span<const bool> hidden_from_global) const {
+  // Empty block_ids would read as an unmasked sequence.
+  PC_CHECK_MSG(block_ids.size() == tokens.size(),
+               "block_ids length mismatch");
+  const BatchSeq seq{tokens,    pos_ids, &cache, LogitRows::kLast,
+                     block_ids, hidden_from_global};
+  return step({&seq, 1});
+}
+
+Tensor Model::forward_batch(std::span<const BatchSeq> seqs) const {
+  PC_SPAN("forward_batch", {"seqs", static_cast<int64_t>(seqs.size())},
+          {"tokens", std::accumulate(seqs.begin(), seqs.end(), int64_t{0},
+                                     [](int64_t n, const BatchSeq& seq) {
+                                       return n + static_cast<int64_t>(
+                                                      seq.tokens.size());
+                                     })});
+  return step(seqs);
 }
 
 TokenId Model::argmax(const Tensor& logits, int64_t row) {

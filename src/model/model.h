@@ -1,25 +1,29 @@
 // Decoder-only transformer inference engine with explicit position IDs and
 // KV-cache injection — the substrate Prompt Cache operates on.
 //
-// The single primitive is forward(): compute attention states for a span of
-// new tokens at caller-chosen position IDs, appending them to a KVCache.
-// Every mode of the paper is an instance of it:
+// There is one model step: compute attention states for spans of new tokens
+// at caller-chosen position IDs, appending each span to its own KVCache.
+// forward_batch() runs it over several independent sequences at once, and
+// forward(), encode() and forward_blocked() over one. Every mode of the
+// paper is an instance of it:
 //   * baseline prefill        — empty cache, positions 0..n-1
 //   * prompt-module encoding  — empty cache, positions from the schema
 //     (module-local attention falls out: nothing else is in the cache);
 //     encode() is its K/V-only form
 //   * uncached-segment filling— cache preloaded with concatenated modules
 //   * autoregressive decode   — one token at a time
+//   * continuous batching     — a Server lane's prefill chunks and decode
+//     tokens of many requests in one step (sys/batch.h)
 //
 // Every new row gets K/V at every layer. Past the final layer's K/V, only
-// the rows whose logits are returned are computed (the last row unless
-// return_all_logits is set; none for encode()): nothing else reads them, and
-// every post-K/V op is row-independent, so no returned or cached bit moves.
+// the rows whose logits are returned are computed (LogitRows: the last row,
+// every row, or none): nothing else reads them, and every post-K/V op is
+// row-independent, so no returned or cached bit moves.
 //
-// New tokens attend to everything already in the cache plus causally to one
-// another. ALiBi biases are computed from the true position IDs stored in
-// the cache, and RoPE keys are cached post-rotation, so modules remain valid
-// after relocation and concatenation (paper §4.2).
+// New tokens attend to everything already in their cache plus causally to
+// one another. ALiBi biases are computed from the true position IDs stored
+// in the cache, and RoPE keys are cached post-rotation, so modules remain
+// valid after relocation and concatenation (paper §4.2).
 #pragma once
 
 #include <memory>
@@ -80,55 +84,64 @@ class Model {
     return KVCache(config_.n_layers, config_.kv_dim(), policy);
   }
 
+  // Which new rows of a sequence run past the final layer's K/V and reach
+  // the logits: the last (the next token's logits), all, or none (K/V only:
+  // encoding, a mid-prompt prefill chunk).
+  enum class LogitRows { kLast, kAll, kNone };
+
   // Computes attention states for `tokens` at `pos_ids` (same length),
   // appends them to `cache` as own rows, and returns logits: [1, vocab] for
-  // the final token, or [n, vocab] when return_all_logits is set. The final
-  // layer runs past K/V for the returned rows only. The cache may lead with
-  // copied or borrowed module rows in any stored format (kv/kv_cache.h).
+  // the final token, or [n, vocab] when return_all_logits is set. The cache
+  // may lead with copied or borrowed module rows in any stored format
+  // (kv/kv_cache.h). A one-sequence forward_batch() step without its span.
   Tensor forward(std::span<const TokenId> tokens,
                  std::span<const int> pos_ids, KVCache& cache,
                  bool return_all_logits = false) const;
 
-  // K/V only: appends the same K/V bits forward() would, and computes
-  // nothing past the final layer's K/V (no final-layer query side or MLP,
-  // no final norm or LM head). For callers that discard the logits: module
-  // and scaffold encoding, and a chat session's catch-up forwards (the
-  // reply's last token, the closing tokens).
+  // K/V only (LogitRows::kNone): appends the same K/V bits forward() would,
+  // and computes nothing past the final layer's K/V (no final-layer query
+  // side or MLP, no final norm or LM head). For callers that discard the
+  // logits: module and scaffold encoding, and a chat session's catch-up
+  // forwards (the reply's last token, the closing tokens).
   void encode(std::span<const TokenId> tokens, std::span<const int> pos_ids,
               KVCache& cache) const;
 
-  // One sequence of a batched step: `tokens` are the new tokens this
-  // iteration (a prefill chunk or a single decode token) at `pos_ids`,
-  // appended to `cache` — which may borrow module rows, so every request
-  // reads shared modules in place. `logits` asks for the last new token's
-  // logits; a mid-prompt prefill chunk clears it, and the step then
-  // computes only its rows' K/V in the final layer.
+  // One sequence of a step: `tokens` are its new tokens (a whole prompt, a
+  // prefill chunk or a single decode token) at `pos_ids`, appended to
+  // `cache`, which may borrow module rows, so every request reads shared
+  // modules in place. `logits` picks the rows returned; a mid-prompt
+  // prefill chunk asks for none. `block_ids` and `hidden_from_global` are
+  // forward_blocked()'s attention mask (empty: unmasked); a masked
+  // sequence needs an empty cache.
   struct BatchSeq {
     std::span<const TokenId> tokens;
     std::span<const int> pos_ids;
     KVCache* cache = nullptr;
-    bool logits = true;
+    LogitRows logits = LogitRows::kLast;
+    std::span<const int> block_ids = {};
+    std::span<const bool> hidden_from_global = {};
   };
 
-  // Batched step over independent sequences (continuous batching, see
-  // sys/batch.h): the dense row-wise work — embeddings, norms, QKV/output
-  // projections, MLP — runs once over the concatenated rows of every
-  // sequence, while attention stays per-sequence (each row attends only to
-  // its own cache, causally within its chunk). Every per-row computation is
-  // bitwise identical to running the sequences through forward()
-  // one at a time — the foundation of the batched == sequential token
-  // equality the serve path guarantees. Returns one logits row per sequence
-  // with `logits` set, for its last new token, in batch order
-  // ([m, vocab]; empty when m == 0). Caches must be distinct.
+  // The model step over independent sequences: forward(), encode() and
+  // forward_blocked() are its one-sequence calls, and a Server lane runs it
+  // over its batch (continuous batching, sys/batch.h) under a
+  // "forward_batch" span. The dense row-wise work — embeddings, norms,
+  // QKV/output projections, MLP — runs once over the concatenated rows of
+  // every sequence, while attention stays per-sequence: each query row
+  // attends only to its own cache, causally within its sequence's new rows,
+  // under its own mask. A row's kernel inputs never depend on the other
+  // sequences in the step, so a sequence's bits are the same batched or
+  // alone. Returns each sequence's `logits` rows in batch order ([m,
+  // vocab]; empty when m == 0). Caches must be distinct.
   Tensor forward_batch(std::span<const BatchSeq> seqs) const;
 
   // Reference path: one prefill over the whole prompt with a block-diagonal
-  // attention mask. Token i may attend to token j (j <= i) iff they share a
-  // block id, or block_ids[i] == kGlobalBlock (attends to everything). This
-  // reproduces, in a single forward, exactly the attention pattern Prompt
-  // Cache realizes through per-module encoding + concatenation (§3.1), and
-  // the test suite asserts bitwise equality between the two. The cache must
-  // be empty on entry.
+  // attention mask, returning the last token's logits. Token i may attend
+  // to token j (j <= i) iff they share a block id, or block_ids[i] ==
+  // kGlobalBlock (attends to everything). This reproduces, in a single
+  // forward, exactly the attention pattern Prompt Cache realizes through
+  // per-module encoding + concatenation (§3.1), and the test suite asserts
+  // bitwise equality between the two. The cache must be empty on entry.
   //
   // `hidden_from_global` (optional, same length as tokens) marks rows that
   // global-block tokens must NOT attend to even though same-block tokens
@@ -139,7 +152,6 @@ class Model {
   Tensor forward_blocked(std::span<const TokenId> tokens,
                          std::span<const int> pos_ids,
                          std::span<const int> block_ids, KVCache& cache,
-                         bool return_all_logits = false,
                          std::span<const bool> hidden_from_global = {}) const;
 
   // Decoding continuing from `last_logits` (the output of a forward over
@@ -185,37 +197,34 @@ class Model {
              Tensor& x) const;
   void apply_norm(const Tensor& w, const Tensor& b, const Tensor& x,
                   Tensor& out) const;
-  // Which new rows of a forward run past the final layer's K/V and reach
-  // the logits.
-  enum class LogitRows { kLast, kAll, kNone };
-  Tensor forward_impl(std::span<const TokenId> tokens,
-                      std::span<const int> pos_ids,
-                      std::span<const int> block_ids, KVCache& cache,
-                      LogitRows rows,
-                      std::span<const bool> hidden_from_global = {}) const;
+  // A step's sequences, their rows flattened in batch order.
+  struct Step {
+    std::span<const BatchSeq> seqs;
+    std::vector<int> first_new;  // per sequence: its first new cache slot
+    std::vector<int> row_begin;  // per sequence: its first row; then total
+    std::span<const int> pos;    // per row: its position id
+    // The sequence row r belongs to.
+    size_t seq_of(int r) const;
+  };
+  // Validates and flattens the step, appends every sequence's rows to its
+  // cache, and runs the layer stack.
+  Tensor step(std::span<const BatchSeq> seqs) const;
   // The layer stack over embedded rows x (whose indices are all_rows):
-  // attend(layer, h, q_rows) publishes every row's K/V and returns the
-  // attention output of rows q_rows, which are all_rows except in the final
-  // layer, where they are out_rows. Returns the logits of out_rows, or an
-  // empty tensor when out_rows is empty.
-  template <typename AttendFn>
-  Tensor run_layers(Tensor& x, std::span<const int> all_rows,
-                    std::span<const int> out_rows, AttendFn&& attend) const;
+  // every row publishes its K/V at every layer, and rows q_rows run the
+  // query side, which are all_rows except in the final layer, where they
+  // are out_rows. Returns the logits of out_rows, or an empty tensor when
+  // out_rows is empty.
+  Tensor run_layers(Tensor& x, const Step& st, std::span<const int> all_rows,
+                    std::span<const int> out_rows) const;
   // Query projections of h's rows `rows` (all of h when it has no others),
   // rotated at their positions on RoPE models.
   Tensor queries(int layer, const Tensor& h, std::span<const int> pos_ids,
                  std::span<const int> rows) const;
-  Tensor attention(int layer, const Tensor& h, std::span<const int> pos_ids,
-                   std::span<const int> block_ids,
-                   std::span<const bool> hidden_from_global, int first_new,
-                   std::span<const int> q_rows, KVCache& cache) const;
-  Tensor attention_batch(int layer, const Tensor& h,
-                         std::span<const BatchSeq> seqs,
-                         const std::vector<int>& first_new,
-                         const std::vector<int>& row_seq,
-                         const std::vector<int>& row_idx,
-                         std::span<const int> pos_ids,
-                         std::span<const int> q_rows) const;
+  // Layer `layer`'s self-attention over the step's rows h: publishes every
+  // row's K/V into its sequence's cache and returns the output of rows
+  // q_rows, each attending over its own cache under its own mask.
+  Tensor attention(int layer, const Tensor& h, const Step& st,
+                   std::span<const int> q_rows) const;
   // Output projection, residual and MLP of `layer` for the rows of attn_out;
   // h holds the same rows' norm1 output.
   void finish_block(int layer, const Tensor& attn_out, Tensor& h,

@@ -372,7 +372,8 @@ bool BatchScheduler::step() {
                                    static_cast<size_t>(chunk)),
           std::span<const int>(s.stream.pos_ids.data() + s.prefill_done,
                                static_cast<size_t>(chunk)),
-          &s.kv->cache, final_chunk});
+          &s.kv->cache,
+          final_chunk ? Model::LogitRows::kLast : Model::LogitRows::kNone});
       refs.push_back({&s, chunk, final_chunk ? logits_rows++ : -1});
     } else {  // kDecode: the decoder's next forward
       batch.push_back(Model::BatchSeq{{&s.decoder->token(), 1},

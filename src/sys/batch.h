@@ -31,14 +31,16 @@
 // Determinism contract: batched serving emits bitwise-identical tokens to
 // sequential serving (PromptCacheEngine::serve), copy or zero-copy, at
 // every KV format: copied and borrowed module rows are the same bytes read
-// by the same kernels. Model::forward_batch keeps every per-row computation
-// bitwise equal to forward(), chunked prefill only splits rows across
-// iterations (row i's values depend only on rows <= i; a mid-prompt chunk
-// asks for no logits, so its rows stop at K/V in the final layer), and
-// each request decodes through the same Decoder as Model::generate
-// (model/model.h), fed its row of the step's logits. Admission collects the
-// uncached stream with serve()'s rule (collect_uncached), so the kickoff
-// and the first generated position match too.
+// by the same kernels. Model::forward_batch and forward() are one code
+// path, not two kept equal: forward() is a one-sequence step, and a row's
+// kernel inputs never depend on the other sequences in its step. Chunked
+// prefill only splits rows across iterations (row i's values depend only
+// on rows <= i; a mid-prompt chunk asks for no logits, so its rows stop at
+// K/V in the final layer), and each request decodes through the same
+// Decoder as Model::generate (model/model.h), fed its row of the step's
+// logits. Admission collects the uncached stream with serve()'s rule
+// (collect_uncached), so the kickoff and the first generated position
+// match too.
 // tests/test_batch_serve.cpp asserts this for batch sizes 1/2/4/8 with and
 // without shared modules, and on random weights at fp32, q8 and q4.
 //

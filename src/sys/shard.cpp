@@ -14,9 +14,8 @@
 //     take the destination's.
 //   * events_mutex_ is a leaf: push_event takes nothing else, and may be
 //     called while holding mutex_ or a lifecycle.
-//   * replicator_mutex_ serializes healing passes and fronts the
-//     replicator thread's cv; a pass takes mutex_/lifecycles underneath it
-//     (never the reverse).
+//   * replicate_mutex_ serializes healing passes; a pass takes
+//     mutex_/lifecycles underneath it (never the reverse).
 //
 // Failover accounting: a request's failover count is incremented exactly
 // once per lost dispatch — either when a kill flushes its inflight_ entry,
@@ -41,6 +40,12 @@ namespace pc {
 
 namespace {
 
+// Placement ring: virtual nodes per shard, and the seed of their positions.
+// 64 vnodes keep the max/min owned-key ratio near 1 for the module counts
+// this repo serves.
+constexpr int kVnodes = 64;
+constexpr uint64_t kRingSeed = 0x5eedULL;
+
 uint64_t splitmix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -64,7 +69,6 @@ ShardRouter::ShardRouter(const Model& model, const TextTokenizer& tokenizer,
   PC_CHECK_MSG(config_.n_shards > 0, "ShardRouter needs at least one shard");
   config_.replication =
       std::clamp(config_.replication, 1, config_.n_shards);
-  if (config_.vnodes < 1) config_.vnodes = 1;
 
   auto& reg = obs::MetricsRegistry::global();
   submitted_ = reg.counter("pc_shard_router_submitted_total",
@@ -86,14 +90,14 @@ ShardRouter::ShardRouter(const Model& model, const TextTokenizer& tokenizer,
                   "requests degraded because every replica was down");
   live_gauge_ = reg.gauge("pc_shard_live", "shards currently alive");
 
-  // The placement ring: vnodes per shard at splitmix64-spread positions.
-  // Deterministic in (ring_seed, n_shards, vnodes) only — two routers with
-  // the same config agree on every owner set.
-  ring_.reserve(static_cast<size_t>(config_.n_shards) * config_.vnodes);
+  // The placement ring: kVnodes per shard at splitmix64-spread positions.
+  // Deterministic in n_shards only — two routers with the same shard count
+  // agree on every owner set.
+  ring_.reserve(static_cast<size_t>(config_.n_shards) * kVnodes);
   for (int s = 0; s < config_.n_shards; ++s) {
-    for (int v = 0; v < config_.vnodes; ++v) {
+    for (int v = 0; v < kVnodes; ++v) {
       const uint64_t h = splitmix64(
-          config_.ring_seed ^
+          kRingSeed ^
           splitmix64(static_cast<uint64_t>(s + 1) * 0x9e3779b97f4a7c15ULL +
                      static_cast<uint64_t>(v)));
       ring_.emplace_back(h, s);
@@ -160,9 +164,6 @@ ShardRouter::ShardRouter(const Model& model, const TextTokenizer& tokenizer,
   }
 
   pump_ = std::thread([this] { pump_loop(); });
-  if (config_.replicate_interval_ms > 0) {
-    replicator_ = std::thread([this] { replicator_loop(); });
-  }
 }
 
 ShardRouter::~ShardRouter() { stop(); }
@@ -197,7 +198,7 @@ void ShardRouter::build_shard(Shard& s, uint64_t gen_epoch) {
 
 std::vector<int> ShardRouter::owners_of(const std::string& key) const {
   const uint64_t h =
-      splitmix64(std::hash<std::string>{}(key) ^ config_.ring_seed);
+      splitmix64(std::hash<std::string>{}(key) ^ kRingSeed);
   std::vector<int> owners;
   owners.reserve(static_cast<size_t>(config_.replication));
   auto it = std::lower_bound(ring_.begin(), ring_.end(),
@@ -297,7 +298,7 @@ int ShardRouter::pick_shard_locked(const std::vector<std::string>& keys,
 int ShardRouter::route_shard(const std::string& prompt) const {
   const auto keys = prompt_module_keys(prompt);
   const uint64_t h =
-      splitmix64(std::hash<std::string>{}(prompt) ^ config_.ring_seed);
+      splitmix64(std::hash<std::string>{}(prompt) ^ kRingSeed);
   std::lock_guard<std::mutex> lock(mutex_);
   return pick_shard_locked(keys, h);
 }
@@ -473,7 +474,7 @@ void ShardRouter::dispatch(uint64_t rid) {
 
   const auto keys = prompt_module_keys(prompt);
   const uint64_t prompt_hash =
-      splitmix64(std::hash<std::string>{}(prompt) ^ config_.ring_seed);
+      splitmix64(std::hash<std::string>{}(prompt) ^ kRingSeed);
 
   // Phase 2: pick a live target and snapshot its epoch + fleet liveness.
   int target = -1;
@@ -631,11 +632,9 @@ void ShardRouter::dispatch(uint64_t rid) {
           // slot and stream out copies no concurrent request references.
           // (A kill since phase 2 already reclaimed both.)
           if (tgt.outstanding > 0) --tgt.outstanding;
-          if (!config_.cache_cross_fetches) {
-            for (const auto& key : fetched) {
-              if (fetch_refs_.find({target, key}) == fetch_refs_.end()) {
-                stranded.push_back(key);
-              }
+          for (const auto& key : fetched) {
+            if (fetch_refs_.find({target, key}) == fetch_refs_.end()) {
+              stranded.push_back(key);
             }
           }
         }
@@ -683,9 +682,7 @@ void ShardRouter::dispatch(uint64_t rid) {
         // epoch mismatch the kill already cleared the shard's refs and the
         // restart rebuilds the store empty — nothing to reference.)
         p.fetched_keys = fetched;
-        if (!config_.cache_cross_fetches) {
-          for (const auto& key : fetched) ++fetch_refs_[{target, key}];
-        }
+        for (const auto& key : fetched) ++fetch_refs_[{target, key}];
       }
       if (!tgt.alive || tgt.epoch != epoch_snap) {
         // Killed while submit() was in flight; the zombie's delivery will
@@ -838,7 +835,7 @@ std::vector<std::string> ShardRouter::deliver_locked(uint64_t rid, int shard,
     if (s.outstanding > 0) --s.outstanding;
   }
   std::vector<std::string> cleanup;
-  if (!config_.cache_cross_fetches && shard >= 0 && shard == p.last_shard) {
+  if (shard >= 0 && shard == p.last_shard) {
     // Release this request's references; stream out keys nobody else uses.
     for (const auto& key : p.fetched_keys) {
       auto rit = fetch_refs_.find({shard, key});
@@ -929,13 +926,12 @@ void ShardRouter::process_restart(int shard) {
     live_gauge_.add(1);
   }
   PC_INSTANT("shard_restart", {"shard", static_cast<int64_t>(shard)});
-  replicator_cv_.notify_all();
 }
 
 // --- Healing ---------------------------------------------------------------
 
 uint64_t ShardRouter::replicate_now() {
-  std::lock_guard<std::mutex> lock(replicator_mutex_);
+  std::lock_guard<std::mutex> lock(replicate_mutex_);
   return replicate_pass();
 }
 
@@ -1020,19 +1016,6 @@ uint64_t ShardRouter::replicate_pass() {
   return healed;
 }
 
-void ShardRouter::replicator_loop() {
-  std::unique_lock<std::mutex> lock(replicator_mutex_);
-  while (!replicator_stop_) {
-    replicator_cv_.wait_for(
-        lock,
-        std::chrono::duration<double, std::milli>(
-            config_.replicate_interval_ms),
-        [this] { return replicator_stop_; });
-    if (replicator_stop_) return;
-    replicate_pass();  // still holding replicator_mutex_: passes serialize
-  }
-}
-
 // --- Drain / stop / stats --------------------------------------------------
 
 std::vector<ShardResponse> ShardRouter::drain() {
@@ -1057,12 +1040,6 @@ void ShardRouter::stop() {
       return delivered_count_ == next_rid_ && stream_outs_pending_ == 0;
     });
   }
-  {
-    std::lock_guard<std::mutex> lock(replicator_mutex_);
-    replicator_stop_ = true;
-  }
-  replicator_cv_.notify_all();
-  if (replicator_.joinable()) replicator_.join();
   {
     std::lock_guard<std::mutex> lock(events_mutex_);
     pump_stop_ = true;

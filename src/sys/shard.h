@@ -26,9 +26,9 @@
 //     store-to-store, the transfer time charged through
 //     ShardConfig::cross_link as extra stall on the request (overlapping
 //     other requests' compute, like every LinkModel stall). Fetched
-//     non-owned copies are streamed: dropped again once the request
-//     completes (cache_cross_fetches keeps them instead), so fleet
-//     footprint stays ~R × distinct module bytes instead of N ×.
+//     non-owned copies are streamed: dropped again once the last request
+//     using them completes, so fleet footprint stays ~R × distinct module
+//     bytes instead of N ×.
 //
 //   * Failover. FaultPoint::kShardKill (PC_FAULTS "shardkill=rate[xN]")
 //     kills a shard deterministically: its health epoch bumps, its
@@ -41,10 +41,11 @@
 //     (tests/test_shard.cpp) asserts against an unsharded Server.
 //
 //   * Healing. A killed shard restarts (after restart_after_submits
-//     submits, or restart_shard()) with an empty store; a background
-//     replicator copies every owned module back from surviving holders
-//     (re-encoding when no copy survived anywhere) so replication factor R
-//     is restored without blocking serving.
+//     submits, or restart_shard()) with an empty store. replicate_now()
+//     copies every owned module back from surviving holders (re-encoding
+//     when no copy survived anywhere), restoring replication factor R;
+//     until a pass runs, a restarted owner encodes the modules it serves
+//     on demand, unpinned.
 //
 // Counters land in the pc_shard_* registry family; availability feeds a
 // router-level SloTracker so chaos runs can assert availability 1.0.
@@ -75,11 +76,6 @@ struct ShardConfig {
   // Replication factor: how many shards pin each module resident. Clamped
   // to n_shards. R >= 2 survives any single shard kill without degrading.
   int replication = 2;
-  // Virtual nodes per shard on the placement ring. More vnodes = smoother
-  // key balance; 64 keeps the max/min owned-key ratio near 1 for the
-  // module counts this repo serves.
-  int vnodes = 64;
-  uint64_t ring_seed = 0x5eedULL;
   // Per-shard serving config. schemas/engine/link/retry and the lanes
   // (n_workers x batch.max_batch) all apply per shard; the router forces
   // retain_responses=false and installs its own on_record hook.
@@ -94,16 +90,9 @@ struct ShardConfig {
   // Inter-shard interconnect: cross-shard module fetches and
   // re-replication copies are charged stall_s(bytes) through this model.
   LinkModel cross_link;
-  // Keep cross-fetched non-owned copies resident (evictable) instead of
-  // dropping them at request completion. Off by default: streaming keeps
-  // fleet footprint at ~R × distinct bytes under skewed popularity.
-  bool cache_cross_fetches = false;
   // Auto-restart a killed shard after this many router submits (0 = only
   // restart_shard() / the all-dead rescue restarts it).
   int restart_after_submits = 0;
-  // Background re-replication cadence (0 = no thread; replicate_now()
-  // still works, which is what the deterministic tests use).
-  double replicate_interval_ms = 0;
   obs::SloConfig slo;  // router-level availability window
 };
 
@@ -167,7 +156,7 @@ class ShardRouter {
   // (through any number of failovers), returns them sorted by id.
   std::vector<ShardResponse> drain();
 
-  // Stops the pump/replicator threads and every shard Server. Idempotent;
+  // Stops the pump thread and every shard Server. Idempotent;
   // the destructor calls it. Requests still in flight are completed first.
   void stop();
 
@@ -179,13 +168,14 @@ class ShardRouter {
   // Kills a shard now: health epoch bumps, in-flight requests fail over.
   // No-op if already dead.
   void kill_shard(int shard);
-  // Schedules a dead shard's restart on the pump thread (empty store; the
-  // replicator re-pins its owned keys). No-op if alive. Does not block —
-  // poll shard_alive() or call drain() to observe completion.
+  // Schedules a dead shard's restart on the pump thread (empty store;
+  // replicate_now() re-pins its owned keys). No-op if alive. Does not
+  // block — poll shard_alive() or call drain() to observe completion.
   void restart_shard(int shard);
   bool shard_alive(int shard) const;
-  // One synchronous re-replication pass (the background thread's body) —
-  // the deterministic test seam. Returns modules copied or re-encoded.
+  // One synchronous re-replication pass over every module key: pins each
+  // live owner's copy, copying or re-encoding the ones it lacks. Returns
+  // modules copied or re-encoded.
   uint64_t replicate_now();
 
   // Introspection (test seams) ----------------------------------------------
@@ -252,7 +242,7 @@ class ShardRouter {
     // Non-owned keys this dispatch uses on last_shard (cross-fetched or
     // already present from a concurrent request). Each holds a fetch_refs_
     // reference; the key streams back out of the store when the last
-    // reference drops (unless cache_cross_fetches).
+    // reference drops.
     std::vector<std::string> fetched_keys;
   };
 
@@ -261,15 +251,14 @@ class ShardRouter {
   void build_shard(Shard& s, uint64_t gen_epoch);
   void push_event(Event e);
   void pump_loop();
-  void replicator_loop();
-  // One healing sweep over all_keys_ (caller holds replicator_mutex_).
+  // One healing sweep over all_keys_ (caller holds replicate_mutex_).
   uint64_t replicate_pass();
   // Routes + dispatches pending_[rid] to a live shard (or delivers kFailed
   // when none). Called from submit() and from the pump (failover).
   void dispatch(uint64_t rid);
   // Books the terminal response under mutex_; returns the cross-fetched
   // keys to stream back out of `shard`'s store (empty unless this delivery
-  // came from the last dispatch target and streaming is on). The caller
+  // came from the last dispatch target). The caller
   // hands them to stream_out() once mutex_ is released.
   std::vector<std::string> deliver_locked(uint64_t rid, int shard,
                                           ServerResponse&& resp);
@@ -344,10 +333,7 @@ class ShardRouter {
   std::chrono::steady_clock::time_point last_delivery_;
 
   std::thread pump_;
-  std::thread replicator_;
-  std::mutex replicator_mutex_;  // serializes replicate passes
-  std::condition_variable replicator_cv_;
-  bool replicator_stop_ = false;
+  std::mutex replicate_mutex_;  // serializes replicate passes
 
   obs::SloTracker slo_;
   obs::Counter submitted_;      // pc_shard_router_submitted_total

@@ -2,7 +2,9 @@
 //
 //   * forward_batch is bitwise-identical to forward() over dense caches,
 //     chunked or not, solo or batched, with or without borrowed module
-//     rows;
+//     rows, and a masked sequence batched with unmasked ones to its solo
+//     forward_blocked, on the induction model and four random-weight
+//     families;
 //   * a Server lane produces bitwise-identical tokens to sequential
 //     PromptCacheEngine::serve at every batch width (greedy and sampled),
 //     and to copy and zero-copy engines on random weights for four model
@@ -35,6 +37,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -120,26 +123,42 @@ void check_accounting(const ServerStats& s) {
 // ---------------------------------------------------------------------------
 // forward_batch: the kernel-level bitwise contract
 
-TEST_F(BatchServeTest, ForwardBatchMatchesForwardBitwise) {
-  const auto tokens = workload_.tokenizer().encode(
-      "w00 w01 q05 a10 a11 . w02 w03 q06 a12 a13 . w04");
+// Every layer's K and V rows of `view` equal `want`'s, bit for bit.
+void expect_rows(const KVCache& view, const KVCache& want) {
+  ASSERT_EQ(view.size(), want.size());
+  const size_t kv_bytes = static_cast<size_t>(want.kv_dim()) * sizeof(float);
+  for (int l = 0; l < want.n_layers(); ++l) {
+    for (int t = 0; t < want.size(); ++t) {
+      ASSERT_EQ(std::memcmp(view.k_row(l, t), want.k_row(l, t), kv_bytes), 0)
+          << "K layer " << l << " token " << t;
+      ASSERT_EQ(std::memcmp(view.v_row(l, t), want.v_row(l, t), kv_bytes), 0)
+          << "V layer " << l << " token " << t;
+    }
+  }
+}
+
+// forward_batch == forward() / forward_blocked() on `model` over `tokens`:
+// whole, chunked, two sequences, over borrowed module rows, a step mixing
+// logit selectors, and masked sequences stepped with unmasked ones.
+void expect_forward_batch_matches_forward(const Model& model,
+                                          const std::vector<TokenId>& tokens) {
   const int n = static_cast<int>(tokens.size());
   ASSERT_GE(n, 8);
   std::vector<int> pos(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) pos[static_cast<size_t>(i)] = i;
 
-  KVCache dense = model_.make_cache();
-  const Tensor ref = model_.forward(tokens, pos, dense);
+  KVCache dense = model.make_cache();
+  const Tensor ref = model.forward(tokens, pos, dense);
   ASSERT_EQ(ref.dim(0), 1);
 
-  const int n_layers = model_.config().n_layers;
-  const int kv_dim = model_.config().kv_dim();
+  const int n_layers = model.config().n_layers;
+  const int kv_dim = model.config().kv_dim();
 
   // Whole sequence in one batched call.
   {
     KVCache cache(n_layers, kv_dim);
     Model::BatchSeq seq{tokens, pos, &cache};
-    const Tensor out = model_.forward_batch({&seq, 1});
+    const Tensor out = model.forward_batch({&seq, 1});
     ASSERT_EQ(out.dim(0), 1);
     ASSERT_EQ(out.dim(1), ref.dim(1));
     EXPECT_EQ(std::memcmp(out.data(), ref.data(),
@@ -159,7 +178,7 @@ TEST_F(BatchServeTest, ForwardBatchMatchesForwardBitwise) {
                                    static_cast<size_t>(len)),
           std::span<const int>(pos.data() + at, static_cast<size_t>(len)),
           &cache};
-      out = model_.forward_batch({&seq, 1});
+      out = model.forward_batch({&seq, 1});
     }
     EXPECT_EQ(std::memcmp(out.data(), ref.data(),
                           static_cast<size_t>(ref.dim(1)) * sizeof(float)),
@@ -170,8 +189,8 @@ TEST_F(BatchServeTest, ForwardBatchMatchesForwardBitwise) {
   // its solo dense run.
   {
     const int n2 = n / 2;
-    KVCache dense2 = model_.make_cache();
-    const Tensor ref2 = model_.forward(
+    KVCache dense2 = model.make_cache();
+    const Tensor ref2 = model.forward(
         std::span<const TokenId>(tokens.data(), static_cast<size_t>(n2)),
         std::span<const int>(pos.data(), static_cast<size_t>(n2)), dense2);
 
@@ -181,7 +200,7 @@ TEST_F(BatchServeTest, ForwardBatchMatchesForwardBitwise) {
         {tokens, pos, &a},
         {std::span<const TokenId>(tokens.data(), static_cast<size_t>(n2)),
          std::span<const int>(pos.data(), static_cast<size_t>(n2)), &b}};
-    const Tensor out = model_.forward_batch(seqs);
+    const Tensor out = model.forward_batch(seqs);
     ASSERT_EQ(out.dim(0), 2);
     const size_t row_bytes = static_cast<size_t>(ref.dim(1)) * sizeof(float);
     EXPECT_EQ(std::memcmp(out.data(), ref.data(), row_bytes), 0);
@@ -193,8 +212,8 @@ TEST_F(BatchServeTest, ForwardBatchMatchesForwardBitwise) {
   // in place, the rest batched on top — the batch path's cache shape.
   {
     const int half = n / 2;
-    KVCache module = model_.make_cache();
-    (void)model_.forward(
+    KVCache module = model.make_cache();
+    (void)model.forward(
         std::span<const TokenId>(tokens.data(), static_cast<size_t>(half)),
         std::span<const int>(pos.data(), static_cast<size_t>(half)), module);
     KVCache view(n_layers, kv_dim);
@@ -204,7 +223,7 @@ TEST_F(BatchServeTest, ForwardBatchMatchesForwardBitwise) {
                                  static_cast<size_t>(n - half)),
         std::span<const int>(pos.data() + half, static_cast<size_t>(n - half)),
         &view};
-    const Tensor out = model_.forward_batch({&seq, 1});
+    const Tensor out = model.forward_batch({&seq, 1});
     EXPECT_EQ(view.module_rows(), half);
     EXPECT_EQ(std::memcmp(out.data(), ref.data(),
                           static_cast<size_t>(ref.dim(1)) * sizeof(float)),
@@ -220,24 +239,24 @@ TEST_F(BatchServeTest, ForwardBatchMatchesForwardBitwise) {
     KVCache mid(n_layers, kv_dim);
     KVCache fin(n_layers, kv_dim);
     KVCache dec(n_layers, kv_dim);
-    (void)model_.forward(
+    (void)model.forward(
         std::span<const TokenId>(tokens.data(), static_cast<size_t>(split)),
         std::span<const int>(pos.data(), static_cast<size_t>(split)), fin);
-    (void)model_.forward(
+    (void)model.forward(
         std::span<const TokenId>(tokens.data(), static_cast<size_t>(n2)),
         std::span<const int>(pos.data(), static_cast<size_t>(n2)), dec);
-    KVCache dense_dec = model_.make_cache();
-    (void)model_.forward(
+    KVCache dense_dec = model.make_cache();
+    (void)model.forward(
         std::span<const TokenId>(tokens.data(), static_cast<size_t>(n2)),
         std::span<const int>(pos.data(), static_cast<size_t>(n2)), dense_dec);
-    const Tensor ref_dec = model_.forward(
+    const Tensor ref_dec = model.forward(
         std::span<const TokenId>(tokens.data() + n2, 1),
         std::span<const int>(pos.data() + n2, 1), dense_dec);
 
     Model::BatchSeq step[3] = {
         {std::span<const TokenId>(tokens.data(), static_cast<size_t>(split)),
          std::span<const int>(pos.data(), static_cast<size_t>(split)), &mid,
-         /*logits=*/false},
+         Model::LogitRows::kNone},
         {std::span<const TokenId>(tokens.data() + split,
                                   static_cast<size_t>(n - split)),
          std::span<const int>(pos.data() + split,
@@ -245,28 +264,14 @@ TEST_F(BatchServeTest, ForwardBatchMatchesForwardBitwise) {
          &fin},
         {std::span<const TokenId>(tokens.data() + n2, 1),
          std::span<const int>(pos.data() + n2, 1), &dec}};
-    const Tensor out = model_.forward_batch(step);
+    const Tensor out = model.forward_batch(step);
     ASSERT_EQ(out.dim(0), 2);
     const size_t row_bytes = static_cast<size_t>(ref.dim(1)) * sizeof(float);
     EXPECT_EQ(std::memcmp(out.row(0), ref.data(), row_bytes), 0);
     EXPECT_EQ(std::memcmp(out.row(1), ref_dec.data(), row_bytes), 0);
 
-    const size_t kv_bytes = static_cast<size_t>(kv_dim) * sizeof(float);
-    auto expect_rows = [&](const KVCache& view, const KVCache& want) {
-      ASSERT_EQ(view.size(), want.size());
-      for (int l = 0; l < n_layers; ++l) {
-        for (int t = 0; t < want.size(); ++t) {
-          ASSERT_EQ(std::memcmp(view.k_row(l, t), want.k_row(l, t), kv_bytes),
-                    0)
-              << "K layer " << l << " token " << t;
-          ASSERT_EQ(std::memcmp(view.v_row(l, t), want.v_row(l, t), kv_bytes),
-                    0)
-              << "V layer " << l << " token " << t;
-        }
-      }
-    };
-    KVCache dense_mid = model_.make_cache();
-    (void)model_.forward(
+    KVCache dense_mid = model.make_cache();
+    (void)model.forward(
         std::span<const TokenId>(tokens.data(), static_cast<size_t>(split)),
         std::span<const int>(pos.data(), static_cast<size_t>(split)),
         dense_mid);
@@ -279,9 +284,90 @@ TEST_F(BatchServeTest, ForwardBatchMatchesForwardBitwise) {
     Model::BatchSeq chunk{
         std::span<const TokenId>(tokens.data(), static_cast<size_t>(split)),
         std::span<const int>(pos.data(), static_cast<size_t>(split)), &lone,
-        /*logits=*/false};
-    EXPECT_TRUE(model_.forward_batch({&chunk, 1}).empty());
+        Model::LogitRows::kNone};
+    EXPECT_TRUE(model.forward_batch({&chunk, 1}).empty());
     expect_rows(lone, dense_mid);
+  }
+
+  // A masked sequence (forward_blocked's mask: two blocks, then global
+  // rows that do not see a hidden row of the second block) stepped with
+  // unmasked ones: its logits and K/V equal its solo forward_blocked, and
+  // theirs their solo forwards (one of them at far positions). The
+  // full-length step runs the per-row schedule in its uncut layers; the
+  // 5-row one, under 8 query rows in every layer, only the per-KV-head
+  // schedule.
+  for (const int len : {n, 5}) {
+    SCOPED_TRACE("masked length " + std::to_string(len));
+    const size_t ulen = static_cast<size_t>(len);
+    const std::span<const TokenId> masked_tokens(tokens.data(), ulen);
+    const std::span<const int> masked_pos(pos.data(), ulen);
+    std::vector<int> blocks(ulen);
+    for (int i = 0; i < len; ++i) {
+      blocks[static_cast<size_t>(i)] = i < len / 3       ? 1
+                                       : i < 2 * len / 3 ? 2
+                                                         : Model::kGlobalBlock;
+    }
+    const auto hidden = std::make_unique<bool[]>(ulen);
+    hidden[static_cast<size_t>(len / 3 + 1)] = true;
+    const std::span<const bool> hidden_span(hidden.get(), ulen);
+    KVCache solo = model.make_cache();
+    const Tensor want =
+        model.forward_blocked(masked_tokens, masked_pos, blocks, solo,
+                              hidden_span);
+
+    const int n2 = n / 2;
+    const std::span<const TokenId> head(tokens.data(),
+                                        static_cast<size_t>(n2));
+    const std::span<const int> head_pos(pos.data(), static_cast<size_t>(n2));
+    KVCache dense_dec = model.make_cache();
+    (void)model.forward(head, head_pos, dense_dec);
+    KVCache dec = model.make_cache();
+    (void)model.forward(head, head_pos, dec);
+    const Tensor ref_dec = model.forward(
+        std::span<const TokenId>(tokens.data() + n2, 1),
+        std::span<const int>(pos.data() + n2, 1), dense_dec);
+    // A short prompt at far positions: ALiBi distances are per sequence.
+    const int far_pos[3] = {100, 101, 102};
+    KVCache dense_pre = model.make_cache();
+    const Tensor ref_pre = model.forward(
+        std::span<const TokenId>(tokens.data(), 3), far_pos, dense_pre);
+
+    KVCache masked(n_layers, kv_dim);
+    KVCache pre(n_layers, kv_dim);
+    Model::BatchSeq step[3] = {
+        {std::span<const TokenId>(tokens.data() + n2, 1),
+         std::span<const int>(pos.data() + n2, 1), &dec},
+        {masked_tokens, masked_pos, &masked, Model::LogitRows::kLast, blocks,
+         hidden_span},
+        {std::span<const TokenId>(tokens.data(), 3), far_pos, &pre}};
+    const Tensor out = model.forward_batch(step);
+    ASSERT_EQ(out.dim(0), 3);
+    const size_t row_bytes = static_cast<size_t>(want.dim(1)) * sizeof(float);
+    EXPECT_EQ(std::memcmp(out.row(0), ref_dec.data(), row_bytes), 0);
+    EXPECT_EQ(std::memcmp(out.row(1), want.data(), row_bytes), 0);
+    EXPECT_EQ(std::memcmp(out.row(2), ref_pre.data(), row_bytes), 0);
+    expect_rows(masked, solo);
+    expect_rows(dec, dense_dec);
+    expect_rows(pre, dense_pre);
+  }
+}
+
+TEST_F(BatchServeTest, ForwardBatchMatchesForwardBitwise) {
+  const auto tokens = workload_.tokenizer().encode(
+      "w00 w01 q05 a10 a11 . w02 w03 q06 a12 a13 . w04");
+  {
+    SCOPED_TRACE("induction");
+    expect_forward_batch_matches_forward(model_, tokens);
+  }
+  // Random weights: RoPE with GQA, ALiBi, RoPE with MQA and a parallel
+  // block, learned positions.
+  const int vocab = workload_.vocab().size();
+  for (const ModelConfig& config : {ModelConfig::llama_tiny(vocab, 256),
+                                    ModelConfig::mpt_tiny(vocab, 256),
+                                    ModelConfig::falcon_tiny(vocab, 256),
+                                    ModelConfig::gpt2_tiny(vocab, 256)}) {
+    SCOPED_TRACE(config.name);
+    expect_forward_batch_matches_forward(Model::random(config, 17), tokens);
   }
 }
 

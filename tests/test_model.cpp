@@ -217,7 +217,7 @@ TEST_P(ModelFamilyTest, ModuleConcatEqualsBlockedPrefill) {
 
     KVCache reference = model.make_cache();
     const Tensor ref_logits =
-        model.forward_blocked(all, pos, blocks, reference, false, hidden);
+        model.forward_blocked(all, pos, blocks, reference, hidden);
 
     // The reference's rows with the placeholder's dropped, as the cached
     // path assembles them.

@@ -330,7 +330,7 @@ TEST_P(PropertyTest, CachedEqualsBlockedPrefill) {
 
   KVCache reference = model_.make_cache();
   const Tensor ref_logits = model_.forward_blocked(
-      tokens, pos, blocks, reference, /*return_all_logits=*/false,
+      tokens, pos, blocks, reference,
       std::span<const bool>(hidden_arr.get(), hidden.size()));
 
   ASSERT_EQ(cached.size(), engine_rows);

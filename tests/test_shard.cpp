@@ -226,8 +226,8 @@ TEST_F(ShardTest, CrossFetchIsChargedAndStreamedBackOut) {
       << "R=1 multi-module prompts must fetch across shards";
   EXPECT_GT(stats.cross_fetch_bytes, 0u);
 
-  // Streaming (cache_cross_fetches=false, the default): after the fleet
-  // idles, every named module is resident ONLY on its owner.
+  // Streaming: after the fleet idles, every named module is resident ONLY
+  // on its owner.
   for (const auto& key : kModuleKeys) {
     const int owner = router.module_owners(key)[0];
     EXPECT_TRUE(router.shard_has_module(owner, key)) << key;
