@@ -1,14 +1,11 @@
-// Concurrent-serving throughput: shared SharedModuleStore vs per-lane
-// private ModuleStores, swept over Server lane counts (ServerConfig::
-// n_workers, one request per lane). Prints tables and writes
-// BENCH_server.json (repo root when launched via scripts/run_all.sh).
+// Concurrent-serving throughput: one Server over one SharedModuleStore,
+// swept over lane counts (ServerConfig::n_workers, one request per lane).
+// Prints tables and writes BENCH_server.json (repo root when launched via
+// scripts/run_all.sh).
 //
 // What the sweep shows:
-//   * encode-once: with the shared store, modules_encoded equals the number
-//     of distinct modules at every lane count; private stores pay
-//     N_lanes x that (every lane encodes everything at startup);
-//   * footprint: shared resident module bytes stay flat as lanes scale,
-//     private bytes grow linearly (the duplication is real memory);
+//   * encode-once: modules_encoded equals the number of distinct modules
+//     at every lane count (the lanes share one store, single-flight);
 //   * throughput: requests/s grows with lanes because per-request
 //     host-link stalls overlap across them.
 //
@@ -135,7 +132,6 @@ std::vector<std::string> build_shared_prompts() {
 }
 
 struct RunResult {
-  std::string mode;
   int workers = 0;
   int requests = 0;
   ServerStats stats;
@@ -684,12 +680,12 @@ void write_tiered_smoke_json(const TieredSweep& sweep) {
 }
 
 void print_results(const std::vector<RunResult>& runs) {
-  TablePrinter table("serving throughput: shared store vs private stores");
-  table.set_header({"store", "workers", "req/s", "ttft p50", "ttft p99",
-                    "encoded", "resident MB", "hit rate", "waits"});
+  TablePrinter table("serving throughput: lanes over one store");
+  table.set_header({"workers", "req/s", "ttft p50", "ttft p99", "encoded",
+                    "resident MB", "hit rate", "waits"});
   for (const RunResult& r : runs) {
     table.add_row(
-        {r.mode, std::to_string(r.workers),
+        {std::to_string(r.workers),
          TablePrinter::fmt(r.stats.throughput_rps, 1),
          TablePrinter::fmt_ms(r.stats.ttft.p50_ms()),
          TablePrinter::fmt_ms(r.stats.ttft.p99_ms()),
@@ -765,34 +761,16 @@ void write_json(const std::vector<RunResult>& runs,
                 double calibrated_serve_ms) {
   // Acceptance checks, evaluated over the sweep.
   bool shared_encodes_equal_distinct = true;
-  bool private_encodes_are_n_times = true;
-  bool shared_resident_never_higher = true;   // <= private at every count
-  bool shared_resident_lower_when_scaled = true;  // < private for N >= 2
   bool shared_throughput_increases = true;
   double prev_shared_rps = 0;
   for (const RunResult& r : runs) {
-    if (r.mode == "shared") {
-      if (r.stats.modules_encoded != distinct_modules) {
-        shared_encodes_equal_distinct = false;
-      }
-      if (r.stats.throughput_rps <= prev_shared_rps) {
-        shared_throughput_increases = false;
-      }
-      prev_shared_rps = r.stats.throughput_rps;
-      for (const RunResult& p : runs) {
-        if (p.mode != "private" || p.workers != r.workers) continue;
-        if (r.stats.resident_module_bytes > p.stats.resident_module_bytes) {
-          shared_resident_never_higher = false;
-        }
-        if (r.workers >= 2 && r.stats.resident_module_bytes >=
-                                  p.stats.resident_module_bytes) {
-          shared_resident_lower_when_scaled = false;
-        }
-      }
-    } else if (r.stats.modules_encoded !=
-               distinct_modules * static_cast<size_t>(r.workers)) {
-      private_encodes_are_n_times = false;
+    if (r.stats.modules_encoded != distinct_modules) {
+      shared_encodes_equal_distinct = false;
     }
+    if (r.stats.throughput_rps <= prev_shared_rps) {
+      shared_throughput_increases = false;
+    }
+    prev_shared_rps = r.stats.throughput_rps;
   }
 
   std::ofstream out("BENCH_server.json");
@@ -811,7 +789,7 @@ void write_json(const std::vector<RunResult>& runs,
   for (size_t i = 0; i < runs.size(); ++i) {
     const RunResult& r = runs[i];
     const ServerStats& s = r.stats;
-    out << "    {\"store\": \"" << r.mode << "\", \"workers\": " << r.workers
+    out << "    {\"workers\": " << r.workers
         << ", \"requests\": " << r.requests
         << ", \"failed\": " << s.failed
         << ", \"wall_ms\": " << TablePrinter::fmt(s.wall_ms, 1)
@@ -826,7 +804,6 @@ void write_json(const std::vector<RunResult>& runs,
         << ", \"store_misses\": " << s.store.misses
         << ", \"store_hit_rate\": " << TablePrinter::fmt(s.store_hit_rate, 4)
         << ", \"resident_module_bytes\": " << s.resident_module_bytes
-        << ", \"bytes_deduplicated\": " << s.bytes_deduplicated
         << ", \"single_flight_waits\": " << s.single_flight_waits << "}"
         << (i + 1 < runs.size() ? "," : "") << "\n";
   }
@@ -1001,12 +978,6 @@ void write_json(const std::vector<RunResult>& runs,
   out << "  \"checks\": {\n"
       << "    \"shared_encodes_equal_distinct_modules\": "
       << (shared_encodes_equal_distinct ? "true" : "false") << ",\n"
-      << "    \"private_encodes_are_workers_times_distinct\": "
-      << (private_encodes_are_n_times ? "true" : "false") << ",\n"
-      << "    \"shared_resident_never_higher_than_private\": "
-      << (shared_resident_never_higher ? "true" : "false") << ",\n"
-      << "    \"shared_resident_lower_when_scaled\": "
-      << (shared_resident_lower_when_scaled ? "true" : "false") << ",\n"
       << "    \"shared_throughput_increases_with_workers\": "
       << (shared_throughput_increases ? "true" : "false") << ",\n"
       << "    \"batching_speedup_at_8\": "
@@ -1064,7 +1035,7 @@ int main(int argc, char** argv) {
       shard_only ? "Cluster sharding smoke — ShardRouter over Zipf traffic"
       : tiered_only
           ? "Tiered store smoke — disk spill + async prefetch pipeline"
-          : "Concurrent serving — shared vs private module stores",
+          : "Concurrent serving — lanes over one module store",
       "simulated host link (sleeps), measured CPU compute; PC_FULL=1 for "
       "more requests");
 
@@ -1076,8 +1047,8 @@ int main(int argc, char** argv) {
   opts.max_new_tokens = 5;
   opts.stop_tokens = {workload.stop_token()};
 
-  // Calibration pass: one private engine, measure mean serve compute and
-  // the distinct-module footprint.
+  // Calibration pass: one standalone engine, measure mean serve compute
+  // and the distinct-module footprint.
   double calibrated_serve_ms;
   size_t module_bytes = 0;
   size_t distinct_modules = 0;
@@ -1097,8 +1068,7 @@ int main(int argc, char** argv) {
 
   // Link latency ~11x serve compute: the lanes saturate only past ~12
   // lanes, so 1 -> 8 stays in the linear-scaling regime; bandwidth adds a
-  // real cost per host-resident byte (private stores, with their device
-  // slice split N ways, keep more modules host-side and pay more here).
+  // real cost per host-resident byte.
   LinkModel link;
   link.latency_s = 11.0 * calibrated_serve_ms / 1e3;
   link.bandwidth_bytes_per_s = 8e9;
@@ -1146,45 +1116,30 @@ int main(int argc, char** argv) {
   }
 
   std::vector<RunResult> runs;
-  for (const char* mode : {"shared", "private"}) {
-    for (int workers : {1, 2, 4, 8}) {
-      ServerConfig cfg;
-      cfg.n_workers = workers;
-      cfg.queue_capacity = 16;
-      cfg.schemas = {schema};
-      cfg.link = link;
+  for (int workers : {1, 2, 4, 8}) {
+    ServerConfig cfg;
+    cfg.n_workers = workers;
+    cfg.queue_capacity = 16;
+    cfg.schemas = {schema};
+    cfg.link = link;
 
-      RunResult run;
-      run.mode = mode;
-      run.workers = workers;
-      run.requests = requests;
-      if (std::string(mode) == "shared") {
-        SharedModuleStore store(device_capacity, /*host=*/0);
-        Server server(model, workload.tokenizer(), store, cfg);
-        for (int i = 0; i < requests; ++i) {
-          server.submit(prompts[static_cast<size_t>(i) % prompts.size()],
-                        opts);
-        }
-        (void)server.drain();
-        run.stats = server.stats();
-      } else {
-        // Same total device budget, split across the private stores.
-        cfg.engine.device_capacity_bytes =
-            device_capacity / static_cast<size_t>(workers);
-        Server server(model, workload.tokenizer(), cfg);
-        for (int i = 0; i < requests; ++i) {
-          server.submit(prompts[static_cast<size_t>(i) % prompts.size()],
-                        opts);
-        }
-        (void)server.drain();
-        run.stats = server.stats();
+    RunResult run;
+    run.workers = workers;
+    run.requests = requests;
+    {
+      SharedModuleStore store(device_capacity, /*host=*/0);
+      Server server(model, workload.tokenizer(), store, cfg);
+      for (int i = 0; i < requests; ++i) {
+        server.submit(prompts[static_cast<size_t>(i) % prompts.size()], opts);
       }
-      if (run.stats.failed > 0) {
-        std::cout << "WARNING: " << run.stats.failed
-                  << " failed serves in " << mode << "/" << workers << "\n";
-      }
-      runs.push_back(std::move(run));
+      (void)server.drain();
+      run.stats = server.stats();
     }
+    if (run.stats.failed > 0) {
+      std::cout << "WARNING: " << run.stats.failed << " failed serves with "
+                << workers << " workers\n";
+    }
+    runs.push_back(std::move(run));
   }
 
   print_results(runs);

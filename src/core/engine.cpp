@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <set>
 #include <string_view>
 
 #include "common/logging.h"
@@ -867,48 +866,6 @@ PromptCacheEngine::LoadReport PromptCacheEngine::load_modules(
     ++report.loaded;
   }
   return report;
-}
-
-std::vector<ServeResult> PromptCacheEngine::serve_batch(
-    const std::vector<std::string>& prompts, const GenerateOptions& options,
-    BatchStats* stats) {
-  std::vector<ServeResult> results;
-  results.reserve(prompts.size());
-
-  std::set<std::string> distinct_keys;
-  size_t duplicate_bytes = 0;
-
-  for (const std::string& prompt : prompts) {
-    // Account module usage before serving (ensure_encoded makes the
-    // lookups below hits).
-    if (stats != nullptr) {
-      const pml::PromptBinding binding = bind(prompt);
-      (void)ensure_encoded(binding);
-      for_each_encoded(binding, [&](const std::string& key,
-                                    const EncodedModule& m, ModuleLocation) {
-        if (distinct_keys.insert(key).second) {
-          stats->shared_module_bytes += m.payload_bytes();
-        } else {
-          duplicate_bytes += m.payload_bytes();
-        }
-      });
-    }
-    results.push_back(serve(prompt, options));
-    if (stats != nullptr) {
-      // The copied module rows' stored bytes (none when borrowed) plus the
-      // fp32 own rows of the uncached and generated tokens.
-      const ServeResult& r = results.back();
-      stats->owned_bytes +=
-          r.ttft.bytes_from_host + r.ttft.bytes_from_device +
-          model_.kv_bytes_per_token() *
-              (static_cast<size_t>(r.ttft.uncached_tokens) + r.tokens.size());
-    }
-  }
-  if (stats != nullptr) {
-    stats->requests = static_cast<int>(prompts.size());
-    stats->duplicate_module_bytes_avoided = duplicate_bytes;
-  }
-  return results;
 }
 
 ServeResult PromptCacheEngine::serve_baseline(std::string_view prompt_pml,

@@ -239,22 +239,6 @@ class PromptCacheEngine {
   ServeResult serve_full_prefill(std::string_view prompt_pml,
                                  const GenerateOptions& options = {});
 
-  // Serves a batch of prompts and accounts for module sharing across them
-  // (§3.4): modules imported by several requests are stored (and, under
-  // zero_copy, referenced) once. shared_module_bytes counts each distinct
-  // module once; owned_bytes sums what each request's cache owns: the
-  // stored bytes of its copied module rows (none under zero_copy) plus its
-  // fp32 own rows (uncached and generated tokens).
-  struct BatchStats {
-    size_t shared_module_bytes = 0;
-    size_t owned_bytes = 0;
-    size_t duplicate_module_bytes_avoided = 0;
-    int requests = 0;
-  };
-  std::vector<ServeResult> serve_batch(
-      const std::vector<std::string>& prompts,
-      const GenerateOptions& options = {}, BatchStats* stats = nullptr);
-
   // Building blocks, exposed for tests and benchmarks -----------------------
 
   // Steps 2-3 of serve() without generation: copies every module row of

@@ -81,7 +81,6 @@ std::string timeline_json(const RequestTimeline& t) {
   json_ms(os, "decode_ms", t.decode_ms);
   json_ms(os, "ttft_ms", t.ttft_ms);
   json_ms(os, "service_ms", t.service_ms);
-  json_ms(os, "predicted_ttft_ms", t.predicted_ttft_ms);
   os << ",\"cached_tokens\":" << t.cached_tokens
      << ",\"uncached_tokens\":" << t.uncached_tokens
      << ",\"modules\":" << t.modules

@@ -10,8 +10,7 @@
 // 8x GPU / 60x CPU), so the record splits TTFT into the same components the
 // analytic model (sys/device_model.h) predicts: retrieve (module memcpy),
 // transfer (host-link stall), and uncached prefill — plus the queueing and
-// encode time the end-to-end number includes on top. `predicted_ttft_ms`
-// carries the model's estimate for drift tracking (pc_ttft_model_drift).
+// encode time the end-to-end number includes on top.
 //
 // Layering: this header sits in the obs layer (below pc_common), so it
 // cannot see ServeStatus. RequestOutcome mirrors that taxonomy value for
@@ -85,10 +84,6 @@ struct RequestTimeline {
   double decode_ms = 0;    // autoregressive steps after the first token
   double ttft_ms = 0;      // end-to-end: queue + transfer + engine TTFT
   double service_ms = 0;   // dequeue -> done
-  // device_model's estimate_cached_ttft for this request's (cached,
-  // uncached, location, kv format); 0 when the server has no TTFT profile
-  // configured or the request was not a cached kOk serve.
-  double predicted_ttft_ms = 0;
 
   // Cache-efficacy attribution.
   int cached_tokens = 0;

@@ -16,7 +16,7 @@ StorePrefetcher::StorePrefetcher(const Model& model,
   PC_CHECK_MSG(config_.depth > 0, "StorePrefetcher depth must be > 0");
   thread_ = std::thread([this] { loop(); });
   std::unique_lock lock(mutex_);
-  cv_idle_.wait(lock, [&] { return ready_; });
+  cv_ready_.wait(lock, [&] { return ready_; });
 }
 
 StorePrefetcher::~StorePrefetcher() { stop(); }
@@ -38,11 +38,6 @@ void StorePrefetcher::enqueue(const std::string& prompt) {
   cv_work_.notify_one();
 }
 
-void StorePrefetcher::drain() {
-  std::unique_lock lock(mutex_);
-  cv_idle_.wait(lock, [&] { return queue_.empty() && !working_; });
-}
-
 void StorePrefetcher::stop() {
   {
     std::lock_guard lock(mutex_);
@@ -51,7 +46,6 @@ void StorePrefetcher::stop() {
     queue_.clear();  // best-effort pipeline: drop, don't finish
   }
   cv_work_.notify_all();
-  cv_idle_.notify_all();
   if (thread_.joinable()) thread_.join();
 }
 
@@ -89,19 +83,16 @@ void StorePrefetcher::loop() {
     std::lock_guard lock(mutex_);
     ready_ = true;
   }
-  cv_idle_.notify_all();
+  cv_ready_.notify_all();
 
   for (;;) {
     std::string prompt;
     {
       std::unique_lock lock(mutex_);
-      working_ = false;
-      if (queue_.empty()) cv_idle_.notify_all();
       cv_work_.wait(lock, [&] { return stop_ || !queue_.empty(); });
       if (stop_) return;
       prompt = std::move(queue_.front());
       queue_.pop_front();
-      working_ = true;
     }
     PC_SPAN("prefetch_prompt");
     try {

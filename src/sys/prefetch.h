@@ -59,9 +59,10 @@ class StorePrefetcher {
     uint64_t bind_errors = 0;    // prompts skipped (parse/validation error)
   };
 
-  // Prefetches fault keys into `store`, where the lanes look them up. The
-  // binder engine is built on the background thread; the constructor
-  // blocks until it has loaded the schemas.
+  // Prefetches fault keys into `store`, where the lanes look them up (a
+  // Server passes the store its lanes serve from). The binder engine is
+  // built on the background thread; the constructor blocks until it has
+  // loaded the schemas.
   StorePrefetcher(const Model& model, const TextTokenizer& tokenizer,
                   SharedModuleStore& store, PrefetcherConfig config);
   ~StorePrefetcher();  // calls stop()
@@ -74,12 +75,9 @@ class StorePrefetcher {
   // lock (the internal mutex is leaf-level and never calls out).
   void enqueue(const std::string& prompt);
 
-  // Blocks until the queue is empty and the thread is idle (tests: make
-  // every issued prefetch observable before asserting on store state).
-  void drain();
-
-  // Stops the thread after the current prompt; queued prompts are dropped
-  // (prefetch is best-effort — nothing is lost but warmth). Idempotent.
+  // Stops the thread at its next key, mid-prompt if need be; queued
+  // prompts are dropped (prefetch is best-effort — nothing is lost but
+  // warmth). Nothing waits for the queue to empty. Idempotent.
   void stop();
 
   Stats stats() const;
@@ -94,9 +92,8 @@ class StorePrefetcher {
 
   mutable std::mutex mutex_;
   std::condition_variable cv_work_;
-  std::condition_variable cv_idle_;
+  std::condition_variable cv_ready_;  // the constructor waits for ready_
   std::deque<std::string> queue_;
-  bool working_ = false;
   bool stop_ = false;
   bool ready_ = false;
 

@@ -78,10 +78,10 @@ static uint64_t next_server_instance() {
 }
 
 Server::Server(const Model& model, const TextTokenizer& tokenizer,
-               SharedModuleStore& shared_store, ServerConfig config)
+               SharedModuleStore& store, ServerConfig config)
     : model_(model),
       tokenizer_(tokenizer),
-      shared_(&shared_store),
+      store_(store),
       config_(std::move(config)),
       requests_(config_.request_ring),
       slo_(config_.slo),
@@ -91,13 +91,17 @@ Server::Server(const Model& model, const TextTokenizer& tokenizer,
 
 Server::Server(const Model& model, const TextTokenizer& tokenizer,
                ServerConfig config)
-    : model_(model),
-      tokenizer_(tokenizer),
-      config_(std::move(config)),
-      requests_(config_.request_ring),
-      slo_(config_.slo),
-      instance_(next_server_instance()) {
-  start();
+    : Server(model, tokenizer,
+             std::make_unique<SharedModuleStore>(
+                 config.engine.device_capacity_bytes,
+                 config.engine.host_capacity_bytes, DiskTierConfig{},
+                 /*n_shards=*/1),
+             std::move(config)) {}
+
+Server::Server(const Model& model, const TextTokenizer& tokenizer,
+               std::unique_ptr<SharedModuleStore> owned, ServerConfig config)
+    : Server(model, tokenizer, *owned, std::move(config)) {
+  owned_store_ = std::move(owned);
 }
 
 Server::~Server() { stop(); }
@@ -130,18 +134,12 @@ void Server::start() {
                             "end-to-end TTFT: queue + stall + engine");
   degraded_ttft_ = reg.histogram("pc_server_ttft_degraded_seconds",
                                  "end-to-end TTFT of degraded serves");
-  ttft_drift_ = reg.histogram(
-      "pc_ttft_model_drift",
-      "measured/predicted cached-TTFT ratio vs device_model");
-  if (config_.prefetch && shared_ != nullptr) {
-    // The pipeline needs somewhere to fault keys in from; without a shared
-    // store there is no disk tier and the prefetcher would only burn a
-    // thread binding prompts nobody looks up.
+  if (config_.prefetch) {
     PrefetcherConfig pf;
     pf.depth = config_.prefetch_depth;
     pf.schemas = config_.schemas;
     prefetcher_ = std::make_unique<StorePrefetcher>(model_, tokenizer_,
-                                                    *shared_, std::move(pf));
+                                                    store_, std::move(pf));
   }
   for (int i = 0; i < config_.n_workers; ++i) {
     lanes_.push_back(std::make_unique<Lane>());
@@ -152,7 +150,7 @@ void Server::start() {
   }
   // Wait until every lane has built its engine and loaded the schemas:
   // serving wall time then measures serving, not startup. (Schema loads
-  // race on purpose — with a shared store they exercise single-flight.)
+  // race on purpose — they exercise the store's single-flight.)
   std::unique_lock lock(mutex_);
   cv_ready_.wait(lock, [&] { return lanes_ready_ == config_.n_workers; });
   const std::exception_ptr lane_error = lane_error_;
@@ -164,8 +162,7 @@ void Server::start() {
     std::rethrow_exception(lane_error);
   }
   PC_LOG_INFO << "server ready: " << config_.n_workers << " lanes x max_batch "
-              << config_.batch.max_batch << ", "
-              << (shared_ != nullptr ? "shared" : "private") << " store";
+              << config_.batch.max_batch;
 }
 
 uint64_t Server::submit(std::string prompt, const GenerateOptions& options,
@@ -383,12 +380,11 @@ void Server::record_timeline_locked(const ServerResponse& resp) {
   // kernel cannot serve runs as q8 (PromptCacheEngine's config()). Every
   // lane's engine is built from config_.engine, so lane 0 speaks for a
   // request shed at submit (lane -1).
-  const StorePrecision precision =
+  t.kv_format = precision_name(
       lanes_[static_cast<size_t>(std::max(resp.worker, 0))]
           ->scheduler->engine()
           .config()
-          .precision;
-  t.kv_format = precision_name(precision);
+          .precision);
   if (is_served(resp.status)) {
     const TtftBreakdown& b = resp.result.ttft;
     t.encode_ms = resp.result.encode_ms;
@@ -402,47 +398,8 @@ void Server::record_timeline_locked(const ServerResponse& resp) {
     t.bytes_from_device = b.bytes_from_device;
     t.bytes_zero_copy = b.bytes_zero_copy;
     t.first_token_ns = t.submit_ns + ms_to_ns(resp.ttft_ms);
-    if (config_.ttft_profile != nullptr && resp.status == ServeStatus::kOk &&
-        b.cached_tokens > 0) {
-      // TTFT-model drift: the analytic prediction for this request's exact
-      // (cached, uncached, location, kv format), against the measured
-      // engine TTFT (queue and link stall excluded on both sides — the
-      // model predicts retrieve + prefill only). Ratio 1.0 = no drift.
-      // CPU profiles have no device tier — cached states live in host RAM
-      // regardless of which store tier served them.
-      const ModuleLocation loc =
-          config_.ttft_profile->is_gpu && b.bytes_from_host == 0
-              ? ModuleLocation::kDeviceMemory
-              : ModuleLocation::kHostMemory;
-      size_t bytes_per_cached = 0;  // 0 = unquantized default
-      switch (precision) {
-        case StorePrecision::kQ8:
-          bytes_per_cached = config_.ttft_spec.kv_bytes_per_token_q8();
-          break;
-        case StorePrecision::kQ4:
-          bytes_per_cached = config_.ttft_spec.kv_bytes_per_token_q4();
-          break;
-        default:
-          break;
-      }
-      const TtftEstimate est = estimate_cached_ttft(
-          *config_.ttft_profile, config_.ttft_spec, b.cached_tokens,
-          b.uncached_tokens, loc, bytes_per_cached);
-      t.predicted_ttft_ms = est.total_ms();
-      if (t.predicted_ttft_ms > 0) {
-        ttft_drift_.record_seconds(b.total_ms() / t.predicted_ttft_ms);
-      }
-    }
   }
   requests_.record(std::move(t));
-}
-
-std::unique_ptr<PromptCacheEngine> Server::make_engine() const {
-  return shared_ != nullptr
-             ? std::make_unique<PromptCacheEngine>(model_, tokenizer_, *shared_,
-                                                   config_.engine)
-             : std::make_unique<PromptCacheEngine>(model_, tokenizer_,
-                                                   config_.engine);
 }
 
 bool Server::may_admit_locked(int index) const {
@@ -466,7 +423,9 @@ void Server::lane_loop(int index) {
   std::exception_ptr error;
   try {
     self.scheduler = std::make_unique<BatchScheduler>(
-        make_engine(), std::move(opts), [this, index](ServerResponse&& resp) {
+        std::make_unique<PromptCacheEngine>(model_, tokenizer_, store_,
+                                            config_.engine),
+        std::move(opts), [this, index](ServerResponse&& resp) {
           const auto now = std::chrono::steady_clock::now();
           resp.worker = index;
           {
@@ -517,7 +476,6 @@ void Server::lane_loop(int index) {
 ServerStats Server::stats() const {
   ServerStats out;
   out.n_workers = config_.n_workers;
-  out.shared_store = shared_ != nullptr;
   {
     std::lock_guard lock(mutex_);
     out.submitted = submitted_.value();
@@ -539,24 +497,12 @@ ServerStats Server::stats() const {
         static_cast<double>(out.completed) / (out.wall_ms / 1e3);
   }
 
-  // Engine counters sum over the engines; store counters over the distinct
-  // stores they serve from — the shared store once, or each engine's own.
-  std::vector<const SharedModuleStore*> stores;
-  size_t n_engines = 0;
-  const auto add_engine = [&](const PromptCacheEngine& engine) {
-    const EngineStats es = engine.stats();
+  for (const auto& lane : lanes_) {
+    const BatchScheduler& scheduler = *lane->scheduler;
+    const EngineStats es = scheduler.engine().stats();
     out.modules_encoded += es.modules_encoded;
     out.scaffolds_encoded += es.scaffolds_encoded;
     out.thrash_reencodes += es.thrash_reencodes;
-    ++n_engines;
-    if (std::find(stores.begin(), stores.end(), &engine.store()) ==
-        stores.end()) {
-      stores.push_back(&engine.store());
-    }
-  };
-  for (const auto& lane : lanes_) {
-    const BatchScheduler& scheduler = *lane->scheduler;
-    add_engine(scheduler.engine());
     out.engine_ttft.merge(scheduler.engine().cached_ttft_histogram());
     out.batch_iterations += scheduler.iterations();
     out.batch_tokens += scheduler.batched_tokens();
@@ -564,21 +510,9 @@ ServerStats Server::stats() const {
     out.kv_live_bytes += kv.live_bytes;
     out.kv_peak_bytes += kv.peak_live_bytes;
   }
-  for (const SharedModuleStore* store : stores) {
-    const ModuleStoreStats ss = store->stats();
-    out.store.hits += ss.hits;
-    out.store.misses += ss.misses;
-    out.store.insertions += ss.insertions;
-    out.store.evictions += ss.evictions;
-    out.store.demotions += ss.demotions;
-    out.store.promotions += ss.promotions;
-    out.resident_module_bytes += store->resident_bytes();
-    out.single_flight_waits += store->single_flight_waits();
-  }
-  // A store serving k engines holds once what k engine-owned stores would
-  // hold k times.
-  out.bytes_deduplicated =
-      out.resident_module_bytes * (n_engines - stores.size());
+  out.store = store_.stats();
+  out.resident_module_bytes = store_.resident_bytes();
+  out.single_flight_waits = store_.single_flight_waits();
   const double lookups =
       static_cast<double>(out.store.hits + out.store.misses);
   if (lookups > 0) {

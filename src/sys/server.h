@@ -2,14 +2,11 @@
 // ServerConfig::n_workers serving lanes over one shared (const) Model. Each
 // lane is a BatchScheduler (sys/batch.h) with its own PromptCacheEngine and
 // its own thread, serving up to batch.max_batch requests per forward step;
-// with the default max_batch of 1 a lane serves one request at a time. Two
-// store configurations (see src/core/engine.h):
-//
-//   * shared:  all lanes route through one SharedModuleStore — each module
-//     is encoded once fleet-wide (single-flight) and held once.
-//   * private: each lane's engine owns a one-shard store sized by
-//     ServerConfig::engine — the scale-out baseline the shared store is
-//     measured against.
+// with the default max_batch of 1 a lane serves one request at a time. All
+// lanes serve from one SharedModuleStore (see src/core/engine.h), so each
+// module is encoded once across lanes (single-flight) and held once: the
+// caller's store, or one the Server owns, built as a standalone engine
+// builds its own (one shard sized by ServerConfig::engine, no disk tier).
 //
 // Request lifecycle: submit() enqueues (blocking while the queue is at
 // capacity — admission control instead of unbounded memory). Lanes admit
@@ -81,7 +78,6 @@
 #include "obs/request_timeline.h"
 #include "obs/sampler.h"
 #include "sys/batch.h"
-#include "sys/device_model.h"
 #include "sys/prefetch.h"
 #include "sys/serve_types.h"
 
@@ -90,29 +86,25 @@ namespace pc {
 struct ServerConfig {
   int n_workers = 4;             // serving lanes, each a BatchScheduler
   size_t queue_capacity = 64;    // submit() blocks when full
-  EngineConfig engine;           // per-lane engine config
+  // Per-lane engine config. Its capacity fields size the store a Server
+  // built without one owns; a caller's store was sized at construction.
+  EngineConfig engine;
   std::vector<std::string> schemas;  // PML loaded by every lane at startup
   double default_deadline_ms = 0;    // 0 = no deadline enforcement
   LinkModel link;
   RetryPolicy retry;
   BatchConfig batch;  // per lane: requests in flight, prefill chunk size
   // Request-centric telemetry (obs/request_timeline.h). request_ring bounds
-  // the in-memory timeline buffer (oldest evicted first). When ttft_profile
-  // is set, every cached kOk serve is compared against device_model's
-  // estimate_cached_ttft(*ttft_profile, ttft_spec, ...) and the
-  // measured/predicted ratio lands in the pc_ttft_model_drift histogram —
-  // drift near 1.0 means the analytic model still tracks reality. slo
-  // configures the rolling availability/deadline window (obs/sampler.h).
+  // the in-memory timeline buffer (oldest evicted first); slo configures
+  // the rolling availability/deadline window (obs/sampler.h).
   size_t request_ring = 8192;
-  const HardwareProfile* ttft_profile = nullptr;  // null = no drift tracking
-  ModelSpec ttft_spec;
   obs::SloConfig slo;
   // Async disk-tier prefetch (sys/prefetch.h): a background binder thread
   // maps each submitted prompt to its module keys and faults spilled
   // payloads back into RAM ahead of admission, overlapping disk reads with
-  // in-flight decode. Only meaningful with a shared store whose disk tier
-  // is enabled; otherwise the pipeline idles (prefetch() of resident keys
-  // is a recency bump). prefetch_depth is the double-buffer window.
+  // in-flight decode. Only meaningful with a store whose disk tier is
+  // enabled; otherwise the pipeline idles (prefetch() of resident keys is
+  // a recency bump). prefetch_depth is the double-buffer window.
   bool prefetch = false;
   size_t prefetch_depth = 2;
   // Completion hook, invoked under the server's lock for every recorded
@@ -129,7 +121,6 @@ struct ServerConfig {
 
 struct ServerStats {
   int n_workers = 0;  // lanes
-  bool shared_store = false;
   uint64_t submitted = 0;
   uint64_t completed = 0;  // served requests: ok + degraded
   uint64_t degraded = 0;   // full-prefill fallbacks (subset of completed)
@@ -160,28 +151,24 @@ struct ServerStats {
   size_t kv_live_bytes = 0;
   size_t kv_peak_bytes = 0;
 
-  // Store-level: the shared store's snapshot, or the sum over private
-  // stores. hit_rate = hits / (hits + misses).
+  // The store's snapshot. hit_rate = hits / (hits + misses).
   ModuleStoreStats store;
   double store_hit_rate = 0;
   size_t resident_module_bytes = 0;
-  // Bytes N private lanes would hold that the shared store holds once:
-  // resident_bytes * (n_workers - 1). Zero in private mode (nothing is
-  // deduplicated — the duplication is real and shows up in
-  // resident_module_bytes instead).
-  size_t bytes_deduplicated = 0;
   uint64_t single_flight_waits = 0;  // encodes avoided by single-flight
 };
 
 class Server {
  public:
-  // Shared-store serving: all lanes encode into / serve from
-  // `shared_store`, which must outlive the server.
+  // All lanes encode into and serve from `store`, which must outlive the
+  // server.
   Server(const Model& model, const TextTokenizer& tokenizer,
-         SharedModuleStore& shared_store, ServerConfig config);
+         SharedModuleStore& store, ServerConfig config);
 
-  // Private-store serving: each lane's engine owns a one-shard store sized
-  // by config.engine (the N-times-everything baseline).
+  // All lanes serve from a store the server owns: one shard sized by
+  // config.engine's capacity fields, with no disk tier (PC_DISK_DIR is not
+  // consulted) — the store a standalone engine owns, so a one-lane Server
+  // serves exactly as one engine does.
   Server(const Model& model, const TextTokenizer& tokenizer,
          ServerConfig config);
 
@@ -243,8 +230,8 @@ class Server {
 
   int n_workers() const { return config_.n_workers; }
 
-  // The async prefetch pipeline, or null (ServerConfig::prefetch off, or
-  // private stores — there is no disk tier to fault from).
+  // The async prefetch pipeline, or null when ServerConfig::prefetch is
+  // off.
   const StorePrefetcher* prefetcher() const { return prefetcher_.get(); }
 
  private:
@@ -254,10 +241,11 @@ class Server {
     int held = 0;  // requests dequeued, not yet recorded (under mutex_)
   };
 
+  // The storeless constructor's target: `owned` becomes the store.
+  Server(const Model& model, const TextTokenizer& tokenizer,
+         std::unique_ptr<SharedModuleStore> owned, ServerConfig config);
+
   void start();
-  // The engine a lane serves with: over the shared store, or owning its
-  // own.
-  std::unique_ptr<PromptCacheEngine> make_engine() const;
   // Least-loaded admission: lane `index` may take a request while it holds
   // fewer than batch.max_batch and no other lane holds fewer.
   bool may_admit_locked(int index) const;
@@ -266,9 +254,9 @@ class Server {
   // notifies cv_done_ after releasing the lock.
   void record_locked(ServerResponse&& resp,
                      std::chrono::steady_clock::time_point when);
-  // Assembles the RequestTimeline for a finished response and records it
-  // (plus the TTFT-drift sample when ttft_profile is set). Runs under
-  // mutex_ so timelines reconcile exactly with the pc_server_* counters.
+  // Assembles the RequestTimeline for a finished response and records it.
+  // Runs under mutex_ so timelines reconcile exactly with the pc_server_*
+  // counters.
   void record_timeline_locked(const ServerResponse& resp);
   // Perfetto flow id for a request: instance-qualified so two servers'
   // flow arcs never share an id within one process-wide trace.
@@ -278,12 +266,15 @@ class Server {
 
   const Model& model_;
   const TextTokenizer& tokenizer_;
-  SharedModuleStore* shared_ = nullptr;  // null => private stores
+  // Declared before the lanes and the prefetcher, which serve from it, so
+  // it outlives them.
+  std::unique_ptr<SharedModuleStore> owned_store_;  // storeless ctor only
+  SharedModuleStore& store_;
   ServerConfig config_;
 
   // Schedulers are read from stats() only while idle.
   std::vector<std::unique_ptr<Lane>> lanes_;
-  // Async prefetch pipeline (ServerConfig::prefetch); shared store only.
+  // Async prefetch pipeline (ServerConfig::prefetch).
   std::unique_ptr<StorePrefetcher> prefetcher_;
 
   mutable std::mutex mutex_;
@@ -307,7 +298,6 @@ class Server {
   obs::Gauge queue_depth_;         // pc_server_queue_depth
   obs::Histogram e2e_ttft_;        // pc_server_ttft_seconds; survives drain()
   obs::Histogram degraded_ttft_;   // pc_server_ttft_degraded_seconds
-  obs::Histogram ttft_drift_;      // pc_ttft_model_drift (measured/predicted)
   // Request-centric telemetry: the timeline ring, the rolling SLO window,
   // and the submit timestamps of in-flight ids (consumed at record time).
   // All mutated under mutex_ (RequestTracker/SloTracker also lock

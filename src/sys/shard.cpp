@@ -33,7 +33,6 @@
 
 #include "common/error.h"
 #include "obs/trace.h"
-#include "pml/prompt.h"
 #include "sys/fault.h"
 
 namespace pc {
@@ -58,6 +57,14 @@ double ms_between(std::chrono::steady_clock::time_point a,
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
+// The router's binder engine maps prompts to store keys and never encodes,
+// like the prefetcher's (sys/prefetch.cpp).
+EngineConfig binder_config() {
+  EngineConfig config;
+  config.eager_encode = false;
+  return config;
+}
+
 }  // namespace
 
 ShardRouter::ShardRouter(const Model& model, const TextTokenizer& tokenizer,
@@ -65,6 +72,7 @@ ShardRouter::ShardRouter(const Model& model, const TextTokenizer& tokenizer,
     : model_(model),
       tokenizer_(tokenizer),
       config_(std::move(config)),
+      binder_(model, tokenizer, binder_config()),
       slo_(config_.slo) {
   PC_CHECK_MSG(config_.n_shards > 0, "ShardRouter needs at least one shard");
   config_.replication =
@@ -113,17 +121,14 @@ ShardRouter::ShardRouter(const Model& model, const TextTokenizer& tokenizer,
   }
   live_gauge_.set(config_.n_shards);
 
-  // Enumerate every module key (named + anonymous) of every schema.
-  // load_schema on an already-loaded schema re-parses and returns the
-  // fresh layout; nothing has been placed yet, so the store erase it
-  // performs is a no-op.
+  // Enumerate every module key (named + anonymous) of every schema, as
+  // the binder loads them.
   for (const auto& src : config_.server.schemas) {
-    const pml::Schema& sc = shards_[0]->placement->load_schema(src);
-    for (size_t mi = 0; mi < sc.modules.size(); ++mi) {
-      const std::string key = sc.name + "::" + sc.modules[mi].name;
+    const pml::Schema& sc = binder_.load_schema(src);
+    for (const pml::ModuleNode& m : sc.modules) {
+      const std::string key = sc.name + "::" + m.name;
       all_keys_.push_back(key);
-      key_parts_[key] = {sc.name, sc.modules[mi].name};
-      if (sc.modules[mi].anonymous) anon_keys_[sc.name].push_back(key);
+      key_parts_[key] = {sc.name, m.name};
     }
   }
 
@@ -220,32 +225,13 @@ std::vector<int> ShardRouter::module_owners(const std::string& key) const {
   return owners_of(key);
 }
 
-std::vector<std::string> ShardRouter::prompt_module_keys(
+std::vector<std::string> ShardRouter::keys_of(
     const std::string& prompt) const {
-  std::vector<std::string> keys;
-  pml::PromptAst ast;
   try {
-    ast = pml::parse_prompt(prompt);
+    return binder_.module_keys(binder_.bind(prompt));
   } catch (const Error&) {
-    return keys;  // unparseable: routed by prompt hash alone
+    return {};  // does not bind: routed by prompt hash alone
   }
-  std::set<std::string> seen;
-  const auto add = [&](const std::string& key) {
-    if (seen.insert(key).second) keys.push_back(key);
-  };
-  if (auto it = anon_keys_.find(ast.schema_name); it != anon_keys_.end()) {
-    for (const auto& k : it->second) add(k);
-  }
-  const std::function<void(const std::vector<pml::PromptItem>&)> walk =
-      [&](const std::vector<pml::PromptItem>& items) {
-        for (const auto& item : items) {
-          if (item.is_text()) continue;
-          add(ast.schema_name + "::" + item.import->module_name);
-          walk(item.import->children);
-        }
-      };
-  walk(ast.items);
-  return keys;
 }
 
 int ShardRouter::pick_shard_locked(const std::vector<std::string>& keys,
@@ -296,7 +282,7 @@ int ShardRouter::pick_shard_locked(const std::vector<std::string>& keys,
 }
 
 int ShardRouter::route_shard(const std::string& prompt) const {
-  const auto keys = prompt_module_keys(prompt);
+  const auto keys = keys_of(prompt);
   const uint64_t h =
       splitmix64(std::hash<std::string>{}(prompt) ^ kRingSeed);
   std::lock_guard<std::mutex> lock(mutex_);
@@ -472,7 +458,7 @@ void ShardRouter::dispatch(uint64_t rid) {
     submitted = it->second.submitted;
   }
 
-  const auto keys = prompt_module_keys(prompt);
+  const auto keys = keys_of(prompt);
   const uint64_t prompt_hash =
       splitmix64(std::hash<std::string>{}(prompt) ^ kRingSeed);
 

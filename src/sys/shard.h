@@ -13,22 +13,23 @@
 //     moves with liveness — so any two routers with the same config agree
 //     on it, and a restarted shard re-acquires exactly its old keys.
 //
-//   * Routing. A request goes to the live shard owning the largest share
-//     of its imported modules, discounted by queue pressure: each
-//     outstanding request on a candidate costs half a module of affinity,
-//     so a Zipf-hot prompt spills across its replicas (and, under enough
-//     pressure, the whole fleet) instead of serializing on one owner.
-//     Remaining ties break by a ring walk from the prompt hash, which both
-//     determinizes and spreads no-module prompts. Any shard serves any
-//     prompt bitwise-identically, so routing is purely a performance
-//     decision. Modules the chosen shard lacks are fetched from a live
-//     holder — payload copied
-//     store-to-store, the transfer time charged through
-//     ShardConfig::cross_link as extra stall on the request (overlapping
-//     other requests' compute, like every LinkModel stall). Fetched
-//     non-owned copies are streamed: dropped again once the last request
-//     using them completes, so fleet footprint stays ~R × distinct module
-//     bytes instead of N ×.
+//   * Routing. A request's keys are its store keys by the engine's block
+//     plan (a router-owned binder engine's bind + module_keys), anonymous
+//     modules included; a prompt that does not bind has none. It goes to
+//     the live shard owning the largest share of those keys, discounted by
+//     queue pressure: each outstanding request on a candidate costs half a
+//     module of affinity, so a Zipf-hot prompt spills across its replicas
+//     (and, under enough pressure, the whole fleet) instead of serializing
+//     on one owner. Remaining ties break by a ring walk from the prompt
+//     hash, which both determinizes and spreads no-module prompts. Any
+//     shard serves any prompt bitwise-identically, so routing is purely a
+//     performance decision. Modules the chosen shard lacks are fetched from
+//     a live holder — payload copied store-to-store, the transfer time
+//     charged through ShardConfig::cross_link as extra stall on the request
+//     (overlapping other requests' compute, like every LinkModel stall).
+//     Fetched non-owned copies are streamed: dropped again once the last
+//     request using them completes, so fleet footprint stays ~R × distinct
+//     module bytes instead of N ×.
 //
 //   * Failover. FaultPoint::kShardKill (PC_FAULTS "shardkill=rate[xN]")
 //     kills a shard deterministically: its health epoch bumps, its
@@ -270,9 +271,9 @@ class ShardRouter {
   void process_failover(uint64_t rid);
   void process_restart(int shard);
   void kill_locked(int victim, std::vector<uint64_t>& flushed);
-  // Module keys imported by a prompt (schema-qualified, encode order not
-  // needed): parse-only, no engine.
-  std::vector<std::string> prompt_module_keys(const std::string& prompt) const;
+  // A prompt's store keys by the engine's block plan (binder_'s bind +
+  // module_keys), anonymous modules included; empty when it does not bind.
+  std::vector<std::string> keys_of(const std::string& prompt) const;
   std::vector<int> owners_of(const std::string& key) const;
   int pick_shard_locked(const std::vector<std::string>& keys,
                         uint64_t prompt_hash) const;
@@ -280,16 +281,19 @@ class ShardRouter {
   const Model& model_;
   const TextTokenizer& tokenizer_;
   ShardConfig config_;
+  // Loads the schemas and never encodes; only its const bind/module_keys
+  // run after the constructor, so submit() and the pump call it
+  // concurrently.
+  PromptCacheEngine binder_;
 
   // Placement ring: (hash, shard), sorted by hash. Immutable after ctor.
   std::vector<std::pair<uint64_t, int>> ring_;
   // Every module key of every configured schema ("schema::module"),
-  // enumerated at ctor for initial placement and healing sweeps.
+  // enumerated from binder_'s schemas for initial placement and healing
+  // sweeps.
   std::vector<std::string> all_keys_;
   // key -> (schema name, module name), for pin_module on owners.
   std::map<std::string, std::pair<std::string, std::string>> key_parts_;
-  // schema name -> keys of its anonymous (always-imported) modules.
-  std::map<std::string, std::vector<std::string>> anon_keys_;
 
   // Event queue feeding the pump. Leaf lock: push_event never holds it
   // while taking any other lock. Declared before shards_ so zombie Server

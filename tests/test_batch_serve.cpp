@@ -580,7 +580,6 @@ TEST_F(BatchServeTest, BatchedSharedStoreMatchesSequential) {
         << "id " << i;
   }
   const ServerStats stats = server.stats();
-  EXPECT_TRUE(stats.shared_store);
   EXPECT_EQ(stats.completed, static_cast<uint64_t>(kRequests));
   check_accounting(stats);
 }

@@ -145,22 +145,5 @@ TEST_F(InteractionTest, PrefetchAndPinningCompose) {
   EXPECT_EQ(sys.location(), ModuleLocation::kDeviceMemory);
 }
 
-TEST_F(InteractionTest, BatchWithScaffoldsAccountsScaffoldOnce) {
-  PromptCacheEngine engine(model_, workload_.tokenizer());
-  engine.load_schema(kSplitSchema);
-  engine.add_scaffold("sx", {"pa", "pb"});
-
-  PromptCacheEngine::BatchStats stats;
-  const std::vector<std::string> batch = {
-      kSplitPrompt,
-      R"(<prompt schema="sx"><pa/><pb/> question: q05</prompt>)",
-  };
-  const auto results = engine.serve_batch(batch, answer_options(), &stats);
-  EXPECT_EQ(results[0].text, "a10 a11");
-  EXPECT_EQ(results[1].text, "a10 a11");
-  // The scaffold's payload counts once, then registers as avoided bytes.
-  EXPECT_GT(stats.duplicate_module_bytes_avoided, 0u);
-}
-
 }  // namespace
 }  // namespace pc

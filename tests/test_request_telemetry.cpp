@@ -10,8 +10,6 @@
 //     exactly — not approximately;
 //   * cache-efficacy attribution: a warm re-serve records zero module
 //     misses and nonzero cached tokens / reused modules;
-//   * TTFT model drift: with a hardware profile configured, cached kOk
-//     serves carry a prediction and feed pc_ttft_model_drift;
 //   * the PC_REQLOG JSONL sink and Server::write_request_log round-trip
 //     through the JSON reader;
 //   * SloTracker window math and MetricsSampler series (via their
@@ -40,7 +38,6 @@
 #include "obs/request_timeline.h"
 #include "obs/sampler.h"
 #include "obs/trace.h"
-#include "sys/device_model.h"
 #include "sys/fault.h"
 #include "sys/server.h"
 
@@ -268,42 +265,6 @@ TEST_F(RequestTelemetryTest, WarmServeRecordsCacheEfficacy) {
   EXPECT_GT(warm.retrieve_ms + warm.prefill_ms, 0.0);
 }
 
-TEST_F(RequestTelemetryTest, TtftModelDriftRecorded) {
-  ModelSpec spec;
-  spec.name = "tiny";
-  spec.n_layers = 2;
-  spec.d_model = 64;
-  spec.n_heads = 4;
-  spec.n_kv_heads = 4;
-  spec.d_head = 16;
-  spec.d_ff = 128;
-  spec.vocab_size = 100;
-  spec.dtype_bytes = 4;
-
-  ServerConfig cfg;
-  cfg.n_workers = 1;
-  cfg.schemas = {kSchema};
-  cfg.ttft_profile = &HardwareProfile::intel_i9_13900k();
-  cfg.ttft_spec = spec;
-  Server server(model_, workload_.tokenizer(), cfg);
-  server.submit(kPrompts[0], ask_options());
-  server.submit(kPrompts[0], ask_options());
-  (void)server.drain();
-
-  const auto timelines = server.requests().snapshot();
-  ASSERT_EQ(timelines.size(), 2u);
-  int predicted = 0;
-  for (const auto& t : timelines) {
-    if (t.outcome == obs::RequestOutcome::kOk && t.cached_tokens > 0) {
-      EXPECT_GT(t.predicted_ttft_ms, 0.0) << "id " << t.id;
-      ++predicted;
-    }
-  }
-  EXPECT_GT(predicted, 0);
-  const std::string prom = server.metrics_prometheus();
-  EXPECT_NE(prom.find("pc_ttft_model_drift"), std::string::npos);
-}
-
 TEST_F(RequestTelemetryTest, RequestLogJsonlRoundTrip) {
   const std::string log_path = ::testing::TempDir() + "pc_reqlog_test.jsonl";
   const std::string dump_path = ::testing::TempDir() + "pc_reqdump_test.jsonl";
@@ -458,7 +419,9 @@ TEST_F(RequestTelemetryTest, MetricsSamplerBackgroundThread) {
 }
 
 TEST_F(RequestTelemetryTest, FaultMarkersAndFlowArcsInTrace) {
-  FaultInjector::global().configure("seed=3,encode=0.5");
+  // The first encode draw fails, however few encodes the lanes' shared
+  // store runs (one per module).
+  FaultInjector::global().configure("seed=3,encode=1x1");
   obs::clear_traces();
   obs::set_tracing(true);
   const std::string trace_path = ::testing::TempDir() + "pc_flow_test.json";

@@ -3,7 +3,9 @@
 //   * the placement ring is deterministic (two routers with one config
 //     agree on every owner set) and every key gets R distinct owners;
 //   * requests route to a live shard owning the largest share of their
-//     modules, and owners hold their keys resident from construction;
+//     keys (anonymous modules included), and owners hold their keys
+//     resident from construction; a prompt that does not bind fetches
+//     nothing and fails alone;
 //   * a sharded fleet emits tokens bitwise-identical to one unsharded
 //     Server — one request per lane and four;
 //   * cross-shard fetches are charged through the interconnect model and
@@ -21,6 +23,7 @@
 // honors an env-provided spec when present (the CI smoke).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <map>
@@ -147,15 +150,115 @@ TEST_F(ShardTest, RoutesToShardOwningLargestModuleShare) {
     ASSERT_GE(target, 0);
     ASSERT_LT(target, 4);
   }
-  // A prompt importing only d1 must land on one of d1's owners (its anon
-  // siblings tie-break, but d1's owners hold >= as many of the prompt's
-  // modules as anyone).
+  // On an idle router a prompt importing only d1 lands on one of d1's
+  // owners, deterministically.
   const std::vector<int> owners = router.module_owners("c::d1");
-  // Routing maximizes owned share over ALL the prompt's keys (anonymous
-  // modules included), so just assert determinism here.
   const char* p = R"(<prompt schema="c"><d1/> question: q05</prompt>)";
-  EXPECT_EQ(router.route_shard(p), router.route_shard(p));
-  (void)owners;
+  const int target = router.route_shard(p);
+  EXPECT_NE(std::find(owners.begin(), owners.end(), target), owners.end())
+      << "routed to shard " << target;
+  EXPECT_EQ(router.route_shard(p), target);
+}
+
+TEST_F(ShardTest, AnonymousModulesCountTowardRouting) {
+  // Schema-level text forms an anonymous module that every prompt of the
+  // schema imports, so routing must weigh its key like an imported one.
+  // Pick a schema name whose anonymous key and d1 share exactly one owner:
+  // that shard alone owns both, and one of d1's owners owns only d1.
+  // Ownership depends only on the key and the shard count.
+  const ShardConfig cfg = base_config(4, 2);
+  std::string name;
+  {
+    ShardRouter probe(model_, workload_.tokenizer(), cfg);
+    for (int i = 0; i < 64 && name.empty(); ++i) {
+      std::string candidate = "a";
+      candidate += std::to_string(i);
+      const auto anon = probe.module_owners(candidate + "::__anon0");
+      const auto d1 = probe.module_owners(candidate + "::d1");
+      int shared = 0;
+      for (int o : d1) {
+        shared += std::find(anon.begin(), anon.end(), o) != anon.end();
+      }
+      if (shared == 1) name = candidate;
+    }
+  }
+  ASSERT_FALSE(name.empty()) << "no candidate schema name splits the owners";
+
+  ShardConfig anon_cfg = cfg;
+  anon_cfg.server.schemas = {"<schema name=\"" + name +
+                             "\"> w20 w21 w22\n"
+                             "  <module name=\"d1\">w00 w01 q05 a10 a11 . "
+                             "w02</module>\n"
+                             "  <module name=\"d2\">w03 q06 a12 a13 . "
+                             "w04</module>\n"
+                             "</schema>"};
+  ShardRouter router(model_, workload_.tokenizer(), anon_cfg);
+  const std::vector<std::string> keys = {name + "::__anon0", name + "::d1"};
+  ASSERT_TRUE(router.shard_has_module(router.module_owners(keys[0])[0],
+                                      keys[0]))
+      << "the schema's anonymous module must be placed like a named one";
+  std::vector<int> owned(4, 0);
+  for (const auto& key : keys) {
+    for (int o : router.module_owners(key)) ++owned[static_cast<size_t>(o)];
+  }
+  const int best = *std::max_element(owned.begin(), owned.end());
+  const int target = router.route_shard("<prompt schema=\"" + name +
+                                        "\"><d1/> question: q05</prompt>");
+  ASSERT_GE(target, 0);
+  EXPECT_EQ(owned[static_cast<size_t>(target)], best)
+      << "routed to shard " << target << ", which owns "
+      << owned[static_cast<size_t>(target)] << " of the prompt's keys";
+}
+
+TEST_F(ShardTest, PromptImportingUnknownModuleFailsAlone) {
+  // R=1: d1-d4 spread over both shards, so any prompt whose keys include
+  // all four needs a cross-fetch on whichever shard it lands. A prompt
+  // that parses but imports a module the schema lacks does not bind: it
+  // has no keys, fetches nothing, and fails on its shard.
+  const ShardConfig cfg = base_config(2, 1);
+  ShardRouter router(model_, workload_.tokenizer(), cfg);
+  std::set<int> owners;
+  for (const auto& key : kModuleKeys) {
+    owners.insert(router.module_owners(key)[0]);
+  }
+  ASSERT_EQ(owners.size(), 2u) << "the modules must span both shards";
+  const char* bad =
+      R"(<prompt schema="c"><d1/><d2/><d3/><d4/><d9/> question: q07</prompt>)";
+
+  router.submit(bad, ask_options(workload_));
+  const std::vector<ShardResponse> alone = router.drain();
+  ASSERT_EQ(alone.size(), 1u);
+  EXPECT_EQ(alone[0].resp.status, ServeStatus::kFailed)
+      << to_string(alone[0].resp.status) << ": " << alone[0].resp.detail;
+  EXPECT_EQ(router.stats().cross_fetches, 0u)
+      << "a prompt that does not bind must not fetch modules";
+
+  // Among valid traffic it fails alone: every other request serves its
+  // reference tokens.
+  const std::vector<std::vector<TokenId>> expected = reference_tokens();
+  for (size_t i = 0; i < kNumPrompts; ++i) {
+    router.submit(kPrompts[i], ask_options(workload_));
+    if (i == kNumPrompts / 2) router.submit(bad, ask_options(workload_));
+  }
+  const std::vector<ShardResponse> mixed = router.drain();
+  ASSERT_EQ(mixed.size(), kNumPrompts + 1);
+  size_t next = 0;
+  for (const ShardResponse& r : mixed) {
+    if (r.id == kNumPrompts / 2 + 2) {
+      EXPECT_EQ(r.resp.status, ServeStatus::kFailed) << r.resp.detail;
+      continue;
+    }
+    EXPECT_EQ(r.resp.status, ServeStatus::kOk) << r.resp.detail;
+    EXPECT_EQ(r.resp.result.tokens, expected[next]) << "id " << r.id;
+    ++next;
+  }
+
+  const ShardRouterStats stats = router.stats();
+  EXPECT_EQ(stats.submitted, kNumPrompts + 2);
+  EXPECT_EQ(stats.failed, 2u);
+  EXPECT_EQ(stats.completed, kNumPrompts);
+  EXPECT_EQ(stats.completed + stats.timeouts + stats.shed + stats.failed,
+            stats.submitted);
 }
 
 TEST_F(ShardTest, ShardedServingMatchesUnshardedBitwise) {

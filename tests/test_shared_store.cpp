@@ -9,7 +9,9 @@
 //     scripts/check.sh);
 //   * N shared-store engines on worker threads — mixed zero-copy and
 //     copy-mode — produce bitwise-identical output to a single private
-//     engine, while encoding each module exactly once fleet-wide.
+//     engine, while encoding each module exactly once fleet-wide;
+//   * a Server built without a store owns one that all its lanes share,
+//     so it too encodes each module once.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -390,7 +392,6 @@ TEST(SharedStoreServing, ServerServesDrainsAndAggregates) {
   EXPECT_EQ(stats.completed, static_cast<uint64_t>(kRequests));
   EXPECT_EQ(stats.failed, 0u);
   EXPECT_EQ(stats.deadline_misses, 0u);
-  EXPECT_TRUE(stats.shared_store);
   EXPECT_GT(stats.throughput_rps, 0.0);
   EXPECT_EQ(stats.ttft.count(), static_cast<uint64_t>(kRequests));
   EXPECT_EQ(stats.engine_ttft.count(), static_cast<uint64_t>(kRequests));
@@ -398,31 +399,38 @@ TEST(SharedStoreServing, ServerServesDrainsAndAggregates) {
   EXPECT_EQ(stats.modules_encoded, store.size());
   EXPECT_GT(stats.store_hit_rate, 0.5);
   EXPECT_EQ(stats.resident_module_bytes, store.resident_bytes());
-  EXPECT_EQ(stats.bytes_deduplicated, store.resident_bytes() * 3);
 }
 
-TEST(SharedStoreServing, PrivateStoreServerEncodesPerWorker) {
+TEST(SharedStoreServing, ServerWithoutStoreOwnsOneForAllLanes) {
   AccuracyWorkload workload(7);
   const Model model = make_induction_model({workload.vocab().size(), 256});
 
   ServerConfig cfg;
   cfg.n_workers = 2;
   cfg.schemas = {kSchema};
+  cfg.prefetch = true;
   Server server(model, workload.tokenizer(), cfg);
+  EXPECT_NE(server.prefetcher(), nullptr);
   const GenerateOptions opts = ask_options(workload);
   for (int i = 0; i < 8; ++i) {
     server.submit(kAsks[i % std::size(kAsks)].prompt, opts);
   }
   const std::vector<ServerResponse> responses = server.drain();
-  for (const ServerResponse& r : responses) {
+
+  ASSERT_EQ(responses.size(), 8u);
+  PromptCacheEngine reference(model, workload.tokenizer());
+  reference.load_schema(kSchema);
+  for (int i = 0; i < 8; ++i) {
+    const ServerResponse& r = responses[static_cast<size_t>(i)];
     EXPECT_EQ(r.status, ServeStatus::kOk) << r.detail;
+    EXPECT_EQ(r.result.tokens,
+              reference.serve(kAsks[i % std::size(kAsks)].prompt, opts).tokens);
   }
 
+  // Both lanes serve from the store the server owns: each of the schema's
+  // four modules is encoded once across lanes.
   const ServerStats stats = server.stats();
-  EXPECT_FALSE(stats.shared_store);
-  // The baseline's cost: every worker encodes (and holds) every module.
-  EXPECT_EQ(stats.modules_encoded, 4u * 2u);
-  EXPECT_EQ(stats.bytes_deduplicated, 0u);
+  EXPECT_EQ(stats.modules_encoded, 4u);
   EXPECT_GT(stats.resident_module_bytes, 0u);
 }
 

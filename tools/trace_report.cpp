@@ -287,7 +287,6 @@ struct Req {
   std::string outcome;
   double queue_ms = 0, encode_ms = 0, retrieve_ms = 0, transfer_ms = 0;
   double prefill_ms = 0, decode_ms = 0, ttft_ms = 0, service_ms = 0;
-  double predicted_ttft_ms = 0;
   int64_t cached = 0, uncached = 0, modules = 0, misses = 0, chunks = 0;
   double bytes_host = 0, bytes_device = 0, bytes_zero = 0;
   std::string kv_format, detail;
@@ -324,7 +323,6 @@ std::vector<Req> load_requests(const std::string& path) {
     r.decode_ms = v["decode_ms"].as_number(0);
     r.ttft_ms = v["ttft_ms"].as_number(0);
     r.service_ms = v["service_ms"].as_number(0);
-    r.predicted_ttft_ms = v["predicted_ttft_ms"].as_number(0);
     r.cached = static_cast<int64_t>(v["cached_tokens"].as_number(0));
     r.uncached = static_cast<int64_t>(v["uncached_tokens"].as_number(0));
     r.modules = static_cast<int64_t>(v["modules"].as_number(0));
@@ -464,8 +462,7 @@ int report_requests(const std::string& path, int top_n) {
   // components of the end-to-end TTFT (queue + transfer + retrieve +
   // prefill); encode and decode sit outside it but are shown for context.
   if (served > 0) {
-    double q = 0, e = 0, t = 0, rtr = 0, p = 0, d = 0, ttft = 0, drift_sum = 0;
-    uint64_t drift_n = 0;
+    double q = 0, e = 0, t = 0, rtr = 0, p = 0, d = 0, ttft = 0;
     for (const Req& r : reqs) {
       if (!is_served_outcome(r.outcome)) continue;
       q += r.queue_ms;
@@ -475,10 +472,6 @@ int report_requests(const std::string& path, int top_n) {
       p += r.prefill_ms;
       d += r.decode_ms;
       ttft += r.ttft_ms;
-      if (r.predicted_ttft_ms > 0) {
-        drift_sum += (r.retrieve_ms + r.prefill_ms) / r.predicted_ttft_ms;
-        ++drift_n;
-      }
     }
     const double n = static_cast<double>(served);
     std::cout << "\n== mean TTFT critical path (" << served << " served) ==\n";
@@ -501,13 +494,6 @@ int report_requests(const std::string& path, int top_n) {
     row("ttft (e2e)", ttft, false);
     row("encode", e, false);
     row("decode", d, false);
-    if (drift_n > 0) {
-      std::snprintf(line, sizeof(line),
-                    "  model drift: measured/predicted engine TTFT = %.2fx "
-                    "over %" PRIu64 " predicted serves\n",
-                    drift_sum / static_cast<double>(drift_n), drift_n);
-      std::cout << line;
-    }
   }
 
   // Top-N slowest served requests, with a scaled phase waterfall.
