@@ -84,8 +84,7 @@ int main() {
   for (double fraction : {0.05, 0.1, 0.25, 0.5, 0.75, 1.0}) {
     const size_t capacity = static_cast<size_t>(
         fraction * kPoolSize * static_cast<double>(module_bytes));
-    SharedModuleStore store(capacity, /*host=*/0, DiskTierConfig{},
-                            /*n_shards=*/1);
+    SharedModuleStore store(capacity, /*host=*/0, DiskTierConfig{});
     for (int i = 0; i < kPoolSize; ++i) {
       store.insert("mod" + std::to_string(i), synthetic_module());
     }

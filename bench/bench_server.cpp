@@ -134,6 +134,8 @@ std::vector<std::string> build_shared_prompts() {
 struct RunResult {
   int workers = 0;
   int requests = 0;
+  int device_modules = 0;  // modules on the capped device tier after drain
+  size_t host_link_bytes = 0;  // module bytes the requests moved from host
   ServerStats stats;
 };
 
@@ -429,24 +431,22 @@ TieredRunResult run_tiered_config(const Model& model,
   cfg.schemas = {schema};
   cfg.link = link;
 
-  // One shard so the cap is exact (no per-shard slicing slack); host gets a
-  // token 1-byte slice so every RAM-resident module sits on the "device"
-  // side of the cap and overflow goes straight to disk.
+  // Host gets a token 1-byte tier so every RAM-resident module sits on the
+  // "device" side of the cap and overflow goes straight to disk.
   std::unique_ptr<SharedModuleStore> store;
   if (ram_cap == 0) {
-    store = std::make_unique<SharedModuleStore>(0, 0, /*n_shards=*/1);
+    store = std::make_unique<SharedModuleStore>(0, 0);
   } else {
     DiskTierConfig disk;
     disk.enabled = true;
     // Simulated disk link: cheaper than the host link (same shape as the
     // shard sweep's interconnect) but not free, so fault-ins the prefetcher
     // fails to hide show up as measurable admission stall.
-    disk.read_latency_s = link.latency_s / 4.0;
-    disk.read_bandwidth_bytes_per_s = 8e9;
+    disk.link.latency_s = link.latency_s / 4.0;
+    disk.link.bandwidth_bytes_per_s = 8e9;
     cfg.prefetch = true;
     cfg.prefetch_depth = 4;
-    store = std::make_unique<SharedModuleStore>(ram_cap, /*host=*/1, disk,
-                                                /*n_shards=*/1);
+    store = std::make_unique<SharedModuleStore>(ram_cap, /*host=*/1, disk);
   }
 
   const std::vector<double> cdf = zipf_cdf(prompts.size(), kZipfS);
@@ -682,7 +682,7 @@ void write_tiered_smoke_json(const TieredSweep& sweep) {
 void print_results(const std::vector<RunResult>& runs) {
   TablePrinter table("serving throughput: lanes over one store");
   table.set_header({"workers", "req/s", "ttft p50", "ttft p99", "encoded",
-                    "resident MB", "hit rate", "waits"});
+                    "resident MB", "on device", "hit rate", "waits"});
   for (const RunResult& r : runs) {
     table.add_row(
         {std::to_string(r.workers),
@@ -692,6 +692,7 @@ void print_results(const std::vector<RunResult>& runs) {
          std::to_string(r.stats.modules_encoded),
          TablePrinter::fmt(
              static_cast<double>(r.stats.resident_module_bytes) / 1e6, 2),
+         std::to_string(r.device_modules),
          TablePrinter::fmt(r.stats.store_hit_rate, 3),
          std::to_string(r.stats.single_flight_waits)});
   }
@@ -759,14 +760,18 @@ void write_json(const std::vector<RunResult>& runs,
                 size_t distinct_modules,
                 size_t module_bytes, const LinkModel& link,
                 double calibrated_serve_ms) {
-  // Acceptance checks, evaluated over the sweep.
+  // Acceptance checks, evaluated over the sweep. The device tier is capped
+  // at 40% of the module bytes to put the store under tier pressure, so it
+  // must hold at least one module (and the rest spill to host).
   bool shared_encodes_equal_distinct = true;
   bool shared_throughput_increases = true;
+  bool device_tier_holds_a_module = true;
   double prev_shared_rps = 0;
   for (const RunResult& r : runs) {
     if (r.stats.modules_encoded != distinct_modules) {
       shared_encodes_equal_distinct = false;
     }
+    if (r.device_modules < 1) device_tier_holds_a_module = false;
     if (r.stats.throughput_rps <= prev_shared_rps) {
       shared_throughput_increases = false;
     }
@@ -804,6 +809,8 @@ void write_json(const std::vector<RunResult>& runs,
         << ", \"store_misses\": " << s.store.misses
         << ", \"store_hit_rate\": " << TablePrinter::fmt(s.store_hit_rate, 4)
         << ", \"resident_module_bytes\": " << s.resident_module_bytes
+        << ", \"device_modules\": " << r.device_modules
+        << ", \"host_link_bytes\": " << r.host_link_bytes
         << ", \"single_flight_waits\": " << s.single_flight_waits << "}"
         << (i + 1 < runs.size() ? "," : "") << "\n";
   }
@@ -980,6 +987,8 @@ void write_json(const std::vector<RunResult>& runs,
       << (shared_encodes_equal_distinct ? "true" : "false") << ",\n"
       << "    \"shared_throughput_increases_with_workers\": "
       << (shared_throughput_increases ? "true" : "false") << ",\n"
+      << "    \"store_sweep_device_tier_holds_a_module\": "
+      << (device_tier_holds_a_module ? "true" : "false") << ",\n"
       << "    \"batching_speedup_at_8\": "
       << TablePrinter::fmt(batching_speedup_at_8, 2) << ",\n"
       << "    \"batching_speedup_at_8_ge_1p5\": "
@@ -1132,8 +1141,14 @@ int main(int argc, char** argv) {
       for (int i = 0; i < requests; ++i) {
         server.submit(prompts[static_cast<size_t>(i) % prompts.size()], opts);
       }
-      (void)server.drain();
+      for (const ServerResponse& r : server.drain()) {
+        run.host_link_bytes += r.result.ttft.bytes_from_host;
+      }
       run.stats = server.stats();
+      store.for_each(
+          [&](const std::string&, const EncodedModule&, ModuleLocation loc) {
+            if (loc == ModuleLocation::kDeviceMemory) ++run.device_modules;
+          });
     }
     if (run.stats.failed > 0) {
       std::cout << "WARNING: " << run.stats.failed << " failed serves with "

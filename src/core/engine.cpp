@@ -126,8 +126,7 @@ PromptCacheEngine::PromptCacheEngine(const Model& model,
     : PromptCacheEngine(model, tokenizer,
                         std::make_unique<SharedModuleStore>(
                             config.device_capacity_bytes,
-                            config.host_capacity_bytes, DiskTierConfig{},
-                            /*n_shards=*/1),
+                            config.host_capacity_bytes, DiskTierConfig{}),
                         config) {}
 
 PromptCacheEngine::PromptCacheEngine(const Model& model,

@@ -25,8 +25,8 @@
 // per-engine stats and histograms are unsynchronized). Every engine serves
 // from a SharedModuleStore (core/shared_module_store.h):
 //
-//   * A standalone engine (the constructor without a store) owns a
-//     one-shard store sized by EngineConfig's capacity fields. Engines are
+//   * A standalone engine (the constructor without a store) owns a store
+//     sized by EngineConfig's capacity fields. Engines are
 //     then fully isolated but encode and hold every module once *per
 //     engine*; share encoded modules between processes via
 //     save_modules()/load_modules().
@@ -195,8 +195,8 @@ struct EngineCells {
 
 class PromptCacheEngine {
  public:
-  // Standalone engine: owns a one-shard store sized by the EngineConfig
-  // capacity fields, with no disk tier (PC_DISK_DIR is not consulted).
+  // Standalone engine: owns a store sized by the EngineConfig capacity
+  // fields, with no disk tier (PC_DISK_DIR is not consulted).
   PromptCacheEngine(const Model& model, const TextTokenizer& tokenizer,
                     EngineConfig config = {});
 

@@ -3,30 +3,31 @@
 //
 // Encoded modules are placed in device memory (fast, scarce) while it has
 // room, spilling to host memory (abundant, but costs a transfer at serve
-// time) — the memory trade-off of paper §4.1. Eviction takes the least-
-// recently-used unpinned entry of a tier; the paper leaves replacement
-// policy to future serving systems (§6), so the policy is deliberately
-// simple and lives in this one class.
+// time) — the memory trade-off of paper §4.1. Eviction takes the store-wide
+// least-recently-used unpinned entry of a tier; the paper leaves
+// replacement policy to future serving systems (§6), so the policy is
+// deliberately simple and lives in this one class.
 //
 // There is one store implementation for every configuration. A standalone
-// engine owns a one-shard instance sized by its EngineConfig (no disk
-// tier); a serving fleet shares one instance, so N engines hold each
-// encoded module once and a module encoded by any worker is a hit for all
-// of them — the reuse the paper's TTFT claim rests on (§3.4, §5).
+// engine owns an instance sized by its EngineConfig (no disk tier); a
+// serving fleet shares one instance, so N engines hold each encoded module
+// once and a module encoded by any worker is a hit for all of them — the
+// reuse the paper's TTFT claim rests on (§3.4, §5).
 //
 // Concurrency design:
 //
-//   * Striped locking. Entries are partitioned into shards by key hash;
-//     each shard has its own std::shared_mutex. Mutations (insert, evict,
-//     pin, recency updates) take the shard lock exclusively; const queries
-//     (contains, is_pinned, for_each) take it shared. Capacities are split
-//     evenly across shards, so eviction decisions are shard-local and never
-//     serialize the whole store.
+//   * One lock. The entries, the tier accounting, the spill records and the
+//     in-flight encodes sit behind one std::shared_mutex. Mutations (insert,
+//     evict, pin, recency updates) take it exclusively; const queries
+//     (contains, pin_count, size, usage, for_each) take it shared. Nothing
+//     slow runs under it — encodes, disk reads and row copies happen
+//     outside (below) — so a serve holds it for a few map operations. Each
+//     configured capacity holds exactly, for the whole store.
 //
 //   * Shared-ownership reads. Lookups return a ModuleRef — a
-//     shared_ptr-backed handle acquired under the shard lock — instead of a
-//     raw pointer. The expensive part of a hit (memcpying module rows into
-//     a request cache) runs entirely outside any lock, and a ref keeps its
+//     shared_ptr-backed handle acquired under the lock — instead of a raw
+//     pointer. The expensive part of a hit (memcpying module rows into a
+//     request cache) runs entirely outside the lock, and a ref keeps its
 //     payload alive even if another worker evicts or replaces the entry
 //     mid-copy. Caches that borrow module rows hold their refs for the
 //     whole request, so borrowed rows can never dangle.
@@ -40,7 +41,7 @@
 //
 //   * Single-flight encoding. ensure() runs the encode callback at most
 //     once per missing key across all threads: the first caller becomes the
-//     leader and encodes outside all locks while later callers block on a
+//     leader and encodes outside the lock while later callers block on a
 //     per-key flight; they wake holding a ref to the leader's result. A
 //     failed leader wakes the waiters and the next caller retries.
 //
@@ -50,8 +51,8 @@
 //     (core/serialize.h's checksummed record format, written crash-
 //     atomically via tmp+rename) instead of being destroyed. find()/
 //     ensure() transparently fault spilled entries back in — the disk read
-//     runs outside all shard locks under the same per-key single-flight
-//     Flight that deduplicates encodes, and the faulted payload is placed
+//     runs outside the lock under the same per-key single-flight Flight
+//     that deduplicates encodes, and the faulted payload is placed
 //     host-first so its bytes are charged through the serving LinkModel
 //     like any host-resident module. prefetch() is the async pipeline's
 //     entry point (sys/prefetch.h): it faults a key in ahead of admission
@@ -133,18 +134,16 @@ struct DiskTierConfig {
   // Spill directory; "" uses the system temp directory. Each store creates
   // (and removes on destruction) a unique subdirectory underneath it.
   std::string dir;
-  // Disk budget in bytes, split across shards like the RAM tiers; 0 means
-  // unbounded. When full, the coldest spilled records are destroyed.
+  // Disk budget in bytes; 0 means unbounded. When full, the coldest
+  // spilled records are destroyed.
   size_t capacity_bytes = 0;
   // Simulated disk-link cost added to every fault-in on top of the real
-  // file read (same shape as sys/serve_types.h's LinkModel, restated here
-  // because core cannot include sys serving headers). 0-valued fields
-  // contribute nothing.
-  double read_latency_s = 0;
-  double read_bandwidth_bytes_per_s = 0;
+  // file read: link.stall_s(record bytes). LinkModel{} adds nothing.
+  LinkModel link;
 
   // Environment-driven config: PC_DISK_DIR (presence enables the tier;
-  // the value is `dir`) and PC_DISK_CAPACITY (bytes; optional). Stores
+  // the value is `dir`) and PC_DISK_CAPACITY (optional; a plain decimal
+  // byte count — anything else throws pc::ConfigError). Stores
   // constructed without an explicit DiskTierConfig use this.
   static DiskTierConfig from_env();
 };
@@ -177,18 +176,14 @@ struct DiskTierStats {
 
 class SharedModuleStore {
  public:
-  static constexpr size_t kDefaultShards = 8;
-
-  // Capacities in bytes, split across shards summing exactly to the given
-  // totals; 0 means unlimited. A single module larger than its shard's
-  // slice (at most ceil(capacity / n_shards)) cannot be stored in a
-  // capacity-limited tier — size shard counts to the workload. The disk
-  // tier defaults to DiskTierConfig::from_env() (disabled unless
-  // PC_DISK_DIR is set).
+  // Capacities in bytes; 0 means unlimited. Each tier holds at most its
+  // capacity. The disk tier defaults to DiskTierConfig::from_env()
+  // (disabled unless PC_DISK_DIR is set). `n_shards` must be 1: the store
+  // has one lock and one LRU, and the parameter stays only for callers
+  // that still pass it (bench/e2e).
   SharedModuleStore(size_t device_capacity, size_t host_capacity,
-                    size_t n_shards = kDefaultShards);
-  SharedModuleStore(size_t device_capacity, size_t host_capacity,
-                    DiskTierConfig disk, size_t n_shards = kDefaultShards);
+                    DiskTierConfig disk = DiskTierConfig::from_env(),
+                    size_t n_shards = 1);
   ~SharedModuleStore();
 
   SharedModuleStore(const SharedModuleStore&) = delete;
@@ -218,8 +213,8 @@ class SharedModuleStore {
   // and_pin, the lookup and the pin are one atomic step (no window where
   // another worker can evict between them). A key resident on the disk
   // tier is transparently faulted back in (single-flight; the read runs
-  // outside all shard locks) and counts as a hit; only a key resident
-  // nowhere is a miss.
+  // outside the lock) and counts as a hit; only a key resident nowhere is
+  // a miss.
   ModuleRef find(const std::string& key, bool and_pin = false);
 
   // Async-prefetch entry point: fault `key` in from the disk tier ahead of
@@ -233,7 +228,7 @@ class SharedModuleStore {
   bool prefetch(const std::string& key);
 
   // Single-flight lookup-or-encode: returns a ref to the resident module,
-  // running `encode` (outside all store locks) only if this caller is the
+  // running `encode` (outside the store lock) only if this caller is the
   // first to need a missing key. `encoded_here` (if non-null) reports
   // whether this call ran the encode — the caller's "I paid the forward
   // pass" signal for its own stats. Counts like find(): one hit, or one
@@ -274,17 +269,15 @@ class SharedModuleStore {
   void erase(const std::string& key);
   void clear();
 
-  // Visits a weakly-consistent snapshot of resident entries (entries
-  // inserted or evicted concurrently may or may not be seen). The callback
-  // runs under a shared shard lock and must not call back into the store.
+  // Visits every RAM-resident entry. The callback runs under the shared
+  // lock and must not call back into the store.
   void for_each(const std::function<void(const std::string& key,
                                          const EncodedModule& module,
                                          ModuleLocation location)>& fn) const;
 
   size_t size() const;
-  size_t n_shards() const { return shards_.size(); }
 
-  // Summed usage across shards for `loc`, and total resident payload.
+  // Capacity and usage of `loc`, and total resident payload.
   TierUsage usage(ModuleLocation loc) const;
   size_t resident_bytes() const;
   // High-water mark of resident RAM bytes across the store's lifetime —
@@ -326,13 +319,13 @@ class SharedModuleStore {
     std::shared_ptr<const EncodedModule> module;
     ModuleLocation location = ModuleLocation::kHostMemory;
     int pin_count = 0;
-    uint64_t last_used = 0;  // global clock stamp; smallest = coldest
+    uint64_t last_used = 0;  // store clock stamp; smallest = coldest
     // Faulted in by prefetch() and not yet used by a serve: the first
     // find()/ensure() hit clears this and counts one prefetch hit.
     bool prefetched = false;
   };
 
-  // A record resident on the disk tier (absent from `entries`).
+  // A record resident on the disk tier (absent from `entries_`).
   struct SpillInfo {
     std::string path;
     size_t bytes = 0;
@@ -346,73 +339,53 @@ class SharedModuleStore {
     bool done = false;  // leader finished (successfully or not)
   };
 
-  struct Shard {
-    mutable std::shared_mutex mutex;
-    std::unordered_map<std::string, Entry> entries;
-    std::unordered_map<std::string, std::shared_ptr<Flight>> in_flight;
-    TierAllocator tiers;
-    // Disk tier: spilled records and this shard's slice of the disk budget.
-    std::unordered_map<std::string, SpillInfo> spilled;
-    TierUsage disk;
+  // All *_locked helpers, and tick(), require the exclusive lock.
+  uint64_t tick() { return clock_++; }
 
-    Shard(size_t host_capacity, size_t device_capacity, bool host_zero,
-          bool device_zero)
-        : tiers(host_capacity, device_capacity, host_zero, device_zero) {}
-  };
-
-  Shard& shard_for(const std::string& key) {
-    return *shards_[std::hash<std::string>{}(key) % shards_.size()];
-  }
-  const Shard& shard_for(const std::string& key) const {
-    return *shards_[std::hash<std::string>{}(key) % shards_.size()];
-  }
-
-  uint64_t tick() { return clock_.fetch_add(1, std::memory_order_relaxed); }
-
-  // All *_locked helpers require the shard's exclusive lock.
   // The RAM lookup find() and ensure() share: polls the injected evict
   // fault, and on a hit bumps recency, settles the prefetch tag, pins when
   // asked and counts the hit. An empty ref means the key is not RAM-
   // resident (nothing counted: the caller decides whether that is a miss).
-  ModuleRef lookup_locked(Shard& s, const std::string& key, bool and_pin);
-  bool make_room_locked(Shard& s, ModuleLocation loc, size_t bytes);
-  void erase_locked(Shard& s,
-                    std::unordered_map<std::string, Entry>::iterator it);
+  ModuleRef lookup_locked(const std::string& key, bool and_pin);
+  bool make_room_locked(ModuleLocation loc, size_t bytes);
+  void erase_locked(std::unordered_map<std::string, Entry>::iterator it);
   // Places the payload, preserving `pins` from a replaced entry. Returns
   // the chosen tier; throws CacheError when nothing fits. kDeviceFirst is
   // the insert/encode order; fault-ins place kHostFirst so disk bytes
   // surface as host-resident (and get charged through the LinkModel).
   enum class PlacePref { kDeviceFirst, kHostFirst };
-  ModuleLocation place_locked(Shard& s, const std::string& key,
+  ModuleLocation place_locked(const std::string& key,
                               std::shared_ptr<const EncodedModule> module,
                               int pins,
                               PlacePref pref = PlacePref::kDeviceFirst);
-  void finish_flight(Shard& s, const std::string& key);
+  void finish_flight(const std::string& key);
 
   // Disk-tier helpers. spill_locked serializes the victim crash-atomically
   // and converts the entry into a spill record; false (injected write
   // fault, disk full, I/O error) means the caller must destroy-evict
   // instead. make_disk_room_locked destroys the coldest spilled records
   // (skipping keys with an active flight) until `bytes` fit.
-  bool spill_locked(Shard& s,
-                    std::unordered_map<std::string, Entry>::iterator victim);
-  bool make_disk_room_locked(Shard& s, size_t bytes);
-  void drop_spill_locked(Shard& s,
-                         std::unordered_map<std::string, SpillInfo>::iterator it,
-                         bool count_eviction);
-  // Single-flight fault-in leader path: reads `info` outside all locks and
+  bool spill_locked(std::unordered_map<std::string, Entry>::iterator victim);
+  bool make_disk_room_locked(size_t bytes);
+  void drop_spill_locked(
+      std::unordered_map<std::string, SpillInfo>::iterator it,
+      bool count_eviction);
+  // Single-flight fault-in leader path: reads `info` outside the lock and
   // places the payload. The caller registered the key's Flight and is
   // responsible for finishing it — ensure() keeps the flight alive to fall
   // back to an encode when the read fails (empty ref; record dropped).
-  ModuleRef fault_in(Shard& s, const std::string& key, SpillInfo info,
-                     bool and_pin, bool prefetching);
+  ModuleRef fault_in(const std::string& key, SpillInfo info, bool and_pin,
+                     bool prefetching);
   void note_resident_peak();
 
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<uint64_t> clock_{1};
-  // Configured RAM totals, for the over-slice diagnostic in place_locked.
-  size_t device_capacity_total_ = 0;
-  size_t host_capacity_total_ = 0;
+  mutable std::shared_mutex mutex_;
+  std::unordered_map<std::string, Entry> entries_;
+  std::unordered_map<std::string, std::shared_ptr<Flight>> in_flight_;
+  TierAllocator tiers_;
+  // Disk tier: spilled records and the disk budget.
+  std::unordered_map<std::string, SpillInfo> spilled_;
+  TierUsage disk_usage_;
+  uint64_t clock_ = 1;  // recency stamps (under the exclusive lock)
   std::atomic<size_t> peak_resident_bytes_{0};
 
   DiskTierConfig disk_;

@@ -1,11 +1,13 @@
-// Two-tier module storage accounting (paper §4.1).
+// Module storage tiers and the cost of moving between them (paper §4.1).
 //
 // Prompt Cache stores encoded modules in either host DRAM (large, but GPUs
 // pay a PCIe copy to use it) or device HBM (fast, scarce). TierAllocator
 // tracks capacity and usage per tier so the core cache can make placement
 // decisions and the benchmarks can report footprint; actual storage always
 // lives in host RAM in this reproduction — the tier tag determines which
-// simulated transfer cost applies at inference time.
+// simulated transfer cost applies at inference time. LinkModel is that
+// cost: the serving lanes charge it on host-resident module bytes, and the
+// store's disk tier on every spill record it reads back.
 #pragma once
 
 #include <cstddef>
@@ -19,18 +21,12 @@ namespace pc {
 struct TierUsage {
   size_t capacity_bytes = 0;  // 0 means unlimited — test with unlimited()
   size_t used_bytes = 0;
-  // Disambiguates the 0 sentinel: a shard handed a 0-byte slice of a
-  // capacity-limited total is genuinely closed, not unlimited. Without
-  // this flag, splitting a small capacity across many shards either
-  // over-commits (clamping slices up to 1 byte) or silently opens the
-  // 0-byte shards wide.
-  bool zero_capacity = false;
 
   // The capacity sentinel, spelled out: arithmetic on capacity_bytes is
   // only meaningful when this is false. Callers must branch on this
   // instead of comparing capacity_bytes to 0 (or free_bytes() to
   // SIZE_MAX) themselves.
-  bool unlimited() const { return capacity_bytes == 0 && !zero_capacity; }
+  bool unlimited() const { return capacity_bytes == 0; }
 
   size_t free_bytes() const {
     if (unlimited()) return std::numeric_limits<size_t>::max();
@@ -38,17 +34,25 @@ struct TierUsage {
   }
 };
 
+// Simulated interconnect (0-valued fields contribute nothing).
+struct LinkModel {
+  double bandwidth_bytes_per_s = 0;  // link throughput; 0 = infinite
+  double latency_s = 0;              // fixed per-transfer setup cost
+
+  double stall_s(size_t bytes) const {
+    double s = latency_s;
+    if (bandwidth_bytes_per_s > 0) {
+      s += static_cast<double>(bytes) / bandwidth_bytes_per_s;
+    }
+    return s;
+  }
+};
+
 class TierAllocator {
  public:
-  // The *_zero flags mark a 0-byte capacity as "closed" rather than the
-  // default "unlimited" sentinel (see TierUsage::zero_capacity).
-  TierAllocator(size_t host_capacity_bytes, size_t device_capacity_bytes,
-                bool host_zero_capacity = false,
-                bool device_zero_capacity = false) {
+  TierAllocator(size_t host_capacity_bytes, size_t device_capacity_bytes) {
     host_.capacity_bytes = host_capacity_bytes;
-    host_.zero_capacity = host_capacity_bytes == 0 && host_zero_capacity;
     device_.capacity_bytes = device_capacity_bytes;
-    device_.zero_capacity = device_capacity_bytes == 0 && device_zero_capacity;
   }
 
   const TierUsage& usage(ModuleLocation loc) const {

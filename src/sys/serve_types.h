@@ -1,8 +1,9 @@
 // Serving-layer vocabulary shared by the Server frontend (sys/server.h)
 // and the continuous-batching scheduler each of its lanes runs
-// (sys/batch.h): the request outcome taxonomy, the response record, the
-// simulated host-link model, and the transient-fault retry policy. Split
-// out so the scheduler can speak the same types without depending on the
+// (sys/batch.h): the request outcome taxonomy, the response record and the
+// transient-fault retry policy (the simulated host link, LinkModel, lives
+// in sys/memory_tier.h beside the tiers it moves bytes between). Split out
+// so the scheduler can speak the same types without depending on the
 // Server.
 #pragma once
 
@@ -11,22 +12,9 @@
 #include <vector>
 
 #include "core/engine.h"
+#include "sys/memory_tier.h"
 
 namespace pc {
-
-// Simulated host<->device interconnect (0-valued fields contribute nothing).
-struct LinkModel {
-  double bandwidth_bytes_per_s = 0;  // host-link throughput; 0 = infinite
-  double latency_s = 0;              // fixed per-request transfer setup cost
-
-  double stall_s(size_t bytes_from_host) const {
-    double s = latency_s;
-    if (bandwidth_bytes_per_s > 0) {
-      s += static_cast<double>(bytes_from_host) / bandwidth_bytes_per_s;
-    }
-    return s;
-  }
-};
 
 // Outcome taxonomy for a served request (see sys/server.h for the full
 // lifecycle description).

@@ -83,7 +83,6 @@ Server::Server(const Model& model, const TextTokenizer& tokenizer,
       tokenizer_(tokenizer),
       store_(store),
       config_(std::move(config)),
-      requests_(config_.request_ring),
       slo_(config_.slo),
       instance_(next_server_instance()) {
   start();
@@ -94,8 +93,7 @@ Server::Server(const Model& model, const TextTokenizer& tokenizer,
     : Server(model, tokenizer,
              std::make_unique<SharedModuleStore>(
                  config.engine.device_capacity_bytes,
-                 config.engine.host_capacity_bytes, DiskTierConfig{},
-                 /*n_shards=*/1),
+                 config.engine.host_capacity_bytes, DiskTierConfig{}),
              std::move(config)) {}
 
 Server::Server(const Model& model, const TextTokenizer& tokenizer,

@@ -6,7 +6,7 @@
 // lanes serve from one SharedModuleStore (see src/core/engine.h), so each
 // module is encoded once across lanes (single-flight) and held once: the
 // caller's store, or one the Server owns, built as a standalone engine
-// builds its own (one shard sized by ServerConfig::engine, no disk tier).
+// builds its own (sized by ServerConfig::engine, no disk tier).
 //
 // Request lifecycle: submit() enqueues (blocking while the queue is at
 // capacity — admission control instead of unbounded memory). Lanes admit
@@ -94,10 +94,8 @@ struct ServerConfig {
   LinkModel link;
   RetryPolicy retry;
   BatchConfig batch;  // per lane: requests in flight, prefill chunk size
-  // Request-centric telemetry (obs/request_timeline.h). request_ring bounds
-  // the in-memory timeline buffer (oldest evicted first); slo configures
-  // the rolling availability/deadline window (obs/sampler.h).
-  size_t request_ring = 8192;
+  // The rolling availability/deadline window of the request-centric
+  // telemetry (obs/sampler.h).
   obs::SloConfig slo;
   // Async disk-tier prefetch (sys/prefetch.h): a background binder thread
   // maps each submitted prompt to its module keys and faults spilled
@@ -165,10 +163,10 @@ class Server {
   Server(const Model& model, const TextTokenizer& tokenizer,
          SharedModuleStore& store, ServerConfig config);
 
-  // All lanes serve from a store the server owns: one shard sized by
-  // config.engine's capacity fields, with no disk tier (PC_DISK_DIR is not
-  // consulted) — the store a standalone engine owns, so a one-lane Server
-  // serves exactly as one engine does.
+  // All lanes serve from a store the server owns, sized by config.engine's
+  // capacity fields, with no disk tier (PC_DISK_DIR is not consulted) —
+  // the store a standalone engine owns, so a one-lane Server serves
+  // exactly as one engine does.
   Server(const Model& model, const TextTokenizer& tokenizer,
          ServerConfig config);
 

@@ -72,8 +72,7 @@ ShardRouter::ShardRouter(const Model& model, const TextTokenizer& tokenizer,
     : model_(model),
       tokenizer_(tokenizer),
       config_(std::move(config)),
-      binder_(model, tokenizer, binder_config()),
-      slo_(config_.slo) {
+      binder_(model, tokenizer, binder_config()) {
   PC_CHECK_MSG(config_.n_shards > 0, "ShardRouter needs at least one shard");
   config_.replication =
       std::clamp(config_.replication, 1, config_.n_shards);
@@ -174,8 +173,7 @@ ShardRouter::ShardRouter(const Model& model, const TextTokenizer& tokenizer,
 ShardRouter::~ShardRouter() { stop(); }
 
 void ShardRouter::build_shard(Shard& s, uint64_t gen_epoch) {
-  s.store = std::make_unique<SharedModuleStore>(config_.device_capacity,
-                                                config_.host_capacity);
+  s.store = std::make_unique<SharedModuleStore>(/*device=*/0, /*host=*/0);
   ServerConfig sc = config_.server;
   // The router places modules itself and owns the response lifecycle.
   sc.engine.eager_encode = false;

@@ -84,17 +84,12 @@ struct ShardConfig {
   // encodes each module exactly once fleet-wide and copies it to the other
   // owners.
   ServerConfig server;
-  // Per-shard store capacities (0 = unlimited). Owned modules are pinned,
-  // so a limited tier must at least fit the shard's owned share.
-  size_t device_capacity = 0;
-  size_t host_capacity = 0;
   // Inter-shard interconnect: cross-shard module fetches and
   // re-replication copies are charged stall_s(bytes) through this model.
   LinkModel cross_link;
   // Auto-restart a killed shard after this many router submits (0 = only
   // restart_shard() / the all-dead rescue restarts it).
   int restart_after_submits = 0;
-  obs::SloConfig slo;  // router-level availability window
 };
 
 // A Server response plus its routing history.

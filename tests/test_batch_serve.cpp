@@ -38,6 +38,7 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -53,6 +54,18 @@
 
 namespace pc {
 namespace {
+
+#if defined(__SANITIZE_THREAD__)
+constexpr bool kThreadSanitizer = true;
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+constexpr bool kThreadSanitizer = true;
+#else
+constexpr bool kThreadSanitizer = false;
+#endif
+#else
+constexpr bool kThreadSanitizer = false;
+#endif
 
 constexpr char kSchema[] = R"(
   <schema name="bs">
@@ -730,7 +743,9 @@ TEST_F(BatchServeTest, SharedModulesReduceKvFootprint) {
 // here. Copy, zero-copy and batched serving read the same module bytes
 // through the same kernels (copied and borrowed rows differ only in where
 // they live), so they must agree bitwise for every model family at fp32,
-// q8 and q4 alike.
+// q8 and q4 alike. Under ThreadSanitizer the test serves every third
+// prompt (still every import count, 2 to 4) through every family, format
+// and serving cell; the full 24 would dominate the sanitizer legs.
 TEST_F(BatchServeTest, BatchedMatchesZeroCopyOnRandomWeights) {
   const Vocab& vocab = Vocab::basic_english();
   const Tokenizer tokenizer(vocab);
@@ -761,6 +776,7 @@ TEST_F(BatchServeTest, BatchedMatchesZeroCopyOnRandomWeights) {
   }
   schema += "</schema>";
   std::vector<std::string> prompts;
+  std::set<int> kept_imports;
   for (int p = 0; p < kRequests; ++p) {
     const int imports = static_cast<int>(rng.uniform_int(2, 4));
     std::vector<int> picked;
@@ -774,8 +790,12 @@ TEST_F(BatchServeTest, BatchedMatchesZeroCopyOnRandomWeights) {
     pml::PromptBuilder prompt("rw");
     for (int m : picked) prompt.import("m" + std::to_string(m));
     prompt.text(words(6));
-    prompts.push_back(prompt.str());
+    if (!kThreadSanitizer || p % 3 == 0) {
+      prompts.push_back(prompt.str());
+      kept_imports.insert(imports);
+    }
   }
+  ASSERT_EQ(kept_imports, (std::set<int>{2, 3, 4}));
   GenerateOptions opts;
   opts.max_new_tokens = 8;
   opts.stop_tokens.clear();  // fixed-length output

@@ -242,8 +242,7 @@ TEST_F(FaultTest, ThrashLookupCountsOneMiss) {
   // once: one miss and one re-encode, not a second miss for the re-encode.
   AccuracyWorkload workload(7);
   const Model model = make_induction_model({workload.vocab().size(), 256});
-  SharedModuleStore store(/*device=*/0, /*host=*/0, DiskTierConfig{},
-                          /*n_shards=*/1);
+  SharedModuleStore store(/*device=*/0, /*host=*/0, DiskTierConfig{});
   PromptCacheEngine engine(model, workload.tokenizer(), store);
   engine.load_schema(kSchema);  // eager encode: all four modules resident
   const ServeResult expected = engine.serve(kPrompts[4], ask_options(workload));

@@ -1,7 +1,7 @@
-// Unit tests for the store a standalone engine owns — a one-shard
-// SharedModuleStore with no disk tier: placement, LRU eviction, pinning,
-// tier promotion, the engine's union-sibling prefetch, and the equivalence
-// of a standalone engine with an engine over an explicit one-shard store.
+// Unit tests for the store a standalone engine owns — a SharedModuleStore
+// with no disk tier: placement, LRU eviction, pinning, tier promotion, the
+// engine's union-sibling prefetch, and the equivalence of a standalone
+// engine with an engine over an explicit store of the same capacities.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -39,14 +39,14 @@ EncodedModule make_module(int n_tokens) {
 
 size_t module_bytes(int n_tokens) { return make_module(n_tokens).payload_bytes(); }
 
-// The store a standalone engine owns: one shard, no disk tier.
-struct OneShard : SharedModuleStore {
-  OneShard(size_t device, size_t host)
-      : SharedModuleStore(device, host, DiskTierConfig{}, /*n_shards=*/1) {}
+// The store a standalone engine owns: no disk tier.
+struct NoDiskStore : SharedModuleStore {
+  NoDiskStore(size_t device, size_t host)
+      : SharedModuleStore(device, host, DiskTierConfig{}) {}
 };
 
-TEST(OneShardStore, PlacesDeviceFirstThenSpillsToHost) {
-  OneShard store(/*device=*/module_bytes(4), /*host=*/0);
+TEST(NoDiskStore, PlacesDeviceFirstThenSpillsToHost) {
+  NoDiskStore store(/*device=*/module_bytes(4), /*host=*/0);
   store.insert("a", make_module(4));
   SharedModuleStore::ModuleRef ref = store.find("a");
   ASSERT_TRUE(ref);
@@ -62,10 +62,10 @@ TEST(OneShardStore, PlacesDeviceFirstThenSpillsToHost) {
   EXPECT_EQ(store.stats().evictions, 0u);
 }
 
-TEST(OneShardStore, FindBumpsRecency) {
+TEST(NoDiskStore, FindBumpsRecency) {
   // No host tier: the store must evict within the device tier, and LRU
   // order decides the victim.
-  OneShard store(module_bytes(4) * 2, /*host=*/1);
+  NoDiskStore store(module_bytes(4) * 2, /*host=*/1);
   store.insert("a", make_module(4));
   store.insert("b", make_module(4));
   // Touch "a" so "b" becomes the LRU victim.
@@ -76,8 +76,8 @@ TEST(OneShardStore, FindBumpsRecency) {
   EXPECT_EQ(store.stats().evictions, 1u);
 }
 
-TEST(OneShardStore, PinnedEntriesSurviveEviction) {
-  OneShard store(module_bytes(4) * 2, /*host=*/1);
+TEST(NoDiskStore, PinnedEntriesSurviveEviction) {
+  NoDiskStore store(module_bytes(4) * 2, /*host=*/1);
   store.insert("sys", make_module(4));
   ASSERT_TRUE(store.pin("sys"));
   EXPECT_TRUE(store.is_pinned("sys"));
@@ -95,8 +95,8 @@ TEST(OneShardStore, PinnedEntriesSurviveEviction) {
   EXPECT_FALSE(store.pin("ghost"));
 }
 
-TEST(OneShardStore, AllPinnedMeansInsertionFailsLoudly) {
-  OneShard store(module_bytes(4), 1);
+TEST(NoDiskStore, AllPinnedMeansInsertionFailsLoudly) {
+  NoDiskStore store(module_bytes(4), 1);
   store.insert("sys", make_module(4));
   store.pin("sys");
   try {
@@ -112,9 +112,9 @@ TEST(OneShardStore, AllPinnedMeansInsertionFailsLoudly) {
   EXPECT_TRUE(store.find("sys"));
 }
 
-TEST(OneShardStore, PromoteMovesBetweenTiers) {
+TEST(NoDiskStore, PromoteMovesBetweenTiers) {
   // Device fits one module; the second spills to host.
-  OneShard store(module_bytes(4), 0);
+  NoDiskStore store(module_bytes(4), 0);
   store.insert("hot", make_module(4));
   store.insert("cold", make_module(4));
   SharedModuleStore::ModuleRef ref = store.find("cold");
@@ -139,8 +139,8 @@ TEST(OneShardStore, PromoteMovesBetweenTiers) {
   EXPECT_FALSE(store.promote("ghost", ModuleLocation::kDeviceMemory));
 }
 
-TEST(OneShardStore, PromoteRespectsPinsInTargetTier) {
-  OneShard store(module_bytes(4), 0);
+TEST(NoDiskStore, PromoteRespectsPinsInTargetTier) {
+  NoDiskStore store(module_bytes(4), 0);
   store.insert("pinned", make_module(4));
   store.pin("pinned");
   store.insert("other", make_module(4));  // spills to host
@@ -150,8 +150,8 @@ TEST(OneShardStore, PromoteRespectsPinsInTargetTier) {
   EXPECT_EQ(ref.location(), ModuleLocation::kDeviceMemory);
 }
 
-TEST(OneShardStore, ClearReleasesEverything) {
-  OneShard store(0, 0);
+TEST(NoDiskStore, ClearReleasesEverything) {
+  NoDiskStore store(0, 0);
   store.insert("a", make_module(4));
   store.insert("b", make_module(8));
   store.clear();
@@ -235,7 +235,7 @@ TEST(EnginePin, PinnedSystemModuleSurvivesPressure) {
 
 // ---------------------------------------------------------------------------
 // One store: a standalone engine sized by EngineConfig and an engine over a
-// one-shard SharedModuleStore of the same capacities make the same
+// SharedModuleStore of the same capacities make the same
 // placement, demotion, eviction and encode decisions, serve for serve.
 // Hit/miss counters are left out: they count lookups, not residency.
 
@@ -317,7 +317,7 @@ std::map<std::string, ModuleLocation> residency(const Store& store) {
 }
 
 // Serves `prompts` on both engines, comparing them after every serve and at
-// the end; `totals` receives the one-shard store's final counters.
+// the end; `totals` receives the explicit store's final counters.
 void expect_one_store_equivalence(const Model& model,
                                   const AccuracyWorkload& workload,
                                   const std::string& schema,
@@ -338,13 +338,13 @@ void expect_one_store_equivalence(const Model& model,
   cfg.host_capacity_bytes = module_bytes * 5 + module_bytes / 2;
 
   PromptCacheEngine standalone(model, workload.tokenizer(), cfg);
-  SharedModuleStore one_shard(cfg.device_capacity_bytes,
-                              cfg.host_capacity_bytes, DiskTierConfig{},
-                              /*n_shards=*/1);
-  PromptCacheEngine over_store(model, workload.tokenizer(), one_shard, cfg);
+  SharedModuleStore explicit_store(cfg.device_capacity_bytes,
+                                   cfg.host_capacity_bytes, DiskTierConfig{});
+  PromptCacheEngine over_store(model, workload.tokenizer(), explicit_store,
+                               cfg);
   standalone.load_schema(schema);
   over_store.load_schema(schema);
-  ASSERT_EQ(residency(standalone.store()), residency(one_shard));
+  ASSERT_EQ(residency(standalone.store()), residency(explicit_store));
 
   GenerateOptions opts;
   opts.max_new_tokens = 2;  // the two-token answer
@@ -353,14 +353,14 @@ void expect_one_store_equivalence(const Model& model,
     const ServeResult a = standalone.serve(prompts[i], opts);
     const ServeResult b = over_store.serve(prompts[i], opts);
     ASSERT_EQ(a.tokens, b.tokens) << "serve " << i << ": " << prompts[i];
-    ASSERT_EQ(residency(standalone.store()), residency(one_shard))
+    ASSERT_EQ(residency(standalone.store()), residency(explicit_store))
         << "serve " << i;
     ASSERT_EQ(a.ttft.bytes_from_host, b.ttft.bytes_from_host)
         << "serve " << i;
   }
 
   const ModuleStoreStats sa = standalone.store().stats();
-  const ModuleStoreStats sb = one_shard.stats();
+  const ModuleStoreStats sb = explicit_store.stats();
   EXPECT_EQ(sa.insertions, sb.insertions);
   EXPECT_EQ(sa.evictions, sb.evictions);
   EXPECT_EQ(sa.demotions, sb.demotions);
@@ -378,7 +378,7 @@ void expect_one_store_equivalence(const Model& model,
   *totals = sb;
 }
 
-TEST(OneStore, PrivateEngineMatchesOneShardStore) {
+TEST(OneStore, PrivateEngineMatchesExplicitStore) {
   // Both engines would draw from one injector schedule; keep it quiet.
   FaultInjector::global().disable();
   AccuracyWorkload workload(7);
@@ -431,7 +431,6 @@ TEST(OneStore, StandaloneEngineIgnoresDiskEnv) {
     unsetenv("PC_DISK_DIR");
   }
   EXPECT_FALSE(engine.store().disk_enabled());
-  EXPECT_EQ(engine.store().n_shards(), 1u);
 }
 
 }  // namespace

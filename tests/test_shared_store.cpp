@@ -98,8 +98,8 @@ TEST(SharedModuleStore, FailedLeaderHandsOffToWaiter) {
 }
 
 TEST(SharedModuleStore, RefsKeepEvictedModulesAlive) {
-  // One shard, room for exactly one 8-token payload in each tier.
-  SharedModuleStore store(/*device=*/512, /*host=*/512, /*n_shards=*/1);
+  // Room for exactly one 8-token payload in each tier.
+  SharedModuleStore store(/*device=*/512, /*host=*/512);
   store.insert("a", make_payload(8));
   SharedModuleStore::ModuleRef ref = store.find("a");
   ASSERT_TRUE(ref);
@@ -112,7 +112,7 @@ TEST(SharedModuleStore, RefsKeepEvictedModulesAlive) {
 }
 
 TEST(SharedModuleStore, PinsAreRefCountedAndBlockEviction) {
-  SharedModuleStore store(/*device=*/512, /*host=*/512, /*n_shards=*/1);
+  SharedModuleStore store(/*device=*/512, /*host=*/512);
   store.insert("a", make_payload(8));
   ASSERT_TRUE(store.find("a", /*and_pin=*/true));
   ASSERT_TRUE(store.pin("a"));  // second borrower
@@ -136,7 +136,7 @@ TEST(SharedModuleStore, PinsAreRefCountedAndBlockEviction) {
 }
 
 TEST(SharedModuleStore, ReplaceCarriesPinCountAndKeepsOldPayloadAlive) {
-  SharedModuleStore store(0, 0, 1);
+  SharedModuleStore store(0, 0);
   store.insert("a", make_payload(8));
   auto old_ref = store.find("a", /*and_pin=*/true);
   store.insert("a", make_payload(16));  // replace while borrowed
@@ -152,8 +152,8 @@ TEST(SharedModuleStore, ConcurrentHammerStaysConsistent) {
   constexpr int kIters = 300;
   constexpr int kKeys = 12;
   // Tight tiers: ~6KB total vs up to 12 × (4..11 tokens × 64B) resident —
-  // constant eviction/demotion churn across 2 shards.
-  SharedModuleStore store(/*device=*/2048, /*host=*/4096, /*n_shards=*/2);
+  // constant eviction/demotion churn.
+  SharedModuleStore store(/*device=*/2048, /*host=*/4096);
 
   auto key_of = [](int k) { return "key" + std::to_string(k); };
   auto tokens_of = [](int k) { return 4 + (k % 8); };
@@ -275,8 +275,7 @@ TEST(SharedStoreServing, SharedServeMatchesSingleEngineBitwise) {
 
   // Shared store under device pressure (demotion churn): 4 workers, half
   // zero-copy, each serving every prompt several times.
-  SharedModuleStore store(/*device=*/module_bytes * 2 / 5, /*host=*/0,
-                          /*n_shards=*/2);
+  SharedModuleStore store(/*device=*/module_bytes * 2 / 5, /*host=*/0);
   constexpr int kThreads = 4;
   constexpr int kRounds = 3;
   std::atomic<int> mismatches{0};
@@ -342,8 +341,7 @@ TEST(SharedStoreServing, ThrashReencodeRestoresEvictedModules) {
   // effectively closed at 1 byte): serving a two-module prompt evicts one
   // while retrieving the other, forcing re-encodes inside the TTFT window —
   // which must still serve correctly (refs outlive eviction).
-  SharedModuleStore store(/*device=*/max_module * 3 / 2, /*host=*/1,
-                          /*n_shards=*/1);
+  SharedModuleStore store(/*device=*/max_module * 3 / 2, /*host=*/1);
   PromptCacheEngine engine(model, workload.tokenizer(), store);
   engine.load_schema(kSchema);
   const GenerateOptions opts = ask_options(workload);

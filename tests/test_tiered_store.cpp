@@ -1,8 +1,8 @@
 // Tiered module store (docs/INTERNALS.md §15): disk spill + async prefetch.
 //
-//   * split_capacity accounting: shard slices sum EXACTLY to the configured
-//     totals (the clamp-to-1 over-commit is fixed), and a module that fits
-//     the total but not a 1/N slice raises a CacheError that says so;
+//   * exact capacities: a capped store holds exactly the modules its
+//     configured bytes fit and evicts the store-wide least-recently-used
+//     unpinned entry, and PC_DISK_CAPACITY accepts only a byte count;
 //   * spill / fault-in round trips are bitwise: a RAM-capped store backed
 //     by the disk tier serves byte-identical tokens to an uncapped one;
 //   * prefetch() overlaps disk reads with serving, dedups against demand
@@ -124,61 +124,60 @@ void check_conservation(const DiskTierStats& d) {
 }
 
 // ---------------------------------------------------------------------------
-// Satellite: split_capacity accounting.
+// Exact capacities.
 
-TEST_F(TieredStoreTest, ShardSlicesSumExactlyToConfiguredTotals) {
-  // Regression: with capacity < n_shards the old clamp gave every shard
-  // max(total/n, 1) = 1 byte, so 8 shards of a 4-byte store could admit 8
-  // bytes — more than configured. Slices must sum exactly.
-  SharedModuleStore store(/*device=*/4, /*host=*/3, /*n_shards=*/8);
-  EXPECT_EQ(store.usage(ModuleLocation::kDeviceMemory).capacity_bytes, 4u);
-  EXPECT_EQ(store.usage(ModuleLocation::kHostMemory).capacity_bytes, 3u);
+TEST_F(TieredStoreTest, CappedStoreHoldsExactlyAndEvictsStoreWideLru) {
+  // Device capped at three 64-byte modules, a closed 1-byte host tier, no
+  // disk tier: the store holds three modules whatever their keys, and a
+  // fourth evicts the coldest unpinned entry of the whole store.
+  constexpr size_t kModule = 64;
+  ASSERT_EQ(make_real_payload(1, 0.0f).payload_bytes(), kModule);
+  SharedModuleStore store(/*device=*/3 * kModule, /*host=*/1,
+                          DiskTierConfig{});
+  store.insert("a", make_real_payload(1, 1.0f));
+  store.insert("b", make_real_payload(1, 2.0f));
+  store.insert("c", make_real_payload(1, 3.0f));
+  EXPECT_EQ(store.size(), 3u);
+  EXPECT_EQ(store.usage(ModuleLocation::kDeviceMemory).used_bytes,
+            3 * kModule);
+  EXPECT_EQ(store.usage(ModuleLocation::kDeviceMemory).capacity_bytes,
+            3 * kModule);
+  EXPECT_EQ(store.usage(ModuleLocation::kHostMemory).capacity_bytes, 1u);
 
-  SharedModuleStore even(/*device=*/1000, /*host=*/999, /*n_shards=*/8);
-  EXPECT_EQ(even.usage(ModuleLocation::kDeviceMemory).capacity_bytes, 1000u);
-  EXPECT_EQ(even.usage(ModuleLocation::kHostMemory).capacity_bytes, 999u);
+  // "a" is touched and "b" pinned, so "c" is the coldest unpinned entry.
+  ASSERT_TRUE(store.find("a"));
+  ASSERT_TRUE(store.pin("b"));
+  store.insert("d", make_real_payload(1, 4.0f));
+  EXPECT_EQ(store.size(), 3u);
+  EXPECT_TRUE(store.contains("a"));
+  EXPECT_TRUE(store.contains("b"));
+  EXPECT_FALSE(store.contains("c"));
+  EXPECT_TRUE(store.contains("d"));
+  EXPECT_EQ(store.stats().evictions, 1u);
+  EXPECT_TRUE(store.unpin("b"));
 
-  // 0 still means unlimited, not a closed 0-byte slice.
-  SharedModuleStore unlimited(/*device=*/0, /*host=*/0, /*n_shards=*/8);
+  // A module larger than every tier is refused outright.
+  EXPECT_THROW(store.insert("big", make_real_payload(4, 5.0f)), CacheError);
+
+  // 0 means unlimited, not a closed 0-byte tier.
+  SharedModuleStore unlimited(/*device=*/0, /*host=*/0, DiskTierConfig{});
   unlimited.insert("k", tiny_payload(4));
   EXPECT_TRUE(unlimited.contains("k"));
-}
 
-TEST_F(TieredStoreTest, OverSliceUnderTotalRaisesShardingError) {
-  // Totals of 12 bytes over 8 shards: every slice is 1 or 2 bytes. An
-  // 8-byte module fits the configured total but no slice — the error must
-  // name the sharding problem, not claim the store is too small.
-  SharedModuleStore store(/*device=*/12, /*host=*/12, /*n_shards=*/8);
-  try {
-    store.insert("k", tiny_payload(1));  // 8 bytes
-    FAIL() << "insert must throw CacheError";
-  } catch (const CacheError& e) {
-    EXPECT_NE(std::string(e.what()).find("per-shard slice"),
-              std::string::npos)
-        << e.what();
-  }
-
-  // A 16-byte module exceeds the totals themselves: the plain capacity
-  // error, no sharding hint.
-  try {
-    store.insert("k", tiny_payload(2));
-    FAIL() << "insert must throw CacheError";
-  } catch (const CacheError& e) {
-    EXPECT_EQ(std::string(e.what()).find("per-shard slice"),
-              std::string::npos)
-        << e.what();
-  }
+  // The retired stripe count is accepted only as 1.
+  EXPECT_THROW(SharedModuleStore(0, 0, DiskTierConfig{}, /*n_shards=*/8),
+               ContractViolation);
 }
 
 TEST_F(TieredStoreTest, EnvConfigEnablesAndBoundsTheDiskTier) {
   // PC_DISK_DIR / PC_DISK_CAPACITY drive any store built without an
-  // explicit DiskTierConfig (the 3-arg constructor).
+  // explicit DiskTierConfig.
   const std::string dir = ::testing::TempDir() + "pc_env_disk";
   std::filesystem::create_directories(dir);
   setenv("PC_DISK_DIR", dir.c_str(), 1);
   setenv("PC_DISK_CAPACITY", "128", 1);
   {
-    SharedModuleStore store(/*device=*/128, /*host=*/1, /*n_shards=*/1);
+    SharedModuleStore store(/*device=*/128, /*host=*/1);
     ASSERT_TRUE(store.disk_enabled());
 
     // RAM holds one 128-byte payload; overflow spills under PC_DISK_DIR.
@@ -206,11 +205,18 @@ TEST_F(TieredStoreTest, EnvConfigEnablesAndBoundsTheDiskTier) {
     EXPECT_TRUE(store.contains("a"));
     check_conservation(d);
   }
+  // PC_DISK_CAPACITY is a plain decimal byte count that fits size_t;
+  // anything else is a configuration error, not a different budget.
+  for (const char* bad : {"10GB", "1e9", "abc", "-1", "18446744073709551616"}) {
+    setenv("PC_DISK_CAPACITY", bad, 1);
+    EXPECT_THROW(SharedModuleStore(/*device=*/128, /*host=*/1), ConfigError)
+        << bad;
+  }
   unsetenv("PC_DISK_DIR");
   unsetenv("PC_DISK_CAPACITY");
 
   // Without PC_DISK_DIR the default-config store has no disk tier.
-  SharedModuleStore plain(/*device=*/128, /*host=*/1, /*n_shards=*/1);
+  SharedModuleStore plain(/*device=*/128, /*host=*/1);
   EXPECT_FALSE(plain.disk_enabled());
   std::filesystem::remove_all(dir);
 }
@@ -221,8 +227,7 @@ TEST_F(TieredStoreTest, EnvConfigEnablesAndBoundsTheDiskTier) {
 TEST_F(TieredStoreTest, SpillAndFaultInRoundTripIsBitwise) {
   // Room for exactly two 64-byte payloads in RAM (device only; host is a
   // closed 1-byte tier), unbounded disk underneath.
-  SharedModuleStore store(/*device=*/128, /*host=*/1, disk_config(),
-                          /*n_shards=*/1);
+  SharedModuleStore store(/*device=*/128, /*host=*/1, disk_config());
   ASSERT_TRUE(store.disk_enabled());
 
   const EncodedModule a = make_real_payload(1, 1000.0f);
@@ -255,8 +260,7 @@ TEST_F(TieredStoreTest, SpillAndFaultInRoundTripIsBitwise) {
 }
 
 TEST_F(TieredStoreTest, PrefetchTagsEntriesAndHitAccountingReconciles) {
-  SharedModuleStore store(/*device=*/128, /*host=*/1, disk_config(),
-                          /*n_shards=*/1);
+  SharedModuleStore store(/*device=*/128, /*host=*/1, disk_config());
   store.insert("a", make_real_payload(1, 1.0f));
   store.insert("b", make_real_payload(1, 2.0f));
   store.insert("c", make_real_payload(1, 3.0f));  // "a" spills
@@ -290,7 +294,7 @@ TEST_F(TieredStoreTest, DiskCapacityEvictsColdestSpilledRecords) {
   // the coldest one.
   DiskTierConfig dc = disk_config();
   dc.capacity_bytes = 128;
-  SharedModuleStore store(/*device=*/64, /*host=*/1, dc, /*n_shards=*/1);
+  SharedModuleStore store(/*device=*/64, /*host=*/1, dc);
   store.insert("a", make_real_payload(1, 1.0f));
   store.insert("b", make_real_payload(1, 2.0f));  // a -> disk
   store.insert("c", make_real_payload(1, 3.0f));  // b -> disk
@@ -317,12 +321,12 @@ TEST_F(TieredStoreTest, DiskCapacityEvictsColdestSpilledRecords) {
 }
 
 TEST_F(TieredStoreTest, EvictionPrefetchAndEnsureRacesStayConsistent) {
-  // Three-way churn on one shard: ensure() leaders, prefetch() fault-ins,
+  // Three-way churn on one store: ensure() leaders, prefetch() fault-ins,
   // and insert/erase pressure all collide on the same keys. Run under TSan
   // by the tiered-chaos CI job; the invariants here catch lost accounting.
   DiskTierConfig dc = disk_config();
   dc.capacity_bytes = 4096;
-  SharedModuleStore store(/*device=*/256, /*host=*/256, dc, /*n_shards=*/1);
+  SharedModuleStore store(/*device=*/256, /*host=*/256, dc);
   constexpr int kKeys = 10;
   constexpr int kIters = 250;
   auto key_of = [](int k) { return "key" + std::to_string(k); };
@@ -416,7 +420,7 @@ TEST_F(TieredStoreTest, RamCappedTieredServingIsBitwiseIdentical) {
   // with re-encodes (test_shared_store.cpp ThrashReencode); with it, the
   // modules round-trip through disk and must serve bitwise-identically.
   SharedModuleStore store(/*device=*/max_module * 3 / 2, /*host=*/1,
-                          disk_config(), /*n_shards=*/1);
+                          disk_config());
   PromptCacheEngine engine(model, workload.tokenizer(), store);
   engine.load_schema(kSchema);
   for (int round = 0; round < 3; ++round) {
@@ -454,7 +458,7 @@ TEST_F(TieredStoreTest, ServerPrefetchPipelineOverlapsAndStaysCorrect) {
   // RAM cap at half the working set; one worker so queued requests give
   // the prefetcher a window to work ahead of admission.
   SharedModuleStore store(/*device=*/module_bytes / 2, /*host=*/1,
-                          disk_config(), /*n_shards=*/1);
+                          disk_config());
   ServerConfig cfg;
   cfg.n_workers = 1;
   cfg.queue_capacity = 32;
@@ -495,8 +499,7 @@ TEST_F(TieredStoreTest, WorkersEncodeTheSchemaWithPrefetchOn) {
   PromptCacheEngine probe(model, workload.tokenizer(), parse_only);
   const uint64_t n_modules = probe.load_schema(kSchema).modules.size();
 
-  SharedModuleStore store(/*device=*/0, /*host=*/0, disk_config(),
-                          /*n_shards=*/1);
+  SharedModuleStore store(/*device=*/0, /*host=*/0, disk_config());
   ServerConfig cfg;
   cfg.n_workers = 2;
   cfg.schemas = {kSchema};
@@ -564,7 +567,7 @@ TEST_F(TieredStoreTest, BatchingOverRamCappedDiskTierIsBitwiseIdentical) {
     return responses;
   };
 
-  SharedModuleStore uncapped(/*device=*/0, /*host=*/0, /*n_shards=*/1);
+  SharedModuleStore uncapped(/*device=*/0, /*host=*/0);
   const std::vector<ServerResponse> expected = serve_all(uncapped);
   size_t module_bytes = 0;
   uncapped.for_each(
@@ -576,7 +579,7 @@ TEST_F(TieredStoreTest, BatchingOverRamCappedDiskTierIsBitwiseIdentical) {
   static_assert(kMaxBatch * kImports + 1 <= 10 && 10 < kModules);
 
   SharedModuleStore capped(/*device=*/10 * module_bytes, /*host=*/1,
-                           disk_config(), /*n_shards=*/1);
+                           disk_config());
   const std::vector<ServerResponse> responses = serve_all(capped);
   ASSERT_EQ(responses.size(), prompts.size());
   ASSERT_EQ(expected.size(), prompts.size());
@@ -667,8 +670,7 @@ TEST_F(TieredStoreTest, PartialSaveIsInvisibleAfterRestart) {
 
 TEST_F(TieredStoreTest, SpillWriteFaultsDegradeToDestroyEviction) {
   FaultInjector::global().configure("seed=5,diskwrite=1.0");
-  SharedModuleStore store(/*device=*/128, /*host=*/1, disk_config(),
-                          /*n_shards=*/1);
+  SharedModuleStore store(/*device=*/128, /*host=*/1, disk_config());
   store.insert("a", make_real_payload(1, 1.0f));
   store.insert("b", make_real_payload(1, 2.0f));
   store.insert("c", make_real_payload(1, 3.0f));  // spill of "a" fails
@@ -684,8 +686,7 @@ TEST_F(TieredStoreTest, SpillWriteFaultsDegradeToDestroyEviction) {
 
 TEST_F(TieredStoreTest, ReadFaultFallsBackToReencode) {
   FaultInjector::global().configure("seed=5,diskread=1.0");
-  SharedModuleStore store(/*device=*/128, /*host=*/1, disk_config(),
-                          /*n_shards=*/1);
+  SharedModuleStore store(/*device=*/128, /*host=*/1, disk_config());
   std::atomic<int> encodes{0};
   auto encode_a = [&] {
     encodes.fetch_add(1);
@@ -729,7 +730,7 @@ TEST_F(TieredStoreTest, DiskFaultChaosKeepsAvailabilityAtOne) {
       });
 
   SharedModuleStore store(/*device=*/module_bytes / 2, /*host=*/1,
-                          disk_config(), /*n_shards=*/1);
+                          disk_config());
   // Arm AFTER construction so the spill dir setup is clean, BEFORE serving
   // so spills and fault-ins both draw faults.
   FaultInjector::global().configure("seed=23,diskread=0.3,diskwrite=0.3");
