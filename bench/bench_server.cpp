@@ -5,7 +5,7 @@
 //
 // What the sweep shows:
 //   * encode-once: modules_encoded equals the number of distinct modules
-//     at every lane count (the lanes share one store, single-flight);
+//     at every lane count (the lanes share one engine and one store);
 //   * throughput: requests/s grows with lanes because per-request
 //     host-link stalls overlap across them.
 //
@@ -60,6 +60,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "common/rng.h"
 #include "common/timer.h"
 #include "core/engine.h"
 #include "core/shared_module_store.h"
@@ -198,13 +199,6 @@ struct ShardRunResult {
 // traffic replays identically across shard counts.
 constexpr double kZipfS = 0.8;
 
-uint64_t mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 std::vector<double> zipf_cdf(size_t n, double s) {
   std::vector<double> cdf(n);
   double total = 0;
@@ -217,9 +211,8 @@ std::vector<double> zipf_cdf(size_t n, double s) {
 }
 
 size_t zipf_pick(const std::vector<double>& cdf, uint64_t seed, int i) {
-  const double u =
-      static_cast<double>(mix64(seed ^ mix64(static_cast<uint64_t>(i))) >> 11) *
-      0x1.0p-53;
+  const uint64_t h = splitmix64(seed ^ splitmix64(static_cast<uint64_t>(i)));
+  const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
   return static_cast<size_t>(
       std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
 }

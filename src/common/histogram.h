@@ -2,11 +2,12 @@
 //
 // The engine records per-request TTFT into these so long-running serving
 // processes can report p50/p90/p99 without retaining per-request samples.
-// Buckets grow geometrically from a configurable floor; the default layout
-// (factor 2^(1/4) ≈ 19% per bucket from 1 µs) spans ~4.6 hours with <10%
-// quantile error at constant memory. The observability registry
-// (src/obs/metrics.h) wraps this class for its histogram instrument, so
-// every latency metric in the process shares one quantile semantics.
+// Every histogram has one bucket layout: buckets grow geometrically by
+// 2^(1/4) ≈ 19% from a 1 µs floor, spanning ~4.6 hours with <10% quantile
+// error at constant memory, so any two merge bucket for bucket. The
+// observability registry (src/obs/metrics.h) wraps this class for its
+// histogram instrument, so every latency metric in the process shares one
+// quantile semantics.
 #pragma once
 
 #include <array>
@@ -21,20 +22,9 @@ namespace pc {
 class LatencyHistogram {
  public:
   static constexpr int kBuckets = 136;  // 1e-6 s * 2^(135/4) ≈ 1.5e4 s
-
-  // Default layout: 1 µs floor, 4 buckets per doubling.
-  LatencyHistogram() = default;
-
-  // Custom layout: `min_seconds` floor (bucket 0 holds everything at or
-  // below it), `buckets_per_doubling` geometric resolution. The bucket
-  // COUNT is fixed (kBuckets); the layout controls floor and growth rate.
-  LatencyHistogram(double min_seconds, int buckets_per_doubling)
-      : min_seconds_(min_seconds),
-        per_doubling_(buckets_per_doubling) {
-    PC_CHECK_MSG(min_seconds > 0.0, "histogram floor must be positive");
-    PC_CHECK_MSG(buckets_per_doubling >= 1,
-                 "histogram needs at least one bucket per doubling");
-  }
+  // Bucket 0 holds everything at or below the floor.
+  static constexpr double kFloorSeconds = 1e-6;
+  static constexpr int kBucketsPerDoubling = 4;
 
   void record_seconds(double seconds) {
     ++count_;
@@ -54,23 +44,14 @@ class LatencyHistogram {
   double max_seconds() const { return count_ == 0 ? 0.0 : max_seconds_; }
   double min_seconds() const { return count_ == 0 ? 0.0 : min_seconds_seen_; }
 
-  // The bucket layout (floor, buckets per doubling). Two histograms with
-  // equal layouts merge exactly.
-  double bucket_floor_seconds() const { return min_seconds_; }
-  int buckets_per_doubling() const { return per_doubling_; }
-  bool same_layout(const LatencyHistogram& other) const {
-    return min_seconds_ == other.min_seconds_ &&
-           per_doubling_ == other.per_doubling_;
-  }
-
   // Quantile in [0, 1] as an upper bound: the upper edge of the occupied
   // bucket holding the q-th ranked sample, not a sample. It can exceed the
-  // observed maximum (by up to one bucket width, ~19% in the default
-  // layout), and the same edges recur across unrelated runs. This bound is
-  // what the Prometheus summary export reports (obs/export.cpp); exact
-  // percentiles need the raw samples. q == 0 returns the exact observed
-  // minimum: rank would be ceil(0) == 0, so the bucket walk below would
-  // report the first occupied bucket's upper edge instead of the minimum.
+  // observed maximum (by up to one bucket width, ~19%), and the same edges
+  // recur across unrelated runs. This bound is what the Prometheus summary
+  // export reports (obs/export.cpp); exact percentiles need the raw
+  // samples. q == 0 returns the exact observed minimum: rank would be
+  // ceil(0) == 0, so the bucket walk below would report the first occupied
+  // bucket's upper edge instead of the minimum.
   double quantile_seconds(double q) const {
     PC_CHECK_MSG(q >= 0.0 && q <= 1.0, "quantile out of range");
     if (count_ == 0) return 0.0;
@@ -89,7 +70,7 @@ class LatencyHistogram {
   double p90_ms() const { return quantile_seconds(0.90) * 1e3; }
   double p99_ms() const { return quantile_seconds(0.99) * 1e3; }
 
-  // Clears the samples; the bucket layout is preserved.
+  // Clears the samples.
   void reset() {
     buckets_.fill(0);
     count_ = 0;
@@ -98,27 +79,13 @@ class LatencyHistogram {
     min_seconds_seen_ = 1e300;
   }
 
-  // Folds another histogram into this one. Identical layouts merge
-  // bucket-for-bucket (exact — serving fleets keep one histogram per worker
-  // engine, recording stays unsynchronized and lock-free, and the stats
-  // path merges them into fleet percentiles). Differing layouts REBUCKET:
-  // each of the other's occupied buckets is folded in at its upper edge, so
-  // counts/sums/extrema stay exact and quantiles keep this histogram's
-  // bucket-width error bound instead of silently misaligning bins.
+  // Folds another histogram into this one, bucket for bucket: exact (the
+  // metrics registry merges a family's cells into one scrape value).
   void merge(const LatencyHistogram& other) {
     if (other.count_ == 0) return;
-    if (same_layout(other)) {
-      for (int b = 0; b < kBuckets; ++b) {
-        buckets_[static_cast<size_t>(b)] +=
-            other.buckets_[static_cast<size_t>(b)];
-      }
-    } else {
-      for (int b = 0; b < kBuckets; ++b) {
-        const uint64_t n = other.buckets_[static_cast<size_t>(b)];
-        if (n == 0) continue;
-        buckets_[static_cast<size_t>(bucket_for(other.bucket_upper_edge(b)))] +=
-            n;
-      }
+    for (int b = 0; b < kBuckets; ++b) {
+      buckets_[static_cast<size_t>(b)] +=
+          other.buckets_[static_cast<size_t>(b)];
     }
     count_ += other.count_;
     sum_seconds_ += other.sum_seconds_;
@@ -139,23 +106,22 @@ class LatencyHistogram {
   }
 
  private:
-  int bucket_for(double seconds) const {
-    if (seconds <= min_seconds_) return 0;
+  static int bucket_for(double seconds) {
+    if (seconds <= kFloorSeconds) return 0;
     const int b = static_cast<int>(std::floor(
-                      static_cast<double>(per_doubling_) *
-                      std::log2(seconds / min_seconds_))) +
+                      static_cast<double>(kBucketsPerDoubling) *
+                      std::log2(seconds / kFloorSeconds))) +
                   1;
     return std::min(std::max(b, 0), kBuckets - 1);
   }
 
-  double bucket_upper_edge(int bucket) const {
-    if (bucket <= 0) return min_seconds_;
-    return min_seconds_ * std::pow(2.0, static_cast<double>(bucket) /
-                                            static_cast<double>(per_doubling_));
+  static double bucket_upper_edge(int bucket) {
+    if (bucket <= 0) return kFloorSeconds;
+    return kFloorSeconds *
+           std::pow(2.0, static_cast<double>(bucket) /
+                             static_cast<double>(kBucketsPerDoubling));
   }
 
-  double min_seconds_ = 1e-6;  // bucket-0 upper edge (layout floor)
-  int per_doubling_ = 4;       // buckets per doubling of latency
   std::array<uint64_t, kBuckets> buckets_ = {};
   uint64_t count_ = 0;
   double sum_seconds_ = 0.0;

@@ -15,19 +15,25 @@
 
 namespace pc {
 
+// SplitMix64: one step of the golden-ratio counter, then its finalizer. A
+// well-mixed 64-bit hash of `x`; Rng's seeding, the fault injector's draws,
+// the shard ring and the retry jitter all hash through it.
+inline uint64_t splitmix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 class Rng {
  public:
   explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ULL) { reseed(seed); }
 
   void reseed(uint64_t seed) {
     // SplitMix64 expansion of the seed into the 256-bit state.
-    uint64_t x = seed;
     for (auto& s : state_) {
-      x += 0x9e3779b97f4a7c15ULL;
-      uint64_t z = x;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-      s = z ^ (z >> 31);
+      s = splitmix64(seed);
+      seed += 0x9e3779b97f4a7c15ULL;
     }
     has_cached_gauss_ = false;
   }

@@ -13,10 +13,10 @@ ThreadPool::ThreadPool(size_t n_threads) {
     n_threads = std::thread::hardware_concurrency();
     if (n_threads == 0) n_threads = 1;
     // PC_THREADS caps default-sized pools (including the global one). The
-    // serving stack runs one engine per worker thread; kernel-level
-    // parallel_for fanning out to all cores inside each of N workers would
+    // serving stack runs one thread per serving lane; kernel-level
+    // parallel_for fanning out to all cores inside each of N lanes would
     // oversubscribe the machine, so bench_server pins PC_THREADS=1 while it
-    // sweeps worker counts. Values < 1 and non-numeric strings are ignored.
+    // sweeps lane counts. Values < 1 and non-numeric strings are ignored.
     if (const char* cap_env = std::getenv("PC_THREADS")) {
       const long cap = std::atol(cap_env);
       if (cap > 0) {

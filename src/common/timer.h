@@ -1,10 +1,16 @@
-// Wall-clock timing utilities used by the benchmark harnesses.
+// Wall-clock timing utilities.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 
 namespace pc {
+
+// Milliseconds from `a` to `b` on the monotonic clock.
+inline double ms_between(std::chrono::steady_clock::time_point a,
+                         std::chrono::steady_clock::time_point b) {
+  return std::chrono::duration<double, std::milli>(b - a).count();
+}
 
 // Monotonic wall-clock stopwatch.
 class WallTimer {

@@ -181,7 +181,7 @@ const pml::Schema& PromptCacheEngine::load_schema(
   if (config_.eager_encode) {
     for (size_t mi = 0; mi < it->second.modules.size(); ++mi) {
       const int m = static_cast<int>(mi);
-      encode(it->second, {module_key(it->second, m), m});
+      encode(it->second, {module_key(it->second, m), m}, nullptr);
     }
   }
   return it->second;
@@ -216,7 +216,7 @@ void PromptCacheEngine::add_scaffold(const std::string& schema_name,
             });
   s.key = schema_name + "::scaffold";
   for (int mi : s.module_indices) s.key += ":" + schema->module(mi).name;
-  if (config_.eager_encode) encode(*schema, {s.key, -1, &s});
+  if (config_.eager_encode) encode(*schema, {s.key, -1, &s}, nullptr);
   scaffolds_.push_back(std::move(s));
 }
 
@@ -349,16 +349,20 @@ EncodedModule PromptCacheEngine::build_payload(const pml::Schema& schema,
   return m;
 }
 
-void PromptCacheEngine::encode(const pml::Schema& schema, const Block& block) {
+void PromptCacheEngine::encode(const pml::Schema& schema, const Block& block,
+                               int* encodes) {
   if (store_.contains(block.key)) return;
   bool encoded_here = false;
   (void)store_.ensure(
       block.key, [&] { return build_payload(schema, block); }, &encoded_here);
-  if (encoded_here) {
-    (block.scaffold != nullptr ? cells_.scaffolds_encoded
-                               : cells_.modules_encoded)
-        .inc();
-  }
+  if (encoded_here) count_encode(block, encodes);
+}
+
+void PromptCacheEngine::count_encode(const Block& block, int* encodes) {
+  (block.scaffold != nullptr ? cells_.scaffolds_encoded
+                             : cells_.modules_encoded)
+      .inc();
+  if (encodes != nullptr) ++*encodes;
 }
 
 pml::PromptBinding PromptCacheEngine::bind(std::string_view prompt_pml) const {
@@ -405,7 +409,8 @@ std::vector<PromptCacheEngine::Block> PromptCacheEngine::blocks(
 }
 
 double PromptCacheEngine::ensure_encoded(const pml::PromptBinding& binding,
-                                         const CancellationToken& cancel) {
+                                         const CancellationToken& cancel,
+                                         int* encodes) {
   PC_SPAN("ensure_encoded",
           {"modules", static_cast<int64_t>(binding.modules.size())});
   WallTimer timer;
@@ -414,7 +419,7 @@ double PromptCacheEngine::ensure_encoded(const pml::PromptBinding& binding,
       throw CancelledError(
           "ensure_encoded: deadline expired before module encode");
     }
-    encode(*binding.schema, block);
+    encode(*binding.schema, block, encodes);
   }
   return timer.elapsed_ms();
 }
@@ -424,7 +429,7 @@ void PromptCacheEngine::for_each_encoded(
     const std::function<void(const std::string& key,
                              const EncodedModule& module,
                              ModuleLocation location)>& emit,
-    ModuleBorrows* borrows) {
+    ModuleBorrows* borrows, int* encodes) {
   for (const Block& block : blocks(binding)) {
     // One lookup-or-encode per block. With `borrows` (zero-copy), lookup
     // and pin are one atomic step and the holder keeps the ref past this
@@ -439,11 +444,7 @@ void PromptCacheEngine::for_each_encoded(
           return build_payload(*binding.schema, block);
         },
         &encoded_here, /*and_pin=*/borrows != nullptr);
-    if (encoded_here) {
-      (block.scaffold != nullptr ? cells_.scaffolds_encoded
-                                 : cells_.modules_encoded)
-          .inc();
-    }
+    if (encoded_here) count_encode(block, encodes);
     if (borrows != nullptr) borrows->adopt(store_, block.key, ref);
     emit(block.key, *ref, ref.location());
   }
@@ -541,7 +542,7 @@ Tensor prefill_uncached(const Model& model, const UncachedStream& stream,
 void PromptCacheEngine::append_modules(const pml::PromptBinding& binding,
                                        ModuleRows how, int own_budget,
                                        KVCache& cache, ModuleBorrows* borrows,
-                                       TtftBreakdown* ttft) {
+                                       TtftBreakdown* ttft, int* encodes) {
   WallTimer retrieve_timer;
   {
     PC_SPAN("kv_concat",
@@ -560,7 +561,7 @@ void PromptCacheEngine::append_modules(const pml::PromptBinding& binding,
             ModuleLocation loc) {
           append_module_rows(key, m, loc, how, cache, ttft);
         },
-        borrows);
+        borrows, encodes);
   }
   if (ttft != nullptr) ttft->retrieve_ms = retrieve_timer.elapsed_ms();
 }
@@ -572,13 +573,13 @@ Tensor PromptCacheEngine::assemble_and_prefill(
       collect_uncached(binding, model_.config().max_pos);
   append_modules(binding, ModuleRows::kCopy,
                  binding.uncached_token_count() + 64, sequence_cache,
-                 nullptr, ttft);
+                 nullptr, ttft, nullptr);
   return prefill_uncached(model_, stream, sequence_cache, ttft);
 }
 
 SequenceKV PromptCacheEngine::assemble(const pml::PromptBinding& binding,
                                        ModuleRows how, int max_new_tokens,
-                                       TtftBreakdown* ttft) {
+                                       TtftBreakdown* ttft, int* encodes) {
   // Decoding stops at the position budget, so max_pos also bounds the
   // generated rows whatever max_new_tokens asks for.
   const int generated =
@@ -587,7 +588,7 @@ SequenceKV PromptCacheEngine::assemble(const pml::PromptBinding& binding,
   append_modules(binding, how,
                  binding.uncached_token_count() + 1 + generated + kTailSlack,
                  kv.cache, how == ModuleRows::kBorrow ? &kv.borrows : nullptr,
-                 ttft);
+                 ttft, encodes);
   return kv;
 }
 
@@ -768,7 +769,7 @@ void PromptCacheEngine::pin_module(const std::string& schema_name,
   PC_CHECK_MSG(mi != -1, "pin_module: unknown module '" << module_name
                                                         << "'");
   const std::string key = module_key(*schema, mi);
-  encode(*schema, {key, mi});
+  encode(*schema, {key, mi}, nullptr);
   PC_CHECK(store_.pin(key));
 }
 

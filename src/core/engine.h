@@ -20,23 +20,28 @@
 // TTFT = step 2 + step 3 (+ the first sample); module encoding is offline
 // and reported separately.
 //
-// Threading contract: a single engine is single-threaded — serve(),
-// load_schema() and the other mutating calls must not run concurrently (the
-// per-engine stats and histograms are unsynchronized). Every engine serves
-// from a SharedModuleStore (core/shared_module_store.h):
+// Threading contract: load schemas and scaffolds first (load_schema and
+// add_scaffold change what the serving calls read, so they run alone);
+// after that, serve, bind, ensure_encoded, assemble, complete_serve,
+// serve_full_prefill and pin_module may run on any number of threads. They
+// read the loaded schemas and scaffolds, count into registry cells
+// (relaxed-atomic counters, mutexed histograms), and encode through the
+// store's single-flight, so a module two threads miss at once is encoded
+// once. Every engine serves from a SharedModuleStore
+// (core/shared_module_store.h):
 //
 //   * A standalone engine (the constructor without a store) owns a store
 //     sized by EngineConfig's capacity fields. Engines are
 //     then fully isolated but encode and hold every module once *per
 //     engine*; share encoded modules between processes via
 //     save_modules()/load_modules().
-//   * Engines built over one store (the SharedModuleStore& constructor)
-//     scale out to one engine per serving lane over a shared (const)
-//     Model: each module is encoded once fleet-wide (single-flight) and
-//     held once. Borrowing caches take reference-counted pins, so a request
-//     on one lane blocks eviction triggered by another; per-engine TTFT
-//     histograms merge() into fleet percentiles. This is the serving
-//     configuration — see src/sys/server.h for the queue + lanes frontend.
+//   * An engine built over a store (the SharedModuleStore& constructor)
+//     serves from the caller's store, which may hold what other engines
+//     encoded (a shard router copies modules between its shards' stores).
+//     A Server (src/sys/server.h) builds one engine over its store and
+//     serves every lane through it: each module is encoded once and held
+//     once, and borrowing caches take reference-counted pins, so a request
+//     on one lane blocks eviction triggered by another.
 #pragma once
 
 #include <map>
@@ -150,8 +155,8 @@ struct ServeResult {
 
 // Snapshot view of one engine's counters. Backed by the observability
 // registry (obs/metrics.h): every engine owns cells in the pc_engine_*
-// metric families, so a Prometheus scrape aggregates the lane fleet while
-// stats() keeps the per-engine view this struct always provided.
+// metric families, so a Prometheus scrape sums every engine in the process
+// while stats() reads this engine's cells.
 struct EngineStats {
   uint64_t serves = 0;
   uint64_t baseline_serves = 0;
@@ -202,8 +207,7 @@ class PromptCacheEngine {
 
   // Engine over `store`: encoded modules live in (and are served from) it,
   // and it must outlive the engine; the EngineConfig capacity fields are
-  // ignored (the store was sized at construction). Many engines on
-  // different threads may share one store.
+  // ignored (the store was sized at construction).
   PromptCacheEngine(const Model& model, const TextTokenizer& tokenizer,
                     SharedModuleStore& store, EngineConfig config = {});
 
@@ -251,10 +255,13 @@ class PromptCacheEngine {
   // and alive until the SequenceKV is destroyed), with own-row room for the
   // uncached tokens, the kickoff token, `max_new_tokens` generated tokens
   // (at most max_pos) and kTailSlack. serve() and the batch scheduler
-  // (sys/batch.h) copy or borrow as EngineConfig::zero_copy says.
+  // (sys/batch.h) copy or borrow as EngineConfig::zero_copy says. A module
+  // evicted since the ensure pass is re-encoded here (a thrash re-encode)
+  // and, like every encode, adds one to `*encodes` when it is given.
   static constexpr int kTailSlack = 8;
   SequenceKV assemble(const pml::PromptBinding& binding, ModuleRows how,
-                      int max_new_tokens, TtftBreakdown* ttft);
+                      int max_new_tokens, TtftBreakdown* ttft,
+                      int* encodes = nullptr);
 
   // serve()'s last step, which the batch scheduler also runs for every
   // request it finishes: counts the cached serve, records its TTFT, and
@@ -265,8 +272,12 @@ class PromptCacheEngine {
   // Ensures every module used by `binding` is encoded; returns ms spent.
   // `cancel` is polled before each module/scaffold encode: an expired token
   // throws pc::CancelledError instead of starting the next forward pass.
+  // Each module or scaffold this call encodes adds one to `*encodes` as it
+  // lands, so a call that throws still reports what it encoded; a module
+  // another thread is encoding is waited for, not counted.
   double ensure_encoded(const pml::PromptBinding& binding,
-                        const CancellationToken& cancel = {});
+                        const CancellationToken& cancel = {},
+                        int* encodes = nullptr);
 
   // Persists every resident encoded module (and scaffold) to `path`, and
   // restores them on a fresh engine so serving can resume without
@@ -302,8 +313,7 @@ class PromptCacheEngine {
   EngineStats stats() const { return cells_.snapshot(); }
 
   // Per-request TTFT distributions (serving telemetry). Snapshots of this
-  // engine's histogram cells; merge() per-lane snapshots for fleet
-  // percentiles.
+  // engine's histogram cells.
   LatencyHistogram cached_ttft_histogram() const {
     return cells_.cached_ttft.snapshot();
   }
@@ -314,9 +324,9 @@ class PromptCacheEngine {
   // The store keys of `binding`'s blocks (modules, and active scaffolds in
   // place of their members), in concatenation order — the keys
   // for_each_encoded emits — WITHOUT touching any store or encoding
-  // anything. The prefetch pipeline's lookahead (sys/prefetch.h): a binder
-  // engine maps queued prompts to keys so spilled payloads can fault in
-  // ahead of admission.
+  // anything. The prefetch pipeline's lookahead (sys/prefetch.h) maps
+  // queued prompts to keys through the serving engine so spilled payloads
+  // can fault in ahead of admission; the shard router routes by them.
   std::vector<std::string> module_keys(const pml::PromptBinding& binding) const;
 
  private:
@@ -351,7 +361,10 @@ class PromptCacheEngine {
   std::vector<Block> blocks(const pml::PromptBinding& binding) const;
 
   // Encodes `block` into the store unless it is resident.
-  void encode(const pml::Schema& schema, const Block& block);
+  void encode(const pml::Schema& schema, const Block& block, int* encodes);
+  // Books one forward pass of `block` in the engine's counters and, when
+  // given, in the caller's `*encodes`.
+  void count_encode(const Block& block, int* encodes);
   // The forward pass + packaging: a module's tokens alone, or a scaffold's
   // members jointly (one shared attention span).
   EncodedModule build_payload(const pml::Schema& schema, const Block& block);
@@ -361,7 +374,7 @@ class PromptCacheEngine {
   // Borrowed modules' pins and refs go to `borrows`.
   void append_modules(const pml::PromptBinding& binding, ModuleRows how,
                       int own_budget, KVCache& cache, ModuleBorrows* borrows,
-                      TtftBreakdown* ttft);
+                      TtftBreakdown* ttft, int* encodes);
 
   // Resolves the encoded payload of every block of `binding` (re-encoding
   // evicted entries) and emits them in concatenation order; rows stay
@@ -370,13 +383,13 @@ class PromptCacheEngine {
   // ref are handed to the holder before emit runs, so rows stay valid and
   // resident for as long as the borrowing cache lives — and are released
   // even when emit throws. A module evicted since the ensure pass is
-  // re-encoded here and counted as a thrash re-encode.
+  // re-encoded here, counted as a thrash re-encode and in `*encodes`.
   void for_each_encoded(
       const pml::PromptBinding& binding,
       const std::function<void(const std::string& key,
                                const EncodedModule& module,
                                ModuleLocation location)>& emit,
-      ModuleBorrows* borrows = nullptr);
+      ModuleBorrows* borrows, int* encodes);
 
   // The standalone constructor's target: `owned` becomes the store.
   PromptCacheEngine(const Model& model, const TextTokenizer& tokenizer,

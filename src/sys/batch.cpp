@@ -14,11 +14,6 @@ namespace pc {
 
 namespace {
 
-double ms_between(std::chrono::steady_clock::time_point a,
-                  std::chrono::steady_clock::time_point b) {
-  return std::chrono::duration<double, std::milli>(b - a).count();
-}
-
 std::chrono::steady_clock::duration from_ms(double ms) {
   return std::chrono::duration_cast<std::chrono::steady_clock::duration>(
       std::chrono::duration<double, std::milli>(ms));
@@ -26,28 +21,18 @@ std::chrono::steady_clock::duration from_ms(double ms) {
 
 }  // namespace
 
-BatchScheduler::BatchScheduler(std::unique_ptr<PromptCacheEngine> engine,
-                               Options options, CompletionFn on_complete)
-    : model_(engine->model()),
-      tokenizer_(engine->tokenizer()),
+BatchScheduler::BatchScheduler(PromptCacheEngine& engine, Options options,
+                               CompletionFn on_complete)
+    : model_(engine.model()),
+      tokenizer_(engine.tokenizer()),
+      engine_(engine),
       options_(std::move(options)),
-      on_complete_(std::move(on_complete)),
-      engine_(std::move(engine)) {
+      on_complete_(std::move(on_complete)) {
   PC_CHECK_MSG(options_.batch.max_batch > 0, "BatchConfig::max_batch must be > 0");
   PC_CHECK_MSG(options_.batch.chunk_tokens > 0,
                "BatchConfig::chunk_tokens must be > 0");
   PC_CHECK_MSG(on_complete_ != nullptr,
                "BatchScheduler needs a completion callback");
-  for (const std::string& pml : options_.schemas) {
-    try {
-      engine_->load_schema(pml);
-    } catch (const TransientError& e) {
-      // The schema registered before encoding started, so missing modules
-      // re-encode lazily on first import.
-      PC_LOG_WARN << "batch scheduler: eager encode failed at startup ("
-                  << e.what() << "); modules will encode lazily";
-    }
-  }
   auto& reg = obs::MetricsRegistry::global();
   iterations_ = reg.counter("pc_batch_iterations_total",
                             "batched forward iterations executed");
@@ -80,7 +65,7 @@ void BatchScheduler::degrade(Seq& seq, const std::string& why) {
   }
   try {
     PC_SPAN("serve_degraded", {"request", static_cast<int64_t>(seq.req.id)});
-    seq.result = engine_->serve_full_prefill(seq.req.prompt, seq.req.options);
+    seq.result = engine_.serve_full_prefill(seq.req.prompt, seq.req.options);
     seq.done_status = ServeStatus::kDegraded;
     seq.resp.detail = why;
   } catch (const CancelledError& e) {
@@ -98,7 +83,7 @@ void BatchScheduler::finish_serve(std::unique_ptr<Seq> seq) {
   ServeStatus status = seq->done_status;
   // The cache path's serve finished: the engine books it as serve() would.
   if (status == ServeStatus::kOk) {
-    engine_->complete_serve(seq->binding, seq->result.ttft);
+    engine_.complete_serve(seq->binding, seq->result.ttft);
   }
   ServerResponse resp = std::move(seq->resp);
   resp.service_ms = ms_between(seq->dequeued, done);
@@ -152,28 +137,12 @@ void BatchScheduler::admit(Request request) {
                 {"queue_us", static_cast<int64_t>(seq->resp.queue_ms * 1e3)});
   PC_FLOW_END("request", options_.flow_seed | (seq->req.id & 0xffffffffu));
 
-  // Per-request cache attribution: the lane owns its engine, modules encode
-  // only during admission, and admission is serialized on this thread, so
-  // the encode-counter delta around admission is exactly this request's
-  // module misses.
   const bool reqtl = obs::request_telemetry_enabled();
   // Routing / failover provenance from the submitter lands first in the
   // annotation stream, before any fault notes.
   if (reqtl && !seq->req.annotation.empty()) {
     seq->resp.annotations.push_back(seq->req.annotation);
   }
-  uint64_t encodes_before = 0;
-  if (reqtl) {
-    const EngineStats es = engine_->stats();
-    encodes_before = es.modules_encoded + es.scaffolds_encoded;
-  }
-  const auto settle_misses = [&](Seq& s) {
-    if (!reqtl) return;
-    const EngineStats es = engine_->stats();
-    s.resp.module_misses = static_cast<int>(
-        es.modules_encoded + es.scaffolds_encoded - encodes_before);
-  };
-
   FaultInjector& faults = FaultInjector::global();
   // Injected straggler: the lane freezes before admission.
   if (faults.should_fail(FaultPoint::kStall)) {
@@ -194,7 +163,6 @@ void BatchScheduler::admit(Request request) {
     // straight to the bitwise-identical full-prefill fallback.
     degrade(*seq, seq->req.annotation.empty() ? "forced full prefill"
                                               : seq->req.annotation);
-    settle_misses(*seq);
     finish_serve(std::move(seq));
     return;
   }
@@ -207,24 +175,26 @@ void BatchScheduler::admit(Request request) {
       seq->result = ServeResult{};
       pml::PromptBinding binding = [&] {
         PC_SPAN("tokenize_bind");
-        return engine_->bind(seq->req.prompt);
+        return engine_.bind(seq->req.prompt);
       }();
       // A prompt that runs past the position space fails here, as in
       // serve(), rather than inside a step other requests share.
       seq->stream = collect_uncached(binding, model_.config().max_pos);
-      seq->result.encode_ms =
-          engine_->ensure_encoded(binding, seq->req.options.cancel);
-      seq->kv = engine_->assemble(
+      // The request's module misses are the encodes its own calls run,
+      // summed over its attempts.
+      seq->result.encode_ms = engine_.ensure_encoded(
+          binding, seq->req.options.cancel, &seq->resp.module_misses);
+      seq->kv = engine_.assemble(
           binding,
-          engine_->config().zero_copy ? ModuleRows::kBorrow : ModuleRows::kCopy,
-          seq->req.options.max_new_tokens, &seq->result.ttft);
+          engine_.config().zero_copy ? ModuleRows::kBorrow : ModuleRows::kCopy,
+          seq->req.options.max_new_tokens, &seq->result.ttft,
+          &seq->resp.module_misses);
       seq->binding = std::move(binding);
       break;
     } catch (const CancelledError& e) {
       seq->done_status = ServeStatus::kTimeout;
       seq->resp.detail = e.what();
       seq->done = true;
-      settle_misses(*seq);
       finish_serve(std::move(seq));
       return;
     } catch (const TransientError& e) {
@@ -234,7 +204,6 @@ void BatchScheduler::admit(Request request) {
         seq->done_status = ServeStatus::kTimeout;
         seq->resp.detail = "deadline expired before retry";
         seq->done = true;
-        settle_misses(*seq);
         finish_serve(std::move(seq));
         return;
       }
@@ -249,25 +218,21 @@ void BatchScheduler::admit(Request request) {
         continue;
       }
       degrade(*seq, e.what());
-      settle_misses(*seq);
       finish_serve(std::move(seq));
       return;
     } catch (const CacheError& e) {
       // Structural (the module fits in neither tier): degrade directly.
       degrade(*seq, e.what());
-      settle_misses(*seq);
       finish_serve(std::move(seq));
       return;
     } catch (const std::exception& e) {
       seq->done_status = ServeStatus::kFailed;
       seq->resp.detail = e.what();
       seq->done = true;
-      settle_misses(*seq);
       finish_serve(std::move(seq));
       return;
     }
   }
-  settle_misses(*seq);
 
   // Simulated host-link transfer of the copied host bytes (borrowed rows
   // move none, leaving the LinkModel's per-request latency). Modeled as a

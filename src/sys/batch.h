@@ -1,7 +1,7 @@
 // Continuous-batching scheduler: one serving lane, an iteration loop
 // serving many in-flight requests that share module KV (paper §3.4). The
-// Server (sys/server.h) runs n_workers of them, each on its own thread with
-// its own engine.
+// Server (sys/server.h) runs n_workers of them, each on its own thread,
+// all serving through the Server's one engine.
 //
 // The loop repeatedly builds one batched forward step
 // (Model::forward_batch) out of whatever every active request needs next —
@@ -57,7 +57,8 @@
 //
 // Threading: the scheduler is single-threaded — one thread calls admit()
 // and step(); completions are handed to the constructor's callback on that
-// thread.
+// thread. The engine it serves through is shared with the Server's other
+// lanes and its prefetcher (core/engine.h's threading contract).
 #pragma once
 
 #include <chrono>
@@ -93,7 +94,6 @@ struct BatchKVStats {
 class BatchScheduler {
  public:
   struct Options {
-    std::vector<std::string> schemas;  // PML loaded at construction
     BatchConfig batch;
     LinkModel link;
     RetryPolicy retry;
@@ -123,11 +123,11 @@ class BatchScheduler {
   // response is final (any status).
   using CompletionFn = std::function<void(ServerResponse&&)>;
 
-  // Serves with `engine`, copying or borrowing module rows as its
-  // EngineConfig::zero_copy says. Loads options.schemas into the engine; an
-  // injected encode fault during eager encoding is tolerated (modules
-  // re-encode lazily).
-  BatchScheduler(std::unique_ptr<PromptCacheEngine> engine, Options options,
+  // Serves through `engine`, whose schemas are already loaded, copying or
+  // borrowing module rows as its EngineConfig::zero_copy says. The engine
+  // must outlive the scheduler: its requests' borrows return their pins to
+  // the engine's store.
+  BatchScheduler(PromptCacheEngine& engine, Options options,
                  CompletionFn on_complete);
   ~BatchScheduler();
 
@@ -151,8 +151,7 @@ class BatchScheduler {
   // active request is mid-transfer.
   bool step();
 
-  // Telemetry (single-threaded with admit/step, like the engine's stats).
-  PromptCacheEngine& engine() const { return *engine_; }
+  // Telemetry (single-threaded with admit/step).
   BatchKVStats kv_stats() const;
   uint64_t iterations() const { return iterations_.value(); }
   uint64_t batched_tokens() const { return batch_tokens_.value(); }
@@ -206,12 +205,10 @@ class BatchScheduler {
 
   const Model& model_;
   const TextTokenizer& tokenizer_;
+  PromptCacheEngine& engine_;
   Options options_;
   CompletionFn on_complete_;
 
-  // Declared before active_: a sequence's borrows return their pins to
-  // the engine's store, so the engine must outlive them.
-  std::unique_ptr<PromptCacheEngine> engine_;
   std::vector<std::unique_ptr<Seq>> active_;
 
   obs::Counter iterations_;    // pc_batch_iterations_total

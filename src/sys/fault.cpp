@@ -5,6 +5,7 @@
 #include <mutex>
 
 #include "common/error.h"
+#include "common/rng.h"
 #include "common/string_util.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -48,13 +49,6 @@ obs::Counter& injected_counter() {
   static obs::Counter* c = new obs::Counter(obs::MetricsRegistry::global().counter(
       "pc_faults_injected_total", "faults injected across all points"));
   return *c;
-}
-
-uint64_t splitmix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
 }
 
 // The N-th draw of a point under a seed, as a uniform double in [0,1).

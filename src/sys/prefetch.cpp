@@ -1,22 +1,15 @@
 #include "sys/prefetch.h"
 
-#include "common/logging.h"
+#include "common/error.h"
 #include "obs/trace.h"
 
 namespace pc {
 
-StorePrefetcher::StorePrefetcher(const Model& model,
-                                 const TextTokenizer& tokenizer,
-                                 SharedModuleStore& store,
+StorePrefetcher::StorePrefetcher(const PromptCacheEngine& engine,
                                  PrefetcherConfig config)
-    : model_(model),
-      tokenizer_(tokenizer),
-      store_(store),
-      config_(std::move(config)) {
+    : engine_(engine), config_(config) {
   PC_CHECK_MSG(config_.depth > 0, "StorePrefetcher depth must be > 0");
   thread_ = std::thread([this] { loop(); });
-  std::unique_lock lock(mutex_);
-  cv_ready_.wait(lock, [&] { return ready_; });
 }
 
 StorePrefetcher::~StorePrefetcher() { stop(); }
@@ -61,30 +54,7 @@ StorePrefetcher::Stats StorePrefetcher::stats() const {
 
 void StorePrefetcher::loop() {
   obs::set_thread_name("prefetcher");
-  // The binder engine is built on this thread, like a lane's. It only
-  // maps prompts to store keys (bind + module_keys), which depend on
-  // neither store nor precision, so it owns an empty store and skips the
-  // eager encode: the lanes encode the schemas, into the store they
-  // serve from, and this engine runs no forward pass.
-  EngineConfig binder_config;
-  binder_config.eager_encode = false;
-  PromptCacheEngine binder(model_, tokenizer_, binder_config);
-  for (const std::string& pml : config_.schemas) {
-    try {
-      binder.load_schema(pml);
-    } catch (const Error& e) {
-      // Prefetch is best-effort: prompts of a schema the binder could not
-      // load count as bind errors.
-      PC_LOG_WARN << "prefetcher: schema load failed (" << e.what()
-                  << "); binding continues";
-    }
-  }
-  {
-    std::lock_guard lock(mutex_);
-    ready_ = true;
-  }
-  cv_ready_.notify_all();
-
+  SharedModuleStore& store = engine_.store();
   for (;;) {
     std::string prompt;
     {
@@ -96,10 +66,10 @@ void StorePrefetcher::loop() {
     }
     PC_SPAN("prefetch_prompt");
     try {
-      const auto binding = binder.bind(prompt);
-      for (const std::string& key : binder.module_keys(binding)) {
+      const auto binding = engine_.bind(prompt);
+      for (const std::string& key : engine_.module_keys(binding)) {
         keys_issued_.fetch_add(1, std::memory_order_relaxed);
-        if (store_.prefetch(key)) {
+        if (store.prefetch(key)) {
           keys_resident_.fetch_add(1, std::memory_order_relaxed);
         }
         // A stop request mid-working-set stops promptly (a deep schema can

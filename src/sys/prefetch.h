@@ -3,18 +3,17 @@
 // With a RAM-capped SharedModuleStore, cold modules live in spill files and
 // a request whose working set was spilled pays a synchronous disk fault-in
 // on its serve path. StorePrefetcher hides that latency by overlapping the
-// disk reads with whatever the engines are already doing: a background
-// thread binds each submitted prompt (PromptCacheEngine::bind +
-// module_keys — pure parsing, no store access, no encoding; the binder
-// engine owns an empty store and never encodes) and calls
-// SharedModuleStore::prefetch() on every key, faulting spilled payloads
-// back into RAM while earlier requests are still decoding. By the time the
-// request reaches a lane, its modules are resident and the serve path
-// sees ordinary hits.
+// disk reads with whatever the lanes are already doing: a background
+// thread binds each submitted prompt through the Server's engine
+// (PromptCacheEngine::bind + module_keys — pure parsing, no store access,
+// no encoding) and calls SharedModuleStore::prefetch() on every key of the
+// engine's store, faulting spilled payloads back into RAM while earlier
+// requests are still decoding. By the time the request reaches a lane, its
+// modules are resident and the serve path sees ordinary hits.
 //
 // This is classic double-buffering: the queue holds at most `depth`
 // prompts (2-3 — the next requests to be admitted), so the prefetcher
-// works exactly one admission window ahead of the engines. When it falls
+// works exactly one admission window ahead of the lanes. When it falls
 // behind, the OLDEST queued prompt is dropped, not the newest: the oldest
 // is the one most likely to already be in service, where a demand fault-in
 // has beaten any prefetch to the disk.
@@ -30,22 +29,18 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "core/engine.h"
-#include "core/shared_module_store.h"
 
 namespace pc {
 
 struct PrefetcherConfig {
-  // Max prompts buffered ahead of the engines (the double/triple-buffer
+  // Max prompts buffered ahead of the lanes (the double/triple-buffer
   // depth). Beyond it the oldest queued prompt is dropped as stale.
   size_t depth = 2;
-  std::vector<std::string> schemas;  // PML loaded by the binder at startup
 };
 
 class StorePrefetcher {
@@ -59,12 +54,10 @@ class StorePrefetcher {
     uint64_t bind_errors = 0;    // prompts skipped (parse/validation error)
   };
 
-  // Prefetches fault keys into `store`, where the lanes look them up (a
-  // Server passes the store its lanes serve from). The binder engine is
-  // built on the background thread; the constructor blocks until it has
-  // loaded the schemas.
-  StorePrefetcher(const Model& model, const TextTokenizer& tokenizer,
-                  SharedModuleStore& store, PrefetcherConfig config);
+  // Binds prompts with `engine` (schemas loaded; a Server passes the one
+  // its lanes serve through) and faults their keys into the engine's
+  // store. The engine must outlive the prefetcher.
+  StorePrefetcher(const PromptCacheEngine& engine, PrefetcherConfig config);
   ~StorePrefetcher();  // calls stop()
 
   StorePrefetcher(const StorePrefetcher&) = delete;
@@ -85,17 +78,13 @@ class StorePrefetcher {
  private:
   void loop();
 
-  const Model& model_;
-  const TextTokenizer& tokenizer_;
-  SharedModuleStore& store_;
+  const PromptCacheEngine& engine_;
   PrefetcherConfig config_;
 
   mutable std::mutex mutex_;
   std::condition_variable cv_work_;
-  std::condition_variable cv_ready_;  // the constructor waits for ready_
   std::deque<std::string> queue_;
   bool stop_ = false;
-  bool ready_ = false;
 
   std::atomic<uint64_t> prompts_{0};
   std::atomic<uint64_t> dropped_{0};

@@ -87,11 +87,12 @@ struct ServerResponse {
   std::string detail;  // human-readable cause for non-kOk statuses
 
   // Request-timeline attribution (obs/request_timeline.h). module_misses
-  // counts modules/scaffolds this request had to encode (delta of the
-  // engine's encode counters around its admission); prefill_chunks counts
-  // its chunked-prefill iterations. annotations are free-form lifecycle
-  // notes (fault stalls, retries, degrade causes) in occurrence order;
-  // only populated while request telemetry is enabled.
+  // counts modules/scaffolds this request's own calls encoded (its ensure
+  // passes and thrash re-encodes, over every admission attempt), so the
+  // misses of all requests sum to the engine's encode counters;
+  // prefill_chunks counts its chunked-prefill iterations. annotations are
+  // free-form lifecycle notes (fault stalls, retries, degrade causes) in
+  // occurrence order; only populated while request telemetry is enabled.
   int module_misses = 0;
   int prefill_chunks = 0;
   std::vector<std::string> annotations;

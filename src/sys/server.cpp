@@ -3,9 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <latch>
+#include <memory>
 #include <sstream>
 
 #include "common/logging.h"
+#include "common/rng.h"
+#include "common/timer.h"
 #include "obs/clock.h"
 #include "obs/export.h"
 #include "obs/trace.h"
@@ -13,11 +17,6 @@
 namespace pc {
 
 namespace {
-
-double ms_between(std::chrono::steady_clock::time_point a,
-                  std::chrono::steady_clock::time_point b) {
-  return std::chrono::duration<double, std::milli>(b - a).count();
-}
 
 // Timeline vocabulary for the store's KV format.
 [[maybe_unused]] const char* precision_name(StorePrecision p) {
@@ -45,12 +44,12 @@ double retry_backoff_ms(const RetryPolicy& retry, uint64_t id, int attempt) {
               static_cast<double>(1ULL << std::min(attempt, 20));
   ms = std::min(ms, retry.backoff_max_ms);
   // Deterministic jitter in [0.5, 1.5) from (request id, attempt) —
-  // lanes retrying the same key desynchronize without a shared RNG.
-  uint64_t x = id * 0x9e3779b97f4a7c15ULL + static_cast<uint64_t>(attempt) +
-               0xd1b54a32d192ed03ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  x ^= x >> 31;
+  // lanes retrying the same key desynchronize without a shared RNG. The
+  // hash input is id * gamma + attempt + 0xd1b54a32d192ed03; splitmix64
+  // adds the gamma itself, so the id term starts one gamma lower.
+  const uint64_t x =
+      splitmix64((id - 1) * 0x9e3779b97f4a7c15ULL +
+                 static_cast<uint64_t>(attempt) + 0xd1b54a32d192ed03ULL);
   return ms * (0.5 + static_cast<double>(x >> 11) * 0x1.0p-53);
 }
 
@@ -79,10 +78,9 @@ static uint64_t next_server_instance() {
 
 Server::Server(const Model& model, const TextTokenizer& tokenizer,
                SharedModuleStore& store, ServerConfig config)
-    : model_(model),
-      tokenizer_(tokenizer),
-      store_(store),
+    : store_(store),
       config_(std::move(config)),
+      engine_(model, tokenizer, store_, config_.engine),
       slo_(config_.slo),
       instance_(next_server_instance()) {
   start();
@@ -132,33 +130,60 @@ void Server::start() {
                             "end-to-end TTFT: queue + stall + engine");
   degraded_ttft_ = reg.histogram("pc_server_ttft_degraded_seconds",
                                  "end-to-end TTFT of degraded serves");
+  // The schemas load once, here, before any lane starts: serving wall time
+  // then measures serving, not start-up, and a schema that does not parse
+  // or does not fit max_pos fails the constructor, not the process.
+  for (const std::string& pml : config_.schemas) {
+    try {
+      engine_.load_schema(pml);
+    } catch (const TransientError& e) {
+      // The schema registered before encoding started, so missing modules
+      // encode lazily on first import.
+      PC_LOG_WARN << "server: eager encode failed at startup (" << e.what()
+                  << "); modules will encode lazily";
+    }
+  }
   if (config_.prefetch) {
     PrefetcherConfig pf;
     pf.depth = config_.prefetch_depth;
-    pf.schemas = config_.schemas;
-    prefetcher_ = std::make_unique<StorePrefetcher>(model_, tokenizer_,
-                                                    store_, std::move(pf));
+    prefetcher_ = std::make_unique<StorePrefetcher>(engine_, pf);
   }
+  BatchScheduler::Options opts;
+  opts.batch = config_.batch;
+  opts.link = config_.link;
+  opts.retry = config_.retry;
+  opts.flow_seed = instance_ << 32;
   for (int i = 0; i < config_.n_workers; ++i) {
-    lanes_.push_back(std::make_unique<Lane>());
+    auto lane = std::make_unique<Lane>();
+    lane->scheduler = std::make_unique<BatchScheduler>(
+        engine_, opts, [this, i](ServerResponse&& resp) {
+          const auto now = std::chrono::steady_clock::now();
+          resp.worker = i;
+          {
+            std::lock_guard lock(mutex_);
+            if (resp.retries > 0) {
+              retries_.inc(static_cast<uint64_t>(resp.retries));
+            }
+            record_locked(std::move(resp), now);
+          }
+          cv_done_.notify_all();
+        });
+    lanes_.push_back(std::move(lane));
   }
+  // The constructor returns with every lane running. A lane's first act,
+  // naming its thread, allocates its trace ring (about 2.5 ms in a Release
+  // build, 25 ms under ThreadSanitizer); left to the lanes, that start-up
+  // would land in the first requests' queue wait. Each lane holds the latch
+  // it counts down, so it outlives the wait.
+  const auto started = std::make_shared<std::latch>(config_.n_workers);
   for (int i = 0; i < config_.n_workers; ++i) {
-    lanes_[static_cast<size_t>(i)]->thread =
-        std::thread([this, i] { lane_loop(i); });
+    lanes_[static_cast<size_t>(i)]->thread = std::thread([this, i, started] {
+      obs::set_thread_name("lane" + std::to_string(i));
+      started->count_down();
+      lane_loop(i);
+    });
   }
-  // Wait until every lane has built its engine and loaded the schemas:
-  // serving wall time then measures serving, not startup. (Schema loads
-  // race on purpose — they exercise the store's single-flight.)
-  std::unique_lock lock(mutex_);
-  cv_ready_.wait(lock, [&] { return lanes_ready_ == config_.n_workers; });
-  const std::exception_ptr lane_error = lane_error_;
-  lock.unlock();
-  // A lane that could not start (a schema that does not parse, or does not
-  // fit max_pos) fails the constructor, not the process.
-  if (lane_error) {
-    stop();
-    std::rethrow_exception(lane_error);
-  }
+  started->wait();
   PC_LOG_INFO << "server ready: " << config_.n_workers << " lanes x max_batch "
               << config_.batch.max_batch;
 }
@@ -374,15 +399,9 @@ void Server::record_timeline_locked(const ServerResponse& resp) {
   t.annotations = resp.annotations;
   t.module_misses = resp.module_misses;
   t.prefill_chunks = resp.prefill_chunks;
-  // The serving engine's effective format: a q4 request on a model the q4
-  // kernel cannot serve runs as q8 (PromptCacheEngine's config()). Every
-  // lane's engine is built from config_.engine, so lane 0 speaks for a
-  // request shed at submit (lane -1).
-  t.kv_format = precision_name(
-      lanes_[static_cast<size_t>(std::max(resp.worker, 0))]
-          ->scheduler->engine()
-          .config()
-          .precision);
+  // The engine's effective format: a q4 request on a model the q4 kernel
+  // cannot serve runs as q8 (PromptCacheEngine's config()).
+  t.kv_format = precision_name(engine_.config().precision);
   if (is_served(resp.status)) {
     const TtftBreakdown& b = resp.result.ttft;
     t.encode_ms = resp.result.encode_ms;
@@ -410,42 +429,7 @@ bool Server::may_admit_locked(int index) const {
 }
 
 void Server::lane_loop(int index) {
-  obs::set_thread_name("lane" + std::to_string(index));
   Lane& self = *lanes_[static_cast<size_t>(index)];
-  BatchScheduler::Options opts;
-  opts.schemas = config_.schemas;
-  opts.batch = config_.batch;
-  opts.link = config_.link;
-  opts.retry = config_.retry;
-  opts.flow_seed = instance_ << 32;
-  std::exception_ptr error;
-  try {
-    self.scheduler = std::make_unique<BatchScheduler>(
-        std::make_unique<PromptCacheEngine>(model_, tokenizer_, store_,
-                                            config_.engine),
-        std::move(opts), [this, index](ServerResponse&& resp) {
-          const auto now = std::chrono::steady_clock::now();
-          resp.worker = index;
-          {
-            std::lock_guard lock(mutex_);
-            if (resp.retries > 0) {
-              retries_.inc(static_cast<uint64_t>(resp.retries));
-            }
-            record_locked(std::move(resp), now);
-          }
-          cv_done_.notify_all();
-        });
-  } catch (...) {
-    error = std::current_exception();
-  }
-  {
-    std::lock_guard lock(mutex_);
-    ++lanes_ready_;
-    if (error && !lane_error_) lane_error_ = error;
-  }
-  cv_ready_.notify_all();
-  if (error) return;  // start() rethrows it
-
   BatchScheduler& scheduler = *self.scheduler;
   for (;;) {
     // Admit what least-loaded admission grants this lane; block only when
@@ -495,13 +479,13 @@ ServerStats Server::stats() const {
         static_cast<double>(out.completed) / (out.wall_ms / 1e3);
   }
 
+  const EngineStats es = engine_.stats();
+  out.modules_encoded = es.modules_encoded;
+  out.scaffolds_encoded = es.scaffolds_encoded;
+  out.thrash_reencodes = es.thrash_reencodes;
+  out.engine_ttft = engine_.cached_ttft_histogram();
   for (const auto& lane : lanes_) {
     const BatchScheduler& scheduler = *lane->scheduler;
-    const EngineStats es = scheduler.engine().stats();
-    out.modules_encoded += es.modules_encoded;
-    out.scaffolds_encoded += es.scaffolds_encoded;
-    out.thrash_reencodes += es.thrash_reencodes;
-    out.engine_ttft.merge(scheduler.engine().cached_ttft_histogram());
     out.batch_iterations += scheduler.iterations();
     out.batch_tokens += scheduler.batched_tokens();
     const BatchKVStats kv = scheduler.kv_stats();

@@ -1,12 +1,14 @@
 // Concurrent serving frontend: a bounded request queue feeding
 // ServerConfig::n_workers serving lanes over one shared (const) Model. Each
-// lane is a BatchScheduler (sys/batch.h) with its own PromptCacheEngine and
-// its own thread, serving up to batch.max_batch requests per forward step;
-// with the default max_batch of 1 a lane serves one request at a time. All
-// lanes serve from one SharedModuleStore (see src/core/engine.h), so each
-// module is encoded once across lanes (single-flight) and held once: the
-// caller's store, or one the Server owns, built as a standalone engine
-// builds its own (sized by ServerConfig::engine, no disk tier).
+// lane is a BatchScheduler (sys/batch.h) on its own thread, serving up to
+// batch.max_batch requests per forward step; with the default max_batch of
+// 1 a lane serves one request at a time. Every lane, and the prefetcher,
+// serves through the Server's one PromptCacheEngine, which loads
+// ServerConfig::schemas on the constructing thread before any lane starts.
+// The engine serves from one SharedModuleStore (see src/core/engine.h), so
+// each module is encoded once and held once: the caller's store, or one
+// the Server owns, built as a standalone engine builds its own (sized by
+// ServerConfig::engine, no disk tier).
 //
 // Request lifecycle: submit() enqueues (blocking while the queue is at
 // capacity — admission control instead of unbounded memory). Lanes admit
@@ -16,9 +18,9 @@
 // borrows its modules' rows as EngineConfig::zero_copy says, serves it
 // through its iteration loop, and records a ServerResponse. drain() blocks
 // until every submitted request completed and returns the responses in
-// submission order. stats() aggregates per-lane engine counters and
-// histograms (LatencyHistogram::merge) with the store's — call it only
-// while the server is idle (after drain()).
+// submission order. stats() reads the engine's counters and TTFT
+// histogram, sums the lanes' iteration and KV counters, and snapshots the
+// store's — exact only while the server is idle (after drain()).
 //
 // Host-link model. This repo substitutes analytic models for hardware it
 // doesn't have (see device_model.h): kernels run fp32 on CPU and device
@@ -60,7 +62,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <map>
 #include <memory>
@@ -86,10 +87,10 @@ namespace pc {
 struct ServerConfig {
   int n_workers = 4;             // serving lanes, each a BatchScheduler
   size_t queue_capacity = 64;    // submit() blocks when full
-  // Per-lane engine config. Its capacity fields size the store a Server
+  // The engine's config. Its capacity fields size the store a Server
   // built without one owns; a caller's store was sized at construction.
   EngineConfig engine;
-  std::vector<std::string> schemas;  // PML loaded by every lane at startup
+  std::vector<std::string> schemas;  // PML loaded into the engine at startup
   double default_deadline_ms = 0;    // 0 = no deadline enforcement
   LinkModel link;
   RetryPolicy retry;
@@ -97,8 +98,8 @@ struct ServerConfig {
   // The rolling availability/deadline window of the request-centric
   // telemetry (obs/sampler.h).
   obs::SloConfig slo;
-  // Async disk-tier prefetch (sys/prefetch.h): a background binder thread
-  // maps each submitted prompt to its module keys and faults spilled
+  // Async disk-tier prefetch (sys/prefetch.h): a background thread binds
+  // each submitted prompt to its module keys and faults spilled
   // payloads back into RAM ahead of admission, overlapping disk reads with
   // in-flight decode. Only meaningful with a store whose disk tier is
   // enabled; otherwise the pipeline idles (prefetch() of resident keys is
@@ -133,9 +134,9 @@ struct ServerStats {
 
   LatencyHistogram ttft;          // end-to-end, kOk serves
   LatencyHistogram degraded_ttft; // end-to-end, kDegraded serves
-  LatencyHistogram engine_ttft;   // merged per-engine cached-serve TTFT
+  LatencyHistogram engine_ttft;   // the engine's cached-serve TTFT
 
-  // Summed per-lane engine counters.
+  // The engine's encode counters.
   uint64_t modules_encoded = 0;
   uint64_t scaffolds_encoded = 0;
   uint64_t thrash_reencodes = 0;
@@ -158,15 +159,17 @@ struct ServerStats {
 
 class Server {
  public:
-  // All lanes encode into and serve from `store`, which must outlive the
-  // server.
+  // The engine encodes into and serves from `store`, which must outlive
+  // the server. Throws if a schema does not parse or does not fit the
+  // model's max_pos; an injected encode fault during the eager encode is
+  // tolerated (the modules encode lazily).
   Server(const Model& model, const TextTokenizer& tokenizer,
          SharedModuleStore& store, ServerConfig config);
 
-  // All lanes serve from a store the server owns, sized by config.engine's
-  // capacity fields, with no disk tier (PC_DISK_DIR is not consulted) —
-  // the store a standalone engine owns, so a one-lane Server serves
-  // exactly as one engine does.
+  // The engine serves from a store the server owns, sized by
+  // config.engine's capacity fields, with no disk tier (PC_DISK_DIR is not
+  // consulted) — the store a standalone engine owns, so a one-lane Server
+  // serves exactly as one engine does.
   Server(const Model& model, const TextTokenizer& tokenizer,
          ServerConfig config);
 
@@ -199,8 +202,8 @@ class Server {
   // Idempotent; the destructor calls it.
   void stop();
 
-  // Aggregate view. Only valid while idle (between drain() and the next
-  // submit) — per-engine counters are unsynchronized during serving.
+  // Aggregate view. Exact only while idle (between drain() and the next
+  // submit): the counters it reads move while requests are in flight.
   ServerStats stats() const;
 
   // Observability exports (obs/export.h): the process-wide Prometheus text
@@ -228,6 +231,11 @@ class Server {
 
   int n_workers() const { return config_.n_workers; }
 
+  // The engine every lane serves through, schemas loaded. Its serving
+  // calls may run on any thread (core/engine.h): the shard router pins
+  // owned modules through it.
+  PromptCacheEngine& engine() { return engine_; }
+
   // The async prefetch pipeline, or null when ServerConfig::prefetch is
   // off.
   const StorePrefetcher* prefetcher() const { return prefetcher_.get(); }
@@ -235,7 +243,7 @@ class Server {
  private:
   struct Lane {
     std::thread thread;
-    std::unique_ptr<BatchScheduler> scheduler;  // built on `thread`
+    std::unique_ptr<BatchScheduler> scheduler;
     int held = 0;  // requests dequeued, not yet recorded (under mutex_)
   };
 
@@ -262,13 +270,12 @@ class Server {
     return (instance_ << 32) | (id & 0xffffffffu);
   }
 
-  const Model& model_;
-  const TextTokenizer& tokenizer_;
-  // Declared before the lanes and the prefetcher, which serve from it, so
-  // it outlives them.
+  // The store and the engine are declared before the lanes and the
+  // prefetcher, which serve through them, so they outlive both.
   std::unique_ptr<SharedModuleStore> owned_store_;  // storeless ctor only
   SharedModuleStore& store_;
   ServerConfig config_;
+  PromptCacheEngine engine_;
 
   // Schedulers are read from stats() only while idle.
   std::vector<std::unique_ptr<Lane>> lanes_;
@@ -279,7 +286,6 @@ class Server {
   std::condition_variable cv_not_empty_;
   std::condition_variable cv_not_full_;
   std::condition_variable cv_done_;
-  std::condition_variable cv_ready_;
   std::deque<BatchScheduler::Request> queue_;
   std::vector<ServerResponse> responses_;
   // Registry cells (pc_server_*). The cells are atomic, but every mutation
@@ -309,8 +315,6 @@ class Server {
   const uint64_t instance_;
   uint64_t done_ = 0;        // responses recorded, any status (drain gate)
   double service_ewma_ms_ = 0;  // served-request EWMA; drives shedding
-  int lanes_ready_ = 0;
-  std::exception_ptr lane_error_;  // the first lane startup failure
   bool stop_ = false;
   bool clock_started_ = false;
   std::chrono::steady_clock::time_point first_submit_;

@@ -4,8 +4,8 @@
 //   * mutex_ guards router state: pending_/inflight_/orphans_/delivered_,
 //     the per-shard liveness fields (alive/epoch/routed/kills/restart_*),
 //     and the tallies. Never held across a Server call or a module copy.
-//   * Shard::lifecycle guards that shard's store/server/placement pointers
-//     and owner_pinned. Lock ORDER is lifecycle -> mutex_ (dispatch holds
+//   * Shard::lifecycle guards that shard's store/server pointers and
+//     owner_pinned. Lock ORDER is lifecycle -> mutex_ (dispatch holds
 //     the target's lifecycle across Server::submit and then registers
 //     under mutex_); the reverse order is forbidden, so any code already
 //     under mutex_ snapshots what it needs and re-locks lifecycle after
@@ -32,6 +32,8 @@
 #include <utility>
 
 #include "common/error.h"
+#include "common/rng.h"
+#include "common/timer.h"
 #include "obs/trace.h"
 #include "sys/fault.h"
 
@@ -45,20 +47,8 @@ namespace {
 constexpr int kVnodes = 64;
 constexpr uint64_t kRingSeed = 0x5eedULL;
 
-uint64_t splitmix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-double ms_between(std::chrono::steady_clock::time_point a,
-                  std::chrono::steady_clock::time_point b) {
-  return std::chrono::duration<double, std::milli>(b - a).count();
-}
-
-// The router's binder engine maps prompts to store keys and never encodes,
-// like the prefetcher's (sys/prefetch.cpp).
+// The router's binder engine maps prompts to store keys and never encodes.
+// It outlives every shard restart, which rebuilds the shards' engines.
 EngineConfig binder_config() {
   EngineConfig config;
   config.eager_encode = false;
@@ -136,7 +126,7 @@ ShardRouter::ShardRouter(const Model& model, const TextTokenizer& tokenizer,
   // injected encode fault here is tolerated — the key heals on the next
   // replicate pass or lazily at serve time.
   for (const auto& key : all_keys_) {
-    const auto owners = owners_of(key);
+    const auto owners = module_owners(key);
     const auto& parts = key_parts_.at(key);
     EncodedModule payload;
     bool have_payload = false;
@@ -153,7 +143,7 @@ ShardRouter::ShardRouter(const Model& model, const TextTokenizer& tokenizer,
         continue;
       }
       try {
-        s.placement->pin_module(parts.first, parts.second);
+        s.server->engine().pin_module(parts.first, parts.second);
         s.owner_pinned.insert(key);
       } catch (const TransientError&) {
         continue;  // encode fault: try the next owner as primary
@@ -190,16 +180,11 @@ void ShardRouter::build_shard(Shard& s, uint64_t gen_epoch) {
   };
   s.server = std::make_unique<Server>(model_, tokenizer_, *s.store,
                                       std::move(sc));
-  EngineConfig ec = config_.server.engine;
-  ec.eager_encode = false;
-  s.placement =
-      std::make_unique<PromptCacheEngine>(model_, tokenizer_, *s.store, ec);
-  for (const auto& src : config_.server.schemas) s.placement->load_schema(src);
 }
 
 // --- Placement -------------------------------------------------------------
 
-std::vector<int> ShardRouter::owners_of(const std::string& key) const {
+std::vector<int> ShardRouter::module_owners(const std::string& key) const {
   const uint64_t h =
       splitmix64(std::hash<std::string>{}(key) ^ kRingSeed);
   std::vector<int> owners;
@@ -217,10 +202,6 @@ std::vector<int> ShardRouter::owners_of(const std::string& key) const {
     ++it;
   }
   return owners;
-}
-
-std::vector<int> ShardRouter::module_owners(const std::string& key) const {
-  return owners_of(key);
 }
 
 std::vector<std::string> ShardRouter::keys_of(
@@ -247,7 +228,7 @@ int ShardRouter::pick_shard_locked(const std::vector<std::string>& keys,
         -2 * shards_[static_cast<size_t>(s)]->outstanding;
   }
   for (const auto& key : keys) {
-    for (int o : owners_of(key)) {
+    for (int o : module_owners(key)) {
       if (shards_[static_cast<size_t>(o)]->alive) {
         eff[static_cast<size_t>(o)] += 4;
       }
@@ -497,7 +478,7 @@ void ShardRouter::dispatch(uint64_t rid) {
   std::string down_key;
   std::vector<std::string> fetched;
   for (const auto& key : keys) {
-    const auto owners = owners_of(key);
+    const auto owners = module_owners(key);
     const bool target_owns =
         std::find(owners.begin(), owners.end(), target) != owners.end();
     if (target_owns) {
@@ -539,7 +520,7 @@ void ShardRouter::dispatch(uint64_t rid) {
       }
     }
     if (!have_payload) {
-      // No live copy anywhere: encode on a live owner (its placement
+      // No live copy anywhere: encode on a live owner (its server's
       // engine), so ownership discipline holds, then copy from there.
       const auto parts = key_parts_.find(key);
       for (int o : owners) {
@@ -547,9 +528,10 @@ void ShardRouter::dispatch(uint64_t rid) {
         if (!alive_snap[static_cast<size_t>(o)]) continue;
         Shard& s = *shards_[static_cast<size_t>(o)];
         std::lock_guard<std::mutex> lock(s.lifecycle);
-        if (s.placement == nullptr) continue;
+        if (s.server == nullptr) continue;
         try {
-          s.placement->pin_module(parts->second.first, parts->second.second);
+          s.server->engine().pin_module(parts->second.first,
+                                        parts->second.second);
           s.owner_pinned.insert(key);
         } catch (const Error&) {
           continue;
@@ -896,7 +878,6 @@ void ShardRouter::process_restart(int shard) {
   // Tear down the zombie (joins its lanes; their final on_record events
   // carry the old generation and are dropped) and come back empty.
   s.server.reset();
-  s.placement.reset();
   s.store.reset();
   s.owner_pinned.clear();
   build_shard(s, gen);
@@ -922,7 +903,7 @@ uint64_t ShardRouter::replicate_now() {
 uint64_t ShardRouter::replicate_pass() {
   uint64_t healed = 0;
   for (const auto& key : all_keys_) {
-    const auto owners = owners_of(key);
+    const auto owners = module_owners(key);
     std::vector<int> live_owners;
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -984,10 +965,10 @@ uint64_t ShardRouter::replicate_pass() {
         const auto parts = key_parts_.find(key);
         if (parts == key_parts_.end()) continue;
         std::lock_guard<std::mutex> lock(dst.lifecycle);
-        if (dst.placement == nullptr) continue;
+        if (dst.server == nullptr) continue;
         try {
-          dst.placement->pin_module(parts->second.first,
-                                    parts->second.second);
+          dst.server->engine().pin_module(parts->second.first,
+                                          parts->second.second);
           dst.owner_pinned.insert(key);
         } catch (const Error&) {
           continue;  // encode fault / capacity: next pass retries

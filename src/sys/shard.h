@@ -3,15 +3,16 @@
 //
 // A single Server tops out at one process's cores; the ROADMAP's
 // millions-of-users north star needs a fleet. ShardRouter fronts N shards —
-// each a full serving instance (SharedModuleStore + Server + a placement
-// engine) — and makes the fleet behave like one cache:
+// each a full serving instance (SharedModuleStore + Server) — and makes the
+// fleet behave like one cache:
 //
 //   * Placement. Modules are placed by consistent hashing on a
 //     virtual-node ring: the first R distinct shards walking the ring from
 //     hash(key) are the key's OWNERS and keep its encoded states pinned
-//     resident (replication factor R). Ownership is static — it never
-//     moves with liveness — so any two routers with the same config agree
-//     on it, and a restarted shard re-acquires exactly its old keys.
+//     resident (replication factor R), encoded and pinned through the
+//     owner Server's engine (Server::engine()). Ownership is static — it
+//     never moves with liveness — so any two routers with the same config
+//     agree on it, and a restarted shard re-acquires exactly its old keys.
 //
 //   * Routing. A request's keys are its store keys by the engine's block
 //     plan (a router-owned binder engine's bind + module_keys), anonymous
@@ -81,8 +82,8 @@ struct ShardConfig {
   // (n_workers x batch.max_batch) all apply per shard; the router forces
   // retain_responses=false and installs its own on_record hook.
   // eager_encode is forced off — initial placement (the router's ctor)
-  // encodes each module exactly once fleet-wide and copies it to the other
-  // owners.
+  // encodes each module exactly once fleet-wide, through its primary
+  // owner's Server engine, and copies it to the other owners.
   ServerConfig server;
   // Inter-shard interconnect: cross-shard module fetches and
   // re-replication copies are charged stall_s(bytes) through this model.
@@ -178,6 +179,7 @@ class ShardRouter {
 
   int n_shards() const { return config_.n_shards; }
   // The key's static ring owners, first = primary. Liveness-independent.
+  // Every placement, routing and healing decision reads it.
   std::vector<int> module_owners(const std::string& key) const;
   // The routing decision for this prompt right now (no dispatch): the live
   // shard owning the largest share of its modules, or -1 when none live.
@@ -187,17 +189,16 @@ class ShardRouter {
  private:
   struct Shard {
     int index = 0;
-    // Server/store/placement are rebuilt on restart; lifecycle guards the
-    // pointers against a concurrent restart (never held while waiting on
-    // the router mutex — lock order is mutex_ AFTER lifecycle, never the
-    // reverse... see shard.cpp's locking notes).
+    // Server/store are rebuilt on restart; lifecycle guards the pointers
+    // against a concurrent restart (never held while waiting on the router
+    // mutex — lock order is mutex_ AFTER lifecycle, never the reverse...
+    // see shard.cpp's locking notes). Placement and healing encode and pin
+    // through the server's engine under lifecycle, outside any request (a
+    // placement encode briefly blocks this shard's dispatch/restart, never
+    // the fleet).
     std::mutex lifecycle;
     std::unique_ptr<SharedModuleStore> store;
     std::unique_ptr<Server> server;
-    // Encodes/pins modules for placement and healing, outside any request.
-    // Guarded by lifecycle like the other pointers (a placement encode
-    // briefly blocks this shard's dispatch/restart, never the fleet).
-    std::unique_ptr<PromptCacheEngine> placement;
     std::set<std::string> owner_pinned;  // guarded by lifecycle
 
     // Liveness (guarded by the router's mutex_).
@@ -269,7 +270,6 @@ class ShardRouter {
   // A prompt's store keys by the engine's block plan (binder_'s bind +
   // module_keys), anonymous modules included; empty when it does not bind.
   std::vector<std::string> keys_of(const std::string& prompt) const;
-  std::vector<int> owners_of(const std::string& key) const;
   int pick_shard_locked(const std::vector<std::string>& keys,
                         uint64_t prompt_hash) const;
 

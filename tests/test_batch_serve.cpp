@@ -1240,8 +1240,9 @@ TEST_F(BatchServeTest, LaneDecodeRulesMatchSequentialServe) {
 }
 
 TEST_F(BatchServeTest, UnloadableSchemaFailsServerConstruction) {
-  // Every lane loads the schemas on its own thread; a schema that does not
-  // parse, or does not fit max_pos, must throw from the constructor.
+  // The Server loads the schemas into its engine on the constructing
+  // thread, before any lane starts; a schema that does not parse, or does
+  // not fit max_pos, must throw from the constructor.
   for (const std::string& bad :
        {std::string(R"(<schema name="bad"><module name="m">w00</schema>)"),
         filler_schema(model_.config().max_pos + 1)}) {

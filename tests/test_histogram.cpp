@@ -75,19 +75,19 @@ TEST(Histogram, QuantileZeroIsExactMinimum) {
   EXPECT_LE(h.quantile_seconds(0.0), h.quantile_seconds(0.01));
 }
 
-TEST(Histogram, QuantileZeroSurvivesMergeAcrossLayouts) {
-  LatencyHistogram coarse(/*min_seconds=*/1e-3, /*buckets_per_doubling=*/1);
-  coarse.record_seconds(0.25);
-  LatencyHistogram fine;  // default layout
-  fine.record_seconds(0.004);
-  fine.merge(coarse);  // differing layouts: counts rebucket, extrema exact
-  EXPECT_DOUBLE_EQ(fine.quantile_seconds(0.0), 0.004);
+TEST(Histogram, QuantileZeroSurvivesMerge) {
+  LatencyHistogram larger;
+  larger.record_seconds(0.25);
+  LatencyHistogram h;
+  h.record_seconds(0.004);
+  h.merge(larger);  // the exact minimum survives, not a bucket edge
+  EXPECT_DOUBLE_EQ(h.quantile_seconds(0.0), 0.004);
 
   // Merge in the other direction: the smaller minimum wins.
-  LatencyHistogram fine2;
-  fine2.record_seconds(0.0005);
-  fine2.merge(coarse);
-  EXPECT_DOUBLE_EQ(fine2.quantile_seconds(0.0), 0.0005);
+  LatencyHistogram smaller;
+  smaller.record_seconds(0.0005);
+  larger.merge(smaller);
+  EXPECT_DOUBLE_EQ(larger.quantile_seconds(0.0), 0.0005);
 }
 
 TEST(Histogram, ExtremesClampToBucketRange) {
@@ -140,58 +140,11 @@ TEST(Histogram, MergeEmptyIsNoop) {
   LatencyHistogram a;
   a.record_ms(5.0);
   const double p50_before = a.p50_ms();
-  LatencyHistogram empty(/*min_seconds=*/1e-3, /*buckets_per_doubling=*/1);
-  a.merge(empty);  // differing layout, but empty: must change nothing
+  LatencyHistogram empty;
+  a.merge(empty);  // must change nothing, the exact minimum included
   EXPECT_EQ(a.count(), 1u);
   EXPECT_DOUBLE_EQ(a.p50_ms(), p50_before);
-}
-
-TEST(Histogram, MergeDifferingLayoutRebuckets) {
-  // Coarse source layout: floor 1 ms, one bucket per doubling. A 10 ms
-  // sample occupies the bucket whose upper edge is 16 ms.
-  LatencyHistogram coarse(/*min_seconds=*/1e-3, /*buckets_per_doubling=*/1);
-  coarse.record_seconds(0.010);
-
-  LatencyHistogram fine;  // default layout: 1 µs floor, 2^(1/4) buckets
-  fine.record_seconds(0.001);
-  fine.merge(coarse);
-
-  EXPECT_FALSE(fine.same_layout(coarse));
-  // Counts/sums/extrema merge exactly regardless of layout.
-  EXPECT_EQ(fine.count(), 2u);
-  EXPECT_NEAR(fine.sum_seconds(), 0.011, 1e-12);
-  EXPECT_NEAR(fine.max_seconds(), 0.010, 1e-12);
-  EXPECT_NEAR(fine.min_seconds(), 0.001, 1e-12);
-  // The rebucketed sample is folded in at its source bucket's upper edge
-  // (16 ms), then lands in the destination bucket covering that value:
-  // p100 within one fine bucket (19%) above 16 ms.
-  const double p100 = fine.quantile_seconds(1.0);
-  EXPECT_GE(p100, 0.016);
-  EXPECT_LE(p100, 0.016 * 1.20);
-}
-
-TEST(Histogram, MergeManySamplesAcrossLayoutsKeepsQuantileBound) {
-  LatencyHistogram coarse(/*min_seconds=*/1e-4, /*buckets_per_doubling=*/2);
-  LatencyHistogram fine;
-  Rng rng(11);
-  std::vector<double> samples;
-  for (int i = 0; i < 5000; ++i) {
-    const double s = std::exp(rng.uniform(-8.0f, -3.0f));
-    samples.push_back(s);
-    coarse.record_seconds(s);
-  }
-  fine.merge(coarse);
-  EXPECT_EQ(fine.count(), coarse.count());
-  std::sort(samples.begin(), samples.end());
-  // Rebucketing rounds each sample up by at most one coarse bucket
-  // (2^(1/2) ≈ 41%) and the fine read adds one fine bucket (19%), so the
-  // estimate stays within [exact, exact * 1.7].
-  for (double q : {0.5, 0.9, 0.99}) {
-    const double exact = samples[static_cast<size_t>(q * samples.size())];
-    const double est = fine.quantile_seconds(q);
-    EXPECT_GE(est / exact, 0.95) << "q=" << q;
-    EXPECT_LE(est / exact, 1.75) << "q=" << q;
-  }
+  EXPECT_DOUBLE_EQ(a.min_seconds(), 5e-3);
 }
 
 TEST(Histogram, SummaryMentionsPercentiles) {

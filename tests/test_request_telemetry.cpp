@@ -9,7 +9,9 @@
 //     the per-outcome timeline counts equal the pc_server_* counters
 //     exactly — not approximately;
 //   * cache-efficacy attribution: a warm re-serve records zero module
-//     misses and nonzero cached tokens / reused modules;
+//     misses and nonzero cached tokens / reused modules, and the
+//     timelines' module misses sum to the engine's encode counters (also
+//     under an ambient PC_FAULTS schedule);
 //   * the PC_REQLOG JSONL sink and Server::write_request_log round-trip
 //     through the JSON reader;
 //   * SloTracker window math and MetricsSampler series (via their
@@ -23,6 +25,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <set>
@@ -263,6 +266,50 @@ TEST_F(RequestTelemetryTest, WarmServeRecordsCacheEfficacy) {
   EXPECT_GT(warm.cached_tokens, 0);
   EXPECT_EQ(warm.module_hits(), warm.modules);
   EXPECT_GT(warm.retrieve_ms + warm.prefill_ms, 0.0);
+}
+
+TEST_F(RequestTelemetryTest, ModuleMissesSumToEngineEncodes) {
+  // Each encode is counted by the request whose call ran it — its ensure
+  // pass or a thrash re-encode in assembly, over every admission attempt —
+  // so the timelines' misses sum to the engine's encode counters. The lanes
+  // share one engine: two lanes missing one module at once encode it once,
+  // and one of them counts it. With an ambient PC_FAULTS schedule (the
+  // chaos CI step), encode faults, evictions and retries must not break
+  // the sum.
+  const char* env = std::getenv("PC_FAULTS");
+  const bool chaos = env != nullptr && *env != '\0';
+  for (int max_batch : {1, 4}) {
+    if (chaos) FaultInjector::global().configure(env);
+    ServerConfig cfg;
+    cfg.n_workers = 2;
+    cfg.batch.max_batch = max_batch;
+    cfg.schemas = {kSchema};
+    cfg.engine.eager_encode = false;  // every encode happens in a request
+    cfg.link.latency_s = 0.002;       // nonzero so link faults are polled
+    Server server(model_, workload_.tokenizer(), cfg);
+    const int n = 24;
+    for (int i = 0; i < n; ++i) {
+      server.submit(kPrompts[static_cast<size_t>(i) % kNumPrompts],
+                    ask_options());
+    }
+    (void)server.drain();
+    FaultInjector::global().disable();
+
+    const auto timelines = server.requests().snapshot();
+    ASSERT_EQ(timelines.size(), static_cast<size_t>(n));
+    uint64_t misses = 0;
+    for (const auto& t : timelines) {
+      EXPECT_GE(t.module_misses, 0) << "id " << t.id;
+      misses += static_cast<uint64_t>(t.module_misses);
+    }
+    const ServerStats stats = server.stats();
+    EXPECT_EQ(misses, stats.modules_encoded + stats.scaffolds_encoded)
+        << "max_batch " << max_batch;
+    if (!chaos) {
+      // Nothing evicts: each of the schema's modules is encoded once.
+      EXPECT_EQ(stats.modules_encoded, 3u) << "max_batch " << max_batch;
+    }
+  }
 }
 
 TEST_F(RequestTelemetryTest, RequestLogJsonlRoundTrip) {
