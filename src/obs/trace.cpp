@@ -14,18 +14,22 @@ namespace {
 
 // Single-writer ring. The owning thread is the only writer; readers
 // (collect_traces) take a weakly consistent snapshot through the atomic
-// head. Slots are overwritten on wrap — dropped = head - capacity.
+// head. Slots are overwritten on wrap — dropped = head - capacity. The
+// slot array is allocated by the first push, so a thread that registers
+// (set_thread_name) but never records costs no ring memory; readers touch
+// `slots` only after an acquire load of head reads above 0, which orders
+// them after that allocation.
 struct Ring {
-  explicit Ring(size_t capacity)
-      : capacity(capacity), slots(new TraceEvent[capacity]) {}
+  explicit Ring(size_t capacity) : capacity(capacity) {}
 
   const size_t capacity;
-  std::unique_ptr<TraceEvent[]> slots;
+  std::unique_ptr<TraceEvent[]> slots;  // written once, by the first push
   std::atomic<uint64_t> head{0};  // total events ever written
   int tid = 0;
   std::string thread_name;  // guarded by the registry mutex
 
   void push(const TraceEvent& e) {
+    if (slots == nullptr) slots.reset(new TraceEvent[capacity]);
     const uint64_t h = head.load(std::memory_order_relaxed);
     slots[h % capacity] = e;
     head.store(h + 1, std::memory_order_release);
@@ -141,6 +145,7 @@ std::vector<ThreadTrace> collect_traces() {
   for (size_t i = 0; i < rings.size(); ++i) {
     const Ring& r = *rings[i];
     const uint64_t head = r.head.load(std::memory_order_acquire);
+    if (head == 0) continue;  // nothing recorded: slots may not exist
     const uint64_t n = std::min<uint64_t>(head, r.capacity);
     out[i].dropped = head - n;
     out[i].events.reserve(static_cast<size_t>(n));

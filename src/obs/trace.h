@@ -12,7 +12,9 @@
 //     tree from timestamps alone.
 //
 //   * Thread-local single-writer rings. Each thread lazily registers a
-//     fixed-capacity ring buffer; writes are one relaxed index load, one
+//     fixed-capacity ring buffer, whose slot array is allocated at the
+//     thread's first recorded event (a named thread that never traces
+//     costs no ring memory); writes are one relaxed index load, one
 //     64-byte store, one release index store — no locks, no allocation, no
 //     cross-thread traffic on the hot path. When the ring wraps, the oldest
 //     events are overwritten and counted as dropped (never a crash, never a
@@ -101,11 +103,13 @@ bool tracing_enabled();
 void set_tracing(bool enabled);
 
 // Names the calling thread's lane in exported traces (idempotent; also
-// forces ring registration so the lane exists even before its first span).
+// registers the thread, fixing its ring capacity, so the lane exists even
+// before its first span — the ring's slots are allocated at that span).
 void set_thread_name(const std::string& name);
 
-// Ring capacity (events per thread) for rings created after this call.
-// Also settable via PC_TRACE_BUF; default 65536. Existing rings keep theirs.
+// Ring capacity (events per thread) for threads registered after this
+// call. Also settable via PC_TRACE_BUF; default 65536. Threads already
+// registered keep theirs.
 void set_ring_capacity(size_t events);
 
 // Records an explicit span on the calling thread's ring. Prefer PC_SPAN;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <latch>
 #include <memory>
 #include <sstream>
 
@@ -170,20 +169,12 @@ void Server::start() {
         });
     lanes_.push_back(std::move(lane));
   }
-  // The constructor returns with every lane running. A lane's first act,
-  // naming its thread, allocates its trace ring (about 2.5 ms in a Release
-  // build, 25 ms under ThreadSanitizer); left to the lanes, that start-up
-  // would land in the first requests' queue wait. Each lane holds the latch
-  // it counts down, so it outlives the wait.
-  const auto started = std::make_shared<std::latch>(config_.n_workers);
   for (int i = 0; i < config_.n_workers; ++i) {
-    lanes_[static_cast<size_t>(i)]->thread = std::thread([this, i, started] {
+    lanes_[static_cast<size_t>(i)]->thread = std::thread([this, i] {
       obs::set_thread_name("lane" + std::to_string(i));
-      started->count_down();
       lane_loop(i);
     });
   }
-  started->wait();
   PC_LOG_INFO << "server ready: " << config_.n_workers << " lanes x max_batch "
               << config_.batch.max_batch;
 }

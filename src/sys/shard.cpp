@@ -1,28 +1,32 @@
 // ShardRouter implementation. Locking discipline (the invariants every
 // function below leans on):
 //
-//   * mutex_ guards router state: pending_/inflight_/orphans_/delivered_,
-//     the per-shard liveness fields (alive/epoch/routed/kills/restart_*),
-//     and the tallies. Never held across a Server call or a module copy.
-//   * Shard::lifecycle guards that shard's store/server pointers and
-//     owner_pinned. Lock ORDER is lifecycle -> mutex_ (dispatch holds
-//     the target's lifecycle across Server::submit and then registers
-//     under mutex_); the reverse order is forbidden, so any code already
-//     under mutex_ snapshots what it needs and re-locks lifecycle after
-//     releasing. At most ONE lifecycle is held at a time — cross-shard
-//     copies take the source's lock, copy the payload out, release, then
-//     take the destination's.
+//   * mutex_ guards router state: pending_/inflight_/fetch_refs_/
+//     delivered_, the per-shard liveness fields (alive/epoch/routed/
+//     outstanding/kills/restart_*), and the tallies. Never held across a
+//     Server call, an encode or a module copy.
+//   * Shard::lifecycle guards that shard's server pointer and
+//     owner_pinned. Lock ORDER is lifecycle -> mutex_: dispatch holds the
+//     target's lifecycle across Server::submit and registers under mutex_,
+//     and the pump books a delivery under the delivering shard's
+//     lifecycle, then mutex_. So no delivery is booked before its
+//     registration, and deliver_locked may erase streamed-out copies from
+//     that shard's store. The reverse order is forbidden, so any code
+//     already under mutex_ snapshots what it needs and re-locks lifecycle
+//     after releasing. At most ONE lifecycle is held at a time — place()
+//     takes the source's lock, takes a ref to the payload, releases, then
+//     takes the destination's.
 //   * events_mutex_ is a leaf: push_event takes nothing else, and may be
 //     called while holding mutex_ or a lifecycle.
 //   * replicate_mutex_ serializes healing passes; a pass takes
 //     mutex_/lifecycles underneath it (never the reverse).
 //
-// Failover accounting: a request's failover count is incremented exactly
-// once per lost dispatch — either when a kill flushes its inflight_ entry,
-// or when its registration discovers the target's epoch moved while
-// Server::submit was in flight. process_failover only re-dispatches; it
-// never counts, so rescue requeues (all shards down, waiting on a restart)
-// don't inflate pc_shard_failovers_total.
+// Failover accounting (fail_over_locked): a request's failover count is
+// incremented exactly once per lost dispatch — either when a kill flushes
+// its inflight_ entry, or when dispatch finds the target's epoch moved
+// before or while Server::submit ran. process_failover only re-dispatches;
+// it never counts, so rescue requeues (all shards down, waiting on a
+// restart) don't inflate pc_shard_failovers_total.
 #include "sys/shard.h"
 
 #include <algorithm>
@@ -121,40 +125,13 @@ ShardRouter::ShardRouter(const Model& model, const TextTokenizer& tokenizer,
     }
   }
 
-  // Initial placement: encode each module ONCE (on its primary owner) and
-  // copy the payload to the other R-1 owners, pinning everywhere. An
-  // injected encode fault here is tolerated — the key heals on the next
-  // replicate pass or lazily at serve time.
+  // Initial placement, free of charge: each key's primary owner encodes it
+  // once and the other owners copy it. A key that cannot be placed (an
+  // injected encode fault, a store too small) heals on the next replicate
+  // pass or encodes lazily at serve time.
+  const std::vector<bool> all_alive(shards_.size(), true);
   for (const auto& key : all_keys_) {
-    const auto owners = module_owners(key);
-    const auto& parts = key_parts_.at(key);
-    EncodedModule payload;
-    bool have_payload = false;
-    for (int o : owners) {
-      Shard& s = *shards_[o];
-      if (have_payload) {
-        try {
-          s.store->insert(key, EncodedModule(payload));
-          s.store->pin(key);
-          s.owner_pinned.insert(key);
-        } catch (const CacheError&) {
-          // Doesn't fit this shard's tiers; under-replicated until healed.
-        }
-        continue;
-      }
-      try {
-        s.server->engine().pin_module(parts.first, parts.second);
-        s.owner_pinned.insert(key);
-      } catch (const TransientError&) {
-        continue;  // encode fault: try the next owner as primary
-      } catch (const CacheError&) {
-        continue;
-      }
-      if (auto ref = s.store->find(key)) {
-        payload = *ref;
-        have_payload = true;
-      }
-    }
+    for (int o : module_owners(key)) place(key, o, all_alive);
   }
 
   pump_ = std::thread([this] { pump_loop(); });
@@ -163,7 +140,6 @@ ShardRouter::ShardRouter(const Model& model, const TextTokenizer& tokenizer,
 ShardRouter::~ShardRouter() { stop(); }
 
 void ShardRouter::build_shard(Shard& s, uint64_t gen_epoch) {
-  s.store = std::make_unique<SharedModuleStore>(/*device=*/0, /*host=*/0);
   ServerConfig sc = config_.server;
   // The router places modules itself and owns the response lifecycle.
   sc.engine.eager_encode = false;
@@ -178,11 +154,72 @@ void ShardRouter::build_shard(Shard& s, uint64_t gen_epoch) {
     e.resp = r;
     push_event(std::move(e));
   };
-  s.server = std::make_unique<Server>(model_, tokenizer_, *s.store,
-                                      std::move(sc));
+  s.server = std::make_unique<Server>(model_, tokenizer_, std::move(sc));
 }
 
 // --- Placement -------------------------------------------------------------
+
+ShardRouter::Placement ShardRouter::place(const std::string& key, int dst,
+                                          const std::vector<bool>& alive) {
+  const std::vector<int> owners = module_owners(key);
+  const bool dst_owns =
+      std::find(owners.begin(), owners.end(), dst) != owners.end();
+  Shard& d = *shards_[static_cast<size_t>(dst)];
+  // An owner pins what it holds (under d.lifecycle).
+  const auto pin_if_owned = [&] {
+    if (dst_owns && d.owner_pinned.count(key) == 0 &&
+        d.server->engine().store().pin(key)) {
+      d.owner_pinned.insert(key);
+    }
+  };
+  {
+    std::lock_guard<std::mutex> lock(d.lifecycle);
+    if (d.server->engine().store().contains(key)) {
+      pin_if_owned();
+      return {Placement::Kind::kPresent};
+    }
+  }
+  SharedModuleStore::ModuleRef ref;
+  for (int src : owners) {
+    if (src == dst || !alive[static_cast<size_t>(src)]) continue;
+    Shard& s = *shards_[static_cast<size_t>(src)];
+    std::lock_guard<std::mutex> lock(s.lifecycle);
+    if ((ref = s.server->engine().store().find(key))) break;
+  }
+  // No live copy: encode through the first live owner that can (pinning it
+  // there), then copy from it.
+  const auto parts = key_parts_.find(key);
+  for (int src : owners) {
+    if (ref || parts == key_parts_.end()) break;
+    if (!alive[static_cast<size_t>(src)]) continue;
+    Shard& s = *shards_[static_cast<size_t>(src)];
+    std::lock_guard<std::mutex> lock(s.lifecycle);
+    try {
+      s.server->engine().pin_module(parts->second.first,
+                                    parts->second.second);
+    } catch (const Error&) {
+      continue;  // encode fault or no room: the next owner tries
+    }
+    s.owner_pinned.insert(key);
+    if (src == dst) return {Placement::Kind::kEncoded};
+    ref = s.server->engine().store().find(key);
+  }
+  if (!ref) return {};
+  std::lock_guard<std::mutex> lock(d.lifecycle);
+  try {
+    d.server->engine().store().insert(key, EncodedModule(*ref));
+  } catch (const CacheError&) {
+    return {};  // fits in neither of dst's tiers
+  }
+  pin_if_owned();
+  return {Placement::Kind::kCopied, ref->payload_bytes()};
+}
+
+std::vector<bool> ShardRouter::alive_locked() const {
+  std::vector<bool> alive;
+  for (const auto& sp : shards_) alive.push_back(sp->alive);
+  return alive;
+}
 
 std::vector<int> ShardRouter::module_owners(const std::string& key) const {
   const uint64_t h =
@@ -272,7 +309,7 @@ bool ShardRouter::shard_has_module(int shard, const std::string& key) const {
   PC_CHECK(shard >= 0 && shard < config_.n_shards);
   Shard& s = *shards_[static_cast<size_t>(shard)];
   std::lock_guard<std::mutex> lock(s.lifecycle);
-  return s.store != nullptr && s.store->contains(key);
+  return s.server->engine().store().contains(key);
 }
 
 bool ShardRouter::shard_alive(int shard) const {
@@ -327,14 +364,7 @@ uint64_t ShardRouter::submit(std::string prompt,
         const int victim =
             static_cast<int>(next_victim_++ % config_.n_shards);
         if (!shards_[static_cast<size_t>(victim)]->alive) continue;
-        std::vector<uint64_t> flushed;
-        kill_locked(victim, flushed);
-        for (uint64_t f : flushed) {
-          Event e;
-          e.kind = Event::Kind::kFailover;
-          e.rid = f;
-          push_event(std::move(e));
-        }
+        kill_locked(victim);
         break;
       }
     }
@@ -346,17 +376,10 @@ uint64_t ShardRouter::submit(std::string prompt,
 void ShardRouter::kill_shard(int shard) {
   PC_CHECK(shard >= 0 && shard < config_.n_shards);
   std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<uint64_t> flushed;
-  kill_locked(shard, flushed);
-  for (uint64_t f : flushed) {
-    Event e;
-    e.kind = Event::Kind::kFailover;
-    e.rid = f;
-    push_event(std::move(e));
-  }
+  kill_locked(shard);
 }
 
-void ShardRouter::kill_locked(int victim, std::vector<uint64_t>& flushed) {
+void ShardRouter::kill_locked(int victim) {
   Shard& s = *shards_[static_cast<size_t>(victim)];
   if (!s.alive) return;
   s.alive = false;
@@ -377,25 +400,10 @@ void ShardRouter::kill_locked(int victim, std::vector<uint64_t>& flushed) {
       ++it;
     }
   }
-  // Late deliveries parked before the kill are from the dead generation.
-  for (auto it = orphans_.begin(); it != orphans_.end();) {
-    if (std::get<0>(it->first) == victim) {
-      it = orphans_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  // Flush this shard's in-flight requests to the pump for re-routing. The
-  // failover is counted HERE, once per lost dispatch.
+  // Flush this shard's in-flight requests to the pump for re-routing.
   for (auto it = inflight_.begin(); it != inflight_.end();) {
     if (std::get<0>(it->first) == victim) {
-      const uint64_t rid = it->second;
-      auto pit = pending_.find(rid);
-      if (pit != pending_.end()) {
-        ++pit->second.failovers;
-        failovers_.inc();
-        flushed.push_back(rid);
-      }
+      fail_over_locked(it->second);
       it = inflight_.erase(it);
     } else {
       ++it;
@@ -419,13 +427,11 @@ void ShardRouter::restart_shard(int shard) {
 // --- Dispatch --------------------------------------------------------------
 
 void ShardRouter::dispatch(uint64_t rid) {
-  // Phase 1: snapshot the request (pending_ may already be gone if a
-  // synthetic delivery beat us here).
+  // Phase 1: snapshot the request.
   std::string prompt;
   GenerateOptions options;
   double deadline_ms = 0;
   int failovers = 0;
-  std::chrono::steady_clock::time_point submitted;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = pending_.find(rid);
@@ -434,7 +440,6 @@ void ShardRouter::dispatch(uint64_t rid) {
     options = it->second.options;
     deadline_ms = it->second.deadline_ms;
     failovers = it->second.failovers;
-    submitted = it->second.submitted;
   }
 
   const auto keys = keys_of(prompt);
@@ -444,20 +449,16 @@ void ShardRouter::dispatch(uint64_t rid) {
   // Phase 2: pick a live target and snapshot its epoch + fleet liveness.
   int target = -1;
   uint64_t epoch_snap = 0;
-  std::vector<bool> alive_snap(static_cast<size_t>(config_.n_shards), false);
+  std::vector<bool> alive_snap;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (pending_.find(rid) == pending_.end()) return;
     target = pick_shard_locked(keys, prompt_hash);
     if (target >= 0) {
       Shard& s = *shards_[static_cast<size_t>(target)];
       epoch_snap = s.epoch;
       ++s.routed;
       ++s.outstanding;  // reclaimed at delivery or by the kill flush
-      for (int i = 0; i < config_.n_shards; ++i) {
-        alive_snap[static_cast<size_t>(i)] =
-            shards_[static_cast<size_t>(i)]->alive;
-      }
+      alive_snap = alive_locked();
     }
   }
   if (target < 0) {
@@ -466,11 +467,11 @@ void ShardRouter::dispatch(uint64_t rid) {
   }
   Shard& tgt = *shards_[static_cast<size_t>(target)];
 
-  // Phase 3: make the target's store serve-ready. Keys the target OWNS are
-  // its responsibility (pinned at placement; re-encoded lazily after a
-  // restart). Keys it doesn't own are fetched from a live holder and the
-  // transfer charged through cross_link; when every replica of a key is
-  // down, the request degrades to full prefill.
+  // Phase 3: make the target serve-ready. Keys the target OWNS are its
+  // responsibility (pinned at placement; re-encoded lazily after a
+  // restart). Keys it doesn't own are placed on it, the copies charged
+  // through cross_link; when every replica of a key is down, the request
+  // degrades to full prefill.
   int owned = 0;
   size_t fetch_bytes = 0;
   uint64_t fetches = 0;
@@ -479,97 +480,37 @@ void ShardRouter::dispatch(uint64_t rid) {
   std::vector<std::string> fetched;
   for (const auto& key : keys) {
     const auto owners = module_owners(key);
-    const bool target_owns =
-        std::find(owners.begin(), owners.end(), target) != owners.end();
-    if (target_owns) {
+    if (std::find(owners.begin(), owners.end(), target) != owners.end()) {
       ++owned;
       continue;
     }
-    {
-      std::lock_guard<std::mutex> lock(tgt.lifecycle);
-      if (tgt.store != nullptr && tgt.store->contains(key)) {
-        // A concurrent request's cross-fetched copy: share it, and hold a
-        // reference so its delivery can't stream it out from under us.
-        fetched.push_back(key);
-        continue;
-      }
-    }
-    bool any_owner_alive = false;
-    for (int o : owners) {
-      any_owner_alive =
-          any_owner_alive || alive_snap[static_cast<size_t>(o)];
-    }
-    if (!any_owner_alive) {
+    const Placement placed = place(key, target, alive_snap);
+    if (placed.kind == Placement::Kind::kFailed &&
+        std::none_of(owners.begin(), owners.end(), [&](int o) {
+          return alive_snap[static_cast<size_t>(o)];
+        })) {
       force_full_prefill = true;
       down_key = key;
       unavailable_degrades_.inc();
       break;
     }
-    // Copy from a live holder (owners first — they pin it resident).
-    EncodedModule payload;
-    bool have_payload = false;
-    for (int src : owners) {
-      if (!alive_snap[static_cast<size_t>(src)] || src == target) continue;
-      Shard& s = *shards_[static_cast<size_t>(src)];
-      std::lock_guard<std::mutex> lock(s.lifecycle);
-      if (s.store == nullptr) continue;
-      if (auto ref = s.store->find(key)) {
-        payload = *ref;
-        have_payload = true;
-        break;
-      }
-    }
-    if (!have_payload) {
-      // No live copy anywhere: encode on a live owner (its server's
-      // engine), so ownership discipline holds, then copy from there.
-      const auto parts = key_parts_.find(key);
-      for (int o : owners) {
-        if (parts == key_parts_.end()) break;
-        if (!alive_snap[static_cast<size_t>(o)]) continue;
-        Shard& s = *shards_[static_cast<size_t>(o)];
-        std::lock_guard<std::mutex> lock(s.lifecycle);
-        if (s.server == nullptr) continue;
-        try {
-          s.server->engine().pin_module(parts->second.first,
-                                        parts->second.second);
-          s.owner_pinned.insert(key);
-        } catch (const Error&) {
-          continue;
-        }
-        if (auto ref = s.store->find(key)) {
-          payload = *ref;
-          have_payload = true;
-          break;
-        }
-      }
-    }
-    if (!have_payload) {
-      // The target's engine encodes it lazily at serve; that copy is
-      // non-owned too, so track it for stream-out at delivery.
-      fetched.push_back(key);
-      continue;
-    }
-    const size_t bytes = payload.payload_bytes();
-    try {
-      std::lock_guard<std::mutex> lock(tgt.lifecycle);
-      if (tgt.store == nullptr) continue;
-      tgt.store->insert(key, std::move(payload));
-    } catch (const CacheError&) {
-      fetched.push_back(key);  // lazily re-encoded at serve; still non-owned
-      continue;  // doesn't fit; serve-side ensure() deals with it
-    }
-    fetch_bytes += bytes;
-    ++fetches;
-    cross_fetches_.inc();
-    cross_fetch_bytes_.inc(bytes);
+    // Non-owned, whether copied, shared with a concurrent request or left
+    // for the target's engine to encode at serve: streamed out at delivery.
     fetched.push_back(key);
+    if (placed.kind == Placement::Kind::kCopied) {
+      fetch_bytes += placed.copied_bytes;
+      ++fetches;
+      cross_fetches_.inc();
+      cross_fetch_bytes_.inc(placed.copied_bytes);
+    }
   }
-  const double extra_stall_ms =
-      fetches > 0 ? config_.cross_link.stall_s(fetch_bytes) * 1e3 : 0.0;
 
-  // Phase 4: hand to the shard's Server and register the inflight mapping.
+  // Phase 4: hand to the shard's Server and register the inflight mapping,
+  // all under the target's lifecycle: a restart cannot swap the Server
+  // out, and the pump cannot book a delivery before its registration.
   SubmitOptions sopts;
-  sopts.extra_stall_ms = extra_stall_ms;
+  sopts.extra_stall_ms =
+      fetches > 0 ? config_.cross_link.stall_s(fetch_bytes) * 1e3 : 0.0;
   sopts.force_full_prefill = force_full_prefill;
   if (force_full_prefill) {
     sopts.annotation =
@@ -582,103 +523,57 @@ void ShardRouter::dispatch(uint64_t rid) {
                             ? ", failover " + std::to_string(failovers)
                             : "");
   }
-  if (deadline_ms > 0) {
-    const double remaining =
-        deadline_ms - ms_between(submitted, std::chrono::steady_clock::now());
-    if (remaining <= 0) {
-      ServerResponse r;
-      r.status = ServeStatus::kTimeout;
-      r.detail = "deadline expired during shard failover";
-      std::vector<std::string> stranded;
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (pending_.find(rid) == pending_.end()) return;
-        if (tgt.alive && tgt.epoch == epoch_snap) {
-          // The dispatch never reached the target: give back its routing
-          // slot and stream out copies no concurrent request references.
-          // (A kill since phase 2 already reclaimed both.)
-          if (tgt.outstanding > 0) --tgt.outstanding;
-          for (const auto& key : fetched) {
-            if (fetch_refs_.find({target, key}) == fetch_refs_.end()) {
-              stranded.push_back(key);
-            }
-          }
-        }
-        (void)deliver_locked(rid, -1, std::move(r));
-        if (!stranded.empty()) ++stream_outs_pending_;
-      }
-      cv_done_.notify_all();
-      if (!stranded.empty()) stream_out(target, stranded);
-      return;
-    }
-    sopts.deadline_ms = remaining;
-  }
-
-  bool delivered = false;
-  std::vector<std::string> cleanup;
+  std::lock_guard<std::mutex> lifecycle(tgt.lifecycle);
   {
-    // lifecycle held across submit(): a restart cannot swap the Server out
-    // from under us, and lifecycle -> mutex_ is the sanctioned order.
-    std::lock_guard<std::mutex> lifecycle(tgt.lifecycle);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (pending_.find(rid) == pending_.end()) return;
-      if (!tgt.alive || tgt.epoch != epoch_snap) {
-        auto& p = pending_.at(rid);
-        ++p.failovers;
-        failovers_.inc();
-        Event e;
-        e.kind = Event::Kind::kFailover;
-        e.rid = rid;
-        push_event(std::move(e));
+    std::lock_guard<std::mutex> lock(mutex_);
+    Pending& p = pending_.at(rid);
+    const auto now = std::chrono::steady_clock::now();
+    const bool live = tgt.alive && tgt.epoch == epoch_snap;
+    if (live) {
+      // The dispatch sticks: reference the non-owned keys it uses so no
+      // concurrent delivery streams them out mid-serve.
+      p.last_dispatch = now;
+      p.fetched_keys = fetched;
+      for (const auto& key : fetched) ++fetch_refs_[{target, key}];
+    }
+    if (deadline_ms > 0) {
+      sopts.deadline_ms = deadline_ms - ms_between(p.submitted, now);
+      if (sopts.deadline_ms <= 0) {
+        // Expired before the target saw it. A live target takes back its
+        // routing slot and the copies fetched here, as at a delivery; a
+        // kill since phase 2 already reclaimed both.
+        ServerResponse r;
+        r.status = ServeStatus::kTimeout;
+        r.detail = p.failovers > 0 ? "deadline expired during shard failover"
+                                   : "deadline expired before shard dispatch";
+        deliver_locked(rid, live ? target : -1, std::move(r));
+        cv_done_.notify_all();
         return;
       }
     }
-    const uint64_t sid = tgt.server->submit(prompt, options, sopts);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      auto it = pending_.find(rid);
-      PC_CHECK(it != pending_.end());
-      Pending& p = it->second;
-      p.last_shard = target;
-      p.last_dispatch = std::chrono::steady_clock::now();
-      if (tgt.alive && tgt.epoch == epoch_snap) {
-        // Registration sticks: reference the non-owned keys this dispatch
-        // uses so no concurrent delivery streams them out mid-serve. (On
-        // epoch mismatch the kill already cleared the shard's refs and the
-        // restart rebuilds the store empty — nothing to reference.)
-        p.fetched_keys = fetched;
-        for (const auto& key : fetched) ++fetch_refs_[{target, key}];
-      }
-      if (!tgt.alive || tgt.epoch != epoch_snap) {
-        // Killed while submit() was in flight; the zombie's delivery will
-        // carry the old generation and be dropped.
-        ++p.failovers;
-        failovers_.inc();
-        Event e;
-        e.kind = Event::Kind::kFailover;
-        e.rid = rid;
-        push_event(std::move(e));
-      } else {
-        const InflightKey k{target, epoch_snap, sid};
-        auto oit = orphans_.find(k);
-        if (oit != orphans_.end()) {
-          // The server finished before we registered: consume the parked
-          // delivery now.
-          ServerResponse resp = std::move(oit->second);
-          orphans_.erase(oit);
-          cleanup = deliver_locked(rid, target, std::move(resp));
-          delivered = true;
-        } else {
-          inflight_[k] = rid;
-        }
-      }
+    if (!live) {
+      fail_over_locked(rid);
+      return;
     }
   }
-  if (delivered) {
-    cv_done_.notify_all();
-    if (!cleanup.empty()) stream_out(target, cleanup);
+  const uint64_t sid = tgt.server->submit(prompt, options, sopts);
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (tgt.alive && tgt.epoch == epoch_snap) {
+    inflight_[{target, epoch_snap, sid}] = rid;
+  } else {
+    // Killed while submit() was in flight; the zombie's delivery will
+    // carry the old generation and be dropped.
+    fail_over_locked(rid);
   }
+}
+
+void ShardRouter::fail_over_locked(uint64_t rid) {
+  ++pending_.at(rid).failovers;
+  failovers_.inc();
+  Event e;
+  e.kind = Event::Kind::kFailover;
+  e.rid = rid;
+  push_event(std::move(e));
 }
 
 // --- Pump ------------------------------------------------------------------
@@ -717,49 +612,29 @@ void ShardRouter::pump_loop() {
 }
 
 void ShardRouter::process_delivery(Event& e) {
-  bool delivered = false;
-  std::vector<std::string> cleanup;
+  Shard& s = *shards_[static_cast<size_t>(e.shard)];
   {
+    std::lock_guard<std::mutex> lifecycle(s.lifecycle);
     std::lock_guard<std::mutex> lock(mutex_);
-    const InflightKey k{e.shard, e.epoch, e.resp.id};
-    auto it = inflight_.find(k);
-    if (it != inflight_.end()) {
-      const uint64_t rid = it->second;
-      inflight_.erase(it);
-      cleanup = deliver_locked(rid, e.shard, std::move(e.resp));
-      delivered = true;
-    } else {
-      Shard& s = *shards_[static_cast<size_t>(e.shard)];
-      if (s.alive && s.epoch == e.epoch) {
-        // Raced its own registration; park until dispatch registers it.
-        orphans_.emplace(k, std::move(e.resp));
-      }
-      // else: a zombie generation's output — dropped (the request already
-      // failed over).
+    auto it = inflight_.find({e.shard, e.epoch, e.resp.id});
+    if (it == inflight_.end()) {
+      // A dead generation's output: the kill already failed the request
+      // over. A live generation's delivery always finds its registration,
+      // which dispatch made under this lifecycle before the pump got it.
+      PC_CHECK_MSG(!s.alive || s.epoch != e.epoch,
+                   "shard " << e.shard << " delivered request " << e.resp.id
+                            << " before its registration");
+      return;
     }
-  }
-  if (!delivered) return;
-  cv_done_.notify_all();
-  if (!cleanup.empty()) stream_out(e.shard, cleanup);
-}
-
-void ShardRouter::stream_out(int shard, const std::vector<std::string>& keys) {
-  {
-    Shard& s = *shards_[static_cast<size_t>(shard)];
-    std::lock_guard<std::mutex> lock(s.lifecycle);
-    if (s.store != nullptr) {
-      for (const auto& key : keys) s.store->erase(key);
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    --stream_outs_pending_;
+    const uint64_t rid = it->second;
+    inflight_.erase(it);
+    deliver_locked(rid, e.shard, std::move(e.resp));
   }
   cv_done_.notify_all();
 }
 
-std::vector<std::string> ShardRouter::deliver_locked(uint64_t rid, int shard,
-                                                     ServerResponse&& resp) {
+void ShardRouter::deliver_locked(uint64_t rid, int shard,
+                                 ServerResponse&& resp) {
   auto it = pending_.find(rid);
   PC_CHECK(it != pending_.end());
   Pending& p = it->second;
@@ -794,27 +669,19 @@ std::vector<std::string> ShardRouter::deliver_locked(uint64_t rid, int shard,
   last_delivery_ = std::chrono::steady_clock::now();
   delivered_.push_back(std::move(out));
   if (shard >= 0) {
-    // The delivering registration's routing slot. A delivery with a live
-    // registration implies no kill since dispatch (the flush would have
-    // consumed it), so this pairs exactly with phase 2's increment.
+    // The dispatch's routing slot and references. A live registration
+    // implies no kill since dispatch (the flush would have consumed it),
+    // so this pairs exactly with dispatch's increments.
     Shard& s = *shards_[static_cast<size_t>(shard)];
     if (s.outstanding > 0) --s.outstanding;
-  }
-  std::vector<std::string> cleanup;
-  if (shard >= 0 && shard == p.last_shard) {
-    // Release this request's references; stream out keys nobody else uses.
     for (const auto& key : p.fetched_keys) {
       auto rit = fetch_refs_.find({shard, key});
-      if (rit == fetch_refs_.end()) continue;  // cleared by a kill
-      if (--rit->second <= 0) {
-        fetch_refs_.erase(rit);
-        cleanup.push_back(key);
-      }
+      if (rit == fetch_refs_.end() || --rit->second > 0) continue;
+      fetch_refs_.erase(rit);
+      s.server->engine().store().erase(key);  // nobody else uses it
     }
   }
   pending_.erase(it);
-  if (!cleanup.empty()) ++stream_outs_pending_;
-  return cleanup;
 }
 
 void ShardRouter::process_failover(uint64_t rid) {
@@ -878,7 +745,6 @@ void ShardRouter::process_restart(int shard) {
   // Tear down the zombie (joins its lanes; their final on_record events
   // carry the old generation and are dropped) and come back empty.
   s.server.reset();
-  s.store.reset();
   s.owner_pinned.clear();
   build_shard(s, gen);
   {
@@ -903,79 +769,24 @@ uint64_t ShardRouter::replicate_now() {
 uint64_t ShardRouter::replicate_pass() {
   uint64_t healed = 0;
   for (const auto& key : all_keys_) {
-    const auto owners = module_owners(key);
-    std::vector<int> live_owners;
+    std::vector<bool> alive;
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      for (int o : owners) {
-        if (shards_[static_cast<size_t>(o)]->alive) live_owners.push_back(o);
-      }
+      alive = alive_locked();
     }
-    for (int o : live_owners) {
-      Shard& dst = *shards_[static_cast<size_t>(o)];
-      bool have = false;
-      bool pinned = false;
-      {
-        std::lock_guard<std::mutex> lock(dst.lifecycle);
-        if (dst.store == nullptr) continue;
-        have = dst.store->contains(key);
-        pinned = dst.owner_pinned.count(key) > 0;
-      }
-      if (have && pinned) continue;
-      if (have) {
-        std::lock_guard<std::mutex> lock(dst.lifecycle);
-        if (dst.store != nullptr && dst.store->pin(key)) {
-          dst.owner_pinned.insert(key);
-        }
-        continue;
-      }
-      // Copy from any live holder (other owners first), else re-encode.
-      EncodedModule payload;
-      bool have_payload = false;
-      for (int src : live_owners) {
-        if (src == o) continue;
-        Shard& s = *shards_[static_cast<size_t>(src)];
-        std::lock_guard<std::mutex> lock(s.lifecycle);
-        if (s.store == nullptr) continue;
-        if (auto ref = s.store->find(key)) {
-          payload = *ref;
-          have_payload = true;
-          break;
-        }
-      }
-      if (have_payload) {
-        const double stall_s = config_.cross_link.stall_s(
-            payload.payload_bytes());
+    for (int o : module_owners(key)) {
+      if (!alive[static_cast<size_t>(o)]) continue;
+      const Placement placed = place(key, o, alive);
+      if (placed.kind == Placement::Kind::kCopied) {
+        const double stall_s = config_.cross_link.stall_s(placed.copied_bytes);
         if (stall_s > 0) {
-          std::this_thread::sleep_for(
-              std::chrono::duration<double>(stall_s));
+          std::this_thread::sleep_for(std::chrono::duration<double>(stall_s));
         }
-        try {
-          std::lock_guard<std::mutex> lock(dst.lifecycle);
-          if (dst.store == nullptr) continue;
-          dst.store->insert(key, std::move(payload));
-          dst.store->pin(key);
-          dst.owner_pinned.insert(key);
-        } catch (const CacheError&) {
-          continue;
-        }
-        rereplications_.inc();
-        ++healed;
-      } else {
-        const auto parts = key_parts_.find(key);
-        if (parts == key_parts_.end()) continue;
-        std::lock_guard<std::mutex> lock(dst.lifecycle);
-        if (dst.server == nullptr) continue;
-        try {
-          dst.server->engine().pin_module(parts->second.first,
-                                          parts->second.second);
-          dst.owner_pinned.insert(key);
-        } catch (const Error&) {
-          continue;  // encode fault / capacity: next pass retries
-        }
-        rereplications_.inc();
-        ++healed;
+      } else if (placed.kind != Placement::Kind::kEncoded) {
+        continue;  // already resident, or not placeable: next pass retries
       }
+      rereplications_.inc();
+      ++healed;
     }
   }
   return healed;
@@ -985,9 +796,7 @@ uint64_t ShardRouter::replicate_pass() {
 
 std::vector<ShardResponse> ShardRouter::drain() {
   std::unique_lock<std::mutex> lock(mutex_);
-  cv_done_.wait(lock, [this] {
-    return delivered_count_ == next_rid_ && stream_outs_pending_ == 0;
-  });
+  cv_done_.wait(lock, [this] { return delivered_count_ == next_rid_; });
   std::vector<ShardResponse> out = std::move(delivered_);
   delivered_.clear();
   std::sort(out.begin(), out.end(),
@@ -1001,9 +810,7 @@ void ShardRouter::stop() {
   {
     std::unique_lock<std::mutex> lock(mutex_);
     stopped_ = true;
-    cv_done_.wait(lock, [this] {
-      return delivered_count_ == next_rid_ && stream_outs_pending_ == 0;
-    });
+    cv_done_.wait(lock, [this] { return delivered_count_ == next_rid_; });
   }
   {
     std::lock_guard<std::mutex> lock(events_mutex_);
@@ -1013,7 +820,7 @@ void ShardRouter::stop() {
   if (pump_.joinable()) pump_.join();
   for (auto& sp : shards_) {
     std::lock_guard<std::mutex> lock(sp->lifecycle);
-    if (sp->server) sp->server->stop();
+    sp->server->stop();
   }
 }
 
@@ -1061,8 +868,7 @@ ShardRouterStats ShardRouter::stats() const {
   for (int i = 0; i < config_.n_shards; ++i) {
     Shard& s = *shards_[static_cast<size_t>(i)];
     std::lock_guard<std::mutex> lock(s.lifecycle);
-    if (s.store == nullptr) continue;
-    const size_t bytes = s.store->resident_bytes();
+    const size_t bytes = s.server->engine().store().resident_bytes();
     out.shards[static_cast<size_t>(i)].resident_bytes = bytes;
     if (out.shards[static_cast<size_t>(i)].alive) {
       out.resident_bytes_total += bytes;

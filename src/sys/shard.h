@@ -3,16 +3,20 @@
 //
 // A single Server tops out at one process's cores; the ROADMAP's
 // millions-of-users north star needs a fleet. ShardRouter fronts N shards —
-// each a full serving instance (SharedModuleStore + Server) — and makes the
-// fleet behave like one cache:
+// each one Server, whose engine's store (sized by ServerConfig::engine) is
+// the shard's store — and makes the fleet behave like one cache:
 //
 //   * Placement. Modules are placed by consistent hashing on a
 //     virtual-node ring: the first R distinct shards walking the ring from
 //     hash(key) are the key's OWNERS and keep its encoded states pinned
-//     resident (replication factor R), encoded and pinned through the
-//     owner Server's engine (Server::engine()). Ownership is static — it
-//     never moves with liveness — so any two routers with the same config
-//     agree on it, and a restarted shard re-acquires exactly its old keys.
+//     resident (replication factor R). Ownership is static — it never
+//     moves with liveness — so any two routers with the same config agree
+//     on it, and a restarted shard re-acquires exactly its old keys. One
+//     function, place(), makes a key resident on a shard: it copies the
+//     key from a live owner that holds it, or else encodes it through the
+//     first live owner whose Server engine can (Server::engine()) and
+//     copies from there, and pins it where the shard owns it. Initial
+//     placement, serve-time fetches and healing are loops over it.
 //
 //   * Routing. A request's keys are its store keys by the engine's block
 //     plan (a router-owned binder engine's bind + module_keys), anonymous
@@ -24,9 +28,9 @@
 //     on one owner. Remaining ties break by a ring walk from the prompt
 //     hash, which both determinizes and spreads no-module prompts. Any
 //     shard serves any prompt bitwise-identically, so routing is purely a
-//     performance decision. Modules the chosen shard lacks are fetched from
-//     a live holder — payload copied store-to-store, the transfer time
-//     charged through ShardConfig::cross_link as extra stall on the request
+//     performance decision. Modules the chosen shard lacks are placed on
+//     it — payload copied store-to-store, the transfer time charged
+//     through ShardConfig::cross_link as extra stall on the request
 //     (overlapping other requests' compute, like every LinkModel stall).
 //     Fetched non-owned copies are streamed: dropped again once the last
 //     request using them completes, so fleet footprint stays ~R × distinct
@@ -43,11 +47,11 @@
 //     (tests/test_shard.cpp) asserts against an unsharded Server.
 //
 //   * Healing. A killed shard restarts (after restart_after_submits
-//     submits, or restart_shard()) with an empty store. replicate_now()
-//     copies every owned module back from surviving holders (re-encoding
-//     when no copy survived anywhere), restoring replication factor R;
-//     until a pass runs, a restarted owner encodes the modules it serves
-//     on demand, unpinned.
+//     submits, or restart_shard()) as a new Server with an empty store.
+//     replicate_now() places every owned module back on its live owners
+//     (copied from surviving holders, re-encoded when no copy survived
+//     anywhere), restoring replication factor R; until a pass runs, a
+//     restarted owner encodes the modules it serves on demand, unpinned.
 //
 // Counters land in the pc_shard_* registry family; availability feeds a
 // router-level SloTracker so chaos runs can assert availability 1.0.
@@ -66,7 +70,6 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "core/shared_module_store.h"
 #include "obs/metrics.h"
 #include "obs/sampler.h"
 #include "sys/server.h"
@@ -78,12 +81,14 @@ struct ShardConfig {
   // Replication factor: how many shards pin each module resident. Clamped
   // to n_shards. R >= 2 survives any single shard kill without degrading.
   int replication = 2;
-  // Per-shard serving config. schemas/engine/link/retry and the lanes
-  // (n_workers x batch.max_batch) all apply per shard; the router forces
-  // retain_responses=false and installs its own on_record hook.
-  // eager_encode is forced off — initial placement (the router's ctor)
-  // encodes each module exactly once fleet-wide, through its primary
-  // owner's Server engine, and copies it to the other owners.
+  // Per-shard serving config: each shard is one Server built from it.
+  // schemas/engine/link/retry and the lanes (n_workers x batch.max_batch)
+  // all apply per shard, and engine's capacity fields size each shard's
+  // store (no disk tier). The router forces retain_responses=false and
+  // installs its own on_record hook. eager_encode is forced off — initial
+  // placement (the router's ctor) encodes each module exactly once
+  // fleet-wide, through its primary owner's Server engine, and copies it
+  // to the other owners.
   ServerConfig server;
   // Inter-shard interconnect: cross-shard module fetches and
   // re-replication copies are charged stall_s(bytes) through this model.
@@ -96,7 +101,7 @@ struct ShardConfig {
 // A Server response plus its routing history.
 struct ShardResponse {
   uint64_t id = 0;     // router id, == submission order
-  int shard = -1;      // shard that produced the final response
+  int shard = -1;      // shard of the final dispatch (-1 when none)
   int failovers = 0;   // times this request was re-routed after a kill
   double failover_ms = 0;  // submit -> final dispatch (0 when unrouted)
   ServerResponse resp;     // resp.id is the shard-local id, not `id`
@@ -189,15 +194,14 @@ class ShardRouter {
  private:
   struct Shard {
     int index = 0;
-    // Server/store are rebuilt on restart; lifecycle guards the pointers
-    // against a concurrent restart (never held while waiting on the router
-    // mutex — lock order is mutex_ AFTER lifecycle, never the reverse...
-    // see shard.cpp's locking notes). Placement and healing encode and pin
+    // The shard is this Server: its engine's store holds the shard's
+    // modules. Rebuilt on restart; lifecycle guards the pointer against a
+    // concurrent restart and is taken before the router's mutex_, never
+    // after (see shard.cpp's locking notes). place() encodes and pins
     // through the server's engine under lifecycle, outside any request (a
-    // placement encode briefly blocks this shard's dispatch/restart, never
-    // the fleet).
+    // placement encode briefly blocks this shard's dispatch, deliveries and
+    // restart, never the fleet).
     std::mutex lifecycle;
-    std::unique_ptr<SharedModuleStore> store;
     std::unique_ptr<Server> server;
     std::set<std::string> owner_pinned;  // guarded by lifecycle
 
@@ -235,17 +239,35 @@ class ShardRouter {
     // last_dispatch (the re-routing cost the kills added).
     std::chrono::steady_clock::time_point last_dispatch;
     int failovers = 0;
-    int last_shard = -1;
-    // Non-owned keys this dispatch uses on last_shard (cross-fetched or
+    // Non-owned keys the last dispatch uses on its shard (cross-fetched or
     // already present from a concurrent request). Each holds a fetch_refs_
     // reference; the key streams back out of the store when the last
     // reference drops.
     std::vector<std::string> fetched_keys;
   };
 
+  // How place() left a key on its destination shard.
+  struct Placement {
+    enum class Kind {
+      kFailed,   // not resident: no live owner produced it, or no room
+      kPresent,  // already resident (now pinned if the shard owns it)
+      kEncoded,  // encoded there, through the shard's own engine
+      kCopied,   // copied in from another shard's store
+    } kind = Kind::kFailed;
+    size_t copied_bytes = 0;  // kCopied: the payload bytes moved
+  };
+
   using InflightKey = std::tuple<int, uint64_t, uint64_t>;  // shard, epoch, sid
 
   void build_shard(Shard& s, uint64_t gen_epoch);
+  // Makes `key` resident on shard `dst`: copies it from a live owner that
+  // holds it, or else encodes it through the first live owner whose
+  // engine succeeds and copies it from there; pins it when `dst` owns the
+  // key. `alive` is the caller's liveness snapshot. Takes one shard's
+  // lifecycle at a time, never mutex_; charges nothing.
+  Placement place(const std::string& key, int dst,
+                  const std::vector<bool>& alive);
+  std::vector<bool> alive_locked() const;  // by shard index
   void push_event(Event e);
   void pump_loop();
   // One healing sweep over all_keys_ (caller holds replicate_mutex_).
@@ -253,20 +275,20 @@ class ShardRouter {
   // Routes + dispatches pending_[rid] to a live shard (or delivers kFailed
   // when none). Called from submit() and from the pump (failover).
   void dispatch(uint64_t rid);
-  // Books the terminal response under mutex_; returns the cross-fetched
-  // keys to stream back out of `shard`'s store (empty unless this delivery
-  // came from the last dispatch target). The caller
-  // hands them to stream_out() once mutex_ is released.
-  std::vector<std::string> deliver_locked(uint64_t rid, int shard,
-                                          ServerResponse&& resp);
-  // Erases streamed-out keys from `shard`'s store (under its lifecycle
-  // lock, so mutex_ must not be held), then retires the stream-out that
-  // deliver_locked (or an undispatched timeout) counted and wakes drain().
-  void stream_out(int shard, const std::vector<std::string>& keys);
+  // Books the terminal response under mutex_. `shard` is the shard whose
+  // dispatch it ends (-1 when none): its routing slot is returned, and the
+  // request's non-owned copies there are erased from its store once no
+  // other request uses them, so the caller also holds that shard's
+  // lifecycle.
+  void deliver_locked(uint64_t rid, int shard, ServerResponse&& resp);
   void process_delivery(Event& e);
   void process_failover(uint64_t rid);
   void process_restart(int shard);
-  void kill_locked(int victim, std::vector<uint64_t>& flushed);
+  // Marks `victim` dead and fails over its in-flight requests.
+  void kill_locked(int victim);
+  // Counts one lost dispatch of pending_[rid] — the only place a failover
+  // is counted — and queues its re-dispatch on the pump.
+  void fail_over_locked(uint64_t rid);
   // A prompt's store keys by the engine's block plan (binder_'s bind +
   // module_keys), anonymous modules included; empty when it does not bind.
   std::vector<std::string> keys_of(const std::string& prompt) const;
@@ -304,10 +326,6 @@ class ShardRouter {
   std::condition_variable cv_done_;
   std::map<uint64_t, Pending> pending_;
   std::map<InflightKey, uint64_t> inflight_;
-  // Deliveries that raced their own registration (the server completed a
-  // request before submit() got it into inflight_): parked here, consumed
-  // when the registration arrives.
-  std::map<InflightKey, ServerResponse> orphans_;
   // (shard, key) -> count of in-flight requests using this non-owned key
   // on that shard. Streaming erases the key only when the count hits 0,
   // so one delivery can't pull a fetched module out from under a
@@ -316,9 +334,6 @@ class ShardRouter {
   std::vector<ShardResponse> delivered_;
   uint64_t next_rid_ = 0;
   uint64_t delivered_count_ = 0;
-  // Deliveries whose stream-out erase has not run yet: drain() and stop()
-  // wait for 0, so an idle fleet holds non-owned keys nowhere.
-  int stream_outs_pending_ = 0;
   // Cumulative per-status tallies (survive drain()'s buffer clear).
   uint64_t n_completed_ = 0;
   uint64_t n_degraded_ = 0;

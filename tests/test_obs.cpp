@@ -1,12 +1,14 @@
 // Tests for the observability layer: span tracer (thread-local rings,
-// runtime gate, ring wrap, Perfetto export) and the metrics registry
-// (family-of-cells aggregation, gauge expiry, Prometheus text).
+// runtime gate, ring wrap, ring memory only for threads that record,
+// Perfetto export) and the metrics registry (family-of-cells aggregation,
+// gauge expiry, Prometheus text).
 //
 // Trace state is process-global, so every tracer test starts from
 // set_tracing(false) + clear_traces() and filters lanes/events by names
 // unique to this file.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
@@ -19,6 +21,20 @@
 #include "obs/json_reader.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+
+#if defined(__linux__)
+#include <unistd.h>
+#endif
+
+// Sanitizer runtimes reserve and touch their own shadow memory, so a
+// resident-set delta means nothing under them.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define PC_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define PC_TEST_SANITIZED 1
+#endif
+#endif
 
 namespace pc {
 namespace {
@@ -228,6 +244,42 @@ TEST_F(TracerTest, ClearTracesResetsEventsAndDrops) {
     lane_present = lane_present || t.name == "obs_clear_lane";
   }
   EXPECT_TRUE(lane_present);
+}
+
+// A thread registers its ring when it is named, but the ring's slots (4
+// MiB at the default 65536 events) are allocated only at its first event:
+// naming 16 threads with tracing off must not grow the resident set by
+// their 64 MiB of rings.
+TEST_F(TracerTest, NamedThreadsThatNeverRecordAllocateNoRing) {
+#if !defined(__linux__) || defined(PC_TEST_SANITIZED)
+  GTEST_SKIP() << "needs /proc/self/statm and no sanitizer runtime";
+#else
+  const auto resident_bytes = [] {
+    std::ifstream statm("/proc/self/statm");
+    size_t size_pages = 0;
+    size_t resident_pages = 0;
+    statm >> size_pages >> resident_pages;
+    return resident_pages * static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  };
+  const size_t registered = obs::collect_traces().size();
+  const size_t before = resident_bytes();
+  for (int i = 0; i < 16; ++i) {
+    std::thread([i] {
+      obs::set_thread_name("obs_idle_lane_" + std::to_string(i));
+    }).join();
+  }
+  const size_t after = resident_bytes();
+  EXPECT_LT(after > before ? after - before : 0, size_t{16} << 20)
+      << "resident set " << before << " -> " << after << " bytes";
+  // Still registered, in order: the lanes exist in the trace, eventless.
+  const auto traces = obs::collect_traces();
+  ASSERT_EQ(traces.size(), registered + 16);
+  for (size_t i = 0; i < 16; ++i) {
+    const obs::ThreadTrace& t = traces[registered + i];
+    EXPECT_EQ(t.name, "obs_idle_lane_" + std::to_string(i));
+    EXPECT_TRUE(t.events.empty()) << t.name;
+  }
+#endif
 }
 
 #else  // !PC_OBS_ENABLED

@@ -16,7 +16,12 @@
 //   * a restarted shard comes back empty and replicate_now() re-pins its
 //     owned keys from the surviving replicas;
 //   * when every replica of a module is down the request degrades to full
-//     prefill (same tokens) instead of failing.
+//     prefill (same tokens) instead of failing;
+//   * a response the shard Server records inside its own submit() (a
+//     submit-time shed) is delivered once, after its registration, and a
+//     deadline already gone at hand-off times out router-side and streams
+//     the request's fetched copies back out;
+//   * ServerConfig::engine's capacities size every shard's store.
 //
 // Tests configure/disable the injector explicitly, so the suite stays
 // deterministic under any ambient PC_FAULTS — except the chaos test, which
@@ -33,6 +38,7 @@
 #include <vector>
 
 #include "core/engine.h"
+#include "core/shared_module_store.h"
 #include "eval/workload.h"
 #include "model/induction.h"
 #include "sys/fault.h"
@@ -434,6 +440,123 @@ TEST_F(ShardTest, AllReplicasDownDegradesToFullPrefillSameTokens) {
   EXPECT_GE(stats.unavailable_degrades, 1u);
   EXPECT_EQ(stats.degraded, 1u);
   EXPECT_DOUBLE_EQ(stats.availability, 1.0);
+}
+
+TEST_F(ShardTest, ShedInsideServerSubmitIsDeliveredOnce) {
+  // One shard, one lane. A burst whose deadline is below the served-request
+  // EWMA's wait estimate is shed inside the shard Server's submit(): the
+  // response is recorded (and handed to the pump) before dispatch has
+  // registered the request. Each must still be delivered exactly once.
+  ShardConfig cfg = base_config(1, 1);
+  cfg.server.n_workers = 1;
+  ShardRouter router(model_, workload_.tokenizer(), cfg);
+  GenerateOptions long_opts;
+  long_opts.max_new_tokens = 64;  // no stop token: decodes all 64
+
+  // Warm the EWMA: after one served request it equals that service time.
+  router.submit(kPrompts[0], long_opts);
+  const std::vector<ShardResponse> warm = router.drain();
+  ASSERT_EQ(warm.size(), 1u);
+  ASSERT_EQ(warm[0].resp.status, ServeStatus::kOk) << warm[0].resp.detail;
+  const double service_ms = warm[0].resp.service_ms;
+  ASSERT_GT(service_ms, 0.0);
+
+  // One long request in service on the one lane: each burst request sees
+  // a backlog of 1, an estimated wait of one EWMA, twice its deadline.
+  router.submit(kPrompts[1], long_opts);
+  constexpr uint64_t kBurst = 8;
+  for (uint64_t i = 0; i < kBurst; ++i) {
+    router.submit(kPrompts[i % kNumPrompts], ask_options(workload_),
+                  service_ms / 2);
+  }
+  const std::vector<ShardResponse> responses = router.drain();
+  ASSERT_EQ(responses.size(), kBurst + 1);
+  for (uint64_t i = 0; i < responses.size(); ++i) {
+    EXPECT_EQ(responses[i].id, i + 1) << "every id delivered exactly once";
+  }
+  EXPECT_EQ(responses[0].resp.status, ServeStatus::kOk)
+      << responses[0].resp.detail;
+  for (uint64_t i = 1; i <= kBurst; ++i) {
+    EXPECT_EQ(responses[i].resp.status, ServeStatus::kShed)
+        << "id " << responses[i].id << ": " << responses[i].resp.detail;
+  }
+  const ShardRouterStats stats = router.stats();
+  EXPECT_EQ(stats.submitted, kBurst + 2);
+  EXPECT_EQ(stats.delivered, kBurst + 2);
+  EXPECT_EQ(stats.shed, kBurst);
+  EXPECT_EQ(stats.completed + stats.timeouts + stats.shed + stats.failed,
+            stats.submitted);
+}
+
+TEST_F(ShardTest, DeadlineGoneAtHandOffTimesOutAndStreamsCopiesOut) {
+  // R=1 over 2 shards, so multi-module prompts cross-fetch wherever they
+  // land. A 1 ns deadline has passed by the time dispatch hands the
+  // request to its shard: the router times it out itself, and the copies
+  // fetched for it must still stream back out.
+  ShardRouter router(model_, workload_.tokenizer(), base_config(2, 1));
+  for (size_t i = 0; i < kNumPrompts; ++i) {
+    router.submit(kPrompts[i], ask_options(workload_), /*deadline_ms=*/1e-6);
+  }
+  const std::vector<ShardResponse> responses = router.drain();
+  ASSERT_EQ(responses.size(), kNumPrompts);
+  for (const ShardResponse& r : responses) {
+    EXPECT_EQ(r.resp.status, ServeStatus::kTimeout)
+        << to_string(r.resp.status) << ": " << r.resp.detail;
+    EXPECT_EQ(r.failovers, 0);
+    EXPECT_EQ(r.resp.detail.find("failover"), std::string::npos)
+        << "a first dispatch is not a failover: " << r.resp.detail;
+  }
+  const ShardRouterStats stats = router.stats();
+  EXPECT_EQ(stats.timeouts, kNumPrompts);
+  EXPECT_EQ(stats.completed + stats.timeouts + stats.shed + stats.failed,
+            stats.submitted);
+  EXPECT_GT(stats.cross_fetches, 0u)
+      << "the prompts importing all four modules must fetch before expiry";
+  for (const auto& key : kModuleKeys) {
+    const int owner = router.module_owners(key)[0];
+    EXPECT_TRUE(router.shard_has_module(owner, key)) << key;
+    EXPECT_FALSE(router.shard_has_module(1 - owner, key))
+        << key << " stayed on the non-owner after its request expired";
+  }
+}
+
+TEST_F(ShardTest, EngineCapacitiesSizeEveryShardStore) {
+  const std::vector<std::vector<TokenId>> expected = reference_tokens();
+  // Module sizes at this process's KV format, from an unsharded engine.
+  size_t largest = 0;
+  size_t total = 0;
+  {
+    PromptCacheEngine probe(model_, workload_.tokenizer());
+    probe.load_schema(kSchema);
+    probe.store().for_each([&](const std::string&, const EncodedModule& m,
+                               ModuleLocation) {
+      largest = std::max(largest, m.payload_bytes());
+      total += m.payload_bytes();
+    });
+  }
+  // n=2, R=2: each shard owns all four modules, but holds two at most.
+  ShardConfig cfg = base_config(2, 2);
+  cfg.server.engine.device_capacity_bytes = largest;
+  cfg.server.engine.host_capacity_bytes = largest;
+  const size_t cap = 2 * largest;
+  ASSERT_GT(total, cap) << "the caps must be below a shard's owned modules";
+
+  ShardRouter router(model_, workload_.tokenizer(), cfg);
+  for (size_t i = 0; i < kNumPrompts; ++i) {
+    router.submit(kPrompts[i], ask_options(workload_));
+  }
+  const std::vector<ShardResponse> responses = router.drain();
+  ASSERT_EQ(responses.size(), kNumPrompts);
+  for (size_t i = 0; i < kNumPrompts; ++i) {
+    EXPECT_TRUE(is_served(responses[i].resp.status))
+        << to_string(responses[i].resp.status) << ": "
+        << responses[i].resp.detail;
+    EXPECT_EQ(responses[i].resp.result.tokens, expected[i]) << "id " << i;
+  }
+  for (const ShardStats& s : router.stats().shards) {
+    EXPECT_GT(s.resident_bytes, 0u);
+    EXPECT_LE(s.resident_bytes, cap);
+  }
 }
 
 #if PC_FAULTS_ENABLED
