@@ -19,12 +19,17 @@
 //      (Prometheus text).
 //
 //   3. Request-telemetry overhead under continuous batching: one borrowing
-//      lane of four serves paired bursts with the FULL telemetry stack
-//      (tracing + request timelines + a 10 Hz metrics sampler + SLO
-//      tracking) toggled OFF/ON, same pairing methodology as phase 1.
-//      The acceptance check is overhead <= 2%; the final ON burst's
-//      timelines are exported as obs_requests.jsonl (the input for
-//      `trace_report --requests`).
+//      lane of four serves paired bursts with the full telemetry stack
+//      (tracing + request timelines) toggled OFF/ON, same pairing
+//      methodology as phase 1. The overhead check is <= 2%; the final ON
+//      burst's timelines are exported as obs_requests.jsonl (the input for
+//      `trace_report --requests`), and the phase's availability is
+//      completed / submitted from the Server's outcome counters
+//      (ServerStats), which must read 1.0.
+//
+// The overhead checks are reported, not gated: one default run reads
+// anywhere in about +-3% on unchanged code, so a <= 2% verdict needs paired
+// or repeated runs.
 //
 // Writes BENCH_obs.json. PC_SMOKE=1 shrinks reps/requests for CI smoke
 // runs; PC_REQUESTS/PC_REPS override directly.
@@ -45,7 +50,6 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/request_timeline.h"
-#include "obs/sampler.h"
 #include "obs/trace.h"
 #include "sys/server.h"
 
@@ -264,13 +268,12 @@ int main() {
   const bool encodes_once = encode_spans == kModules && dropped == 0;
 
   // Phase 3: full-telemetry overhead under continuous batching. The ON arm
-  // pays for everything this PR adds at once: span tracing, per-request
-  // timeline assembly (with annotations and module-miss attribution), SLO
-  // tracking, and a 10 Hz background sampler over every pc_* family.
+  // pays for all of it at once: span tracing and per-request timeline
+  // assembly (with annotations and module-miss attribution).
   std::vector<double> batch_off_ms, batch_on_ms, batch_ratios;
   uint64_t timelines_recorded = 0;
   bool reqlog_written = false;
-  double slo_availability = 0;
+  double availability = 0;
   {
     obs::set_tracing(false);
     obs::set_request_telemetry(false);
@@ -278,23 +281,19 @@ int main() {
     bcfg.n_workers = 1;
     bcfg.batch.max_batch = kLanes;
     bcfg.engine.zero_copy = true;
-    bcfg.slo.window_s = 3600;  // the whole run stays inside the window
     SharedModuleStore store(/*device=*/0, /*host=*/0);
     Server server(model, workload.tokenizer(), store, bcfg);
-    obs::MetricsSampler sampler;  // 10 Hz, all families
     (void)run_burst(server, prompts, opts, requests);  // warmup: encode all
     (void)run_burst(server, prompts, opts, requests);  // warmup: steady state
     const auto burst_off = [&] {
       obs::set_tracing(false);
       obs::set_request_telemetry(false);
-      sampler.stop();
       return run_burst(server, prompts, opts, requests);
     };
     const auto burst_on = [&] {
       obs::clear_traces();
       obs::set_tracing(true);
       obs::set_request_telemetry(true);
-      sampler.start();
       return run_burst(server, prompts, opts, requests);
     };
     for (int r = 0; r < reps; ++r) {
@@ -314,23 +313,27 @@ int main() {
     obs::set_tracing(true);
     obs::set_request_telemetry(true);
     (void)run_burst(server, prompts, opts, requests);
-    sampler.stop();
     obs::set_tracing(false);
     timelines_recorded = server.requests().recorded();
     reqlog_written = server.write_request_log("obs_requests.jsonl");
-    slo_availability = server.slo_snapshot().availability;
+    const ServerStats stats = server.stats();
+    availability = stats.submitted > 0
+                       ? static_cast<double>(stats.completed) /
+                             static_cast<double>(stats.submitted)
+                       : 0;
   }
   const double batch_overhead_pct = (median(batch_ratios) - 1.0) * 100.0;
   std::cout << "batching full-telemetry overhead: "
             << TablePrinter::fmt(batch_overhead_pct, 2)
             << "% (threshold 2%); " << timelines_recorded
-            << " timelines recorded, SLO availability "
-            << TablePrinter::fmt(slo_availability * 100.0, 2) << "%\n"
+            << " timelines recorded, availability "
+            << TablePrinter::fmt(availability * 100.0, 2) << "%\n"
             << "wrote obs_requests.jsonl (inspect with trace_report "
                "--requests)\n";
   const bool batch_overhead_ok = batch_overhead_pct <= 2.0;
   const bool requests_ok =
       reqlog_written && timelines_recorded >= static_cast<uint64_t>(requests);
+  const bool all_served = availability == 1.0;
 
   std::ofstream out("BENCH_obs.json");
   out << "{\n  \"provenance\": " << bench::provenance_json() << ",\n"
@@ -355,14 +358,16 @@ int main() {
       << "  \"batch_telemetry_overhead_pct\": "
       << TablePrinter::fmt(batch_overhead_pct, 2) << ",\n"
       << "  \"request_timelines_recorded\": " << timelines_recorded << ",\n"
-      << "  \"slo_availability\": "
-      << TablePrinter::fmt(slo_availability, 6) << ",\n"
+      << "  \"availability\": " << TablePrinter::fmt(availability, 6)
+      << ",\n"
       << "  \"checks\": {\n"
       << "    \"overhead_within_2pct\": " << (overhead_ok ? "true" : "false")
       << ",\n"
       << "    \"batch_telemetry_overhead_within_2pct\": "
       << (batch_overhead_ok ? "true" : "false") << ",\n"
       << "    \"request_log_written\": " << (requests_ok ? "true" : "false")
+      << ",\n"
+      << "    \"all_requests_served\": " << (all_served ? "true" : "false")
       << ",\n"
       << "    \"trace_has_4_server_lanes_nested\": "
       << (lanes_ok ? "true" : "false") << ",\n"

@@ -1,7 +1,6 @@
 #include "core/engine.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string_view>
@@ -612,22 +611,30 @@ ServeResult PromptCacheEngine::serve(std::string_view prompt_pml,
       options.max_new_tokens, &result.ttft);
   const Tensor logits =
       prefill_uncached(model_, stream, kv.cache, &result.ttft);
+  decode_into("serve", logits, stream.gen_start, kv.cache, options, &result);
+  result.prompt_tokens =
+      result.ttft.cached_tokens + result.ttft.uncached_tokens;
+  complete_serve(binding, result.ttft);
+  return result;
+}
+
+void PromptCacheEngine::decode_into(const char* caller, const Tensor& logits,
+                                    int gen_start, KVCache& cache,
+                                    const GenerateOptions& options,
+                                    ServeResult* result) const {
   WallTimer decode_timer;
   Model::GenerateOutput gen = [&] {
     PC_SPAN("decode");
-    return model_.generate(logits, stream.gen_start, kv.cache, options);
+    return model_.generate(logits, gen_start, cache, options);
   }();
   if (gen.finish_reason == FinishReason::kCancelled) {
-    throw CancelledError("serve: deadline expired mid-decode");
+    throw CancelledError(std::string(caller) +
+                         ": deadline expired mid-decode");
   }
-  result.tokens = std::move(gen.tokens);
-  result.finish_reason = gen.finish_reason;
-  result.prompt_tokens =
-      result.ttft.cached_tokens + result.ttft.uncached_tokens;
-  result.decode_ms = decode_timer.elapsed_ms();
-  result.text = tokenizer_.decode(result.tokens);
-  complete_serve(binding, result.ttft);
-  return result;
+  result->tokens = std::move(gen.tokens);
+  result->finish_reason = gen.finish_reason;
+  result->decode_ms = decode_timer.elapsed_ms();
+  result->text = tokenizer_.decode(result->tokens);
 }
 
 void PromptCacheEngine::complete_serve(const pml::PromptBinding& binding,
@@ -657,7 +664,6 @@ void PromptCacheEngine::complete_serve(const pml::PromptBinding& binding,
 
 ServeResult PromptCacheEngine::serve_full_prefill(
     std::string_view prompt_pml, const GenerateOptions& options) {
-  cells_.degraded_serves.inc();
   PC_SPAN("serve_degraded");
   const pml::PromptBinding binding = [&] {
     PC_SPAN("tokenize_bind");
@@ -743,19 +749,10 @@ ServeResult PromptCacheEngine::serve_full_prefill(
   result.ttft.uncached_ms = prefill_timer.elapsed_ms();
   result.ttft.uncached_tokens = n;  // everything was recomputed
 
-  WallTimer decode_timer;
-  Model::GenerateOutput gen = [&] {
-    PC_SPAN("decode");
-    return model_.generate(logits, stream.gen_start, sequence_cache, options);
-  }();
-  if (gen.finish_reason == FinishReason::kCancelled) {
-    throw CancelledError("serve_full_prefill: deadline expired mid-decode");
-  }
-  result.tokens = std::move(gen.tokens);
-  result.finish_reason = gen.finish_reason;
+  decode_into("serve_full_prefill", logits, stream.gen_start, sequence_cache,
+              options, &result);
   result.prompt_tokens = n;
-  result.decode_ms = decode_timer.elapsed_ms();
-  result.text = tokenizer_.decode(result.tokens);
+  cells_.degraded_serves.inc();
   cells_.degraded_ttft.record_ms(result.ttft.total_ms());
   return result;
 }
@@ -774,36 +771,14 @@ void PromptCacheEngine::pin_module(const std::string& schema_name,
 }
 
 size_t PromptCacheEngine::save_modules(const std::string& path) const {
-  // Crash atomicity: stream into a sibling temp file and rename over the
-  // destination only after a successful flush. A crash mid-write leaves the
-  // previous store intact and at most a stray .tmp behind — never a
-  // truncated store the next load has to kSkipCorrupt through.
-  const std::string tmp = path + ".tmp";
   size_t count = 0;
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    if (!os) throw Error("cannot open '" + tmp + "' for writing");
-    try {
-      write_store_header(os);
-      store_.for_each([&](const std::string& key, const EncodedModule& module,
-                          ModuleLocation) {
-        write_module_record(os, key, module);
-        ++count;
-      });
-      os.flush();
-      if (!os) {
-        throw Error("write failure persisting modules to '" + tmp + "'");
-      }
-    } catch (...) {
-      os.close();
-      std::remove(tmp.c_str());
-      throw;
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw Error("cannot rename '" + tmp + "' over '" + path + "'");
-  }
+  write_store_file(path, [&](std::ostream& os) {
+    store_.for_each([&](const std::string& key, const EncodedModule& module,
+                        ModuleLocation) {
+      write_module_record(os, key, module);
+      ++count;
+    });
+  });
   return count;
 }
 
@@ -870,7 +845,6 @@ PromptCacheEngine::LoadReport PromptCacheEngine::load_modules(
 
 ServeResult PromptCacheEngine::serve_baseline(std::string_view prompt_pml,
                                               const GenerateOptions& options) {
-  cells_.baseline_serves.inc();
   PC_SPAN("serve_baseline");
   const pml::PromptBinding binding = [&] {
     PC_SPAN("tokenize_bind");
@@ -882,6 +856,9 @@ ServeResult PromptCacheEngine::serve_baseline(std::string_view prompt_pml,
   PC_CHECK_MSG(!tokens.empty(), "baseline prompt is empty");
   PC_CHECK_MSG(static_cast<int>(tokens.size()) < model_.config().max_pos,
                "baseline prompt exceeds max_pos");
+  if (options.cancel.expired()) {
+    throw CancelledError("serve_baseline: deadline expired before prefill");
+  }
   std::vector<int> pos_ids(tokens.size());
   for (size_t i = 0; i < tokens.size(); ++i) pos_ids[i] = static_cast<int>(i);
 
@@ -896,18 +873,11 @@ ServeResult PromptCacheEngine::serve_baseline(std::string_view prompt_pml,
   }();
   result.ttft.uncached_ms = prefill_timer.elapsed_ms();
   result.ttft.uncached_tokens = static_cast<int>(tokens.size());
-  result.prompt_tokens = static_cast<int>(tokens.size());
 
-  WallTimer decode_timer;
-  Model::GenerateOutput gen = [&] {
-    PC_SPAN("decode");
-    return model_.generate(logits, static_cast<int>(tokens.size()),
-                           sequence_cache, options);
-  }();
-  result.tokens = std::move(gen.tokens);
-  result.finish_reason = gen.finish_reason;
-  result.decode_ms = decode_timer.elapsed_ms();
-  result.text = tokenizer_.decode(result.tokens);
+  decode_into("serve_baseline", logits, static_cast<int>(tokens.size()),
+              sequence_cache, options, &result);
+  result.prompt_tokens = static_cast<int>(tokens.size());
+  cells_.baseline_serves.inc();
   cells_.baseline_ttft.record_ms(result.ttft.total_ms());
   return result;
 }

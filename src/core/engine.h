@@ -242,6 +242,10 @@ class PromptCacheEngine {
   // obtained (encode fault, corrupt record, thrash under pin pressure).
   ServeResult serve_full_prefill(std::string_view prompt_pml,
                                  const GenerateOptions& options = {});
+  // All three serve calls throw pc::CancelledError once options.cancel has
+  // expired: serve() checks it before each module encode, the other two
+  // before their prefill, and all three at each decode step. A call that
+  // throws counts no serve and records no TTFT.
 
   // Building blocks, exposed for tests and benchmarks -----------------------
 
@@ -282,7 +286,9 @@ class PromptCacheEngine {
   // Persists every resident encoded module (and scaffold) to `path`, and
   // restores them on a fresh engine so serving can resume without
   // re-encoding. Returns the number of records written/read. Throws
-  // pc::Error on I/O or corruption.
+  // pc::Error on I/O or corruption. Saving is crash-atomic
+  // (write_store_file, core/serialize.h): a failed or interrupted save
+  // leaves the previous file at `path` intact.
   size_t save_modules(const std::string& path) const;
   size_t load_modules(const std::string& path);
 
@@ -368,6 +374,16 @@ class PromptCacheEngine {
   // The forward pass + packaging: a module's tokens alone, or a scaffold's
   // members jointly (one shared attention span).
   EncodedModule build_payload(const pml::Schema& schema, const Block& block);
+
+  // The decode tail of serve(), serve_full_prefill() and serve_baseline():
+  // Model::generate from the first-token `logits` at position `gen_start`
+  // (one "decode" span), filling `result`'s tokens, finish_reason,
+  // decode_ms and text. A generation the options' token cancels throws
+  // CancelledError("<caller>: deadline expired mid-decode"), so each caller
+  // counts its serve and records its TTFT only after this returns.
+  void decode_into(const char* caller, const Tensor& logits, int gen_start,
+                   KVCache& cache, const GenerateOptions& options,
+                   ServeResult* result) const;
 
   // Appends every module row of `binding` to `cache` (see assemble()),
   // after reserving `own_budget` own rows beyond those fp32 copies fill.

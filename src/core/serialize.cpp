@@ -367,17 +367,17 @@ bool read_module_record(std::istream& is, std::string* key,
   return true;
 }
 
-void write_module_file(const std::string& path, const std::string& key,
-                       const EncodedModule& module) {
+void write_store_file(const std::string& path,
+                      const std::function<void(std::ostream&)>& write_records) {
   const std::string tmp = path + ".tmp";
   {
     std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
     if (!os) throw Error("cannot open '" + tmp + "' for writing");
     try {
       write_store_header(os);
-      write_module_record(os, key, module);
+      write_records(os);
       os.flush();
-      if (!os) throw Error("write failure persisting module to '" + tmp + "'");
+      if (!os) throw Error("write failure persisting modules to '" + tmp + "'");
     } catch (...) {
       os.close();
       std::remove(tmp.c_str());
@@ -388,6 +388,13 @@ void write_module_file(const std::string& path, const std::string& key,
     std::remove(tmp.c_str());
     throw Error("cannot rename '" + tmp + "' over '" + path + "'");
   }
+}
+
+void write_module_file(const std::string& path, const std::string& key,
+                       const EncodedModule& module) {
+  write_store_file(path, [&](std::ostream& os) {
+    write_module_record(os, key, module);
+  });
 }
 
 EncodedModule read_module_file(const std::string& path,

@@ -8,6 +8,7 @@
 // pc::Error rather than loading partial state silently.
 #pragma once
 
+#include <functional>
 #include <iosfwd>
 #include <string>
 
@@ -35,11 +36,17 @@ bool resync_to_next_record(std::istream& is);
 void write_store_header(std::ostream& os);
 void read_store_header(std::istream& is);
 
-// Crash-atomic single-record persistence, used for disk-tier spill files:
-// writes header + one record into `path + ".tmp"`, flushes, and renames
-// over `path` only on success — a crash (or write fault) mid-write leaves
-// at most a stray .tmp behind, never a partial file at `path`. Throws
-// pc::Error on any I/O failure (the .tmp is cleaned up first).
+// Crash-atomic store-file writer: writes the header, then whatever
+// `write_records` writes, into `path + ".tmp"`, flushes, and renames over
+// `path` only on success — a crash (or write fault) mid-write leaves at
+// most a stray .tmp behind, never a partial file at `path`, and a failure
+// leaves whatever was at `path` untouched. Throws pc::Error on any I/O
+// failure and rethrows what `write_records` throws, removing the .tmp
+// first. PromptCacheEngine::save_modules writes a whole store with it.
+void write_store_file(const std::string& path,
+                      const std::function<void(std::ostream&)>& write_records);
+
+// One record through write_store_file: the disk tier's spill files.
 void write_module_file(const std::string& path, const std::string& key,
                        const EncodedModule& module);
 

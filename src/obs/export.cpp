@@ -14,10 +14,7 @@
 
 namespace pc::obs {
 
-namespace {
-
-// JSON string escaping for names that may contain quotes/backslashes.
-void write_escaped(std::ostream& os, const std::string& s) {
+void write_json_escaped(std::ostream& os, std::string_view s) {
   for (char c : s) {
     switch (c) {
       case '"':
@@ -44,6 +41,8 @@ void write_escaped(std::ostream& os, const std::string& s) {
   }
 }
 
+namespace {
+
 void write_number(std::ostream& os, double v) {
   char buf[48];
   std::snprintf(buf, sizeof(buf), "%.3f", v);
@@ -65,7 +64,7 @@ void export_perfetto_json(std::ostream& os) {
     sep();
     os << "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":1,\"tid\":" << t.tid
        << ",\"args\":{\"name\":\"";
-    write_escaped(os, t.name);
+    write_json_escaped(os, t.name);
     os << "\"}}";
     if (t.dropped > 0) {
       // Surface ring wrap in the trace itself (instant event at t=0).
@@ -88,7 +87,7 @@ void export_perfetto_json(std::ostream& os) {
                                                          : 'f';
         os << "{\"ph\":\"" << ph << "\",\"cat\":\"req\",\"id\":" << e.flow_id
            << ",\"name\":\"";
-        write_escaped(os, name);
+        write_json_escaped(os, name);
         os << "\",\"pid\":1,\"tid\":" << t.tid << ",\"ts\":";
         write_number(os, static_cast<double>(e.start_ns) / 1e3);
         if (e.kind == EventKind::kFlowEnd) os << ",\"bp\":\"e\"";
@@ -97,12 +96,12 @@ void export_perfetto_json(std::ostream& os) {
       }
       if (e.kind == EventKind::kInstant) {
         os << "{\"ph\":\"i\",\"s\":\"t\",\"name\":\"";
-        write_escaped(os, name);
+        write_json_escaped(os, name);
         os << "\",\"pid\":1,\"tid\":" << t.tid << ",\"ts\":";
         write_number(os, static_cast<double>(e.start_ns) / 1e3);
       } else {
         os << "{\"ph\":\"X\",\"name\":\"";
-        write_escaped(os, name);
+        write_json_escaped(os, name);
         os << "\",\"pid\":1,\"tid\":" << t.tid << ",\"ts\":";
         write_number(os, static_cast<double>(e.start_ns) / 1e3);
         os << ",\"dur\":";
@@ -112,7 +111,7 @@ void export_perfetto_json(std::ostream& os) {
       for (const SpanArg& a : e.args) {
         if (a.key == nullptr) continue;
         os << (any_args ? "," : ",\"args\":{") << "\"";
-        write_escaped(os, a.key);
+        write_json_escaped(os, a.key);
         os << "\":" << a.value;
         any_args = true;
       }

@@ -13,8 +13,14 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 namespace pc::obs {
+
+// Writes `s` escaped for the inside of a JSON string literal (quotes,
+// backslashes and control characters). The Perfetto trace and the
+// request-timeline JSONL lines (obs/request_timeline.h) both escape with it.
+void write_json_escaped(std::ostream& os, std::string_view s);
 
 // Chrome trace_event JSON ("X" complete events, one lane per recorded
 // thread, thread_name metadata, ring-drop counts as lane args). Loadable

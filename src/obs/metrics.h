@@ -59,7 +59,12 @@ class Counter {
   std::shared_ptr<std::atomic<uint64_t>> cell_;
 };
 
-// A settable level (queue depth, resident bytes, pinned entries).
+// A settable level (queue depth, resident bytes, pinned entries). A scrape
+// sums a family's live cells, so a gauge must hold an additive amount
+// (bytes, entries, requests) whose sum over instances means something,
+// never a per-instance ratio or level: three instances each at 100%
+// would export 300%. Export the ratio's numerator and denominator as
+// counters instead.
 class Gauge {
  public:
   Gauge() : cell_(std::make_shared<std::atomic<int64_t>>(0)) {}

@@ -8,6 +8,8 @@
 #include <mutex>
 #include <sstream>
 
+#include "obs/export.h"
+
 namespace pc::obs {
 
 const char* outcome_name(RequestOutcome o) {
@@ -29,33 +31,6 @@ const char* outcome_name(RequestOutcome o) {
 }
 
 namespace {
-
-void json_escape(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-}
 
 void json_ms(std::ostream& os, const char* key, double ms) {
   char buf[48];
@@ -89,16 +64,16 @@ std::string timeline_json(const RequestTimeline& t) {
      << ",\"bytes_from_host\":" << t.bytes_from_host
      << ",\"bytes_from_device\":" << t.bytes_from_device
      << ",\"bytes_zero_copy\":" << t.bytes_zero_copy << ",\"kv_format\":\"";
-  json_escape(os, t.kv_format);
+  write_json_escaped(os, t.kv_format);
   os << "\",\"retries\":" << t.retries
      << ",\"deadline_met\":" << (t.deadline_met ? "true" : "false")
      << ",\"detail\":\"";
-  json_escape(os, t.detail);
+  write_json_escaped(os, t.detail);
   os << "\",\"annotations\":[";
   for (size_t i = 0; i < t.annotations.size(); ++i) {
     if (i > 0) os << ",";
     os << "\"";
-    json_escape(os, t.annotations[i]);
+    write_json_escaped(os, t.annotations[i]);
     os << "\"";
   }
   os << "]}";
@@ -175,15 +150,6 @@ struct RequestTracker::Impl {
 RequestTracker::RequestTracker(size_t capacity)
     : impl_(std::make_shared<Impl>()) {
   impl_->capacity = capacity == 0 ? 1 : capacity;
-}
-
-void RequestTracker::set_capacity(size_t capacity) {
-  std::lock_guard lock(impl_->mutex);
-  impl_->capacity = capacity == 0 ? 1 : capacity;
-  while (impl_->ring.size() > impl_->capacity) {
-    impl_->ring.pop_front();
-    ++impl_->dropped;
-  }
 }
 
 void RequestTracker::record(RequestTimeline&& t) {

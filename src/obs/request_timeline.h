@@ -131,10 +131,6 @@ class RequestTracker {
  public:
   explicit RequestTracker(size_t capacity = 8192);
 
-  // Ring capacity for subsequently recorded timelines (existing entries
-  // are kept, trimmed if over the new capacity). 0 clamps to 1.
-  void set_capacity(size_t capacity);
-
   void record(RequestTimeline&& t);
 
   // Retained timelines, oldest first.
@@ -161,7 +157,6 @@ inline void set_request_log_path(const std::string&) {}
 class RequestTracker {
  public:
   explicit RequestTracker(size_t = 0) {}
-  void set_capacity(size_t) {}
   void record(RequestTimeline&&) {}
   std::vector<RequestTimeline> snapshot() const { return {}; }
   uint64_t recorded() const { return 0; }

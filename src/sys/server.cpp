@@ -10,7 +10,6 @@
 #include "common/rng.h"
 #include "common/timer.h"
 #include "obs/clock.h"
-#include "obs/export.h"
 #include "obs/trace.h"
 
 namespace pc {
@@ -80,7 +79,6 @@ Server::Server(const Model& model, const TextTokenizer& tokenizer,
     : store_(store),
       config_(std::move(config)),
       engine_(model, tokenizer, store_, config_.engine),
-      slo_(config_.slo),
       instance_(next_server_instance()) {
   start();
 }
@@ -344,10 +342,8 @@ void Server::record_locked(ServerResponse&& resp,
                            : 0.8 * service_ewma_ms_ + 0.2 * resp.service_ms;
   }
   // Request telemetry rides the same lock that moves the counters above,
-  // so timelines and SLO outcomes reconcile with pc_server_* exactly —
-  // not eventually.
+  // so timelines reconcile with pc_server_* exactly — not eventually.
   if constexpr (obs::kEnabled) {
-    slo_.record(is_served(resp.status), resp.deadline_met);
     if (obs::request_telemetry_enabled()) {
       record_timeline_locked(resp);
     } else {
@@ -492,14 +488,6 @@ ServerStats Server::stats() const {
     out.store_hit_rate = static_cast<double>(out.store.hits) / lookups;
   }
   return out;
-}
-
-std::string Server::metrics_prometheus() const {
-  return obs::prometheus_text();
-}
-
-bool Server::write_trace_json(const std::string& path) const {
-  return obs::write_perfetto_trace(path);
 }
 
 }  // namespace pc

@@ -57,6 +57,9 @@
 // RetryPolicy::max_retries before degrading. Accounting is exact: every submitted id is eventually recorded
 // with exactly one status, and
 //   completed (ok+degraded) + shed + timeouts + failed == submitted.
+// Those counters (pc_server_*_total, read back by stats()) are the one
+// ledger of outcomes: availability is completed / submitted, and a
+// Prometheus consumer derives windows, rates and burn from them.
 #pragma once
 
 #include <condition_variable>
@@ -77,7 +80,6 @@
 #include "model/model.h"
 #include "obs/metrics.h"
 #include "obs/request_timeline.h"
-#include "obs/sampler.h"
 #include "sys/batch.h"
 #include "sys/prefetch.h"
 #include "sys/serve_types.h"
@@ -95,9 +97,6 @@ struct ServerConfig {
   LinkModel link;
   RetryPolicy retry;
   BatchConfig batch;  // per lane: requests in flight, prefill chunk size
-  // The rolling availability/deadline window of the request-centric
-  // telemetry (obs/sampler.h).
-  obs::SloConfig slo;
   // Async disk-tier prefetch (sys/prefetch.h): a background thread binds
   // each submitted prompt to its module keys and faults spilled
   // payloads back into RAM ahead of admission, overlapping disk reads with
@@ -206,27 +205,16 @@ class Server {
   // submit): the counters it reads move while requests are in flight.
   ServerStats stats() const;
 
-  // Observability exports (obs/export.h): the process-wide Prometheus text
-  // dump (engine + store + server families under the pc_* naming scheme),
-  // and the collected span trace as Perfetto JSON. Call while idle (after
-  // drain()) for exact traces.
-  std::string metrics_prometheus() const;
-  bool write_trace_json(const std::string& path) const;
-
   // Request-centric telemetry. requests() exposes the bounded ring of
   // per-request timelines (one entry per recorded response, any status);
   // write_request_log() dumps it as JSONL — one timeline_json() object per
-  // line, the same shape the PC_REQLOG live sink writes. slo_snapshot()
-  // reads the rolling availability/deadline window fed by every recorded
-  // response. All are exact only while idle (after drain()); under
-  // -DPC_OBS=OFF they are inert stubs.
+  // line, the same shape the PC_REQLOG live sink writes. Both are exact
+  // only while idle (after drain()); under -DPC_OBS=OFF they are inert
+  // stubs. The span trace and the pc_* counters are process-wide: export
+  // them with obs/export.h.
   const obs::RequestTracker& requests() const { return requests_; }
   bool write_request_log(const std::string& path) const {
     return requests_.write_jsonl(path);
-  }
-  obs::SloTracker::Snapshot slo_snapshot() const { return slo_.snapshot(); }
-  bool write_slo_json(const std::string& path) const {
-    return slo_.write_json(path);
   }
 
   int n_workers() const { return config_.n_workers; }
@@ -302,12 +290,11 @@ class Server {
   obs::Gauge queue_depth_;         // pc_server_queue_depth
   obs::Histogram e2e_ttft_;        // pc_server_ttft_seconds; survives drain()
   obs::Histogram degraded_ttft_;   // pc_server_ttft_degraded_seconds
-  // Request-centric telemetry: the timeline ring, the rolling SLO window,
-  // and the submit timestamps of in-flight ids (consumed at record time).
-  // All mutated under mutex_ (RequestTracker/SloTracker also lock
-  // internally; the outer lock just keeps them in step with the counters).
+  // Request-centric telemetry: the timeline ring and the submit timestamps
+  // of in-flight ids (consumed at record time). Both mutated under mutex_
+  // (RequestTracker also locks internally; the outer lock just keeps it in
+  // step with the counters).
   obs::RequestTracker requests_;
-  obs::SloTracker slo_;
   std::map<uint64_t, uint64_t> submit_ns_;
   // Process-unique instance number: stamps timelines (request ids restart
   // at 0 per server but PC_REQLOG spans the process) and the high bits of

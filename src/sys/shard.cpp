@@ -662,7 +662,6 @@ void ShardRouter::deliver_locked(uint64_t rid, int shard,
       ++n_failed_;
       break;
   }
-  slo_.record(is_served(resp.status), resp.deadline_met);
   out.resp = std::move(resp);
   delivered_ctr_.inc();
   ++delivered_count_;

@@ -53,8 +53,10 @@
 //     anywhere), restoring replication factor R; until a pass runs, a
 //     restarted owner encodes the modules it serves on demand, unpinned.
 //
-// Counters land in the pc_shard_* registry family; availability feeds a
-// router-level SloTracker so chaos runs can assert availability 1.0.
+// Counters land in the pc_shard_* registry family. Every delivery is booked
+// once, under the router's lock, into the per-status tallies behind
+// stats(): ShardRouterStats::availability (completed / delivered) is the
+// router's availability, which chaos runs assert is 1.0.
 #pragma once
 
 #include <condition_variable>
@@ -71,7 +73,6 @@
 
 #include "core/engine.h"
 #include "obs/metrics.h"
-#include "obs/sampler.h"
 #include "sys/server.h"
 
 namespace pc {
@@ -163,7 +164,6 @@ class ShardRouter {
   void stop();
 
   ShardRouterStats stats() const;
-  obs::SloTracker::Snapshot slo_snapshot() const { return slo_.snapshot(); }
 
   // Chaos / administrative controls ----------------------------------------
 
@@ -349,7 +349,6 @@ class ShardRouter {
   std::thread pump_;
   std::mutex replicate_mutex_;  // serializes replicate passes
 
-  obs::SloTracker slo_;
   obs::Counter submitted_;      // pc_shard_router_submitted_total
   obs::Counter delivered_ctr_;  // pc_shard_router_delivered_total
   obs::Counter kills_;          // pc_shard_kills_total

@@ -5,6 +5,8 @@
 //     re-encode;
 //   * serve_full_prefill (the degradation path) is bitwise-identical to
 //     cached serving for module/param/scaffold/kickoff prompts;
+//   * an expired cancellation token makes serve, serve_full_prefill and
+//     serve_baseline throw CancelledError, counting no serve;
 //   * retry-with-backoff converts transient encode faults into kOk, and
 //     exhausted retries degrade instead of failing;
 //   * a multi-worker server under seeded encode+link+evict+stall faults
@@ -324,13 +326,22 @@ TEST_F(DegradedServeTest, AllCachedPromptUsesKickoffToken) {
   expect_bitwise(R"(<prompt schema="c"><d1/><d2/></prompt>)");
 }
 
-TEST_F(DegradedServeTest, ExpiredTokenCancelsDegradedServe) {
+TEST_F(DegradedServeTest, ExpiredTokenCancelsEveryServeCall) {
   engine_.load_schema(kSchema);
   GenerateOptions opts = ask_options(workload_);
   CancellationToken token = CancellationToken::manual();
   token.cancel();
   opts.cancel = token;
+  EXPECT_THROW(engine_.serve(kPrompts[0], opts), CancelledError);
   EXPECT_THROW(engine_.serve_full_prefill(kPrompts[0], opts), CancelledError);
+  EXPECT_THROW(engine_.serve_baseline(kPrompts[0], opts), CancelledError);
+  // A cancelled call counts no serve and records no TTFT.
+  const EngineStats stats = engine_.stats();
+  EXPECT_EQ(stats.serves, 0u);
+  EXPECT_EQ(stats.degraded_serves, 0u);
+  EXPECT_EQ(stats.baseline_serves, 0u);
+  EXPECT_EQ(engine_.cached_ttft_histogram().count(), 0u);
+  EXPECT_EQ(engine_.baseline_ttft_histogram().count(), 0u);
 }
 
 // ---------------------------------------------------------------------------

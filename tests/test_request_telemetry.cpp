@@ -1,5 +1,4 @@
-// Request-centric telemetry (obs/request_timeline.h, obs/sampler.h,
-// Server::requests()/slo_snapshot()):
+// Request-centric telemetry (obs/request_timeline.h, Server::requests()):
 //
 //   * completeness: exactly one timeline per submitted id, each with a
 //     terminal outcome, one request per lane and several;
@@ -14,8 +13,6 @@
 //     under an ambient PC_FAULTS schedule);
 //   * the PC_REQLOG JSONL sink and Server::write_request_log round-trip
 //     through the JSON reader;
-//   * SloTracker window math and MetricsSampler series (via their
-//     deterministic seams record_at / sample_once);
 //   * fault injections land as instant trace markers and submits emit flow
 //     arcs that terminate inside the serving span.
 //
@@ -39,7 +36,6 @@
 #include "obs/json_reader.h"
 #include "obs/metrics.h"
 #include "obs/request_timeline.h"
-#include "obs/sampler.h"
 #include "obs/trace.h"
 #include "sys/fault.h"
 #include "sys/server.h"
@@ -383,88 +379,6 @@ TEST_F(RequestTelemetryTest, RequestTrackerRingEvicts) {
   EXPECT_EQ(kept.back().id, 9u);
 }
 
-TEST_F(RequestTelemetryTest, SloTrackerWindowMath) {
-  obs::SloConfig cfg;
-  cfg.window_s = 10.0;
-  cfg.availability_target = 0.9;
-  obs::SloTracker slo(cfg);
-
-  for (int i = 0; i < 9; ++i) slo.record_at(1.0, /*served=*/true, true);
-  slo.record_at(1.0, /*served=*/false, false);
-  auto s = slo.snapshot_at(1.0);
-  EXPECT_EQ(s.total, 10u);
-  EXPECT_EQ(s.served, 9u);
-  EXPECT_EQ(s.deadline_misses, 1u);
-  EXPECT_NEAR(s.availability, 0.9, 1e-12);
-  EXPECT_NEAR(s.miss_rate, 0.1, 1e-12);
-  EXPECT_NEAR(s.burn_rate, 1.0, 1e-12);  // miss_rate / (1 - 0.9)
-  EXPECT_FALSE(s.breached);              // 0.9 >= target
-
-  // A second failure breaches; re-serving within the window recovers; the
-  // breach transition is counted once.
-  slo.record_at(2.0, /*served=*/false, false);
-  s = slo.snapshot_at(2.0);
-  EXPECT_TRUE(s.breached);
-  EXPECT_EQ(s.breaches, 1u);
-  for (int i = 0; i < 20; ++i) slo.record_at(3.0, true, true);
-  s = slo.snapshot_at(3.0);
-  EXPECT_FALSE(s.breached);
-  EXPECT_EQ(s.breaches, 1u);
-
-  // Outcomes age out of the window entirely.
-  s = slo.snapshot_at(20.0);
-  EXPECT_EQ(s.total, 0u);
-  EXPECT_NEAR(s.availability, 1.0, 1e-12);
-}
-
-TEST_F(RequestTelemetryTest, MetricsSamplerCapturesSeries) {
-  auto counter = obs::MetricsRegistry::global().counter(
-      "pc_test_sampler_total", "test counter for the sampler");
-  obs::SamplerConfig cfg;
-  cfg.families = {"pc_test_sampler_total"};
-  cfg.ring_capacity = 8;
-  obs::MetricsSampler sampler(cfg);
-
-  counter.inc(5);
-  sampler.sample_once();
-  counter.inc(2);
-  sampler.sample_once();
-  EXPECT_EQ(sampler.ticks(), 2u);
-
-  const auto series = sampler.snapshot();
-  ASSERT_EQ(series.count("pc_test_sampler_total"), 1u);
-  const auto& points = series.at("pc_test_sampler_total");
-  ASSERT_EQ(points.size(), 2u);
-  EXPECT_GE(points[1].value, points[0].value + 2.0);
-  EXPECT_GE(points[1].t_s, points[0].t_s);
-  // Only the selected family was sampled.
-  EXPECT_EQ(series.size(), 1u);
-
-  const std::string path = ::testing::TempDir() + "pc_sampler_test.json";
-  ASSERT_TRUE(sampler.write_json(path));
-  std::ifstream in(path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const obs::JsonValue root = obs::JsonReader::parse(buf.str());
-  EXPECT_TRUE(root["series"]["pc_test_sampler_total"].is_array());
-  std::remove(path.c_str());
-}
-
-TEST_F(RequestTelemetryTest, MetricsSamplerBackgroundThread) {
-  obs::SamplerConfig cfg;
-  cfg.hz = 200.0;
-  obs::MetricsSampler sampler(cfg);
-  EXPECT_FALSE(sampler.running());
-  sampler.start();
-  EXPECT_TRUE(sampler.running());
-  while (sampler.ticks() < 3) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  sampler.stop();
-  EXPECT_FALSE(sampler.running());
-  EXPECT_GE(sampler.ticks(), 3u);
-}
-
 TEST_F(RequestTelemetryTest, FaultMarkersAndFlowArcsInTrace) {
   // The first encode draw fails, however few encodes the lanes' shared
   // store runs (one per module).
@@ -483,7 +397,7 @@ TEST_F(RequestTelemetryTest, FaultMarkersAndFlowArcsInTrace) {
                     ask_options());
     }
     (void)server.drain();
-    ASSERT_TRUE(server.write_trace_json(trace_path));
+    ASSERT_TRUE(obs::write_perfetto_trace(trace_path));
     server.stop();
   }
   obs::set_tracing(false);
@@ -533,13 +447,6 @@ TEST_F(RequestTelemetryTest, StubsAreInertButServingWorks) {
   EXPECT_EQ(server.requests().recorded(), 0u);
   EXPECT_TRUE(server.requests().snapshot().empty());
   EXPECT_FALSE(server.write_request_log("/tmp/should_not_exist.jsonl"));
-  const auto slo = server.slo_snapshot();
-  EXPECT_EQ(slo.total, 0u);
-  obs::MetricsSampler sampler;
-  sampler.start();
-  sampler.sample_once();
-  EXPECT_EQ(sampler.ticks(), 0u);
-  EXPECT_FALSE(sampler.running());
 }
 
 #endif  // PC_OBS_ENABLED

@@ -706,6 +706,34 @@ TEST_P(SerializeTest, GeometryMismatchRejected) {
   std::remove(path.c_str());
 }
 
+// save_modules and the disk tier's spill files share one crash-atomic
+// writer: a write that fails leaves the file at `path` as it was and no
+// .tmp behind.
+TEST(StoreFileWriter, FailedWriteLeavesPathIntactAndRemovesTmp) {
+  const std::string path = ::testing::TempDir() + "pc_store_writer.bin";
+  {
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os << "previous store";
+  }
+  EXPECT_THROW(write_store_file(path,
+                                [](std::ostream& os) {
+                                  os << "partial record";
+                                  throw Error("record write failed");
+                                }),
+               Error);
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream kept;
+  kept << in.rdbuf();
+  EXPECT_EQ(kept.str(), "previous store");
+  EXPECT_FALSE(std::ifstream(path + ".tmp").good());
+  std::remove(path.c_str());
+
+  // A .tmp that cannot be created fails before anything is written.
+  EXPECT_THROW(write_store_file(::testing::TempDir() + "pc_no_such_dir/s.bin",
+                                [](std::ostream&) {}),
+               Error);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllPrecisions, SerializeTest,
                          ::testing::Values(StorePrecision::kFp32,
                                            StorePrecision::kFp16,

@@ -1,6 +1,6 @@
 // trace_report: offline latency breakdown from a Perfetto trace written by
 // obs::write_perfetto_trace (bench_obs, bench_server with PC_TRACE=1, or
-// Server::write_trace_json).
+// any program that calls it after serving).
 //
 // Prints per-span aggregates plus a Fig-3-style per-request breakdown:
 // each engine serve span (PromptCacheEngine::serve, serve_baseline) is
