@@ -54,9 +54,6 @@ class CancellationToken {
     }
   }
 
-  // True iff this token can ever expire (i.e. it carries state).
-  bool can_expire() const { return state_ != nullptr; }
-
   // Polls the token. Once true, stays true (a passed deadline latches).
   bool expired() const {
     if (state_ == nullptr) return false;

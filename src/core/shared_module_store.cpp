@@ -145,49 +145,6 @@ SharedModuleStore::~SharedModuleStore() {
   }
 }
 
-SharedModuleStore::ModuleRef SharedModuleStore::find(const std::string& key,
-                                                     bool and_pin) {
-  for (;;) {
-    std::shared_ptr<Flight> flight;
-    SpillInfo spill;  // non-empty path <=> this caller leads a fault-in
-    {
-      std::unique_lock lock(mutex_);
-      if (ModuleRef ref = lookup_locked(key, and_pin)) return ref;
-      auto sit = spilled_.find(key);
-      if (sit == spilled_.end()) {
-        cells_.misses.inc();
-        return {};
-      }
-      // The key is on the disk tier: fault it in, single-flight against
-      // concurrent encodes and other fault-ins.
-      auto fit = in_flight_.find(key);
-      if (fit == in_flight_.end()) {
-        flight = std::make_shared<Flight>();
-        in_flight_.emplace(key, flight);
-        spill = sit->second;
-      } else {
-        flight = fit->second;
-        single_flight_waits_.inc();
-      }
-    }
-    if (spill.path.empty()) {
-      // Waiter: block on the leader's flight, then retry the lookup.
-      PC_SPAN("single_flight_wait");
-      std::unique_lock fl(flight->mutex);
-      flight->cv.wait(fl, [&] { return flight->done; });
-      continue;
-    }
-    ModuleRef ref = fault_in(key, std::move(spill), and_pin,
-                             /*prefetching=*/false);
-    finish_flight(key);
-    // A successful fault-in is a (disk) hit: the caller proceeds without
-    // re-encoding. A failed read is a miss — the record was dropped and
-    // the caller re-encodes, exactly like a destroyed entry.
-    (ref ? cells_.hits : cells_.misses).inc();
-    return ref;
-  }
-}
-
 SharedModuleStore::ModuleRef SharedModuleStore::lookup_locked(
     const std::string& key, bool and_pin) {
   auto it = entries_.find(key);
@@ -310,14 +267,19 @@ SharedModuleStore::ModuleRef SharedModuleStore::ensure(
     {
       std::unique_lock lock(mutex_);
       if (ModuleRef ref = lookup_locked(key, and_pin)) return ref;
+      auto sit = spilled_.find(key);
+      if (!encode && sit == spilled_.end()) {
+        // Nothing to encode and nothing to fault in: a miss, without
+        // waiting on another caller's encode.
+        cells_.misses.inc();
+        return {};
+      }
       auto fit = in_flight_.find(key);
       if (fit == in_flight_.end()) {
         // This caller is the leader for the key.
         flight = std::make_shared<Flight>();
         in_flight_.emplace(key, flight);
-        if (auto sit = spilled_.find(key); sit != spilled_.end()) {
-          spill = sit->second;
-        }
+        if (sit != spilled_.end()) spill = sit->second;
         break;
       }
       flight = fit->second;
@@ -344,6 +306,12 @@ SharedModuleStore::ModuleRef SharedModuleStore::ensure(
     }
   }
   cells_.misses.inc();
+  if (!encode) {
+    // The read failed and dropped the record: a miss, as for an entry
+    // destroyed outright.
+    finish_flight(key);
+    return {};
+  }
 
   // The forward pass runs with the store lock released, so other keys stay
   // fully available meanwhile.

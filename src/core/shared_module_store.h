@@ -213,9 +213,11 @@ class SharedModuleStore {
   // and_pin, the lookup and the pin are one atomic step (no window where
   // another worker can evict between them). A key resident on the disk
   // tier is transparently faulted back in (single-flight; the read runs
-  // outside the lock) and counts as a hit; only a key resident nowhere is
-  // a miss.
-  ModuleRef find(const std::string& key, bool and_pin = false);
+  // outside the lock) and counts as a hit; a key resident nowhere, or
+  // whose read fails, is a miss. This is ensure() with nothing to encode.
+  ModuleRef find(const std::string& key, bool and_pin = false) {
+    return ensure(key, nullptr, nullptr, and_pin);
+  }
 
   // Async-prefetch entry point: fault `key` in from the disk tier ahead of
   // demand. Returns true when the key is (or is about to be, when another
@@ -229,12 +231,16 @@ class SharedModuleStore {
 
   // Single-flight lookup-or-encode: returns a ref to the resident module,
   // running `encode` (outside the store lock) only if this caller is the
-  // first to need a missing key. `encoded_here` (if non-null) reports
-  // whether this call ran the encode — the caller's "I paid the forward
-  // pass" signal for its own stats. Counts like find(): one hit, or one
-  // miss when the encode runs; a waiter counts the hit it wakes to.
+  // first to need a missing key. A spilled key is faulted in instead, and
+  // the encode runs only if that read fails. `encoded_here` (if non-null)
+  // reports whether this call ran the encode — the caller's "I paid the
+  // forward pass" signal for its own stats. Counts one hit, or one miss
+  // when the key had to be encoded; a waiter counts the hit it wakes to.
   // Propagates exceptions from `encode`; waiters behind a failed leader
-  // retry (one becomes the next leader).
+  // retry (one becomes the next leader). An empty `encode` is find(): a
+  // key neither RAM-resident nor spilled counts one miss and returns an
+  // empty ref at once, without waiting on another caller's encode, and a
+  // failed read returns an empty ref.
   ModuleRef ensure(const std::string& key,
                    const std::function<EncodedModule()>& encode,
                    bool* encoded_here = nullptr, bool and_pin = false);
@@ -342,10 +348,10 @@ class SharedModuleStore {
   // All *_locked helpers, and tick(), require the exclusive lock.
   uint64_t tick() { return clock_++; }
 
-  // The RAM lookup find() and ensure() share: polls the injected evict
-  // fault, and on a hit bumps recency, settles the prefetch tag, pins when
-  // asked and counts the hit. An empty ref means the key is not RAM-
-  // resident (nothing counted: the caller decides whether that is a miss).
+  // ensure()'s RAM lookup: polls the injected evict fault, and on a hit
+  // bumps recency, settles the prefetch tag, pins when asked and counts the
+  // hit. An empty ref means the key is not RAM-resident (nothing counted:
+  // the caller decides whether that is a miss).
   ModuleRef lookup_locked(const std::string& key, bool and_pin);
   bool make_room_locked(ModuleLocation loc, size_t bytes);
   void erase_locked(std::unordered_map<std::string, Entry>::iterator it);

@@ -264,26 +264,6 @@ class KVCache {
     return out;
   }
 
-  // Overwrites own token rows in every layer from another cache's own rows
-  // (used for parameter substitution: argument states replace <unk>
-  // placeholders).
-  void overwrite_from(int dst_first, const KVCache& src, int src_first,
-                      int count) {
-    check_geometry(src.n_layers_, src.kv_dim_);
-    PC_CHECK(dst_first >= module_rows_ && dst_first + count <= n_tokens_);
-    PC_CHECK(src_first >= src.module_rows_ &&
-             src_first + count <= src.n_tokens_);
-    const size_t bytes = static_cast<size_t>(count) * kv_dim_ * sizeof(float);
-    for (int l = 0; l < n_layers_; ++l) {
-      std::memcpy(k_row(l, dst_first), src.k_row(l, src_first), bytes);
-      std::memcpy(v_row(l, dst_first), src.v_row(l, src_first), bytes);
-    }
-    for (int i = 0; i < count; ++i) {
-      pos_ids_[static_cast<size_t>(dst_first + i)] =
-          src.pos_ids_[static_cast<size_t>(src_first + i)];
-    }
-  }
-
   // Payload bytes the cache holds: its own rows at fp32 plus the stored
   // bytes of copied module rows (borrowed rows belong to their source).
   size_t payload_bytes() const {

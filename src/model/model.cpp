@@ -237,56 +237,35 @@ Tensor Model::attention(int layer, const Tensor& h, const Step& st,
                  static_cast<size_t>(group));
   };
 
-  // Two schedules producing identical bits (the kernel inputs per (row, KV
-  // head) are the same): prefill-sized steps parallelize over query rows,
-  // so mask/rel rows are built once per row in-thread; decode-sized steps
-  // parallelize over KV heads and share small precomputed mask/rel
-  // matrices.
+  // One work list of (query row, KV head) pairs in row-major order: pair
+  // w is row w / n_kv_heads, KV head w % n_kv_heads. parallel_for cuts it
+  // into at most pool.size() contiguous ranges, so a prefill spreads over
+  // rows and a decode step over KV heads; with one thread it is a loop
+  // over rows. A range builds a row's mask and ALiBi rows at the first
+  // pair of that row it runs; every fused_attend call gets the same inputs
+  // however the list is cut, so the bits do not depend on the thread
+  // count.
   const bool any_mask =
       std::any_of(st.seqs.begin(), st.seqs.end(),
                   [](const BatchSeq& seq) { return !seq.block_ids.empty(); });
-  const size_t scores_sz = static_cast<size_t>(group) * max_ctx;
+  const size_t n_kvh = static_cast<size_t>(n_kv_heads);
+  auto work = [&](size_t begin, size_t end) {
+    std::vector<float> scores(static_cast<size_t>(group) * max_ctx);
+    std::vector<uint8_t> mrow(any_mask ? max_ctx : 0);
+    std::vector<float> rrow(alibi_ ? max_ctx : 0);
+    for (size_t w = begin; w < end;) {
+      const size_t j = w / n_kvh;
+      const QueryRow row = query_row(j, mrow.data(), rrow.data());
+      for (size_t kvh = w % n_kvh; kvh < n_kvh && w < end; ++kvh, ++w) {
+        attend_group(static_cast<int>(kvh), j, row, scores.data());
+      }
+    }
+  };
   ThreadPool& pool = ThreadPool::global();
-  if (n_q >= 8) {
-    auto row_work = [&](size_t row_begin, size_t row_end) {
-      std::vector<float> scores(scores_sz);
-      std::vector<uint8_t> mrow(any_mask ? max_ctx : 0);
-      std::vector<float> rrow(alibi_ ? max_ctx : 0);
-      for (size_t j = row_begin; j < row_end; ++j) {
-        const QueryRow row = query_row(j, mrow.data(), rrow.data());
-        for (int kvh = 0; kvh < n_kv_heads; ++kvh) {
-          attend_group(kvh, j, row, scores.data());
-        }
-      }
-    };
-    if (pool.size() > 1) {
-      pool.parallel_for(n_q, row_work);
-    } else {
-      row_work(0, n_q);
-    }
+  if (pool.size() > 1) {
+    pool.parallel_for(n_q * n_kvh, work);
   } else {
-    std::vector<uint8_t> mask_mat(any_mask ? n_q * max_ctx : 0);
-    std::vector<float> rel_mat(alibi_ ? n_q * max_ctx : 0);
-    std::vector<QueryRow> rows;
-    rows.reserve(n_q);
-    for (size_t j = 0; j < n_q; ++j) {
-      rows.push_back(
-          query_row(j, any_mask ? mask_mat.data() + j * max_ctx : nullptr,
-                    alibi_ ? rel_mat.data() + j * max_ctx : nullptr));
-    }
-    auto kv_head_work = [&](size_t kvh_begin, size_t kvh_end) {
-      std::vector<float> scores(scores_sz);
-      for (size_t kvh = kvh_begin; kvh < kvh_end; ++kvh) {
-        for (size_t j = 0; j < n_q; ++j) {
-          attend_group(static_cast<int>(kvh), j, rows[j], scores.data());
-        }
-      }
-    };
-    if (pool.size() > 1 && n_kv_heads > 1) {
-      pool.parallel_for(static_cast<size_t>(n_kv_heads), kv_head_work);
-    } else {
-      kv_head_work(0, static_cast<size_t>(n_kv_heads));
-    }
+    work(0, n_q * n_kvh);
   }
   return out;
 }

@@ -77,7 +77,6 @@ class Model {
 
   const ModelConfig& config() const { return config_; }
   const ModelWeights& weights() const { return weights_; }
-  ModelWeights& mutable_weights() { return weights_; }
 
   // A cache with this model's geometry.
   KVCache make_cache(ConcatPolicy policy = ConcatPolicy::kBuffered) const {

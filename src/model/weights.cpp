@@ -71,16 +71,4 @@ ModelWeights ModelWeights::random(const ModelConfig& c, Rng& rng) {
   return w;
 }
 
-size_t ModelWeights::parameter_count() const {
-  size_t n = tok_embed.numel() + lm_head.numel() + final_norm_w.numel() +
-             final_norm_b.numel() + pos_table.tensor().numel();
-  for (const auto& l : layers) {
-    n += l.wq.numel() + l.wk.numel() + l.wv.numel() + l.wo.numel();
-    n += l.norm1_w.numel() + l.norm1_b.numel() + l.norm2_w.numel() +
-         l.norm2_b.numel();
-    n += l.w_gate.numel() + l.w_up.numel() + l.w_down.numel();
-  }
-  return n;
-}
-
 }  // namespace pc

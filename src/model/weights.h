@@ -38,8 +38,6 @@ struct ModelWeights {
 
   // Zero weights; the induction-model builder fills them in analytically.
   static ModelWeights zeros(const ModelConfig& config);
-
-  size_t parameter_count() const;
 };
 
 }  // namespace pc

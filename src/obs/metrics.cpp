@@ -86,9 +86,4 @@ std::vector<MetricsRegistry::FamilySample> MetricsRegistry::collect() const {
   return out;
 }
 
-size_t MetricsRegistry::family_count() const {
-  std::lock_guard lock(mutex_);
-  return families_.size();
-}
-
 }  // namespace pc::obs

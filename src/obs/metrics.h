@@ -134,8 +134,6 @@ class MetricsRegistry {
   // Families in name order. Skips gauge families whose cells all expired.
   std::vector<FamilySample> collect() const;
 
-  size_t family_count() const;
-
  private:
   struct Family {
     MetricType type = MetricType::kCounter;

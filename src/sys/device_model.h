@@ -64,9 +64,8 @@ TtftEstimate estimate_baseline_ttft(const HardwareProfile& hw,
 // `location`, then compute only the `uncached_tokens` suffix (which attends
 // over the full cached+uncached length). `bytes_per_cached_token` sets what
 // each cached token costs on the link — pass spec.kv_bytes_per_token_q8()
-// (or _q4() for Q4_0 storage) when modules are stored quantized (transfer
-// is charged on the quantized bytes, ~25%/~14% of fp32); 0 means
-// spec.kv_bytes_per_token() (unquantized).
+// when modules are stored as Q8_0 (transfer is charged on the quantized
+// bytes, ~25% of fp32); 0 means spec.kv_bytes_per_token() (unquantized).
 TtftEstimate estimate_cached_ttft(const HardwareProfile& hw,
                                   const ModelSpec& spec, int64_t cached_tokens,
                                   int64_t uncached_tokens,

@@ -34,8 +34,6 @@ const char* fault_point_name(FaultPoint p) {
   return "unknown";
 }
 
-#if PC_FAULTS_ENABLED
-
 namespace {
 
 // Guards configure()/disable()/spec() against each other; the poll path
@@ -254,7 +252,5 @@ uint64_t FaultInjector::injected_total() const {
   for (const auto& c : injected_) total += c.load(std::memory_order_relaxed);
   return total;
 }
-
-#endif  // PC_FAULTS_ENABLED
 
 }  // namespace pc

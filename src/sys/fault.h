@@ -42,20 +42,15 @@
 // e.g. PC_FAULTS="seed=7,encode=0.2,link=0.1x3,stall=0.05:25".
 //
 // Cost model mirrors the PC_SPAN gate (obs/trace.h): with no spec active,
-// should_fail() is one relaxed atomic load; built with -DPC_FAULTS=OFF
-// (PC_FAULTS_ENABLED=0) every poll compiles to `false` and the injector is
-// a stub. configure()/disable() must not race with active fault polls —
-// reconfigure between requests (tests do it while the server is idle).
+// should_fail() is one relaxed atomic load. configure()/disable() must not
+// race with active fault polls — reconfigure between requests (tests do it
+// while the server is idle).
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
 #include <string>
-
-#ifndef PC_FAULTS_ENABLED
-#define PC_FAULTS_ENABLED 1
-#endif
 
 namespace pc {
 
@@ -72,8 +67,6 @@ enum class FaultPoint : int {
 inline constexpr int kNumFaultPoints = 8;
 
 const char* fault_point_name(FaultPoint p);
-
-#if PC_FAULTS_ENABLED
 
 class FaultInjector {
  public:
@@ -134,25 +127,5 @@ class FaultInjector {
   std::array<std::atomic<uint64_t>, kNumFaultPoints> injected_{};
   std::string spec_;
 };
-
-#else  // !PC_FAULTS_ENABLED — every poll compiles to `false`.
-
-class FaultInjector {
- public:
-  static FaultInjector& global() {
-    static FaultInjector instance;
-    return instance;
-  }
-  void configure(const std::string&) {}
-  void disable() {}
-  bool enabled() const { return false; }
-  std::string spec() const { return {}; }
-  bool should_fail(FaultPoint) { return false; }
-  double stall_ms(FaultPoint) const { return 0; }
-  uint64_t injected(FaultPoint) const { return 0; }
-  uint64_t injected_total() const { return 0; }
-};
-
-#endif  // PC_FAULTS_ENABLED
 
 }  // namespace pc

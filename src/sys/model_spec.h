@@ -44,15 +44,6 @@ struct ModelSpec {
            static_cast<size_t>(2) * n_layers * sizeof(float);
   }
 
-  // Per-token KV bytes when modules are held as Q4_0: 16 packed bytes plus
-  // one fp32 scale per 32-value block, per K and V row per layer. This is
-  // what crosses the host link when the store precision is q4.
-  size_t kv_bytes_per_token_q4() const {
-    const size_t blocks = static_cast<size_t>((kv_dim() + 31) / 32);
-    return static_cast<size_t>(2) * n_layers * blocks * 16 +
-           static_cast<size_t>(2) * n_layers * blocks * sizeof(float);
-  }
-
   // Approximate parameter count (embeddings + per-layer mats), for context.
   double approx_params() const {
     const double attn = static_cast<double>(d_model) *

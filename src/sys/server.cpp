@@ -76,25 +76,18 @@ static uint64_t next_server_instance() {
 
 Server::Server(const Model& model, const TextTokenizer& tokenizer,
                SharedModuleStore& store, ServerConfig config)
-    : store_(store),
-      config_(std::move(config)),
-      engine_(model, tokenizer, store_, config_.engine),
+    : config_(std::move(config)),
+      engine_(model, tokenizer, store, config_.engine),
       instance_(next_server_instance()) {
   start();
 }
 
 Server::Server(const Model& model, const TextTokenizer& tokenizer,
                ServerConfig config)
-    : Server(model, tokenizer,
-             std::make_unique<SharedModuleStore>(
-                 config.engine.device_capacity_bytes,
-                 config.engine.host_capacity_bytes, DiskTierConfig{}),
-             std::move(config)) {}
-
-Server::Server(const Model& model, const TextTokenizer& tokenizer,
-               std::unique_ptr<SharedModuleStore> owned, ServerConfig config)
-    : Server(model, tokenizer, *owned, std::move(config)) {
-  owned_store_ = std::move(owned);
+    : config_(std::move(config)),
+      engine_(model, tokenizer, config_.engine),
+      instance_(next_server_instance()) {
+  start();
 }
 
 Server::~Server() { stop(); }
@@ -479,9 +472,10 @@ ServerStats Server::stats() const {
     out.kv_live_bytes += kv.live_bytes;
     out.kv_peak_bytes += kv.peak_live_bytes;
   }
-  out.store = store_.stats();
-  out.resident_module_bytes = store_.resident_bytes();
-  out.single_flight_waits = store_.single_flight_waits();
+  const SharedModuleStore& store = engine_.store();
+  out.store = store.stats();
+  out.resident_module_bytes = store.resident_bytes();
+  out.single_flight_waits = store.single_flight_waits();
   const double lookups =
       static_cast<double>(out.store.hits + out.store.misses);
   if (lookups > 0) {

@@ -6,9 +6,9 @@
 // serves through the Server's one PromptCacheEngine, which loads
 // ServerConfig::schemas on the constructing thread before any lane starts.
 // The engine serves from one SharedModuleStore (see src/core/engine.h), so
-// each module is encoded once and held once: the caller's store, or one
-// the Server owns, built as a standalone engine builds its own (sized by
-// ServerConfig::engine, no disk tier).
+// each module is encoded once and held once: the caller's store, or, for
+// a Server given none, the one its engine owns as a standalone engine
+// (sized by ServerConfig::engine, no disk tier).
 //
 // Request lifecycle: submit() enqueues (blocking while the queue is at
 // capacity — admission control instead of unbounded memory). Lanes admit
@@ -89,8 +89,9 @@ namespace pc {
 struct ServerConfig {
   int n_workers = 4;             // serving lanes, each a BatchScheduler
   size_t queue_capacity = 64;    // submit() blocks when full
-  // The engine's config. Its capacity fields size the store a Server
-  // built without one owns; a caller's store was sized at construction.
+  // The engine's config. Its capacity fields size the store the engine
+  // of a Server built without one owns; a caller's store was sized at
+  // construction.
   EngineConfig engine;
   std::vector<std::string> schemas;  // PML loaded into the engine at startup
   double default_deadline_ms = 0;    // 0 = no deadline enforcement
@@ -165,10 +166,9 @@ class Server {
   Server(const Model& model, const TextTokenizer& tokenizer,
          SharedModuleStore& store, ServerConfig config);
 
-  // The engine serves from a store the server owns, sized by
+  // The engine is a standalone one: it owns its store, sized by
   // config.engine's capacity fields, with no disk tier (PC_DISK_DIR is not
-  // consulted) — the store a standalone engine owns, so a one-lane Server
-  // serves exactly as one engine does.
+  // consulted), so a one-lane Server serves exactly as one engine does.
   Server(const Model& model, const TextTokenizer& tokenizer,
          ServerConfig config);
 
@@ -235,10 +235,6 @@ class Server {
     int held = 0;  // requests dequeued, not yet recorded (under mutex_)
   };
 
-  // The storeless constructor's target: `owned` becomes the store.
-  Server(const Model& model, const TextTokenizer& tokenizer,
-         std::unique_ptr<SharedModuleStore> owned, ServerConfig config);
-
   void start();
   // Least-loaded admission: lane `index` may take a request while it holds
   // fewer than batch.max_batch and no other lane holds fewer.
@@ -258,10 +254,9 @@ class Server {
     return (instance_ << 32) | (id & 0xffffffffu);
   }
 
-  // The store and the engine are declared before the lanes and the
-  // prefetcher, which serve through them, so they outlive both.
-  std::unique_ptr<SharedModuleStore> owned_store_;  // storeless ctor only
-  SharedModuleStore& store_;
+  // The engine (and the store it owns, for the storeless constructor) is
+  // declared before the lanes and the prefetcher, which serve through it,
+  // so it outlives both.
   ServerConfig config_;
   PromptCacheEngine engine_;
 

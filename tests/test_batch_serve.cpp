@@ -305,10 +305,8 @@ void expect_forward_batch_matches_forward(const Model& model,
   // A masked sequence (forward_blocked's mask: two blocks, then global
   // rows that do not see a hidden row of the second block) stepped with
   // unmasked ones: its logits and K/V equal its solo forward_blocked, and
-  // theirs their solo forwards (one of them at far positions). The
-  // full-length step runs the per-row schedule in its uncut layers; the
-  // 5-row one, under 8 query rows in every layer, only the per-KV-head
-  // schedule.
+  // theirs their solo forwards (one of them at far positions), at the
+  // full length and at a 5-row prefix.
   for (const int len : {n, 5}) {
     SCOPED_TRACE("masked length " + std::to_string(len));
     const size_t ulen = static_cast<size_t>(len);
@@ -1257,8 +1255,6 @@ TEST_F(BatchServeTest, UnloadableSchemaFailsServerConstruction) {
 // ---------------------------------------------------------------------------
 // Chaos: availability 1.0 in batch mode
 
-#if PC_FAULTS_ENABLED
-
 TEST_F(BatchServeTest, BatchChaosKeepsFullAvailability) {
   constexpr int kRequests = 24;
   std::vector<std::string> prompts;
@@ -1318,8 +1314,6 @@ TEST_F(BatchServeTest, BatchChaosKeepsFullAvailability) {
     EXPECT_EQ(store.pin_count(key), 0) << key;
   }
 }
-
-#endif  // PC_FAULTS_ENABLED
 
 }  // namespace
 }  // namespace pc

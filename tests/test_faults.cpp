@@ -98,10 +98,6 @@ void check_accounting(const ServerStats& s) {
 
 // ---------------------------------------------------------------------------
 // FaultInjector
-// (These need a live injector; with -DPC_FAULTS=OFF it is a stub that
-// never arms, so they compile out with it.)
-
-#if PC_FAULTS_ENABLED
 
 TEST_F(FaultTest, SpecParsesAndArms) {
   FaultInjector& f = FaultInjector::global();
@@ -262,8 +258,6 @@ TEST_F(FaultTest, ThrashLookupCountsOneMiss) {
   EXPECT_EQ(engine.stats().thrash_reencodes, 4u);
 }
 
-#endif  // PC_FAULTS_ENABLED
-
 // ---------------------------------------------------------------------------
 // Degradation path: serve_full_prefill bitwise equality
 
@@ -367,8 +361,6 @@ struct ServerHarness {
   AccuracyWorkload workload;
   Model model;
 };
-
-#if PC_FAULTS_ENABLED
 
 TEST_F(FaultTest, TransientEncodeFaultsRetrySuccessfully) {
   ServerHarness h;
@@ -485,8 +477,6 @@ TEST_F(FaultTest, ChaosServingKeepsFullAvailability) {
   }
 }
 
-#endif  // PC_FAULTS_ENABLED
-
 // ---------------------------------------------------------------------------
 // Deadlines
 
@@ -520,8 +510,6 @@ TEST_F(FaultTest, OverrideDeadlineBeatsDefaultAndShedsWhileQueued) {
   EXPECT_EQ(stats.deadline_misses, 1u);
   check_accounting(stats);
 }
-
-#if PC_FAULTS_ENABLED
 
 TEST_F(FaultTest, DeadlineExpiryMidServiceTimesOut) {
   ServerHarness h;
@@ -584,10 +572,8 @@ TEST_F(FaultTest, DeadlineExpiryStopsRetryLadderImmediately) {
   check_accounting(server.stats());
 }
 
-#endif  // PC_FAULTS_ENABLED
-
 // ---------------------------------------------------------------------------
-// Retry backoff schedule (always compiled — no injector involved)
+// Retry backoff schedule (no injector involved)
 
 TEST_F(FaultTest, RetryBackoffGoldenSchedule) {
   // The deterministic jitter schedule is part of the serving contract
@@ -718,8 +704,6 @@ TEST_F(FaultTest, SubmitOnStoppedServerThrows) {
 // ---------------------------------------------------------------------------
 // Corrupt-record faults during load
 
-#if PC_FAULTS_ENABLED
-
 TEST_F(FaultTest, InjectedCorruptRecordIsSkippedUnderRecoveryPolicy) {
   ServerHarness h;
   const std::string path = ::testing::TempDir() + "pc_fault_modules.bin";
@@ -758,8 +742,6 @@ TEST_F(FaultTest, InjectedCorruptRecordIsSkippedUnderRecoveryPolicy) {
             reference.serve(kPrompts[0], ask_options(h.workload)).tokens);
   std::remove(path.c_str());
 }
-
-#endif  // PC_FAULTS_ENABLED
 
 }  // namespace
 }  // namespace pc

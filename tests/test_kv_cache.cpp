@@ -1,5 +1,5 @@
-// Unit tests for the KV cache: appends, range copies, overwrite (parameter
-// substitution), concatenation policies and their reallocation stats.
+// Unit tests for the KV cache: appends, range copies, truncation,
+// concatenation policies and their reallocation stats.
 #include <gtest/gtest.h>
 
 #include "kv/kv_cache.h"
@@ -79,18 +79,6 @@ TEST(KVCache, GeometryMismatchRejected) {
   EXPECT_THROW(wrong_layers.append_copy(src), ContractViolation);
   KVCache wrong_dim(2, 8);
   EXPECT_THROW(wrong_dim.append_copy(src), ContractViolation);
-}
-
-TEST(KVCache, OverwriteFromReplacesRowsAndPositions) {
-  KVCache dst = filled_cache(1, 2, 4, 0.0f);
-  const KVCache src = filled_cache(1, 2, 2, 500.0f);
-  dst.overwrite_from(/*dst_first=*/1, src, /*src_first=*/0, /*count=*/2);
-  EXPECT_FLOAT_EQ(dst.k_row(0, 1)[0], src.k_row(0, 0)[0]);
-  EXPECT_FLOAT_EQ(dst.k_row(0, 2)[1], src.k_row(0, 1)[1]);
-  EXPECT_EQ(dst.pos_id(1), src.pos_id(0));
-  // Untouched rows keep their payload.
-  EXPECT_FLOAT_EQ(dst.k_row(0, 0)[0], 0.0f + 0 * 10 + 0);
-  EXPECT_THROW(dst.overwrite_from(3, src, 0, 2), ContractViolation);
 }
 
 TEST(KVCache, TruncateRollsBack) {

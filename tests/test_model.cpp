@@ -63,8 +63,8 @@ class ModelFamilyTest : public ::testing::TestWithParam<ArchFamily> {};
 // The final layer runs past K/V for the returned rows only: last-row logits
 // equal row n-1 of return_all_logits bit for bit, and every layer's K/V is
 // the same whether one row, all rows or no row (encode) reaches the logits.
-// At n_new 8 and above the uncut layers run the per-row attention schedule,
-// below it the per-KV-head one; the single cut row always takes the latter.
+// The lengths cover one to many query rows in the uncut layers; the cut
+// final layer always attends for one row.
 TEST_P(ModelFamilyTest, LogitShapes) {
   const Model model = Model::random(config_for(GetParam()), 1);
   for (int n : {1, 2, 7, 8, 9, 33}) {

@@ -559,8 +559,6 @@ TEST_F(ShardTest, EngineCapacitiesSizeEveryShardStore) {
   }
 }
 
-#if PC_FAULTS_ENABLED
-
 TEST_F(ShardTest, ShardKillChaosKeepsAvailabilityAndTokens) {
   const std::vector<std::vector<TokenId>> expected = reference_tokens();
 
@@ -624,8 +622,6 @@ TEST_F(ShardTest, ShardKillChaosKeepsAvailabilityAndTokens) {
     }
   }
 }
-
-#endif  // PC_FAULTS_ENABLED
 
 }  // namespace
 }  // namespace pc

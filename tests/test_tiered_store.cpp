@@ -663,8 +663,6 @@ TEST_F(TieredStoreTest, PartialSaveIsInvisibleAfterRestart) {
   std::remove(crashed.c_str());
 }
 
-#if PC_FAULTS_ENABLED
-
 // ---------------------------------------------------------------------------
 // Satellite: disk-fault chaos.
 
@@ -763,8 +761,6 @@ TEST_F(TieredStoreTest, DiskFaultChaosKeepsAvailabilityAtOne) {
   // failed reads dropped their records, and the books still balance.
   check_conservation(store.disk_stats());
 }
-
-#endif  // PC_FAULTS_ENABLED
 
 }  // namespace
 }  // namespace pc

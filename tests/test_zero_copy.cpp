@@ -234,8 +234,8 @@ TEST_F(ZeroCopyTest, ContractsAreEnforced) {
 // same rows borrowed in place must give the same logits bit for bit — at
 // every format, and whether the own rows after them stay inside their
 // reservation or outgrow it (every own-row table entry is then
-// re-pointed) — through a prefill on both sides of the attention
-// schedules' 8-row switch and the decode steps after it.
+// re-pointed) — through a 9-row prefill, whose final layer attends for
+// one row, and the decode steps after it.
 TEST_F(ZeroCopyTest, ForwardMatchesContiguousCacheBitwise) {
   const ModelConfig cfg = ModelConfig::llama_tiny(64, 256);
   const Model model = Model::random(cfg, 11);
@@ -288,8 +288,8 @@ TEST_F(ZeroCopyTest, ForwardMatchesContiguousCacheBitwise) {
 }
 
 // The K/V-only call publishes forward()'s K/V bits into a cache's own rows
-// whatever format its borrowed module rows hold (fp32, q8, q4), at suffix
-// lengths on both sides of the attention schedules' 8-row switch.
+// whatever format its borrowed module rows hold (fp32, q8, q4), for 3-
+// and 9-row suffixes.
 TEST(ZeroCopyEncode, MatchesForwardOverBorrowedFp32Q8Q4Rows) {
   const ModelConfig cfg = ModelConfig::llama_tiny(64, 256);
   const Model model = Model::random(cfg, 9);
