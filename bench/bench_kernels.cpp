@@ -117,6 +117,16 @@ struct TtftRow {
 
 std::vector<TtftRow> g_ttft_json;
 
+// Computed per-block traffic and work of the prefill-block table.
+struct BlockRow {
+  std::string shape;
+  double one_row_bytes;
+  double blocked_bytes;
+  double flops;
+};
+
+std::vector<BlockRow> g_block_json;
+
 double record(TablePrinter& table, const std::string& section,
               const std::string& shape, double scalar_ms, double vector_ms) {
   const double speedup = scalar_ms / vector_ms;
@@ -369,6 +379,113 @@ bool bench_q4_attention() {
   return beats_at_1k;
 }
 
+// One prefill block at rag_warm's and paper_ttft's shape: the 32 question
+// rows of a prompt (llama_tiny: 3 KV heads, group 2, d_head 32) over a
+// cached context, row i seeing the cache plus question rows 0..i. Each KV
+// head runs as 32 one-row calls and as one attn_fused call over all 32
+// rows, which attends them kAttnRowBlock at a time; the rows get the same
+// bits either way. fp32 is one contiguous cache; q4 is cached Q4_0 module
+// rows read through row tables, with the question rows as an fp32 tail.
+// Bytes are the K/V head slices each way reads, counting one read per
+// kernel pass; flops are a multiply-add per element for q.k and for the
+// mix. Computed, not measured.
+void bench_attention_prefill_block() {
+  TablePrinter table("prefill block: 32 rows x 3 KV heads (group 2, d_head "
+                     "32), one-row calls vs attn_fused");
+  table.set_header({"context", "32 one-row calls", "row-blocked", "speedup"});
+  const size_t n_rows = 32, n_kvh = 3, group = 2, d_head = 32;
+  const size_t kv_dim = n_kvh * d_head;
+  const float scale = 1.0f / std::sqrt(static_cast<float>(d_head));
+  for (const bool q4 : {false, true}) {
+    for (size_t cached : {1024u, 2048u}) {
+      const size_t ctx = cached + n_rows;
+      const auto k = random_vec(ctx * kv_dim, 61 + ctx);
+      const auto v = random_vec(ctx * kv_dim, 67 + ctx);
+      const auto q = random_vec(n_rows * n_kvh * group * d_head, 71 + ctx);
+      const int blocks = q4_blocks(static_cast<int>(kv_dim));
+      const size_t row_bytes = q4_row_bytes(static_cast<int>(kv_dim));
+      std::vector<uint8_t> k4(cached * row_bytes), v4(cached * row_bytes);
+      std::vector<float> k4s(cached * blocks), v4s(cached * blocks);
+      quantize_rows_q4(k.data(), static_cast<int>(cached),
+                       static_cast<int>(kv_dim), k4.data(), k4s.data());
+      quantize_rows_q4(v.data(), static_cast<int>(cached),
+                       static_cast<int>(kv_dim), v4.data(), v4s.data());
+      std::vector<const float*> k_rows(ctx, nullptr), v_rows(ctx, nullptr);
+      std::vector<const uint8_t*> k4_rows(ctx, nullptr), v4_rows(ctx, nullptr);
+      std::vector<const float*> k4_sc(ctx, nullptr), v4_sc(ctx, nullptr);
+      for (size_t j = 0; j < cached; ++j) {
+        k4_rows[j] = k4.data() + j * row_bytes;
+        v4_rows[j] = v4.data() + j * row_bytes;
+        k4_sc[j] = k4s.data() + j * blocks;
+        v4_sc[j] = v4s.data() + j * blocks;
+      }
+      for (size_t j = cached; j < ctx; ++j) {
+        k_rows[j] = k.data() + j * kv_dim;
+        v_rows[j] = v.data() + j * kv_dim;
+      }
+      auto kv_head = [&](size_t h) {
+        if (!q4) {
+          return AttnKV{.k = k.data() + h * d_head,
+                        .v = v.data() + h * d_head,
+                        .row_stride = kv_dim};
+        }
+        return AttnKV{.k_rows = k_rows.data(),
+                      .v_rows = v_rows.data(),
+                      .head_off = h * d_head,
+                      .k4 = k4_rows.data(),
+                      .v4 = v4_rows.data(),
+                      .k4_scales = k4_sc.data(),
+                      .v4_scales = v4_sc.data()};
+      };
+      std::vector<float> scores(n_rows * group * ctx);
+      std::vector<float> out(n_rows * n_kvh * group * d_head);
+      auto rows_of = [&](size_t h) {
+        std::vector<AttnRow> rows(n_rows);
+        for (size_t i = 0; i < n_rows; ++i) {
+          const size_t off = (i * n_kvh + h) * group * d_head;
+          rows[i] = {q.data() + off, cached + i + 1, nullptr, nullptr,
+                     scores.data() + i * group * ctx, out.data() + off};
+        }
+        return rows;
+      };
+      const double s = time_ms([&] {
+        for (size_t h = 0; h < n_kvh; ++h) {
+          const AttnKV kv = kv_head(h);
+          for (const AttnRow& row : rows_of(h)) {
+            attn_fused(kv, &row, 1, group, d_head, scale, nullptr);
+          }
+        }
+        g_sink = out[0];
+      });
+      const double w = time_ms([&] {
+        for (size_t h = 0; h < n_kvh; ++h) {
+          const std::vector<AttnRow> rows = rows_of(h);
+          attn_fused(kv_head(h), rows.data(), n_rows, group, d_head, scale,
+                     nullptr);
+        }
+        g_sink = out[0];
+      });
+      const std::string shape =
+          std::string(q4 ? "q4 gather" : "fp32 contig") +
+          " ctx=" + std::to_string(cached) + "+" + std::to_string(n_rows);
+      record(table, "attn_prefill_block", shape, s, w);
+      // One pass reads each K and V head slice once: 32 passes one row at
+      // a time, 32 / kAttnRowBlock row-blocked.
+      const double slice_bytes =
+          2.0 * static_cast<double>(n_kvh * ctx) *
+          (q4 ? 0.5 * static_cast<double>(d_head) + 4.0 * (d_head / 32.0)
+              : 4.0 * static_cast<double>(d_head));
+      const double passes = static_cast<double>(
+          (n_rows + kAttnRowBlock - 1) / kAttnRowBlock);
+      g_block_json.push_back(
+          {shape, static_cast<double>(n_rows) * slice_bytes,
+           passes * slice_bytes,
+           4.0 * static_cast<double>(n_rows * n_kvh * group * ctx * d_head)});
+    }
+  }
+  table.print(std::cout);
+}
+
 void bench_ttft() {
   // End-to-end: full prefill + first-token logits on the tiny llama config.
   // This exercises every kernel the PR touched (gemm, gemm_nt via attention
@@ -419,7 +536,17 @@ void write_json(double gemm_nt_required_speedup, bool q8_beats_at_1k,
         << ", \"speedup\": " << TablePrinter::fmt(r.scalar_ms / r.vector_ms, 3)
         << "}" << (i + 1 < g_json.size() ? "," : "") << "\n";
   }
-  out << "  ],\n  \"ttft\": [\n";
+  out << "  ],\n  \"attn_prefill_block\": {\"rows_per_pass\": "
+      << kAttnRowBlock << ", \"computed\": [\n";
+  for (size_t i = 0; i < g_block_json.size(); ++i) {
+    const auto& r = g_block_json[i];
+    out << "    {\"shape\": \"" << r.shape
+        << "\", \"one_row_bytes\": " << r.one_row_bytes
+        << ", \"blocked_bytes\": " << r.blocked_bytes
+        << ", \"flops\": " << r.flops << "}"
+        << (i + 1 < g_block_json.size() ? "," : "") << "\n";
+  }
+  out << "  ]},\n  \"ttft\": [\n";
   for (size_t i = 0; i < g_ttft_json.size(); ++i) {
     const auto& r = g_ttft_json[i];
     out << "    {\"shape\": \"" << r.shape << "\", \"ms\": " << r.ms
@@ -441,6 +568,7 @@ int main() {
   const double required = bench_gemm_nt();
   bench_attention();
   bench_attention_grouped();
+  bench_attention_prefill_block();
   const bool q8_beats_at_1k = bench_q8_attention();
   const bool q4_beats_at_1k = bench_q4_attention();
   bench_ttft();

@@ -73,38 +73,31 @@ void Model::apply_norm(const Tensor& w, const Tensor& b, const Tensor& x,
 
 namespace {
 
-// Fused-attention dispatch for the `n_q` query heads of one GQA group (k_off
-// selects their KV head). While every row is an own fp32 row, a layer is a
-// dense [n_tokens, kv_dim] buffer and one head's K column is a strided walk
-// from row 0 — the contiguous kernel. Otherwise rows are read through the
-// layer's row tables: quantized module rows are scored in the integer domain
-// (no fp32 materialization, copied and borrowed alike) and fp32 rows through
-// the same pointers. A cache holds at most one quantized format.
-inline void fused_attend(const KVCache& c, int layer, int k_off,
-                         const float* q, size_t d_head, size_t n_ctx,
-                         float scale, const float* slopes,
-                         const float* rel_pos, const uint8_t* masked,
-                         float* scores, float* out, size_t n_q) {
+// The KV head at k_off of layer `layer`'s rows. While every row is an own
+// fp32 row, a layer is a dense [n_tokens, kv_dim] buffer and one head's K
+// column is a strided walk from row 0 — the contiguous kernel. Otherwise
+// rows are read through the layer's row tables: quantized module rows are
+// scored in the integer domain (no fp32 materialization, copied and
+// borrowed alike) and fp32 rows through the same pointers. A cache holds at
+// most one quantized format.
+AttnKV kv_head(const KVCache& c, int layer, int k_off) {
   if (c.module_rows() == 0) {
-    attn_fused_contig(q, c.k_row(layer, 0) + k_off, c.v_row(layer, 0) + k_off,
-                      static_cast<size_t>(c.kv_dim()), d_head, n_ctx, scale,
-                      slopes, rel_pos, masked, scores, out, n_q);
-    return;
+    return {.k = c.k_row(layer, 0) + k_off,
+            .v = c.v_row(layer, 0) + k_off,
+            .row_stride = static_cast<size_t>(c.kv_dim())};
   }
   const KVCache::RowTables t = c.tables(layer);
-  const size_t off = static_cast<size_t>(k_off);
-  if (t.k4 != nullptr) {
-    attn_fused_q4_gather(q, t.k4, t.v4, t.k4_scales, t.v4_scales, t.k, t.v,
-                         off, d_head, n_ctx, scale, slopes, rel_pos, masked,
-                         scores, out, n_q);
-  } else if (t.k8 != nullptr) {
-    attn_fused_q8_gather(q, t.k8, t.v8, t.k8_scales, t.v8_scales, t.k, t.v,
-                         off, d_head, n_ctx, scale, slopes, rel_pos, masked,
-                         scores, out, n_q);
-  } else {
-    attn_fused_gather(q, t.k, t.v, off, d_head, n_ctx, scale, slopes,
-                      rel_pos, masked, scores, out, n_q);
-  }
+  return {.k_rows = t.k,
+          .v_rows = t.v,
+          .head_off = static_cast<size_t>(k_off),
+          .k8 = t.k8,
+          .v8 = t.v8,
+          .k8_scales = t.k8_scales,
+          .v8_scales = t.v8_scales,
+          .k4 = t.k4,
+          .v4 = t.v4,
+          .k4_scales = t.k4_scales,
+          .v4_scales = t.v4_scales};
 }
 
 // Rows `rows` of a 2-D tensor, in order.
@@ -184,7 +177,7 @@ Tensor Model::attention(int layer, const Tensor& h, const Step& st,
   if (n_q == 0) return out;
   const Tensor q = queries(layer, h, st.pos, q_rows);
 
-  // Query row j's cache and visible slots, plus its block-mask row and
+  // Query row j's cache and visible slots, with its block-mask row and
   // ALiBi distance row filled into mrow / rrow. Both depend only on (row,
   // slot), so every head shares them. rrow[k] = float(q_pos - k_pos); the
   // kernel applies -slope * rrow[k], bit-identical to Alibi::bias().
@@ -224,48 +217,65 @@ Tensor Model::attention(int layer, const Tensor& h, const Step& st,
                     use_mask ? mrow : nullptr, alibi_ ? rrow : nullptr};
   };
 
-  // One KV head's group of query heads for query row j; scores holds
-  // group * max_ctx floats.
-  auto attend_group = [&](int kvh, size_t j, const QueryRow& row,
-                          float* scores) {
-    const int hd = kvh * group;
-    const int64_t jr = static_cast<int64_t>(j);
-    fused_attend(*row.cache, layer, kvh * d_head, q.row(jr) + hd * d_head,
-                 static_cast<size_t>(d_head), row.ctx, attn_scale_,
-                 alibi_ ? alibi_->slopes() + hd : nullptr, row.rel,
-                 row.masked, scores, out.row(jr) + hd * d_head,
-                 static_cast<size_t>(group));
-  };
+  // Row blocks: block b is q_rows[blocks[b], blocks[b + 1]), at most
+  // kAttnRowBlock consecutive query rows of one sequence, which one kernel
+  // call attends per KV head.
+  std::vector<size_t> blocks{0};
+  for (size_t j = 1; j < n_q; ++j) {
+    if (j - blocks.back() == kAttnRowBlock ||
+        st.seq_of(q_rows[j]) != st.seq_of(q_rows[j - 1])) {
+      blocks.push_back(j);
+    }
+  }
+  blocks.push_back(n_q);
 
-  // One work list of (query row, KV head) pairs in row-major order: pair
-  // w is row w / n_kv_heads, KV head w % n_kv_heads. parallel_for cuts it
+  // One work list of (row block, KV head) pairs in block-major order: pair
+  // w is block w / n_kv_heads, KV head w % n_kv_heads. parallel_for cuts it
   // into at most pool.size() contiguous ranges, so a prefill spreads over
-  // rows and a decode step over KV heads; with one thread it is a loop
-  // over rows. A range builds a row's mask and ALiBi rows at the first
-  // pair of that row it runs; every fused_attend call gets the same inputs
-  // however the list is cut, so the bits do not depend on the thread
-  // count.
+  // row blocks and a decode step over KV heads; with one thread it is a
+  // loop over blocks. A range builds a block's mask and ALiBi rows at the
+  // first pair of that block it runs; every kernel call gets the same
+  // inputs however the list is cut, and every row the bits of a one-row
+  // call, so the bits depend on neither the thread count nor the blocking.
   const bool any_mask =
       std::any_of(st.seqs.begin(), st.seqs.end(),
                   [](const BatchSeq& seq) { return !seq.block_ids.empty(); });
   const size_t n_kvh = static_cast<size_t>(n_kv_heads);
+  const size_t n_blocks = blocks.size() - 1;
   auto work = [&](size_t begin, size_t end) {
-    std::vector<float> scores(static_cast<size_t>(group) * max_ctx);
-    std::vector<uint8_t> mrow(any_mask ? max_ctx : 0);
-    std::vector<float> rrow(alibi_ ? max_ctx : 0);
+    const size_t row_scores = static_cast<size_t>(group) * max_ctx;
+    std::vector<float> scores(kAttnRowBlock * row_scores);
+    std::vector<uint8_t> mrow(any_mask ? kAttnRowBlock * max_ctx : 0);
+    std::vector<float> rrow(alibi_ ? kAttnRowBlock * max_ctx : 0);
+    QueryRow rows[kAttnRowBlock];
     for (size_t w = begin; w < end;) {
-      const size_t j = w / n_kvh;
-      const QueryRow row = query_row(j, mrow.data(), rrow.data());
+      const size_t j0 = blocks[w / n_kvh];
+      const size_t n = blocks[w / n_kvh + 1] - j0;
+      for (size_t i = 0; i < n; ++i) {
+        rows[i] = query_row(j0 + i, any_mask ? &mrow[i * max_ctx] : nullptr,
+                            alibi_ ? &rrow[i * max_ctx] : nullptr);
+      }
       for (size_t kvh = w % n_kvh; kvh < n_kvh && w < end; ++kvh, ++w) {
-        attend_group(static_cast<int>(kvh), j, row, scores.data());
+        const int kv = static_cast<int>(kvh);
+        const int hd = kv * group;
+        AttnRow in[kAttnRowBlock];
+        for (size_t i = 0; i < n; ++i) {
+          const int64_t jr = static_cast<int64_t>(j0 + i);
+          in[i] = {q.row(jr) + hd * d_head, rows[i].ctx, rows[i].rel,
+                   rows[i].masked, &scores[i * row_scores],
+                   out.row(jr) + hd * d_head};
+        }
+        attn_fused(kv_head(*rows[0].cache, layer, kv * d_head), in, n,
+                   static_cast<size_t>(group), static_cast<size_t>(d_head),
+                   attn_scale_, alibi_ ? alibi_->slopes() + hd : nullptr);
       }
     }
   };
   ThreadPool& pool = ThreadPool::global();
   if (pool.size() > 1) {
-    pool.parallel_for(n_q * n_kvh, work);
+    pool.parallel_for(n_blocks * n_kvh, work);
   } else {
-    work(0, n_q * n_kvh);
+    work(0, n_blocks * n_kvh);
   }
   return out;
 }

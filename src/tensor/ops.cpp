@@ -166,10 +166,14 @@ void gelu_inplace(float* x, size_t n) {
 
 // ---- fused attention -------------------------------------------------------
 //
-// One core serves every row format. A call attends the n_q query heads of a
-// GQA group to their shared KV head, so each K/V row is read once per group:
-//   1. scores, eight slots at a time (fully masked blocks are not scored);
-//   2. per head, the row max, exp, a strictly sequential sum and the
+// One core serves every row format. A pass attends a block of up to
+// kAttnRowBlock query rows, each with the n_q query heads of a GQA group, to
+// their shared KV head, so each K/V row is read once per block and group.
+// Each (row, head) pair is one softmax row:
+//   1. scores, eight slots at a time (a block masked for every row is not
+//      scored), with each pair's row max folded in;
+//   2. per pair, exp and a strictly sequential sum in slot order, the
+//      pairs' sums run as interleaved independent chains; then the
 //      normalization;
 //   3. the value mix, in slot order, skipping zero weights.
 // A row format (F32Rows, Q8Rows, Q4Rows) supplies the scoring of a block and
@@ -180,24 +184,45 @@ namespace {
 constexpr float kNegInf = -std::numeric_limits<float>::infinity();
 // Query heads per pass over the rows; larger groups run in slices.
 constexpr size_t kMaxGroup = 8;
+// (row, head) pairs of one pass.
+constexpr size_t kMaxPairs = kAttnRowBlock * kMaxGroup;
 // Query quantization scratch of the q8/q4 formats.
 constexpr size_t kMaxDHead = 1024;
+// Softmax sums run as independent chains, one per (row, head) pair.
+constexpr size_t kChains = 8;
 
-// The arguments every format shares; see ops.h.
+// One pass: a block's rows that have context, each offset to the pass's
+// first head, and their (row, head) pairs; pair p is row p / n_q, head
+// p % n_q, and owns one softmax row.
 struct Attn {
-  const float* q;
+  struct Pair {
+    const float* q;
+    size_t n_ctx;
+    float* scores;
+    float* out;
+  };
   size_t n_q;
   size_t d_head;
-  size_t n_ctx;
   float scale;
   const float* slopes;
-  const float* rel_pos;
-  const uint8_t* masked;
-  float* scores;
-  float* out;
+  size_t n_rows = 0;
+  size_t n_ctx = 0;  // the longest row's
+  AttnRow rows[kAttnRowBlock];
+  size_t n_pairs = 0;
+  Pair pairs[kMaxPairs];
+
+  void add_row(const AttnRow& row) {
+    rows[n_rows++] = row;
+    n_ctx = std::max(n_ctx, row.n_ctx);
+    for (size_t h = 0; h < n_q; ++h) {
+      pairs[n_pairs++] = {row.q + h * d_head, row.n_ctx,
+                          row.scores + h * row.n_ctx, row.out + h * d_head};
+    }
+  }
 };
 
-using Raw = float[kMaxGroup][8];
+// One block's scores before bias and mask, per pair.
+using Raw = float[kMaxPairs][8];
 
 // Quantizes one query head slice to int8 (symmetric, max-abs/127) and
 // returns scale * q_scale, the factor that turns an integer score into a
@@ -216,21 +241,13 @@ struct F32Rows {
   VRow v_row;
 
   void prepare(const Attn&) {}
-  // raw[h][r] = (q_h . K[j0 + r]) * scale for the live lanes of a block.
-  // Dead lanes read a live lane's row and their scores are dropped.
-  void score(const Attn& a, size_t j0, unsigned live, Raw& raw) const {
-    const float* rows[8];
-    if (live == 0xff) {
-      for (size_t r = 0; r < 8; ++r) rows[r] = k_row(j0 + r);
-    } else {
-      const size_t alias = j0 + static_cast<size_t>(__builtin_ctz(live));
-      for (size_t r = 0; r < 8; ++r) {
-        rows[r] = k_row((live >> r & 1) != 0 ? j0 + r : alias);
-      }
-    }
-    for (size_t h = 0; h < a.n_q; ++h) {
-      simd::dot8(a.q + h * a.d_head, rows, a.d_head, raw[h]);
-      simd::scale(raw[h], a.scale, 8);
+  // raw[p][r] = (q_p . K[js[r]]) * scale for every pair.
+  void score(const Attn& a, const size_t* js, Raw& raw) const {
+    const float* keys[8];
+    for (size_t r = 0; r < 8; ++r) keys[r] = k_row(js[r]);
+    for (size_t p = 0; p < a.n_pairs; ++p) {
+      simd::dot8(a.pairs[p].q, keys, a.d_head, raw[p]);
+      simd::scale(raw[p], a.scale, 8);
     }
   }
   // The factor that turns a softmax weight into the slot's mix coefficient
@@ -253,50 +270,44 @@ struct Q8Rows {
   const float* const* k;
   const float* const* v;
   size_t off;
-  // Each query head quantized once per call; its error is shared by every
-  // q8 score of the call, so score order within a module follows the
+  // Each query head quantized once per pass; its error is shared by every
+  // q8 score of the pass, so score order within a module follows the
   // per-row K scales alone.
-  int8_t q8[kMaxGroup][kMaxDHead];
-  float fix[kMaxGroup];  // scale * q_scale; a slot's fixup is fix * k_scale
+  int8_t q8[kMaxPairs][kMaxDHead];
+  float fix[kMaxPairs];  // scale * q_scale; a slot's fixup is fix * k_scale
 
-  Q8Rows(const int8_t* const* k8, const int8_t* const* v8,
-         const float* k_scales, const float* v_scales, const float* const* k,
-         const float* const* v, size_t off)
-      : k8(k8), v8(v8), k_scales(k_scales), v_scales(v_scales), k(k), v(v),
-        off(off) {}
+  Q8Rows(const AttnKV& kv)
+      : k8(kv.k8), v8(kv.v8), k_scales(kv.k8_scales), v_scales(kv.v8_scales),
+        k(kv.k_rows), v(kv.v_rows), off(kv.head_off) {}
 
   void prepare(const Attn& a) {
     PC_CHECK_MSG(a.d_head <= kMaxDHead,
                  "attn_fused_q8_gather: d_head too large");
-    for (size_t h = 0; h < a.n_q; ++h) {
-      fix[h] = quantize_query(a.q + h * a.d_head, a.d_head, a.scale, q8[h]);
+    for (size_t p = 0; p < a.n_pairs; ++p) {
+      fix[p] = quantize_query(a.pairs[p].q, a.d_head, a.scale, q8[p]);
     }
   }
-  void score(const Attn& a, size_t j0, unsigned live, Raw& raw) const {
-    if (live == 0xff && std::all_of(k8 + j0, k8 + j0 + 8, [](auto* row) {
-          return row != nullptr;
-        })) {  // a block of module rows: eight keys per call
-      const int8_t* rows[8];
-      for (size_t r = 0; r < 8; ++r) rows[r] = k8[j0 + r] + off;
-      for (size_t h = 0; h < a.n_q; ++h) {
+  void score(const Attn& a, const size_t* js, Raw& raw) const {
+    if (std::all_of(js, js + 8, [&](size_t j) { return k8[j] != nullptr; })) {
+      const int8_t* keys[8];  // a block of module rows: eight keys per call
+      for (size_t r = 0; r < 8; ++r) keys[r] = k8[js[r]] + off;
+      for (size_t p = 0; p < a.n_pairs; ++p) {
         int32_t d[8];
-        simd::dot8_i8(q8[h], rows, a.d_head, d);
+        simd::dot8_i8(q8[p], keys, a.d_head, d);
         for (size_t r = 0; r < 8; ++r) {
-          raw[h][r] = static_cast<float>(d[r]) * (fix[h] * k_scales[j0 + r]);
+          raw[p][r] = static_cast<float>(d[r]) * (fix[p] * k_scales[js[r]]);
         }
       }
       return;
     }
     for (size_t r = 0; r < 8; ++r) {
-      if ((live >> r & 1) == 0) continue;
-      const size_t j = j0 + r;
-      for (size_t h = 0; h < a.n_q; ++h) {
+      const size_t j = js[r];
+      for (size_t p = 0; p < a.n_pairs; ++p) {
         if (k8[j] != nullptr) {
-          const int32_t d = simd::dot_i8(q8[h], k8[j] + off, a.d_head);
-          raw[h][r] = static_cast<float>(d) * (fix[h] * k_scales[j]);
+          const int32_t d = simd::dot_i8(q8[p], k8[j] + off, a.d_head);
+          raw[p][r] = static_cast<float>(d) * (fix[p] * k_scales[j]);
         } else {
-          raw[h][r] = simd::dot(a.q + h * a.d_head, k[j] + off, a.d_head) *
-                      a.scale;
+          raw[p][r] = simd::dot(a.pairs[p].q, k[j] + off, a.d_head) * a.scale;
         }
       }
     }
@@ -332,15 +343,14 @@ struct Q4Rows {
   // The int8 query, zero-padded to whole blocks: padded lanes multiply
   // whatever nibbles sit past d_head and add exactly 0 to both the nibble
   // products and the block sums, so a slice ending mid-block stays exact.
-  int8_t q8[kMaxGroup][kMaxDHead + 32];
-  int32_t q_sums[kMaxGroup][(kMaxDHead + 31) / 32 + 1];
-  float fix[kMaxGroup];
+  int8_t q8[kMaxPairs][kMaxDHead + 32];
+  int32_t q_sums[kMaxPairs][(kMaxDHead + 31) / 32 + 1];
+  float fix[kMaxPairs];
 
-  Q4Rows(const uint8_t* const* k4, const uint8_t* const* v4,
-         const float* const* k4_scales, const float* const* v4_scales,
-         const float* const* k, const float* const* v, size_t off)
-      : k4(k4), v4(v4), k4_scales(k4_scales), v4_scales(v4_scales), k(k),
-        v(v), off(off) {}
+  Q4Rows(const AttnKV& kv)
+      : k4(kv.k4), v4(kv.v4), k4_scales(kv.k4_scales),
+        v4_scales(kv.v4_scales), k(kv.k_rows), v(kv.v_rows),
+        off(kv.head_off) {}
 
   size_t blk_off() const { return off / 32; }
   size_t byte_off() const { return blk_off() * 16; }
@@ -353,44 +363,40 @@ struct Q4Rows {
                  "blocks); models with d_head % 32 != 0 and n_kv_heads > 1 "
                  "cannot serve q4");
     n_blocks = (a.d_head + 31) / 32;
-    for (size_t h = 0; h < a.n_q; ++h) {
-      fix[h] = quantize_query(a.q + h * a.d_head, a.d_head, a.scale, q8[h]);
-      std::fill(q8[h] + a.d_head, q8[h] + n_blocks * 32, int8_t{0});
+    for (size_t p = 0; p < a.n_pairs; ++p) {
+      fix[p] = quantize_query(a.pairs[p].q, a.d_head, a.scale, q8[p]);
+      std::fill(q8[p] + a.d_head, q8[p] + n_blocks * 32, int8_t{0});
       for (size_t b = 0; b < n_blocks; ++b) {
         int32_t s = 0;
-        for (size_t i = 0; i < 32; ++i) s += q8[h][b * 32 + i];
-        q_sums[h][b] = s;
+        for (size_t i = 0; i < 32; ++i) s += q8[p][b * 32 + i];
+        q_sums[p][b] = s;
       }
     }
   }
-  void score(const Attn& a, size_t j0, unsigned live, Raw& raw) const {
-    if (live == 0xff && std::all_of(k4 + j0, k4 + j0 + 8, [](auto* row) {
-          return row != nullptr;
-        })) {  // a block of module rows: eight keys per call
-      const uint8_t* rows[8];
+  void score(const Attn& a, const size_t* js, Raw& raw) const {
+    if (std::all_of(js, js + 8, [&](size_t j) { return k4[j] != nullptr; })) {
+      const uint8_t* keys[8];  // a block of module rows: eight keys per call
       const float* scales[8];
       for (size_t r = 0; r < 8; ++r) {
-        rows[r] = k4[j0 + r] + byte_off();
-        scales[r] = k4_scales[j0 + r] + blk_off();
+        keys[r] = k4[js[r]] + byte_off();
+        scales[r] = k4_scales[js[r]] + blk_off();
       }
-      for (size_t h = 0; h < a.n_q; ++h) {
-        simd::dot8_i4i8(q8[h], rows, scales, q_sums[h], n_blocks, raw[h]);
-        simd::scale(raw[h], fix[h], 8);
+      for (size_t p = 0; p < a.n_pairs; ++p) {
+        simd::dot8_i4i8(q8[p], keys, scales, q_sums[p], n_blocks, raw[p]);
+        simd::scale(raw[p], fix[p], 8);
       }
       return;
     }
     for (size_t r = 0; r < 8; ++r) {
-      if ((live >> r & 1) == 0) continue;
-      const size_t j = j0 + r;
-      for (size_t h = 0; h < a.n_q; ++h) {
+      const size_t j = js[r];
+      for (size_t p = 0; p < a.n_pairs; ++p) {
         if (k4[j] != nullptr) {
-          raw[h][r] = simd::dot_i4i8(q8[h], k4[j] + byte_off(),
-                                     k4_scales[j] + blk_off(), q_sums[h],
+          raw[p][r] = simd::dot_i4i8(q8[p], k4[j] + byte_off(),
+                                     k4_scales[j] + blk_off(), q_sums[p],
                                      n_blocks) *
-                      fix[h];
+                      fix[p];
         } else {
-          raw[h][r] = simd::dot(a.q + h * a.d_head, k[j] + off, a.d_head) *
-                      a.scale;
+          raw[p][r] = simd::dot(a.pairs[p].q, k[j] + off, a.d_head) * a.scale;
         }
       }
     }
@@ -421,95 +427,250 @@ struct Q4Rows {
 #endif
 };
 
-// Step 1 for one block of up to 8 slots: raw scores, then the ALiBi bias
-// fma(-slope, rel, s) and -inf on masked lanes.
-template <typename Rows>
-void score_block(const Rows& rows, const Attn& a, size_t j0) {
-  const size_t cnt = std::min<size_t>(8, a.n_ctx - j0);
-  unsigned live = (1u << cnt) - 1;
-  if (a.masked != nullptr) {
-    for (size_t r = 0; r < cnt; ++r) {
-      if (a.masked[j0 + r] != 0) live &= ~(1u << r);
-    }
-  }
-  if (live == 0) {  // fully masked: nothing to score
-    for (size_t h = 0; h < a.n_q; ++h) {
-      std::fill_n(a.scores + h * a.n_ctx + j0, cnt, kNegInf);
-    }
-    return;
-  }
-  Raw raw{};
-  rows.score(a, j0, live, raw);
+// A pair's running row max over the scored blocks: exact in any lane order.
 #if defined(PC_SIMD_AVX2)
-  const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-  const __m256i in_ctx =
-      _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(cnt)), lane);
-  const __m256 dead = _mm256_castsi256_ps(_mm256_cmpeq_epi32(
-      _mm256_and_si256(_mm256_set1_epi32(static_cast<int>(live)),
-                       _mm256_sllv_epi32(_mm256_set1_epi32(1), lane)),
-      _mm256_setzero_si256()));
-  const __m256 rel = a.rel_pos != nullptr
-                         ? _mm256_maskload_ps(a.rel_pos + j0, in_ctx)
-                         : _mm256_setzero_ps();
-  for (size_t h = 0; h < a.n_q; ++h) {
-    __m256 s = _mm256_loadu_ps(raw[h]);
-    if (a.rel_pos != nullptr) {
-      s = simd::detail::fma8(_mm256_set1_ps(-a.slopes[h]), rel, s);
-    }
-    s = _mm256_blendv_ps(s, _mm256_set1_ps(kNegInf), dead);
-    _mm256_maskstore_ps(a.scores + h * a.n_ctx + j0, in_ctx, s);
-  }
+using RowMax = __m256;
 #else
-  for (size_t h = 0; h < a.n_q; ++h) {
-    float* srow = a.scores + h * a.n_ctx + j0;
-    for (size_t r = 0; r < cnt; ++r) {
-      float s = raw[h][r];
-      if (a.rel_pos != nullptr) s += -a.slopes[h] * a.rel_pos[j0 + r];
-      srow[r] = (live >> r & 1) != 0 ? s : kNegInf;
-    }
-  }
+using RowMax = float;
 #endif
-}
 
-// Step 2: each head's row becomes its softmax weights: row max, exp, a
-// strictly sequential sum in slot order, normalization. A fully masked
-// block (all -inf) holds exact zeros and adds nothing, so it skips the exp;
-// an all-masked head gets zero weights.
-void softmax_rows(const Attn& a) {
-  for (size_t h = 0; h < a.n_q; ++h) {
-    float* row = a.scores + h * a.n_ctx;
-    const float mx = simd::reduce_max(row, a.n_ctx);
-    if (mx == kNegInf) {
-      std::fill(row, row + a.n_ctx, 0.0f);
+// Step 1 for the eight slots at j0: raw scores for every pair, then per
+// pair the ALiBi bias fma(-slope, rel, s) and -inf on masked lanes, stored
+// for the lanes inside its row's context and folded into its row max.
+template <typename Rows>
+void score_block(const Rows& rows, const Attn& a, size_t j0, RowMax* mx) {
+  size_t cnt[kAttnRowBlock];
+  unsigned live[kAttnRowBlock];
+  unsigned any = 0;
+  for (size_t i = 0; i < a.n_rows; ++i) {
+    const AttnRow& row = a.rows[i];
+    cnt[i] = j0 < row.n_ctx ? std::min<size_t>(8, row.n_ctx - j0) : 0;
+    live[i] = (1u << cnt[i]) - 1;
+    if (row.masked != nullptr) {
+      for (size_t r = 0; r < cnt[i]; ++r) {
+        if (row.masked[j0 + r] != 0) live[i] &= ~(1u << r);
+      }
+    }
+    any |= live[i];
+  }
+  Raw raw;
+  if (any != 0) {
+    // Lanes no row reads take a live lane's slot; their scores are dropped.
+    size_t js[8];
+    for (size_t r = 0; r < 8; ++r) js[r] = j0 + r;
+    if (any != 0xff) {
+      const size_t alias = j0 + static_cast<size_t>(__builtin_ctz(any));
+      for (size_t r = 0; r < 8; ++r) {
+        if ((any >> r & 1) == 0) js[r] = alias;
+      }
+    }
+    rows.score(a, js, raw);
+  }
+  for (size_t i = 0; i < a.n_rows; ++i) {
+    const AttnRow& row = a.rows[i];
+    if (cnt[i] == 0) continue;  // past this row's context
+    if (live[i] == 0) {  // fully masked for this row: nothing to score
+      for (size_t h = 0; h < a.n_q; ++h) {
+        std::fill_n(row.scores + h * row.n_ctx + j0, cnt[i], kNegInf);
+      }
       continue;
     }
-    float sum = 0.0f;
-    for (size_t j0 = 0; j0 < a.n_ctx; j0 += 8) {
-      const size_t cnt = std::min<size_t>(8, a.n_ctx - j0);
-      float* w = row + j0;
-      if (std::all_of(w, w + cnt, [](float s) { return s == kNegInf; })) {
-        std::fill(w, w + cnt, 0.0f);
-        continue;
+#if defined(PC_SIMD_AVX2)
+    if (live[i] == 0xff && row.rel_pos == nullptr) {  // nothing to add or mask
+      for (size_t h = 0; h < a.n_q; ++h) {
+        const size_t p = i * a.n_q + h;
+        const __m256 s = _mm256_loadu_ps(raw[p]);
+        _mm256_storeu_ps(row.scores + h * row.n_ctx + j0, s);
+        mx[p] = _mm256_max_ps(mx[p], s);
       }
-      simd::exp_nonpos(w, mx, w, cnt);
-      for (size_t r = 0; r < cnt; ++r) sum += w[r];
+      continue;
     }
-    simd::scale(row, 1.0f / sum, a.n_ctx);
+    const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    const __m256i in_ctx =
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(cnt[i])), lane);
+    const __m256 rel = row.rel_pos != nullptr
+                           ? _mm256_maskload_ps(row.rel_pos + j0, in_ctx)
+                           : _mm256_setzero_ps();
+    const __m256 dead = _mm256_castsi256_ps(_mm256_cmpeq_epi32(
+        _mm256_and_si256(_mm256_set1_epi32(static_cast<int>(live[i])),
+                         _mm256_sllv_epi32(_mm256_set1_epi32(1), lane)),
+        _mm256_setzero_si256()));
+    for (size_t h = 0; h < a.n_q; ++h) {
+      const size_t p = i * a.n_q + h;
+      float* srow = row.scores + h * row.n_ctx + j0;
+      __m256 s = _mm256_loadu_ps(raw[p]);
+      if (row.rel_pos != nullptr) {
+        s = simd::detail::fma8(_mm256_set1_ps(-a.slopes[h]), rel, s);
+      }
+      if (live[i] == 0xff) {  // eight live slots: nothing to blend
+        _mm256_storeu_ps(srow, s);
+      } else {
+        s = _mm256_blendv_ps(s, _mm256_set1_ps(kNegInf), dead);
+        _mm256_maskstore_ps(srow, in_ctx, s);
+      }
+      mx[p] = _mm256_max_ps(mx[p], s);
+    }
+#else
+    for (size_t h = 0; h < a.n_q; ++h) {
+      const size_t p = i * a.n_q + h;
+      float* srow = row.scores + h * row.n_ctx + j0;
+      for (size_t r = 0; r < cnt[i]; ++r) {
+        float s = raw[p][r];
+        if (row.rel_pos != nullptr) s += -a.slopes[h] * row.rel_pos[j0 + r];
+        srow[r] = (live[i] >> r & 1) != 0 ? s : kNegInf;
+        mx[p] = mx[p] > srow[r] ? mx[p] : srow[r];
+      }
+    }
+#endif
+  }
+}
+
+// Step 1 over the whole context; returns each pair's row max in mx.
+template <typename Rows>
+void score_rows(const Rows& rows, const Attn& a, float* mx) {
+  RowMax acc[kMaxPairs];
+#if defined(PC_SIMD_AVX2)
+  std::fill_n(acc, a.n_pairs, _mm256_set1_ps(kNegInf));
+#else
+  std::fill_n(acc, a.n_pairs, kNegInf);
+#endif
+  for (size_t j0 = 0; j0 < a.n_ctx; j0 += 8) score_block(rows, a, j0, acc);
+  for (size_t p = 0; p < a.n_pairs; ++p) {
+#if defined(PC_SIMD_AVX2)
+    float lanes[8];
+    _mm256_storeu_ps(lanes, acc[p]);
+    mx[p] = simd::reduce_max(lanes, 8);
+#else
+    mx[p] = acc[p];
+#endif
+  }
+}
+
+#if defined(PC_SIMD_AVX2)
+// out[r] lane c = v[c] lane r: an 8x8 transpose.
+void transpose8(const __m256* v, __m256* out) {
+  __m256 t[8];
+  for (size_t i = 0; i < 4; ++i) {
+    t[2 * i] = _mm256_unpacklo_ps(v[2 * i], v[2 * i + 1]);
+    t[2 * i + 1] = _mm256_unpackhi_ps(v[2 * i], v[2 * i + 1]);
+  }
+  __m256 u[8];
+  for (size_t i = 0; i < 2; ++i) {
+    for (size_t k = 0; k < 2; ++k) {  // k = 0: columns 2k, 2k + 1 of the half
+      const __m256 lo = t[4 * i + k], hi = t[4 * i + k + 2];
+      u[4 * i + 2 * k] = _mm256_shuffle_ps(lo, hi, _MM_SHUFFLE(1, 0, 1, 0));
+      u[4 * i + 2 * k + 1] = _mm256_shuffle_ps(lo, hi, _MM_SHUFFLE(3, 2, 3, 2));
+    }
+  }
+  for (size_t r = 0; r < 4; ++r) {
+    out[r] = _mm256_permute2f128_ps(u[r], u[r + 4], 0x20);
+    out[r + 4] = _mm256_permute2f128_ps(u[r], u[r + 4], 0x31);
+  }
+}
+#endif
+
+// Step 2: each pair's row becomes its softmax weights: exp block by block,
+// a strictly sequential sum in slot order, normalization. kChains pairs
+// sum together as independent add chains (on AVX2 one vector lane each,
+// fed by a transpose of the pairs' blocks); a lane past its row's context
+// adds +0, which leaves a sum of non-negative weights bit for bit. A fully
+// masked block (all -inf) holds exact zeros and adds nothing, so it skips
+// the exp; an all-masked pair gets zero weights.
+#if defined(PC_SIMD_AVX2)
+// One pair's weights of the eight slots at j0, stored over its scores and
+// returned: simd::exp_nonpos's lanes, +0 past the row's context, and exact
+// zeros for a block masked in full, which skips the exp.
+__m256 exp_block(const Attn::Pair& pair, float mx, size_t j0) {
+  const __m256 zero = _mm256_setzero_ps();
+  if (j0 >= pair.n_ctx || mx == kNegInf) return zero;
+  float* s = pair.scores + j0;
+  const int cnt = static_cast<int>(std::min<size_t>(8, pair.n_ctx - j0));
+  const __m256i live = _mm256_cmpgt_epi32(
+      _mm256_set1_epi32(cnt), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  const __m256 x =
+      cnt == 8 ? _mm256_loadu_ps(s) : _mm256_maskload_ps(s, live);
+  const int in_ctx = (1 << cnt) - 1;
+  const int neg_inf = _mm256_movemask_ps(
+      _mm256_cmp_ps(x, _mm256_set1_ps(kNegInf), _CMP_EQ_OQ));
+  if ((neg_inf & in_ctx) == in_ctx) {
+    _mm256_maskstore_ps(s, live, zero);
+    return zero;
+  }
+  const __m256 w = simd::detail::exp8(_mm256_sub_ps(x, _mm256_set1_ps(mx)));
+  if (cnt == 8) {
+    _mm256_storeu_ps(s, w);
+    return w;
+  }
+  _mm256_maskstore_ps(s, live, w);
+  return _mm256_and_ps(w, _mm256_castsi256_ps(live));
+}
+#endif
+
+void softmax_rows(const Attn& a, const float* mx) {
+  for (size_t p0 = 0; p0 < a.n_pairs; p0 += kChains) {
+    const size_t n = std::min(kChains, a.n_pairs - p0);
+    size_t n_ctx = 0;
+    for (size_t c = 0; c < n; ++c) {
+      n_ctx = std::max(n_ctx, a.pairs[p0 + c].n_ctx);
+    }
+#if defined(PC_SIMD_AVX2)
+    __m256 sums = _mm256_setzero_ps();  // lane c: chain c
+    for (size_t j0 = 0; j0 < n_ctx; j0 += 8) {
+      __m256 v[kChains], slot[8];
+      for (size_t c = 0; c < kChains; ++c) {
+        v[c] = c < n ? exp_block(a.pairs[p0 + c], mx[p0 + c], j0)
+                     : _mm256_setzero_ps();
+      }
+      transpose8(v, slot);
+      for (size_t r = 0; r < 8; ++r) sums = _mm256_add_ps(sums, slot[r]);
+    }
+    float sum[kChains];
+    _mm256_storeu_ps(sum, sums);
+#else
+    float sum[kChains] = {};
+    for (size_t j0 = 0; j0 < n_ctx; j0 += 8) {
+      float w[kChains][8] = {};  // chain c's weights of the block
+      for (size_t c = 0; c < n; ++c) {
+        const size_t p = p0 + c;
+        if (j0 >= a.pairs[p].n_ctx || mx[p] == kNegInf) continue;
+        const size_t cnt = std::min<size_t>(8, a.pairs[p].n_ctx - j0);
+        float* s = a.pairs[p].scores + j0;
+        if (std::all_of(s, s + cnt, [](float x) { return x == kNegInf; })) {
+          std::fill(s, s + cnt, 0.0f);
+          continue;
+        }
+        simd::exp_nonpos(s, mx[p], s, cnt);
+        std::copy(s, s + cnt, w[c]);
+      }
+      for (size_t r = 0; r < 8; ++r) {
+        for (size_t c = 0; c < kChains; ++c) sum[c] += w[c][r];
+      }
+    }
+#endif
+    for (size_t c = 0; c < n; ++c) {
+      const size_t p = p0 + c;
+      float* row = a.pairs[p].scores;
+      if (mx[p] == kNegInf) {
+        std::fill(row, row + a.pairs[p].n_ctx, 0.0f);
+      } else {
+        simd::scale(row, 1.0f / sum[c], a.pairs[p].n_ctx);
+      }
+    }
   }
 }
 
 // Step 3, element by element: out[e] accumulates alpha * V_j[e] in slot
 // order from 0, skipping zero weights, with alpha = w * v_scale. Used for
-// the whole head on builds without AVX2 and for the d_head % 8 tail on
-// AVX2; the arithmetic is the simd axpy kernels' (fma1 rounds like their
-// vector bodies).
+// every pair on builds without AVX2 and for the d_head % 8 tail on AVX2;
+// the arithmetic is the simd axpy kernels' (fma1 rounds like their vector
+// bodies).
 template <typename Rows>
 void mix_elems(const Rows& rows, const Attn& a, size_t e_begin) {
-  for (size_t h = 0; h < a.n_q; ++h) {
-    const float* w = a.scores + h * a.n_ctx;
-    float* out = a.out + h * a.d_head;
+  for (size_t p = 0; p < a.n_pairs; ++p) {
+    const float* w = a.pairs[p].scores;
+    float* out = a.pairs[p].out;
     std::fill(out + e_begin, out + a.d_head, 0.0f);
-    for (size_t j = 0; j < a.n_ctx; ++j) {
+    for (size_t j = 0; j < a.pairs[p].n_ctx; ++j) {
       if (w[j] == 0.0f) continue;
       for (size_t e = e_begin; e < a.d_head; ++e) {
         const float alpha = w[j] * rows.v_scale(j, e / 32);
@@ -520,114 +681,177 @@ void mix_elems(const Rows& rows, const Attn& a, size_t e_begin) {
 }
 
 #if defined(PC_SIMD_AVX2)
-// Step 3 on AVX2 for H heads and one tile of C <= 4 chunks (8 lanes each)
-// starting at chunk c0, i.e. at most 32 values, one Q4_0 block: the tile's
-// output stays in registers while every slot's value chunks are decoded
-// once and mixed into all H heads. Per lane this is simd::axpy's FMA
-// sequence.
-template <size_t H, size_t C, typename Rows>
-void mix_tile(const Rows& rows, const Attn& a, size_t h0, size_t c0) {
-  const float* w[H];
-  for (size_t h = 0; h < H; ++h) w[h] = a.scores + (h0 + h) * a.n_ctx;
-  __m256 acc[H][C];
-  for (size_t h = 0; h < H; ++h) {
-    for (size_t c = 0; c < C; ++c) acc[h][c] = _mm256_setzero_ps();
+// Step 3 on AVX2 for G pairs from p0 and one tile of C <= 4 chunks (8 lanes
+// each) starting at chunk c0 inside one Q4_0 block: the tile's output stays
+// in registers while every slot's value chunks are decoded once and mixed
+// into all G pairs. Per lane this is simd::axpy's FMA sequence.
+template <size_t G, size_t C, typename Rows>
+void mix_tile(const Rows& rows, const Attn& a, size_t p0, size_t c0) {
+  const float* w[G];
+  size_t ctx[G];
+  size_t n_ctx = 0;
+  for (size_t g = 0; g < G; ++g) {
+    w[g] = a.pairs[p0 + g].scores;
+    ctx[g] = a.pairs[p0 + g].n_ctx;
+    n_ctx = std::max(n_ctx, ctx[g]);
+  }
+  __m256 acc[G][C];
+  for (size_t g = 0; g < G; ++g) {
+    for (size_t c = 0; c < C; ++c) acc[g][c] = _mm256_setzero_ps();
   }
   const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-  for (size_t j0 = 0; j0 < a.n_ctx; j0 += 8) {
-    // Which of the block's slots carry a nonzero weight, per head.
-    const size_t cnt = std::min<size_t>(8, a.n_ctx - j0);
-    const __m256i in_ctx =
-        _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(cnt)), lane);
-    unsigned nz[H];
+  for (size_t j0 = 0; j0 < n_ctx; j0 += 8) {
+    // Which of the block's slots carry a nonzero weight, per pair.
+    unsigned nz[G];
     unsigned any = 0;
-    for (size_t h = 0; h < H; ++h) {
-      const __m256 wv = _mm256_maskload_ps(w[h] + j0, in_ctx);
-      nz[h] = static_cast<unsigned>(_mm256_movemask_ps(
+    unsigned all = 0xff;
+    for (size_t g = 0; g < G; ++g) {
+      nz[g] = 0;
+      if (j0 >= ctx[g]) {
+        all = 0;
+        continue;
+      }
+      const size_t cnt = std::min<size_t>(8, ctx[g] - j0);
+      const __m256i in_ctx =
+          _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(cnt)), lane);
+      const __m256 wv = _mm256_maskload_ps(w[g] + j0, in_ctx);
+      nz[g] = static_cast<unsigned>(_mm256_movemask_ps(
           _mm256_cmp_ps(wv, _mm256_setzero_ps(), _CMP_NEQ_UQ)));
-      any |= nz[h];
+      any |= nz[g];
+      all &= nz[g];
     }
-    for (size_t r = 0; r < cnt; ++r) {
-      if ((any >> r & 1) == 0) continue;
+    // Slot r of the block into every pair whose bit `live` has.
+    const auto mix_slot = [&](size_t r, auto live) {
       const size_t j = j0 + r;
       const float vs = rows.v_scale(j, c0 / 4);
       __m256 x[C];
       for (size_t c = 0; c < C; ++c) x[c] = rows.v_chunk(j, c0 + c);
-      for (size_t h = 0; h < H; ++h) {
-        if ((nz[h] >> r & 1) == 0) continue;  // zero weight: skip the slot
-        const __m256 alpha = _mm256_set1_ps(w[h][j] * vs);
+      for (size_t g = 0; g < G; ++g) {
+        if (!live(g)) continue;  // zero weight: skip the slot
+        const __m256 alpha = _mm256_set1_ps(w[g][j] * vs);
         for (size_t c = 0; c < C; ++c) {
-          acc[h][c] = simd::detail::fma8(alpha, x[c], acc[h][c]);
+          acc[g][c] = simd::detail::fma8(alpha, x[c], acc[g][c]);
         }
       }
+    };
+    if (all == 0xff) {  // every weight of the block nonzero: no skips
+      for (size_t r = 0; r < 8; ++r) mix_slot(r, [](size_t) { return true; });
+      continue;
+    }
+    for (; any != 0; any &= any - 1) {
+      const size_t r = static_cast<size_t>(__builtin_ctz(any));
+      mix_slot(r, [&](size_t g) { return (nz[g] >> r & 1) != 0; });
     }
   }
-  for (size_t h = 0; h < H; ++h) {
-    float* out = a.out + (h0 + h) * a.d_head + 8 * c0;
-    for (size_t c = 0; c < C; ++c) _mm256_storeu_ps(out + 8 * c, acc[h][c]);
+  for (size_t g = 0; g < G; ++g) {
+    float* out = a.pairs[p0 + g].out + 8 * c0;
+    for (size_t c = 0; c < C; ++c) _mm256_storeu_ps(out + 8 * c, acc[g][c]);
   }
 }
 
-template <size_t H, typename Rows>
-void mix_heads(const Rows& rows, const Attn& a, size_t h0) {
+// G pairs' whole d_head & ~7 values, in tiles of at most eight
+// accumulators: four chunks for up to two pairs, two for more.
+template <size_t G, typename Rows>
+void mix_pairs(const Rows& rows, const Attn& a, size_t p0) {
+  constexpr size_t C = G <= 2 ? 4 : 2;
   const size_t n_chunks = a.d_head / 8;
   size_t c0 = 0;
-  for (; c0 + 4 <= n_chunks; c0 += 4) mix_tile<H, 4>(rows, a, h0, c0);
-  switch (n_chunks - c0) {
-    case 3: mix_tile<H, 3>(rows, a, h0, c0); break;
-    case 2: mix_tile<H, 2>(rows, a, h0, c0); break;
-    case 1: mix_tile<H, 1>(rows, a, h0, c0); break;
-    default: break;
+  for (; c0 + C <= n_chunks; c0 += C) mix_tile<G, C>(rows, a, p0, c0);
+  if constexpr (C == 4) {
+    if (n_chunks - c0 == 3) mix_tile<G, 3>(rows, a, p0, c0);
+    if (n_chunks - c0 == 2) mix_tile<G, 2>(rows, a, p0, c0);
   }
+  if (n_chunks - c0 == 1) mix_tile<G, 1>(rows, a, p0, c0);
 }
 #endif
 
 template <typename Rows>
 void mix(const Rows& rows, const Attn& a) {
 #if defined(PC_SIMD_AVX2)
-  size_t h = 0;
-  for (; h + 2 <= a.n_q; h += 2) mix_heads<2>(rows, a, h);
-  if (h < a.n_q) mix_heads<1>(rows, a, h);
+  size_t p = 0;
+  for (; p + 4 <= a.n_pairs; p += 4) mix_pairs<4>(rows, a, p);
+  switch (a.n_pairs - p) {
+    case 3: mix_pairs<3>(rows, a, p); break;
+    case 2: mix_pairs<2>(rows, a, p); break;
+    case 1: mix_pairs<1>(rows, a, p); break;
+    default: break;
+  }
   if (a.d_head % 8 != 0) mix_elems(rows, a, a.d_head & ~size_t{7});
 #else
   mix_elems(rows, a, 0);
 #endif
 }
 
-// Runs a group in slices of kMaxGroup heads, each after the format's
-// per-slice query set-up (`prepare`: the q8/q4 query quantization).
+// Runs the rows in blocks of kAttnRowBlock and the group in slices of
+// kMaxGroup heads, each pass after the format's query set-up (`prepare`:
+// the q8/q4 query quantization). A row with no context gets a zero output.
 template <typename Rows>
-void attend(Rows& rows, const Attn& a) {
-  for (size_t h0 = 0; h0 < a.n_q; h0 += kMaxGroup) {
-    Attn s = a;
-    s.n_q = std::min(kMaxGroup, a.n_q - h0);
-    s.q = a.q + h0 * a.d_head;
-    s.out = a.out + h0 * a.d_head;
-    s.scores = a.scores + h0 * a.n_ctx;
-    s.slopes = a.slopes != nullptr ? a.slopes + h0 : nullptr;
-    rows.prepare(s);
-    if (s.n_ctx == 0) {
-      std::fill(s.out, s.out + s.n_q * s.d_head, 0.0f);
-      continue;
+void attend(Rows& rows, const AttnRow* in, size_t n_rows, size_t n_q,
+            size_t d_head, float scale, const float* slopes) {
+  for (size_t b = 0; b < n_rows; b += kAttnRowBlock) {
+    for (size_t h0 = 0; h0 < n_q; h0 += kMaxGroup) {
+      Attn a;
+      a.n_q = std::min(kMaxGroup, n_q - h0);
+      a.d_head = d_head;
+      a.scale = scale;
+      a.slopes = slopes != nullptr ? slopes + h0 : nullptr;
+      for (size_t r = b; r < std::min(n_rows, b + kAttnRowBlock); ++r) {
+        float* out = in[r].out + h0 * d_head;
+        if (in[r].n_ctx == 0) {
+          std::fill(out, out + a.n_q * d_head, 0.0f);
+          continue;
+        }
+        a.add_row({in[r].q + h0 * d_head, in[r].n_ctx, in[r].rel_pos,
+                   in[r].masked, in[r].scores + h0 * in[r].n_ctx, out});
+      }
+      rows.prepare(a);
+      if (a.n_rows == 0) continue;
+      float mx[kMaxPairs];
+      score_rows(rows, a, mx);
+      softmax_rows(a, mx);
+      mix(rows, a);
     }
-    for (size_t j0 = 0; j0 < s.n_ctx; j0 += 8) score_block(rows, s, j0);
-    softmax_rows(s);
-    mix(rows, s);
   }
 }
 
 }  // namespace
+
+void attn_fused(const AttnKV& kv, const AttnRow* rows, size_t n_rows,
+                size_t n_q, size_t d_head, float scale,
+                const float* alibi_slopes) {
+  if (kv.k4 != nullptr) {
+    Q4Rows fmt(kv);
+    attend(fmt, rows, n_rows, n_q, d_head, scale, alibi_slopes);
+  } else if (kv.k8 != nullptr) {
+    Q8Rows fmt(kv);
+    attend(fmt, rows, n_rows, n_q, d_head, scale, alibi_slopes);
+  } else if (kv.k_rows != nullptr) {
+    F32Rows fmt{[k = kv.k_rows, off = kv.head_off](size_t j) {
+                  return k[j] + off;
+                },
+                [v = kv.v_rows, off = kv.head_off](size_t j) {
+                  return v[j] + off;
+                }};
+    attend(fmt, rows, n_rows, n_q, d_head, scale, alibi_slopes);
+  } else {
+    F32Rows fmt{[k = kv.k, stride = kv.row_stride](size_t j) {
+                  return k + j * stride;
+                },
+                [v = kv.v, stride = kv.row_stride](size_t j) {
+                  return v + j * stride;
+                }};
+    attend(fmt, rows, n_rows, n_q, d_head, scale, alibi_slopes);
+  }
+}
 
 void attn_fused_contig(const float* q, const float* k, const float* v,
                        size_t row_stride, size_t d_head, size_t n_ctx,
                        float scale, const float* alibi_slopes,
                        const float* rel_pos, const uint8_t* masked,
                        float* scores, float* out, size_t n_q) {
-  F32Rows rows{[=](size_t j) { return k + j * row_stride; },
-               [=](size_t j) { return v + j * row_stride; }};
-  attend(rows,
-         {q, n_q, d_head, n_ctx, scale, alibi_slopes, rel_pos, masked, scores,
-          out});
+  const AttnRow row{q, n_ctx, rel_pos, masked, scores, out};
+  attn_fused({.k = k, .v = v, .row_stride = row_stride}, &row, 1, n_q, d_head,
+             scale, alibi_slopes);
 }
 
 void attn_fused_gather(const float* q, const float* const* k_rows,
@@ -636,11 +860,9 @@ void attn_fused_gather(const float* q, const float* const* k_rows,
                        const float* alibi_slopes, const float* rel_pos,
                        const uint8_t* masked, float* scores, float* out,
                        size_t n_q) {
-  F32Rows rows{[=](size_t j) { return k_rows[j] + head_off; },
-               [=](size_t j) { return v_rows[j] + head_off; }};
-  attend(rows,
-         {q, n_q, d_head, n_ctx, scale, alibi_slopes, rel_pos, masked, scores,
-          out});
+  const AttnRow row{q, n_ctx, rel_pos, masked, scores, out};
+  attn_fused({.k_rows = k_rows, .v_rows = v_rows, .head_off = head_off}, &row,
+             1, n_q, d_head, scale, alibi_slopes);
 }
 
 void attn_fused_q8_gather(const float* q, const int8_t* const* k8_rows,
@@ -651,11 +873,15 @@ void attn_fused_q8_gather(const float* q, const int8_t* const* k8_rows,
                           const float* alibi_slopes, const float* rel_pos,
                           const uint8_t* masked, float* scores, float* out,
                           size_t n_q) {
-  Q8Rows rows(k8_rows, v8_rows, k_scales, v_scales, k_rows, v_rows,
-              head_off);
-  attend(rows,
-         {q, n_q, d_head, n_ctx, scale, alibi_slopes, rel_pos, masked, scores,
-          out});
+  const AttnRow row{q, n_ctx, rel_pos, masked, scores, out};
+  attn_fused({.k_rows = k_rows,
+              .v_rows = v_rows,
+              .head_off = head_off,
+              .k8 = k8_rows,
+              .v8 = v8_rows,
+              .k8_scales = k_scales,
+              .v8_scales = v_scales},
+             &row, 1, n_q, d_head, scale, alibi_slopes);
 }
 
 void attn_fused_q4_gather(const float* q, const uint8_t* const* k4_rows,
@@ -668,11 +894,15 @@ void attn_fused_q4_gather(const float* q, const uint8_t* const* k4_rows,
                           const float* alibi_slopes, const float* rel_pos,
                           const uint8_t* masked, float* scores, float* out,
                           size_t n_q) {
-  Q4Rows rows(k4_rows, v4_rows, k4_scales, v4_scales, k_rows, v_rows,
-              head_off);
-  attend(rows,
-         {q, n_q, d_head, n_ctx, scale, alibi_slopes, rel_pos, masked, scores,
-          out});
+  const AttnRow row{q, n_ctx, rel_pos, masked, scores, out};
+  attn_fused({.k_rows = k_rows,
+              .v_rows = v_rows,
+              .head_off = head_off,
+              .k4 = k4_rows,
+              .v4 = v4_rows,
+              .k4_scales = k4_scales,
+              .v4_scales = v4_scales},
+             &row, 1, n_q, d_head, scale, alibi_slopes);
 }
 
 // ---- Tensor wrappers -------------------------------------------------------

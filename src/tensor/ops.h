@@ -47,16 +47,18 @@ void gelu_inplace(float* x, size_t n);
 
 // ---- fused attention -------------------------------------------------------
 //
-// The n_q query heads of one GQA group against their shared KV head's cached
-// context: per head, scores = scale * q·K^T (+ ALiBi bias, + mask), softmax,
-// out = scores·V — fused so the scores never leave a caller-provided scratch
-// row and every K/V row is read once for the whole group. n_q is 1 for MHA,
-// n_heads / n_kv_heads under GQA (n_heads under multi-query attention).
+// Query rows against one KV head's cached context: for each row's n_q query
+// heads (the GQA group sharing the KV head), scores = scale * q·K^T
+// (+ ALiBi bias, + mask), softmax, out = scores·V — fused so the scores
+// never leave caller-provided scratch. n_q is 1 for MHA, n_heads /
+// n_kv_heads under GQA (n_heads under multi-query attention). One core
+// serves every row format and attends up to kAttnRowBlock rows per pass, so
+// every K/V row is read once per group and row block.
 //
 // Contract (shared by every variant):
-//  * Head h's d_head query slice is q + h * d_head and its output
-//    out + h * d_head (overwritten): the model's head-major row layout, so a
-//    group's heads are consecutive.
+//  * A row's head h has its d_head query slice at q + h * d_head and its
+//    output at out + h * d_head (overwritten): the model's head-major row
+//    layout, so a group's heads are consecutive.
 //  * `masked`, when non-null, has n_ctx bytes shared by all heads;
 //    masked[j] != 0 forces score -inf for slot j. Masked slots contribute
 //    an exact +0.0f to the softmax sum (added in sequence order) and are
@@ -68,23 +70,74 @@ void gelu_inplace(float* x, size_t n);
 //    score j (one fused multiply-add where the build has FMA), matching
 //    Alibi::bias(). `alibi_slopes` (n_q floats) is read only when rel_pos is
 //    non-null; pass nullptrs for RoPE/learned models.
-//  * `scores` is caller scratch of at least n_q * n_ctx floats; on return
-//    row h (scores + h * n_ctx) holds head h's softmax weights (tests use
-//    this; the engine just reuses it).
+//  * `scores` is a row's caller scratch of at least n_q * n_ctx floats (a
+//    block of R rows needs R × n_q × n_ctx); on return row h (scores + h *
+//    n_ctx) holds head h's softmax weights (tests use this; the engine
+//    just reuses it).
 //  * The weights are e^(s - max) from simd::exp_nonpos, not std::exp: within
 //    1 ulp of it on [-87, 0] (equal on all but ~0.01% of that range), and
 //    exactly +0 below -87, so no weight is subnormal.
 //  * Every head's scores, weights and output are bit-identical to the same
-//    call with n_q = 1 on that head alone: grouping changes which rows are
-//    loaded together, never the arithmetic.
+//    call with n_q = 1 on that head alone, and every row's to a one-row
+//    call with that row's arguments: grouping heads and blocking rows
+//    change which rows are loaded together, never the arithmetic.
 //  * If every slot is masked the softmax is undefined; the kernel defines
 //    the result as all-zero output and all-zero weights. The engine never
 //    hits this (a token always attends to itself) but the kernel-level
-//    contract must totalize it.
+//    contract must totalize it. A row with n_ctx = 0 gets a zero output.
 //
-// Each variant also has a single-head form (alibi_slope by value, no n_q):
-// the n_q = 1 case of the same code.
-//
+// attn_fused takes any number of rows, each with the arguments of a
+// one-row call, and attends them kAttnRowBlock at a time; the format
+// variants below are its one-row calls, and each also has a single-head
+// form (alibi_slope by value, no n_q): the n_q = 1 case of the same code.
+
+// Rows one pass of attn_fused attends together: each K block and each
+// decoded V row is loaded once for all of them, and their softmax sums run
+// as independent chains. On llama_tiny's prefill block (32 rows × 3 KV
+// heads at 1K and 2K cached fp32 slots) passes of four rows ran in 0.85×
+// the time of passes of two, and in 0.67× that of one-row calls.
+constexpr size_t kAttnRowBlock = 4;
+
+// One query row of an attn_fused call: the row arguments of a one-row call.
+// `scores` is this row's n_q * n_ctx scratch.
+struct AttnRow {
+  const float* q;
+  size_t n_ctx;
+  const float* rel_pos;
+  const uint8_t* masked;
+  float* scores;
+  float* out;
+};
+
+// One KV head's cached rows. With no row tables (k_rows, k8 and k4 null)
+// they are contiguous fp32 rows at k + j * row_stride and v + j *
+// row_stride (attn_fused_contig). Otherwise slot j is read through the
+// row tables at head_off within its row: Q4_0 when k4 is set and k4[j] !=
+// nullptr (attn_fused_q4_gather), else Q8_0 when k8 is set and k8[j] !=
+// nullptr (attn_fused_q8_gather), else fp32 k_rows[j] / v_rows[j]
+// (attn_fused_gather). A table set holds at most one quantized format.
+struct AttnKV {
+  const float* k = nullptr;
+  const float* v = nullptr;
+  size_t row_stride = 0;
+  const float* const* k_rows = nullptr;
+  const float* const* v_rows = nullptr;
+  size_t head_off = 0;
+  const int8_t* const* k8 = nullptr;
+  const int8_t* const* v8 = nullptr;
+  const float* k8_scales = nullptr;
+  const float* v8_scales = nullptr;
+  const uint8_t* const* k4 = nullptr;
+  const uint8_t* const* v4 = nullptr;
+  const float* const* k4_scales = nullptr;
+  const float* const* v4_scales = nullptr;
+};
+
+// rows[0, n_rows) against one KV head, each row with n_q query heads.
+void attn_fused(const AttnKV& kv, const AttnRow* rows, size_t n_rows,
+                size_t n_q, size_t d_head, float scale,
+                const float* alibi_slopes);
+
 // Contiguous variant: K/V token rows live at k[j*row_stride], v[j*row_stride]
 // (KVCache layout: row_stride == kv_dim, base pre-offset to the head).
 void attn_fused_contig(const float* q, const float* k, const float* v,

@@ -197,6 +197,7 @@ inline void dot8(const float* q, const float* const* rows, size_t n,
     for (int r = 0; r < 8; ++r) acc[r] = detail::dot_acc(q, rows[r], n);
   }
   _mm256_storeu_ps(out, detail::hadd8x8(acc));
+  if (n % 8 == 0) return;  // no tail: skip eight store-to-load round trips
   for (int r = 0; r < 8; ++r) {
     float s = out[r];
     for (size_t i = n & ~size_t{7}; i < n; ++i) s += q[i] * rows[r][i];

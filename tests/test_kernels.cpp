@@ -13,6 +13,7 @@
 #include <cstring>
 #include <limits>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -1373,7 +1374,9 @@ const char* format_name(AttnFormat f) {
 
 // One context in every format the kernels read. In the q8/q4 tables slot j
 // is quantized unless j % 3 == 2, which reads the fp32 rows (a borrowed
-// view's owned tail, interleaved to cover both kinds in every block).
+// view's owned tail, interleaved to cover both kinds in every block), or
+// j >= fp32_from, the layout of a sequence cache: module rows, then the
+// sequence's own fp32 rows.
 struct AttnContext {
   size_t n_ctx, kv_dim, head_off;
   std::vector<float> k, v;
@@ -1386,7 +1389,7 @@ struct AttnContext {
   std::vector<const float*> k4_sc, v4_sc;
 
   AttnContext(std::vector<float> k_in, std::vector<float> v_in, size_t n,
-              size_t dim, size_t off)
+              size_t dim, size_t off, size_t fp32_from = SIZE_MAX)
       : n_ctx(n), kv_dim(dim), head_off(off), k(std::move(k_in)),
         v(std::move(v_in)), k8(n * dim), v8(n * dim), k8s(n), v8s(n),
         k4(k.data(), n, dim), v4(v.data(), n, dim) {
@@ -1409,7 +1412,7 @@ struct AttnContext {
     for (size_t j = 0; j < n; ++j) {
       k_rows[j] = k.data() + j * dim;
       v_rows[j] = v.data() + j * dim;
-      if (j % 3 == 2) {
+      if (fp32_from == SIZE_MAX ? j % 3 == 2 : j >= fp32_from) {
         kf_rows[j] = k_rows[j];
         vf_rows[j] = v_rows[j];
       } else {
@@ -1423,10 +1426,12 @@ struct AttnContext {
     }
   }
 
-  // The grouped call for n_q heads.
+  // The grouped call for n_q heads over the first n slots.
   void attend(AttnFormat f, const float* q, size_t n_q, size_t d_head,
               float scale, const float* slopes, const float* rel,
-              const uint8_t* masked, float* scores, float* out) const {
+              const uint8_t* masked, float* scores, float* out,
+              size_t n = SIZE_MAX) const {
+    const size_t n_ctx = std::min(n, this->n_ctx);
     switch (f) {
       case AttnFormat::kContig:
         attn_fused_contig(q, k.data() + head_off, v.data() + head_off, kv_dim,
@@ -1450,6 +1455,37 @@ struct AttnContext {
                              masked, scores, out, n_q);
         return;
     }
+  }
+
+  // The context as attn_fused reads it.
+  AttnKV kv(AttnFormat f) const {
+    switch (f) {
+      case AttnFormat::kContig:
+        return {.k = k.data() + head_off,
+                .v = v.data() + head_off,
+                .row_stride = kv_dim};
+      case AttnFormat::kGather:
+        return {.k_rows = k_rows.data(),
+                .v_rows = v_rows.data(),
+                .head_off = head_off};
+      case AttnFormat::kQ8:
+        return {.k_rows = kf_rows.data(),
+                .v_rows = vf_rows.data(),
+                .head_off = head_off,
+                .k8 = k8_rows.data(),
+                .v8 = v8_rows.data(),
+                .k8_scales = k8s.data(),
+                .v8_scales = v8s.data()};
+      case AttnFormat::kQ4:
+        return {.k_rows = kf_rows.data(),
+                .v_rows = vf_rows.data(),
+                .head_off = head_off,
+                .k4 = k4_rows.data(),
+                .v4 = v4_rows.data(),
+                .k4_scales = k4_sc.data(),
+                .v4_scales = v4_sc.data()};
+    }
+    return {};
   }
 
   // The single-head form, one head's slope by value.
@@ -1632,6 +1668,124 @@ TEST(FusedAttention, MaskedSlotsBitIdenticalToCompactedContext) {
       }
     }
   }
+}
+
+// ---- row blocks ----------------------------------------------------------------
+
+// Query rows of one sequence attended as one attn_fused call must give every
+// row the bits of its one-row call: blocking rows changes which rows are
+// loaded together, never the arithmetic. Row i of a block sees a ragged
+// causal context of base + i + 1 slots over base module rows (quantized
+// for q8/q4) and the rows' own fp32 tail. The masked variant masks random
+// holes and the whole 8-slot blocks [8, 16) and [24, 32), masks one row
+// entirely, and gives one row no context at all.
+void expect_row_blocks_match_one_row_calls(size_t d_head, size_t kv_dim,
+                                           std::vector<AttnFormat> formats) {
+  const size_t head_off = kv_dim - d_head;
+  const float scale = 0.25f;
+  const size_t max_rows = 2 * kAttnRowBlock + 1;
+  for (size_t base : {0, 5, 1029}) {
+    const size_t n_ctx = base + max_rows;
+    const AttnContext c(random_vec(n_ctx * kv_dim, 3001 + base, 0.5f),
+                        random_vec(n_ctx * kv_dim, 3003 + base, 0.5f), n_ctx,
+                        kv_dim, head_off, base);
+    Rng rng(3005 + base);
+    std::vector<uint8_t> holes(max_rows * n_ctx);
+    for (auto& mv : holes) mv = rng.next_below(4) == 0 ? 1 : 0;
+    std::vector<float> rel(max_rows * n_ctx);
+    for (size_t i = 0; i < max_rows; ++i) {
+      for (size_t j = 0; j < n_ctx; ++j) {
+        uint8_t& m = holes[i * n_ctx + j];
+        if ((j >= 8 && j < 16) || (j >= 24 && j < 32)) m = 1;
+        if (j == base + i) m = 0;  // a row sees itself
+        if (i == 2) m = 1;         // ...but for one fully masked row
+        rel[i * n_ctx + j] = static_cast<float>(static_cast<int>(base + i) -
+                                                static_cast<int>(j));
+      }
+    }
+    for (size_t group : {1, 2, 6}) {
+      const auto q = random_vec(max_rows * group * d_head, 3007 + group, 0.5f);
+      std::vector<float> slopes(group);
+      for (size_t h = 0; h < group; ++h) {
+        slopes[h] = std::ldexp(1.0f, -static_cast<int>(h) - 1);
+      }
+      for (AttnFormat f : formats) {
+        for (const bool masked : {false, true}) {
+          for (const bool alibi : {false, true}) {
+            // Row i's one-row call, scores then output, at n_ctx slots.
+            const auto one_row = [&](size_t i, size_t n) {
+              std::vector<float> so(group * (n + d_head));
+              c.attend(f, q.data() + i * group * d_head, group, d_head, scale,
+                       slopes.data(), alibi ? &rel[i * n_ctx] : nullptr,
+                       masked ? &holes[i * n_ctx] : nullptr, so.data(),
+                       so.data() + group * n, n);
+              return so;
+            };
+            std::vector<std::vector<float>> refs;
+            for (size_t i = 0; i < max_rows; ++i) {
+              refs.push_back(one_row(i, base + i + 1));
+            }
+            for (size_t n_rows = 1; n_rows <= max_rows; ++n_rows) {
+              std::vector<AttnRow> rows(n_rows);
+              std::vector<float> scores(n_rows * group * n_ctx, 42.0f);
+              std::vector<float> out(n_rows * group * d_head, 42.0f);
+              for (size_t i = 0; i < n_rows; ++i) {
+                const bool empty = masked && i == n_rows / 2;
+                rows[i] = {q.data() + i * group * d_head,
+                           empty ? 0 : base + i + 1,
+                           alibi ? &rel[i * n_ctx] : nullptr,
+                           masked ? &holes[i * n_ctx] : nullptr,
+                           &scores[i * group * n_ctx],
+                           &out[i * group * d_head]};
+              }
+              attn_fused(c.kv(f), rows.data(), n_rows, group, d_head, scale,
+                         slopes.data());
+              for (size_t i = 0; i < n_rows; ++i) {
+                const AttnRow& row = rows[i];
+                const std::vector<float> ref =
+                    row.n_ctx == 0 ? one_row(i, 0) : refs[i];
+                const std::span<const float> s1(ref.data(),
+                                                group * row.n_ctx);
+                const std::span<const float> o1(ref.data() + s1.size(),
+                                                group * d_head);
+                const auto where = [&] {
+                  return ::testing::Message()
+                         << format_name(f) << " d_head=" << d_head
+                         << " base=" << base << " group=" << group
+                         << " rows=" << n_rows << " row=" << i
+                         << " n_ctx=" << row.n_ctx << " mask=" << masked
+                         << " alibi=" << alibi;
+                };
+                for (size_t x = 0; x < s1.size(); ++x) {
+                  ASSERT_EQ(float_bits(row.scores[x]), float_bits(s1[x]))
+                      << where() << " score " << x;
+                }
+                for (size_t e = 0; e < o1.size(); ++e) {
+                  ASSERT_EQ(float_bits(row.out[e]), float_bits(o1[e]))
+                      << where() << " elem " << e;
+                  if (row.n_ctx == 0 || (masked && i == 2)) {
+                    ASSERT_EQ(float_bits(o1[e]), 0) << where();
+                  }
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_P(FusedAttentionTest, RowBlockMatchesOneRowCallsBitwise) {
+  const auto [d_head, n_ctx, kv_dim] = GetParam();
+  expect_row_blocks_match_one_row_calls(
+      d_head, kv_dim, {AttnFormat::kContig, AttnFormat::kGather,
+                       AttnFormat::kQ8});
+}
+
+TEST_P(Q4FusedAttentionTest, RowBlockMatchesOneRowCallsBitwise) {
+  const auto [d_head, n_ctx, kv_dim] = GetParam();
+  expect_row_blocks_match_one_row_calls(d_head, kv_dim, {AttnFormat::kQ4});
 }
 
 // ---- mask-hoist regression through the model --------------------------------
