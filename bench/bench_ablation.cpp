@@ -2,7 +2,7 @@
 // out:
 //   * buffered vs naive (PyTorch-style) KV concatenation — paper §4.2's
 //     custom concat operator;
-//   * fp32 vs fp16 module storage — the §5.5 memory/latency trade;
+//   * fp32 vs q8 vs q4 module storage — the §5.5 memory/latency trade;
 //   * borrowed module rows vs private copies for batched prompts — §3.4;
 //   * module encode cost vs retrieve cost as module size grows — the
 //     fundamental compute-once/copy-many asymmetry.
@@ -54,7 +54,7 @@ void BM_ConcatNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_ConcatNaive)->Arg(128)->Arg(512);
 
-// Engine-level retrieval with fp32 vs fp16 module storage.
+// Engine-level retrieval with fp32, q8 and q4 module storage.
 struct RetrieveFixtureState {
   Tokenizer tokenizer{Vocab::basic_english()};
   Model model = Model::random(
@@ -87,15 +87,15 @@ void run_retrieve(benchmark::State& state, StorePrecision precision) {
 void BM_RetrieveFp32(benchmark::State& state) {
   run_retrieve(state, StorePrecision::kFp32);
 }
-void BM_RetrieveFp16(benchmark::State& state) {
-  run_retrieve(state, StorePrecision::kFp16);
-}
 void BM_RetrieveQ8(benchmark::State& state) {
   run_retrieve(state, StorePrecision::kQ8);
 }
+void BM_RetrieveQ4(benchmark::State& state) {
+  run_retrieve(state, StorePrecision::kQ4);
+}
 BENCHMARK(BM_RetrieveFp32);
-BENCHMARK(BM_RetrieveFp16);
 BENCHMARK(BM_RetrieveQ8);
+BENCHMARK(BM_RetrieveQ4);
 
 // Zero-copy vs memcpy assembly of the same prompt: borrowing module rows
 // replaces the copy entirely (§6 shared-attention-states direction).

@@ -22,22 +22,23 @@ namespace {
 
 using namespace pc;
 
-constexpr int kLayers = 32;       // Llama-7B-like geometry for byte realism
-constexpr int kKvDim = 4096;
+// Llama-7B-like bytes: 32 layers of 4,096-wide K/V rows at fp16 (Table 2)
+// are 524,288 bytes per token, which fp32 rows of half the width hold
+// exactly.
+constexpr int kLayers = 32;
+constexpr int kKvDim = 2048;
 constexpr int kModuleTokens = 512;
 constexpr int kPoolSize = 64;
 constexpr int kRequests = 4000;
 
 EncodedModule synthetic_module() {
   EncodedModule m;
-  m.precision = StorePrecision::kFp16;  // Table 2's storage assumption
+  m.precision = StorePrecision::kFp32;
   m.n_tokens = kModuleTokens;
   m.kv_dim = kKvDim;
   m.n_layers = kLayers;
-  m.pos_ids.resize(kModuleTokens);
-  m.kv16_layers.resize(kLayers);
-  // Payload content is irrelevant to the policy study; allocate K/V lazily
-  // as empty vectors and rely on payload accounting only.
+  // Payload content is irrelevant to the policy study: no K/V is
+  // allocated, and the store counts payload_bytes() only.
   m.text_row_ranges = {{0, kModuleTokens}};
   return m;
 }
@@ -72,8 +73,8 @@ int main() {
   using namespace pc;
   bench::print_banner(
       "Cache replacement policy study (paper §6 future work)",
-      "Zipf(1.1) requests over 64 modules of 512 tokens (fp16, 7B "
-      "geometry); LRU device tier backed by host memory");
+      "Zipf(1.1) requests over 64 modules of 512 tokens (7B bytes at "
+      "fp16); LRU device tier backed by host memory");
 
   const size_t module_bytes = synthetic_module().payload_bytes();
   const auto& hw = HardwareProfile::rtx4090();

@@ -2,12 +2,14 @@
 // scalar implementations, plus an end-to-end TTFT measurement on a tiny
 // model. Prints paper-shaped tables and writes machine-readable results to
 // BENCH_kernels.json in the current directory (repo root when launched via
-// scripts/run_all.sh).
+// scripts/run_all.sh). Every cell is the p10 of interleaved timing rounds
+// (see "measurement" below).
 //
 // The scalar references below are verbatim ports of the pre-vectorization
 // kernels. The build uses -O3 without -ffast-math, so the compiler cannot
 // auto-vectorize their float reductions — they measure what the seed
 // actually ran.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
@@ -15,6 +17,7 @@
 #include <limits>
 #include <numeric>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -74,20 +77,65 @@ void scalar_attention(const float* q, const float* k, const float* v,
 
 // ---- measurement ------------------------------------------------------------
 
-// Repeats fn until `min_seconds` of wall time accumulates and returns the
-// mean per-call milliseconds. A volatile sink keeps results live.
+// A cell is the p10 of a side's per-call milliseconds over kRounds rounds,
+// each round kRoundSeconds of back-to-back calls. A comparison row times
+// its two sides in interleaved rounds, alternating which goes first, so
+// host drift reaches both sides alike instead of flipping the row's ratio
+// between runs; the p10 drops the rounds a preemption slowed. A volatile
+// sink keeps results live.
 volatile float g_sink = 0.0f;
 
+constexpr int kRounds = 25;
+constexpr double kRoundSeconds = 0.004;
+
+// How many back-to-back calls of fn fill a round (at least one), measured
+// after a warm-up call that pages in its buffers and warms the caches.
 template <typename Fn>
-double time_ms(Fn&& fn, double min_seconds = 0.08) {
-  fn();  // warm-up (page in buffers, warm caches)
-  size_t iters = 0;
+size_t calls_per_round(Fn& fn) {
+  fn();
+  size_t calls = 0;
   WallTimer timer;
   do {
     fn();
-    ++iters;
-  } while (timer.elapsed_seconds() < min_seconds);
-  return timer.elapsed_ms() / static_cast<double>(iters);
+    ++calls;
+  } while (timer.elapsed_seconds() < kRoundSeconds);
+  return calls;
+}
+
+// Mean per-call milliseconds of one round.
+template <typename Fn>
+double round_ms(Fn& fn, size_t calls) {
+  WallTimer timer;
+  for (size_t i = 0; i < calls; ++i) fn();
+  return timer.elapsed_ms() / static_cast<double>(calls);
+}
+
+double p10(std::vector<double> ms) {
+  std::sort(ms.begin(), ms.end());
+  return ms[(ms.size() - 1) / 10];
+}
+
+// A comparison row: the p10 of each side over interleaved rounds.
+template <typename A, typename B>
+std::pair<double, double> time_pair_ms(A&& a, B&& b) {
+  const size_t calls_a = calls_per_round(a);
+  const size_t calls_b = calls_per_round(b);
+  std::vector<double> ms_a, ms_b;
+  for (int r = 0; r < kRounds; ++r) {
+    if (r % 2 == 0) ms_a.push_back(round_ms(a, calls_a));
+    ms_b.push_back(round_ms(b, calls_b));
+    if (r % 2 == 1) ms_a.push_back(round_ms(a, calls_a));
+  }
+  return {p10(std::move(ms_a)), p10(std::move(ms_b))};
+}
+
+// A one-sided row (the TTFT table): the p10 of its rounds.
+template <typename Fn>
+double time_ms(Fn&& fn) {
+  const size_t calls = calls_per_round(fn);
+  std::vector<double> ms;
+  for (int r = 0; r < kRounds; ++r) ms.push_back(round_ms(fn, calls));
+  return p10(std::move(ms));
 }
 
 std::vector<float> random_vec(size_t n, uint64_t seed) {
@@ -146,16 +194,21 @@ void bench_dot() {
     const auto b = random_vec(n, 2 + n);
     // Batch many calls per sample so sub-microsecond kernels measure cleanly.
     const size_t reps = 4096;
-    const double s = time_ms([&] {
-      float acc = 0.0f;
-      for (size_t r = 0; r < reps; ++r) acc += scalar_dot(a.data(), b.data(), n);
-      g_sink = acc;
-    });
-    const double w = time_ms([&] {
-      float acc = 0.0f;
-      for (size_t r = 0; r < reps; ++r) acc += simd::dot(a.data(), b.data(), n);
-      g_sink = acc;
-    });
+    const auto [s, w] = time_pair_ms(
+        [&] {
+          float acc = 0.0f;
+          for (size_t r = 0; r < reps; ++r) {
+            acc += scalar_dot(a.data(), b.data(), n);
+          }
+          g_sink = acc;
+        },
+        [&] {
+          float acc = 0.0f;
+          for (size_t r = 0; r < reps; ++r) {
+            acc += simd::dot(a.data(), b.data(), n);
+          }
+          g_sink = acc;
+        });
     record(table, "dot", "n=" + std::to_string(n), s / reps, w / reps);
   }
   table.print(std::cout);
@@ -173,10 +226,9 @@ double bench_gemm_nt() {
     const auto a = random_vec(sh.m * sh.k, 3 + sh.k);
     const auto b = random_vec(sh.n * sh.k, 5 + sh.k);
     std::vector<float> c(sh.m * sh.n);
-    const double s = time_ms(
+    const auto [s, w] = time_pair_ms(
         [&] { scalar_gemm_nt(a.data(), b.data(), c.data(), sh.m, sh.k, sh.n);
-              g_sink = c[0]; });
-    const double w = time_ms(
+              g_sink = c[0]; },
         [&] { gemm_nt(a.data(), b.data(), c.data(), sh.m, sh.k, sh.n);
               g_sink = c[0]; });
     std::ostringstream shape;
@@ -200,17 +252,18 @@ void bench_attention() {
     const auto v = random_vec(ctx * kv_dim, 13 + ctx);
     std::vector<float> scores(ctx), out(d_head);
     const float scale = 1.0f / std::sqrt(static_cast<float>(d_head));
-    const double s = time_ms([&] {
-      scalar_attention(q.data(), k.data(), v.data(), kv_dim, d_head, ctx,
-                       scale, scores.data(), out.data());
-      g_sink = out[0];
-    });
-    const double w = time_ms([&] {
-      attn_fused_contig(q.data(), k.data(), v.data(), kv_dim, d_head, ctx,
-                        scale, 0.0f, nullptr, nullptr, scores.data(),
-                        out.data());
-      g_sink = out[0];
-    });
+    const auto [s, w] = time_pair_ms(
+        [&] {
+          scalar_attention(q.data(), k.data(), v.data(), kv_dim, d_head, ctx,
+                           scale, scores.data(), out.data());
+          g_sink = out[0];
+        },
+        [&] {
+          attn_fused_contig(q.data(), k.data(), v.data(), kv_dim, d_head, ctx,
+                            scale, 0.0f, nullptr, nullptr, scores.data(),
+                            out.data());
+          g_sink = out[0];
+        });
     record(table, "attention", "ctx=" + std::to_string(ctx), s, w);
   }
   table.print(std::cout);
@@ -231,20 +284,21 @@ void bench_attention_grouped() {
     const auto v = random_vec(ctx * kv_dim, 53 + ctx);
     std::vector<float> scores(n_q * ctx), out(n_q * d_head);
     const float scale = 1.0f / std::sqrt(static_cast<float>(d_head));
-    const double s = time_ms([&] {
-      for (size_t h = 0; h < n_q; ++h) {
-        attn_fused_contig(q.data() + h * d_head, k.data(), v.data(), kv_dim,
-                          d_head, ctx, scale, 0.0f, nullptr, nullptr,
-                          scores.data(), out.data() + h * d_head);
-      }
-      g_sink = out[0];
-    });
-    const double w = time_ms([&] {
-      attn_fused_contig(q.data(), k.data(), v.data(), kv_dim, d_head, ctx,
-                        scale, nullptr, nullptr, nullptr, scores.data(),
-                        out.data(), n_q);
-      g_sink = out[0];
-    });
+    const auto [s, w] = time_pair_ms(
+        [&] {
+          for (size_t h = 0; h < n_q; ++h) {
+            attn_fused_contig(q.data() + h * d_head, k.data(), v.data(), kv_dim,
+                              d_head, ctx, scale, 0.0f, nullptr, nullptr,
+                              scores.data(), out.data() + h * d_head);
+          }
+          g_sink = out[0];
+        },
+        [&] {
+          attn_fused_contig(q.data(), k.data(), v.data(), kv_dim, d_head, ctx,
+                            scale, nullptr, nullptr, nullptr, scores.data(),
+                            out.data(), n_q);
+          g_sink = out[0];
+        });
     record(table, "attention_grouped", "ctx=" + std::to_string(ctx), s, w);
   }
   table.print(std::cout);
@@ -285,25 +339,27 @@ bool bench_q8_attention() {
     std::vector<float> scores(ctx), out(d_head);
     std::vector<float> k_dq(ctx * kv_dim), v_dq(ctx * kv_dim);
     const float scale = 1.0f / std::sqrt(static_cast<float>(d_head));
-    const double s = time_ms([&] {
-      for (size_t j = 0; j < ctx; ++j) {
-        simd::dequant_store(k8.data() + j * kv_dim, k_scales[j],
-                            k_dq.data() + j * kv_dim, kv_dim);
-        simd::dequant_store(v8.data() + j * kv_dim, v_scales[j],
-                            v_dq.data() + j * kv_dim, kv_dim);
-      }
-      attn_fused_contig(q.data(), k_dq.data() + head_off,
-                        v_dq.data() + head_off, kv_dim, d_head, ctx, scale,
-                        0.0f, nullptr, nullptr, scores.data(), out.data());
-      g_sink = out[0];
-    });
-    const double w = time_ms([&] {
-      attn_fused_q8_gather(q.data(), k8_rows.data(), v8_rows.data(),
-                           k_scales.data(), v_scales.data(), k_rows.data(),
-                           v_rows.data(), head_off, d_head, ctx, scale, 0.0f,
-                           nullptr, nullptr, scores.data(), out.data());
-      g_sink = out[0];
-    });
+    const auto [s, w] = time_pair_ms(
+        [&] {
+          for (size_t j = 0; j < ctx; ++j) {
+            simd::dequant_store(k8.data() + j * kv_dim, k_scales[j],
+                                k_dq.data() + j * kv_dim, kv_dim);
+            simd::dequant_store(v8.data() + j * kv_dim, v_scales[j],
+                                v_dq.data() + j * kv_dim, kv_dim);
+          }
+          attn_fused_contig(q.data(), k_dq.data() + head_off,
+                            v_dq.data() + head_off, kv_dim, d_head, ctx, scale,
+                            0.0f, nullptr, nullptr, scores.data(), out.data());
+          g_sink = out[0];
+        },
+        [&] {
+          attn_fused_q8_gather(q.data(), k8_rows.data(), v8_rows.data(),
+                               k_scales.data(), v_scales.data(), k_rows.data(),
+                               v_rows.data(), head_off, d_head, ctx, scale,
+                               0.0f, nullptr, nullptr, scores.data(),
+                               out.data());
+          g_sink = out[0];
+        });
     record(table, "attn_q8", "ctx=" + std::to_string(ctx), s, w);
     if (ctx == 1024) beats_at_1k = w < s;
   }
@@ -349,29 +405,31 @@ bool bench_q4_attention() {
     std::vector<float> scores(ctx), out(d_head);
     std::vector<float> k_dq(ctx * kv_dim), v_dq(ctx * kv_dim);
     const float scale = 1.0f / std::sqrt(static_cast<float>(d_head));
-    const double s = time_ms([&] {
-      for (size_t j = 0; j < ctx; ++j) {
-        dequantize_row_q4(k4.data() + j * row_bytes,
-                          k_scales.data() + j * blocks,
-                          static_cast<int>(kv_dim),
-                          k_dq.data() + j * kv_dim);
-        dequantize_row_q4(v4.data() + j * row_bytes,
-                          v_scales.data() + j * blocks,
-                          static_cast<int>(kv_dim),
-                          v_dq.data() + j * kv_dim);
-      }
-      attn_fused_contig(q.data(), k_dq.data() + head_off,
-                        v_dq.data() + head_off, kv_dim, d_head, ctx, scale,
-                        0.0f, nullptr, nullptr, scores.data(), out.data());
-      g_sink = out[0];
-    });
-    const double w = time_ms([&] {
-      attn_fused_q4_gather(q.data(), k4_rows.data(), v4_rows.data(),
-                           k4_sc.data(), v4_sc.data(), k_rows.data(),
-                           v_rows.data(), head_off, d_head, ctx, scale, 0.0f,
-                           nullptr, nullptr, scores.data(), out.data());
-      g_sink = out[0];
-    });
+    const auto [s, w] = time_pair_ms(
+        [&] {
+          for (size_t j = 0; j < ctx; ++j) {
+            dequantize_row_q4(k4.data() + j * row_bytes,
+                              k_scales.data() + j * blocks,
+                              static_cast<int>(kv_dim),
+                              k_dq.data() + j * kv_dim);
+            dequantize_row_q4(v4.data() + j * row_bytes,
+                              v_scales.data() + j * blocks,
+                              static_cast<int>(kv_dim),
+                              v_dq.data() + j * kv_dim);
+          }
+          attn_fused_contig(q.data(), k_dq.data() + head_off,
+                            v_dq.data() + head_off, kv_dim, d_head, ctx, scale,
+                            0.0f, nullptr, nullptr, scores.data(), out.data());
+          g_sink = out[0];
+        },
+        [&] {
+          attn_fused_q4_gather(q.data(), k4_rows.data(), v4_rows.data(),
+                               k4_sc.data(), v4_sc.data(), k_rows.data(),
+                               v_rows.data(), head_off, d_head, ctx, scale,
+                               0.0f, nullptr, nullptr, scores.data(),
+                               out.data());
+          g_sink = out[0];
+        });
     record(table, "attn_q4", "ctx=" + std::to_string(ctx), s, w);
     if (ctx == 1024) beats_at_1k = w < s;
   }
@@ -448,23 +506,24 @@ void bench_attention_prefill_block() {
         }
         return rows;
       };
-      const double s = time_ms([&] {
-        for (size_t h = 0; h < n_kvh; ++h) {
-          const AttnKV kv = kv_head(h);
-          for (const AttnRow& row : rows_of(h)) {
-            attn_fused(kv, &row, 1, group, d_head, scale, nullptr);
-          }
-        }
-        g_sink = out[0];
-      });
-      const double w = time_ms([&] {
-        for (size_t h = 0; h < n_kvh; ++h) {
-          const std::vector<AttnRow> rows = rows_of(h);
-          attn_fused(kv_head(h), rows.data(), n_rows, group, d_head, scale,
-                     nullptr);
-        }
-        g_sink = out[0];
-      });
+      const auto [s, w] = time_pair_ms(
+          [&] {
+            for (size_t h = 0; h < n_kvh; ++h) {
+              const AttnKV kv = kv_head(h);
+              for (const AttnRow& row : rows_of(h)) {
+                attn_fused(kv, &row, 1, group, d_head, scale, nullptr);
+              }
+            }
+            g_sink = out[0];
+          },
+          [&] {
+            for (size_t h = 0; h < n_kvh; ++h) {
+              const std::vector<AttnRow> rows = rows_of(h);
+              attn_fused(kv_head(h), rows.data(), n_rows, group, d_head, scale,
+                         nullptr);
+            }
+            g_sink = out[0];
+          });
       const std::string shape =
           std::string(q4 ? "q4 gather" : "fp32 contig") +
           " ctx=" + std::to_string(cached) + "+" + std::to_string(n_rows);
@@ -501,13 +560,11 @@ void bench_ttft() {
     for (auto& t : tokens) t = static_cast<TokenId>(rng.next_below(512));
     std::vector<int> pos(n);
     std::iota(pos.begin(), pos.end(), 0);
-    const double ms = time_ms(
-        [&] {
-          KVCache cache = model.make_cache();
-          const Tensor logits = model.forward(tokens, pos, cache);
-          g_sink = logits.at(0, 0);
-        },
-        0.2);
+    const double ms = time_ms([&] {
+      KVCache cache = model.make_cache();
+      const Tensor logits = model.forward(tokens, pos, cache);
+      g_sink = logits.at(0, 0);
+    });
     const double tok_s = 1e3 * static_cast<double>(n) / ms;
     table.add_row({std::to_string(n), TablePrinter::fmt_ms(ms),
                    TablePrinter::fmt(tok_s, 0)});

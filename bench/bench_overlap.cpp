@@ -74,6 +74,6 @@ int main() {
                "behind per-layer compute; the recovery grows with the "
                "uncached share. The residual gap to device memory is the "
                "bandwidth bound (copy engine busy time), which compression "
-               "(fp16/int8 storage) attacks directly.\n";
+               "(q8/q4 storage) attacks directly.\n";
   return 0;
 }

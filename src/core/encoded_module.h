@@ -2,10 +2,10 @@
 // module's own tokens at their schema-assigned position IDs (paper §3.3).
 //
 // Storage precision is configurable (EngineConfig::precision): fp32 keeps
-// the engine's native states; fp16 halves the footprint (the paper's Table
-// 2 assumption); int8 quarters it and blocked 4-bit roughly eighths it (the
-// §5.5/§6 compression direction). Retrieval copies or borrows the stored
-// q8/q4 bytes as they are; only fp16 converts, to fp32, on copy.
+// the engine's native states; int8 quarters the footprint and blocked 4-bit
+// roughly eighths it (the §5.5/§6 compression direction). Each format is
+// stored exactly as it is served: retrieval copies or borrows the stored
+// bytes as they are.
 #pragma once
 
 #include <optional>
@@ -15,25 +15,42 @@
 #include "kv/kv_cache.h"
 #include "kv/quant.h"
 #include "sys/device_model.h"
-#include "tensor/fp16.h"
 
 namespace pc {
 
-enum class StorePrecision { kFp32, kFp16, kQ8, kQ4 };
+// A module's storage format. The values are a persisted record's precision
+// tag (write_module_record), so they never change.
+enum class StorePrecision {
+  kFp32 = 0,
+  // Tag 1 was fp16 storage, which is gone: engine construction,
+  // default_store_precision() and read_module_record() reject it. Its only
+  // reader is bench/e2e's format_name, and it goes with that case.
+  kFp16 = 1,
+  kQ8 = 2,
+  kQ4 = 3,
+};
+
+// "fp32", "q8" or "q4", as PC_KV_FORMAT and the request timeline name them.
+inline const char* to_string(StorePrecision p) {
+  switch (p) {
+    case StorePrecision::kFp32:
+      return "fp32";
+    case StorePrecision::kQ8:
+      return "q8";
+    case StorePrecision::kQ4:
+      return "q4";
+    default:
+      return "unknown";
+  }
+}
 
 struct EncodedModule {
   // Exactly one payload is held, matching `precision`.
   std::optional<KVCache> kv32;
+  std::vector<Q8Layer> kv8_layers;  // [n_layers]
+  std::vector<Q4Layer> kv4_layers;  // [n_layers]
 
-  struct F16Layer {
-    std::vector<f16> k;
-    std::vector<f16> v;
-  };
-  std::vector<F16Layer> kv16_layers;  // [n_layers][n_tokens * kv_dim]
-  std::vector<Q8Layer> kv8_layers;    // [n_layers]
-  std::vector<Q4Layer> kv4_layers;    // [n_layers]
-
-  std::vector<int> pos_ids;  // used with fp16/q8/q4 payloads
+  std::vector<int> pos_ids;  // used with q8/q4 payloads
 
   StorePrecision precision = StorePrecision::kFp32;
   int n_tokens = 0;
@@ -63,8 +80,6 @@ struct EncodedModule {
     switch (precision) {
       case StorePrecision::kFp32:
         return kv_elems * sizeof(float);
-      case StorePrecision::kFp16:
-        return kv_elems * sizeof(f16);
       case StorePrecision::kQ8:
         // int8 payload + one fp32 scale per row (K and V) per layer.
         return kv_elems * sizeof(int8_t) +
@@ -75,8 +90,9 @@ struct EncodedModule {
         return static_cast<size_t>(2) * n_layers * q4_row_bytes(kv_dim) +
                static_cast<size_t>(2) * n_layers * q4_blocks(kv_dim) *
                    sizeof(float);
+      default:
+        return 0;
     }
-    return 0;
   }
 
   size_t payload_bytes() const {

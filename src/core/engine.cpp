@@ -10,7 +10,6 @@
 #include "core/serialize.h"
 #include "obs/trace.h"
 #include "sys/fault.h"
-#include "tensor/fp16.h"
 
 namespace pc {
 
@@ -20,10 +19,10 @@ StorePrecision default_store_precision() {
   const std::string_view v(fmt);
   if (v == "q4") return StorePrecision::kQ4;
   if (v == "q8") return StorePrecision::kQ8;
-  if (v == "fp16") return StorePrecision::kFp16;
-  PC_CHECK_MSG(v.empty() || v == "fp32",
-               "PC_KV_FORMAT must be q4, q8, fp16, or fp32 (got '" << fmt
-                                                                   << "')");
+  if (!v.empty() && v != "fp32") {
+    throw ConfigError("PC_KV_FORMAT must be q4, q8, or fp32 (got '" +
+                      std::string(v) + "')");
+  }
   return StorePrecision::kFp32;
 }
 
@@ -95,6 +94,7 @@ UncachedStream collect_uncached(const pml::PromptBinding& binding,
 
 namespace {
 
+// A store holds fp32, Q8_0 or Q4_0; any other precision is a ConfigError.
 // Q4_0 attention requires every head's K/V slice to start on a 32-value
 // block boundary (head_off % 32 == 0): that holds when d_head is a multiple
 // of kQ4BlockSize, or when the model has a single KV head (head_off is then
@@ -104,6 +104,14 @@ namespace {
 // (sys/model_spec.h) satisfies the constraint, so this is a safety net for
 // custom configs.
 EngineConfig resolve_precision(const Model& model, EngineConfig config) {
+  if (config.precision != StorePrecision::kFp32 &&
+      config.precision != StorePrecision::kQ8 &&
+      config.precision != StorePrecision::kQ4) {
+    throw ConfigError("EngineConfig::precision must be q4, q8, or fp32 (got "
+                      "precision tag " +
+                      std::to_string(static_cast<int>(config.precision)) +
+                      ")");
+  }
   if (config.precision == StorePrecision::kQ4 &&
       model.config().d_head % kQ4BlockSize != 0 &&
       model.config().n_kv_heads != 1) {
@@ -221,11 +229,10 @@ void PromptCacheEngine::add_scaffold(const std::string& schema_name,
 
 namespace {
 
-// Re-encodes an fp32 payload in `precision` in place: fp16 halves, Q8_0
-// and Q4_0 quantize (kv/quant.h). build_payload's packaging, also
-// applied to fp32 records loaded into a reduced-precision engine. Rows are
-// contiguous in each layer's buffer, so a layer quantizes in one vectorized
-// sweep.
+// Re-encodes an fp32 payload in `precision` in place: Q8_0 and Q4_0
+// quantize (kv/quant.h). build_payload's packaging, also applied to fp32
+// records loaded into a quantized engine. Rows are contiguous in each
+// layer's buffer, so a layer quantizes in one vectorized sweep.
 void package(EncodedModule& m, StorePrecision precision) {
   PC_CHECK_MSG(m.precision == StorePrecision::kFp32 && m.kv32.has_value(),
                "package needs an fp32 payload");
@@ -238,42 +245,25 @@ void package(EncodedModule& m, StorePrecision precision) {
   for (int l = 0; l < kv.n_layers(); ++l) {
     const float* k = n > 0 ? kv.k_row(l, 0) : nullptr;
     const float* v = n > 0 ? kv.v_row(l, 0) : nullptr;
-    switch (precision) {
-      case StorePrecision::kFp32:
-        break;
-      case StorePrecision::kFp16: {
-        EncodedModule::F16Layer& layer = m.kv16_layers.emplace_back();
-        layer.k.resize(elems);
-        layer.v.resize(elems);
-        for (size_t e = 0; e < elems; ++e) {
-          layer.k[e] = float_to_half(k[e]);
-          layer.v[e] = float_to_half(v[e]);
-        }
-        break;
+    if (precision == StorePrecision::kQ8) {
+      Q8Layer& layer = m.kv8_layers.emplace_back();
+      layer.k.resize(elems);
+      layer.v.resize(elems);
+      layer.k_scales.resize(static_cast<size_t>(n));
+      layer.v_scales.resize(static_cast<size_t>(n));
+      if (n > 0) {
+        quantize_rows(k, n, width, layer.k.data(), layer.k_scales.data());
+        quantize_rows(v, n, width, layer.v.data(), layer.v_scales.data());
       }
-      case StorePrecision::kQ8: {
-        Q8Layer& layer = m.kv8_layers.emplace_back();
-        layer.k.resize(elems);
-        layer.v.resize(elems);
-        layer.k_scales.resize(static_cast<size_t>(n));
-        layer.v_scales.resize(static_cast<size_t>(n));
-        if (n > 0) {
-          quantize_rows(k, n, width, layer.k.data(), layer.k_scales.data());
-          quantize_rows(v, n, width, layer.v.data(), layer.v_scales.data());
-        }
-        break;
-      }
-      case StorePrecision::kQ4: {
-        Q4Layer& layer = m.kv4_layers.emplace_back();
-        layer.k.resize(static_cast<size_t>(n) * q4_row_bytes(width));
-        layer.v.resize(layer.k.size());
-        layer.k_scales.resize(static_cast<size_t>(n) * q4_blocks(width));
-        layer.v_scales.resize(layer.k_scales.size());
-        if (n > 0) {
-          quantize_rows_q4(k, n, width, layer.k.data(), layer.k_scales.data());
-          quantize_rows_q4(v, n, width, layer.v.data(), layer.v_scales.data());
-        }
-        break;
+    } else {
+      Q4Layer& layer = m.kv4_layers.emplace_back();
+      layer.k.resize(static_cast<size_t>(n) * q4_row_bytes(width));
+      layer.v.resize(layer.k.size());
+      layer.k_scales.resize(static_cast<size_t>(n) * q4_blocks(width));
+      layer.v_scales.resize(layer.k_scales.size());
+      if (n > 0) {
+        quantize_rows_q4(k, n, width, layer.k.data(), layer.k_scales.data());
+        quantize_rows_q4(v, n, width, layer.v.data(), layer.v_scales.data());
       }
     }
   }
@@ -462,51 +452,21 @@ namespace {
 // borrowed in place; attention reads both the same way, so the two differ
 // only in where the bytes live and what they are charged as: a copy's
 // stored bytes by the tier they came from, a borrow's as bytes_zero_copy.
-// fp16 rows convert to fp32 own rows and cannot be borrowed.
 void append_module_rows(const std::string& key, const EncodedModule& m,
                         ModuleLocation loc, ModuleRows how, KVCache& cache,
                         TtftBreakdown* ttft) {
   PC_CHECK_MSG(m.kv_dim == cache.kv_dim() && m.n_layers == cache.n_layers(),
                "module '" << key << "' does not match the cache's geometry");
-  PC_CHECK_MSG(how == ModuleRows::kCopy ||
-                   m.precision != StorePrecision::kFp16,
-               "borrowing requires kFp32, kQ8, or kQ4 module storage (module '"
-                   << key << "' is stored as fp16, which has no in-place "
-                   << "attention kernel)");
   if (ttft != nullptr) ++ttft->modules;
   for (const auto& [begin, end] : m.text_row_ranges) {
-    switch (m.precision) {
-      case StorePrecision::kFp32:
-        if (how == ModuleRows::kCopy) {
-          cache.append_range(*m.kv32, begin, end);
-        } else {
-          cache.borrow_rows(*m.kv32, begin, end);
-        }
-        break;
-      case StorePrecision::kFp16: {
-        const int first = cache.append_tokens(std::span<const int>(
-            m.pos_ids.data() + begin, static_cast<size_t>(end - begin)));
-        const size_t row_elems = static_cast<size_t>(m.kv_dim);
-        for (int l = 0; l < m.n_layers; ++l) {
-          const auto& layer = m.kv16_layers[static_cast<size_t>(l)];
-          for (int t = begin; t < end; ++t) {
-            float* kd = cache.k_row(l, first + (t - begin));
-            float* vd = cache.v_row(l, first + (t - begin));
-            const size_t off = static_cast<size_t>(t) * row_elems;
-            for (size_t e = 0; e < row_elems; ++e) {
-              kd[e] = half_to_float(layer.k[off + e]);
-              vd[e] = half_to_float(layer.v[off + e]);
-            }
-          }
-        }
-        break;
-      }
-      case StorePrecision::kQ8:
-        cache.append_rows(m.kv8_layers, m.pos_ids, begin, end, how);
-        break;
-      case StorePrecision::kQ4:
-        cache.append_rows(m.kv4_layers, m.pos_ids, begin, end, how);
-        break;
+    if (m.precision == StorePrecision::kQ8) {
+      cache.append_rows(m.kv8_layers, m.pos_ids, begin, end, how);
+    } else if (m.precision == StorePrecision::kQ4) {
+      cache.append_rows(m.kv4_layers, m.pos_ids, begin, end, how);
+    } else if (how == ModuleRows::kCopy) {
+      cache.append_range(*m.kv32, begin, end);
+    } else {
+      cache.borrow_rows(*m.kv32, begin, end);
     }
     if (ttft != nullptr) {
       const size_t bytes =
@@ -547,10 +507,9 @@ void PromptCacheEngine::append_modules(const pml::PromptBinding& binding,
     PC_SPAN("kv_concat",
             {"modules", static_cast<int64_t>(binding.modules.size())},
             {"zero_copy", how == ModuleRows::kBorrow ? 1 : 0});
-    // Copied fp32 and fp16 rows are own rows, so they are reserved too.
+    // Copied fp32 rows are own rows, so they are reserved too.
     const bool own_copies = how == ModuleRows::kCopy &&
-                            (config_.precision == StorePrecision::kFp32 ||
-                             config_.precision == StorePrecision::kFp16);
+                            config_.precision == StorePrecision::kFp32;
     cache.reserve(cache.own_rows() +
                   (own_copies ? binding.cached_token_count() : 0) +
                   own_budget);

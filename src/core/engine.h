@@ -61,23 +61,23 @@ namespace pc {
 
 // Process default for EngineConfig::precision, from the PC_KV_FORMAT
 // environment variable: "q4" selects Q4_0 (blocked 4-bit) module storage,
-// "q8" Q8_0, "fp16" half floats, "fp32" (or unset) the engine's native
-// states. Read on every call so tests can flip the variable between engine
-// constructions. Throws pc::Error on an unrecognized value.
+// "q8" Q8_0, "fp32" (or unset) the engine's native states. Read on every
+// call so tests can flip the variable between engine constructions. Throws
+// pc::ConfigError on any other value.
 StorePrecision default_store_precision();
 
 struct EngineConfig {
   size_t device_capacity_bytes = 0;  // 0 = unlimited (simulated GPU HBM tier)
   size_t host_capacity_bytes = 0;    // 0 = unlimited (host DRAM tier)
-  // Module storage precision (§5.5): fp16 halves, int8 quarters, and
-  // blocked 4-bit (q4) roughly eighths the resident footprint. q8/q4
-  // modules stay quantized end to end: retrieval copies or borrows their
-  // stored bytes, and attention scores them in the integer domain on every
-  // serving path (copy, zero-copy, batched), so the three emit the same
-  // tokens. fp16 is the one format that converts: its rows become fp32 on
-  // copy, and it cannot be borrowed. A q4 engine on a model whose head
-  // geometry the q4 kernel cannot serve (d_head not a multiple of 32 with
-  // several KV heads) falls back to q8 at construction.
+  // Module storage precision (§5.5): fp32, or int8 (q8), which quarters
+  // the resident footprint, or blocked 4-bit (q4), which roughly eighths
+  // it; any other value is a ConfigError at construction. Every format is
+  // stored as it is served: retrieval copies or borrows the stored bytes,
+  // and attention scores q8/q4 rows in the integer domain on every serving
+  // path (copy, zero-copy, batched), so the three emit the same tokens. A
+  // q4 engine on a model whose head geometry the q4 kernel cannot serve
+  // (d_head not a multiple of 32 with several KV heads) falls back to q8 at
+  // construction.
   StorePrecision precision = default_store_precision();
   bool eager_encode = true;  // encode all modules at schema load
   // Union-sibling prefetch (§3.2.3): after serving a prompt that used a
@@ -90,7 +90,7 @@ struct EngineConfig {
   // generated rows are owned. It chooses where the bytes live and what the
   // host link is charged (nothing moves), never the arithmetic: tokens are
   // the copy path's at every format. serve() and the Server's lanes both
-  // follow it. Requires kFp32, kQ8, or kQ4 precision.
+  // follow it.
   bool zero_copy = false;
 };
 

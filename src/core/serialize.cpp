@@ -193,13 +193,6 @@ void write_module_record(std::ostream& os, const std::string& key,
       }
       break;
     }
-    case StorePrecision::kFp16:
-      w.vec(m.pos_ids);
-      for (const auto& layer : m.kv16_layers) {
-        w.vec(layer.k);
-        w.vec(layer.v);
-      }
-      break;
     case StorePrecision::kQ8:
       w.vec(m.pos_ids);
       for (const auto& layer : m.kv8_layers) {
@@ -217,6 +210,8 @@ void write_module_record(std::ostream& os, const std::string& key,
         w.vec(layer.k_scales);
         w.vec(layer.v_scales);
       }
+      break;
+    default:  // no payload: read_module_record rejects the tag
       break;
   }
 
@@ -239,12 +234,6 @@ bool read_module_record(std::istream& is, std::string* key,
 
   EncodedModule m;
   m.precision = static_cast<StorePrecision>(r.pod<uint8_t>());
-  if (m.precision != StorePrecision::kFp32 &&
-      m.precision != StorePrecision::kFp16 &&
-      m.precision != StorePrecision::kQ8 &&
-      m.precision != StorePrecision::kQ4) {
-    throw Error("module deserialization: unknown precision");
-  }
   m.n_tokens = r.pod<int32_t>();
   m.kv_dim = r.pod<int32_t>();
   m.n_layers = r.pod<int32_t>();
@@ -307,17 +296,6 @@ bool read_module_record(std::istream& is, std::string* key,
       m.kv32 = std::move(kv);
       break;
     }
-    case StorePrecision::kFp16:
-      m.pos_ids = read_pos_ids();
-      m.kv16_layers.resize(static_cast<size_t>(m.n_layers));
-      for (auto& layer : m.kv16_layers) {
-        layer.k = r.vec<f16>();
-        layer.v = r.vec<f16>();
-        if (layer.k.size() != layer_elems || layer.v.size() != layer_elems) {
-          throw Error("module deserialization: fp16 payload size mismatch");
-        }
-      }
-      break;
     case StorePrecision::kQ8:
       m.pos_ids = read_pos_ids();
       m.kv8_layers.resize(static_cast<size_t>(m.n_layers));
@@ -354,6 +332,8 @@ bool read_module_record(std::istream& is, std::string* key,
       }
       break;
     }
+    default:
+      throw Error("module deserialization: unknown precision");
   }
 
   const uint64_t computed = r.hash();

@@ -54,9 +54,8 @@ ModuleStoreCells::ModuleStoreCells() {
                            "modules moved host -> device (prefetch/warm-up)");
   resident_bytes =
       reg.gauge("pc_store_resident_bytes", "encoded bytes resident, all tiers");
-  resident_bytes_fp32 = reg.gauge(
-      "pc_store_resident_bytes_fp32",
-      "resident bytes in unquantized (fp32/fp16) module payloads");
+  resident_bytes_fp32 = reg.gauge("pc_store_resident_bytes_fp32",
+                                  "resident bytes in fp32 module payloads");
   resident_bytes_q8 = reg.gauge("pc_store_resident_bytes_q8",
                                 "resident bytes in Q8_0 module payloads");
   resident_bytes_q4 = reg.gauge("pc_store_resident_bytes_q4",

@@ -109,8 +109,7 @@ struct ModuleStoreCells {
   obs::Counter promotions;
   obs::Gauge resident_bytes;   // pc_store_resident_bytes
   // resident_bytes split by payload format: q8 counts Q8_0 modules, q4
-  // counts Q4_0 modules, fp32 counts everything unquantized (fp32 and fp16
-  // payloads).
+  // counts Q4_0 modules, fp32 counts fp32 modules.
   obs::Gauge resident_bytes_fp32;  // pc_store_resident_bytes_fp32
   obs::Gauge resident_bytes_q8;    // pc_store_resident_bytes_q8
   obs::Gauge resident_bytes_q4;    // pc_store_resident_bytes_q4
@@ -305,8 +304,7 @@ class SharedModuleStore {
   // exact; cross-field invariants can be momentarily off mid-update).
   ModuleStoreStats stats() const { return cells_.snapshot(); }
   // Resident payload split by format (mirrors the pc_store_resident_bytes_*
-  // gauges; q8 = Q8_0 modules, q4 = Q4_0 modules, fp32 = unquantized
-  // fp32/fp16 payloads).
+  // gauges; q8 = Q8_0 modules, q4 = Q4_0 modules, fp32 = fp32 modules).
   size_t resident_bytes_q8() const {
     return static_cast<size_t>(cells_.resident_bytes_q8.value());
   }

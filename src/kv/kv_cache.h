@@ -19,7 +19,7 @@
 //
 // While every row is an own row, each layer is one dense [n_tokens, kv_dim]
 // buffer and attention runs the contiguous kernel. Once module rows exist,
-// attention reads every row through per-layer row tables (tables()), where
+// attention reads every row through per-layer row tables (head()), where
 // quantized rows are scored in the integer domain; own-row entries are
 // re-pointed whenever the own buffers grow.
 //
@@ -40,6 +40,7 @@
 
 #include "common/error.h"
 #include "kv/quant.h"
+#include "tensor/ops.h"
 
 namespace pc {
 
@@ -62,24 +63,6 @@ struct KVCacheStats {
 
 class KVCache {
  public:
-  // One layer's row tables for the gathered attention kernels
-  // (tensor/ops.h), size() entries each. Slot t is quantized when k8[t]
-  // (or k4[t]) is non-null; otherwise it reads the fp32 rows k[t], v[t].
-  // The q8 (q4) tables are null when the cache holds no q8 (q4) rows.
-  // Valid until the next append.
-  struct RowTables {
-    const float* const* k = nullptr;
-    const float* const* v = nullptr;
-    const int8_t* const* k8 = nullptr;
-    const int8_t* const* v8 = nullptr;
-    const float* k8_scales = nullptr;  // one scale per row
-    const float* v8_scales = nullptr;
-    const uint8_t* const* k4 = nullptr;
-    const uint8_t* const* v4 = nullptr;
-    const float* const* k4_scales = nullptr;  // per-row block-scale arrays
-    const float* const* v4_scales = nullptr;
-  };
-
   KVCache(int n_layers, int kv_dim,
           ConcatPolicy policy = ConcatPolicy::kBuffered)
       : n_layers_(n_layers), kv_dim_(kv_dim), policy_(policy) {
@@ -244,11 +227,25 @@ class KVCache {
     return fp32_row(layer, token, false);
   }
 
-  // Layer `layer`'s row tables; requires module_rows() > 0.
-  RowTables tables(int layer) const {
-    PC_CHECK_MSG(!tables_.layers.empty(), "a contiguous cache has no tables");
-    const LayerTables& t = tables_.layers[checked_layer(layer)];
-    RowTables out{t.k.data(), t.v.data()};
+  // The KV head at head_off within layer `layer`'s rows, as attention
+  // reads it (AttnKV, tensor/ops.h). While every row is an own row, the
+  // layer is one dense [n_tokens, kv_dim] buffer and the head is a strided
+  // walk from row 0: the contiguous kernel. Otherwise every slot is read
+  // through the layer's row tables: quantized module rows are scored in the
+  // integer domain (no fp32 materialization, copied and borrowed alike) and
+  // fp32 rows through the same pointers. The q8 (q4) tables are null when
+  // the cache holds no q8 (q4) rows. Valid until the next append.
+  AttnKV head(int layer, int head_off) const {
+    const size_t l = checked_layer(layer);
+    if (module_rows_ == 0) {
+      return {.k = layers_[l].k.data() + head_off,
+              .v = layers_[l].v.data() + head_off,
+              .row_stride = static_cast<size_t>(kv_dim_)};
+    }
+    const LayerTables& t = tables_.layers[l];
+    AttnKV out{.k_rows = t.k.data(),
+               .v_rows = t.v.data(),
+               .head_off = static_cast<size_t>(head_off)};
     if (has_q8_) {
       out.k8 = t.k8.data();
       out.v8 = t.v8.data();

@@ -73,33 +73,6 @@ void Model::apply_norm(const Tensor& w, const Tensor& b, const Tensor& x,
 
 namespace {
 
-// The KV head at k_off of layer `layer`'s rows. While every row is an own
-// fp32 row, a layer is a dense [n_tokens, kv_dim] buffer and one head's K
-// column is a strided walk from row 0 — the contiguous kernel. Otherwise
-// rows are read through the layer's row tables: quantized module rows are
-// scored in the integer domain (no fp32 materialization, copied and
-// borrowed alike) and fp32 rows through the same pointers. A cache holds at
-// most one quantized format.
-AttnKV kv_head(const KVCache& c, int layer, int k_off) {
-  if (c.module_rows() == 0) {
-    return {.k = c.k_row(layer, 0) + k_off,
-            .v = c.v_row(layer, 0) + k_off,
-            .row_stride = static_cast<size_t>(c.kv_dim())};
-  }
-  const KVCache::RowTables t = c.tables(layer);
-  return {.k_rows = t.k,
-          .v_rows = t.v,
-          .head_off = static_cast<size_t>(k_off),
-          .k8 = t.k8,
-          .v8 = t.v8,
-          .k8_scales = t.k8_scales,
-          .v8_scales = t.v8_scales,
-          .k4 = t.k4,
-          .v4 = t.v4,
-          .k4_scales = t.k4_scales,
-          .v4_scales = t.v4_scales};
-}
-
 // Rows `rows` of a 2-D tensor, in order.
 Tensor gather_rows(const Tensor& t, std::span<const int> rows) {
   Tensor out({static_cast<int64_t>(rows.size()), t.dim(1)});
@@ -265,7 +238,7 @@ Tensor Model::attention(int layer, const Tensor& h, const Step& st,
                    rows[i].masked, &scores[i * row_scores],
                    out.row(jr) + hd * d_head};
         }
-        attn_fused(kv_head(*rows[0].cache, layer, kv * d_head), in, n,
+        attn_fused(rows[0].cache->head(layer, kv * d_head), in, n,
                    static_cast<size_t>(group), static_cast<size_t>(d_head),
                    attn_scale_, alibi_ ? alibi_->slopes() + hd : nullptr);
       }

@@ -94,7 +94,7 @@ struct RequestTimeline {
   uint64_t bytes_from_host = 0;
   uint64_t bytes_from_device = 0;
   uint64_t bytes_zero_copy = 0;
-  std::string kv_format;  // "fp32" | "fp16" | "q8" | "q4"
+  std::string kv_format;  // "fp32" | "q8" | "q4"
 
   RequestOutcome outcome = RequestOutcome::kPending;
   int retries = 0;

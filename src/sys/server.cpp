@@ -16,21 +16,6 @@ namespace pc {
 
 namespace {
 
-// Timeline vocabulary for the store's KV format.
-[[maybe_unused]] const char* precision_name(StorePrecision p) {
-  switch (p) {
-    case StorePrecision::kFp32:
-      return "fp32";
-    case StorePrecision::kFp16:
-      return "fp16";
-    case StorePrecision::kQ8:
-      return "q8";
-    case StorePrecision::kQ4:
-      return "q4";
-  }
-  return "unknown";
-}
-
 [[maybe_unused]] uint64_t ms_to_ns(double ms) {
   return ms > 0 ? static_cast<uint64_t>(ms * 1e6) : 0;
 }
@@ -381,7 +366,7 @@ void Server::record_timeline_locked(const ServerResponse& resp) {
   t.prefill_chunks = resp.prefill_chunks;
   // The engine's effective format: a q4 request on a model the q4 kernel
   // cannot serve runs as q8 (PromptCacheEngine's config()).
-  t.kv_format = precision_name(engine_.config().precision);
+  t.kv_format = to_string(engine_.config().precision);
   if (is_served(resp.status)) {
     const TtftBreakdown& b = resp.result.ttft;
     t.encode_ms = resp.result.encode_ms;

@@ -353,35 +353,6 @@ inline void axpy(float alpha, const float* x, float* y, size_t n) {
 #endif
 }
 
-// y = alpha * x  (overwrite; the fused attention mix uses this for the
-// first value row so the output needs no pre-zeroing pass)
-inline void scale_store(float alpha, const float* x, float* y, size_t n) {
-#if defined(PC_SIMD_AVX2)
-  const __m256 va = _mm256_set1_ps(alpha);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(y + i, _mm256_mul_ps(va, _mm256_loadu_ps(x + i)));
-  }
-  for (; i < n; ++i) y[i] = alpha * x[i];
-#elif defined(PC_SIMD_SSE2)
-  const __m128 va = _mm_set1_ps(alpha);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm_storeu_ps(y + i, _mm_mul_ps(va, _mm_loadu_ps(x + i)));
-  }
-  for (; i < n; ++i) y[i] = alpha * x[i];
-#elif defined(PC_SIMD_NEON)
-  const float32x4_t va = vdupq_n_f32(alpha);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    vst1q_f32(y + i, vmulq_f32(va, vld1q_f32(x + i)));
-  }
-  for (; i < n; ++i) y[i] = alpha * x[i];
-#else
-  for (size_t i = 0; i < n; ++i) y[i] = alpha * x[i];
-#endif
-}
-
 // a += b
 inline void add(float* a, const float* b, size_t n) {
 #if defined(PC_SIMD_AVX2)
@@ -809,8 +780,10 @@ inline void dequant_store(const int8_t* x, float scale, float* y, size_t n) {
 #endif
 }
 
-// y[i] += alpha * float(x[i]) — the value-mix step of the q8 attention
-// kernel (alpha folds the softmax weight and the row's V scale together).
+// y[i] += alpha * float(x[i]): one int8 V row mixed into an output (alpha
+// folds the softmax weight and the row's V scale together). The fused q8
+// kernels mix V rows in their own loops; test_kernels' reference attention
+// uses this one.
 inline void axpy_i8(float alpha, const int8_t* x, float* y, size_t n) {
 #if defined(PC_SIMD_AVX2)
   const __m256 va = _mm256_set1_ps(alpha);
@@ -1060,12 +1033,13 @@ inline void dequant_store_i4(const uint8_t* packed, float scale, float* y,
   }
 }
 
-// y[i] += w * block_scales[b] * (nibble_i - 8) over a row of n values — the
-// value-mix step of the q4 attention kernel (w is the softmax weight; the
-// per-block V scale folds in here). Uses fused multiply-add on AVX2 like
-// axpy_i8, in whole blocks and in a partial final block alike, so the
-// kernel tests compare against fp32 mixing with a small tolerance rather
-// than bitwise.
+// y[i] += w * block_scales[b] * (nibble_i - 8) over a row of n values: one
+// Q4_0 V row mixed into an output (w is the softmax weight; the per-block V
+// scale folds in here). The fused q4 kernels mix V rows in their own loops;
+// test_kernels' reference attention uses this one. Uses fused multiply-add
+// on AVX2 like axpy_i8, in whole blocks and in a partial final block alike,
+// so the kernel tests compare against fp32 mixing with a small tolerance
+// rather than bitwise.
 inline void axpy_i4(float w, const uint8_t* packed, const float* block_scales,
                     float* y, size_t n) {
   const size_t n_blocks = (n + 31) / 32;

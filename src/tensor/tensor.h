@@ -3,8 +3,8 @@
 // The inference engine only ever needs contiguous fp32 buffers with explicit
 // shapes; views and broadcasting are intentionally out of scope (Core
 // Guidelines P.11 — keep the messy indexing encapsulated in the kernels that
-// need it). Half-precision storage for cached attention states lives in
-// tensor/fp16.h.
+// need it). Reduced-precision storage for cached attention states lives in
+// kv/quant.h.
 #pragma once
 
 #include <cstdint>

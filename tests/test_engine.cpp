@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <numeric>
+#include <string>
 
 #include "core/engine.h"
 #include "eval/workload.h"
@@ -362,47 +364,79 @@ TEST_P(EnginePrecisionTest, ReducedPrecisionStoragePreservesRetrieval) {
   const ServeResult r = engine.serve(
       R"(<prompt schema="h"><doc/> question: q05</prompt>)", answer_options());
   EXPECT_EQ(r.text, "a10 a11");
-  // Footprint ordering: fp16 is half of fp32, q8 roughly a quarter.
   EXPECT_GT(r.ttft.bytes_from_device + r.ttft.bytes_from_host, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPrecisions, EnginePrecisionTest,
                          ::testing::Values(StorePrecision::kFp32,
-                                           StorePrecision::kFp16,
                                            StorePrecision::kQ8,
                                            StorePrecision::kQ4),
                          [](const auto& info) {
                            switch (info.param) {
-                             case StorePrecision::kFp32: return "Fp32";
-                             case StorePrecision::kFp16: return "Fp16";
                              case StorePrecision::kQ8: return "Q8";
                              case StorePrecision::kQ4: return "Q4";
+                             default: return "Fp32";
                            }
-                           return "Unknown";
                          });
+
+// Calls fn, which must throw pc::ConfigError naming the three formats a
+// store holds.
+template <typename Fn>
+void expect_rejects_naming_formats(Fn&& fn) {
+  try {
+    fn();
+    ADD_FAILURE() << "no ConfigError";
+  } catch (const ConfigError& e) {
+    const std::string what = e.what();
+    for (const char* name : {"q4", "q8", "fp32"}) {
+      EXPECT_NE(what.find(name), std::string::npos) << what;
+    }
+  }
+}
+
+// fp16 module storage is gone; its enumerator is refused where a format
+// enters: engine construction and PC_KV_FORMAT.
+TEST_F(EngineTest, Fp16PrecisionIsRejected) {
+  EngineConfig cfg;
+  cfg.precision = StorePrecision::kFp16;
+  expect_rejects_naming_formats(
+      [&] { PromptCacheEngine engine(model_, workload_.tokenizer(), cfg); });
+}
+
+TEST_F(EngineTest, Fp16KvFormatIsRejected) {
+  const char* saved = std::getenv("PC_KV_FORMAT");
+  const std::string restore = saved != nullptr ? saved : "";
+  const bool had = saved != nullptr;
+  setenv("PC_KV_FORMAT", "fp16", 1);
+  expect_rejects_naming_formats([] { (void)default_store_precision(); });
+  expect_rejects_naming_formats([] { (void)EngineConfig{}; });
+  if (had) {
+    setenv("PC_KV_FORMAT", restore.c_str(), 1);
+  } else {
+    unsetenv("PC_KV_FORMAT");
+  }
+}
 
 TEST_F(EngineTest, PrecisionFootprintOrdering) {
   const char* schema = R"(
     <schema name="fp">
       <module name="doc">w00 w01 q05 a10 a11 . w02 w03 w04 w05</module>
     </schema>)";
-  size_t bytes[4];
+  size_t bytes[3];
   const StorePrecision precisions[] = {StorePrecision::kFp32,
-                                       StorePrecision::kFp16,
                                        StorePrecision::kQ8,
                                        StorePrecision::kQ4};
-  for (int i = 0; i < 4; ++i) {
+  for (int i = 0; i < 3; ++i) {
     EngineConfig cfg;
     cfg.precision = precisions[i];
     PromptCacheEngine engine(model_, workload_.tokenizer(), cfg);
     engine.load_schema(schema);
     bytes[i] = engine.store().usage(ModuleLocation::kDeviceMemory).used_bytes;
   }
-  EXPECT_EQ(bytes[1], bytes[0] / 2);       // fp16 halves fp32
-  EXPECT_LT(bytes[2], bytes[1] * 2 / 3);   // q8 well below fp16
-  EXPECT_GT(bytes[2], bytes[0] / 5);       // but not free (scales)
-  EXPECT_LT(bytes[3], bytes[2] * 3 / 4);   // q4 well below q8
-  EXPECT_GT(bytes[3], bytes[0] / 8);       // but above pure 4-bit (scales)
+  EXPECT_LT(bytes[1], bytes[0] * 3 / 10);  // q8 about a quarter of fp32
+  EXPECT_GT(bytes[1], bytes[0] / 4);       // but not free (scales)
+  EXPECT_LT(bytes[2], bytes[1] * 3 / 4);   // q4 well below q8
+  EXPECT_GT(bytes[2], bytes[0] / 8);       // but above pure 4-bit (scales)
 }
 
 // A model whose KV heads cannot hold Q4_0 blocks (d_head 16, 2 KV heads)

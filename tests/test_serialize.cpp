@@ -10,7 +10,6 @@
 #include <limits>
 #include <sstream>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -367,13 +366,9 @@ bool consistent(const EncodedModule& m) {
   const auto sized = [&](const auto& layer_list, size_t rows, size_t scales) {
     if (m.pos_ids.size() != n || layer_list.size() != layers) return false;
     for (const auto& layer : layer_list) {
-      if (layer.k.size() != rows || layer.v.size() != rows) return false;
-      if constexpr (!std::is_same_v<std::decay_t<decltype(layer)>,
-                                    EncodedModule::F16Layer>) {
-        if (layer.k_scales.size() != scales ||
-            layer.v_scales.size() != scales) {
-          return false;
-        }
+      if (layer.k.size() != rows || layer.v.size() != rows ||
+          layer.k_scales.size() != scales || layer.v_scales.size() != scales) {
+        return false;
       }
     }
     return true;
@@ -384,15 +379,14 @@ bool consistent(const EncodedModule& m) {
              m.kv32->kv_dim() == m.kv_dim &&
              m.kv32->n_layers() == m.n_layers &&
              m.kv32->pos_ids().size() == n;
-    case StorePrecision::kFp16:
-      return sized(m.kv16_layers, elems, 0);
     case StorePrecision::kQ8:
       return sized(m.kv8_layers, elems, n);
     case StorePrecision::kQ4:
       return sized(m.kv4_layers, n * q4_row_bytes(m.kv_dim),
                    n * static_cast<size_t>(q4_blocks(m.kv_dim)));
+    default:  // tag 1 (kFp16) included: no store holds it
+      return false;
   }
-  return false;
 }
 
 // One structure-aware edit of a record's fields: the precision tag, a
@@ -437,7 +431,7 @@ void mutate(EncodedModule& m, Rng& rng) {
     return list[rng.next_below(list.size())];
   };
   switch (rng.next_below(9)) {
-    case 0:  // includes two tags past the last format
+    case 0:  // includes fp16's retired tag 1 and two tags past the last
       m.precision = static_cast<StorePrecision>(rng.next_below(6));
       break;
     case 1:
@@ -583,6 +577,36 @@ TEST(SerializeFuzz, RangesPastThePayloadAreRejected) {
     EncodedModule read;
     EXPECT_THROW(read_module_record(stream, &read_key, &read), Error) << key;
   }
+}
+
+// fp16 storage is gone: a record tagged 1, as its records were, fails a
+// strict load and is skipped under kSkipCorrupt like any corrupt record.
+TEST(SerializeRetiredFormat, Fp16RecordFailsStrictLoadAndIsSkipped) {
+  AccuracyWorkload workload(7);
+  const Model model = make_induction_model({workload.vocab().size(), 256});
+  const auto modules = encoded_modules(StorePrecision::kFp32);
+  ASSERT_EQ(modules.size(), 2u);
+  const std::string path = ::testing::TempDir() + "pc_modules_fp16.bin";
+  write_store_file(path, [&](std::ostream& os) {
+    EncodedModule retired = modules[0].second;
+    retired.precision = StorePrecision::kFp16;
+    write_module_record(os, modules[0].first, retired);
+    write_module_record(os, modules[1].first, modules[1].second);
+  });
+  EngineConfig cfg;
+  cfg.precision = StorePrecision::kFp32;
+  {
+    PromptCacheEngine strict(model, workload.tokenizer(), cfg);
+    EXPECT_THROW(strict.load_modules(path), Error);
+  }
+  PromptCacheEngine reader(model, workload.tokenizer(), cfg);
+  const PromptCacheEngine::LoadReport report =
+      reader.load_modules(path, PromptCacheEngine::LoadPolicy::kSkipCorrupt);
+  EXPECT_EQ(report.skipped, 1u);
+  EXPECT_EQ(report.loaded, 1u);
+  EXPECT_FALSE(reader.store().contains(modules[0].first));
+  EXPECT_TRUE(reader.store().contains(modules[1].first));
+  std::remove(path.c_str());
 }
 
 // A snapshot written by an fp32 deployment must load into a quantized
@@ -736,17 +760,14 @@ TEST(StoreFileWriter, FailedWriteLeavesPathIntactAndRemovesTmp) {
 
 INSTANTIATE_TEST_SUITE_P(AllPrecisions, SerializeTest,
                          ::testing::Values(StorePrecision::kFp32,
-                                           StorePrecision::kFp16,
                                            StorePrecision::kQ8,
                                            StorePrecision::kQ4),
                          [](const auto& info) {
                            switch (info.param) {
-                             case StorePrecision::kFp32: return "Fp32";
-                             case StorePrecision::kFp16: return "Fp16";
                              case StorePrecision::kQ8: return "Q8";
                              case StorePrecision::kQ4: return "Q4";
+                             default: return "Fp32";
                            }
-                           return "Unknown";
                          });
 
 }  // namespace

@@ -1,11 +1,10 @@
 // Unit tests for the tensor library: kernels checked against naive
-// references, shape contracts, and fp16 conversion.
+// references and shape contracts.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "common/rng.h"
-#include "tensor/fp16.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 
@@ -157,39 +156,6 @@ TEST(Ops, ElementwiseHelpers) {
   mul_inplace(c, b);
   EXPECT_FLOAT_EQ(c.at(1), 40.0f);
   EXPECT_THROW(add_inplace(a, Tensor({4})), ContractViolation);
-}
-
-TEST(Fp16, RoundTripsCommonValues) {
-  for (float v : {0.0f, 1.0f, -1.0f, 0.5f, 2.0f, -3.25f, 65504.0f}) {
-    EXPECT_FLOAT_EQ(half_to_float(float_to_half(v)), v) << v;
-  }
-}
-
-TEST(Fp16, SubnormalsAndOverflow) {
-  // Smallest positive half subnormal is 2^-24.
-  const float tiny = std::ldexp(1.0f, -24);
-  EXPECT_FLOAT_EQ(half_to_float(float_to_half(tiny)), tiny);
-  // Overflow saturates to infinity.
-  EXPECT_TRUE(std::isinf(half_to_float(float_to_half(1e6f))));
-  // NaN stays NaN.
-  EXPECT_TRUE(std::isnan(half_to_float(float_to_half(NAN))));
-}
-
-TEST(Fp16, RelativeErrorBounded) {
-  Rng rng(10);
-  for (int i = 0; i < 1000; ++i) {
-    const float v = rng.uniform(-100.0f, 100.0f);
-    const float r = half_to_float(float_to_half(v));
-    EXPECT_NEAR(r, v, std::abs(v) * 1e-3f + 1e-6f);
-  }
-}
-
-TEST(Fp16, BulkConversionHelpers) {
-  const std::vector<float> src = {1.0f, -2.0f, 0.25f};
-  const auto half = to_half(src);
-  const auto back = to_float(half);
-  ASSERT_EQ(back.size(), src.size());
-  for (size_t i = 0; i < src.size(); ++i) EXPECT_FLOAT_EQ(back[i], src[i]);
 }
 
 }  // namespace

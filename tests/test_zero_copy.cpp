@@ -1,7 +1,6 @@
 // Tests for zero-copy serving and the sequence cache's module rows:
 // bitwise equivalence of copied and borrowed rows at fp32, q8 and q4,
-// memory-footprint semantics, cache contracts, pin lifetimes, and
-// precision restrictions.
+// memory-footprint semantics, cache contracts, and pin lifetimes.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -143,7 +142,7 @@ TEST_F(ZeroCopyTest, BorrowedRowsBasics) {
   EXPECT_EQ(cache.own_rows(), 1);
   cache.k_row(0, 3)[1] = 7.0f;
   EXPECT_FLOAT_EQ(std::as_const(cache).k_row(0, 3)[1], 7.0f);
-  EXPECT_EQ(cache.tables(0).k[3], std::as_const(cache).k_row(0, 3));
+  EXPECT_EQ(cache.head(0, 0).k_rows[3], std::as_const(cache).k_row(0, 3));
   EXPECT_EQ(cache.payload_bytes(), 2u * 2 * 4 * sizeof(float));
 }
 
@@ -179,8 +178,8 @@ TEST_F(ZeroCopyTest, CopiedRowsAreTheStoredBytes) {
     for (int l = 0; l < kLayers; ++l) {
       const Q8Layer& s8 = quantized.q8[static_cast<size_t>(l)];
       const Q4Layer& s4 = quantized.q4[static_cast<size_t>(l)];
-      const KVCache::RowTables t8 = q8.tables(l);
-      const KVCache::RowTables t4 = q4.tables(l);
+      const AttnKV t8 = q8.head(l, 0);
+      const AttnKV t4 = q4.head(l, 0);
       for (int i = 0; i < 3; ++i) {
         const int8_t* src8 = s8.k.data() + (i + 1) * kWidth;
         const uint8_t* src4 = s4.v.data() + (i + 1) * q4_row;
@@ -193,7 +192,7 @@ TEST_F(ZeroCopyTest, CopiedRowsAreTheStoredBytes) {
                               q4_scales * sizeof(float)),
                   0);
         EXPECT_EQ(t8.k8_scales[i], s8.k_scales[static_cast<size_t>(i + 1)]);
-        EXPECT_EQ(t8.k[i], nullptr);  // quantized slots have no fp32 row
+        EXPECT_EQ(t8.k_rows[i], nullptr);  // quantized slots have no fp32 row
       }
     }
     EXPECT_EQ(q8.pos_id(0), 5);
@@ -376,14 +375,20 @@ TEST_F(ZeroCopyTest, PinsAreReleasedAfterServe) {
   EXPECT_EQ(again.text, "a12 a13");
 }
 
-TEST_F(ZeroCopyTest, ReducedPrecisionStoresAreRejected) {
+// A zero-copy serve that throws mid-assembly returns the pins it took: a
+// module of another geometry under doc2's key is pinned, then refused by
+// the geometry check, after doc1's rows are borrowed.
+TEST_F(ZeroCopyTest, PinsAreReturnedWhenAssemblyThrows) {
   EngineConfig cfg;
   cfg.zero_copy = true;
-  cfg.precision = StorePrecision::kFp16;
   PromptCacheEngine engine(model_, workload_.tokenizer(), cfg);
   engine.load_schema(kSchema);
+  EncodedModule wrong;
+  wrong.n_layers = model_.config().n_layers;
+  wrong.kv_dim = model_.config().kv_dim() + 1;
+  wrong.kv32 = KVCache(wrong.n_layers, wrong.kv_dim);
+  engine.store().insert("z::doc2", std::move(wrong));
   EXPECT_THROW(engine.serve(kPrompt, answer_options()), ContractViolation);
-  // The pin taken before the rejection is returned as the serve unwinds.
   EXPECT_FALSE(engine.store().is_pinned("z::doc1"));
   EXPECT_FALSE(engine.store().is_pinned("z::doc2"));
 }
