@@ -54,7 +54,8 @@ void BM_ConcatNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_ConcatNaive)->Arg(128)->Arg(512);
 
-// Engine-level retrieval with fp32, q8 and q4 module storage.
+// Engine-level retrieval with fp32, q8 and q4 module storage: the
+// per-format cost of copying the stored bytes, so the engines copy.
 struct RetrieveFixtureState {
   Tokenizer tokenizer{Vocab::basic_english()};
   Model model = Model::random(
@@ -73,6 +74,7 @@ void run_retrieve(benchmark::State& state, StorePrecision precision) {
       768, 4, "ret" + std::to_string(static_cast<int>(precision)));
   EngineConfig cfg;
   cfg.precision = precision;
+  cfg.zero_copy = false;
   PromptCacheEngine engine(f.model, f.tokenizer, cfg);
   engine.load_schema(sample.schema_pml);
   const pml::PromptBinding binding = engine.bind(sample.prompt_pml);
@@ -103,7 +105,9 @@ void BM_AssembleCopy(benchmark::State& state) {
   auto& f = fixture();
   LatencyWorkload workload(4);
   const LatencySample sample = workload.make_sweep_sample(1024, 4, "asmc");
-  PromptCacheEngine engine(f.model, f.tokenizer);
+  EngineConfig copy;
+  copy.zero_copy = false;
+  PromptCacheEngine engine(f.model, f.tokenizer, copy);
   engine.load_schema(sample.schema_pml);
   const pml::PromptBinding binding = engine.bind(sample.prompt_pml);
   engine.ensure_encoded(binding);
@@ -127,9 +131,9 @@ void BM_AssembleZeroCopy(benchmark::State& state) {
       collect_uncached(binding, f.model.config().max_pos);
   for (auto _ : state) {
     TtftBreakdown ttft;
-    SequenceKV kv = engine.assemble(binding, ModuleRows::kBorrow, 0, &ttft);
+    KVCache kv = engine.assemble(binding, 0, &ttft);
     benchmark::DoNotOptimize(
-        f.model.forward(question.tokens, question.pos_ids, kv.cache));
+        f.model.forward(question.tokens, question.pos_ids, kv));
   }
 }
 BENCHMARK(BM_AssembleZeroCopy);

@@ -16,7 +16,11 @@
 #include "obs/trace.h"
 #include "sys/fault.h"
 
-// Stamped by bench/CMakeLists.txt; fall back for non-bench includers.
+// Stamped at build time (cmake/git_sha.cmake via bench/CMakeLists.txt);
+// fall back for includers built without it.
+#if __has_include("pc_git_sha.h")
+#include "pc_git_sha.h"
+#endif
 #ifndef PC_GIT_SHA
 #define PC_GIT_SHA "unknown"
 #endif

@@ -1124,6 +1124,9 @@ int main(int argc, char** argv) {
     cfg.queue_capacity = 16;
     cfg.schemas = {schema};
     cfg.link = link;
+    // Copying lanes: the host bytes they move are what the LinkModel's
+    // bandwidth term charges and host_link_bytes reports.
+    cfg.engine.zero_copy = false;
 
     RunResult run;
     run.workers = workers;
@@ -1173,6 +1176,7 @@ int main(int argc, char** argv) {
                      : std::string(fmt) == "q4" ? StorePrecision::kQ4
                                                 : StorePrecision::kFp32;
     {
+      ecfg.zero_copy = false;
       PromptCacheEngine copy_engine(model, workload.tokenizer(), ecfg);
       copy_engine.load_schema(schema);
       WallTimer timer;

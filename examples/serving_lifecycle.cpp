@@ -61,7 +61,7 @@ int main() {
   // ---- phase 2: restart without re-encoding ----
   EngineConfig cfg;
   cfg.eager_encode = false;          // schema loads metadata only
-  cfg.zero_copy = true;              // borrow module rows, copy nothing
+  cfg.zero_copy = true;              // the default: borrow rows, copy none
   cfg.prefetch_union_siblings = true;
   PromptCacheEngine engine(model, workload.tokenizer(), cfg);
   engine.load_schema(schema);

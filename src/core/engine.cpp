@@ -413,32 +413,6 @@ double PromptCacheEngine::ensure_encoded(const pml::PromptBinding& binding,
   return timer.elapsed_ms();
 }
 
-void PromptCacheEngine::for_each_encoded(
-    const pml::PromptBinding& binding,
-    const std::function<void(const std::string& key,
-                             const EncodedModule& module,
-                             ModuleLocation location)>& emit,
-    ModuleBorrows* borrows, int* encodes) {
-  for (const Block& block : blocks(binding)) {
-    // One lookup-or-encode per block. With `borrows` (zero-copy), lookup
-    // and pin are one atomic step and the holder keeps the ref past this
-    // loop, so rows the view borrows can neither dangle (ref) nor be
-    // evicted out from under other requests (pin).
-    bool encoded_here = false;
-    SharedModuleStore::ModuleRef ref = store_.ensure(
-        block.key,
-        [&]() -> EncodedModule {
-          // Evicted since the ensure pass (cache thrash): re-encode.
-          cells_.thrash_reencodes.inc();
-          return build_payload(*binding.schema, block);
-        },
-        &encoded_here, /*and_pin=*/borrows != nullptr);
-    if (encoded_here) count_encode(block, encodes);
-    if (borrows != nullptr) borrows->adopt(store_, block.key, ref);
-    emit(block.key, *ref, ref.location());
-  }
-}
-
 std::vector<std::string> PromptCacheEngine::module_keys(
     const pml::PromptBinding& binding) const {
   std::vector<std::string> keys;
@@ -448,25 +422,29 @@ std::vector<std::string> PromptCacheEngine::module_keys(
 
 namespace {
 
-// One module's text rows into a sequence cache, copied as stored or
-// borrowed in place; attention reads both the same way, so the two differ
-// only in where the bytes live and what they are charged as: a copy's
-// stored bytes by the tier they came from, a borrow's as bytes_zero_copy.
-void append_module_rows(const std::string& key, const EncodedModule& m,
-                        ModuleLocation loc, ModuleRows how, KVCache& cache,
-                        TtftBreakdown* ttft) {
+// One module's text rows into a sequence cache, borrowed in place (the
+// cache holds the payload's owner) or copied as stored; attention reads
+// both the same way, so the two differ only in where the bytes live and
+// what they are charged as: a copy's stored bytes by the tier they came
+// from, a borrow's as bytes_zero_copy.
+void append_module_rows(const std::string& key,
+                        const SharedModuleStore::ModuleRef& ref,
+                        ModuleRows how, KVCache& cache, TtftBreakdown* ttft) {
+  const EncodedModule& m = *ref;
   PC_CHECK_MSG(m.kv_dim == cache.kv_dim() && m.n_layers == cache.n_layers(),
                "module '" << key << "' does not match the cache's geometry");
   if (ttft != nullptr) ++ttft->modules;
   for (const auto& [begin, end] : m.text_row_ranges) {
     if (m.precision == StorePrecision::kQ8) {
-      cache.append_rows(m.kv8_layers, m.pos_ids, begin, end, how);
+      cache.append_rows(m.kv8_layers, m.pos_ids, begin, end, how,
+                        ref.shared());
     } else if (m.precision == StorePrecision::kQ4) {
-      cache.append_rows(m.kv4_layers, m.pos_ids, begin, end, how);
+      cache.append_rows(m.kv4_layers, m.pos_ids, begin, end, how,
+                        ref.shared());
     } else if (how == ModuleRows::kCopy) {
       cache.append_range(*m.kv32, begin, end);
     } else {
-      cache.borrow_rows(*m.kv32, begin, end);
+      cache.borrow_rows(*m.kv32, begin, end, ref.shared());
     }
     if (ttft != nullptr) {
       const size_t bytes =
@@ -474,7 +452,7 @@ void append_module_rows(const std::string& key, const EncodedModule& m,
       ttft->cached_tokens += end - begin;
       if (how == ModuleRows::kBorrow) {
         ttft->bytes_zero_copy += bytes;
-      } else if (loc == ModuleLocation::kHostMemory) {
+      } else if (ref.location() == ModuleLocation::kHostMemory) {
         ttft->bytes_from_host += bytes;
       } else {
         ttft->bytes_from_device += bytes;
@@ -499,27 +477,34 @@ Tensor prefill_uncached(const Model& model, const UncachedStream& stream,
 }  // namespace
 
 void PromptCacheEngine::append_modules(const pml::PromptBinding& binding,
-                                       ModuleRows how, int own_budget,
-                                       KVCache& cache, ModuleBorrows* borrows,
+                                       int own_budget, KVCache& cache,
                                        TtftBreakdown* ttft, int* encodes) {
+  const ModuleRows how =
+      config_.zero_copy ? ModuleRows::kBorrow : ModuleRows::kCopy;
   WallTimer retrieve_timer;
   {
     PC_SPAN("kv_concat",
             {"modules", static_cast<int64_t>(binding.modules.size())},
-            {"zero_copy", how == ModuleRows::kBorrow ? 1 : 0});
+            {"zero_copy", config_.zero_copy ? 1 : 0});
     // Copied fp32 rows are own rows, so they are reserved too.
     const bool own_copies = how == ModuleRows::kCopy &&
                             config_.precision == StorePrecision::kFp32;
     cache.reserve(cache.own_rows() +
                   (own_copies ? binding.cached_token_count() : 0) +
                   own_budget);
-    for_each_encoded(
-        binding,
-        [&](const std::string& key, const EncodedModule& m,
-            ModuleLocation loc) {
-          append_module_rows(key, m, loc, how, cache, ttft);
-        },
-        borrows, encodes);
+    for (const Block& block : blocks(binding)) {
+      bool encoded_here = false;
+      const SharedModuleStore::ModuleRef ref = store_.ensure(
+          block.key,
+          [&]() -> EncodedModule {
+            // Evicted since the ensure pass (cache thrash): re-encode.
+            cells_.thrash_reencodes.inc();
+            return build_payload(*binding.schema, block);
+          },
+          &encoded_here);
+      if (encoded_here) count_encode(block, encodes);
+      append_module_rows(block.key, ref, how, cache, ttft);
+    }
   }
   if (ttft != nullptr) ttft->retrieve_ms = retrieve_timer.elapsed_ms();
 }
@@ -529,25 +514,23 @@ Tensor PromptCacheEngine::assemble_and_prefill(
     TtftBreakdown* ttft) {
   const UncachedStream stream =
       collect_uncached(binding, model_.config().max_pos);
-  append_modules(binding, ModuleRows::kCopy,
-                 binding.uncached_token_count() + 64, sequence_cache,
-                 nullptr, ttft, nullptr);
+  append_modules(binding, binding.uncached_token_count() + 64,
+                 sequence_cache, ttft, nullptr);
   return prefill_uncached(model_, stream, sequence_cache, ttft);
 }
 
-SequenceKV PromptCacheEngine::assemble(const pml::PromptBinding& binding,
-                                       ModuleRows how, int max_new_tokens,
-                                       TtftBreakdown* ttft, int* encodes) {
+KVCache PromptCacheEngine::assemble(const pml::PromptBinding& binding,
+                                    int max_new_tokens, TtftBreakdown* ttft,
+                                    int* encodes) {
   // Decoding stops at the position budget, so max_pos also bounds the
   // generated rows whatever max_new_tokens asks for.
   const int generated =
       std::clamp(max_new_tokens, 0, model_.config().max_pos);
-  SequenceKV kv{ModuleBorrows{}, model_.make_cache()};
-  append_modules(binding, how,
+  KVCache cache = model_.make_cache();
+  append_modules(binding,
                  binding.uncached_token_count() + 1 + generated + kTailSlack,
-                 kv.cache, how == ModuleRows::kBorrow ? &kv.borrows : nullptr,
-                 ttft, encodes);
-  return kv;
+                 cache, ttft, encodes);
+  return cache;
 }
 
 ServeResult PromptCacheEngine::serve(std::string_view prompt_pml,
@@ -563,14 +546,9 @@ ServeResult PromptCacheEngine::serve(std::string_view prompt_pml,
   ServeResult result;
   result.encode_ms = ensure_encoded(binding, options.cancel);
 
-  // Borrowed modules stay pinned until `kv` leaves this scope, on every
-  // exit path.
-  SequenceKV kv = assemble(
-      binding, config_.zero_copy ? ModuleRows::kBorrow : ModuleRows::kCopy,
-      options.max_new_tokens, &result.ttft);
-  const Tensor logits =
-      prefill_uncached(model_, stream, kv.cache, &result.ttft);
-  decode_into("serve", logits, stream.gen_start, kv.cache, options, &result);
+  KVCache cache = assemble(binding, options.max_new_tokens, &result.ttft);
+  const Tensor logits = prefill_uncached(model_, stream, cache, &result.ttft);
+  decode_into("serve", logits, stream.gen_start, cache, options, &result);
   result.prompt_tokens =
       result.ttft.cached_tokens + result.ttft.uncached_tokens;
   complete_serve(binding, result.ttft);

@@ -9,9 +9,9 @@
 //      and collect its uncached stream (collect_uncached), which fails a
 //      prompt past max_pos before anything is encoded;
 //   2. retrieve the encoded attention states of imported modules into the
-//      sequence KV cache — a pure memcpy of the stored bytes, or, under
-//      EngineConfig::zero_copy, a borrow in place (parameter-placeholder
-//      rows are skipped);
+//      sequence KV cache — a borrow in place (EngineConfig::zero_copy, the
+//      default), or a pure memcpy of the stored bytes when zero_copy is
+//      off (parameter-placeholder rows are skipped);
 //   3. compute attention states for the uncached stream — parameter
 //      arguments (at their placeholder position IDs) and free text
 //      segments, or the kickoff — in one forward pass that attends over
@@ -40,8 +40,9 @@
 //     encoded (a shard router copies modules between its shards' stores).
 //     A Server (src/sys/server.h) builds one engine over its store and
 //     serves every lane through it: each module is encoded once and held
-//     once, and borrowing caches take reference-counted pins, so a request
-//     on one lane blocks eviction triggered by another.
+//     once, and a borrowing cache holds the payloads it reads, so an
+//     eviction triggered on one lane never frees rows a request on another
+//     still reads.
 #pragma once
 
 #include <map>
@@ -84,14 +85,17 @@ struct EngineConfig {
   // union member, promote the member's siblings into device memory — the
   // next request is likely to pick one of them.
   bool prefetch_union_siblings = false;
-  // Zero-copy serving (§6 direction: share attention states across
-  // requests): the per-request cache borrows module rows from the store,
-  // pinned for the request, instead of copying them; only uncached and
-  // generated rows are owned. It chooses where the bytes live and what the
-  // host link is charged (nothing moves), never the arithmetic: tokens are
-  // the copy path's at every format. serve() and the Server's lanes both
-  // follow it.
-  bool zero_copy = false;
+  // Zero-copy serving (§3.4's batch optimization, §6's shared attention
+  // states): every assembly — serve(), the Server's lanes and
+  // assemble_and_prefill — borrows module rows from the store instead of
+  // copying them; only uncached and generated rows are owned. The cache
+  // holds each borrowed payload alive (kv/kv_cache.h), so the store's LRU
+  // still evicts freely. false copies the stored bytes instead: the
+  // paper's per-request retrieval, and the host->device copy whose bytes
+  // a LinkModel's bandwidth term charges. It chooses where the bytes live
+  // and what the host link is charged, never the arithmetic: tokens are
+  // the same at every format.
+  bool zero_copy = true;
 };
 
 // The rows a request computes before its first token: the binding's
@@ -112,15 +116,6 @@ struct UncachedStream {
 // is encoded or computed.
 UncachedStream collect_uncached(const pml::PromptBinding& binding,
                                 int max_pos);
-
-// One request's sequence cache (PromptCacheEngine::assemble): module rows,
-// copied or borrowed, then own rows; and the pins and refs keeping borrowed
-// rows resident (empty when the rows were copied). The cache is declared
-// last, so it is destroyed before its borrows are returned.
-struct SequenceKV {
-  ModuleBorrows borrows;
-  KVCache cache;
-};
 
 struct TtftBreakdown {
   double retrieve_ms = 0;  // module rows into the sequence cache
@@ -249,23 +244,24 @@ class PromptCacheEngine {
 
   // Building blocks, exposed for tests and benchmarks -----------------------
 
-  // Steps 2-3 of serve() without generation: copies every module row of
-  // `binding` into `sequence_cache` and returns the first-token logits.
+  // Steps 2-3 of serve() without generation: appends every module row of
+  // `binding` to `sequence_cache`, borrowed or copied as
+  // EngineConfig::zero_copy says, and returns the first-token logits.
   Tensor assemble_and_prefill(const pml::PromptBinding& binding,
                               KVCache& sequence_cache, TtftBreakdown* ttft);
 
   // Step 2 of serve(), without the prefill: a sequence cache holding every
-  // module row of `binding`, copied as stored or borrowed in place (pinned
-  // and alive until the SequenceKV is destroyed), with own-row room for the
-  // uncached tokens, the kickoff token, `max_new_tokens` generated tokens
-  // (at most max_pos) and kTailSlack. serve() and the batch scheduler
-  // (sys/batch.h) copy or borrow as EngineConfig::zero_copy says. A module
-  // evicted since the ensure pass is re-encoded here (a thrash re-encode)
-  // and, like every encode, adds one to `*encodes` when it is given.
+  // module row of `binding`, borrowed in place or copied as stored as
+  // EngineConfig::zero_copy says (serve() and the batch scheduler,
+  // sys/batch.h, both assemble here), with own-row room for the uncached
+  // tokens, the kickoff token, `max_new_tokens` generated tokens (at most
+  // max_pos) and kTailSlack. Borrowed rows live as long as the returned
+  // cache. A module evicted since the ensure pass is re-encoded here (a
+  // thrash re-encode) and, like every encode, adds one to `*encodes` when
+  // it is given.
   static constexpr int kTailSlack = 8;
-  SequenceKV assemble(const pml::PromptBinding& binding, ModuleRows how,
-                      int max_new_tokens, TtftBreakdown* ttft,
-                      int* encodes = nullptr);
+  KVCache assemble(const pml::PromptBinding& binding, int max_new_tokens,
+                   TtftBreakdown* ttft, int* encodes = nullptr);
 
   // serve()'s last step, which the batch scheduler also runs for every
   // request it finishes: counts the cached serve, records its TTFT, and
@@ -328,9 +324,8 @@ class PromptCacheEngine {
   }
 
   // The store keys of `binding`'s blocks (modules, and active scaffolds in
-  // place of their members), in concatenation order — the keys
-  // for_each_encoded emits — WITHOUT touching any store or encoding
-  // anything. The prefetch pipeline's lookahead (sys/prefetch.h) maps
+  // place of their members), in concatenation order — the keys assembly
+  // reads — WITHOUT touching any store or encoding anything. The prefetch pipeline's lookahead (sys/prefetch.h) maps
   // queued prompts to keys through the serving engine so spilled payloads
   // can fault in ahead of admission; the shard router routes by them.
   std::vector<std::string> module_keys(const pml::PromptBinding& binding) const;
@@ -385,27 +380,13 @@ class PromptCacheEngine {
                    KVCache& cache, const GenerateOptions& options,
                    ServeResult* result) const;
 
-  // Appends every module row of `binding` to `cache` (see assemble()),
-  // after reserving `own_budget` own rows beyond those fp32 copies fill.
-  // Borrowed modules' pins and refs go to `borrows`.
-  void append_modules(const pml::PromptBinding& binding, ModuleRows how,
-                      int own_budget, KVCache& cache, ModuleBorrows* borrows,
-                      TtftBreakdown* ttft, int* encodes);
-
-  // Resolves the encoded payload of every block of `binding` (re-encoding
-  // evicted entries) and emits them in concatenation order; rows stay
-  // valid for the duration of the emit callback. With `borrows`
-  // (borrowing assembly), each emitted module is pinned and its pin and
-  // ref are handed to the holder before emit runs, so rows stay valid and
-  // resident for as long as the borrowing cache lives — and are released
-  // even when emit throws. A module evicted since the ensure pass is
-  // re-encoded here, counted as a thrash re-encode and in `*encodes`.
-  void for_each_encoded(
-      const pml::PromptBinding& binding,
-      const std::function<void(const std::string& key,
-                               const EncodedModule& module,
-                               ModuleLocation location)>& emit,
-      ModuleBorrows* borrows, int* encodes);
+  // Appends every module row of `binding` to `cache` in concatenation
+  // order (see assemble()), after reserving `own_budget` own rows beyond
+  // those fp32 copies fill. One store lookup per block; a module evicted
+  // since the ensure pass is re-encoded here, counted as a thrash re-encode
+  // and in `*encodes`.
+  void append_modules(const pml::PromptBinding& binding, int own_budget,
+                      KVCache& cache, TtftBreakdown* ttft, int* encodes);
 
   // The standalone constructor's target: `owned` becomes the store.
   PromptCacheEngine(const Model& model, const TextTokenizer& tokenizer,

@@ -4,8 +4,10 @@
 // sequence KV cache alive across turns: each user message and assistant
 // reply is appended incrementally (the classic single-prompt KV-Cache reuse
 // of §2.2) on top of the inter-request module reuse of Prompt Cache. The
-// standing context — documents, instructions — costs its memcpy once per
-// session instead of once per turn.
+// standing context — documents, instructions — is borrowed (or copied,
+// with EngineConfig::zero_copy off) once per session instead of once per
+// turn, and a borrowing session keeps what it borrows alive until it is
+// destroyed.
 //
 // Turns are wrapped with the model family's chat template (§3.2.3).
 #pragma once

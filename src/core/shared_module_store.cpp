@@ -145,7 +145,7 @@ SharedModuleStore::~SharedModuleStore() {
 }
 
 SharedModuleStore::ModuleRef SharedModuleStore::lookup_locked(
-    const std::string& key, bool and_pin) {
+    const std::string& key) {
   auto it = entries_.find(key);
   if (it == entries_.end()) return {};
   // Injected store pressure: spuriously evict the (unpinned) entry so the
@@ -165,7 +165,6 @@ SharedModuleStore::ModuleRef SharedModuleStore::lookup_locked(
     e.prefetched = false;
     disk_prefetch_hits_.inc();
   }
-  if (and_pin && ++e.pin_count == 1) cells_.pinned_entries.add(1);
   return ModuleRef(e.module, e.location);
 }
 
@@ -189,14 +188,13 @@ bool SharedModuleStore::prefetch(const std::string& key) {
     in_flight_.emplace(key, flight);
     spill = sit->second;
   }
-  ModuleRef ref = fault_in(key, std::move(spill), /*and_pin=*/false,
-                           /*prefetching=*/true);
+  ModuleRef ref = fault_in(key, std::move(spill), /*prefetching=*/true);
   finish_flight(key);
   return static_cast<bool>(ref);
 }
 
 SharedModuleStore::ModuleRef SharedModuleStore::fault_in(
-    const std::string& key, SpillInfo info, bool and_pin, bool prefetching) {
+    const std::string& key, SpillInfo info, bool prefetching) {
   PC_SPAN("disk_fault_in");
   const auto t0 = std::chrono::steady_clock::now();
   // The read runs with no store locks held, like the encode leader path.
@@ -241,9 +239,8 @@ SharedModuleStore::ModuleRef SharedModuleStore::fault_in(
   try {
     // Host-first: disk bytes surface as host-resident, so the serve path
     // charges them through the LinkModel like any host-tier module.
-    const ModuleLocation loc = place_locked(key, payload,
-                                            /*pins=*/and_pin ? 1 : 0,
-                                            PlacePref::kHostFirst);
+    const ModuleLocation loc =
+        place_locked(key, payload, PlacePref::kHostFirst);
     auto eit = entries_.find(key);
     if (eit != entries_.end()) eit->second.prefetched = prefetching;
     return ModuleRef(std::move(payload), loc);
@@ -258,14 +255,14 @@ SharedModuleStore::ModuleRef SharedModuleStore::fault_in(
 
 SharedModuleStore::ModuleRef SharedModuleStore::ensure(
     const std::string& key, const std::function<EncodedModule()>& encode,
-    bool* encoded_here, bool and_pin) {
+    bool* encoded_here) {
   if (encoded_here != nullptr) *encoded_here = false;
   SpillInfo spill;
   for (;;) {
     std::shared_ptr<Flight> flight;
     {
       std::unique_lock lock(mutex_);
-      if (ModuleRef ref = lookup_locked(key, and_pin)) return ref;
+      if (ModuleRef ref = lookup_locked(key)) return ref;
       auto sit = spilled_.find(key);
       if (!encode && sit == spilled_.end()) {
         // Nothing to encode and nothing to fault in: a miss, without
@@ -296,8 +293,7 @@ SharedModuleStore::ModuleRef SharedModuleStore::ensure(
   // pass. A failed read falls through to the encode, still as the same
   // flight leader (waiters stay parked — no duplicate encodes).
   if (!spill.path.empty()) {
-    ModuleRef ref = fault_in(key, std::move(spill), and_pin,
-                             /*prefetching=*/false);
+    ModuleRef ref = fault_in(key, std::move(spill), /*prefetching=*/false);
     if (ref) {
       finish_flight(key);
       cells_.hits.inc();  // a disk hit: no encode was needed
@@ -319,7 +315,7 @@ SharedModuleStore::ModuleRef SharedModuleStore::ensure(
   try {
     payload = std::make_shared<const EncodedModule>(encode());
     std::unique_lock lock(mutex_);
-    loc = place_locked(key, payload, /*pins=*/and_pin ? 1 : 0);
+    loc = place_locked(key, payload);
   } catch (...) {
     finish_flight(key);
     throw;
@@ -350,17 +346,18 @@ void SharedModuleStore::finish_flight(const std::string& key) {
 void SharedModuleStore::insert(const std::string& key, EncodedModule module) {
   auto payload = std::make_shared<const EncodedModule>(std::move(module));
   std::unique_lock lock(mutex_);
-  (void)place_locked(key, std::move(payload), /*pins=*/0);
+  (void)place_locked(key, std::move(payload));
 }
 
 ModuleLocation SharedModuleStore::place_locked(
     const std::string& key,
-    std::shared_ptr<const EncodedModule> module, int pins, PlacePref pref) {
+    std::shared_ptr<const EncodedModule> module, PlacePref pref) {
   // Replace semantics: free the old entry first, carrying its pin count
-  // over (live borrowers keep the old payload alive through their refs).
+  // over (caches borrowing the old payload keep it alive).
+  int pins = 0;
   auto old = entries_.find(key);
   if (old != entries_.end()) {
-    pins += old->second.pin_count;
+    pins = old->second.pin_count;
     erase_locked(old);
   }
   // A (re)placed key obsoletes any spill record still on disk for it — a

@@ -26,18 +26,21 @@
 //
 //   * Shared-ownership reads. Lookups return a ModuleRef — a
 //     shared_ptr-backed handle acquired under the lock — instead of a raw
-//     pointer. The expensive part of a hit (memcpying module rows into a
-//     request cache) runs entirely outside the lock, and a ref keeps its
-//     payload alive even if another worker evicts or replaces the entry
-//     mid-copy. Caches that borrow module rows hold their refs for the
-//     whole request, so borrowed rows can never dangle.
+//     pointer. The expensive part of a hit (copying or borrowing module
+//     rows into a request cache) runs entirely outside the lock, and a ref
+//     keeps its payload alive even if another worker evicts or replaces the
+//     entry meanwhile. A cache that borrows module rows keeps the payload's
+//     shared owner for as long as it holds them (kv/kv_cache.h), so
+//     borrowed rows can never dangle, and eviction never waits on a
+//     request: an evicted payload a request still reads is freed with the
+//     request's cache, as a copy would be.
 //
 //   * Reference-counted pins. pin()/unpin() count references instead of
-//     setting a flag: two requests borrowing the same module on different
-//     workers each take a pin, and the entry stays ineligible for eviction
-//     until the *last* borrower releases. (Refs make eviction safe; pins
-//     make it not happen — keeping hot modules resident and the footprint
-//     accounting honest.)
+//     setting a flag: the entry stays ineligible for eviction until the
+//     *last* pin is returned. Pins are residency policy for whoever owns a
+//     key (the shard router's owners, PromptCacheEngine::pin_module), never
+//     a request's lifetime: refs make eviction safe; pins make it not
+//     happen.
 //
 //   * Single-flight encoding. ensure() runs the encode callback at most
 //     once per missing key across all threads: the first caller becomes the
@@ -201,6 +204,11 @@ class SharedModuleStore {
     const EncodedModule* operator->() const { return module_.get(); }
     const EncodedModule* get() const { return module_.get(); }
     ModuleLocation location() const { return location_; }
+    // The payload's shared owner, for a holder that outlives this ref (a
+    // cache borrowing the payload's rows).
+    const std::shared_ptr<const EncodedModule>& shared() const {
+      return module_;
+    }
     void reset() { module_.reset(); }
 
    private:
@@ -208,15 +216,13 @@ class SharedModuleStore {
     ModuleLocation location_ = ModuleLocation::kHostMemory;
   };
 
-  // Looks up a module and bumps its recency; empty ref on miss. With
-  // and_pin, the lookup and the pin are one atomic step (no window where
-  // another worker can evict between them). A key resident on the disk
-  // tier is transparently faulted back in (single-flight; the read runs
-  // outside the lock) and counts as a hit; a key resident nowhere, or
-  // whose read fails, is a miss. This is ensure() with nothing to encode.
-  ModuleRef find(const std::string& key, bool and_pin = false) {
-    return ensure(key, nullptr, nullptr, and_pin);
-  }
+  // Looks up a module and bumps its recency; empty ref on miss. A key
+  // resident on the disk tier is transparently faulted back in
+  // (single-flight; the read runs outside the lock) and counts as a hit; a
+  // key resident nowhere, or whose read fails, is a miss. This is ensure()
+  // with nothing to encode. The ref keeps the payload alive, not resident:
+  // pin() does that.
+  ModuleRef find(const std::string& key) { return ensure(key, nullptr); }
 
   // Async-prefetch entry point: fault `key` in from the disk tier ahead of
   // demand. Returns true when the key is (or is about to be, when another
@@ -242,11 +248,11 @@ class SharedModuleStore {
   // failed read returns an empty ref.
   ModuleRef ensure(const std::string& key,
                    const std::function<EncodedModule()>& encode,
-                   bool* encoded_here = nullptr, bool and_pin = false);
+                   bool* encoded_here = nullptr);
 
   // Inserts (or replaces) a module, placing it device-first and evicting
-  // unpinned LRU entries as needed. A replaced entry keeps its pin count
-  // (live borrowers hold refs to the old payload, which stays valid).
+  // unpinned LRU entries as needed. A replaced entry keeps its pin count;
+  // caches borrowing the old payload keep it alive.
   // Throws pc::CacheError when the module fits in neither tier.
   void insert(const std::string& key, EncodedModule module);
 
@@ -269,8 +275,8 @@ class SharedModuleStore {
                bool* moved = nullptr);
 
   // Administrative removal (schema reload): erases the entry even if
-  // pinned — live borrowers stay safe through their refs, and their later
-  // unpin simply returns false. Contrast eviction, which respects pins.
+  // pinned — caches borrowing it keep the payload alive, and a later unpin
+  // simply returns false. Contrast eviction, which respects pins.
   void erase(const std::string& key);
   void clear();
 
@@ -347,20 +353,19 @@ class SharedModuleStore {
   uint64_t tick() { return clock_++; }
 
   // ensure()'s RAM lookup: polls the injected evict fault, and on a hit
-  // bumps recency, settles the prefetch tag, pins when asked and counts the
-  // hit. An empty ref means the key is not RAM-resident (nothing counted:
-  // the caller decides whether that is a miss).
-  ModuleRef lookup_locked(const std::string& key, bool and_pin);
+  // bumps recency, settles the prefetch tag and counts the hit. An empty
+  // ref means the key is not RAM-resident (nothing counted: the caller
+  // decides whether that is a miss).
+  ModuleRef lookup_locked(const std::string& key);
   bool make_room_locked(ModuleLocation loc, size_t bytes);
   void erase_locked(std::unordered_map<std::string, Entry>::iterator it);
-  // Places the payload, preserving `pins` from a replaced entry. Returns
-  // the chosen tier; throws CacheError when nothing fits. kDeviceFirst is
-  // the insert/encode order; fault-ins place kHostFirst so disk bytes
-  // surface as host-resident (and get charged through the LinkModel).
+  // Places the payload, carrying over a replaced entry's pins. Returns the
+  // chosen tier; throws CacheError when nothing fits. kDeviceFirst is the
+  // insert/encode order; fault-ins place kHostFirst so disk bytes surface
+  // as host-resident (and get charged through the LinkModel).
   enum class PlacePref { kDeviceFirst, kHostFirst };
   ModuleLocation place_locked(const std::string& key,
                               std::shared_ptr<const EncodedModule> module,
-                              int pins,
                               PlacePref pref = PlacePref::kDeviceFirst);
   void finish_flight(const std::string& key);
 
@@ -378,7 +383,7 @@ class SharedModuleStore {
   // places the payload. The caller registered the key's Flight and is
   // responsible for finishing it — ensure() keeps the flight alive to fall
   // back to an encode when the read fails (empty ref; record dropped).
-  ModuleRef fault_in(const std::string& key, SpillInfo info, bool and_pin,
+  ModuleRef fault_in(const std::string& key, SpillInfo info,
                      bool prefetching);
   void note_resident_peak();
 
@@ -407,44 +412,6 @@ class SharedModuleStore {
   obs::Counter disk_spill_failures_;  // pc_store_disk_spill_failures_total
   obs::Counter disk_stall_us_;        // pc_store_disk_stall_us_total
   obs::Gauge disk_spilled_bytes_;     // pc_store_disk_spilled_bytes
-};
-
-// The pins and refs one request holds on the modules its sequence cache
-// borrows (PromptCacheEngine::assemble). Each held module stays
-// pinned (not evictable) and referenced (payload alive) until the holder
-// is destroyed or reset(), which returns every pin and then drops the refs.
-// Move-only, so each request's borrows are released exactly once.
-class ModuleBorrows {
- public:
-  ModuleBorrows() = default;
-  ModuleBorrows(ModuleBorrows&& other) noexcept { *this = std::move(other); }
-  ModuleBorrows& operator=(ModuleBorrows&& other) noexcept {
-    if (this != &other) {
-      reset();
-      store_ = other.store_;
-      held_ = std::move(other.held_);
-      other.held_.clear();
-    }
-    return *this;
-  }
-  ~ModuleBorrows() { reset(); }
-
-  // Takes over one pin the caller already holds on `key` in `store`
-  // (ensure()/find() with and_pin), together with its ref.
-  void adopt(SharedModuleStore& store, std::string key,
-             SharedModuleStore::ModuleRef ref) {
-    store_ = &store;
-    held_.emplace_back(std::move(key), std::move(ref));
-  }
-
-  void reset() {
-    for (const auto& held : held_) store_->unpin(held.first);
-    held_.clear();  // refs last: rows stay valid until every pin is back
-  }
-
- private:
-  SharedModuleStore* store_ = nullptr;
-  std::vector<std::pair<std::string, SharedModuleStore::ModuleRef>> held_;
 };
 
 }  // namespace pc

@@ -10,9 +10,10 @@
 //
 //   * Module rows (leading): an encoded module's rows in the store's format
 //     — fp32, Q8_0 or Q4_0 (kv/quant.h) — either copied, a memcpy of the
-//     stored bytes into storage the cache owns (§3.4), or borrowed in place,
-//     in which case the source must stay alive and unmodified while the
-//     cache is used (the engine pins it for the request).
+//     stored bytes into storage the cache owns (§3.4), or borrowed in place.
+//     A borrowing cache holds the shared owner of each source it borrows
+//     from (the store's payload), so borrowed rows live exactly as long as
+//     the cache, whoever holds it and whatever the store evicts meanwhile.
 //   * Own rows: fp32 rows the cache owns and the model writes — encoding,
 //     prefill, generated tokens. Copying fp32 module rows (append_range) is
 //     an own-row append.
@@ -34,6 +35,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -52,7 +54,7 @@ enum class ConcatPolicy {
 // How module rows enter a cache.
 enum class ModuleRows {
   kCopy,    // memcpy the stored bytes into storage the cache owns
-  kBorrow,  // reference them in place; the source must outlive the cache
+  kBorrow,  // reference them in place; the cache holds the source's owner
 };
 
 struct KVCacheStats {
@@ -139,10 +141,14 @@ class KVCache {
   }
 
   // Borrows fp32 rows [begin, end) of `src` as module rows: no payload
-  // moves.
-  void borrow_rows(const KVCache& src, int begin, int end) {
+  // moves. The cache holds `owner` (the shared owner of `src`) as long as
+  // it holds the rows; a null owner leaves keeping `src` alive and
+  // unmodified to the caller.
+  void borrow_rows(const KVCache& src, int begin, int end,
+                   std::shared_ptr<const void> owner = nullptr) {
     check_geometry(src.n_layers_, src.kv_dim_);
     PC_CHECK(begin >= 0 && begin <= end && end <= src.n_tokens_);
+    hold(std::move(owner));
     const int first = begin_module_rows(std::span<const int>(
         src.pos_ids_.data() + begin, static_cast<size_t>(end - begin)));
     for (int l = 0; l < n_layers_; ++l) {
@@ -156,15 +162,17 @@ class KVCache {
 
   // Appends tokens [begin, end) of a module's Q8_0 payload (one entry per
   // layer; src_pos holds every token's position) as module rows: int8 rows
-  // plus per-row scales, copied as stored or borrowed in place. Attention
-  // scores them in the int8 domain (attn_fused_q8_gather).
+  // plus per-row scales, copied as stored or borrowed in place (holding
+  // `owner`, as borrow_rows does). Attention scores them in the int8
+  // domain (attn_fused_q8_gather).
   void append_rows(const std::vector<Q8Layer>& src,
                    std::span<const int> src_pos, int begin, int end,
-                   ModuleRows how) {
+                   ModuleRows how, std::shared_ptr<const void> owner = nullptr) {
     check_module_source(src.size(), src_pos.size(), begin, end);
     PC_CHECK_MSG(!has_q4_, "a cache holds one quantized format");
     const size_t w = static_cast<size_t>(kv_dim_);
     const bool copy = how == ModuleRows::kCopy;
+    if (!copy) hold(std::move(owner));
     const std::vector<Q8Layer>& rows =
         copy ? q8_copies_.emplace_back(copy_rows(src, begin, end, w, 1))
              : src;
@@ -189,12 +197,13 @@ class KVCache {
   // scored block-wise in the integer domain (attn_fused_q4_gather).
   void append_rows(const std::vector<Q4Layer>& src,
                    std::span<const int> src_pos, int begin, int end,
-                   ModuleRows how) {
+                   ModuleRows how, std::shared_ptr<const void> owner = nullptr) {
     check_module_source(src.size(), src_pos.size(), begin, end);
     PC_CHECK_MSG(!has_q8_, "a cache holds one quantized format");
     const size_t row_bytes = q4_row_bytes(kv_dim_);
     const size_t blocks = static_cast<size_t>(q4_blocks(kv_dim_));
     const bool copy = how == ModuleRows::kCopy;
+    if (!copy) hold(std::move(owner));
     const std::vector<Q4Layer>& rows =
         copy ? q4_copies_.emplace_back(
                    copy_rows(src, begin, end, row_bytes, blocks))
@@ -364,6 +373,14 @@ class KVCache {
     PC_CHECK_MSG(own_rows() == 0, "module rows must precede own rows");
   }
 
+  // Keeps a borrowed source's owner for the cache's lifetime; a module's
+  // consecutive text ranges share one entry.
+  void hold(std::shared_ptr<const void> owner) {
+    if (owner != nullptr && (sources_.empty() || sources_.back() != owner)) {
+      sources_.push_back(std::move(owner));
+    }
+  }
+
   // Publishes one module slot per position (null in every table) and
   // returns the first.
   int begin_module_rows(std::span<const int> pos) {
@@ -483,6 +500,8 @@ class KVCache {
   // slices never move, so their table entries stay valid.
   std::vector<std::vector<Q8Layer>> q8_copies_;
   std::vector<std::vector<Q4Layer>> q4_copies_;
+  // The owners of borrowed rows' sources, released with the cache.
+  std::vector<std::shared_ptr<const void>> sources_;
   size_t copied_bytes_ = 0;
   KVCacheStats stats_;
 };

@@ -59,7 +59,7 @@ double BatchScheduler::backoff_ms_for(const Request& req, int attempt) const {
 }
 
 void BatchScheduler::degrade(Seq& seq, const std::string& why) {
-  seq.kv.reset();  // full prefill reads no module: return the borrows now
+  seq.kv.reset();  // full prefill reads no module: drop the cache now
   if (obs::request_telemetry_enabled()) {
     seq.resp.annotations.push_back("degraded: " + why);
   }
@@ -103,11 +103,10 @@ void BatchScheduler::finish_serve(std::unique_ptr<Seq> seq) {
     resp.result = ServeResult{};
   }
   resp.status = status;
-  // Release the sequence's tail and borrows (unpinning its modules) and
-  // settle the KV gauges BEFORE the completion callback fires. The callback
-  // is what lets drain() return — and a shard router erase streamed-out
-  // modules — so any pin or gauge write after it races a caller that reads
-  // stats() the moment drain() wakes.
+  // Release the sequence's cache (its own rows and the payloads it
+  // borrows) and settle the KV gauges BEFORE the completion callback fires.
+  // The callback is what lets drain() return, so any gauge write after it
+  // races a caller that reads stats() the moment drain() wakes.
   seq.reset();
   refresh_kv_gauges();
   on_complete_(std::move(resp));
@@ -169,8 +168,8 @@ void BatchScheduler::admit(Request request) {
 
   for (int attempt = 0;; ++attempt) {
     try {
-      // Reset per-attempt state: a failed attempt returns its cache and
-      // borrows before the retry takes new ones.
+      // Reset per-attempt state: a failed attempt drops its cache before
+      // the retry assembles a new one.
       seq->kv.reset();
       seq->result = ServeResult{};
       pml::PromptBinding binding = [&] {
@@ -184,11 +183,8 @@ void BatchScheduler::admit(Request request) {
       // summed over its attempts.
       seq->result.encode_ms = engine_.ensure_encoded(
           binding, seq->req.options.cancel, &seq->resp.module_misses);
-      seq->kv = engine_.assemble(
-          binding,
-          engine_.config().zero_copy ? ModuleRows::kBorrow : ModuleRows::kCopy,
-          seq->req.options.max_new_tokens, &seq->result.ttft,
-          &seq->resp.module_misses);
+      seq->kv = engine_.assemble(binding, seq->req.options.max_new_tokens,
+                                 &seq->result.ttft, &seq->resp.module_misses);
       seq->binding = std::move(binding);
       break;
     } catch (const CancelledError& e) {
@@ -337,13 +333,13 @@ bool BatchScheduler::step() {
                                    static_cast<size_t>(chunk)),
           std::span<const int>(s.stream.pos_ids.data() + s.prefill_done,
                                static_cast<size_t>(chunk)),
-          &s.kv->cache,
+          &*s.kv,
           final_chunk ? Model::LogitRows::kLast : Model::LogitRows::kNone});
       refs.push_back({&s, chunk, final_chunk ? logits_rows++ : -1});
     } else {  // kDecode: the decoder's next forward
       batch.push_back(Model::BatchSeq{{&s.decoder->token(), 1},
                                       {&s.decoder->pos(), 1},
-                                      &s.kv->cache});
+                                      &*s.kv});
       refs.push_back({&s, 0, logits_rows++});
     }
   }
@@ -433,7 +429,7 @@ bool BatchScheduler::step() {
 size_t BatchScheduler::live_bytes() const {
   size_t bytes = 0;
   for (const auto& seq : active_) {
-    if (seq->kv) bytes += seq->kv->cache.owned_bytes();
+    if (seq->kv) bytes += seq->kv->owned_bytes();
   }
   return bytes;
 }

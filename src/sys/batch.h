@@ -14,19 +14,21 @@
 //
 // Each request's cache is the sequence cache serve() uses, assembled the
 // way serve() assembles it (PromptCacheEngine::assemble, kv/kv_cache.h):
-// module rows are copied as stored, or under EngineConfig::zero_copy
-// borrowed from the store where they live — fp32, q8 or q4, never
-// dequantized. Borrowing is where §3.4's batch-inference memory
-// optimization lands:
+// module rows are borrowed from the store where they live — fp32, q8 or
+// q4, never dequantized — or, with EngineConfig::zero_copy off, copied as
+// stored. Borrowing is where §3.4's batch-inference memory optimization
+// lands:
 //
 //   * Eight requests importing the same 3 modules hold eight row tables
 //     over ONE copy of those modules: the store's.
 //   * Uncached prompt tokens and decode tokens land in the request's own
 //     fp32 rows, reserved at admission and freed when it completes.
-//   * The borrowed modules stay pinned in the store for exactly the
-//     request's lifetime (SequenceKV's ModuleBorrows); a failed admission
-//     attempt returns its pins before retrying, and a finished request
-//     returns them before its completion callback fires.
+//   * The request's cache holds the payloads it borrows for exactly its
+//     lifetime, and pins nothing: the store's LRU evicts as it would under
+//     copying lanes, and an evicted payload a request still reads is freed
+//     with that request's cache. A failed admission attempt drops its
+//     cache before retrying, and a finished request drops it before its
+//     completion callback fires.
 //
 // Determinism contract: batched serving emits bitwise-identical tokens to
 // sequential serving (PromptCacheEngine::serve), copy or zero-copy, at
@@ -123,10 +125,9 @@ class BatchScheduler {
   // response is final (any status).
   using CompletionFn = std::function<void(ServerResponse&&)>;
 
-  // Serves through `engine`, whose schemas are already loaded, copying or
-  // borrowing module rows as its EngineConfig::zero_copy says. The engine
-  // must outlive the scheduler: its requests' borrows return their pins to
-  // the engine's store.
+  // Serves through `engine`, whose schemas are already loaded, borrowing
+  // or copying module rows as its EngineConfig::zero_copy says. The engine
+  // must outlive the scheduler.
   BatchScheduler(PromptCacheEngine& engine, Options options,
                  CompletionFn on_complete);
   ~BatchScheduler();
@@ -172,7 +173,7 @@ class BatchScheduler {
     int link_attempts = 0;
 
     pml::PromptBinding binding;    // for the engine's complete_serve
-    std::optional<SequenceKV> kv;  // set once an admission attempt succeeds
+    std::optional<KVCache> kv;     // set once an admission attempt succeeds
     UncachedStream stream;         // prefilled in chunk_tokens slices
     size_t prefill_done = 0;
     bool prefill_started = false;

@@ -14,8 +14,8 @@
 // capacity — admission control instead of unbounded memory). Lanes admit
 // least-loaded first: a lane takes a request only while it holds fewer
 // than max_batch and no other lane holds fewer, so requests spread across
-// lanes before any lane batches. A lane binds the request, copies or
-// borrows its modules' rows as EngineConfig::zero_copy says, serves it
+// lanes before any lane batches. A lane binds the request, borrows (or,
+// with EngineConfig::zero_copy off, copies) its modules' rows, serves it
 // through its iteration loop, and records a ServerResponse. drain() blocks
 // until every submitted request completed and returns the responses in
 // submission order. stats() reads the engine's counters and TTFT
@@ -27,7 +27,8 @@
 // behavior is modeled, not executed. LinkModel extends that substitution to
 // serving concurrency: each request waits for the time a real host->device
 // link would spend moving that request's host-resident module bytes
-// (latency + bytes/bandwidth) before its prefill. The wait releases the
+// (latency + bytes/bandwidth; borrowed rows move none, so a borrowing lane
+// pays the latency alone) before its prefill. The wait releases the
 // core, so stalls overlap with other requests' compute exactly as DMA
 // transfers overlap with kernels — which is what makes lanes scale even
 // when the compute itself is serialized on few cores. With LinkModel{}

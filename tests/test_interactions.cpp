@@ -96,10 +96,9 @@ TEST_F(InteractionTest, Q8PersistenceServesCorrectly) {
   std::remove(path.c_str());
 }
 
-TEST_F(InteractionTest, SessionOverZeroCopyEngineUsesCopyAssembly) {
-  // Sessions own a contiguous cache regardless of the engine's zero-copy
-  // mode (a session outlives individual serves, so borrowing would pin
-  // modules indefinitely). They must still work on such an engine.
+TEST_F(InteractionTest, SessionOverZeroCopyEngineBorrows) {
+  // A session assembles as its engine says: on a zero-copy engine it
+  // borrows its modules and holds them for its lifetime, pinning nothing.
   EngineConfig cfg;
   cfg.zero_copy = true;
   PromptCacheEngine engine(model_, workload_.tokenizer(), cfg);

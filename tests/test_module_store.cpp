@@ -184,6 +184,7 @@ TEST(EnginePrefetch, UnionSiblingsArePromoted) {
   cfg.precision = StorePrecision::kFp32;
   cfg.device_capacity_bytes = one_module;
   cfg.prefetch_union_siblings = true;
+  cfg.zero_copy = false;  // a copy charges host bytes; a borrow never does
   PromptCacheEngine engine(model, workload.tokenizer(), cfg);
   engine.load_schema(schema);
 

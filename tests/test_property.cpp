@@ -18,6 +18,7 @@
 
 #include <memory>
 #include <numeric>
+#include <utility>
 
 #include "core/engine.h"
 #include "model/model.h"
@@ -342,9 +343,11 @@ TEST_P(PropertyTest, CachedEqualsBlockedPrefill) {
     ASSERT_EQ(reference.pos_id(rref), cached.pos_id(rcached));
     for (int l = 0; l < model_.config().n_layers; ++l) {
       for (int e = 0; e < model_.config().kv_dim(); ++e) {
-        ASSERT_EQ(reference.k_row(l, rref)[e], cached.k_row(l, rcached)[e])
+        ASSERT_EQ(reference.k_row(l, rref)[e],
+                  std::as_const(cached).k_row(l, rcached)[e])
             << "row " << rref;
-        ASSERT_EQ(reference.v_row(l, rref)[e], cached.v_row(l, rcached)[e]);
+        ASSERT_EQ(reference.v_row(l, rref)[e],
+                  std::as_const(cached).v_row(l, rcached)[e]);
       }
     }
   }
@@ -358,15 +361,15 @@ TEST_P(PropertyTest, ServeIsDeterministicAndPathsAgree) {
   opts.max_new_tokens = 4;
   opts.stop_tokens.clear();
 
-  PromptCacheEngine engine(model_, tokenizer_);
+  EngineConfig copy;
+  copy.zero_copy = false;
+  PromptCacheEngine engine(model_, tokenizer_, copy);
   engine.load_schema(c.schema_pml);
   const ServeResult a = engine.serve(c.prompt_pml, opts);
   const ServeResult b = engine.serve(c.prompt_pml, opts);
   EXPECT_EQ(a.tokens, b.tokens);
 
-  EngineConfig zc;
-  zc.zero_copy = true;
-  PromptCacheEngine zero(model_, tokenizer_, zc);
+  PromptCacheEngine zero(model_, tokenizer_);
   zero.load_schema(c.schema_pml);
   const ServeResult z = zero.serve(c.prompt_pml, opts);
   EXPECT_EQ(z.tokens, a.tokens);

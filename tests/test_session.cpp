@@ -53,6 +53,44 @@ TEST_F(SessionTest, AnswersAcrossTurnsFromCachedContext) {
   EXPECT_LT(session.context_tokens(), base_context + 64);
 }
 
+// A session assembles as its engine says: over a borrowing engine (the
+// default) it borrows its modules, and emits a copying engine's tokens turn
+// for turn at every format, even once the store has dropped what it
+// borrowed (the session's cache holds those payloads).
+TEST_F(SessionTest, BorrowingSessionMatchesCopyingSession) {
+  const char* kTurns[] = {"question: q05", "question: q06", "w00 w01 q06",
+                          "question: q05"};
+  for (StorePrecision format :
+       {StorePrecision::kFp32, StorePrecision::kQ8, StorePrecision::kQ4}) {
+    SCOPED_TRACE(to_string(format));
+    EngineConfig copy;
+    copy.precision = format;
+    copy.zero_copy = false;
+    PromptCacheEngine copy_engine(model_, workload_.tokenizer(), copy);
+    EngineConfig borrow;
+    borrow.precision = format;
+    PromptCacheEngine borrow_engine(model_, workload_.tokenizer(), borrow);
+    for (PromptCacheEngine* engine : {&copy_engine, &borrow_engine}) {
+      engine->load_schema(R"(
+        <schema name="chat">
+          <module name="doc1">w00 w01 q05 a10 a11 . w02</module>
+          <module name="doc2">w03 w04 q06 a12 a13 . w05</module>
+        </schema>)");
+    }
+    ChatSession copied(copy_engine, kPrompt);
+    ChatSession borrowed(borrow_engine, kPrompt);
+    EXPECT_EQ(borrowed.context_tokens(), copied.context_tokens());
+    borrow_engine.store().clear();
+    for (const char* turn : kTurns) {
+      const auto want = copied.send(turn, answer_options());
+      const auto got = borrowed.send(turn, answer_options());
+      EXPECT_FALSE(want.tokens.empty());
+      EXPECT_EQ(got.tokens, want.tokens) << turn;
+    }
+    EXPECT_EQ(borrowed.context_tokens(), copied.context_tokens());
+  }
+}
+
 // Conversation memory: a fact the *user* states in one turn is retrievable
 // in a later turn — it lives in the session's KV cache like everything
 // else.

@@ -114,8 +114,9 @@ TEST(SharedModuleStore, RefsKeepEvictedModulesAlive) {
 TEST(SharedModuleStore, PinsAreRefCountedAndBlockEviction) {
   SharedModuleStore store(/*device=*/512, /*host=*/512);
   store.insert("a", make_payload(8));
-  ASSERT_TRUE(store.find("a", /*and_pin=*/true));
-  ASSERT_TRUE(store.pin("a"));  // second borrower
+  ASSERT_TRUE(store.find("a"));
+  ASSERT_TRUE(store.pin("a"));
+  ASSERT_TRUE(store.pin("a"));  // a second pin holder
   EXPECT_EQ(store.pin_count("a"), 2);
 
   // Eviction pressure cannot touch the pinned entry; with both tiers full
@@ -126,7 +127,7 @@ TEST(SharedModuleStore, PinsAreRefCountedAndBlockEviction) {
   EXPECT_TRUE(store.contains("a"));
 
   EXPECT_TRUE(store.unpin("a"));
-  EXPECT_TRUE(store.is_pinned("a"));  // one borrower remains
+  EXPECT_TRUE(store.is_pinned("a"));  // one pin remains
   EXPECT_TRUE(store.unpin("a"));
   EXPECT_FALSE(store.is_pinned("a"));
   EXPECT_FALSE(store.unpin("a"));  // count never goes negative
@@ -138,7 +139,8 @@ TEST(SharedModuleStore, PinsAreRefCountedAndBlockEviction) {
 TEST(SharedModuleStore, ReplaceCarriesPinCountAndKeepsOldPayloadAlive) {
   SharedModuleStore store(0, 0);
   store.insert("a", make_payload(8));
-  auto old_ref = store.find("a", /*and_pin=*/true);
+  auto old_ref = store.find("a");
+  ASSERT_TRUE(store.pin("a"));
   store.insert("a", make_payload(16));  // replace while borrowed
   EXPECT_EQ(old_ref->n_tokens, 8);      // borrower's payload is unchanged
   EXPECT_EQ(store.pin_count("a"), 1);   // pin carried to the new entry
@@ -178,13 +180,14 @@ TEST(SharedModuleStore, ConcurrentHammerStaysConsistent) {
               if (!ref || ref->n_tokens != tokens_of(k)) bad_payloads++;
               break;
             }
-            case 1: {  // pinned borrow, balanced release
-              auto ref = store.find(key, /*and_pin=*/true);
+            case 1: {  // pinned read, balanced release
+              auto ref = store.find(key);
               if (ref) {
                 if (ref->n_tokens != tokens_of(k)) bad_payloads++;
-                // unpin may return false: a concurrent erase drops the
-                // entry pins and all (the ref stays valid regardless).
-                (void)store.unpin(key);
+                // pin fails and unpin may return false: a concurrent erase
+                // drops the entry pins and all (the ref stays valid
+                // regardless).
+                if (store.pin(key)) (void)store.unpin(key);
               }
               break;
             }
@@ -319,7 +322,7 @@ TEST(SharedStoreServing, SharedServeMatchesSingleEngineBitwise) {
   EXPECT_LE(stats.insertions, stats.misses);
   EXPECT_EQ(store.size(), n_modules);
 
-  // No pins survive the serves (zero-copy workers released every borrow).
+  // Serving pins nothing, borrowing or copying.
   std::vector<std::string> keys;
   store.for_each([&](const std::string& key, const EncodedModule&,
                      ModuleLocation) { keys.push_back(key); });

@@ -16,9 +16,11 @@
 //     to re-encodes and spills to destroy-evictions — availability stays
 //     1.0 and the pc_store_disk_* counters still reconcile;
 //   * continuous batching over a RAM-capped disk-tier store: requests
-//     borrow (and pin) their modules in place while other modules spill
-//     and fault back in, tokens match an uncapped batching run bitwise,
-//     and a drained batch holds no KV and no pins.
+//     borrow their modules in place, pinning nothing, while modules spill
+//     and fault back in (the ones a request reads included: its cache holds
+//     the payloads), tokens match an uncapped batching run bitwise, even
+//     with less RAM than the lanes' requests import, and a drained batch
+//     holds no KV and no pins.
 //
 // Conservation law, exact at quiescence (every spill record is eventually
 // consumed by exactly one of fault-in / eviction / failed read, or is still
@@ -510,34 +512,33 @@ TEST_F(TieredStoreTest, WorkersEncodeTheSchemaWithPrefetchOn) {
   EXPECT_EQ(store.stats().insertions, n_modules);
 }
 
-TEST_F(TieredStoreTest, BatchingOverRamCappedDiskTierIsBitwiseIdentical) {
-  // Twelve same-size modules, two per prompt. One borrowing lane's
-  // requests pin the modules they borrow, so the RAM cap must leave room
-  // for max_batch x 2 pinned modules plus one to fault in: 10 modules' worth, below the 12
-  // the schema encodes — the rest live on the disk tier.
-  AccuracyWorkload workload(7);
-  const Model model = make_induction_model({workload.vocab().size(), 256});
-  const GenerateOptions opts = ask_options(workload);
-  constexpr int kModules = 12;
-  constexpr int kMaxBatch = 4;
-  constexpr int kImports = 2;
+// Twelve same-size modules and 32 prompts importing two of them each: the
+// traffic the batching-over-a-capped-store tests serve.
+struct CapTraffic {
+  static constexpr int kModules = 12;
+  static constexpr int kImports = 2;
+  std::string schema;
+  std::vector<std::string> prompts;
+};
+
+CapTraffic cap_traffic() {
   const auto two = [](int v) {
     std::string s = std::to_string(v);
     return s.size() < 2 ? "0" + s : s;
   };
-  std::string schema = "<schema name=\"cap\">";
-  for (int m = 0; m < kModules; ++m) {
-    schema += "<module name=\"m" + two(m) + "\">w00 w01 q" + two(10 + m) +
-              " a" + two(20 + 2 * m) + " a" + two(21 + 2 * m) +
-              " . w02</module>";
+  CapTraffic t;
+  t.schema = "<schema name=\"cap\">";
+  for (int m = 0; m < CapTraffic::kModules; ++m) {
+    t.schema += "<module name=\"m" + two(m) + "\">w00 w01 q" + two(10 + m) +
+                " a" + two(20 + 2 * m) + " a" + two(21 + 2 * m) +
+                " . w02</module>";
   }
-  schema += "</schema>";
+  t.schema += "</schema>";
   Rng rng(31);
-  std::vector<std::string> prompts;
   for (int i = 0; i < 32; ++i) {
     std::vector<int> picked;
-    while (static_cast<int>(picked.size()) < kImports) {
-      const int m = static_cast<int>(rng.next_below(kModules));
+    while (static_cast<int>(picked.size()) < CapTraffic::kImports) {
+      const int m = static_cast<int>(rng.next_below(CapTraffic::kModules));
       if (std::find(picked.begin(), picked.end(), m) == picked.end()) {
         picked.push_back(m);
       }
@@ -546,57 +547,90 @@ TEST_F(TieredStoreTest, BatchingOverRamCappedDiskTierIsBitwiseIdentical) {
     std::sort(picked.begin(), picked.end());
     std::string prompt = "<prompt schema=\"cap\">";
     for (int m : picked) prompt += "<m" + two(m) + "/>";
-    prompts.push_back(prompt + " question: q" + two(10 + asked) + "</prompt>");
+    t.prompts.push_back(prompt + " question: q" + two(10 + asked) +
+                        "</prompt>");
   }
+  return t;
+}
 
-  const auto serve_all = [&](SharedModuleStore& store) {
-    ServerConfig cfg;
-    cfg.n_workers = 1;
-    cfg.engine.zero_copy = true;
-    cfg.batch.max_batch = kMaxBatch;
-    cfg.queue_capacity = 64;
-    cfg.schemas = {schema};
-    cfg.prefetch = true;
-    Server server(model, workload.tokenizer(), store, cfg);
-    for (const std::string& p : prompts) server.submit(p, opts);
-    std::vector<ServerResponse> responses = server.drain();
-    const ServerStats stats = server.stats();
-    server.stop();  // quiesce the prefetcher before reading counters
-    EXPECT_EQ(stats.kv_live_bytes, 0u);
-    EXPECT_GT(stats.kv_peak_bytes, 0u);
-    return responses;
-  };
+struct CapRun {
+  std::vector<ServerResponse> responses;
+  ServerStats stats;
+};
+
+// Serves `traffic` through borrowing lanes (prefetch on) over `store`.
+CapRun serve_borrowing_lanes(const Model& model,
+                             const AccuracyWorkload& workload,
+                             const CapTraffic& traffic,
+                             SharedModuleStore& store, int n_workers,
+                             int max_batch) {
+  ServerConfig cfg;
+  cfg.n_workers = n_workers;
+  cfg.batch.max_batch = max_batch;
+  cfg.queue_capacity = 64;
+  cfg.schemas = {traffic.schema};
+  cfg.prefetch = true;
+  Server server(model, workload.tokenizer(), store, cfg);
+  for (const std::string& p : traffic.prompts) {
+    server.submit(p, ask_options(workload));
+  }
+  CapRun run;
+  run.responses = server.drain();
+  run.stats = server.stats();
+  server.stop();  // quiesce the prefetcher before reading counters
+  EXPECT_EQ(run.stats.kv_live_bytes, 0u);
+  EXPECT_GT(run.stats.kv_peak_bytes, 0u);
+  return run;
+}
+
+// The payload size of every module in `store` (they are all one size).
+size_t module_size(const SharedModuleStore& store) {
+  size_t bytes = 0;
+  store.for_each([&](const std::string&, const EncodedModule& m,
+                     ModuleLocation) {
+    EXPECT_TRUE(bytes == 0 || bytes == m.payload_bytes());
+    bytes = m.payload_bytes();
+  });
+  return bytes;
+}
+
+void expect_same_tokens(const std::vector<ServerResponse>& got,
+                        const std::vector<ServerResponse>& expected) {
+  ASSERT_EQ(got.size(), expected.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].status, ServeStatus::kOk) << got[i].detail;
+    EXPECT_EQ(expected[i].status, ServeStatus::kOk) << expected[i].detail;
+    EXPECT_EQ(got[i].result.tokens, expected[i].result.tokens)
+        << "prompt " << i;
+    EXPECT_FALSE(got[i].result.tokens.empty());
+  }
+}
+
+TEST_F(TieredStoreTest, BatchingOverRamCappedDiskTierIsBitwiseIdentical) {
+  // One borrowing lane batching four requests over RAM for 10 of the 12
+  // modules: the rest live on the disk tier.
+  AccuracyWorkload workload(7);
+  const Model model = make_induction_model({workload.vocab().size(), 256});
+  const CapTraffic traffic = cap_traffic();
 
   SharedModuleStore uncapped(/*device=*/0, /*host=*/0);
-  const std::vector<ServerResponse> expected = serve_all(uncapped);
-  size_t module_bytes = 0;
-  uncapped.for_each(
-      [&](const std::string&, const EncodedModule& m, ModuleLocation) {
-        EXPECT_TRUE(module_bytes == 0 || module_bytes == m.payload_bytes());
-        module_bytes = m.payload_bytes();
-      });
-  ASSERT_EQ(uncapped.size(), static_cast<size_t>(kModules));
-  static_assert(kMaxBatch * kImports + 1 <= 10 && 10 < kModules);
+  const CapRun expected =
+      serve_borrowing_lanes(model, workload, traffic, uncapped, 1, 4);
+  ASSERT_EQ(uncapped.size(), static_cast<size_t>(CapTraffic::kModules));
+  const size_t module_bytes = module_size(uncapped);
 
   SharedModuleStore capped(/*device=*/10 * module_bytes, /*host=*/1,
                            disk_config());
-  const std::vector<ServerResponse> responses = serve_all(capped);
-  ASSERT_EQ(responses.size(), prompts.size());
-  ASSERT_EQ(expected.size(), prompts.size());
-  for (size_t i = 0; i < prompts.size(); ++i) {
-    EXPECT_EQ(responses[i].status, ServeStatus::kOk) << responses[i].detail;
-    EXPECT_EQ(expected[i].status, ServeStatus::kOk) << expected[i].detail;
-    EXPECT_EQ(responses[i].result.tokens, expected[i].result.tokens)
-        << "prompt " << i;
-    EXPECT_FALSE(responses[i].result.tokens.empty());
-  }
+  const CapRun run =
+      serve_borrowing_lanes(model, workload, traffic, capped, 1, 4);
+  expect_same_tokens(run.responses, expected.responses);
 
   const DiskTierStats d = capped.disk_stats();
   EXPECT_GT(d.spills, 0u);
   EXPECT_GT(d.faults, 0u);
   check_conservation(d);
   EXPECT_LE(capped.peak_resident_bytes(), 10 * module_bytes);
-  // Every borrow was returned: nothing in either store is still pinned.
+  // Borrowing pins nothing: no key in either store is pinned.
   for (SharedModuleStore* store : {&uncapped, &capped}) {
     std::vector<std::string> keys;
     store->for_each([&](const std::string& key, const EncodedModule&,
@@ -605,6 +639,40 @@ TEST_F(TieredStoreTest, BatchingOverRamCappedDiskTierIsBitwiseIdentical) {
       EXPECT_EQ(store->pin_count(key), 0) << key;
     }
   }
+}
+
+// Two lanes batching two requests each import up to 8 modules at once, over
+// RAM for 2: borrowing caches hold what they read instead of pinning it, so
+// the store spills modules requests still read, every fault-in finds room,
+// and nothing degrades or re-encodes.
+TEST_F(TieredStoreTest, BorrowingLanesServeWithLessRamThanTheyImport) {
+  AccuracyWorkload workload(7);
+  const Model model = make_induction_model({workload.vocab().size(), 256});
+  const CapTraffic traffic = cap_traffic();
+  constexpr int kLanes = 2;
+  constexpr int kMaxBatch = 2;
+  static_assert(kLanes * kMaxBatch * CapTraffic::kImports > 2);
+
+  SharedModuleStore uncapped(/*device=*/0, /*host=*/0);
+  const CapRun expected = serve_borrowing_lanes(model, workload, traffic,
+                                                uncapped, kLanes, kMaxBatch);
+  const size_t module_bytes = module_size(uncapped);
+
+  SharedModuleStore capped(/*device=*/2 * module_bytes, /*host=*/1,
+                           disk_config());
+  const CapRun run = serve_borrowing_lanes(model, workload, traffic, capped,
+                                           kLanes, kMaxBatch);
+  expect_same_tokens(run.responses, expected.responses);
+  EXPECT_EQ(run.stats.degraded, 0u);
+  EXPECT_EQ(run.stats.modules_encoded,
+            static_cast<uint64_t>(CapTraffic::kModules));
+  EXPECT_EQ(run.stats.thrash_reencodes, 0u);
+
+  const DiskTierStats d = capped.disk_stats();
+  EXPECT_GT(d.faults, 0u);
+  EXPECT_EQ(d.read_failures, 0u);
+  check_conservation(d);
+  EXPECT_LE(capped.peak_resident_bytes(), 2 * module_bytes);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 // Tests for zero-copy serving and the sequence cache's module rows:
 // bitwise equivalence of copied and borrowed rows at fp32, q8 and q4,
-// memory-footprint semantics, cache contracts, and pin lifetimes.
+// borrowing as the default of engines and Server lanes, memory-footprint
+// semantics, cache contracts, and borrowed rows outliving their store
+// entries.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -13,6 +15,7 @@
 #include "kv/kv_cache.h"
 #include "kv/quant.h"
 #include "model/induction.h"
+#include "sys/server.h"
 #include "tensor/ops.h"
 
 namespace pc {
@@ -342,13 +345,13 @@ TEST(ZeroCopyEncode, MatchesForwardOverBorrowedFp32Q8Q4Rows) {
 }
 
 TEST_F(ZeroCopyTest, ServeMatchesCopyPathExactly) {
-  PromptCacheEngine copy_engine(model_, workload_.tokenizer());
+  EngineConfig copy;
+  copy.zero_copy = false;
+  PromptCacheEngine copy_engine(model_, workload_.tokenizer(), copy);
   copy_engine.load_schema(kSchema);
   const ServeResult copied = copy_engine.serve(kPrompt, answer_options());
 
-  EngineConfig cfg;
-  cfg.zero_copy = true;
-  PromptCacheEngine zc_engine(model_, workload_.tokenizer(), cfg);
+  PromptCacheEngine zc_engine(model_, workload_.tokenizer());
   zc_engine.load_schema(kSchema);
   const ServeResult borrowed = zc_engine.serve(kPrompt, answer_options());
 
@@ -362,35 +365,122 @@ TEST_F(ZeroCopyTest, ServeMatchesCopyPathExactly) {
   EXPECT_EQ(borrowed.ttft.cached_tokens, copied.ttft.cached_tokens);
 }
 
-TEST_F(ZeroCopyTest, PinsAreReleasedAfterServe) {
-  EngineConfig cfg;
-  cfg.zero_copy = true;
-  PromptCacheEngine engine(model_, workload_.tokenizer(), cfg);
-  engine.load_schema(kSchema);
-  (void)engine.serve(kPrompt, answer_options());
-  EXPECT_FALSE(engine.store().is_pinned("z::doc1"));
-  EXPECT_FALSE(engine.store().is_pinned("z::doc2"));
-  // Repeat serves keep working (pin/unpin cycles are balanced).
-  const ServeResult again = engine.serve(kPrompt, answer_options());
-  EXPECT_EQ(again.text, "a12 a13");
+// Borrowing is the default: an engine and a Server lane built from
+// default configs borrow every imported row, at every format, and move none.
+TEST_F(ZeroCopyTest, DefaultEngineAndServerLaneBorrowAtEveryFormat) {
+  for (StorePrecision format :
+       {StorePrecision::kFp32, StorePrecision::kQ8, StorePrecision::kQ4}) {
+    SCOPED_TRACE(to_string(format));
+    EngineConfig cfg;
+    cfg.precision = format;
+    PromptCacheEngine engine(model_, workload_.tokenizer(), cfg);
+    engine.load_schema(kSchema);
+    const ServeResult served = engine.serve(kPrompt, answer_options());
+    EXPECT_EQ(served.text, "a12 a13");
+    EXPECT_EQ(served.ttft.bytes_zero_copy, imported_stored_bytes(engine));
+    EXPECT_EQ(served.ttft.bytes_from_host + served.ttft.bytes_from_device,
+              0u);
+
+    ServerConfig scfg;
+    scfg.engine.precision = format;
+    scfg.schemas = {kSchema};
+    Server server(model_, workload_.tokenizer(), scfg);
+    server.submit(kPrompt, answer_options());
+    const std::vector<ServerResponse> responses = server.drain();
+    ASSERT_EQ(responses.size(), 1u);
+    const TtftBreakdown& lane = responses[0].result.ttft;
+    EXPECT_EQ(responses[0].status, ServeStatus::kOk) << responses[0].detail;
+    EXPECT_EQ(responses[0].result.tokens, served.tokens);
+    EXPECT_EQ(lane.bytes_zero_copy, imported_stored_bytes(server.engine()));
+    EXPECT_EQ(lane.bytes_from_host + lane.bytes_from_device, 0u);
+  }
 }
 
-// A zero-copy serve that throws mid-assembly returns the pins it took: a
-// module of another geometry under doc2's key is pinned, then refused by
-// the geometry check, after doc1's rows are borrowed.
-TEST_F(ZeroCopyTest, PinsAreReturnedWhenAssemblyThrows) {
-  EngineConfig cfg;
-  cfg.zero_copy = true;
-  PromptCacheEngine engine(model_, workload_.tokenizer(), cfg);
-  engine.load_schema(kSchema);
-  EncodedModule wrong;
-  wrong.n_layers = model_.config().n_layers;
-  wrong.kv_dim = model_.config().kv_dim() + 1;
-  wrong.kv32 = KVCache(wrong.n_layers, wrong.kv_dim);
-  engine.store().insert("z::doc2", std::move(wrong));
-  EXPECT_THROW(engine.serve(kPrompt, answer_options()), ContractViolation);
-  EXPECT_FALSE(engine.store().is_pinned("z::doc1"));
-  EXPECT_FALSE(engine.store().is_pinned("z::doc2"));
+// A borrowing cache holds the payloads it reads, so it keeps decoding
+// bit for bit like a copying engine's cache after its store entries are
+// erased, spilled under a RAM cap, or replaced by loading the schema
+// again. Both the cache assemble_and_prefill fills and the one assemble()
+// returns are checked; a dangling row is a use-after-free under ASan.
+TEST_F(ZeroCopyTest, BorrowedRowsOutliveTheirStoreEntries) {
+  const std::vector<TokenId> feed = workload_.tokenizer().encode("a12 a13 .");
+  const auto decode = [&](KVCache& cache, int start, const Tensor& first) {
+    std::vector<Tensor> logits = {first};
+    for (size_t i = 0; i < feed.size(); ++i) {
+      const int pos = start + static_cast<int>(i);
+      logits.push_back(model_.forward({&feed[i], 1}, {&pos, 1}, cache));
+    }
+    return logits;
+  };
+  const char* kOther = R"(
+    <schema name="y">
+      <module name="d1">w06 w07 q07 a14 a15 . w08</module>
+      <module name="d2">w09 w00 q08 a16 a17 . w01</module>
+    </schema>)";
+  for (StorePrecision format :
+       {StorePrecision::kFp32, StorePrecision::kQ8, StorePrecision::kQ4}) {
+    EngineConfig copy;
+    copy.precision = format;
+    copy.zero_copy = false;
+    PromptCacheEngine copy_engine(model_, workload_.tokenizer(), copy);
+    copy_engine.load_schema(kSchema);
+    const pml::PromptBinding copy_binding = copy_engine.bind(kPrompt);
+    const UncachedStream stream =
+        collect_uncached(copy_binding, model_.config().max_pos);
+    KVCache copied = model_.make_cache();
+    const Tensor copied_first =
+        copy_engine.assemble_and_prefill(copy_binding, copied, nullptr);
+    const std::vector<Tensor> expected =
+        decode(copied, stream.gen_start, copied_first);
+
+    // Room for two of the four modules: loading the other schema spills.
+    size_t module_bytes = 0;
+    copy_engine.store().for_each(
+        [&](const std::string&, const EncodedModule& m, ModuleLocation) {
+          module_bytes = std::max(module_bytes, m.payload_bytes());
+        });
+    DiskTierConfig disk;
+    disk.enabled = true;
+    disk.dir = ::testing::TempDir();
+    SharedModuleStore store(/*device=*/2 * module_bytes, /*host=*/1, disk);
+    EngineConfig borrow;
+    borrow.precision = format;
+    PromptCacheEngine engine(model_, workload_.tokenizer(), store, borrow);
+    engine.load_schema(kSchema);
+
+    const std::pair<const char*, std::function<void()>> disruptions[] = {
+        {"erased", [&] { store.clear(); }},
+        {"spilled",
+         [&] {
+           const uint64_t spills = store.disk_stats().spills;
+           engine.load_schema(kOther);
+           EXPECT_GE(store.disk_stats().spills, spills + 2);
+         }},
+        {"replaced", [&] { engine.load_schema(kSchema); }},
+    };
+    for (const auto& [what, disrupt] : disruptions) {
+      SCOPED_TRACE(std::string(to_string(format)) + " " + what);
+      engine.load_schema(kSchema);
+      const pml::PromptBinding binding = engine.bind(kPrompt);
+      KVCache filled = model_.make_cache();
+      const Tensor filled_first =
+          engine.assemble_and_prefill(binding, filled, nullptr);
+      TtftBreakdown ttft;
+      KVCache assembled = engine.assemble(binding, 8, &ttft);
+      ASSERT_GT(ttft.bytes_zero_copy, 0u);
+      const Tensor assembled_first =
+          model_.forward(stream.tokens, stream.pos_ids, assembled);
+      disrupt();
+      for (const auto& [cache, first] :
+           {std::pair{&filled, &filled_first},
+            std::pair{&assembled, &assembled_first}}) {
+        const std::vector<Tensor> got = decode(*cache, stream.gen_start, *first);
+        ASSERT_EQ(got.size(), expected.size());
+        for (size_t i = 0; i < got.size(); ++i) {
+          EXPECT_TRUE(same_bits(got[i], expected[i])) << "step " << i;
+        }
+      }
+    }
+  }
 }
 
 TEST_F(ZeroCopyTest, Q8ZeroCopyServesExactRetrievalWithoutDequant) {
@@ -400,6 +490,7 @@ TEST_F(ZeroCopyTest, Q8ZeroCopyServesExactRetrievalWithoutDequant) {
   // and the two paths emit the same tokens.
   EngineConfig q8;
   q8.precision = StorePrecision::kQ8;
+  q8.zero_copy = false;
   PromptCacheEngine copy_engine(model_, workload_.tokenizer(), q8);
   copy_engine.load_schema(kSchema);
   const ServeResult copied = copy_engine.serve(kPrompt, answer_options());
@@ -445,6 +536,7 @@ TEST_F(ZeroCopyTest, Q4ZeroCopyServesExactRetrievalWithoutDequant) {
   // and the two paths emit the same tokens.
   EngineConfig q4;
   q4.precision = StorePrecision::kQ4;
+  q4.zero_copy = false;
   PromptCacheEngine copy_engine(model_, workload_.tokenizer(), q4);
   copy_engine.load_schema(kSchema);
   const ServeResult copied = copy_engine.serve(kPrompt, answer_options());
@@ -500,25 +592,24 @@ TEST_F(ZeroCopyTest, ManyRequestsShareOneModuleCopy) {
 
   const UncachedStream question =
       collect_uncached(binding, model_.config().max_pos);
-  std::vector<SequenceKV> requests;
+  std::vector<KVCache> requests;
   size_t owned_total = 0;
   for (int i = 0; i < 8; ++i) {
     TtftBreakdown ttft;
-    requests.push_back(
-        engine.assemble(binding, ModuleRows::kBorrow, 2, &ttft));
-    (void)model_.forward(question.tokens, question.pos_ids,
-                         requests.back().cache);
-    owned_total += requests.back().cache.payload_bytes();
+    requests.push_back(engine.assemble(binding, 2, &ttft));
+    (void)model_.forward(question.tokens, question.pos_ids, requests.back());
+    owned_total += requests.back().payload_bytes();
   }
-  // Every live cache holds one pin on each module it borrows.
-  EXPECT_EQ(engine.store().pin_count("z::doc1"), 8);
-  requests.clear();
-  EXPECT_EQ(engine.store().pin_count("z::doc1"), 0);
 
   // One contiguous copy of the same prompt for comparison.
+  EngineConfig copying = fp32;
+  copying.zero_copy = false;
+  PromptCacheEngine copy_engine(model_, workload_.tokenizer(), copying);
+  copy_engine.load_schema(kSchema);
   KVCache copy = model_.make_cache();
   TtftBreakdown ttft;
-  (void)engine.assemble_and_prefill(binding, copy, &ttft);
+  (void)copy_engine.assemble_and_prefill(copy_engine.bind(kPrompt), copy,
+                                         &ttft);
   // 8 requests own less memory than 2 full copies would.
   EXPECT_LT(owned_total, 2 * copy.payload_bytes());
 }
