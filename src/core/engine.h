@@ -325,9 +325,10 @@ class PromptCacheEngine {
 
   // The store keys of `binding`'s blocks (modules, and active scaffolds in
   // place of their members), in concatenation order — the keys assembly
-  // reads — WITHOUT touching any store or encoding anything. The prefetch pipeline's lookahead (sys/prefetch.h) maps
-  // queued prompts to keys through the serving engine so spilled payloads
-  // can fault in ahead of admission; the shard router routes by them.
+  // reads — WITHOUT touching any store or encoding anything. The prefetch
+  // pipeline's lookahead (sys/prefetch.h) maps queued prompts to keys
+  // through the serving engine so spilled payloads can fault in ahead of
+  // admission; the shard router routes by them.
   std::vector<std::string> module_keys(const pml::PromptBinding& binding) const;
 
  private:

@@ -167,7 +167,8 @@ class KVCache {
   // domain (attn_fused_q8_gather).
   void append_rows(const std::vector<Q8Layer>& src,
                    std::span<const int> src_pos, int begin, int end,
-                   ModuleRows how, std::shared_ptr<const void> owner = nullptr) {
+                   ModuleRows how,
+                   std::shared_ptr<const void> owner = nullptr) {
     check_module_source(src.size(), src_pos.size(), begin, end);
     PC_CHECK_MSG(!has_q4_, "a cache holds one quantized format");
     const size_t w = static_cast<size_t>(kv_dim_);
@@ -197,7 +198,8 @@ class KVCache {
   // scored block-wise in the integer domain (attn_fused_q4_gather).
   void append_rows(const std::vector<Q4Layer>& src,
                    std::span<const int> src_pos, int begin, int end,
-                   ModuleRows how, std::shared_ptr<const void> owner = nullptr) {
+                   ModuleRows how,
+                   std::shared_ptr<const void> owner = nullptr) {
     check_module_source(src.size(), src_pos.size(), begin, end);
     PC_CHECK_MSG(!has_q8_, "a cache holds one quantized format");
     const size_t row_bytes = q4_row_bytes(kv_dim_);

@@ -402,7 +402,8 @@ TEST_F(ZeroCopyTest, DefaultEngineAndServerLaneBorrowAtEveryFormat) {
 // again. Both the cache assemble_and_prefill fills and the one assemble()
 // returns are checked; a dangling row is a use-after-free under ASan.
 TEST_F(ZeroCopyTest, BorrowedRowsOutliveTheirStoreEntries) {
-  const std::vector<TokenId> feed = workload_.tokenizer().encode("a12 a13 .");
+  const std::vector<TokenId> feed =
+      workload_.tokenizer().encode("a12 a13 .");
   const auto decode = [&](KVCache& cache, int start, const Tensor& first) {
     std::vector<Tensor> logits = {first};
     for (size_t i = 0; i < feed.size(); ++i) {
@@ -473,7 +474,8 @@ TEST_F(ZeroCopyTest, BorrowedRowsOutliveTheirStoreEntries) {
       for (const auto& [cache, first] :
            {std::pair{&filled, &filled_first},
             std::pair{&assembled, &assembled_first}}) {
-        const std::vector<Tensor> got = decode(*cache, stream.gen_start, *first);
+        const std::vector<Tensor> got =
+            decode(*cache, stream.gen_start, *first);
         ASSERT_EQ(got.size(), expected.size());
         for (size_t i = 0; i < got.size(); ++i) {
           EXPECT_TRUE(same_bits(got[i], expected[i])) << "step " << i;
